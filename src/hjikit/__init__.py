@@ -13,7 +13,7 @@ from .errors import HjikitError
 from .expr import EvalError, ExprSyntaxError, compile_evaluator, evaluate, parse, to_source
 from .hji import (Region, WitnessReport, affine_residual, check_witness,
                   gamma_range, general_residual, min_gain_scan, point_residual,
-                  power_residual, supply)
+                  power_residual, residuals, supply)
 from .storage import (GradientUndefinedError, MissingOracleError, StorageCandidate,
                       SubdiffSet, builtin, builtins, from_callables,
                       from_expression, subdiff, verify_subgradient)

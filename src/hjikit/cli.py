@@ -85,17 +85,6 @@ def _gamma_grid(spec: str):
     return hji.gamma_range(float(parts[0]), float(parts[1]), float(parts[2]))
 
 
-def _sweep_rows(sys, V, gamma, region, tol):
-    """Per-grid-point residual rows for the sweep CSV."""
-    rows = []
-    for x in region.grid():
-        res, _, u = hji.point_residual(sys, V, gamma, x)
-        if u is None:
-            u = np.full(sys.m, np.nan)
-        rows.append([*x, res, *u, bool(res <= tol)])
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -104,15 +93,16 @@ def _cmd_verify(args) -> int:
     sysm = _load_system(args)
     V = _load_storage(args)
     region = _region_from(args, sysm.n)
-    report = hji.check_witness(sysm, V, args.gamma, region, tol=args.tol,
-                               jobs=args.jobs)
+    report = hji.check_witness(sysm, V, args.gamma, region, tol=args.tol)
     out = _out_dir(args)
     _write_json(out / "verify.json", report.to_dict())
     tol = report.tolerance
     _write_csv(out / "sweep.csv",
                [f"x{i+1}" for i in range(sysm.n)] + ["residual"]
                + [f"worst_u{i+1}" for i in range(sysm.m)] + ["pass"],
-               _sweep_rows(sysm, V, args.gamma, region, tol))
+               [[*x, r, *u, r <= tol] for x, r, u in zip(
+                   report.grid.tolist(), report.point_residuals.tolist(),
+                   report.point_u.tolist())])
     print(f"verify: {report.verdict} (max residual {report.max_residual:.3e} "
           f"over {report.points_checked} points)")
     return EXIT_VERIFIED if report.passed else EXIT_FALSIFIED
@@ -123,7 +113,7 @@ def _cmd_gain(args) -> int:
     V = _load_storage(args)
     region = _region_from(args, sysm.n)
     grid = _gamma_grid(args.gammas)
-    gamma = hji.min_gain_scan(sysm, V, region, grid, tol=args.tol, jobs=args.jobs)
+    gamma = hji.min_gain_scan(sysm, V, region, grid, tol=args.tol)
     _write_json(_out_dir(args) / "gain.json",
                 {"gamma_grid": [grid[0], grid[-1], len(grid)], "min_gamma": gamma})
     if gamma is None:
@@ -331,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="reports", help="output directory")
         p.add_argument("--seed", type=int,
                        default=int(os.environ.get("HJI_SEED", "0")))
-        p.add_argument("--jobs", type=int,
-                       default=int(os.environ.get("HJI_JOBS", "1")))
 
     def region_opts(p):
         p.add_argument("--box", type=float, nargs="+", default=None,
@@ -402,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true")
     p.add_argument("--out", default="reports")
     p.add_argument("--seed", type=int, default=int(os.environ.get("HJI_SEED", "0")))
-    p.add_argument("--jobs", type=int, default=int(os.environ.get("HJI_JOBS", "1")))
     p.set_defaults(func=_cmd_zoo)
 
     p = sub.add_parser("subdiff", help="exact subdifferential point query")

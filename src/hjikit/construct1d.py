@@ -20,6 +20,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .errors import HjikitError
+from .hji import residuals
 from .storage import StorageCandidate, from_callables
 from .systems import AffineSystem
 
@@ -306,24 +307,9 @@ def _cumulative_from_zero(grid: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 def _check_witness_on_grid(sys: AffineSystem, V: StorageCandidate, gamma: float,
                            grid: np.ndarray):
-    pts = np.concatenate([-grid[::-1], grid])
-    for x in pts:
-        S = V.subdiff(np.array([x]))
-        for zeta in S.finite_vertices():
-            q = QuadCoeffs.at(sys, gamma, float(x))
-            # 1-D residual: Delta(zeta)/(4 gamma) with the sign-appropriate quadratic
-            qq = q if x > 0 else _flip(q)
-            if _residual_1d(sys, gamma, float(x), float(zeta[0])) > 1e-9:
-                raise WitnessHypothesisError(
-                    f"V={V.name!r} fails the gain-{gamma:g} witness check at x={x:g}")
-
-
-def _flip(q: QuadCoeffs) -> QuadCoeffs:
-    return QuadCoeffs(q.a, -q.b, q.c)
-
-
-def _residual_1d(sys: AffineSystem, gamma: float, x: float, zeta: float) -> float:
-    xv = np.array([x])
-    g0 = float(sys.drift(xv)[0])
-    quad = float(np.sum((zeta * sys.input_fields(xv)[:, 0]) ** 2)) if sys.m else 0.0
-    return zeta * g0 + quad / (4.0 * gamma) + x * x
+    X = np.concatenate([-grid[::-1], grid])[:, None]
+    res = residuals(sys, *V.subdiff_batch(X), X, gamma)[0]
+    k = int(np.argmax(res))
+    if res[k] > 1e-9:
+        raise WitnessHypothesisError(
+            f"V={V.name!r} fails the gain-{gamma:g} witness check at x={X[k, 0]:g}")

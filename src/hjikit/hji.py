@@ -4,23 +4,28 @@ For input-affine systems the inner maximization over u has the exact closed form
 
     residual(x, zeta) = zeta.g0(x) + (1/(4 gamma)) sum_i (zeta.g_i(x))^2 + |x|^2,
 
-and the witness condition at (x, zeta) is ``residual <= 0``.  For general (and
-power-affine) systems the sup over u is lower-bounded by sampling a u-grid.
-Box subdifferentials are handled by vertex enumeration (the residual is convex
-in zeta); unbounded box coordinates are admissible only where their dynamic
-coefficient vanishes identically in u.
+and the witness condition at (x, zeta) is ``residual <= 0``.  Power-affine
+systems have an exact sup too (channel by channel; +inf for p > 2 wherever a
+channel coefficient does not vanish).  For general systems the sup over u is
+lower-bounded by sampling a u-grid.  Box subdifferentials are handled by vertex
+enumeration (the residual is convex in zeta); unbounded box coordinates are
+admissible only where their dynamic coefficient vanishes identically in u.
+
+:func:`residuals` is the one batched kernel behind region sweeps; the scalar
+functions (:func:`point_residual` and the closed forms it calls) are the
+reference it is tested against.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import HjikitError
-from .storage import MissingOracleError, StorageCandidate
+from .storage import _KINK_SNAP, MissingOracleError, StorageCandidate
 from .systems import AffineSystem, PowerAffineSystem, System
 
 
@@ -31,6 +36,7 @@ class EmptyRegionError(HjikitError):
 DEFAULT_TOL_EXACT = 1e-9    # exact-oracle affine checks
 DEFAULT_TOL_SAMPLED = 1e-6  # sampled-sup general checks
 _COEFF_ZERO_TOL = 1e-12     # "vanishes identically" threshold for unbounded axes
+_CHUNK_ROWS = 200_000       # (point, u) rows per dynamics call on the sampled path
 
 
 @dataclass(frozen=True)
@@ -51,8 +57,17 @@ class Region:
     def dim(self) -> int:
         return len(self.box)
 
-    def grid(self) -> np.ndarray:
+    def grid(self, kinks=()) -> np.ndarray:
+        """The grid points; each (axis, value) in ``kinks`` inside the box becomes a node.
+
+        A kink coordinate is inserted into its axis unless a node already lies
+        within the candidates' snapping distance of it.
+        """
         axes = [np.linspace(lo, hi, self.points_per_dim) for lo, hi in self.box]
+        for k, v in kinks:
+            lo, hi = self.box[k]
+            if lo <= v <= hi and not np.any(np.abs(axes[k] - v) <= _KINK_SNAP):
+                axes[k] = np.sort(np.append(axes[k], v))
         mesh = np.meshgrid(*axes, indexing="ij")
         X = np.stack([m.ravel() for m in mesh], axis=-1)
         keep = np.linalg.norm(X, axis=1) >= self.exclude_radius
@@ -70,6 +85,10 @@ class WitnessReport:
     gamma: float = 0.0
     tolerance: float = 0.0
     mode: str = "exact"               # 'exact' | 'sampled'
+    # per-point arrays behind the verdict: grid (Q, n), residuals (Q,), worst u (Q, m)
+    grid: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    point_residuals: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    point_u: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -117,35 +136,42 @@ def affine_worst_u(sys: AffineSystem, x, zeta, gamma: float) -> np.ndarray:
 
 
 def power_residual(sys: PowerAffineSystem, x, zeta, gamma: float) -> float:
-    """Exact sup over u for a power-affine system with p <= 2.
+    """Exact sup over u for a power-affine system."""
+    return _power_sup(sys, x, zeta, gamma)[0]
+
+
+def _power_sup(sys: PowerAffineSystem, x, zeta, gamma: float):
+    """Exact sup over u for a power-affine system and its maximizing u (None if +inf).
 
     Channels separate:  sup_r c phi(r) - gamma r^2 has the closed form
     value((2-p)/p-weighted r*) for p < 2; for p = 2 it is 0 when the effective
-    coefficient is at most gamma and +inf otherwise.
+    coefficient is at most gamma and +inf otherwise; for p > 2 it is +inf
+    unless the effective coefficient vanishes.
     """
-    if sys.p > 2:
-        raise ValueError("closed-form power residual requires p <= 2")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     g0 = sys.drift(x)
     fields = sys.input_fields(x)
     total = float(np.dot(zeta, g0)) + float(np.dot(x, x))
+    u = np.zeros(sys.m)
     p = sys.p
     for i in range(sys.m):
         c = float(np.dot(zeta, fields[i]))
         ceff = abs(c) if sys.phi == "signed_pow" else max(c, 0.0)
         if ceff == 0.0:
             continue
-        if p == 2:
-            if ceff > gamma:
-                return math.inf
+        if p >= 2:
+            if ceff > (gamma if p == 2 else _COEFF_ZERO_TOL):
+                return math.inf, None
             continue
         if p == 1:
+            r = ceff / (2.0 * gamma)
             total += ceff * ceff / (4.0 * gamma)
-            continue
-        r = (p * ceff / (2.0 * gamma)) ** (1.0 / (2.0 - p))
-        total += ceff * r ** p - gamma * r * r
-    return total
+        else:
+            r = (p * ceff / (2.0 * gamma)) ** (1.0 / (2.0 - p))
+            total += ceff * r ** p - gamma * r * r
+        u[i] = math.copysign(r, c) if sys.phi == "signed_pow" else r
+    return total, u
 
 
 def general_residual(sys: System, x, zeta, gamma: float,
@@ -155,13 +181,12 @@ def general_residual(sys: System, x, zeta, gamma: float,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     if u_box is None:
-        half = 4.0 * float(np.max(np.abs(x)))
-        u_box = [(-half, half)] * sys.m
+        u_box = _default_u_box(x, sys.m)
     U = _u_grid_from_box(u_box, u_points)
     F = sys.dynamics(np.broadcast_to(x, (U.shape[0], x.size)), U)
     vals = F @ zeta - gamma * np.sum(U * U, axis=1) + float(np.dot(x, x))
     k = int(np.argmax(vals))
-    if warn_on_boundary and _on_boundary(U[k], U):
+    if warn_on_boundary and _on_boundary(U[k], u_box):
         warnings.warn(
             "sup over the u-grid attained on the box boundary; enlarge u_box",
             stacklevel=2)
@@ -174,145 +199,157 @@ def _u_grid_from_box(u_box, u_points: int) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
-def _on_boundary(u: np.ndarray, U: np.ndarray) -> bool:
-    lo = U.min(axis=0)
-    hi = U.max(axis=0)
-    span = hi - lo
-    return bool(np.any(((u <= lo) | (u >= hi)) & (span > 0)))
+def _default_u_box(X, m: int) -> list:
+    """The u-box [-4 max|x_i|, 4 max|x_i|]^m over the given state(s)."""
+    half = 4.0 * float(np.max(np.abs(X)))
+    return [(-half, half)] * m
+
+
+def _on_boundary(u: np.ndarray, u_box) -> bool:
+    lo, hi = np.asarray(u_box, dtype=float).T
+    return bool(np.any(((u <= lo) | (u >= hi)) & (hi > lo)))
 
 
 # ---------------------------------------------------------------------------
 # Region sweep
 # ---------------------------------------------------------------------------
 
+def residuals(sys: System, lo, hi, X, gamma: float,
+              u_box: Optional[Sequence] = None, u_points: int = 41):
+    """Worst residual over each point's box subdifferential: arrays (res, zeta, u).
+
+    Row q of ``lo``/``hi`` (Q, n) bounds the subdifferential at ``X[q]``.  The
+    sup over zeta is taken over the box vertices (the residual is convex in
+    zeta); a vertex takes a coordinate's finite side, or 0 on a coordinate
+    unbounded on both sides.  A point with an unbounded coordinate whose dynamic
+    coefficient does not vanish gets +inf; an empty row (lo > hi) gets -inf.
+    The sup over u is exact for (power-)affine systems and taken over the
+    u-grid of ``u_box`` (default: the u-box of the whole of X) for general
+    systems.  ``res`` has shape (Q,), the worst ``zeta`` (Q, n) and the worst
+    ``u`` (Q, m); both are NaN where no finite maximizer exists.
+    """
+    X = np.asarray(X, dtype=float)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    Q, n = X.shape
+    zlo = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    zhi = np.where(np.isfinite(hi), hi, zlo)
+    unbounded = ~(np.isfinite(lo) & np.isfinite(hi))
+    flips = [k for k in range(n) if np.any(zhi[:, k] != zlo[:, k])]
+    vertices = [zlo]                 # lexicographic order, first axis slowest
+    for k in reversed(flips):
+        vertices += [np.where(np.arange(n) == k, zhi, Z) for Z in vertices]
+
+    if isinstance(sys, (AffineSystem, PowerAffineSystem)):
+        step, parts = max(Q, 1), (lambda s: _affine_parts(sys, X[s], gamma))
+    else:
+        U = _u_grid_from_box(_default_u_box(X, sys.m) if u_box is None else u_box, u_points)
+        step = max(1, _CHUNK_ROWS // U.shape[0])
+        parts = (lambda s: _sampled_parts(sys, X[s], gamma, U))
+
+    res = np.full(Q, -math.inf)
+    zeta = np.full((Q, n), math.nan)
+    worst_u = np.full((Q, sys.m), math.nan)
+    for start in range(0, Q, step):
+        s = slice(start, start + step)
+        coef, sup = parts(s)
+        r, z, w = res[s], zeta[s], worst_u[s]        # views into the outputs
+        for Z in vertices:
+            val, u = sup(Z[s])
+            better = val > r
+            r[better], z[better], w[better] = val[better], Z[s][better], u[better]
+        bad = np.any(unbounded[s] & (coef > _COEFF_ZERO_TOL), axis=1)
+        r[bad], z[bad], w[bad] = math.inf, math.nan, math.nan
+    empty = np.any(lo > hi, axis=1)
+    res[empty], zeta[empty], worst_u[empty] = -math.inf, math.nan, math.nan
+    return res, zeta, worst_u
+
+
+def _affine_parts(sys, X, gamma):
+    """Per-point dynamic coefficients (Q, n) and the exact sup over u at a vertex array."""
+    p, signed = (sys.p, sys.phi == "signed_pow") if isinstance(sys, PowerAffineSystem) \
+        else (1.0, True)
+    G0 = sys.drift(X)
+    GI = sys.input_fields(X)                              # (m, Q, n)
+    xx = np.sum(X * X, axis=1)
+
+    def sup(Z):
+        ceff = np.einsum("iqn,qn->qi", GI, Z)             # channel coefficients (Q, m)
+        sgn = np.sign(ceff) if signed else 1.0
+        ceff = np.abs(ceff) if signed else np.maximum(ceff, 0.0)
+        if p >= 2:
+            val = np.where(ceff > (gamma if p == 2 else _COEFF_ZERO_TOL), math.inf, 0.0)
+            r = np.zeros_like(ceff)
+        elif p == 1:
+            val, r = ceff * ceff / (4.0 * gamma), ceff / (2.0 * gamma)
+        else:
+            r = (p * ceff / (2.0 * gamma)) ** (1.0 / (2.0 - p))
+            val = ceff * r ** p - gamma * r * r
+        u = np.where(np.isinf(val), math.nan, sgn * r)
+        return np.sum(Z * G0, axis=1) + xx + np.sum(val, axis=1), u
+
+    return np.max(np.abs(np.concatenate([G0[None], GI])), axis=0), sup
+
+
+def _sampled_parts(sys, X, gamma, U):
+    """Per-point dynamic coefficients over the u-grid and the sampled sup at a vertex array."""
+    B, K = X.shape[0], U.shape[0]
+    F = sys.dynamics(np.repeat(X, K, axis=0), np.tile(U, (B, 1))).reshape(B, K, -1)
+    base = np.sum(X * X, axis=1)[:, None] - gamma * np.sum(U * U, axis=1)
+
+    def sup(Z):
+        vals = np.einsum("bkn,bn->bk", F, Z) + base
+        j = np.argmax(vals, axis=1)
+        return vals[np.arange(B), j], U[j]
+
+    return np.max(np.abs(F), axis=1), sup
+
+
 def check_witness(sys: System, V: StorageCandidate, gamma: float, region: Region,
                   tol: Optional[float] = None,
-                  u_box: Optional[Sequence] = None, u_points: int = 41,
-                  jobs: int = 1) -> WitnessReport:
+                  u_box: Optional[Sequence] = None, u_points: int = 41) -> WitnessReport:
     """Sweep the region grid and verify the witness condition at every point.
 
-    At each grid point the candidate's subdifferential is maximized over: a box
-    maximum is attained at a vertex (the residual is convex in zeta).  An
-    unbounded box coordinate k is admissible only if the coefficient that
-    multiplies zeta_k vanishes identically in u (for affine-structured systems:
-    the k-th component of g0 and of every g_i is zero at x); otherwise the
-    point is recorded with +inf residual.
-
-    Grid points are independent; ``jobs > 1`` splits the sweep into that many
-    contiguous chunks evaluated on a thread pool, with order-stable aggregation
-    so reports stay byte-identical.
+    The grid visits the candidate's kink loci.  At each grid point the
+    candidate's subdifferential is maximized over: a box maximum is attained at
+    a vertex (the residual is convex in zeta).  An unbounded box coordinate k is
+    admissible only if the coefficient that multiplies zeta_k vanishes
+    identically in u (for affine-structured systems: the k-th component of g0
+    and of every g_i is zero at x); otherwise the point is recorded with +inf
+    residual.  General systems sample one u-grid over ``u_box`` (default: the
+    u-box of the whole grid) at every point.  The report carries the per-point
+    arrays that :func:`residuals` returns.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    exact = isinstance(sys, AffineSystem)
+    exact = isinstance(sys, (AffineSystem, PowerAffineSystem))
     if tol is None:
         tol = DEFAULT_TOL_EXACT if exact else DEFAULT_TOL_SAMPLED
-    X = region.grid()
+    if region.dim != sys.n:
+        raise ValueError(f"region dimension {region.dim} does not match system n={sys.n}")
+    X = region.grid(V.kinks)
     if X.shape[0] == 0:
         raise EmptyRegionError("region grid is empty")
-    if X.shape[1] != sys.n:
-        raise ValueError(f"region dimension {X.shape[1]} does not match system n={sys.n}")
     if not V.has_oracle:
         raise MissingOracleError(
             f"candidate {V.name!r} has no exact subdifferential or gradient oracle")
+    if not exact and u_box is None:
+        u_box = _default_u_box(X, sys.m)
 
-    structured = isinstance(sys, (AffineSystem, PowerAffineSystem))
-    G0 = sys.drift(X) if structured else None
-    GI = sys.input_fields(X) if structured else None
-    if not exact:
-        if u_box is None:
-            half = 4.0 * float(np.max(np.abs(X)))
-            u_box = [(-half, half)] * sys.m
-        U_common = _u_grid_from_box(u_box, u_points)
-    else:
-        U_common = None
-
-    if jobs <= 1 or X.shape[0] < 2 * jobs:
-        blocks = [_sweep_block(sys, V, gamma, X, range(X.shape[0]),
-                               exact, structured, G0, GI, U_common)]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        chunks = np.array_split(np.arange(X.shape[0]), jobs)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(pool.map(
-                lambda ids: _sweep_block(sys, V, gamma, X, ids, exact,
-                                         structured, G0, GI, U_common), chunks))
-
-    best = -math.inf
-    worst_x = worst_zeta = worst_u = None
-    boundary_hit = False
-    for blk in blocks:
-        if blk[0] > best:
-            best, worst_x, worst_zeta, worst_u, boundary_hit = blk
-
+    res, Z, U = residuals(sys, *V.subdiff_batch(X), X, gamma, u_box, u_points)
+    k = int(np.argmax(res))
+    best = float(res[k])
+    worst_zeta = None if np.isnan(Z[k]).any() else Z[k].copy()
+    worst_u = None if np.isnan(U[k]).any() else U[k].copy()
     verdict = "pass" if best <= tol else "fail"
-    if boundary_hit and verdict == "pass":
+    if not exact and verdict == "pass" and worst_u is not None \
+            and _on_boundary(worst_u, u_box):
         # a fail is conclusive even if truncated; a pass with the max on the
         # u-box boundary may be hiding a larger sup outside the box
         warnings.warn("worst sampled u lies on the u-box boundary; the sup may be larger",
                       stacklevel=2)
-    return WitnessReport(verdict, best, worst_x, worst_zeta, worst_u,
-                         X.shape[0], gamma, tol, "exact" if exact else "sampled")
-
-
-def _sweep_block(sys, V, gamma, X, indices, exact, structured, G0, GI, U_common):
-    """Max-residual reduction over one contiguous block of grid indices."""
-    Usq = np.sum(U_common * U_common, axis=1) if U_common is not None else None
-    best = -math.inf
-    worst_x = worst_zeta = worst_u = None
-    boundary_hit = False
-    for idx in indices:
-        x = X[idx]
-        S = V.subdiff(x)
-        if S.is_empty:
-            continue
-        unbounded = S.unbounded_axes
-        if unbounded:
-            ok = _unbounded_coefficients_vanish(
-                sys, x, unbounded,
-                G0[idx] if structured else None,
-                GI[:, idx, :] if structured else None,
-                None if structured else U_common)
-            if not ok:
-                return math.inf, x.copy(), None, None, False
-        verts = S.finite_vertices()
-        if exact:
-            g0 = G0[idx]
-            gi = GI[:, idx, :]                      # (m, n)
-            dots = verts @ gi.T                     # (K, m)
-            res = verts @ g0 + np.sum(dots * dots, axis=1) / (4 * gamma) + float(x @ x)
-            k = int(np.argmax(res))
-            if res[k] > best:
-                best = float(res[k])
-                worst_x = x.copy()
-                worst_zeta = verts[k].copy()
-                worst_u = dots[k] / (2 * gamma)
-        else:
-            F = sys.dynamics(np.broadcast_to(x, (U_common.shape[0], x.size)), U_common)
-            base = -gamma * Usq + float(x @ x)
-            for zeta in verts:
-                vals = F @ zeta + base
-                j = int(np.argmax(vals))
-                if vals[j] > best:
-                    best = float(vals[j])
-                    worst_x = x.copy()
-                    worst_zeta = zeta.copy()
-                    worst_u = U_common[j].copy()
-                    boundary_hit = _on_boundary(U_common[j], U_common)
-    return best, worst_x, worst_zeta, worst_u, boundary_hit
-
-
-def _unbounded_coefficients_vanish(sys, x, axes, g0_row, gi_rows, U_common) -> bool:
-    if g0_row is not None:
-        for k in axes:
-            if abs(g0_row[k]) > _COEFF_ZERO_TOL:
-                return False
-            if gi_rows.shape[0] and np.any(np.abs(gi_rows[:, k]) > _COEFF_ZERO_TOL):
-                return False
-        return True
-    # general system: the k-th dynamics component must vanish on the whole u sample
-    F = sys.dynamics(np.broadcast_to(x, (U_common.shape[0], x.size)), U_common)
-    return all(np.max(np.abs(F[:, k])) <= _COEFF_ZERO_TOL for k in axes)
+    return WitnessReport(verdict, best, X[k].copy(), worst_zeta, worst_u,
+                         X.shape[0], gamma, tol, "exact" if exact else "sampled",
+                         grid=X, point_residuals=res, point_u=U)
 
 
 def point_residual(sys: System, V: StorageCandidate, gamma: float, x,
@@ -320,26 +357,25 @@ def point_residual(sys: System, V: StorageCandidate, gamma: float, x,
     """Worst residual over the subdifferential at one point: (residual, zeta, u).
 
     Returns +inf with zeta = None when an unbounded subdifferential coordinate
-    multiplies a non-vanishing dynamic coefficient.
+    multiplies a non-vanishing dynamic coefficient.  This is the scalar
+    reference for :func:`residuals`.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     S = V.subdiff(x)
     if S.is_empty:
         return -math.inf, None, None
-    structured = isinstance(sys, (AffineSystem, PowerAffineSystem))
     if S.unbounded_axes:
-        if structured:
+        if isinstance(sys, (AffineSystem, PowerAffineSystem)):
             g0 = sys.drift(x)
             gi = sys.input_fields(x)
             ok = all(abs(g0[k]) <= _COEFF_ZERO_TOL
                      and (sys.m == 0 or np.all(np.abs(gi[:, k]) <= _COEFF_ZERO_TOL))
                      for k in S.unbounded_axes)
         else:
-            if u_box is None:
-                half = 4.0 * float(np.max(np.abs(x)))
-                u_box = [(-half, half)] * sys.m
-            U = _u_grid_from_box(u_box, u_points)
-            ok = _unbounded_coefficients_vanish(sys, x, S.unbounded_axes, None, None, U)
+            U = _u_grid_from_box(_default_u_box(x, sys.m) if u_box is None else u_box,
+                                 u_points)
+            F = sys.dynamics(np.broadcast_to(x, (U.shape[0], x.size)), U)
+            ok = all(np.max(np.abs(F[:, k])) <= _COEFF_ZERO_TOL for k in S.unbounded_axes)
         if not ok:
             return math.inf, None, None
     best, best_z, best_u = -math.inf, None, None
@@ -347,6 +383,8 @@ def point_residual(sys: System, V: StorageCandidate, gamma: float, x,
         if isinstance(sys, AffineSystem):
             res = affine_residual(sys, x, zeta, gamma)
             u = affine_worst_u(sys, x, zeta, gamma)
+        elif isinstance(sys, PowerAffineSystem):
+            res, u = _power_sup(sys, x, zeta, gamma)
         else:
             res, u = general_residual(sys, x, zeta, gamma, u_box=u_box,
                                       u_points=u_points, warn_on_boundary=False)
@@ -360,17 +398,21 @@ def min_gain_scan(sys: System, V: StorageCandidate, region: Region,
                   **kwargs) -> Optional[float]:
     """Smallest grid gamma whose witness check passes; None if every gamma fails.
 
-    The residual is nonincreasing in gamma, so the scan is monotone: once a
-    grid gamma passes, every larger one does.
+    The residual is nonincreasing in gamma at a fixed u-grid, so once a grid
+    gamma passes every larger one does: the scan bisects the grid, and finds
+    the same gamma as a linear scan in about log2(len(grid)) sweeps.
     """
     gammas = list(gamma_grid)
     if not gammas or any(g <= 0 for g in gammas) or gammas != sorted(gammas):
         raise ValueError("gamma_grid must be positive and increasing")
-    for gamma in gammas:
-        report = check_witness(sys, V, gamma, region, tol=tol, **kwargs)
-        if report.passed:
-            return gamma
-    return None
+    first, last = 0, len(gammas)      # gammas[:first] fail; gammas[last:] pass
+    while first < last:
+        mid = (first + last) // 2
+        if check_witness(sys, V, gammas[mid], region, tol=tol, **kwargs).passed:
+            last = mid
+        else:
+            first = mid + 1
+    return gammas[first] if first < len(gammas) else None
 
 
 def gamma_range(start: float, stop: float, step: float) -> list:

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import HjikitError
-from .hji import Region, check_witness
+from .hji import Region, check_witness, residuals
 from .storage import StorageCandidate, from_callables
 from .systems import AffineSystem, PowerAffineSystem, System
 
@@ -468,28 +468,6 @@ def _as_power_affine(sys: System) -> PowerAffineSystem:
     raise ValueError("smoothing applies to (power-)affine systems")
 
 
-def _power_residual_batch(sys: PowerAffineSystem, P: np.ndarray, Z: np.ndarray,
-                          gamma: float) -> np.ndarray:
-    """Vectorized sup_u [zeta.(g0 + sum phi(u_i) g_i) + |x|^2 - gamma|u|^2]."""
-    G0 = sys.drift(P)
-    out = np.sum(Z * G0, axis=1) + np.sum(P * P, axis=1)
-    fields = sys.input_fields(P)          # (m, Q, n)
-    p = sys.p
-    for i in range(sys.m):
-        c = np.sum(Z * fields[i], axis=1)
-        ceff = np.abs(c) if sys.phi == "signed_pow" else np.maximum(c, 0.0)
-        if p == 2:
-            out = np.where(ceff > gamma, np.inf, out)
-        elif p == 1:
-            out = out + ceff * ceff / (4.0 * gamma)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = (p * ceff / (2.0 * gamma)) ** (1.0 / (2.0 - p))
-            r = np.where(ceff > 0, r, 0.0)
-            out = out + ceff * r ** p - gamma * r * r
-    return out
-
-
 def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: float,
                    r_min: float = 0.05, r_max: float = 2.0,
                    grid_ratio: float = 1.1, initial_delta_min: Optional[float] = None,
@@ -600,7 +578,7 @@ def _certify(psys: PowerAffineSystem, moll: MollifiedFunction, Pc: np.ndarray,
         return False, ("relative bound", Pc[rk], float(rel[rk]), math.nan)
 
     Z = Gh / (1.0 - dlt)
-    res = _power_residual_batch(psys, Pc, Z, gamma_eff)
+    res = residuals(psys, Z, Z, Pc, gamma_eff)[0]
     ek = int(np.argmax(res))
     if res[ek] > 0.0:
         return False, ("gain residual", Pc[ek], float(rel[rk]), float(res[ek]))

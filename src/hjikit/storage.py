@@ -117,8 +117,11 @@ class StorageCandidate:
     ``value`` maps a state (n,) to a float and must accept batched (..., n)
     arrays.  ``subdiff``/``gradient`` are exact oracles when present; the
     gradient oracle raises :class:`GradientUndefinedError` on its kink loci.
-    ``regularity`` is one of 'continuous', 'lipschitz', 'c1_away_from_origin',
-    'smooth'.
+    ``subdiff_batch_fn`` is the batched form of the subdifferential oracle,
+    mapping states (Q, n) to box bounds ``(lo, hi)`` of shape (Q, n); ``kinks``
+    lists the (axis, value) coordinates where the subdifferential is not a
+    singleton, so that region grids can visit them.  ``regularity`` is one of
+    'continuous', 'lipschitz', 'c1_away_from_origin', 'smooth'.
     """
 
     name: str
@@ -127,6 +130,8 @@ class StorageCandidate:
     subdiff_fn: Optional[Callable[[np.ndarray], SubdiffSet]] = None
     gradient_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dim: Optional[int] = None  # None = any dimension
+    subdiff_batch_fn: Optional[Callable[[np.ndarray], tuple]] = None
+    kinks: tuple = ()
 
     def value(self, x) -> float:
         return float(self.value_fn(np.asarray(x, dtype=float)))
@@ -142,6 +147,22 @@ class StorageCandidate:
                 f"candidate {self.name!r} has no exact subdifferential oracle; "
                 "use verify_subgradient for numeric evidence")
         return self.subdiff_fn(np.asarray(x, dtype=float))
+
+    def subdiff_batch(self, X) -> tuple:
+        """Box subdifferentials at the rows of X (Q, n) as arrays ``lo, hi`` of shape (Q, n).
+
+        Without a batched oracle the scalar one is queried row by row; an empty
+        subdifferential becomes the row lo = +inf, hi = -inf.
+        """
+        X = np.asarray(X, dtype=float)
+        if self.subdiff_batch_fn is not None:
+            return self.subdiff_batch_fn(X)
+        lo, hi = np.full(X.shape, _INF), np.full(X.shape, -_INF)
+        for q, x in enumerate(X):
+            S = self.subdiff(x)
+            if not S.is_empty:
+                lo[q], hi[q] = np.array(S.intervals).T
+        return lo, hi
 
     def gradient(self, x) -> np.ndarray:
         if self.gradient_fn is None:
@@ -162,44 +183,39 @@ def subdiff(V: StorageCandidate, x) -> SubdiffSet:
 # Built-in candidates
 # ---------------------------------------------------------------------------
 
-def _snap(v: float) -> float:
-    return 0.0 if abs(v) <= _KINK_SNAP else v
+def _from_batch(name, value, sd_batch, regularity, dim, kinks, where) -> StorageCandidate:
+    """A built-in whose scalar subdifferential and gradient are one-row calls of ``sd_batch``."""
+
+    def row(x):
+        return sd_batch(np.asarray(x, dtype=float).reshape(1, -1))
+
+    def sd(x):
+        lo, hi = row(x)
+        return SubdiffSet.box(zip(lo[0], hi[0]))
+
+    def grad(x):
+        lo, hi = row(x)
+        if np.any(lo[0] != hi[0]):
+            raise GradientUndefinedError(f"gradient undefined {where}")
+        return lo[0]
+
+    return StorageCandidate(name, value, regularity, sd, grad, dim, sd_batch, kinks)
 
 
-def _sign(v: float) -> float:
-    return 0.0 if v == 0 else math.copysign(1.0, v)
-
-
-def _weighted_l1(scale: float):
+def _weighted_l1(name: str, scale: float) -> StorageCandidate:
     """scale * (|x1| + |x2|) with its exact box subdifferential."""
 
     def value(X):
         X = np.asarray(X, dtype=float)
         return scale * (np.abs(X[..., 0]) + np.abs(X[..., 1]))
 
-    def sd(x):
-        x1, x2 = _snap(x[0]), _snap(x[1])
-        iv1 = (-scale, scale) if x1 == 0 else (scale * _sign(x1),) * 2
-        iv2 = (-scale, scale) if x2 == 0 else (scale * _sign(x2),) * 2
-        return SubdiffSet.box((iv1, iv2))
+    def sd(X):
+        kink = np.abs(X) <= _KINK_SNAP
+        slope = scale * np.sign(X)
+        return np.where(kink, -scale, slope), np.where(kink, scale, slope)
 
-    def grad(x):
-        x1, x2 = _snap(x[0]), _snap(x[1])
-        if x1 == 0 or x2 == 0:
-            raise GradientUndefinedError("gradient undefined on the coordinate axes")
-        return np.array([scale * _sign(x1), scale * _sign(x2)])
-
-    return value, sd, grad
-
-
-def _make_v1_scaled() -> StorageCandidate:
-    value, sd, grad = _weighted_l1(2.0)
-    return StorageCandidate("v1_scaled", value, "lipschitz", sd, grad, dim=2)
-
-
-def _make_v1() -> StorageCandidate:
-    value, sd, grad = _weighted_l1(1.0)
-    return StorageCandidate("v1", value, "lipschitz", sd, grad, dim=2)
+    return _from_batch(name, value, sd, "lipschitz", 2, ((0, 0.0), (1, 0.0)),
+                       "on the coordinate axes")
 
 
 def _make_v2() -> StorageCandidate:
@@ -207,20 +223,15 @@ def _make_v2() -> StorageCandidate:
         X = np.asarray(X, dtype=float)
         return X[..., 0] ** 2 + np.cbrt(X[..., 1]) ** 2
 
-    def sd(x):
-        x1, x2 = float(x[0]), _snap(x[1])
-        if x2 == 0:
-            # liminf of |h|^(2/3)/|h| diverges, so every second coordinate qualifies
-            return SubdiffSet.box(((2 * x1, 2 * x1), (-_INF, _INF)))
-        return SubdiffSet.singleton((2 * x1, (2.0 / 3.0) / np.cbrt(x2)))
+    def sd(X):
+        kink = np.abs(X[:, 1]) <= _KINK_SNAP
+        # liminf of |h|^(2/3)/|h| diverges on x2 = 0, so every second coordinate qualifies
+        z2 = (2.0 / 3.0) / np.cbrt(np.where(kink, 1.0, X[:, 1]))
+        lo = np.stack([2 * X[:, 0], np.where(kink, -_INF, z2)], axis=1)
+        hi = np.stack([2 * X[:, 0], np.where(kink, _INF, z2)], axis=1)
+        return lo, hi
 
-    def grad(x):
-        x1, x2 = float(x[0]), _snap(x[1])
-        if x2 == 0:
-            raise GradientUndefinedError("gradient undefined on the x2 = 0 axis")
-        return np.array([2 * x1, (2.0 / 3.0) / np.cbrt(x2)])
-
-    return StorageCandidate("v2", value, "continuous", sd, grad, dim=2)
+    return _from_batch("v2", value, sd, "continuous", 2, ((1, 0.0),), "on the x2 = 0 axis")
 
 
 def _make_v3_scalar() -> StorageCandidate:
@@ -229,22 +240,15 @@ def _make_v3_scalar() -> StorageCandidate:
         v = X[..., 0]
         return np.maximum(np.abs(v), 2 * v - 1)
 
-    def sd(x):
-        v = float(np.atleast_1d(x)[0])
-        if abs(v) <= _KINK_SNAP:
-            return SubdiffSet.box(((-1.0, 1.0),))
-        if abs(v - 1.0) <= _KINK_SNAP:
-            return SubdiffSet.box(((1.0, 2.0),))
-        slope = -1.0 if v < 0 else (1.0 if v < 1 else 2.0)
-        return SubdiffSet.singleton((slope,))
+    def sd(X):
+        v = X[:, :1]
+        slope = np.where(v < 0, -1.0, np.where(v < 1, 1.0, 2.0))
+        at0, at1 = np.abs(v) <= _KINK_SNAP, np.abs(v - 1.0) <= _KINK_SNAP
+        return (np.where(at0, -1.0, np.where(at1, 1.0, slope)),
+                np.where(at0, 1.0, np.where(at1, 2.0, slope)))
 
-    def grad(x):
-        v = float(np.atleast_1d(x)[0])
-        if abs(v) <= _KINK_SNAP or abs(v - 1.0) <= _KINK_SNAP:
-            raise GradientUndefinedError("gradient undefined at the kinks x = 0 and x = 1")
-        return np.array([-1.0 if v < 0 else (1.0 if v < 1 else 2.0)])
-
-    return StorageCandidate("v3_scalar", value, "lipschitz", sd, grad, dim=1)
+    return _from_batch("v3_scalar", value, sd, "lipschitz", 1, ((0, 0.0), (0, 1.0)),
+                       "at the kinks x = 0 and x = 1")
 
 
 def _make_sq_norm() -> StorageCandidate:
@@ -252,20 +256,17 @@ def _make_sq_norm() -> StorageCandidate:
         X = np.asarray(X, dtype=float)
         return np.sum(X * X, axis=-1)
 
-    def sd(x):
-        return SubdiffSet.singleton(2 * np.asarray(x, dtype=float))
+    def sd(X):
+        return 2 * X, 2 * X
 
-    def grad(x):
-        return 2 * np.asarray(x, dtype=float)
-
-    return StorageCandidate("sq_norm", value, "smooth", sd, grad, dim=None)
+    return _from_batch("sq_norm", value, sd, "smooth", None, (), "")
 
 
 def builtins() -> dict:
     """Fresh instances of the built-in candidates, keyed by name."""
     return {
-        "v1_scaled": _make_v1_scaled(),
-        "v1": _make_v1(),
+        "v1_scaled": _weighted_l1("v1_scaled", 2.0),
+        "v1": _weighted_l1("v1", 1.0),
         "v2": _make_v2(),
         "v3_scalar": _make_v3_scalar(),
         "sq_norm": _make_sq_norm(),

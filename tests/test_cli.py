@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -24,6 +25,23 @@ def test_verify_pass_and_fail(tmp_path):
     code = run(["verify", "--zoo", "sigma1", "--storage", "builtin:v1_scaled",
                 "--gamma", "0.9", "--out", tmp_path / "fail"])
     assert code == 1
+
+
+@pytest.mark.parametrize("zoo, storage, gamma, ppd", [
+    ("sigma2", "v2", "1", "40"),
+    ("sigma3_scalar", "v3_scalar", "1", "401"),
+    ("sigma1", "v1_scaled", "0.9", "41"),
+])
+def test_sweep_csv_agrees_with_report(tmp_path, zoo, storage, gamma, ppd):
+    """sweep.csv holds the rows the verdict was computed from."""
+    run(["verify", "--zoo", zoo, "--storage", f"builtin:{storage}", "--gamma", gamma,
+         "--ppd", ppd, "--out", tmp_path])
+    report = json.loads((tmp_path / "verify.json").read_text())
+    with (tmp_path / "sweep.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == report["points_checked"]
+    assert max(float(r["residual"]) for r in rows) == report["max_residual"]
+    assert all(r["pass"] == "True" for r in rows) == (report["verdict"] == "pass")
 
 
 def test_gain_scan(tmp_path):

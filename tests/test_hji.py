@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hjikit import hji
 from hjikit import storage as stg
@@ -206,3 +207,133 @@ def test_report_serialization(sigma1, region2):
     d = rep.to_dict()
     assert d["verdict"] == "pass" and isinstance(d["worst_x"], list)
     assert d["points_checked"] == 1680
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against the scalar reference
+# ---------------------------------------------------------------------------
+
+_BAD_V2 = sy.AffineSystem(2, 2, ("-x1", "-x2+0.5"), (("1", "0"), ("0", "1")), name="bad")
+_P2 = sy.PowerAffineSystem(2, 1, ("-x1", "-x2"), (("x2", "x1"),), p=2.0, phi="abs_pow",
+                           name="p2")
+_KERNEL_CASES = {
+    "sigma1/v1_scaled": (sy.make_sigma1(), "v1_scaled"),
+    "bad/v1_scaled": (_BAD_V2, "v1_scaled"),
+    "p2/v1": (_P2, "v1"),
+    "sigma1/v1": (sy.make_sigma1(), "v1"),
+    "sigma2/v2": (sy.make_sigma2(), "v2"),
+    "bad/v2": (_BAD_V2, "v2"),
+    "sigma1_c1/v1_scaled": (sy.make_sigma1_c1(), "v1_scaled"),
+    "sigma_p(1.5)/v1": (sy.make_sigma_p(1.5), "v1"),
+    "sigma_p(1.5)/sq_norm": (sy.make_sigma_p(1.5), "sq_norm"),
+    "sigma_p(3)/v1": (sy.make_sigma_p(3.0), "v1"),
+    "sigma_p(3)/sq_norm": (sy.make_sigma_p(3.0), "sq_norm"),
+    "sigma_p_signed(3)/v1": (sy.make_sigma_p_signed(3.0), "v1"),
+    "sigma_p_signed(3)/sq_norm": (sy.make_sigma_p_signed(3.0), "sq_norm"),
+    "p2/sq_norm": (_P2, "sq_norm"),
+    "sigma3_scalar/v3_scalar": (sy.make_sigma3_scalar(), "v3_scalar"),
+    "scalar_linear/v3_scalar": (sy.make_scalar_linear(), "v3_scalar"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+@settings(max_examples=15, deadline=None)
+@given(gamma=st.floats(0.2, 3.0), data=st.data())
+def test_residuals_match_point_residual(case, gamma, data):
+    """One kernel call equals point_residual at every point, kink loci included.
+
+    The two paths sum the same terms in different orders, so finite values
+    agree to 1e-12, relative to the residual's size once it exceeds 1.
+    """
+    sysm, name = _KERNEL_CASES[case]
+    V = stg.builtin(name)
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    drawn = data.draw(st.lists(st.lists(coord, min_size=sysm.n, max_size=sysm.n),
+                               min_size=1, max_size=6))
+    X = np.concatenate([np.array(drawn),
+                        np.random.default_rng(len(drawn)).uniform(-2, 2, (10, sysm.n))])
+    copies = [X]
+    for axis, value in V.kinks:
+        Y = X.copy()
+        Y[:, axis] = value + data.draw(st.floats(-1e-12, 1e-12))
+        copies.append(Y)
+    X = np.concatenate(copies)
+    X = X[np.linalg.norm(X, axis=1) > 0.0]
+    u_box = [(-4.0, 4.0)] * sysm.m
+    res, zeta, u = hji.residuals(sysm, *V.subdiff_batch(X), X, gamma, u_box=u_box)
+    for q, x in enumerate(X):
+        ref, ref_zeta, _ = hji.point_residual(sysm, V, gamma, x, u_box=u_box)
+        if math.isinf(ref):
+            assert res[q] == ref, (x, res[q], ref)
+        else:
+            assert abs(res[q] - ref) <= 1e-12 * max(1.0, abs(ref)), (x, res[q], ref)
+        if ref_zeta is None:
+            assert np.all(np.isnan(zeta[q]))
+
+
+def test_power_affine_exact_for_every_p():
+    """p > 2: +inf where a channel coefficient is nonzero, the drift terms where it vanishes."""
+    sp = sy.make_sigma_p(3.0)
+    assert hji.power_residual(sp, [1.0, 0.5], [2.0, 1.0], 1.0) == math.inf
+    # the L1 gradient annihilates the oscillator channel: only zeta.g0 + |x|^2 remains
+    x, z = np.array([1.0, 0.5]), np.array([1.0, 1.0])
+    assert hji.power_residual(sp, x, z, 0.01) == pytest.approx(
+        float(z @ sp.drift(x)) + float(x @ x), abs=1e-15)
+    rep = hji.check_witness(sp, stg.builtin("v1"), 0.01,
+                            hji.Region(box=((-2, 2), (-2, 2)), points_per_dim=21))
+    assert rep.passed and rep.mode == "exact" and rep.tolerance == hji.DEFAULT_TOL_EXACT
+
+
+def test_grid_visits_kink_loci():
+    even = hji.Region(box=((-2, 2), (-2, 2)), points_per_dim=40)
+    assert not np.any(even.grid()[:, 1] == 0.0)
+    v2 = stg.builtin("v2")
+    rep = hji.check_witness(sy.make_sigma2(), v2, 1.0, even)
+    assert rep.passed and rep.points_checked == 40 * 41
+    assert np.count_nonzero(rep.grid[:, 1] == 0.0) == 40   # the zero-coefficient rows
+    rep = hji.check_witness(_BAD_V2, v2, 1.0, even)
+    assert not rep.passed and math.isinf(rep.max_residual) and rep.worst_x[1] == 0.0
+    # odd symmetric grids already visit the loci and keep their point counts
+    odd = hji.Region(box=((-2, 2), (-2, 2)), points_per_dim=41)
+    assert odd.grid(v2.kinks).shape == odd.grid().shape
+    line = hji.Region(box=((-3, 3),), points_per_dim=8)
+    pts = line.grid(stg.builtin("v3_scalar").kinks)[:, 0]
+    assert 1.0 in pts and pts.size == 9       # x = 1 added; x = 0 added, then excluded
+
+
+_SCANS = {
+    "sigma1/v1_scaled": (sy.make_sigma1(), "v1_scaled", 2, hji.gamma_range(0.5, 2.0, 0.01)),
+    "sigma2/v2": (sy.make_sigma2(), "v2", 2, hji.gamma_range(0.5, 2.0, 0.01)),
+    "power p=1.5": (sy.PowerAffineSystem(1, 1, ("-x1",), (("1",),), p=1.5, phi="abs_pow"),
+                    "sq_norm", 1, hji.gamma_range(0.5, 3.0, 0.01)),
+    "sigma3_scalar/v3_scalar": (sy.make_sigma3_scalar(), "v3_scalar", 1,
+                                hji.gamma_range(0.8, 1.2, 0.01)),
+    "none passes": (sy.make_sigma1(), "v1_scaled", 2, hji.gamma_range(0.1, 0.5, 0.01)),
+}
+
+
+def test_min_gain_bisection_finds_every_threshold(monkeypatch):
+    """Against a pass/fail threshold at every grid position, bisection returns that gamma."""
+    gammas = hji.gamma_range(0.5, 2.0, 0.01)
+    for t in range(len(gammas) + 1):
+        threshold = gammas[t] if t < len(gammas) else math.inf
+        monkeypatch.setattr(hji, "check_witness", lambda s, V, g, r, **k: hji.WitnessReport(
+            "pass" if g >= threshold else "fail", 0.0, None, None, None, 1))
+        assert hji.min_gain_scan(None, None, None, gammas) == (
+            gammas[t] if t < len(gammas) else None)
+
+
+@pytest.mark.parametrize("case", sorted(_SCANS))
+def test_min_gain_bisection_matches_linear_scan(case, monkeypatch):
+    sysm, name, n, gammas = _SCANS[case]
+    V = stg.builtin(name)
+    region = hji.Region(box=((-1.5, 1.5),) * n, points_per_dim=13 if n > 1 else 61)
+    linear = next((g for g in gammas
+                   if hji.check_witness(sysm, V, g, region).passed), None)
+    sweeps = []
+    check = hji.check_witness
+    monkeypatch.setattr(hji, "check_witness", lambda *a, **k: sweeps.append(1) or check(*a, **k))
+    assert hji.min_gain_scan(sysm, V, region, gammas) == linear
+    assert len(sweeps) <= math.ceil(math.log2(len(gammas) + 1))
+    if case == "none passes":
+        assert linear is None

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hjikit import storage as stg
 
@@ -191,3 +192,74 @@ def test_v2_constant_on_orbit_curve():
         pts = np.stack([a * t, (a * a - (a * t) ** 2) ** 1.5], axis=-1)
         vals = v2.value_batch(pts)
         assert np.max(np.abs(vals - a * a)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batched oracles against the scalar formulas
+# ---------------------------------------------------------------------------
+
+_DIMS = {"v1_scaled": 2, "v1": 2, "v2": 2, "v3_scalar": 1, "sq_norm": 3}
+
+
+def _reference_intervals(name, x):
+    """The built-in subdifferentials written out one point at a time."""
+    def snap(v):
+        return 0.0 if abs(v) <= 1e-12 else float(v)
+
+    if name in ("v1", "v1_scaled"):
+        s = 1.0 if name == "v1" else 2.0
+        return tuple((-s, s) if snap(v) == 0 else (math.copysign(s, v),) * 2 for v in x)
+    if name == "v2":
+        z1 = 2 * float(x[0])
+        if snap(x[1]) == 0:
+            return ((z1, z1), (-math.inf, math.inf))
+        z2 = float((2.0 / 3.0) / np.cbrt(x[1]))
+        return ((z1, z1), (z2, z2))
+    if name == "v3_scalar":
+        v = float(x[0])
+        if abs(v) <= 1e-12:
+            return ((-1.0, 1.0),)
+        if abs(v - 1.0) <= 1e-12:
+            return ((1.0, 2.0),)
+        s = -1.0 if v < 0 else (1.0 if v < 1 else 2.0)
+        return ((s, s),)
+    return tuple((2 * float(v), 2 * float(v)) for v in x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(_DIMS)), data=st.data())
+def test_subdiff_batch_matches_scalar(name, data):
+    """Batched boxes equal the per-point oracle, on random points and on every kink locus."""
+    V = stg.builtin(name)
+    n = _DIMS[name]
+    coord = st.floats(-3.0, 3.0, allow_nan=False)
+    X = np.array(data.draw(st.lists(st.lists(coord, min_size=n, max_size=n),
+                                    min_size=1, max_size=6)))
+    copies = [X]
+    for axis, value in V.kinks:
+        Y = X.copy()
+        Y[:, axis] = value + data.draw(st.floats(-1e-12, 1e-12))
+        copies.append(Y)
+    X = np.concatenate(copies)
+    lo, hi = V.subdiff_batch(X)
+    assert lo.shape == hi.shape == X.shape
+    for x, row_lo, row_hi in zip(X, lo, hi):
+        expected = _reference_intervals(name, x)
+        assert tuple(zip(row_lo.tolist(), row_hi.tolist())) == expected, x
+        assert V.subdiff(x).intervals == expected, x
+
+
+def test_subdiff_batch_scalar_fallback():
+    """Candidates with only a scalar oracle are queried row by row; empty sets mark lo > hi."""
+    v3 = stg.builtin("v3_scalar")
+
+    def sd(x):
+        return stg.SubdiffSet.empty_set() if x[0] > 2.0 else v3.subdiff(x)
+
+    cand = stg.from_callables("v3-partial", v3.value_fn, subdiff_fn=sd, dim=1)
+    lo, hi = cand.subdiff_batch(np.array([[-1.0], [0.0], [1.0], [2.5]]))
+    assert lo[:, 0].tolist() == [-1.0, -1.0, 1.0, math.inf]
+    assert hi[:, 0].tolist() == [-1.0, 1.0, 2.0, -math.inf]
+    grad_only = stg.from_callables("sq", v3.value_fn, gradient_fn=lambda x: 2 * x, dim=1)
+    lo, hi = grad_only.subdiff_batch(np.array([[0.5], [-1.5]]))
+    assert lo.tolist() == hi.tolist() == [[1.0], [-3.0]]
