@@ -141,12 +141,12 @@ def power_residual(sys: PowerAffineSystem, x, zeta, gamma: float) -> float:
 
 
 def _power_sup(sys: PowerAffineSystem, x, zeta, gamma: float):
-    """Exact sup over u for a power-affine system and its maximizing u (None if +inf).
+    """Exact sup over u for a power-affine system and a maximizer (None if p >= 2 gives +inf).
 
-    Channels separate:  sup_r c phi(r) - gamma r^2 has the closed form
-    value((2-p)/p-weighted r*) for p < 2; for p = 2 it is 0 when the effective
-    coefficient is at most gamma and +inf otherwise; for p > 2 it is +inf
-    unless the effective coefficient vanishes.
+    Channels separate:  sup_r c phi(r) - gamma r^2 is gamma (2-p)/p r*^2 at
+    r* = (p c / (2 gamma))^(1/(2-p)) for p < 2 (+inf once r* overflows); for
+    p = 2 it is 0 when the effective coefficient is at most gamma and +inf
+    otherwise; for p > 2 it is +inf unless the effective coefficient vanishes.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
@@ -168,8 +168,9 @@ def _power_sup(sys: PowerAffineSystem, x, zeta, gamma: float):
             r = ceff / (2.0 * gamma)
             total += ceff * ceff / (4.0 * gamma)
         else:
-            r = (p * ceff / (2.0 * gamma)) ** (1.0 / (2.0 - p))
-            total += ceff * r ** p - gamma * r * r
+            with np.errstate(over="ignore"):          # p near 2: r and the sup overflow to inf
+                r = float(np.float64(p * ceff / (2.0 * gamma)) ** (1.0 / (2.0 - p)))
+            total += gamma * (2.0 - p) / p * r * r      # c r^p - gamma r^2 at r
         u[i] = math.copysign(r, c) if sys.phi == "signed_pow" else r
     return total, u
 
@@ -222,7 +223,8 @@ def residuals(sys: System, lo, hi, X, gamma: float,
     sup over zeta is taken over the box vertices (the residual is convex in
     zeta); a vertex takes a coordinate's finite side, or 0 on a coordinate
     unbounded on both sides.  A point with an unbounded coordinate whose dynamic
-    coefficient does not vanish gets +inf; an empty row (lo > hi) gets -inf.
+    coefficient does not vanish gets +inf, as does a point whose sup is NaN;
+    an empty row (lo > hi) gets -inf.
     The sup over u is exact for (power-)affine systems and taken over the
     u-grid of ``u_box`` (default: the u-box of the whole of X) for general
     systems.  ``res`` has shape (Q,), the worst ``zeta`` (Q, n) and the worst
@@ -255,6 +257,7 @@ def residuals(sys: System, lo, hi, X, gamma: float,
         r, z, w = res[s], zeta[s], worst_u[s]        # views into the outputs
         for Z in vertices:
             val, u = sup(Z[s])
+            val = np.where(np.isnan(val), math.inf, val)     # an undefined sup fails
             better = val > r
             r[better], z[better], w[better] = val[better], Z[s][better], u[better]
         bad = np.any(unbounded[s] & (coef > _COEFF_ZERO_TOL), axis=1)
@@ -282,8 +285,9 @@ def _affine_parts(sys, X, gamma):
         elif p == 1:
             val, r = ceff * ceff / (4.0 * gamma), ceff / (2.0 * gamma)
         else:
-            r = (p * ceff / (2.0 * gamma)) ** (1.0 / (2.0 - p))
-            val = ceff * r ** p - gamma * r * r
+            with np.errstate(over="ignore"):          # p near 2: r and val overflow to inf
+                r = (p * ceff / (2.0 * gamma)) ** (1.0 / (2.0 - p))
+                val = gamma * (2.0 - p) / p * r * r   # c r^p - gamma r^2 at r
         u = np.where(np.isinf(val), math.nan, sgn * r)
         return np.sum(Z * G0, axis=1) + xx + np.sum(val, axis=1), u
 
@@ -357,8 +361,8 @@ def point_residual(sys: System, V: StorageCandidate, gamma: float, x,
     """Worst residual over the subdifferential at one point: (residual, zeta, u).
 
     Returns +inf with zeta = None when an unbounded subdifferential coordinate
-    multiplies a non-vanishing dynamic coefficient.  This is the scalar
-    reference for :func:`residuals`.
+    multiplies a non-vanishing dynamic coefficient, and +inf where the sup at a
+    vertex is NaN.  This is the scalar reference for :func:`residuals`.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     S = V.subdiff(x)
@@ -388,6 +392,8 @@ def point_residual(sys: System, V: StorageCandidate, gamma: float, x,
         else:
             res, u = general_residual(sys, x, zeta, gamma, u_box=u_box,
                                       u_points=u_points, warn_on_boundary=False)
+        if math.isnan(res):
+            res = math.inf
         if res > best:
             best, best_z, best_u = res, zeta, u
     return best, best_z, best_u

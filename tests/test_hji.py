@@ -216,6 +216,13 @@ def test_report_serialization(sigma1, region2):
 _BAD_V2 = sy.AffineSystem(2, 2, ("-x1", "-x2+0.5"), (("1", "0"), ("0", "1")), name="bad")
 _P2 = sy.PowerAffineSystem(2, 1, ("-x1", "-x2"), (("x2", "x1"),), p=2.0, phi="abs_pow",
                            name="p2")
+_P1999 = sy.PowerAffineSystem(1, 1, ("-x1",), (("1",),), p=1.999, phi="abs_pow",
+                              name="p1.999")
+# sigma2 and the "bad" system written without structure: the sampled path's
+# zero-coefficient rule on v2's unbounded axis
+_SIGMA2_GENERAL = sy.GeneralSystem(
+    2, 2, ("-x1+x2+u1", "3*pow(cbrt(x2),4)*(-x1-x2+u2)"), name="sigma2_general")
+_BAD_V2_GENERAL = sy.GeneralSystem(2, 2, ("-x1+u1", "-x2+0.5+u2"), name="bad_general")
 _KERNEL_CASES = {
     "sigma1/v1_scaled": (sy.make_sigma1(), "v1_scaled"),
     "bad/v1_scaled": (_BAD_V2, "v1_scaled"),
@@ -233,6 +240,9 @@ _KERNEL_CASES = {
     "p2/sq_norm": (_P2, "sq_norm"),
     "sigma3_scalar/v3_scalar": (sy.make_sigma3_scalar(), "v3_scalar"),
     "scalar_linear/v3_scalar": (sy.make_scalar_linear(), "v3_scalar"),
+    "p1.999/sq_norm": (_P1999, "sq_norm"),
+    "sigma2_general/v2": (_SIGMA2_GENERAL, "v2"),
+    "bad_general/v2": (_BAD_V2_GENERAL, "v2"),
 }
 
 
@@ -282,6 +292,20 @@ def test_power_affine_exact_for_every_p():
     rep = hji.check_witness(sp, stg.builtin("v1"), 0.01,
                             hji.Region(box=((-2, 2), (-2, 2)), points_per_dim=21))
     assert rep.passed and rep.mode == "exact" and rep.tolerance == hji.DEFAULT_TOL_EXACT
+
+
+def test_power_affine_near_p2_overflow_fails():
+    """p = 1.999: the maximizing r overflows from c ~ 1.5 on; the sup is +inf, never NaN."""
+    x, zeta = np.array([1.0]), np.array([2.0])            # channel coefficient 2
+    assert hji.power_residual(_P1999, x, zeta, 1.0) == math.inf
+    # the sampled sup at u = 8 is already about +63
+    assert 2 * 8 ** 1.999 - 64 + float(zeta @ _P1999.drift(x)) + 1 > 60
+    V = stg.builtin("sq_norm")
+    X = np.array([[0.5], [1.0], [2.0]])
+    res, _, _ = hji.residuals(_P1999, *V.subdiff_batch(X), X, 1.0)
+    assert not np.any(np.isnan(res)) and np.all(np.isinf(res[1:])) and res[0] < 0
+    rep = hji.check_witness(_P1999, V, 1.0, hji.Region(box=((-2, 2),), points_per_dim=41))
+    assert rep.mode == "exact" and not rep.passed and math.isinf(rep.max_residual)
 
 
 def test_grid_visits_kink_loci():
