@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hji import general_residual
+from .hji import general_residual, residuals
 from .storage import GradientUndefinedError, StorageCandidate
 from .systems import (System, f_scalar, make_sigma1, make_sigma3_scalar,
                       phi_clip, psi_blend)
@@ -303,17 +303,15 @@ def audit_scalar_straddle(W: StorageCandidate,
     """Verify gain-1 membership on a scalar grid, then the kink-straddle quotients."""
     sys = make_sigma3_scalar()
     xs = np.linspace(-3.0, 3.0, scan_points)
-    xs = xs[np.abs(xs) > 1e-9]
-    for x in xs:
-        S = W.subdiff(np.array([x]))
-        for zeta in S.finite_vertices():
-            res, u = general_residual(sys, np.array([x]), zeta, 1.0,
-                                      u_box=[(-4.0, 4.0)], u_points=161,
-                                      warn_on_boundary=False)
-            if res > scan_tol:
-                return AuditReport(VIOLATION, _STRADDLE_CLAIM,
-                                   witness_point=(float(x), float(u[0])),
-                                   detail={"residual": float(res)})
+    X = xs[np.abs(xs) > 1e-9][:, None]
+    res, _, u = residuals(sys, *W.subdiff_batch(X), X, 1.0,
+                          u_box=[(-4.0, 4.0)], u_points=161)
+    bad = np.flatnonzero(res > scan_tol)
+    if bad.size:                        # the first violating x in scan order
+        k = bad[0]
+        return AuditReport(VIOLATION, _STRADDLE_CLAIM,
+                           witness_point=(float(X[k, 0]), float(u[k, 0])),
+                           detail={"residual": float(res[k])})
 
     h = np.asarray(h_seq, dtype=float)
     w1 = W.value(np.array([1.0]))

@@ -171,9 +171,8 @@ def _cmd_construct1d(args) -> int:
         "gamma": args.gamma,
         "w_dominates_v": bool(np.all(w_vals >= v_vals - 1e-7)),
         "w_strictly_increasing": bool(np.all(np.diff(np.concatenate([[0.0], w_vals])) > 0)),
-        "max_delta_of_selector": float(max(
-            construct1d.delta(construct1d.QuadCoeffs.at(sysm, args.gamma, float(x)), float(p))
-            for x, p in zip(built.grid, built.p_values))),
+        "max_delta_of_selector": float(np.max(construct1d.delta(
+            construct1d.QuadCoeffs.at(sysm, args.gamma, built.grid), built.p_values))),
     }
     _write_json(out / "construct.json", contract)
     ok = contract["w_dominates_v"] and contract["max_delta_of_selector"] <= 1e-9
@@ -190,14 +189,12 @@ def _cmd_smooth(args) -> int:
     out = _out_dir(args)
     _write_json(out / "smooth.json", cert.to_dict())
     axis = smoothing.mirrored_geometric_axis(args.rmin / 4, 1.25, args.rmax)
-    P = smoothing._annulus_points(axis, sysm.n, args.rmin, args.rmax)
-    W = cert.W
-    vals = np.array([W.value(p) for p in P])
-    grads = np.array([W.gradient(p) for p in P])
+    P = smoothing._annulus_grid(axis, sysm.n, args.rmin, args.rmax)[2]
     _write_csv(out / "smooth_grid.csv",
                [f"x{i+1}" for i in range(sysm.n)] + ["V", "W"]
                + [f"gradW{i+1}" for i in range(sysm.n)],
-               np.column_stack([P, V.value_batch(P), vals, grads]).tolist())
+               np.column_stack([P, V.value_batch(P), cert.W.value_batch(P),
+                                cert.W.subdiff_batch(P)[0]]).tolist())
     print(f"smooth: {cert.verdict} (max |V-W|/V = {cert.max_rel_approx_error:.3e}, "
           f"max gain residual = {cert.max_eq20_residual:.3e})")
     return EXIT_VERIFIED if cert.passed else EXIT_FALSIFIED

@@ -53,12 +53,18 @@ class QuadCoeffs:
     c: float
 
     @staticmethod
-    def at(sys: AffineSystem, gamma: float, x: float) -> "QuadCoeffs":
-        xv = np.array([x])
-        fields = sys.input_fields(xv)
-        a = float(np.sum(fields[:, 0] ** 2)) if sys.m else 0.0
-        b = 4.0 * gamma * float(sys.drift(xv)[0])
-        return QuadCoeffs(a, b, 4.0 * gamma * x * x)
+    def at(sys: AffineSystem, gamma: float, x, sign: float = 1.0) -> "QuadCoeffs":
+        """Delta's coefficients with b = sign * 4 gamma g0(x): floats at a scalar x,
+        arrays at an array of x."""
+        xs = np.asarray(x, dtype=float)
+        X = xs.reshape(-1, 1)
+        fields = sys.input_fields(X)                      # (m, Q, 1)
+        a = np.sum(fields[..., 0] ** 2, axis=0) if sys.m else np.zeros(X.shape[0])
+        b = sign * 4.0 * gamma * sys.drift(X)[:, 0]
+        c = 4.0 * gamma * X[:, 0] * X[:, 0]
+        if xs.ndim == 0:
+            return QuadCoeffs(float(a[0]), float(b[0]), float(c[0]))
+        return QuadCoeffs(a, b, c)
 
 
 def delta(q: QuadCoeffs, p: float) -> float:
@@ -248,14 +254,12 @@ def construct_w(sys: AffineSystem, gamma: float, V: StorageCandidate,
     built = ConstructedW(grid, p_vals, w_vals, q_vals, w_neg, gamma)
 
     # contract: admissibility of the selector everywhere on the grid
-    for x, p in zip(grid, p_vals):
-        q = QuadCoeffs.at(sys, gamma, float(x))
-        if delta(q, float(p)) > tol:
-            raise HjikitError(f"selector violates Delta(p) <= 0 at x={x:g}")
-    for x, qv in zip(-grid, q_vals):
-        qq = _mirror_coeffs(sys, gamma, float(x))
-        if delta(qq, float(-qv)) > tol:
-            raise HjikitError(f"selector violates the mirrored quadratic at x={x:g}")
+    bad = np.flatnonzero(delta(QuadCoeffs.at(sys, gamma, grid), p_vals) > tol)
+    if bad.size:
+        raise HjikitError(f"selector violates Delta(p) <= 0 at x={grid[bad[0]]:g}")
+    bad = np.flatnonzero(delta(_mirror_coeffs(sys, gamma, -grid), -q_vals) > tol)
+    if bad.size:
+        raise HjikitError(f"selector violates the mirrored quadratic at x={-grid[bad[0]]:g}")
     return built
 
 
@@ -266,30 +270,21 @@ def _q_of_x(sys: AffineSystem, gamma: float, env: Envelope, x_pos: float) -> flo
     in |q| this is the same quadratic with b' = -4 gamma g0(x) (g0 > 0 there).
     """
     x = -x_pos
-    xv = np.array([x])
-    g0 = float(sys.drift(xv)[0])
-    if g0 <= 0:
-        raise DriftSignError(f"g0({x:g}) = {g0:g} must be positive for x < 0")
-    fields = sys.input_fields(xv)
-    a = float(np.sum(fields[:, 0] ** 2)) if sys.m else 0.0
-    b = -4.0 * gamma * g0
-    c = 4.0 * gamma * x * x
+    q = _mirror_coeffs(sys, gamma, x)
+    if q.b >= 0:
+        raise DriftSignError(f"g0({x:g}) = {-q.b / (4 * gamma):g} must be positive for x < 0")
     hval = env(x_pos)  # envelope sampled by magnitude; h is even in the built flows
-    if a == 0.0:
+    if q.a == 0.0:
         return -hval
-    disc = b * b - 4.0 * a * c
+    disc = q.b * q.b - 4.0 * q.a * q.c
     if disc < -_DISC_CLAMP:
         raise InfeasibleAtError(x, disc)
-    root = (-b + math.sqrt(max(disc, 0.0))) / (2.0 * a)
+    root = (-q.b + math.sqrt(max(disc, 0.0))) / (2.0 * q.a)
     return -min(hval, root)
 
 
-def _mirror_coeffs(sys: AffineSystem, gamma: float, x: float) -> QuadCoeffs:
-    xv = np.array([x])
-    fields = sys.input_fields(xv)
-    a = float(np.sum(fields[:, 0] ** 2)) if sys.m else 0.0
-    b = -4.0 * gamma * float(sys.drift(xv)[0])
-    return QuadCoeffs(a, b, 4.0 * gamma * x * x)
+def _mirror_coeffs(sys: AffineSystem, gamma: float, x) -> QuadCoeffs:
+    return QuadCoeffs.at(sys, gamma, x, -1.0)
 
 
 def _cumulative_from_zero(grid: np.ndarray, vals: np.ndarray) -> np.ndarray:

@@ -181,6 +181,7 @@ def _build_i1_table() -> np.ndarray:
 
 _I1_TABLE = _build_i1_table()
 _I1_STEP = _I1_GRID[1] - _I1_GRID[0]
+_I1_SLOPES = _I1_GRID * kernel(_I1_GRID) * _I1_STEP   # Hermite end slopes per unit cell
 
 
 def kernel_moment(s: np.ndarray) -> np.ndarray:
@@ -192,8 +193,8 @@ def kernel_moment(s: np.ndarray) -> np.ndarray:
     t = pos - idx
     y0 = _I1_TABLE[idx]
     y1 = _I1_TABLE[idx + 1]
-    d0 = _I1_GRID[idx] * kernel(_I1_GRID[idx]) * _I1_STEP
-    d1 = _I1_GRID[idx + 1] * kernel(_I1_GRID[idx + 1]) * _I1_STEP
+    d0 = _I1_SLOPES[idx]
+    d1 = _I1_SLOPES[idx + 1]
     h00 = (1 + 2 * t) * (1 - t) ** 2
     h10 = t * (1 - t) ** 2
     h01 = t * t * (3 - 2 * t)
@@ -252,14 +253,13 @@ class MollifiedFunction:
     the closed form (cell by cell) in the kernel CDF and its first moment, so
     both weights and their derivatives (chain rule through the radius profile
     included) are analytic.  Exact on constants and on linear data, gradients
-    included; smooth for any positive smooth radius field.
+    included; smooth for any positive smooth radius field.  Any number of axes:
+    the sample values are contracted with the weights one axis at a time.
     """
 
     def __init__(self, axes: Sequence[np.ndarray], values: np.ndarray, radii):
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
         self.ndim = len(self.axes)
-        if self.ndim not in (1, 2):
-            raise NotImplementedError("mollification is implemented for 1-D and 2-D grids")
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != tuple(a.size for a in self.axes):
             raise ValueError("values shape does not match the axes")
@@ -330,48 +330,65 @@ class MollifiedFunction:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
-        Q = X.shape[0]
+        Q, n = X.shape[0], self.ndim
         vals = np.empty(Q)
-        grads = np.empty((Q, self.ndim))
+        grads = np.empty((Q, n))
         for start in range(0, Q, chunk):
             sl = slice(start, min(start + chunk, Q))
-            v, g = self._evaluate_chunk(X[sl])
-            vals[sl] = v
-            grads[sl] = g
+            idx, w, dw = zip(*(self._axis_weights(i, X[sl, i]) for i in range(n)))
+            # gather each point's window block (q, M_1, ..., M_n)
+            blk = self.values[tuple(
+                ix.reshape((-1,) + (1,) * i + (ix.shape[1],) + (1,) * (n - 1 - i))
+                for i, ix in enumerate(idx))]
+            N, dN = _contract(blk, w, dw, lambda T, a: np.einsum("qm...,qm->q...", T, a))
+            vals[sl], grads[sl] = _quotient(N, dN, [a.sum(axis=1) for a in w],
+                                            [a.sum(axis=1) for a in dw])
         return vals, grads
 
-    def _evaluate_chunk(self, X: np.ndarray):
-        if self.ndim == 1:
-            idx, w, dw = self._axis_weights(0, X[:, 0])
-            blk = self.values[idx]
-            D = np.sum(w, axis=1)
-            N = np.sum(w * blk, axis=1)
-            dD = np.sum(dw, axis=1)
-            dN = np.sum(dw * blk, axis=1)
-            if np.any(D <= 0):
-                raise BoundaryRadiusError("empty kernel support at a query point")
-            W = N / D
-            return W, ((dN * D - N * dD) / (D * D))[:, None]
+    def evaluate_grid(self, coords: Sequence[np.ndarray]):
+        """Values and gradients on the tensor grid of per-axis query coordinates.
 
-        idx1, w1, dw1 = self._axis_weights(0, X[:, 0])
-        idx2, w2, dw2 = self._axis_weights(1, X[:, 1])
-        blk = self.values[idx1[:, :, None], idx2[:, None, :]]   # (Q, M1, M2)
-        T = np.einsum("qab,qb->qa", blk, w2)                     # contract axis 2 with w
-        T2 = np.einsum("qab,qb->qa", blk, dw2)                   # ... and with dw
-        N = np.einsum("qa,qa->q", T, w1)
-        d1N = np.einsum("qa,qa->q", T, dw1)
-        d2N = np.einsum("qa,qa->q", T2, w1)
-        D1 = np.sum(w1, axis=1)
-        D2 = np.sum(w2, axis=1)
-        dD1 = np.sum(dw1, axis=1)
-        dD2 = np.sum(dw2, axis=1)
-        D = D1 * D2
-        if np.any(D <= 0):
-            raise BoundaryRadiusError("empty kernel support at a query point")
-        W = N / D
-        g1 = (d1N * D - N * dD1 * D2) / (D * D)
-        g2 = (d2N * D - N * dD2 * D1) / (D * D)
-        return W, np.stack([g1, g2], axis=1)
+        Returns W of shape (Q_1, ..., Q_n) and its gradient (Q_1, ..., Q_n, n)
+        at the points (coords[0][j_1], ..., coords[n-1][j_n]).  Each axis's
+        weights become one dense (Q_i, nodes_i) matrix, so the work is n
+        contractions of the sample values instead of one window per point.
+        """
+        mats = []
+        for i, q in enumerate(coords):
+            q = np.asarray(q, dtype=float)
+            idx, w, dw = self._axis_weights(i, q)
+            flat = (np.arange(q.size)[:, None] * self.axes[i].size + idx).ravel()
+            shape = (q.size, self.axes[i].size)
+            mats.append(tuple(np.bincount(flat, a.ravel(), shape[0] * shape[1]).reshape(shape)
+                              for a in (w, dw)))
+        A, dA = zip(*mats)
+        N, dN = _contract(self.values, A, dA,
+                          lambda T, a: np.tensordot(T, a, axes=([0], [1])))
+        # np.ix_ shapes each axis's row sums to broadcast along that axis
+        return _quotient(N, dN, np.ix_(*(a.sum(axis=1) for a in A)),
+                         np.ix_(*(a.sum(axis=1) for a in dA)))
+
+
+def _contract(T: np.ndarray, w, dw, step):
+    """N = T contracted with w_i on every axis, and dN_i with dw_i in place of w_i.
+
+    ``step(T, a)`` contracts the first remaining sample axis of T with a; axes
+    are consumed in order, partial contractions shared between N and the dN_i.
+    """
+    N, dN = T, []
+    for a, da in zip(w, dw):
+        dN = [step(t, a) for t in dN] + [step(N, da)]
+        N = step(N, a)
+    return N, dN
+
+
+def _quotient(N, dN, D, dD):
+    """W = N / prod D_i and the quotient rule dW_i = dN_i / D - W dD_i / D_i."""
+    if any(np.any(d <= 0) for d in D):
+        raise BoundaryRadiusError("empty kernel support at a query point")
+    Dprod = math.prod(D)
+    W = N / Dprod
+    return W, np.stack([g / Dprod - W * dd / d for g, dd, d in zip(dN, dD, D)], axis=-1)
 
 
 def mollify(values: np.ndarray, axes: Sequence[np.ndarray], radius) -> MollifiedFunction:
@@ -514,14 +531,14 @@ def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: 
         P_nodes = np.stack([m.ravel() for m in mesh], axis=-1)
         values = V.value_batch(P_nodes).reshape([a.size for a in axes])
 
-        cert_axes = _with_midpoints(axis)
-        Pc = _annulus_points(cert_axes, psys.n, r_min, r_max)
+        coords, keep, Pc = _annulus_grid(_with_midpoints(axis), psys.n, r_min, r_max)
         Vc = V.value_batch(Pc)
+        grids = {"sample_axis_nodes": int(axis.size), "certification_points": int(Pc.shape[0])}
 
         for scale in (4.0, 2.0):
             radii = [GeometricRadius(delta_min, slope, scale)] * psys.n
             moll = MollifiedFunction(axes, values, radii)
-            ok, detail = _certify(psys, moll, Pc, Vc, dlt, gamma_eff)
+            ok, detail = _certify(psys, moll, coords, keep, Pc, Vc, dlt, gamma_eff)
             schedule_trace.append({
                 "refinement": refinement, "delta_min": delta_min, "scale": scale,
                 "outcome": "pass" if ok else f"fail ({detail[0]})",
@@ -532,9 +549,7 @@ def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: 
                     W=W_cand, verdict="pass", epsilon=eps, delta=dlt,
                     gamma_eff=gamma_eff,
                     max_rel_approx_error=detail[2], max_eq20_residual=detail[3],
-                    radius_schedule=schedule_trace,
-                    grids={"sample_axis_nodes": int(axis.size),
-                           "certification_points": int(Pc.shape[0])})
+                    radius_schedule=schedule_trace, grids=grids)
             last_fail = detail
         delta_min /= 8.0
 
@@ -542,9 +557,7 @@ def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: 
     return CertifiedSmooth(
         W=_wrap_candidate(moll, dlt, V.name), verdict="fail", epsilon=eps, delta=dlt,
         gamma_eff=gamma_eff, max_rel_approx_error=rel_err, max_eq20_residual=eq20,
-        radius_schedule=schedule_trace,
-        grids={"sample_axis_nodes": int(axis.size),
-               "certification_points": int(Pc.shape[0])},
+        radius_schedule=schedule_trace, grids=grids,
         worst_point=None if worst is None else [float(v) for v in worst],
         failure_reason=reason)
 
@@ -554,17 +567,27 @@ def _with_midpoints(axis: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([axis, mids]))
 
 
-def _annulus_points(axes: np.ndarray, n: int, r_min: float, r_max: float) -> np.ndarray:
-    mesh = np.meshgrid(*([axes] * n), indexing="ij")
+def _annulus_grid(axis: np.ndarray, n: int, r_min: float, r_max: float):
+    """The coordinates |c| <= r_max of ``axis``, the annulus mask over their
+    ravelled n-fold tensor grid, and the annulus points (in row-major order)."""
+    coords = axis[np.abs(axis) <= r_max]
+    mesh = np.meshgrid(*([coords] * n), indexing="ij")
     P = np.stack([m.ravel() for m in mesh], axis=-1)
     norms = np.linalg.norm(P, axis=1)
-    return P[(norms >= r_min) & (norms <= r_max)]
+    keep = (norms >= r_min) & (norms <= r_max)
+    return coords, keep, P[keep]
 
 
-def _certify(psys: PowerAffineSystem, moll: MollifiedFunction, Pc: np.ndarray,
-             Vc: np.ndarray, dlt: float, gamma_eff: float):
-    """Check the Upsilon_1 bound, the relative bound (19), and the residual (20)."""
-    Wh, Gh = moll.evaluate(Pc)
+def _certify(psys: PowerAffineSystem, moll: MollifiedFunction, coords: np.ndarray,
+             keep: np.ndarray, Pc: np.ndarray, Vc: np.ndarray, dlt: float,
+             gamma_eff: float):
+    """Check the Upsilon_1 bound, the relative bound (19), and the residual (20).
+
+    W is evaluated on the tensor grid of ``coords`` and masked by ``keep`` to
+    the certification points ``Pc``.
+    """
+    Wg, Gg = moll.evaluate_grid([coords] * psys.n)
+    Wh, Gh = Wg.ravel()[keep], Gg.reshape(-1, psys.n)[keep]
     ups1 = (1.0 - dlt) / 4.0 * Vc
     approx_gap = np.abs(Vc - Wh) - ups1
     k = int(np.argmax(approx_gap))
@@ -590,22 +613,20 @@ def _wrap_candidate(moll: MollifiedFunction, dlt: float, base_name: str) -> Stor
 
     def value(X):
         X = np.asarray(X, dtype=float)
-        single = X.ndim == 1
-        Xb = X[None, :] if single else X.reshape(-1, X.shape[-1])
-        out = np.empty(Xb.shape[0])
-        zero = np.all(Xb == 0.0, axis=1)
-        if np.any(~zero):
-            v, _ = moll.evaluate(Xb[~zero])
-            out[~zero] = scale * v
-        out[zero] = 0.0  # extension by fiat at the origin
-        if single:
-            return out[0]
+        Xb = X.reshape(-1, X.shape[-1])
+        out = np.zeros(Xb.shape[0])        # extension by fiat at the origin
+        away = np.any(Xb != 0.0, axis=1)
+        if np.any(away):
+            out[away] = scale * moll.evaluate(Xb[away])[0]
         return out.reshape(X.shape[:-1])
 
+    def subdiff_batch(X):
+        g = scale * moll.evaluate(X)[1]
+        return g, g
+
     def grad(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        _, g = moll.evaluate(x[None, :])
-        return scale * g[0]
+        return subdiff_batch(np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0][0]
 
     return from_callables(f"smoothed({base_name})", value, gradient_fn=grad,
-                          regularity="smooth", dim=moll.ndim)
+                          regularity="smooth", dim=moll.ndim,
+                          subdiff_batch_fn=subdiff_batch)

@@ -281,9 +281,10 @@ def builtin(name: str) -> StorageCandidate:
 
 
 def from_callables(name, value_fn, gradient_fn=None, subdiff_fn=None,
-                   regularity="smooth", dim=None) -> StorageCandidate:
+                   regularity="smooth", dim=None, subdiff_batch_fn=None) -> StorageCandidate:
     """Wrap plain callables as a candidate (used for smoothed/constructed functions)."""
-    return StorageCandidate(name, value_fn, regularity, subdiff_fn, gradient_fn, dim)
+    return StorageCandidate(name, value_fn, regularity, subdiff_fn, gradient_fn, dim,
+                            subdiff_batch_fn)
 
 
 def from_expression(src: str, n: int, regularity: str = "continuous") -> StorageCandidate:

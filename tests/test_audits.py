@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hjikit import audits as au
+from hjikit import hji
 from hjikit import storage as stg
 from hjikit import systems as sy
 
@@ -174,6 +175,20 @@ def test_straddle_falsifies_square():
     s3 = sy.make_sigma3_scalar()
     res = au.recheck_violation(s3, stg.builtin("sq_norm"), 1.0, [x], [u])
     assert res > 1e-6
+
+
+def test_straddle_violation_is_first_in_scan_order():
+    """The batched scan reports the first violating x and its worst residual and u."""
+    sq = stg.builtin("sq_norm")
+    s3 = sy.make_sigma3_scalar()
+    report = au.audit_scalar_straddle(sq)
+    xs = np.linspace(-3.0, 3.0, 201)
+    for x in xs[np.abs(xs) > 1e-9]:
+        res, _, u = hji.point_residual(s3, sq, 1.0, [x], u_box=[(-4.0, 4.0)], u_points=161)
+        if res > 1e-6:
+            break
+    assert report.witness_point == (float(x), float(u[0]))
+    assert report.detail["residual"] == pytest.approx(res, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

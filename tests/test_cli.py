@@ -1,9 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from hjikit import cli
+from hjikit import cli, smoothing, storage, systems
 
 
 def run(args):
@@ -128,6 +129,28 @@ def test_construct_command(tmp_path):
     assert rows[0] == "x,p,W"
     contract = json.loads((tmp_path / "c" / "construct.json").read_text())
     assert contract["w_dominates_v"] and contract["max_delta_of_selector"] <= 1e-9
+
+
+@pytest.mark.parametrize("zoo, name", [("sigma1", "v1_scaled"), ("sigma2", "v2")])
+def test_smooth_grid_csv_matches_pointwise_reference(tmp_path, zoo, name):
+    """smooth_grid.csv (batched dump) agrees with W.value / W.gradient point by point."""
+    code = run(["smooth", "--zoo", zoo, "--storage", f"builtin:{name}", "--gamma", "1",
+                "--gamma-prime", "1.1", "--rmin", "0.1", "--rmax", "0.3", "--out", tmp_path])
+    assert code == 0
+    with (tmp_path / "smooth_grid.csv").open(newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["x1", "x2", "V", "W", "gradW1", "gradW2"]
+        rows = np.array([[float(v) for v in row] for row in reader])
+    assert rows.shape[0] > 100
+    V = storage.builtin(name)
+    W = smoothing.smooth_witness(systems.zoo_entry(zoo).system, V, 1.0, 1.1,
+                                 r_min=0.1, r_max=0.3).W
+    for x1, x2, v, w, g1, g2 in rows:
+        x = np.array([x1, x2])
+        assert v == V.value(x)
+        ref_w, ref_g = W.value(x), W.gradient(x)
+        assert abs(w - ref_w) <= 1e-12 * (1.0 + abs(ref_w))
+        assert np.all(np.abs([g1, g2] - ref_g) <= 1e-9 * (1.0 + np.abs(ref_g)))
 
 
 def test_l2gain_command(tmp_path):

@@ -31,6 +31,24 @@ def test_quad_coeffs_from_system(linear):
     assert q.b * q.b - 4 * q.a * q.c == 0.0  # the worked instance is a double root
 
 
+def test_quad_coeffs_on_arrays_match_scalars(linear, decay):
+    xs = np.linspace(-2.0, 2.0, 41)
+    for sysm in (linear, decay):
+        for coeffs in (c1.QuadCoeffs.at, c1._mirror_coeffs):
+            q = coeffs(sysm, 1.5, xs)
+            for k, x in enumerate(xs):
+                qs = coeffs(sysm, 1.5, float(x))
+                assert (q.a[k], q.b[k], q.c[k]) == (qs.a, qs.b, qs.c)
+
+
+def test_construct_w_reports_first_inadmissible_x(linear):
+    """An envelope below the double root p = 2x is inadmissible from x = 1 on."""
+    grid = np.linspace(0.5, 1.5, 11)
+    with pytest.raises(hk.HjikitError, match=r"violates Delta\(p\) <= 0 at x=1$"):
+        c1.construct_w(linear, 1.0, stg.builtin("sq_norm"), grid,
+                       h=lambda x: 3 * x if x < 1 else 0.5 * x, check_hypothesis=False)
+
+
 def test_membership_examples(linear):
     assert c1.f_membership(linear, 1.0, 1.0, 2.0, "direct")
     assert c1.f_membership(linear, 1.0, 1.0, 2.0, "quadratic")

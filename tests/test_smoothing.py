@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hjikit as hk
 from hjikit import smoothing as sm
@@ -209,6 +210,66 @@ def test_mollify_candidate_wrapper():
     assert np.allclose(g[0], [0.6, -0.4], atol=5e-3)
 
 
+def _grid_points(coords):
+    mesh = np.meshgrid(*coords, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+# per dimension: geometric floor and ratio ranges that keep the sample grid small
+_AXIS_RANGES = {1: ((1e-3, 0.05), (1.05, 1.5)), 2: ((3e-3, 0.05), (1.1, 1.5)),
+                3: ((1e-2, 0.05), (1.2, 1.5))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from(sorted(_AXIS_RANGES)), data=st.data())
+def test_evaluate_grid_matches_scattered_evaluate(n, data):
+    """The per-axis contraction on a tensor grid equals the windowed evaluation."""
+    (dlo, dhi), (qlo, qhi) = _AXIS_RANGES[n]
+    axes, radii, coords = [], [], []
+    for _ in range(n):
+        delta = data.draw(st.floats(dlo, dhi))
+        ratio = data.draw(st.floats(qlo, qhi))
+        if data.draw(st.booleans()):
+            radii.append(sm.GeometricRadius(delta, ratio - 1.0, data.draw(st.floats(1.0, 4.0))))
+        else:
+            radii.append(sm.ConstantRadius(data.draw(st.floats(0.01, 0.3))))
+        # queries in [-0.5, 0.5]; the largest radius there is below 1.2
+        axes.append(sm.mirrored_geometric_axis(delta, ratio, 2.0))
+        coords.append(np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=1,
+                                                  max_size=6))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.standard_normal([a.size for a in axes])
+    m = sm.MollifiedFunction(axes, values, radii)
+    Wg, Gg = m.evaluate_grid(coords)
+    assert Wg.shape == tuple(c.size for c in coords)
+    assert Gg.shape == Wg.shape + (n,)
+    W, G = m.evaluate(_grid_points(coords))
+    assert np.all(np.abs(Wg.ravel() - W) <= 1e-12 * (1.0 + np.abs(W)))
+    assert np.all(np.abs(Gg.reshape(-1, n) - G) <= 1e-9 * (1.0 + np.abs(G)))
+
+
+def test_mollify_exact_on_linear_data_3d():
+    ax = np.linspace(-1, 1, 41)
+    X1, X2, X3 = np.meshgrid(ax, ax, ax, indexing="ij")
+    m = sm.mollify(3.0 * X1 - 0.5 * X2 + 2.0 * X3 + 1.0, [ax, ax, ax], 0.1)
+    slope = np.array([3.0, -0.5, 2.0])
+    q = np.random.default_rng(5).uniform(-0.7, 0.7, (200, 3))
+    w, g = m.evaluate(q)
+    assert np.max(np.abs(w - (q @ slope + 1.0))) <= 1e-12
+    assert np.max(np.abs(g - slope)) <= 1e-12
+    coords = [np.linspace(-0.7, 0.7, 7), np.array([-0.3, 0.0, 0.45]), np.array([0.2])]
+    wg, gg = m.evaluate_grid(coords)
+    assert np.max(np.abs(wg.ravel() - (_grid_points(coords) @ slope + 1.0))) <= 1e-12
+    assert np.max(np.abs(gg - slope)) <= 1e-12
+
+
+def test_evaluate_grid_boundary_guard():
+    ax = np.linspace(-1, 1, 51)
+    m = sm.mollify(np.abs(ax), [ax], 0.2)
+    with pytest.raises(sm.BoundaryRadiusError):
+        m.evaluate_grid([np.array([0.0, 0.95])])
+
+
 # ---------------------------------------------------------------------------
 # end-to-end smoothing
 # ---------------------------------------------------------------------------
@@ -232,6 +293,25 @@ def test_smooth_witness_sigma1(smoothed_sigma1):
         ring = r * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
         vals = np.array([cert.W.value(p) for p in ring])
         assert np.max(vals) <= 6 * r  # shrinks with the sphere radius
+
+
+def test_smooth_witness_sigma2_schedule():
+    """sigma2/v2 on [0.1, 0.3]: four approximation-bound failures, then a pass."""
+    s2 = sy.zoo_entry("sigma2").system
+    cert = sm.smooth_witness(s2, stg.builtin("v2"), 1.0, 1.1, r_min=0.1, r_max=0.3)
+    assert cert.passed
+    assert [r["outcome"] for r in cert.radius_schedule] == \
+        ["fail (approximation bound)"] * 4 + ["pass"]
+    assert cert.grids == {"sample_axis_nodes": 199, "certification_points": 32776}
+    # the batched gradient is the scalar one and the derivative of W's values
+    P = np.array([[0.2, 0.1], [-0.15, 0.0], [0.05, -0.25]])
+    lo, hi = cert.W.subdiff_batch(P)
+    assert np.array_equal(lo, hi)
+    h = 1e-6
+    for x, g in zip(P, lo):
+        assert np.allclose(cert.W.gradient(x), g, rtol=1e-9, atol=1e-9)
+        fd = [(cert.W.value(x + h * e) - cert.W.value(x - h * e)) / (2 * h) for e in np.eye(2)]
+        assert np.allclose(fd, g, rtol=1e-6, atol=1e-6)
 
 
 def test_smooth_witness_failure_report():
