@@ -148,11 +148,14 @@ def _cmd_l2gain(args) -> int:
     sysm = _load_system(args)
     ensemble = trajectories.random_piecewise_ensemble(
         sysm.m, args.T, args.step, args.count, seed=args.seed, amplitude=args.amplitude)
-    bound = trajectories.l2_gain_lowerbound(sysm, ensemble, args.T, args.step)
+    bound, max_norm = trajectories.l2_gain_detail(sysm, ensemble, args.T, args.step)
+    trivial = max_norm == 0.0
     _write_json(_out_dir(args) / "l2gain.json",
-                {"lower_bound": bound, "count": args.count, "T": args.T,
+                {"lower_bound": bound, "max_state_norm": max_norm, "trivial": trivial,
+                 "count": args.count, "T": args.T,
                  "step": args.step, "seed": args.seed, "amplitude": args.amplitude})
-    print(f"l2gain: squared-gain lower bound {bound:.6f}")
+    print(f"l2gain: squared-gain lower bound {bound:.6f}"
+          + (" (trivial: the state never left the origin)" if trivial else ""))
     return EXIT_VERIFIED
 
 

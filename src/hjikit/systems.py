@@ -1,8 +1,8 @@
 """System shapes (input-affine, power-affine, general) and the built-in example zoo.
 
 All vector fields are expression-defined (see :mod:`hjikit.expr`).  Systems are
-immutable after construction and ``dynamics`` is pure, so region sweeps and
-ensemble integrations may evaluate them concurrently.
+immutable after construction and ``dynamics`` is pure: region sweeps and
+ensemble integrations evaluate them once per batch of points, in one thread.
 """
 from __future__ import annotations
 
@@ -63,11 +63,17 @@ class AffineSystem:
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         _check_dims(self, x, u)
-        out = self.drift(x)
-        fields = self.input_fields(x)
-        for i in range(self.m):
-            out = out + u[..., i, None] * fields[i]
-        return out
+        return self._combine(x, [u[..., i] for i in range(self.m)])
+
+    def _combine(self, x: np.ndarray, w: list) -> np.ndarray:
+        """c_j = g0_j(x) + w[0] g_1j(x) + ... + w[m-1] g_mj(x), summed left to right."""
+        comps = []
+        for j, f0 in enumerate(self._g0_fn):
+            c = f0(x, None)
+            for wi, gi in zip(w, self._g_fn):
+                c = c + wi * gi[j](x, None)
+            comps.append(c)
+        return np.stack(comps, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,11 +115,9 @@ class PowerAffineSystem:
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         _check_dims(self, x, u)
-        out = self.drift(x)
-        fields = self.input_fields(x)
-        for i in range(self.m):
-            out = out + self.phi_apply(u[..., i])[..., None] * fields[i]
-        return out
+        # phi per channel: numpy's pow on a 0-d channel (one state) is not its
+        # array pow, so phi of the whole u could change a single-point result
+        return self._base._combine(x, [self.phi_apply(u[..., i]) for i in range(self.m)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -107,7 +107,7 @@ class SinusoidInput:
                 "omega": self.omega.tolist(), "phase": self.phase.tolist()}
 
 
-InputSignal = Callable  # any of the classes above (callable t -> (m,))
+InputSignal = Callable  # the classes above, or any callable mapping times (N,) to values (N, m)
 
 
 def signal_from_config(cfg: dict) -> InputSignal:
@@ -176,18 +176,15 @@ def integrate_ensemble(sys: System, X0, inputs: Sequence[InputSignal],
     states[:, 0, :] = X0
     X = X0.copy()
 
-    def u_at(t: float) -> np.ndarray:
-        return np.stack([np.asarray(sig(t), dtype=float) for sig in inputs], axis=0)
+    # u(t + h) gets its own samples: times[k] + h need not be times[k + 1] to the last bit
+    t0 = times[:-1]
+    U1, U2, U3 = (_sample(inputs, t, sys.m) for t in (t0, t0 + 0.5 * h, t0 + h))
 
     for k in range(N):
-        t = times[k]
-        u1 = u_at(t)
-        u2 = u_at(t + 0.5 * h)
-        u3 = u_at(t + h)
-        k1 = sys.dynamics(X, u1)
-        k2 = sys.dynamics(X + 0.5 * h * k1, u2)
-        k3 = sys.dynamics(X + 0.5 * h * k2, u2)
-        k4 = sys.dynamics(X + h * k3, u3)
+        k1 = sys.dynamics(X, U1[k])
+        k2 = sys.dynamics(X + 0.5 * h * k1, U2[k])
+        k3 = sys.dynamics(X + 0.5 * h * k2, U2[k])
+        k4 = sys.dynamics(X + h * k3, U3[k])
         X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         worst = float(np.max(np.abs(X)))
         if not math.isfinite(worst) or worst > _BLOWUP_NORM:
@@ -195,6 +192,16 @@ def integrate_ensemble(sys: System, X0, inputs: Sequence[InputSignal],
         states[:, k + 1, :] = X
 
     return [Trajectory(times, states[j], inputs[j], h) for j in range(B)]
+
+
+def _sample(inputs: Sequence[InputSignal], t: np.ndarray, m: int) -> np.ndarray:
+    """Every signal on the times t, stacked as (N, B, m)."""
+    U = [np.asarray(sig(t), dtype=float) for sig in inputs]
+    for j, u in enumerate(U):
+        if u.shape != (t.size, m):
+            raise ValueError(f"input signal {j} returned shape {u.shape} on {t.size} times; "
+                             f"expected {(t.size, m)}")
+    return np.stack(U, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +240,9 @@ def dissipation_audit(traj: Trajectory, V: StorageCandidate, gamma: float) -> fl
 def dissipation_audit_detail(traj: Trajectory, V: StorageCandidate, gamma: float):
     """Max slack together with the (t_a, t_b) pair attaining it."""
     A = _storage_minus_supply_running(traj, V, gamma)
-    run_min = np.minimum.accumulate(A)
-    run_arg = np.zeros(A.size, dtype=int)
-    best = A[0]
-    bi = 0
-    for k in range(A.size):
-        if A[k] < best:
-            best = A[k]
-            bi = k
-        run_arg[k] = bi
-    slacks = A - run_min
+    slacks = A - np.minimum.accumulate(A)
     b = int(np.argmax(slacks))
-    a = int(run_arg[b])
+    a = int(np.argmin(A[:b + 1]))  # the first index of the running minimum at b
     return float(slacks[b]), (float(traj.times[a]), float(traj.times[b]))
 
 
@@ -256,13 +254,23 @@ def l2_gain_lowerbound(sys: System, ensemble: Sequence[InputSignal], T: float,
     error.  The square root of the result lower-bounds the L2 operator norm
     estimate sqrt(gamma).
     """
+    return l2_gain_detail(sys, ensemble, T, step)[0]
+
+
+def l2_gain_detail(sys: System, ensemble: Sequence[InputSignal], T: float,
+                   step: float = 1e-3):
+    """The bound of :func:`l2_gain_lowerbound` together with the largest |x(t)|.
+
+    The largest |x(t)| is taken over the runs the bound uses.  When it is 0 the
+    state never left the origin and the bound is 0 without measuring a gain.
+    """
     ensemble = list(ensemble)
     if not ensemble:
         raise NoAdmissibleInputError("no admissible input")
-    n = sys.n
-    X0 = np.zeros((len(ensemble), n))
+    X0 = np.zeros((len(ensemble), sys.n))
     trajs = integrate_ensemble(sys, X0, ensemble, (0.0, T), step)
     best = None
+    max_norm = 0.0
     for traj in trajs:
         h = traj.step
         xsq = np.sum(traj.states * traj.states, axis=1)
@@ -274,9 +282,10 @@ def l2_gain_lowerbound(sys: System, ensemble: Sequence[InputSignal], T: float,
             continue
         ratio = num / den
         best = ratio if best is None else max(best, ratio)
+        max_norm = max(max_norm, float(np.sqrt(np.max(xsq))))
     if best is None:
         raise NoAdmissibleInputError("no admissible input")
-    return best
+    return best, max_norm
 
 
 def trajectory_rows(traj: Trajectory) -> np.ndarray:

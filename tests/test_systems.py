@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hjikit import systems as sy
 
@@ -109,3 +110,44 @@ def test_config_round_trip():
 def test_config_rejects_unknown_kind():
     with pytest.raises(ValueError):
         sy.system_from_config({"kind": "fancy", "n": 1, "m": 1})
+
+
+def _stacked_dynamics(sys, x, u):
+    """g0 stacked once, plus w_i times the stacked field g_i, one channel at a time."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    out = sys.drift(x)
+    fields = sys.input_fields(x)
+    for i in range(sys.m):
+        if isinstance(sys, sy.PowerAffineSystem):
+            out = out + sys.phi_apply(u[..., i])[..., None] * fields[i]
+        else:
+            out = out + u[..., i, None] * fields[i]
+    return out
+
+
+_AFFINE_SHAPES = [e.system for e in sy.zoo()
+                  if isinstance(e.system, (sy.AffineSystem, sy.PowerAffineSystem))] + [
+    sy.PowerAffineSystem(2, 2, ("-x1+x2", "-cbrt(x2)"), (("1", "x2"), ("abs(x1)", "0")),
+                         p=p, phi=phi)
+    for p in (1.0, 1.5, 2.0, 2.7, 3.0) for phi in ("abs_pow", "signed_pow")]
+
+# (batch shape of x, batch shape of u): equal batches, one state against many
+# inputs and the reverse (as hji's sampled and vertex paths pass them), and an
+# outer-product broadcast
+_BATCHES = [((7,), (7,)), ((), (5,)), ((6,), ()), ((), ()), ((3, 1), (1, 4))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, len(_AFFINE_SHAPES) - 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_dynamics_matches_stacked_formula_bitwise(k, seed):
+    sys = _AFFINE_SHAPES[k]
+    rng = np.random.default_rng(seed)
+    for xb, ub in _BATCHES * 10:     # numpy's pow differs by batch shape: try each often
+        x = rng.uniform(-3, 3, xb + (sys.n,))
+        u = rng.uniform(-3, 3, ub + (sys.m,))
+        x[rng.random(x.shape) < 0.2] = 0.0          # the fields' kinks and the cusp
+        u[rng.random(u.shape) < 0.2] = 0.0
+        got = sys.dynamics(x, u)
+        ref = _stacked_dynamics(sys, x, u)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (xb, ub)

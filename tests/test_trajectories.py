@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hjikit import cli
 from hjikit import storage as stg
 from hjikit import systems as sy
 from hjikit import trajectories as tr
@@ -157,3 +161,136 @@ def test_trajectory_rows_shape(linear):
     rows = tr.trajectory_rows(traj)
     assert rows.shape == (11, 3)
     assert np.allclose(rows[:, 2], 0.5)
+
+
+def test_l2_gain_nontrivial_upper_side():
+    """On entries whose state leaves the origin the bound is positive and below the gain."""
+    for name, m in (("sigma2", 2), ("scalar_linear", 1)):
+        entry = sy.zoo_entry(name)
+        ens = tr.random_piecewise_ensemble(m, 5.0, 1e-3, 10, seed=3)
+        bound, max_norm = tr.l2_gain_detail(entry.system, ens, 5.0, 1e-3)
+        assert 0.0 < bound <= entry.claimed_gamma + 1e-3, name
+        assert max_norm > 0.0, name
+        assert bound == tr.l2_gain_lowerbound(entry.system, ens, 5.0, 1e-3)
+
+
+def test_l2gain_flags_trivial_bound(tmp_path):
+    """sigma1's fields vanish at the origin: the bound is 0 and the report says why."""
+    assert cli.main(["l2gain", "--zoo", "sigma1", "--count", "3", "--T", "0.5",
+                     "--step", "0.01", "--out", str(tmp_path / "s1")]) == 0
+    payload = json.loads((tmp_path / "s1" / "l2gain.json").read_text())
+    assert payload["lower_bound"] == 0.0 and payload["max_state_norm"] == 0.0
+    assert payload["trivial"] is True
+    assert cli.main(["l2gain", "--zoo", "scalar_linear", "--count", "3", "--T", "0.5",
+                     "--step", "0.01", "--out", str(tmp_path / "lin")]) == 0
+    payload = json.loads((tmp_path / "lin" / "l2gain.json").read_text())
+    assert payload["trivial"] is False and payload["max_state_norm"] > 0.0
+
+
+def test_input_signal_shape_is_checked(linear):
+    """A signal whose samples are not (N, m) is named in the error."""
+    flat = lambda t: np.zeros(np.shape(t))                       # (N,), not (N, 1)
+    with pytest.raises(ValueError, match="input signal 1 "):
+        tr.integrate_ensemble(linear, np.zeros((2, 1)), [tr.ConstantInput([0.0]), flat],
+                              (0, 0.1), 1e-2)
+    with pytest.raises(ValueError, match="input signal 0 "):
+        tr.integrate(linear, [0.0], tr.ConstantInput([0.0, 1.0]), (0, 0.1), 1e-2)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the engine that called every signal at every stage
+# ---------------------------------------------------------------------------
+
+def _integrate_reference(sys, X0, inputs, t_span, step):
+    """RK4 calling each signal at t, t + h/2 and t + h on every step; (B, N+1, n)."""
+    a, b = float(t_span[0]), float(t_span[1])
+    N = max(1, int(round((b - a) / step)))
+    h = step
+    times = a + h * np.arange(N + 1)
+    X = np.asarray(X0, dtype=float).copy()
+    states = [X]
+
+    def u_at(t):
+        return np.stack([np.asarray(sig(t), dtype=float) for sig in inputs], axis=0)
+
+    for k in range(N):
+        t = times[k]
+        u1 = u_at(t)
+        u2 = u_at(t + 0.5 * h)
+        u3 = u_at(t + h)
+        k1 = sys.dynamics(X, u1)
+        k2 = sys.dynamics(X + 0.5 * h * k1, u2)
+        k3 = sys.dynamics(X + 0.5 * h * k2, u2)
+        k4 = sys.dynamics(X + h * k3, u3)
+        X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        states.append(X)
+    return np.stack(states, axis=1)
+
+
+def _signal(kind, rng, m, a, h, N):
+    if kind == "constant":
+        return tr.ConstantInput(rng.uniform(-2, 2, m))
+    if kind == "piecewise":
+        steps = np.unique(rng.integers(1, N + 1, size=3))
+        return tr.PiecewiseConstantInput([a + h * int(j) for j in steps],
+                                         rng.uniform(-2, 2, (steps.size + 1, m)))
+    return tr.SinusoidInput(rng.uniform(-2, 2, m), rng.uniform(0.1, 20, m),
+                            rng.uniform(-np.pi, np.pi, m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from([e.name for e in sy.zoo()]),
+       kinds=st.lists(st.sampled_from(["constant", "piecewise", "sinusoid"]),
+                      min_size=1, max_size=4),
+       a=st.sampled_from([0.0, 0.1, 0.37, 1.5]),
+       h=st.sampled_from([1e-3, 2.5e-3, 1e-2, 0.1 / 3]),
+       N=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_integrate_ensemble_matches_per_step_sampling(name, kinds, a, h, N, seed):
+    sys = sy.zoo_entry(name).system
+    rng = np.random.default_rng(seed)
+    X0 = rng.uniform(-1, 1, (len(kinds), sys.n))
+    inputs = [_signal(k, rng, sys.m, a, h, N) for k in kinds]
+    span = (a, a + N * h)
+    trajs = tr.integrate_ensemble(sys, X0, inputs, span, h)
+    got = np.stack([t.states for t in trajs])
+    assert got.tobytes() == _integrate_reference(sys, X0, inputs, span, h).tobytes()
+
+
+def _audit_reference(traj, V, gamma):
+    """Running argmin by an explicit loop: ties keep the earliest index."""
+    A = tr._storage_minus_supply_running(traj, V, gamma)
+    run_min = np.minimum.accumulate(A)
+    run_arg = np.zeros(A.size, dtype=int)
+    best, bi = A[0], 0
+    for k in range(A.size):
+        if A[k] < best:
+            best, bi = A[k], k
+        run_arg[k] = bi
+    slacks = A - run_min
+    b = int(np.argmax(slacks))
+    return float(slacks[b]), (float(traj.times[run_arg[b]]), float(traj.times[b]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(xs=st.lists(st.integers(-2, 2), min_size=1, max_size=25),
+       us=st.lists(st.integers(-2, 2), min_size=1, max_size=25),
+       a=st.sampled_from([0.0, 0.25, 1.0]),
+       gamma=st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+def test_dissipation_audit_detail_ties_match_loop(xs, us, a, gamma):
+    """Integer states, dyadic steps: A is exact and its running minimum has ties."""
+    h = 0.5
+    times = a + h * np.arange(len(xs))
+    sig = tr.PiecewiseConstantInput(times[1:len(us)], np.array(us[:len(xs)], float)[:, None])
+    traj = tr.Trajectory(times, np.array(xs, float)[:, None], sig, h)
+    V = stg.from_callables("twice", lambda X: 2.0 * np.asarray(X)[:, 0])
+    assert tr.dissipation_audit_detail(traj, V, gamma) == _audit_reference(traj, V, gamma)
+
+
+def test_dissipation_audit_detail_tie_example():
+    """A = 3, 1, 2, 1, 5: the slack 4 is measured from the first of the tied minima."""
+    times = np.arange(5.0)
+    A = np.array([3.0, 1.0, 2.0, 1.0, 5.0])
+    traj = tr.Trajectory(times, np.zeros((5, 1)), tr.ConstantInput([0.0]), 1.0)
+    lookup = stg.from_callables("lut", lambda X: A[:np.shape(X)[0]])
+    assert tr.dissipation_audit_detail(traj, lookup, 1.0) == (4.0, (1.0, 4.0))
