@@ -196,8 +196,7 @@ def _cmd_smooth(args) -> int:
     _write_csv(out / "smooth_grid.csv",
                [f"x{i+1}" for i in range(sysm.n)] + ["V", "W"]
                + [f"gradW{i+1}" for i in range(sysm.n)],
-               np.column_stack([P, V.value_batch(P), cert.W.value_batch(P),
-                                cert.W.subdiff_batch(P)[0]]).tolist())
+               np.column_stack([P, V.value_batch(P), *cert.evaluate(P)]).tolist())
     print(f"smooth: {cert.verdict} (max |V-W|/V = {cert.max_rel_approx_error:.3e}, "
           f"max gain residual = {cert.max_eq20_residual:.3e})")
     return EXIT_VERIFIED if cert.passed else EXIT_FALSIFIED

@@ -12,12 +12,10 @@ W >= V.  The mirrored half-line uses the sign-flipped quadratic (see
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import HjikitError
 from .hji import residuals
@@ -132,17 +130,34 @@ def p_of_x(sys: AffineSystem, gamma: float, h, x: float,
     """
     if x <= 0:
         raise ValueError("the selector is defined for x > 0")
-    h = as_envelope(h)
-    q = QuadCoeffs.at(sys, gamma, x)
-    if q.b >= 0:
-        raise DriftSignError(f"g0({x:g}) = {q.b / (4 * gamma):g} must be negative for x > 0")
-    if q.a == 0.0:
-        return h(x)
+    return float(_selector(sys, gamma, as_envelope(h), np.array([float(x)]), tol_disc)[0])
+
+
+def _selector(sys: AffineSystem, gamma: float, env: Envelope, x: np.ndarray,
+              tol_disc: float = _DISC_CLAMP) -> np.ndarray:
+    """The selector at abscissae x of one sign: p(x) of :func:`p_of_x` for x > 0;
+    for x < 0 the slope q <= 0 with q*(g0 + sum u_i g_i) <= gamma|u|^2 - x^2,
+    whose |q| solves the same quadratic with b' = -4 gamma g0(x) (g0 > 0 there).
+
+    h(|x|) (h is even in the built flows) is sampled point by point up to the
+    first x where g0 has the wrong sign or Delta no real root, which raises."""
+    sign = float(np.sign(x[0]))
+    q = QuadCoeffs.at(sys, gamma, x, sign)
     disc = q.b * q.b - 4.0 * q.a * q.c
-    if disc < -tol_disc:
-        raise InfeasibleAtError(x, disc)
-    root = (-q.b + math.sqrt(max(disc, 0.0))) / (2.0 * q.a)
-    return min(h(x), root)
+    # where a = 0, disc = b^2 and the root is +inf: those x take h(|x|)
+    bad = np.flatnonzero((q.b >= 0) | (disc < -tol_disc))
+    k = int(bad[0]) if bad.size else x.size
+    hv = np.array([env(float(v)) for v in np.abs(x[:k])])
+    if k < x.size:
+        xk = float(x[k])
+        if q.b[k] >= 0:
+            raise DriftSignError(
+                f"g0({xk:g}) = {float(sign * q.b[k] / (4 * gamma)):g} must be "
+                + ("negative for x > 0" if sign > 0 else "positive for x < 0"))
+        raise InfeasibleAtError(xk, float(disc[k]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = (-q.b + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * q.a)
+    return sign * np.where(root < hv, root, hv)
 
 
 def h_from_v(V: StorageCandidate, grid: Sequence[float], window: Optional[float] = None,
@@ -161,13 +176,10 @@ def h_from_v(V: StorageCandidate, grid: Sequence[float], window: Optional[float]
         window = 0.5 * float(np.min(np.diff(grid)))
     if window <= 0:
         raise ValueError("degenerate window")
-    hv = np.empty(grid.size)
-    for i, x in enumerate(grid):
-        s = np.linspace(x - window, x + window, samples)
-        vals = V.value_batch(s[:, None])
-        quot = np.abs(np.diff(vals)) / np.diff(s)
-        hv[i] = 2.0 * (1.0 + margin) * float(np.max(quot))
-    hv = np.maximum(hv, _H_FLOOR)
+    S = np.linspace(grid - window, grid + window, samples, axis=1)   # one window per row
+    vals = V.value_batch(S.reshape(-1, 1)).reshape(S.shape)
+    quot = np.abs(np.diff(vals, axis=1)) / np.diff(S, axis=1)
+    hv = np.maximum(2.0 * (1.0 + margin) * np.max(quot, axis=1), _H_FLOOR)
 
     def fn(x: float) -> float:
         return float(np.interp(x, grid, hv))
@@ -245,8 +257,8 @@ def construct_w(sys: AffineSystem, gamma: float, V: StorageCandidate,
 
     env = as_envelope(h) if h is not None else h_from_v(V, grid, margin=margin)
 
-    p_vals = np.array([p_of_x(sys, gamma, env, float(x)) for x in grid])
-    q_vals = np.array([_q_of_x(sys, gamma, env, float(x)) for x in grid])
+    p_vals = _selector(sys, gamma, env, grid)
+    q_vals = _selector(sys, gamma, env, -grid)
 
     w_vals = _cumulative_from_zero(grid, p_vals)
     w_neg = _cumulative_from_zero(grid, -q_vals)  # integral of q from 0 to -x, mirrored
@@ -263,26 +275,6 @@ def construct_w(sys: AffineSystem, gamma: float, V: StorageCandidate,
     return built
 
 
-def _q_of_x(sys: AffineSystem, gamma: float, env: Envelope, x_pos: float) -> float:
-    """Selector on the negative half-line, evaluated at -x_pos (x_pos > 0).
-
-    For x < 0 one seeks q <= 0 with q*(g0 + sum u_i g_i) <= gamma|u|^2 - x^2;
-    in |q| this is the same quadratic with b' = -4 gamma g0(x) (g0 > 0 there).
-    """
-    x = -x_pos
-    q = _mirror_coeffs(sys, gamma, x)
-    if q.b >= 0:
-        raise DriftSignError(f"g0({x:g}) = {-q.b / (4 * gamma):g} must be positive for x < 0")
-    hval = env(x_pos)  # envelope sampled by magnitude; h is even in the built flows
-    if q.a == 0.0:
-        return -hval
-    disc = q.b * q.b - 4.0 * q.a * q.c
-    if disc < -_DISC_CLAMP:
-        raise InfeasibleAtError(x, disc)
-    root = (-q.b + math.sqrt(max(disc, 0.0))) / (2.0 * q.a)
-    return -min(hval, root)
-
-
 def _mirror_coeffs(sys: AffineSystem, gamma: float, x) -> QuadCoeffs:
     return QuadCoeffs.at(sys, gamma, x, -1.0)
 
@@ -293,6 +285,7 @@ def _cumulative_from_zero(grid: np.ndarray, vals: np.ndarray) -> np.ndarray:
     Composite Simpson over the grid; the head uses a trapezoid against the
     linear extrapolation of the first two selector values clamped at 0.
     """
+    from scipy.integrate import cumulative_simpson     # scipy loads slowly: only when used
     p0 = vals[0] - (vals[1] - vals[0]) / (grid[1] - grid[0]) * grid[0]
     p0 = max(0.0, min(float(p0), float(vals[0])))
     head = 0.5 * grid[0] * (p0 + vals[0])

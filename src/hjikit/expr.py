@@ -17,8 +17,9 @@ are assembled from ``min``/``max``/``abs``/``sign``.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -45,6 +46,11 @@ class EvalError(HjikitError):
 @dataclass(frozen=True)
 class Num:
     value: float
+    # 0.0 == -0.0 and 1 == 1.0 as numbers, not as literals: they evaluate differently
+    literal: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "literal", (type(self.value), repr(self.value)))
 
 
 @dataclass(frozen=True)
@@ -247,12 +253,13 @@ class _Parser:
             raise ExprSyntaxError(f"expected {ch!r}, got {text!r}", pos)
 
 
+@functools.lru_cache(maxsize=4096)
 def parse(src: str, n: int, m: int) -> Expr:
     """Parse ``src`` into an AST over x1..xn, u1..um.
 
     Raises :class:`ExprSyntaxError` (with position) on malformed input, unknown
     identifiers, arity mismatches, or variable indices outside the declared
-    dimensions.
+    dimensions.  Memoized: the same arguments return the same (immutable) AST.
     """
     return _Parser(src, n, m).parse()
 
@@ -351,67 +358,65 @@ def _fmt(e: Expr, parent_level: int) -> str:
 # Compiled (vectorized) evaluation for hot paths
 # ---------------------------------------------------------------------------
 
+# Generated code calls only these names; a field's source text never reaches it.
+_NUMPY = {"abs": np.abs, "sign": np.sign, "sqrt": np.sqrt, "cbrt": np.cbrt,
+          "minimum": np.minimum, "maximum": np.maximum, "full": np.full, "asarray": np.asarray}
+_CODE = {"+": "{0} + {1}", "-": "{0} - {1}", "*": "{0} * {1}", "/": "{0} / {1}",
+         "abs": "abs({0})", "sign": "sign({0})", "sqrt": "sqrt({0})", "cbrt": "cbrt({0})",
+         "min": "minimum({0}, {1})", "max": "maximum({0}, {1})",
+         "pow": "abs({0}) ** {1}", "spow": "sign({0}) * abs({0}) ** {1}"}
+_VAR = {"x": "X[..., {0}]", "u": "U[..., {0}]"}
+# numpy may take other loops for a scalar input (pow: square/sqrt for 2 or 0.5)
+_SCALAR_UNSAFE = ("sqrt", "cbrt", "pow", "spow")
+
+
+@functools.lru_cache(maxsize=4096)
 def compile_evaluator(e: Expr) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Compile an AST into a numpy closure ``f(X, U) -> values``.
+    """Compile an AST into one flat numpy function ``f(X, U) -> values`` (memoized).
 
     ``X`` has shape (..., n) and ``U`` shape (..., m); the result has shape (...,).
-    This is the fast path used by sweeps and integrators; it assumes inputs on
-    which scalar evaluation would not raise (no division by zero, no sqrt of a
-    negative), and lets IEEE nan/inf propagate otherwise.
+    Inputs on which scalar evaluation would raise let IEEE nan/inf propagate.
+    Each distinct subtree is computed once.  Constants are numpy scalars, but
+    arrays of X's batch shape in an x-free subtree that is the whole field or
+    feeds sqrt/cbrt/pow/spow, so every result is bitwise (and in shape) that of
+    evaluating every node as an array.
     """
-    if isinstance(e, Num):
-        v = e.value
-        return lambda X, U: np.full(np.shape(X)[:-1], v)
-    if isinstance(e, Var):
-        i = e.index
-        if e.kind == "x":
-            return lambda X, U: np.asarray(X)[..., i]
-        return lambda X, U: np.asarray(U)[..., i]
-    if isinstance(e, Neg):
-        f = compile_evaluator(e.arg)
-        return lambda X, U: -f(X, U)
-    if isinstance(e, Bin):
-        fa = compile_evaluator(e.lhs)
-        fb = compile_evaluator(e.rhs)
-        op = e.op
-        if op == "+":
-            return lambda X, U: fa(X, U) + fb(X, U)
-        if op == "-":
-            return lambda X, U: fa(X, U) - fb(X, U)
-        if op == "*":
-            return lambda X, U: fa(X, U) * fb(X, U)
-        return lambda X, U: fa(X, U) / fb(X, U)
-    if isinstance(e, Call):
-        fs = [compile_evaluator(a) for a in e.args]
-        fn = e.fn
-        if fn == "abs":
-            f0 = fs[0]
-            return lambda X, U: np.abs(f0(X, U))
-        if fn == "sign":
-            f0 = fs[0]
-            return lambda X, U: np.sign(f0(X, U))
-        if fn == "sqrt":
-            f0 = fs[0]
-            return lambda X, U: np.sqrt(f0(X, U))
-        if fn == "cbrt":
-            f0 = fs[0]
-            return lambda X, U: np.cbrt(f0(X, U))
-        if fn == "min":
-            f0, f1 = fs
-            return lambda X, U: np.minimum(f0(X, U), f1(X, U))
-        if fn == "max":
-            f0, f1 = fs
-            return lambda X, U: np.maximum(f0(X, U), f1(X, U))
-        if fn == "pow":
-            f0, f1 = fs
-            return lambda X, U: np.abs(f0(X, U)) ** f1(X, U)
-        if fn == "spow":
-            f0, f1 = fs
-            def _spow(X, U):
-                a = f0(X, U)
-                return np.sign(a) * np.abs(a) ** f1(X, U)
-            return _spow
-    raise TypeError(f"not an Expr node: {e!r}")
+    lines, consts, temps = [], {}, {}
+
+    def has_x(node) -> bool:
+        return any(kind == "x" for kind, _ in variables_used(node))
+
+    def emit(node, full: bool) -> str:
+        if (node, full) in temps:
+            return temps[node, full]
+        if isinstance(node, Num):
+            const = f"c{len(consts)}"
+            consts[const] = np.asarray(node.value)[()]
+            code = f"full(S, {const})" if full else const
+        elif isinstance(node, Var):
+            code = _VAR[node.kind].format(int(node.index))
+        elif isinstance(node, Neg):
+            code = f"-{emit(node.arg, full)}"
+        elif isinstance(node, (Bin, Call)):
+            op, args = ((node.op, (node.lhs, node.rhs)) if isinstance(node, Bin)
+                        else (node.fn, node.args))
+            code = _CODE[op].format(*(
+                emit(a, full or (op in _SCALAR_UNSAFE and not has_x(a))) for a in args))
+        else:
+            raise TypeError(f"not an Expr node: {node!r}")
+        temps[node, full] = name = f"t{len(temps)}"
+        lines.append(f"    {name} = {code}")
+        return name
+
+    out = emit(e, not has_x(e))
+    body = "\n".join(lines)
+    head = ["    X = asarray(X)"] if "X[" in body or "(S," in body else []
+    head += ["    S = X.shape[:-1]"] if "(S," in body else []
+    head += ["    U = asarray(U)"] if "U[" in body else []
+    src = "\n".join(["def field(X, U):", *head, *lines, f"    return {out}"])
+    scope = dict(_NUMPY, **consts)
+    exec(compile(src, "<hjikit field>", "exec"), scope)
+    return scope["field"]
 
 
 def variables_used(e: Expr) -> set:

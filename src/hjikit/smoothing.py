@@ -15,6 +15,7 @@ declared grids only.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -173,13 +174,14 @@ def kernel(s: np.ndarray) -> np.ndarray:
 _I1_GRID = np.linspace(-1.0, 1.0, 8193)
 
 
+@functools.cache
 def _build_i1_table() -> np.ndarray:
+    # built on first use: importing scipy costs more than the rest of hjikit
     from scipy.integrate import cumulative_simpson
     integrand = _I1_GRID * kernel(_I1_GRID)
     return cumulative_simpson(integrand, x=_I1_GRID, initial=0.0)
 
 
-_I1_TABLE = _build_i1_table()
 _I1_STEP = _I1_GRID[1] - _I1_GRID[0]
 _I1_SLOPES = _I1_GRID * kernel(_I1_GRID) * _I1_STEP   # Hermite end slopes per unit cell
 
@@ -191,8 +193,8 @@ def kernel_moment(s: np.ndarray) -> np.ndarray:
     pos = (sc + 1.0) / _I1_STEP
     idx = np.clip(pos.astype(int), 0, _I1_GRID.size - 2)
     t = pos - idx
-    y0 = _I1_TABLE[idx]
-    y1 = _I1_TABLE[idx + 1]
+    y0 = _build_i1_table()[idx]
+    y1 = _build_i1_table()[idx + 1]
     d0 = _I1_SLOPES[idx]
     d1 = _I1_SLOPES[idx + 1]
     h00 = (1 + 2 * t) * (1 - t) ** 2
@@ -454,10 +456,17 @@ class CertifiedSmooth:
     grids: dict
     worst_point: Optional[list] = None
     failure_reason: Optional[str] = None
+    mollified: Optional[MollifiedFunction] = None    # W = mollified / (1 - delta)
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
+
+    def evaluate(self, X: np.ndarray):
+        """W and its gradient at points X (Q, n) away from the origin, in one pass."""
+        vals, grads = self.mollified.evaluate(X)
+        scale = 1.0 / (1.0 - self.delta)
+        return scale * vals, scale * grads
 
     def to_dict(self) -> dict:
         def num(v):
@@ -549,7 +558,7 @@ def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: 
                     W=W_cand, verdict="pass", epsilon=eps, delta=dlt,
                     gamma_eff=gamma_eff,
                     max_rel_approx_error=detail[2], max_eq20_residual=detail[3],
-                    radius_schedule=schedule_trace, grids=grids)
+                    radius_schedule=schedule_trace, grids=grids, mollified=moll)
             last_fail = detail
         delta_min /= 8.0
 
@@ -559,7 +568,7 @@ def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: 
         gamma_eff=gamma_eff, max_rel_approx_error=rel_err, max_eq20_residual=eq20,
         radius_schedule=schedule_trace, grids=grids,
         worst_point=None if worst is None else [float(v) for v in worst],
-        failure_reason=reason)
+        failure_reason=reason, mollified=moll)
 
 
 def _with_midpoints(axis: np.ndarray) -> np.ndarray:

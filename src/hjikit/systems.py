@@ -28,6 +28,10 @@ def _compile_fields(asts: Sequence) -> tuple:
     return tuple(ex.compile_evaluator(a) for a in asts)
 
 
+def _stack(fields: tuple, X, U) -> np.ndarray:
+    return np.stack([f(X, U) for f in fields], axis=-1)
+
+
 @dataclass(frozen=True, eq=False)
 class AffineSystem:
     """dx/dt = g0(x) + sum_i u_i * g_i(x); the g's depend on the state only."""
@@ -45,35 +49,25 @@ class AffineSystem:
             raise DimensionError("field shapes do not match (n, m)")
         if any(len(gi) != self.n for gi in self.g):
             raise DimensionError("every input field must have n components")
+        # dx_j/dt = (g0_j + u1 g_1j) + u2 g_2j + ...: one field per component
+        comps = list(g0_ast)
+        for i, gi in enumerate(g_ast):
+            comps = [ex.Bin("+", c, ex.Bin("*", ex.Var("u", i), g)) for c, g in zip(comps, gi)]
         object.__setattr__(self, "_g0_fn", _compile_fields(g0_ast))
         object.__setattr__(self, "_g_fn", tuple(_compile_fields(gi) for gi in g_ast))
+        object.__setattr__(self, "_F_fn", _compile_fields(comps))
 
     def drift(self, X: np.ndarray) -> np.ndarray:
         """g0 evaluated at a batch of states; X is (..., n), result (..., n)."""
-        X = np.asarray(X, dtype=float)
-        return np.stack([f(X, None) for f in self._g0_fn], axis=-1)
+        return _stack(self._g0_fn, np.asarray(X, dtype=float), None)
 
     def input_fields(self, X: np.ndarray) -> np.ndarray:
         """All g_i at a batch of states; result has shape (m, ..., n)."""
         X = np.asarray(X, dtype=float)
-        return np.stack(
-            [np.stack([f(X, None) for f in gi], axis=-1) for gi in self._g_fn], axis=0)
+        return np.stack([_stack(gi, X, None) for gi in self._g_fn], axis=0)
 
     def dynamics(self, x, u) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        _check_dims(self, x, u)
-        return self._combine(x, [u[..., i] for i in range(self.m)])
-
-    def _combine(self, x: np.ndarray, w: list) -> np.ndarray:
-        """c_j = g0_j(x) + w[0] g_1j(x) + ... + w[m-1] g_mj(x), summed left to right."""
-        comps = []
-        for j, f0 in enumerate(self._g0_fn):
-            c = f0(x, None)
-            for wi, gi in zip(w, self._g_fn):
-                c = c + wi * gi[j](x, None)
-            comps.append(c)
-        return np.stack(comps, axis=-1)
+        return _stack(self._F_fn, *_checked(self, x, u))
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,12 +106,11 @@ class PowerAffineSystem:
         return self._base.input_fields(X)
 
     def dynamics(self, x, u) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        _check_dims(self, x, u)
+        x, u = _checked(self, x, u)
         # phi per channel: numpy's pow on a 0-d channel (one state) is not its
         # array pow, so phi of the whole u could change a single-point result
-        return self._base._combine(x, [self.phi_apply(u[..., i]) for i in range(self.m)])
+        w = np.stack([self.phi_apply(u[..., i]) for i in range(self.m)], axis=-1) if self.m else u
+        return _stack(self._base._F_fn, x, w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,20 +129,21 @@ class GeneralSystem:
         object.__setattr__(self, "_F_fn", _compile_fields(asts))
 
     def dynamics(self, x, u) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        _check_dims(self, x, u)
-        return np.stack([f(x, u) for f in self._F_fn], axis=-1)
+        return _stack(self._F_fn, *_checked(self, x, u))
 
 
 System = Union[AffineSystem, PowerAffineSystem, GeneralSystem]
 
 
-def _check_dims(sys: System, x: np.ndarray, u: np.ndarray):
+def _checked(sys: System, x, u) -> tuple:
+    """x and u as float arrays, their last dimensions checked against (n, m)."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
     if x.shape[-1] != sys.n:
         raise DimensionError(f"state has dimension {x.shape[-1]}, expected {sys.n}")
     if u.shape[-1] != sys.m:
         raise DimensionError(f"input has dimension {u.shape[-1]}, expected {sys.m}")
+    return x, u
 
 
 def dynamics(sys: System, x, u) -> np.ndarray:

@@ -202,3 +202,86 @@ def test_selector_continuity_as_a_vanishes():
     assert vals[-1] == 3.0  # a = 0 branch returns h
     assert all(vals[i] <= vals[i + 1] + 1e-12 for i in range(len(vals) - 1))
     assert vals[-2] == pytest.approx(vals[-1], abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# array selectors and envelope windows against the point-by-point scan
+# ---------------------------------------------------------------------------
+
+def _scan_selectors(sysm, gamma, env, grid):
+    """The per-x selector loop construct_w ran before its array pass (reference):
+    every p(x) in grid order, then every mirrored q(-x), raising at the first failure."""
+    def pick(q, x, hval, sign):
+        if q.b >= 0:
+            word = "negative for x > 0" if sign > 0 else "positive for x < 0"
+            raise c1.DriftSignError(f"g0({x:g}) = {sign * q.b / (4 * gamma):g} must be {word}")
+        if q.a == 0.0:
+            return hval()
+        disc = q.b * q.b - 4.0 * q.a * q.c
+        if disc < -c1._DISC_CLAMP:
+            raise c1.InfeasibleAtError(x, disc)
+        root = (-q.b + math.sqrt(max(disc, 0.0))) / (2.0 * q.a)
+        return min(hval(), root)
+
+    p = [pick(c1.QuadCoeffs.at(sysm, gamma, float(x)), float(x), lambda: env(float(x)), 1.0)
+         for x in grid]
+    q = [-pick(c1._mirror_coeffs(sysm, gamma, -float(x)), -float(x),
+               lambda: env(float(x)), -1.0) for x in grid]
+    return np.array(p), np.array(q)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:      # the error's type and message are the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+_SELECTOR_CASES = [
+    (sy.make_scalar_linear(), None),
+    (sy.make_scalar_decay(), None),                                  # a = 0 everywhere
+    (sy.AffineSystem(1, 2, ("-x1 - spow(x1, 3)",),
+                     (("0.3*pow(x1, 1.5)",), ("0.2*cbrt(x1)",))), None),
+    (sy.AffineSystem(1, 1, ("-x1",), (("0.4*max(x1-1, 0)",),)), None),  # a = 0 up to x = 1
+    (sy.AffineSystem(1, 1, ("-x1*(1.5-x1)",), (("0.5",),)), None),   # infeasible mid-grid
+    (sy.AffineSystem(1, 1, ("-x1*(1.5-x1)",), (("0.5",),)),
+     lambda x: 1.0 if x < 0.5 else -1.0),                           # envelope fails first
+    (sy.AffineSystem(1, 1, ("-x1*(1.5-x1)",), (("0.5",),)),
+     lambda x: 1.0 if x < 2 else -1.0),                             # ... and second
+    (sy.AffineSystem(1, 1, ("-x1 - 0.3*x1*abs(x1)",),
+                     (("0.5 + x1*x1*(1-sign(x1))",),)), None),       # fails on the mirror
+    (sy.AffineSystem(1, 1, ("-x1 - 0.6*x1*x1",), (("0",),)), None),  # wrong drift sign, x < 0
+    (sy.AffineSystem(1, 1, ("x1 - 2*x1*abs(x1)",), (("1",),)), lambda x: 4 * x),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_SELECTOR_CASES)))
+def test_construct_w_selectors_match_pointwise_scan(case):
+    sysm, h = _SELECTOR_CASES[case]
+    grid = np.geomspace(0.05, 3.0, 97)
+    V = stg.builtin("sq_norm")
+    env = c1.as_envelope(h) if h is not None else c1.h_from_v(V, grid, margin=0.1)
+    ref = _outcome(lambda: _scan_selectors(sysm, 1.0, env, grid))
+    got = _outcome(lambda: c1.construct_w(sysm, 1.0, V, grid, h=h, check_hypothesis=False))
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert not isinstance(got, str), got
+        assert got.p_values.tobytes() == ref[0].tobytes()
+        assert got.q_values.tobytes() == ref[1].tobytes()
+        assert [c1.p_of_x(sysm, 1.0, env, float(x)) for x in grid[::8]] == list(ref[0][::8])
+
+
+def test_h_from_v_windows_match_per_point_windows():
+    grid = np.geomspace(0.01, 2.0, 61)
+    for V in (stg.builtin("sq_norm"), stg.builtin("v3_scalar"),
+              stg.from_expression("pow(x1, 1.5) + abs(x1 - 1)", 1)):
+        window = 0.5 * float(np.min(np.diff(grid)))
+        ref = []
+        for x in grid:
+            s = np.linspace(x - window, x + window, 17)
+            vals = V.value_batch(s[:, None])
+            ref.append(2.0 * 1.1 * float(np.max(np.abs(np.diff(vals)) / np.diff(s))))
+        env = c1.h_from_v(V, grid, margin=0.1)
+        got = np.array([env(float(x)) for x in grid])
+        assert got.tobytes() == np.maximum(np.array(ref), c1._H_FLOOR).tobytes()

@@ -1,10 +1,15 @@
 import math
+import operator
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hjikit import expr as ex
+from hjikit import systems as sy
 
 
 # ---------------------------------------------------------------------------
@@ -218,3 +223,190 @@ def test_eval_hypothesis_min_max_abs(a, b):
 def test_variables_used():
     ast = ex.parse("x1*u2 + abs(x2)", 2, 2)
     assert ex.variables_used(ast) == {("x", 0), ("x", 1), ("u", 1)}
+
+
+# ---------------------------------------------------------------------------
+# generated evaluators against a frozen copy of the closure compiler
+# ---------------------------------------------------------------------------
+
+def _closure_compile(e):
+    """The tree-of-closures compiler that generated evaluators replaced (reference)."""
+    if isinstance(e, ex.Num):
+        v = e.value
+        return lambda X, U: np.full(np.shape(X)[:-1], v)
+    if isinstance(e, ex.Var):
+        i = e.index
+        if e.kind == "x":
+            return lambda X, U: np.asarray(X)[..., i]
+        return lambda X, U: np.asarray(U)[..., i]
+    if isinstance(e, ex.Neg):
+        f = _closure_compile(e.arg)
+        return lambda X, U: -f(X, U)
+    if isinstance(e, ex.Bin):
+        fa, fb = _closure_compile(e.lhs), _closure_compile(e.rhs)
+        op = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv}[e.op]
+        return lambda X, U: op(fa(X, U), fb(X, U))
+    fs = [_closure_compile(a) for a in e.args]
+    if e.fn == "pow":
+        return lambda X, U: np.abs(fs[0](X, U)) ** fs[1](X, U)
+    if e.fn == "spow":
+        def _spow(X, U):
+            a = fs[0](X, U)
+            return np.sign(a) * np.abs(a) ** fs[1](X, U)
+        return _spow
+    fn = {"abs": np.abs, "sign": np.sign, "sqrt": np.sqrt, "cbrt": np.cbrt,
+          "min": np.minimum, "max": np.maximum}[e.fn]
+    return lambda X, U: fn(*(f(X, U) for f in fs))
+
+
+def _same_bits(got, ref):
+    return (type(got) is type(ref) and np.shape(got) == np.shape(ref)
+            and np.asarray(got).dtype == np.asarray(ref).dtype
+            and np.asarray(got).tobytes() == np.asarray(ref).tobytes())
+
+
+# exponents 2 and 0.5 hit numpy's square/sqrt fast path when they are scalars;
+# 1e400 parses to inf
+_LITERALS = [0.0, 1.0, 2.0, 0.5, -1.0, -2.0, 3.0, 0.3, 1e-300, 1e400]
+_leaves = st.one_of(st.sampled_from(_LITERALS).map(ex.Num),
+                    st.builds(ex.Var, st.sampled_from("xu"), st.integers(0, 1)))
+
+
+def _extend(kids):
+    return st.one_of(
+        kids.map(ex.Neg),
+        st.builds(ex.Bin, st.sampled_from("+-*/"), kids, kids),
+        st.builds(lambda fn, a: ex.Call(fn, (a,)),
+                  st.sampled_from(["abs", "sign", "sqrt", "cbrt"]), kids),
+        st.builds(lambda fn, a, b: ex.Call(fn, (a, b)),
+                  st.sampled_from(["min", "max", "pow", "spow"]), kids, kids),
+        st.builds(lambda fn, a, k: ex.Call(fn, (a, ex.Num(k))),
+                  st.sampled_from(["pow", "spow"]), kids, st.sampled_from([2.0, 0.5, -1.0, -2.0])),
+        kids.map(lambda a: ex.Bin("+", ex.Call("abs", (a,)), ex.Bin("*", a, a))),  # repeats
+    )
+
+
+_asts = st.recursive(_leaves, _extend, max_leaves=10)
+
+# (batch shape of X, batch shape of U): one point (0-d results), a (1, n)
+# batch, equal batches, one state against many inputs and the reverse, and an
+# outer-product broadcast
+_FIELD_BATCHES = [((), ()), ((1,), (1,)), ((17,), (17,)), ((), (6,)), ((7,), ()),
+                  ((3, 1), (1, 4)), ((40,), (40,))]
+
+
+def _draw(rng, shape):
+    v = rng.uniform(-3, 3, shape)
+    pick = rng.random(shape)
+    v[pick < 0.15] = 0.0
+    v[(pick >= 0.15) & (pick < 0.2)] = -0.0
+    v[(pick >= 0.2) & (pick < 0.25)] = 1.0
+    return v
+
+
+def _assert_matches_closure(ast, rng):
+    got_fn, ref_fn = ex.compile_evaluator(ast), _closure_compile(ast)
+    for xb, ub in _FIELD_BATCHES:
+        X, U = _draw(rng, xb + (2,)), _draw(rng, ub + (2,))
+        with np.errstate(all="ignore"):
+            got, ref = got_fn(X, U), ref_fn(X, U)
+        assert _same_bits(got, ref), (ex.to_source(ast), xb, ub)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ast=_asts, seed=st.integers(0, 2 ** 32 - 1))
+def test_generated_evaluator_matches_closure_compiler_bitwise(ast, seed):
+    _assert_matches_closure(ast, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("src", [
+    "-0.3", "0", "1", "-(-0)", "1e400", "-1e400*x1", "2*3 - 1/4", "u1", "u1 + 1",
+    "pow(x1, 2)", "pow(x1, 0.5)", "pow(x1, -1)", "pow(x1, -2)", "spow(x1, 2)", "spow(u2, 0.5)",
+    "spow(x1*x2, -1)", "spow(x2, -2)", "pow(2, x1)", "pow(2, 0.5)", "sqrt(2)", "cbrt(-3)",
+    "pow(u1 + 1, 2)", "sqrt(abs(u1) + 1) + x1", "cbrt(u1 - 2) * x2",
+    "spow(x1*x2, 3) - x1*abs(x1) + spow(x1*x2, 3)", "3*pow(cbrt(x2),4)*(-x1-x2)",
+    "min(x1, 0) + max(0, -x2) + min(-0, 0)",
+])
+def test_generated_evaluator_special_fields(src):
+    _assert_matches_closure(ex.parse(src, 2, 2), np.random.default_rng(len(src)))
+
+
+def test_generated_evaluator_keeps_signed_zero_literals_apart():
+    pos, neg = ex.compile_evaluator(ex.Num(0.0)), ex.compile_evaluator(ex.Num(-0.0))
+    assert ex.Num(0.0) != ex.Num(-0.0) and ex.Num(1) != ex.Num(1.0)
+    X = np.zeros((3, 1))
+    assert _same_bits(pos(X, None), np.zeros(3)) and _same_bits(neg(X, None), np.full(3, -0.0))
+    _assert_matches_closure(ex.Bin("+", ex.Var("x", 0), ex.Num(-0.0)), np.random.default_rng(0))
+
+
+def test_parse_and_compile_are_memoized():
+    a = ex.parse("abs(x1)*(-x1+abs(x2))", 2, 0)
+    assert ex.parse("abs(x1)*(-x1+abs(x2))", 2, 0) is a
+    assert ex.compile_evaluator(a) is ex.compile_evaluator(ex.parse(ex.to_source(a), 2, 0))
+    for _ in range(2):                     # errors are raised again, never cached
+        with pytest.raises(ex.ExprSyntaxError):
+            ex.parse("x1 +", 1, 0)
+
+
+@pytest.mark.parametrize("node", [
+    ex.Call("__import__('os').getcwd", (ex.Var("x", 0),)),
+    ex.Bin("**", ex.Var("x", 0), ex.Num(2.0)),
+    ex.Var("os", 0),
+    ex.Var("x", "0]; import os; X[0"),
+    "x1",
+])
+def test_generated_source_takes_no_text_from_the_ast(node):
+    with pytest.raises((TypeError, ValueError, KeyError)):
+        ex.compile_evaluator(node)
+
+
+def _combine_reference(system, x, u):
+    """The per-component sum ``dynamics`` used before fields were compiled whole:
+    c_j = g0_j(x) + w_1 g_1j(x) + ..., w_i = u_i (or phi(u_i)), closure-compiled."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if isinstance(system, sy.GeneralSystem):
+        return np.stack([_closure_compile(ex.parse(s, system.n, system.m))(x, u)
+                         for s in system.F], axis=-1)
+    phi = system.phi_apply if isinstance(system, sy.PowerAffineSystem) else (lambda r: r)
+    w = [phi(u[..., i]) for i in range(system.m)]
+    comps = []
+    for j, src in enumerate(system.g0):
+        c = _closure_compile(ex.parse(src, system.n, 0))(x, None)
+        for wi, gi in zip(w, system.g):
+            c = c + wi * _closure_compile(ex.parse(gi[j], system.n, 0))(x, None)
+        comps.append(c)
+    return np.stack(comps, axis=-1)
+
+
+_REFERENCE_SYSTEMS = [e.system for e in sy.zoo()] + [
+    sy.AffineSystem(1, 1, ("1",), (("1",),)),                 # no x anywhere
+    sy.AffineSystem(1, 1, ("0",), (("-2",),)),
+    sy.PowerAffineSystem(1, 2, ("-0.5",), (("2",), ("x1",)), p=2.0, phi="abs_pow"),
+    sy.PowerAffineSystem(2, 1, ("-x1", "-pow(x2, 2)"), (("0.5", "sqrt(abs(x1))"),),
+                         p=2.7, phi="signed_pow"),
+    sy.GeneralSystem(1, 2, ("u1 + 1 + pow(u2, 2) + pow(u1 + 2, 0.5) - x1",)),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(0, len(_REFERENCE_SYSTEMS) - 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_system_dynamics_matches_combine_reference_bitwise(k, seed):
+    system = _REFERENCE_SYSTEMS[k]
+    rng = np.random.default_rng(seed)
+    for xb, ub in _FIELD_BATCHES * 3:
+        x, u = _draw(rng, xb + (system.n,)), _draw(rng, ub + (system.m,))
+        with np.errstate(all="ignore"):
+            got, ref = system.dynamics(x, u), _combine_reference(system, x, u)
+        assert _same_bits(got, ref), (system.name, xb, ub)
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, hjikit; hjikit.zoo(); print('scipy' in sys.modules)"
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
