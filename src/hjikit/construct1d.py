@@ -130,14 +130,15 @@ def p_of_x(sys: AffineSystem, gamma: float, h, x: float,
     """
     if x <= 0:
         raise ValueError("the selector is defined for x > 0")
-    return float(_selector(sys, gamma, as_envelope(h), np.array([float(x)]), tol_disc)[0])
+    return float(_selector(sys, gamma, as_envelope(h), np.array([float(x)]), tol_disc)[0][0])
 
 
 def _selector(sys: AffineSystem, gamma: float, env: Envelope, x: np.ndarray,
-              tol_disc: float = _DISC_CLAMP) -> np.ndarray:
+              tol_disc: float = _DISC_CLAMP) -> tuple:
     """The selector at abscissae x of one sign: p(x) of :func:`p_of_x` for x > 0;
     for x < 0 the slope q <= 0 with q*(g0 + sum u_i g_i) <= gamma|u|^2 - x^2,
     whose |q| solves the same quadratic with b' = -4 gamma g0(x) (g0 > 0 there).
+    Returned with the quadratic's coefficients at x, which the contract reuses.
 
     h(|x|) (h is even in the built flows) is sampled point by point up to the
     first x where g0 has the wrong sign or Delta no real root, which raises."""
@@ -157,7 +158,7 @@ def _selector(sys: AffineSystem, gamma: float, env: Envelope, x: np.ndarray,
         raise InfeasibleAtError(xk, float(disc[k]))
     with np.errstate(divide="ignore", invalid="ignore"):
         root = (-q.b + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * q.a)
-    return sign * np.where(root < hv, root, hv)
+    return sign * np.where(root < hv, root, hv), q
 
 
 def h_from_v(V: StorageCandidate, grid: Sequence[float], window: Optional[float] = None,
@@ -257,26 +258,22 @@ def construct_w(sys: AffineSystem, gamma: float, V: StorageCandidate,
 
     env = as_envelope(h) if h is not None else h_from_v(V, grid, margin=margin)
 
-    p_vals = _selector(sys, gamma, env, grid)
-    q_vals = _selector(sys, gamma, env, -grid)
+    p_vals, pos = _selector(sys, gamma, env, grid)
+    q_vals, neg = _selector(sys, gamma, env, -grid)
 
     w_vals = _cumulative_from_zero(grid, p_vals)
     w_neg = _cumulative_from_zero(grid, -q_vals)  # integral of q from 0 to -x, mirrored
 
     built = ConstructedW(grid, p_vals, w_vals, q_vals, w_neg, gamma)
 
-    # contract: admissibility of the selector everywhere on the grid
-    bad = np.flatnonzero(delta(QuadCoeffs.at(sys, gamma, grid), p_vals) > tol)
+    # contract: admissibility of the selector everywhere on the grid (Delta as the selector saw it)
+    bad = np.flatnonzero(delta(pos, p_vals) > tol)
     if bad.size:
         raise HjikitError(f"selector violates Delta(p) <= 0 at x={grid[bad[0]]:g}")
-    bad = np.flatnonzero(delta(_mirror_coeffs(sys, gamma, -grid), -q_vals) > tol)
+    bad = np.flatnonzero(delta(neg, -q_vals) > tol)
     if bad.size:
         raise HjikitError(f"selector violates the mirrored quadratic at x={-grid[bad[0]]:g}")
     return built
-
-
-def _mirror_coeffs(sys: AffineSystem, gamma: float, x) -> QuadCoeffs:
-    return QuadCoeffs.at(sys, gamma, x, -1.0)
 
 
 def _cumulative_from_zero(grid: np.ndarray, vals: np.ndarray) -> np.ndarray:

@@ -359,29 +359,33 @@ def _fmt(e: Expr, parent_level: int) -> str:
 # ---------------------------------------------------------------------------
 
 # Generated code calls only these names; a field's source text never reaches it.
-_NUMPY = {"abs": np.abs, "sign": np.sign, "sqrt": np.sqrt, "cbrt": np.cbrt,
+_NUMPY = {"abs": np.abs, "sign": np.sign, "sqrt": np.sqrt, "cbrt": np.cbrt, "empty": np.empty,
           "minimum": np.minimum, "maximum": np.maximum, "full": np.full, "asarray": np.asarray}
 _CODE = {"+": "{0} + {1}", "-": "{0} - {1}", "*": "{0} * {1}", "/": "{0} / {1}",
          "abs": "abs({0})", "sign": "sign({0})", "sqrt": "sqrt({0})", "cbrt": "cbrt({0})",
          "min": "minimum({0}, {1})", "max": "maximum({0}, {1})",
-         "pow": "abs({0}) ** {1}", "spow": "sign({0}) * abs({0}) ** {1}"}
+         "pow": "abs({0}) ** {1}", "spow": "sign({0}) * abs({0}) ** {1}",
+         "abs_pow": "abs({0}) ** {1}", "signed_pow": "sign({0}) * abs({0}) ** {1}"}
 _VAR = {"x": "X[..., {0}]", "u": "U[..., {0}]"}
 # numpy may take other loops for a scalar input (pow: square/sqrt for 2 or 0.5)
 _SCALAR_UNSAFE = ("sqrt", "cbrt", "pow", "spow")
+# phi of a power-affine input (not in the grammar): a numpy-scalar exponent, as in phi_apply
+_PHI = ("abs_pow", "signed_pow")
 
 
 @functools.lru_cache(maxsize=4096)
-def compile_evaluator(e: Expr) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Compile an AST into one flat numpy function ``f(X, U) -> values`` (memoized).
+def compile_evaluator(e) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Compile an AST, or a tuple of k ASTs, into one flat numpy function ``f(X, U)`` (memoized).
 
-    ``X`` has shape (..., n) and ``U`` shape (..., m); the result has shape (...,).
-    Inputs on which scalar evaluation would raise let IEEE nan/inf propagate.
-    Each distinct subtree is computed once.  Constants are numpy scalars, but
-    arrays of X's batch shape in an x-free subtree that is the whole field or
-    feeds sqrt/cbrt/pow/spow, so every result is bitwise (and in shape) that of
-    evaluating every node as an array.
+    ``X`` has shape (..., n) and ``U`` shape (..., m).  One AST gives values of shape
+    (...,); a tuple gives one (..., k) array whose column j is what its j-th AST alone
+    gives.  Inputs on which scalar evaluation would raise let IEEE nan/inf propagate.
+    Each distinct subtree is computed once, across the whole tuple, and each temporary
+    is freed after its last use.  Constants are numpy scalars, but arrays of X's batch
+    shape in an x-free subtree that is a whole root or feeds sqrt/cbrt/pow/spow, so
+    every result is bitwise (and in shape) that of evaluating every node as an array.
     """
-    lines, consts, temps = [], {}, {}
+    lines, consts, temps = [], {}, {}      # lines: (statement, temporaries it reads)
 
     def has_x(node) -> bool:
         return any(kind == "x" for kind, _ in variables_used(node))
@@ -389,6 +393,7 @@ def compile_evaluator(e: Expr) -> Callable[[np.ndarray, np.ndarray], np.ndarray]
     def emit(node, full: bool) -> str:
         if (node, full) in temps:
             return temps[node, full]
+        reads = ()
         if isinstance(node, Num):
             const = f"c{len(consts)}"
             consts[const] = np.asarray(node.value)[()]
@@ -396,24 +401,37 @@ def compile_evaluator(e: Expr) -> Callable[[np.ndarray, np.ndarray], np.ndarray]
         elif isinstance(node, Var):
             code = _VAR[node.kind].format(int(node.index))
         elif isinstance(node, Neg):
-            code = f"-{emit(node.arg, full)}"
+            reads = (emit(node.arg, full),)
+            code = f"-{reads[0]}"
         elif isinstance(node, (Bin, Call)):
             op, args = ((node.op, (node.lhs, node.rhs)) if isinstance(node, Bin)
                         else (node.fn, node.args))
-            code = _CODE[op].format(*(
-                emit(a, full or (op in _SCALAR_UNSAFE and not has_x(a))) for a in args))
+            reads = tuple(emit(a, op not in _PHI and (
+                full or (op in _SCALAR_UNSAFE and not has_x(a)))) for a in args)
+            code = _CODE[op].format(*reads)
         else:
             raise TypeError(f"not an Expr node: {node!r}")
         temps[node, full] = name = f"t{len(temps)}"
-        lines.append(f"    {name} = {code}")
+        lines.append((f"{name} = {code}", reads))
         return name
 
-    out = emit(e, not has_x(e))
-    body = "\n".join(lines)
+    if isinstance(e, tuple):
+        for j, root in enumerate(e):
+            t = emit(root, not has_x(root))
+            if not j:
+                lines.append((f"out = empty({t}.shape + ({len(e)},))", (t,)))
+            lines.append((f"out[..., {j}] = {t}", (t,)))
+        out = "out"
+    else:
+        out = emit(e, not has_x(e))
+    last = {t: i for i, (_, reads) in enumerate(lines) for t in reads}      # never the result
+    body = "\n".join(f"    {code}" + "".join(f"; del {t}" for t in dict.fromkeys(reads)
+                                              if last[t] == i)
+                     for i, (code, reads) in enumerate(lines))
     head = ["    X = asarray(X)"] if "X[" in body or "(S," in body else []
     head += ["    S = X.shape[:-1]"] if "(S," in body else []
     head += ["    U = asarray(U)"] if "U[" in body else []
-    src = "\n".join(["def field(X, U):", *head, *lines, f"    return {out}"])
+    src = "\n".join(["def field(X, U):", *head, body, f"    return {out}"])
     scope = dict(_NUMPY, **consts)
     exec(compile(src, "<hjikit field>", "exec"), scope)
     return scope["field"]

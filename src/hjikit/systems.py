@@ -3,6 +3,8 @@
 All vector fields are expression-defined (see :mod:`hjikit.expr`).  Systems are
 immutable after construction and ``dynamics`` is pure: region sweeps and
 ensemble integrations evaluate them once per batch of points, in one thread.
+Each system's right-hand side is one generated function ``_rhs(X, U) -> (..., n)``:
+``dynamics`` checks x's and u's shapes and calls it; the RK4 loop checks them once.
 """
 from __future__ import annotations
 
@@ -20,16 +22,26 @@ class DimensionError(HjikitError):
     pass
 
 
-def _parse_fields(sources: Sequence[str], n: int, m: int) -> tuple:
-    return tuple(ex.parse(src, n, m) for src in sources)
-
-
 def _compile_fields(asts: Sequence) -> tuple:
     return tuple(ex.compile_evaluator(a) for a in asts)
 
 
-def _stack(fields: tuple, X, U) -> np.ndarray:
-    return np.stack([f(X, U) for f in fields], axis=-1)
+def _compile_affine(sys, weights: Sequence) -> None:
+    """Compile g0, each g_i and dx_j/dt = (g0_j + w_1 g_1j) + w_2 g_2j + ...,
+    where w_i is the AST of u_i or of phi(u_i): one function each."""
+    g0_ast = tuple(ex.parse(src, sys.n, 0) for src in sys.g0)
+    g_ast = tuple(tuple(ex.parse(src, sys.n, 0) for src in gi) for gi in sys.g)
+    if len(sys.g0) != sys.n or len(sys.g) != sys.m:
+        raise DimensionError("field shapes do not match (n, m)")
+    if any(len(gi) != sys.n for gi in sys.g):
+        raise DimensionError("every input field must have n components")
+    comps = g0_ast
+    for w, gi in zip(weights, g_ast):
+        comps = tuple(ex.Bin("+", c, ex.Bin("*", w, g)) for c, g in zip(comps, gi))
+    drift, *fields, rhs = _compile_fields((g0_ast, *g_ast, comps))
+    object.__setattr__(sys, "_g0_fn", drift)
+    object.__setattr__(sys, "_g_fn", tuple(fields))
+    object.__setattr__(sys, "_rhs", rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,31 +55,19 @@ class AffineSystem:
     name: str = ""
 
     def __post_init__(self):
-        g0_ast = _parse_fields(self.g0, self.n, 0)
-        g_ast = tuple(_parse_fields(gi, self.n, 0) for gi in self.g)
-        if len(self.g0) != self.n or len(self.g) != self.m:
-            raise DimensionError("field shapes do not match (n, m)")
-        if any(len(gi) != self.n for gi in self.g):
-            raise DimensionError("every input field must have n components")
-        # dx_j/dt = (g0_j + u1 g_1j) + u2 g_2j + ...: one field per component
-        comps = list(g0_ast)
-        for i, gi in enumerate(g_ast):
-            comps = [ex.Bin("+", c, ex.Bin("*", ex.Var("u", i), g)) for c, g in zip(comps, gi)]
-        object.__setattr__(self, "_g0_fn", _compile_fields(g0_ast))
-        object.__setattr__(self, "_g_fn", tuple(_compile_fields(gi) for gi in g_ast))
-        object.__setattr__(self, "_F_fn", _compile_fields(comps))
+        _compile_affine(self, [ex.Var("u", i) for i in range(self.m)])
 
     def drift(self, X: np.ndarray) -> np.ndarray:
         """g0 evaluated at a batch of states; X is (..., n), result (..., n)."""
-        return _stack(self._g0_fn, np.asarray(X, dtype=float), None)
+        return self._g0_fn(np.asarray(X, dtype=float), None)
 
     def input_fields(self, X: np.ndarray) -> np.ndarray:
         """All g_i at a batch of states; result has shape (m, ..., n)."""
         X = np.asarray(X, dtype=float)
-        return np.stack([_stack(gi, X, None) for gi in self._g_fn], axis=0)
+        return np.stack([g(X, None) for g in self._g_fn], axis=0)
 
     def dynamics(self, x, u) -> np.ndarray:
-        return _stack(self._F_fn, *_checked(self, x, u))
+        return self._rhs(*_checked(self, x, u))
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +90,8 @@ class PowerAffineSystem:
             raise ValueError("power-affine exponent must satisfy p >= 1")
         if self.phi not in ("abs_pow", "signed_pow"):
             raise ValueError("phi must be 'abs_pow' or 'signed_pow'")
-        base = AffineSystem(self.n, self.m, self.g0, self.g, name=self.name)
-        object.__setattr__(self, "_base", base)
+        p = ex.Num(float(self.p))
+        _compile_affine(self, [ex.Call(self.phi, (ex.Var("u", i), p)) for i in range(self.m)])
 
     def phi_apply(self, r):
         r = np.asarray(r, dtype=float)
@@ -99,18 +99,9 @@ class PowerAffineSystem:
             return np.abs(r) ** self.p
         return np.sign(r) * np.abs(r) ** self.p
 
-    def drift(self, X):
-        return self._base.drift(X)
-
-    def input_fields(self, X):
-        return self._base.input_fields(X)
-
-    def dynamics(self, x, u) -> np.ndarray:
-        x, u = _checked(self, x, u)
-        # phi per channel: numpy's pow on a 0-d channel (one state) is not its
-        # array pow, so phi of the whole u could change a single-point result
-        w = np.stack([self.phi_apply(u[..., i]) for i in range(self.m)], axis=-1) if self.m else u
-        return _stack(self._base._F_fn, x, w)
+    drift = AffineSystem.drift
+    input_fields = AffineSystem.input_fields
+    dynamics = AffineSystem.dynamics
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,10 +117,9 @@ class GeneralSystem:
         asts = tuple(ex.parse(src, self.n, self.m) for src in self.F)
         if len(self.F) != self.n:
             raise DimensionError("F must have n components")
-        object.__setattr__(self, "_F_fn", _compile_fields(asts))
+        object.__setattr__(self, "_rhs", _compile_fields((asts,))[0])
 
-    def dynamics(self, x, u) -> np.ndarray:
-        return _stack(self._F_fn, *_checked(self, x, u))
+    dynamics = AffineSystem.dynamics
 
 
 System = Union[AffineSystem, PowerAffineSystem, GeneralSystem]

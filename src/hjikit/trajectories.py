@@ -8,7 +8,6 @@ each step), and per-channel sinusoids.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -164,8 +163,8 @@ def integrate_ensemble(sys: System, X0, inputs: Sequence[InputSignal],
     a, b = float(t_span[0]), float(t_span[1])
     if step <= 0 or b <= a:
         raise ValueError("need step > 0 and b > a")
-    X0 = np.asarray(X0, dtype=float)
-    B, n = X0.shape
+    X = np.asarray(X0, dtype=float)
+    B, n = X.shape
     if len(inputs) != B:
         raise ValueError("need one input signal per initial condition")
     N = max(1, int(round((b - a) / step)))
@@ -173,22 +172,24 @@ def integrate_ensemble(sys: System, X0, inputs: Sequence[InputSignal],
     times = a + h * np.arange(N + 1)
 
     states = np.empty((B, N + 1, n))
-    states[:, 0, :] = X0
-    X = X0.copy()
+    states[:, 0, :] = X
 
-    # u(t + h) gets its own samples: times[k] + h need not be times[k + 1] to the last bit
+    # one call per signal; t + h is sampled too: times[k] + h need not be times[k + 1]
     t0 = times[:-1]
-    U1, U2, U3 = (_sample(inputs, t, sys.m) for t in (t0, t0 + 0.5 * h, t0 + h))
+    U1, U2, U3 = _sample(inputs, np.concatenate([t0, t0 + 0.5 * h, t0 + h]),
+                         sys.m).reshape(3, N, B, sys.m)
 
+    rhs = sys._rhs
     for k in range(N):
-        k1 = sys.dynamics(X, U1[k])
-        k2 = sys.dynamics(X + 0.5 * h * k1, U2[k])
-        k3 = sys.dynamics(X + 0.5 * h * k2, U2[k])
-        k4 = sys.dynamics(X + h * k3, U3[k])
+        # the first stage checks the shapes; the others call the right-hand side unchecked
+        k1 = rhs(X, U1[k]) if k else sys.dynamics(X, U1[0])
+        k2 = rhs(X + 0.5 * h * k1, U2[k])
+        k3 = rhs(X + 0.5 * h * k2, U2[k])
+        k4 = rhs(X + h * k3, U3[k])
         X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        worst = float(np.max(np.abs(X)))
-        if not math.isfinite(worst) or worst > _BLOWUP_NORM:
-            raise BlowUpError(float(times[k + 1]), worst)
+        worst = np.abs(X).max()
+        if not worst <= _BLOWUP_NORM:                   # also nan
+            raise BlowUpError(float(times[k + 1]), float(worst))
         states[:, k + 1, :] = X
 
     return [Trajectory(times, states[j], inputs[j], h) for j in range(B)]
@@ -269,23 +270,17 @@ def l2_gain_detail(sys: System, ensemble: Sequence[InputSignal], T: float,
         raise NoAdmissibleInputError("no admissible input")
     X0 = np.zeros((len(ensemble), sys.n))
     trajs = integrate_ensemble(sys, X0, ensemble, (0.0, T), step)
-    best = None
-    max_norm = 0.0
-    for traj in trajs:
-        h = traj.step
-        xsq = np.sum(traj.states * traj.states, axis=1)
-        num = float(np.trapezoid(xsq, dx=h))
-        mids = traj.times[:-1] + 0.5 * h
-        u_mid = np.asarray(traj.input(mids), dtype=float)
-        den = float(np.sum(np.sum(u_mid * u_mid, axis=1)) * h)
-        if den < 1e-12:
-            continue
-        ratio = num / den
-        best = ratio if best is None else max(best, ratio)
-        max_norm = max(max_norm, float(np.sqrt(np.max(xsq))))
-    if best is None:
+    # every sum runs along a contiguous last axis, as it does for one trajectory
+    xs = np.stack([traj.states for traj in trajs])                  # (B, N+1, n)
+    xsq = np.sum(xs * xs, axis=2)
+    num = np.trapezoid(xsq, dx=step, axis=1)
+    u_mid = np.stack([np.asarray(sig(trajs[0].times[:-1] + 0.5 * step), dtype=float)
+                      for sig in ensemble])                           # (B, N, m)
+    den = np.sum(np.sum(u_mid * u_mid, axis=2), axis=1) * step
+    keep = ~(den < 1e-12)
+    if not keep.any():
         raise NoAdmissibleInputError("no admissible input")
-    return best, max_norm
+    return float(np.max(num[keep] / den[keep])), float(np.sqrt(np.max(xsq[keep])))
 
 
 def trajectory_rows(traj: Trajectory) -> np.ndarray:

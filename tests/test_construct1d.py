@@ -34,7 +34,7 @@ def test_quad_coeffs_from_system(linear):
 def test_quad_coeffs_on_arrays_match_scalars(linear, decay):
     xs = np.linspace(-2.0, 2.0, 41)
     for sysm in (linear, decay):
-        for coeffs in (c1.QuadCoeffs.at, c1._mirror_coeffs):
+        for coeffs in (c1.QuadCoeffs.at, lambda s, g, x: c1.QuadCoeffs.at(s, g, x, -1.0)):
             q = coeffs(sysm, 1.5, xs)
             for k, x in enumerate(xs):
                 qs = coeffs(sysm, 1.5, float(x))
@@ -225,7 +225,7 @@ def _scan_selectors(sysm, gamma, env, grid):
 
     p = [pick(c1.QuadCoeffs.at(sysm, gamma, float(x)), float(x), lambda: env(float(x)), 1.0)
          for x in grid]
-    q = [-pick(c1._mirror_coeffs(sysm, gamma, -float(x)), -float(x),
+    q = [-pick(c1.QuadCoeffs.at(sysm, gamma, -float(x), -1.0), -float(x),
                lambda: env(float(x)), -1.0) for x in grid]
     return np.array(p), np.array(q)
 
@@ -285,3 +285,19 @@ def test_h_from_v_windows_match_per_point_windows():
         env = c1.h_from_v(V, grid, margin=0.1)
         got = np.array([env(float(x)) for x in grid])
         assert got.tobytes() == np.maximum(np.array(ref), c1._H_FLOOR).tobytes()
+
+
+def test_construct_w_derives_coefficients_once_per_half_line(linear, monkeypatch):
+    """One drift/input_fields call for the witness check and one per half-line,
+    shared by the selector and the admissibility contract."""
+    calls = []
+    for kind in ("drift", "input_fields"):
+        original = getattr(sy.AffineSystem, kind)
+
+        def counted(self, X, original=original, kind=kind):
+            calls.append(kind)
+            return original(self, X)
+
+        monkeypatch.setattr(sy.AffineSystem, kind, counted)
+    c1.construct_w(linear, 1.0, stg.builtin("sq_norm"), np.linspace(0.01, 2.0, 500))
+    assert sorted(calls) == ["drift"] * 3 + ["input_fields"] * 3

@@ -320,6 +320,25 @@ def test_generated_evaluator_matches_closure_compiler_bitwise(ast, seed):
     _assert_matches_closure(ast, np.random.default_rng(seed))
 
 
+@settings(max_examples=150, deadline=None)
+@given(asts=st.lists(_asts, min_size=1, max_size=4), extra=st.sampled_from(["", "same", "sub"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_generated_tuple_matches_stacked_closures_bitwise(asts, extra, seed):
+    """A tuple of roots gives one (..., k) array: column j is the j-th root alone,
+    also when roots repeat or share subtrees (whose temporaries live on)."""
+    roots = tuple(asts) + {"": (), "same": (asts[0],), "sub": (ex.Neg(asts[0]),)}[extra]
+    fn, refs = ex.compile_evaluator(roots), [_closure_compile(a) for a in roots]
+    rng = np.random.default_rng(seed)
+    for xb, ub in _FIELD_BATCHES:
+        X, U = _draw(rng, xb + (2,)), _draw(rng, ub + (2,))
+        with np.errstate(all="ignore"):
+            cols = [f(X, U) for f in refs]
+            if len({np.shape(c) for c in cols}) > 1:       # np.stack needs one shape
+                continue
+            got = fn(X, U)
+        assert _same_bits(got, np.stack(cols, axis=-1)), ([ex.to_source(a) for a in roots], xb, ub)
+
+
 @pytest.mark.parametrize("src", [
     "-0.3", "0", "1", "-(-0)", "1e400", "-1e400*x1", "2*3 - 1/4", "u1", "u1 + 1",
     "pow(x1, 2)", "pow(x1, 0.5)", "pow(x1, -1)", "pow(x1, -2)", "spow(x1, 2)", "spow(u2, 0.5)",

@@ -151,3 +151,36 @@ def test_dynamics_matches_stacked_formula_bitwise(k, seed):
         got = sys.dynamics(x, u)
         ref = _stacked_dynamics(sys, x, u)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (xb, ub)
+
+
+@pytest.mark.parametrize("phi", ["abs_pow", "signed_pow"])
+@pytest.mark.parametrize("batch", [(), (1,)])
+@pytest.mark.parametrize("g0, g", [
+    (("-x1+x2", "-cbrt(x2)"), (("1", "x2"), ("abs(x1)", "0.5"))),
+    (("1",), (("2",),)),                    # x-free: constants become arrays, phi's exponent not
+])
+def test_power_affine_square_matches_phi_apply_bitwise(phi, batch, g0, g):
+    """p = 2 takes numpy's square path in phi_apply (a scalar exponent), for one
+    0-d state and for a (1, n) batch alike; array pow would differ in the last bit."""
+    sys = sy.PowerAffineSystem(len(g0), len(g), g0, g, p=2.0, phi=phi)
+    rng = np.random.default_rng(len(phi) + len(batch))
+    for _ in range(300):
+        x = rng.uniform(-3, 3, batch + (sys.n,))
+        u = rng.uniform(-3, 3, batch + (sys.m,))
+        got, ref = sys.dynamics(x, u), _stacked_dynamics(sys, x, u)
+        assert got.shape == ref.shape == batch + (sys.n,)
+        assert got.tobytes() == ref.tobytes(), (x, u)
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (50,)])
+def test_general_field_pow_keeps_array_exponent(batch):
+    """A general field's pow(u1, 2) raises to an array of X's batch shape, as
+    evaluating every node as an array does; phi's scalar exponent stays out."""
+    sys = sy.GeneralSystem(1, 1, ("x1 + pow(u1, 2)",))
+    rng = np.random.default_rng(len(batch))
+    for _ in range(100):
+        x = rng.uniform(-3, 3, batch + (1,))
+        u = rng.uniform(-3, 3, batch + (1,))
+        ref = x[..., 0] + np.abs(u[..., 0]) ** np.full(batch, 2.0)
+        got = sys.dynamics(x, u)
+        assert got.shape == batch + (1,) and got[..., 0].tobytes() == np.asarray(ref).tobytes()

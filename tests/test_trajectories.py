@@ -294,3 +294,121 @@ def test_dissipation_audit_detail_tie_example():
     traj = tr.Trajectory(times, np.zeros((5, 1)), tr.ConstantInput([0.0]), 1.0)
     lookup = stg.from_callables("lut", lambda X: A[:np.shape(X)[0]])
     assert tr.dissipation_audit_detail(traj, lookup, 1.0) == (4.0, (1.0, 4.0))
+
+
+# ---------------------------------------------------------------------------
+# The loop's checks: blow-up time, state and input shapes
+# ---------------------------------------------------------------------------
+
+def _blow_up_reference(sys, X0, inputs, t_span, step):
+    """The first grid time at which max|x| > 1e8 or is not finite, stepping per step."""
+    states = _integrate_reference(sys, X0, inputs, t_span, step)
+    times = float(t_span[0]) + step * np.arange(states.shape[1])
+    worst = np.max(np.abs(states), axis=(0, 2))
+    return float(times[np.flatnonzero(~(worst <= 1e8))[0]])
+
+
+@pytest.mark.parametrize("F, x0s, span, step", [
+    (("x1*x1",), [[2.0]], (0, 2), 1e-3),                      # escape at t = 0.5
+    (("x1*x1",), [[0.5], [3.0], [-1.0]], (0.25, 2.25), 2.5e-3),   # the fastest member
+    (("x1*x1*x1 + u1",), [[1.0], [1.5]], (0, 1), 1e-2),
+    (("sqrt(x1 - 1)",), [[0.5]], (0, 1), 0.1),                  # nan on the first step
+    (("x1*x1*x1*x1*x1*x1*x1",), [[1e3]], (0, 1), 0.2),          # inf on the first step
+])
+def test_blow_up_time_is_first_grid_time_past_bound(F, x0s, span, step):
+    sys = sy.GeneralSystem(1, 1, F)
+    X0 = np.array(x0s)
+    inputs = [tr.ConstantInput([0.5])] * len(x0s)
+    with np.errstate(all="ignore"):
+        expected = _blow_up_reference(sys, X0, inputs, span, step)
+        with pytest.raises(tr.BlowUpError) as info:
+            tr.integrate_ensemble(sys, X0, inputs, span, step)
+    assert info.value.t == expected
+
+
+def _count_rhs_calls(sys):
+    calls = []
+    rhs = sys._rhs
+
+    def counted(X, U):
+        calls.append(1)
+        return rhs(X, U)
+
+    object.__setattr__(sys, "_rhs", counted)
+    return calls
+
+
+def test_state_dimension_mismatch_raises_before_any_step():
+    sys = sy.make_sigma1()
+    calls = _count_rhs_calls(sys)
+    with pytest.raises(sy.DimensionError, match="state has dimension 3, expected 2"):
+        tr.integrate_ensemble(sys, np.zeros((2, 3)), [tr.ConstantInput([0.0, 0.0])] * 2,
+                              (0, 0.1), 1e-2)
+    assert calls == []
+    tr.integrate_ensemble(sys, np.zeros((2, 2)), [tr.ConstantInput([0.0, 0.0])] * 2,
+                          (0, 0.1), 1e-2)
+    assert len(calls) == 4 * 10                  # every stage of every step, no extra call
+
+
+def test_signal_with_wrong_input_dimension_is_named():
+    sys = sy.make_sigma1()
+    calls = _count_rhs_calls(sys)
+    good = tr.ConstantInput([0.0, 1.0])
+    for j in range(3):
+        inputs = [good, good, good]
+        inputs[j] = tr.SinusoidInput([1.0], [2.0])                  # m = 1, not 2
+        with pytest.raises(ValueError, match=f"input signal {j} returned shape "):
+            tr.integrate_ensemble(sys, np.zeros((3, 2)), inputs, (0, 0.1), 1e-2)
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# The ensemble l2 bound against one pass per trajectory
+# ---------------------------------------------------------------------------
+
+def _l2_reference(sys, ensemble, T, step):
+    """The bound and largest |x| computed trajectory by trajectory."""
+    trajs = tr.integrate_ensemble(sys, np.zeros((len(ensemble), sys.n)), ensemble, (0.0, T), step)
+    best, max_norm = None, 0.0
+    for traj in trajs:
+        h = traj.step
+        xsq = np.sum(traj.states * traj.states, axis=1)
+        num = float(np.trapezoid(xsq, dx=h))
+        u_mid = np.asarray(traj.input(traj.times[:-1] + 0.5 * h), dtype=float)
+        den = float(np.sum(np.sum(u_mid * u_mid, axis=1)) * h)
+        if den < 1e-12:
+            continue
+        ratio = num / den
+        best = ratio if best is None else max(best, ratio)
+        max_norm = max(max_norm, float(np.sqrt(np.max(xsq))))
+    if best is None:
+        raise tr.NoAdmissibleInputError("no admissible input")
+    return best, max_norm
+
+
+@pytest.mark.parametrize("name", ["sigma1", "sigma2", "sigma_p(3)", "sigma3_scalar",
+                                  "scalar_linear", "scalar_decay"])
+def test_l2_gain_detail_matches_per_trajectory_loop(name):
+    sys = sy.zoo_entry(name).system
+    rng = np.random.default_rng(len(name))
+    m = sys.m
+    ensemble = tr.random_piecewise_ensemble(m, 0.3, 1e-3, 7, seed=len(name)) + [
+        tr.ConstantInput(np.zeros(m)),                          # zero energy: skipped
+        tr.ConstantInput(np.full(m, 1e-7)),                     # energy below 1e-12: skipped
+        tr.SinusoidInput(rng.uniform(-2, 2, m), rng.uniform(1, 30, m), rng.uniform(-3, 3, m)),
+        tr.ConstantInput(rng.uniform(-1, 1, m))]
+    for T, step in ((0.3, 1e-3), (0.25, 2.5e-3)):
+        for ens in (ensemble, ensemble[7:], ensemble[::-1]):
+            got = tr.l2_gain_detail(sys, ens, T, step)
+            ref = _l2_reference(sys, ens, T, step)
+            assert repr(got) == repr(ref) and all(type(v) is float for v in got), (T, ens)
+
+
+def test_l2_gain_detail_skips_only_low_energy_inputs(linear):
+    tiny = tr.ConstantInput([1e-7])                  # energy 1e-14 * T, below 1e-12
+    with pytest.raises(tr.NoAdmissibleInputError):
+        tr.l2_gain_detail(linear, [tiny, tr.ConstantInput([0.0])], 1.0, 1e-2)
+    big = tr.ConstantInput([1e-5])                   # energy 1e-10: used
+    bound, max_norm = tr.l2_gain_detail(linear, [tiny, big], 1.0, 1e-2)
+    assert (bound, max_norm) == _l2_reference(linear, [big], 1.0, 1e-2)
+    assert 0.0 < max_norm < 1e-5
