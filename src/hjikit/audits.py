@@ -15,9 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hji import general_residual, residuals
+from .hji import residuals, tensor_grid
 from .storage import GradientUndefinedError, StorageCandidate
-from .systems import (System, f_scalar, make_sigma1, make_sigma3_scalar,
+from .systems import (System, f_scalar, make_sigma1, make_sigma3_scalar, make_sigma_p,
                       phi_clip, psi_blend)
 
 VIOLATION = "violation_found"
@@ -57,9 +57,18 @@ def _scan_grid_2d(extent: float, inner: float = 1e-3) -> np.ndarray:
     """Axis-refined scan points: log-spaced magnitudes in each quadrant plus the axes."""
     mags = _log_axis(inner, extent)
     vals = np.concatenate([-mags[::-1], [0.0], mags])
-    m1, m2 = np.meshgrid(vals, vals, indexing="ij")
-    P = np.stack([m1.ravel(), m2.ravel()], axis=-1)
+    P = tensor_grid([vals, vals])
     return P[np.linalg.norm(P, axis=1) > 0]
+
+
+def _first_violation(sys: System, lo, hi, X: np.ndarray, tol: float, **kwargs):
+    """(x, u, residual) at the first row of X whose gain-1 residual exceeds tol, or None."""
+    res, _, u = residuals(sys, lo, hi, X, 1.0, **kwargs)
+    bad = np.flatnonzero(res > tol)
+    if not bad.size:
+        return None
+    k = bad[0]
+    return tuple(X[k].tolist()), tuple(u[k].tolist()), float(res[k])
 
 
 # ---------------------------------------------------------------------------
@@ -78,19 +87,25 @@ def audit_sigma1_axis(W: StorageCandidate, a_samples: Sequence[float] = (0.5, 1.
                       scan: bool = True, scan_extent: float = 2.0) -> AuditReport:
     """Scan the witness condition, then probe the axis-derivative obstruction.
 
-    The candidate must carry a gradient oracle.  One-sided limits at x2 -> 0
-    use gradient samples at x2 = +/-10^-k (k = 3..6) with Richardson-style
-    extrapolation; non-monotone sequences yield ``inconclusive``.
+    The candidate must carry a gradient oracle.  The scan reports the first
+    point, in scan order, whose exact residual exceeds ``scan_tol``; points
+    without a singleton subdifferential (kinks) are skipped.  One-sided limits
+    at x2 -> 0 use gradient samples at x2 = +/-10^-k (k = 3..6) with
+    Richardson-style extrapolation; non-monotone sequences yield ``inconclusive``.
     """
     sys = make_sigma1()
     if W.gradient_fn is None:
         raise GradientUndefinedError(f"candidate {W.name!r} has no gradient oracle")
 
     if scan:
-        hit = _scan_violation(sys, W, 1.0, _scan_grid_2d(scan_extent), scan_tol)
+        X = _scan_grid_2d(scan_extent)
+        lo, hi = W.subdiff_batch(X)
+        smooth = np.all(lo == hi, axis=1)
+        hit = _first_violation(sys, lo[smooth], hi[smooth], X[smooth], scan_tol)
         if hit is not None:
-            return AuditReport(VIOLATION, _SIGMA1_CLAIM, witness_point=hit[0],
-                               detail={"residual": hit[1]})
+            x, u, res = hit
+            return AuditReport(VIOLATION, _SIGMA1_CLAIM, witness_point=(x, u),
+                               detail={"residual": res})
 
     hs = np.array([1e-3, 1e-4, 1e-5, 1e-6])
     worst = -math.inf
@@ -124,19 +139,6 @@ def _extrapolate(seq, hs):
     f1, f2 = seq[-2], seq[-1]
     lim = (h1 * f2 - h2 * f1) / (h1 - h2)
     return float(lim), monotone
-
-
-def _scan_violation(sys: System, W: StorageCandidate, gamma: float,
-                    points: np.ndarray, tol: float):
-    for x in points:
-        try:
-            zeta = W.gradient(x)
-        except GradientUndefinedError:
-            continue
-        res, u = general_residual(sys, x, zeta, gamma, warn_on_boundary=False)
-        if res > tol:
-            return (tuple(x), tuple(u)), float(res)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +240,14 @@ def audit_sigmap(V: StorageCandidate, p: float, gamma: float,
         raise ValueError("this falsifier applies to input powers p > 2")
     if V.gradient_fn is None:
         raise GradientUndefinedError(f"candidate {V.name!r} has no gradient oracle")
-
-    def g_field(x):
-        return np.array([abs(x[0]) * x[1], -abs(x[1]) * x[0]])
-
-    def g0_field(x):
-        return np.array([-abs(x[0]) * x[0], -abs(x[1]) * x[1]])
-
+    sp = make_sigma_p(p)
     for xi in xi_samples:
         xi = np.asarray(xi, dtype=float)
         grad = V.gradient(xi)
-        c = float(np.dot(grad, g_field(xi)))
+        c = float(np.dot(grad, sp.input_fields(xi)[0]))
         if abs(c) <= tol:
             continue
-        base = float(np.dot(grad, g0_field(xi))) + float(np.dot(xi, xi))
+        base = float(np.dot(grad, sp.drift(xi))) + float(np.dot(xi, xi))
         u_mag = np.linspace(0.0, search_u_max, u_points + 1)[1:]
         # channel u1 enters with +|u|^p g, channel u2 with -|u|^p g
         signed = u_mag ** p * c if c > 0 else u_mag ** p * (-c)
@@ -271,7 +267,7 @@ def audit_sigmap(V: StorageCandidate, p: float, gamma: float,
     axis = np.array([axis_a, 0.0])
     grad = V.gradient(axis)
     gnorm = float(np.linalg.norm(grad))
-    u0_residual = float(np.dot(grad, g0_field(axis))) + float(np.dot(axis, axis))
+    u0_residual = float(np.dot(grad, sp.drift(axis))) + float(np.dot(axis, axis))
     if gnorm <= 1e-6:
         return AuditReport(
             OBSTRUCTION, _SIGMAP_CLAIM,
@@ -304,14 +300,12 @@ def audit_scalar_straddle(W: StorageCandidate,
     sys = make_sigma3_scalar()
     xs = np.linspace(-3.0, 3.0, scan_points)
     X = xs[np.abs(xs) > 1e-9][:, None]
-    res, _, u = residuals(sys, *W.subdiff_batch(X), X, 1.0,
-                          u_box=[(-4.0, 4.0)], u_points=161)
-    bad = np.flatnonzero(res > scan_tol)
-    if bad.size:                        # the first violating x in scan order
-        k = bad[0]
-        return AuditReport(VIOLATION, _STRADDLE_CLAIM,
-                           witness_point=(float(X[k, 0]), float(u[k, 0])),
-                           detail={"residual": float(res[k])})
+    hit = _first_violation(sys, *W.subdiff_batch(X), X, scan_tol,
+                           u_box=[(-4.0, 4.0)], u_points=161)
+    if hit is not None:
+        (x,), (u,), res = hit
+        return AuditReport(VIOLATION, _STRADDLE_CLAIM, witness_point=(x, u),
+                           detail={"residual": res})
 
     h = np.asarray(h_seq, dtype=float)
     w1 = W.value(np.array([1.0]))
@@ -378,6 +372,12 @@ def verify_sigma3_pieces(x_grid: Sequence[float] = None,
     m_le = AA <= BB   # bracketing: diff/2 <= psi <= diff
     out["psi_bracket_a_le_b"] = float(np.max(np.maximum(0.5 * diff - PS, PS - diff)[m_le]))
     return out
+
+
+def sigma3_pieces_pass(defects: dict) -> bool:
+    """The pass rule of the piece audit: the four case identities hold to 1e-12."""
+    return all(defects[k] <= 1e-12 for k in
+               ("case1_equality", "case2_inequality", "case3_inequality", "case4_equality"))
 
 
 # ---------------------------------------------------------------------------

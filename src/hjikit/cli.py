@@ -240,9 +240,7 @@ def _cmd_audit(args) -> int:
     elif kind == "sigma3-pieces":
         defects = audits.verify_sigma3_pieces()
         _write_json(out / "audit.json", {"kind": "sigma3-pieces", "defects": defects})
-        ok = (defects["case1_equality"] <= 1e-12 and defects["case4_equality"] <= 1e-12
-              and defects["case2_inequality"] <= 1e-12
-              and defects["case3_inequality"] <= 1e-12)
+        ok = audits.sigma3_pieces_pass(defects)
         print(f"audit sigma3-pieces: {'pass' if ok else 'fail'}")
         return EXIT_VERIFIED if ok else EXIT_FALSIFIED
     else:  # pragma: no cover - argparse restricts choices
@@ -290,14 +288,10 @@ def _run_zoo_entry(name: str, args) -> tuple:
 
     if name == "sigma3_scalar" and code == EXIT_VERIFIED:
         defects = audits.verify_sigma3_pieces()
-        pieces_ok = (defects["case1_equality"] <= 1e-12
-                     and defects["case4_equality"] <= 1e-12
-                     and defects["case2_inequality"] <= 1e-12
-                     and defects["case3_inequality"] <= 1e-12)
         straddle = audits.audit_scalar_straddle(entry.claimed_witness)
         summary["pieces"] = defects
         summary["straddle"] = straddle.to_dict()
-        if not pieces_ok or straddle.kind != audits.OBSTRUCTION:
+        if not audits.sigma3_pieces_pass(defects) or straddle.kind != audits.OBSTRUCTION:
             code = EXIT_FALSIFIED
     return code, summary
 
@@ -312,14 +306,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify, falsify, construct and smooth L2-gain storage functions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def out_and_seed(p):
+        p.add_argument("--out", default="reports", help="output directory")
+        # a string default goes through type=int, so a bad HJI_SEED is a usage error
+        p.add_argument("--seed", type=int, default=os.environ.get("HJI_SEED", "0"))
+
     def common(p, with_storage=True):
         p.add_argument("--zoo", help="zoo system name")
         p.add_argument("--system", help="system JSON file")
         if with_storage:
             p.add_argument("--storage", help="builtin:NAME or storage JSON file")
-        p.add_argument("--out", default="reports", help="output directory")
-        p.add_argument("--seed", type=int,
-                       default=int(os.environ.get("HJI_SEED", "0")))
+        out_and_seed(p)
 
     def region_opts(p):
         p.add_argument("--box", type=float, nargs="+", default=None,
@@ -387,8 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("list", "run"))
     p.add_argument("name", nargs="?")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--out", default="reports")
-    p.add_argument("--seed", type=int, default=int(os.environ.get("HJI_SEED", "0")))
+    out_and_seed(p)
     p.set_defaults(func=_cmd_zoo)
 
     p = sub.add_parser("subdiff", help="exact subdifferential point query")

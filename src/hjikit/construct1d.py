@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import HjikitError
-from .hji import residuals
+from .hji import residuals, tensor_grid
 from .storage import StorageCandidate, from_callables
 from .systems import AffineSystem
 
@@ -110,10 +110,7 @@ def f_membership(sys: AffineSystem, gamma: float, x: float, p: float,
     g0 = float(sys.drift(xv)[0])
     gvals = sys.input_fields(xv)[:, 0] if sys.m else np.zeros(0)
     half = float(2.0 * np.max(np.abs(p * gvals)) / (2 * gamma) + 1.0) if sys.m else 1.0
-    axes = [np.linspace(-half, half, u_points)] * sys.m
-    mesh = np.meshgrid(*axes, indexing="ij") if sys.m else []
-    U = (np.stack([g.ravel() for g in mesh], axis=-1)
-         if sys.m else np.zeros((1, 0)))
+    U = tensor_grid([np.linspace(-half, half, u_points)] * sys.m)
     lhs = p * (g0 + U @ gvals)
     rhs = gamma * np.sum(U * U, axis=1) - x * x
     return bool(np.max(lhs - rhs) <= slack)

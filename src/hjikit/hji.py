@@ -39,6 +39,14 @@ _COEFF_ZERO_TOL = 1e-12     # "vanishes identically" threshold for unbounded axe
 _CHUNK_ROWS = 200_000       # (point, u) rows per dynamics call on the sampled path
 
 
+def tensor_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """The tensor grid spanned by ``axes`` as rows (N, n), first axis slowest; (1, 0) if none."""
+    if not len(axes):
+        return np.zeros((1, 0))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 @dataclass(frozen=True)
 class Region:
     """A sampling box; grid points with |x| below ``exclude_radius`` are omitted."""
@@ -68,8 +76,7 @@ class Region:
             lo, hi = self.box[k]
             if lo <= v <= hi and not np.any(np.abs(axes[k] - v) <= _KINK_SNAP):
                 axes[k] = np.sort(np.append(axes[k], v))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        X = np.stack([m.ravel() for m in mesh], axis=-1)
+        X = tensor_grid(axes)
         keep = np.linalg.norm(X, axis=1) >= self.exclude_radius
         return X[keep]
 
@@ -195,9 +202,7 @@ def general_residual(sys: System, x, zeta, gamma: float,
 
 
 def _u_grid_from_box(u_box, u_points: int) -> np.ndarray:
-    axes = [np.linspace(lo, hi, u_points) for lo, hi in u_box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
+    return tensor_grid([np.linspace(lo, hi, u_points) for lo, hi in u_box])
 
 
 def _default_u_box(X, m: int) -> list:

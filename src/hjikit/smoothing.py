@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import HjikitError
-from .hji import Region, check_witness, residuals
+from .hji import Region, check_witness, residuals, tensor_grid
 from .storage import StorageCandidate, from_callables
 from .systems import AffineSystem, PowerAffineSystem, System
 
@@ -401,9 +401,7 @@ def mollify(values: np.ndarray, axes: Sequence[np.ndarray], radius) -> Mollified
 def mollify_candidate(V: StorageCandidate, axes: Sequence[np.ndarray],
                       radius) -> MollifiedFunction:
     """Sample a candidate on the tensor grid spanned by ``axes`` and mollify it."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    P = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = V.value_batch(P).reshape([a.size for a in axes])
+    vals = V.value_batch(tensor_grid(axes)).reshape([a.size for a in axes])
     return MollifiedFunction(axes, vals, radius)
 
 
@@ -536,9 +534,7 @@ def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: 
                             + delta_min)
         axis = mirrored_geometric_axis(delta_min, grid_ratio, (r_max + pad_radius) * 1.05)
         axes = [axis] * psys.n
-        mesh = np.meshgrid(*axes, indexing="ij")
-        P_nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-        values = V.value_batch(P_nodes).reshape([a.size for a in axes])
+        values = V.value_batch(tensor_grid(axes)).reshape([a.size for a in axes])
 
         coords, keep, Pc = _annulus_grid(_with_midpoints(axis), psys.n, r_min, r_max)
         Vc = V.value_batch(Pc)
@@ -580,8 +576,7 @@ def _annulus_grid(axis: np.ndarray, n: int, r_min: float, r_max: float):
     """The coordinates |c| <= r_max of ``axis``, the annulus mask over their
     ravelled n-fold tensor grid, and the annulus points (in row-major order)."""
     coords = axis[np.abs(axis) <= r_max]
-    mesh = np.meshgrid(*([coords] * n), indexing="ij")
-    P = np.stack([m.ravel() for m in mesh], axis=-1)
+    P = tensor_grid([coords] * n)
     norms = np.linalg.norm(P, axis=1)
     keep = (norms >= r_min) & (norms <= r_max)
     return coords, keep, P[keep]

@@ -45,6 +45,56 @@ def test_axis_audit_smoothed_witness_fails_at_original_gain(smoothed_sigma1):
     assert au.recheck_violation(s1, smoothed_sigma1.W, 1.0, x, u) > 1e-6
 
 
+def _axis_candidate(name, request):
+    if name == "lin_quad":
+        return _candidate(name, lambda X: 2 * np.asarray(X)[..., 0] + np.asarray(X)[..., 1] ** 2,
+                          lambda x: np.array([2.0, 2 * x[1]]))
+    if name == "const":
+        return _candidate(name, lambda X: np.full(np.asarray(X).shape[:-1], 3.0),
+                          lambda x: np.zeros(2))
+    if name == "smoothed":
+        return request.getfixturevalue("smoothed_sigma1").W
+    return stg.builtin(name)
+
+
+@pytest.mark.parametrize("name", ["lin_quad", "const", "v1", "sq_norm", "smoothed"])
+def test_axis_scan_matches_pointwise_reference(name, request):
+    """The batched scan reports the first scan point whose scalar reference residual
+    exceeds the tolerance, skipping the gradient's kink points, with its worst u."""
+    W = _axis_candidate(name, request)
+    s1 = sy.make_sigma1()
+    for x in au._scan_grid_2d(2.0):
+        try:
+            W.gradient(x)
+        except stg.GradientUndefinedError:
+            continue
+        res, _, u = hji.point_residual(s1, W, 1.0, x)
+        if res > 1e-6:
+            break
+    report = au.audit_sigma1_axis(W)
+    assert report.kind == au.VIOLATION
+    got_x, got_u = report.witness_point
+    assert got_x == tuple(x)
+    assert got_u == pytest.approx(tuple(u), rel=1e-12)
+    assert report.detail["residual"] == pytest.approx(res, rel=1e-12)
+
+
+def test_axis_scan_skips_kink_points():
+    """Only singleton subdifferentials are scanned: a box that fails at the kinks is ignored."""
+    v = stg.builtin("v1_scaled")
+
+    def wide_at_kinks(X):
+        lo, hi = v.subdiff_batch(X)
+        kink = np.any(lo != hi, axis=1, keepdims=True)
+        return np.where(kink, -100.0, lo), np.where(kink, 100.0, hi)
+
+    W = stg.from_callables("wide_kinks", v.value_fn, gradient_fn=v.gradient_fn,
+                           regularity="lipschitz", dim=2, subdiff_batch_fn=wide_at_kinks)
+    X = np.array([[1.0, 0.0]])
+    assert hji.residuals(sy.make_sigma1(), *W.subdiff_batch(X), X, 1.0)[0][0] > 1.0
+    assert au.audit_sigma1_axis(W).kind == au.OBSTRUCTION
+
+
 def test_axis_audit_obstruction_branch():
     """A candidate satisfying both one-sided limits reports the obstruction."""
     W = _candidate("decaying",
@@ -208,6 +258,14 @@ def test_sigma3_pieces():
     assert d["psi_full_regime"] <= 1e-12
     assert d["psi_bracket_a_ge_b"] <= 1e-12
     assert d["psi_bracket_a_le_b"] <= 1e-12
+
+
+def test_sigma3_pieces_pass_rule():
+    d = au.verify_sigma3_pieces()
+    assert au.sigma3_pieces_pass(d)
+    for case in ("case1_equality", "case2_inequality", "case3_inequality", "case4_equality"):
+        assert not au.sigma3_pieces_pass({**d, case: 2e-12})
+    assert au.sigma3_pieces_pass({**d, "phi_range": 1.0})   # only the four cases count
 
 
 def test_phi_psi_point_values():

@@ -120,6 +120,41 @@ def test_simulate_and_audit_commands(tmp_path):
     assert payload["kind"] == "obstruction_verified" and payload["claim"]
 
 
+def test_sigma1_axis_and_straddle_audit_commands(tmp_path):
+    code = run(["audit", "sigma1-axis", "--storage", "builtin:v1", "--out", tmp_path / "v1"])
+    assert code == 1  # violation found
+    payload = json.loads((tmp_path / "v1" / "audit.json").read_text())
+    assert payload["kind"] == "violation_found" and payload["detail"]["residual"] == 2.0
+    code = run(["audit", "sigma1-axis", "--storage", "builtin:v1_scaled",
+                "--out", tmp_path / "v1s"])
+    assert code == 0
+    payload = json.loads((tmp_path / "v1s" / "audit.json").read_text())
+    assert payload["kind"] == "obstruction_verified"
+    code = run(["audit", "scalar-straddle", "--storage", "builtin:v3_scalar",
+                "--out", tmp_path / "st"])
+    assert code == 0
+    payload = json.loads((tmp_path / "st" / "audit.json").read_text())
+    assert payload["kind"] == "obstruction_verified"
+
+
+@pytest.mark.parametrize("argv", [["zoo", "run", "scalar_linear"],
+                                  ["subdiff", "--storage", "builtin:v1", "--point", "1", "2"]])
+def test_bad_seed_environment_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("HJI_SEED", "abc")
+    with pytest.raises(SystemExit) as err:
+        run([*argv, "--out", tmp_path])
+    assert err.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    # an explicit --seed overrides the environment
+    assert run([*argv, "--out", tmp_path, "--seed", "5"]) == 0
+
+
+def test_seed_environment_is_recorded(tmp_path, monkeypatch):
+    monkeypatch.setenv("HJI_SEED", "7")
+    assert run(["zoo", "run", "scalar_linear", "--out", tmp_path]) == 0
+    assert json.loads((tmp_path / "zoo.json").read_text())["seed"] == 7
+
+
 def test_construct_command(tmp_path):
     code = run(["construct1d", "--zoo", "scalar_linear", "--storage",
                 "builtin:sq_norm", "--gamma", "1", "--grid", "0.01", "2", "120",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -88,6 +89,14 @@ def test_power_residual_p2_and_fractional():
     r = np.linspace(-10, 10, 200001)
     grid = np.max(1.2 * np.abs(r) ** 1.5 - r * r) + (-1.2 + 1.0)
     assert closed == pytest.approx(grid, abs=1e-6)
+
+
+def test_tensor_grid_is_the_product_in_row_major_order():
+    axes = [np.linspace(-1.0, 1.0, 3), np.array([0.5, 2.0]), np.geomspace(1e-3, 2.0, 4)]
+    for k in range(len(axes) + 1):
+        ref = np.array(list(itertools.product(*axes[:k])), dtype=float)
+        got = hji.tensor_grid(axes[:k])
+        assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
 def test_region_grid_excludes_origin():
