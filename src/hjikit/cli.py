@@ -10,7 +10,7 @@ report (default 0, ``--seed``).
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import os
 import sys as _sys
@@ -40,11 +40,20 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header, rows):
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csv(path: Path, header, table, flags=None):
+    """Write a (rows, k) float ``table``, and ``flags`` as a last True/False column,
+    byte for byte as ``csv.writer`` does: each distinct float64 bit pattern is
+    formatted once with ``repr``, so -0.0, nan and inf stay apart; lines end in CRLF."""
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    bits, cells = np.unique(table.view(np.uint64), return_inverse=True)
+    cells = cells.reshape(table.shape)   # numpy 2.0.x and later disagree on its shape
+    text = [repr(v) for v in bits.view(np.float64).tolist()] + ["False", "True"]
+    if flags is not None:
+        cells = np.column_stack([cells, len(text) - 2 + np.asarray(flags, dtype=np.intp)])
+    cells[:, -1] += len(text)            # the last cell of a line ends it
+    lookup = np.array([t + "," for t in text] + [t + "\r\n" for t in text], dtype=object)
+    path.write_text(",".join(header) + "\r\n" + "".join(lookup[cells].ravel().tolist()),
+                    newline="")
 
 
 def _load_system(args) -> systems.System:
@@ -96,13 +105,11 @@ def _cmd_verify(args) -> int:
     report = hji.check_witness(sysm, V, args.gamma, region, tol=args.tol)
     out = _out_dir(args)
     _write_json(out / "verify.json", report.to_dict())
-    tol = report.tolerance
     _write_csv(out / "sweep.csv",
                [f"x{i+1}" for i in range(sysm.n)] + ["residual"]
                + [f"worst_u{i+1}" for i in range(sysm.m)] + ["pass"],
-               [[*x, r, *u, r <= tol] for x, r, u in zip(
-                   report.grid.tolist(), report.point_residuals.tolist(),
-                   report.point_u.tolist())])
+               np.column_stack([report.grid, report.point_residuals, report.point_u]),
+               flags=report.point_residuals <= report.tolerance)
     print(f"verify: {report.verdict} (max residual {report.max_residual:.3e} "
           f"over {report.points_checked} points)")
     return EXIT_VERIFIED if report.passed else EXIT_FALSIFIED
@@ -134,7 +141,7 @@ def _cmd_simulate(args) -> int:
     _write_csv(out / "trajectory.csv",
                ["t"] + [f"x{i+1}" for i in range(sysm.n)]
                + [f"u{i+1}" for i in range(sysm.m)],
-               trajectories.trajectory_rows(traj).tolist())
+               trajectories.trajectory_rows(traj))
     _write_json(out / "dissipation.json",
                 {"max_slack": slack, "argmax_interval": list(interval),
                  "gamma": args.gamma})
@@ -167,7 +174,7 @@ def _cmd_construct1d(args) -> int:
     built = construct1d.construct_w(sysm, args.gamma, V, grid, margin=args.margin)
     out = _out_dir(args)
     _write_csv(out / "construct.csv", ["x", "p", "W"],
-               np.column_stack([built.grid, built.p_values, built.w_values]).tolist())
+               np.column_stack([built.grid, built.p_values, built.w_values]))
     w_vals = built.w_values
     v_vals = V.value_batch(built.grid[:, None])
     contract = {
@@ -196,7 +203,7 @@ def _cmd_smooth(args) -> int:
     _write_csv(out / "smooth_grid.csv",
                [f"x{i+1}" for i in range(sysm.n)] + ["V", "W"]
                + [f"gradW{i+1}" for i in range(sysm.n)],
-               np.column_stack([P, V.value_batch(P), *cert.evaluate(P)]).tolist())
+               np.column_stack([P, V.value_batch(P), *cert.evaluate(P)]))
     print(f"smooth: {cert.verdict} (max |V-W|/V = {cert.max_rel_approx_error:.3e}, "
           f"max gain residual = {cert.max_eq20_residual:.3e})")
     return EXIT_VERIFIED if cert.passed else EXIT_FALSIFIED
@@ -308,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def out_and_seed(p):
         p.add_argument("--out", default="reports", help="output directory")
-        # a string default goes through type=int, so a bad HJI_SEED is a usage error
-        p.add_argument("--seed", type=int, default=os.environ.get("HJI_SEED", "0"))
+        # unset, it is read from HJI_SEED (default 0) when the arguments are parsed
+        p.add_argument("--seed", type=int, default=None)
 
     def common(p, with_storage=True):
         p.add_argument("--zoo", help="zoo system name")
@@ -395,15 +402,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()       # one per process: building it costs more than a parse
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed is None:
+            try:
+                args.seed = int(os.environ.get("HJI_SEED", "0"))
+            except ValueError:
+                parser.error(f"argument --seed: invalid HJI_SEED {os.environ['HJI_SEED']!r}")
         return args.func(args)
-    except HjikitError as err:
-        print(f"error: {err}", file=_sys.stderr)
-        return EXIT_ERROR
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as err:
+    except (HjikitError, OSError, json.JSONDecodeError, ValueError, KeyError) as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_ERROR
 

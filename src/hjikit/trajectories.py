@@ -8,7 +8,7 @@ each step), and per-channel sinusoids.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -144,10 +144,12 @@ class Trajectory:
     states: np.ndarray      # (N+1, n)
     input: object           # the InputSignal
     step: float
+    u_mid: np.ndarray | None = field(default=None, repr=False)  # (N, m), kept by integration
 
-    @property
-    def n(self) -> int:
-        return self.states.shape[1]
+    def midpoint_inputs(self) -> np.ndarray:
+        """The input on the step midpoints: integration's stage-2 samples, or sampled now."""
+        return self.u_mid if self.u_mid is not None else np.asarray(
+            self.input(self.times[:-1] + 0.5 * self.step), dtype=float)
 
 
 def integrate(sys: System, x0, u: InputSignal, t_span, step: float) -> Trajectory:
@@ -178,6 +180,7 @@ def integrate_ensemble(sys: System, X0, inputs: Sequence[InputSignal],
     t0 = times[:-1]
     U1, U2, U3 = _sample(inputs, np.concatenate([t0, t0 + 0.5 * h, t0 + h]),
                          sys.m).reshape(3, N, B, sys.m)
+    u_mid = U2.transpose(1, 0, 2).copy()                # (B, N, m): the audits' midpoints
 
     rhs = sys._rhs
     for k in range(N):
@@ -192,7 +195,7 @@ def integrate_ensemble(sys: System, X0, inputs: Sequence[InputSignal],
             raise BlowUpError(float(times[k + 1]), float(worst))
         states[:, k + 1, :] = X
 
-    return [Trajectory(times, states[j], inputs[j], h) for j in range(B)]
+    return [Trajectory(times, states[j], inputs[j], h, u_mid[j]) for j in range(B)]
 
 
 def _sample(inputs: Sequence[InputSignal], t: np.ndarray, m: int) -> np.ndarray:
@@ -220,9 +223,7 @@ def _storage_minus_supply_running(traj: Trajectory, V: StorageCandidate,
     xs = traj.states
     Vx = V.value_batch(xs)
     xsq = np.sum(xs * xs, axis=1)
-    mids = traj.times[:-1] + 0.5 * h
-    u_mid = np.asarray(traj.input(mids), dtype=float)
-    usq_mid = np.sum(u_mid * u_mid, axis=1)
+    usq_mid = np.sum(np.square(traj.midpoint_inputs()), axis=1)
     increments = h * gamma * usq_mid - 0.5 * h * (xsq[:-1] + xsq[1:])
     S = np.concatenate([[0.0], np.cumsum(increments)])
     return Vx - S
@@ -234,8 +235,7 @@ def dissipation_audit(traj: Trajectory, V: StorageCandidate, gamma: float) -> fl
     Nonnegative by construction (a = b gives 0); for a genuine gain-gamma
     witness the maximum stays within the integration tolerance.
     """
-    slack, _ = dissipation_audit_detail(traj, V, gamma)
-    return slack
+    return dissipation_audit_detail(traj, V, gamma)[0]
 
 
 def dissipation_audit_detail(traj: Trajectory, V: StorageCandidate, gamma: float):
@@ -274,8 +274,7 @@ def l2_gain_detail(sys: System, ensemble: Sequence[InputSignal], T: float,
     xs = np.stack([traj.states for traj in trajs])                  # (B, N+1, n)
     xsq = np.sum(xs * xs, axis=2)
     num = np.trapezoid(xsq, dx=step, axis=1)
-    u_mid = np.stack([np.asarray(sig(trajs[0].times[:-1] + 0.5 * step), dtype=float)
-                      for sig in ensemble])                           # (B, N, m)
+    u_mid = np.stack([traj.midpoint_inputs() for traj in trajs])   # (B, N, m)
     den = np.sum(np.sum(u_mid * u_mid, axis=2), axis=1) * step
     keep = ~(den < 1e-12)
     if not keep.any():

@@ -3,8 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hjikit import cli, smoothing, storage, systems
+from hjikit import cli, construct1d, hji, smoothing, storage, systems, trajectories
 
 
 def run(args):
@@ -155,6 +156,17 @@ def test_seed_environment_is_recorded(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "zoo.json").read_text())["seed"] == 7
 
 
+def test_seed_environment_is_read_on_every_call(tmp_path, monkeypatch):
+    """The parser is shared between calls; the environment is read when parsing."""
+    for seed in ("9", "4"):
+        monkeypatch.setenv("HJI_SEED", seed)
+        assert run(["zoo", "run", "scalar_linear", "--out", tmp_path]) == 0
+        assert json.loads((tmp_path / "zoo.json").read_text())["seed"] == int(seed)
+    monkeypatch.delenv("HJI_SEED")
+    assert run(["zoo", "run", "scalar_linear", "--out", tmp_path]) == 0
+    assert json.loads((tmp_path / "zoo.json").read_text())["seed"] == 0
+
+
 def test_construct_command(tmp_path):
     code = run(["construct1d", "--zoo", "scalar_linear", "--storage",
                 "builtin:sq_norm", "--gamma", "1", "--grid", "0.01", "2", "120",
@@ -208,3 +220,92 @@ def test_zoo_list_and_deterministic_run(tmp_path, capsys):
     a = (tmp_path / "z1" / "zoo.json").read_bytes()
     b = (tmp_path / "z2" / "zoo.json").read_bytes()
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# The CSV dumps are byte for byte what csv.writer writes
+# ---------------------------------------------------------------------------
+
+def _csv_writer_bytes(path, header, rows) -> bytes:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+_SPECIALS = [0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"),
+             5e-324, -2.5e-320, 2.2250738585072014e-308, 1e300, -1e-300, 1e-300, -1e300]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rows=st.sampled_from([0, 1, 2, 7, 40]), k=st.integers(1, 4),
+       pool=st.lists(st.one_of(st.sampled_from(_SPECIALS), st.floats(width=64)),
+                     min_size=1, max_size=6),
+       with_flags=st.booleans())
+def test_write_csv_matches_csv_writer(tmp_path_factory, data, rows, k, pool, with_flags):
+    """Repeated values from a small pool, with signed zeros, nan, inf and subnormals."""
+    values = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=k, max_size=k),
+                                min_size=rows, max_size=rows))
+    flags = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    header = [f"c{j}" for j in range(k)] + (["pass"] if with_flags else [])
+    table = np.array(values, dtype=float).reshape(rows, k)
+    out = tmp_path_factory.mktemp("csv")
+    cli._write_csv(out / "a.csv", header, table,
+                   flags=np.array(flags, dtype=bool) if with_flags else None)
+    ref_rows = [row + [f] for row, f in zip(values, flags)] if with_flags else values
+    assert (out / "a.csv").read_bytes() == _csv_writer_bytes(out / "b.csv", header, ref_rows)
+
+
+def test_sweep_csv_is_csv_writer_bytes(tmp_path):
+    """sigma2 / v2 at ppd 40: the grid adds the x2 = 0 kink rows."""
+    assert run(["verify", "--zoo", "sigma2", "--storage", "builtin:v2", "--gamma", "1",
+                "--ppd", "40", "--out", tmp_path / "v"]) == 0
+    region = hji.Region(box=((-2.0, 2.0),) * 2, points_per_dim=40, exclude_radius=1e-9)
+    report = hji.check_witness(systems.zoo_entry("sigma2").system, storage.builtin("v2"),
+                               1.0, region)
+    assert np.any(report.grid[:, 1] == 0.0)
+    rows = [[*x, r, *u, r <= report.tolerance] for x, r, u in zip(
+        report.grid.tolist(), report.point_residuals.tolist(), report.point_u.tolist())]
+    header = ["x1", "x2", "residual", "worst_u1", "worst_u2", "pass"]
+    assert (tmp_path / "v" / "sweep.csv").read_bytes() == \
+        _csv_writer_bytes(tmp_path / "ref.csv", header, rows)
+
+
+def test_trajectory_csv_is_csv_writer_bytes(tmp_path):
+    signal = '{"kind":"sinusoid","amplitude":[1,0.5],"omega":[3,7],"phase":[0.1,0.2]}'
+    assert run(["simulate", "--zoo", "sigma2", "--storage", "builtin:v2", "--gamma", "1",
+                "--x0", "0.3", "-0.2", "--input", signal, "--tspan", "0", "0.5",
+                "--step", "0.01", "--out", tmp_path / "s"]) == 0
+    traj = trajectories.integrate(systems.zoo_entry("sigma2").system, [0.3, -0.2],
+                                  trajectories.signal_from_config(json.loads(signal)),
+                                  (0.0, 0.5), 0.01)
+    rows = trajectories.trajectory_rows(traj).tolist()
+    assert (tmp_path / "s" / "trajectory.csv").read_bytes() == \
+        _csv_writer_bytes(tmp_path / "ref.csv", ["t", "x1", "x2", "u1", "u2"], rows)
+
+
+def test_construct_csv_is_csv_writer_bytes(tmp_path):
+    assert run(["construct1d", "--zoo", "scalar_linear", "--storage", "builtin:sq_norm",
+                "--gamma", "1", "--grid", "0.01", "2", "120", "--out", tmp_path / "c"]) == 0
+    built = construct1d.construct_w(systems.zoo_entry("scalar_linear").system, 1.0,
+                                    storage.builtin("sq_norm"), np.linspace(0.01, 2.0, 120),
+                                    margin=0.1)
+    rows = np.column_stack([built.grid, built.p_values, built.w_values]).tolist()
+    assert (tmp_path / "c" / "construct.csv").read_bytes() == \
+        _csv_writer_bytes(tmp_path / "ref.csv", ["x", "p", "W"], rows)
+
+
+def test_smooth_grid_csv_is_csv_writer_bytes(tmp_path):
+    assert run(["smooth", "--zoo", "sigma2", "--storage", "builtin:v2", "--gamma", "1",
+                "--gamma-prime", "1.1", "--rmin", "0.1", "--rmax", "0.3",
+                "--out", tmp_path / "g"]) == 0
+    V = storage.builtin("v2")
+    cert = smoothing.smooth_witness(systems.zoo_entry("sigma2").system, V, 1.0, 1.1,
+                                    r_min=0.1, r_max=0.3)
+    axis = smoothing.mirrored_geometric_axis(0.1 / 4, 1.25, 0.3)
+    P = smoothing._annulus_grid(axis, 2, 0.1, 0.3)[2]
+    rows = np.column_stack([P, V.value_batch(P), *cert.evaluate(P)]).tolist()
+    header = ["x1", "x2", "V", "W", "gradW1", "gradW2"]
+    assert (tmp_path / "g" / "smooth_grid.csv").read_bytes() == \
+        _csv_writer_bytes(tmp_path / "ref.csv", header, rows)

@@ -257,6 +257,49 @@ def test_integrate_ensemble_matches_per_step_sampling(name, kinds, a, h, N, seed
     assert got.tobytes() == _integrate_reference(sys, X0, inputs, span, h).tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from([e.name for e in sy.zoo()]),
+       kinds=st.lists(st.sampled_from(["constant", "piecewise", "sinusoid"]),
+                      min_size=1, max_size=4),
+       a=st.sampled_from([0.0, 0.1, 0.37, 1.5]),
+       h=st.sampled_from([1e-3, 2.5e-3, 1e-2, 0.1 / 3]),
+       N=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_carried_midpoint_inputs_match_resampling(name, kinds, a, h, N, seed):
+    """The stage-2 samples integration keeps are the audits' midpoint samples, bit for bit."""
+    sys = sy.zoo_entry(name).system
+    rng = np.random.default_rng(seed)
+    inputs = [_signal(k, rng, sys.m, a, h, N) for k in kinds]
+    trajs = tr.integrate_ensemble(sys, rng.uniform(-1, 1, (len(kinds), sys.n)), inputs,
+                                  (a, a + N * h), h)
+    V = sy.zoo_entry(name).claimed_witness
+    for traj, sig in zip(trajs, inputs):
+        fresh = np.asarray(sig(traj.times[:-1] + 0.5 * h), dtype=float)
+        assert traj.midpoint_inputs().tobytes() == fresh.tobytes()
+        bare = tr.Trajectory(traj.times, traj.states, sig, h)      # samples on demand
+        assert tr.dissipation_audit_detail(traj, V, 1.5) == \
+            tr.dissipation_audit_detail(bare, V, 1.5)
+
+
+class _Counting:
+    def __init__(self, sig):
+        self.sig, self.calls = sig, 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.sig(t)
+
+
+def test_audits_reuse_the_integration_samples():
+    sys = sy.zoo_entry("sigma2").system
+    ens = [_Counting(s) for s in tr.random_piecewise_ensemble(2, 0.5, 1e-2, 3, seed=1)]
+    tr.l2_gain_detail(sys, ens, 0.5, 1e-2)
+    assert [s.calls for s in ens] == [1, 1, 1]
+    traj = tr.integrate(sys, [0.2, 0.1], ens[0], (0.0, 0.5), 1e-2)
+    tr.dissipation_audit_detail(traj, sy.zoo_entry("sigma2").claimed_witness, 1.0)
+    assert ens[0].calls == 2
+
+
 def _audit_reference(traj, V, gamma):
     """Running argmin by an explicit loop: ties keep the earliest index."""
     A = tr._storage_minus_supply_running(traj, V, gamma)
