@@ -324,53 +324,50 @@ def audit_scalar_straddle(W: StorageCandidate,
 # Piecewise-identity audit of the scalar system
 # ---------------------------------------------------------------------------
 
+_PIECE_BLOCK = 32   # grid rows per pass: each (32, 301) temporary (77 KB) stays in L2
+
+
 def verify_sigma3_pieces(x_grid: Sequence[float] = None,
                          u_grid: Sequence[float] = None) -> dict:
     """Max defect of each structural identity of the scalar system's pieces.
 
-    Cases 1 and 4 are equalities (defect is an absolute difference); cases 2-3
-    and the range facts are one-sided (defect is the amount of violation, so a
-    nonpositive value means the inequality held with margin).
+    Grids: (x, u) for ``f_scalar`` (default 301 x 301 on [0, 3] x [-3, 3]), and 301 x 301
+    grids (s, t) on [-3, 3]^2 for ``phi_clip`` and (a, b) on [0, 3]^2 for ``psi_blend``,
+    each evaluated by blocks of rows against its open column axis.  Cases 1 and 4 are
+    equalities (defect is an absolute difference); cases 2-3 and the range facts are
+    one-sided (defect is the amount of violation, so a nonpositive value means the
+    inequality held with margin).  A ValueError names each case the x/u axes leave empty.
     """
     x = np.linspace(0.0, 3.0, 301) if x_grid is None else np.asarray(x_grid, dtype=float)
     u = np.linspace(-3.0, 3.0, 301) if u_grid is None else np.asarray(u_grid, dtype=float)
-    XX, UU = np.meshgrid(x, u, indexing="ij")
-    F = f_scalar(XX, UU)
-    Q = UU * UU - XX * XX
+    x_le, x_ge, u_le, u_ge = x <= 1, x >= 1, np.abs(u) <= 1, np.abs(u) >= 1
+    cases = {"case1_equality": (x_le, u_le), "case2_inequality": (x_le, u_ge),
+             "case3_inequality": (x_ge, u_le), "case4_equality": (x_ge, u_ge)}
+    empty = [k for k, (mx, mu) in cases.items() if not (mx.any() and mu.any())]
+    if empty:
+        raise ValueError(f"the x/u grid has no point in {', '.join(empty)}")
+    s, a, uu, out = np.linspace(-3.0, 3.0, 301), np.linspace(0.0, 3.0, 301), u * u, {}
 
-    out = {}
-    m1 = (XX <= 1) & (np.abs(UU) <= 1)
-    out["case1_equality"] = float(np.max(np.abs(F - Q)[m1]))
-    m2 = (XX <= 1) & (np.abs(UU) >= 1)
-    out["case2_inequality"] = float(np.max((F - Q)[m2]))
-    m3 = (XX >= 1) & (np.abs(UU) <= 1)
-    out["case3_inequality"] = float(np.max((F - 0.5 * Q)[m3]))
-    m4 = (XX >= 1) & (np.abs(UU) >= 1)
-    out["case4_equality"] = float(np.max(np.abs(F - 0.5 * Q)[m4]))
+    def fold(key, v, where=True):
+        out[key] = max(out.get(key, -math.inf), float(np.max(v, initial=-math.inf, where=where)))
 
-    s = np.linspace(-3.0, 3.0, 301)
-    t = np.linspace(-3.0, 3.0, 301)
-    SS, TT = np.meshgrid(s, t, indexing="ij")
-    PH = phi_clip(SS, TT)
-    out["phi_range"] = float(np.max(np.abs(PH) - np.abs(SS)))
-    zero_mask = TT >= np.abs(SS)
-    out["phi_zero_regime"] = float(np.max(np.abs(PH[zero_mask])))
-    id_mask = TT <= -np.abs(SS)
-    out["phi_identity_regime"] = float(np.max(np.abs(PH - SS)[id_mask]))
-
-    aa = np.linspace(0.0, 3.0, 301)
-    bb = np.linspace(0.0, 3.0, 301)
-    AA, BB = np.meshgrid(aa, bb, indexing="ij")
-    PS = psi_blend(AA, BB)
-    diff = BB - AA
-    m_hi = (AA >= 1) & (BB >= 1)
-    out["psi_half_regime"] = float(np.max(np.abs(PS - 0.5 * diff)[m_hi]))
-    m_lo = (AA <= 1) & (BB <= 1)
-    out["psi_full_regime"] = float(np.max(np.abs(PS - diff)[m_lo]))
-    m_ge = AA >= BB   # bracketing: diff <= psi <= diff/2 (both nonpositive)
-    out["psi_bracket_a_ge_b"] = float(np.max(np.maximum(diff - PS, PS - 0.5 * diff)[m_ge]))
-    m_le = AA <= BB   # bracketing: diff/2 <= psi <= diff
-    out["psi_bracket_a_le_b"] = float(np.max(np.maximum(0.5 * diff - PS, PS - diff)[m_le]))
+    # one pass over row blocks of all three grids; a block past a grid's last row is empty
+    for i in range(0, max(x.size, s.size), _PIECE_BLOCK):
+        r = slice(i, i + _PIECE_BLOCK)
+        xb, sb, ab = x[r, None], s[r, None], a[r, None]
+        F, Q = f_scalar(xb, u), uu - xb * xb
+        D, H = F - Q, F - 0.5 * Q      # the defects of the x <= 1 and the x >= 1 identities
+        for (key, (mx, mu)), v in zip(cases.items(), (np.abs(D), D, H, np.abs(H))):
+            fold(key, v, mx[r, None] & mu)
+        PH, s_abs = phi_clip(sb, s), np.abs(sb)
+        fold("phi_range", np.abs(PH) - s_abs)
+        fold("phi_zero_regime", np.abs(PH), s >= s_abs)
+        fold("phi_identity_regime", np.abs(PH - sb), s <= -s_abs)
+        PS, diff = psi_blend(ab, a), a - ab
+        fold("psi_half_regime", np.abs(PS - 0.5 * diff), (ab >= 1) & (a >= 1))
+        fold("psi_full_regime", np.abs(PS - diff), (ab <= 1) & (a <= 1))
+        fold("psi_bracket_a_ge_b", np.maximum(diff - PS, PS - 0.5 * diff), ab >= a)
+        fold("psi_bracket_a_le_b", np.maximum(0.5 * diff - PS, PS - diff), ab <= a)
     return out
 
 

@@ -114,14 +114,14 @@ class SubdiffSet:
 class StorageCandidate:
     """A nonnegative scalar function with optional exact subdifferential machinery.
 
-    ``value`` maps a state (n,) to a float and must accept batched (..., n)
-    arrays.  ``subdiff``/``gradient`` are exact oracles when present; the
-    gradient oracle raises :class:`GradientUndefinedError` on its kink loci.
-    ``subdiff_batch_fn`` is the batched form of the subdifferential oracle,
-    mapping states (Q, n) to box bounds ``(lo, hi)`` of shape (Q, n); ``kinks``
-    lists the (axis, value) coordinates where the subdifferential is not a
-    singleton, so that region grids can visit them.  ``regularity`` is one of
-    'continuous', 'lipschitz', 'c1_away_from_origin', 'smooth'.
+    ``value`` maps a state (n,) to a float and must accept batched (..., n) arrays.
+    ``subdiff``/``gradient`` are exact oracles when present; the gradient oracle raises
+    :class:`GradientUndefinedError` on its kink loci, where ``subdiff`` of a candidate
+    with a gradient alone is the unbounded box.  ``subdiff_batch_fn`` is the batched
+    form of the subdifferential oracle, mapping states (Q, n) to box bounds ``(lo, hi)``
+    of shape (Q, n); ``kinks`` lists the (axis, value) coordinates where the
+    subdifferential is not a singleton, so that region grids can visit them.
+    ``regularity`` is one of 'continuous', 'lipschitz', 'c1_away_from_origin', 'smooth'.
     """
 
     name: str
@@ -142,7 +142,10 @@ class StorageCandidate:
     def subdiff(self, x) -> SubdiffSet:
         if self.subdiff_fn is None:
             if self.gradient_fn is not None:
-                return SubdiffSet.singleton(self.gradient_fn(np.asarray(x, dtype=float)))
+                try:
+                    return SubdiffSet.singleton(self.gradient_fn(np.asarray(x, dtype=float)))
+                except GradientUndefinedError:   # a kink: the gradient bounds no coordinate
+                    return SubdiffSet(((-_INF, _INF),) * np.size(x))
             raise MissingOracleError(
                 f"candidate {self.name!r} has no exact subdifferential oracle; "
                 "use verify_subgradient for numeric evidence")

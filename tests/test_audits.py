@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hjikit import audits as au
 from hjikit import hji
@@ -93,6 +94,30 @@ def test_axis_scan_skips_kink_points():
     X = np.array([[1.0, 0.0]])
     assert hji.residuals(sy.make_sigma1(), *W.subdiff_batch(X), X, 1.0)[0][0] > 1.0
     assert au.audit_sigma1_axis(W).kind == au.OBSTRUCTION
+
+
+def test_gradient_only_candidate_is_unbounded_at_its_kinks():
+    """Where the gradient of a candidate without a subdifferential oracle is undefined,
+    its subdifferential is the unbounded box: the residual there is +inf (the
+    coefficients do not vanish), and the sweep and the axis audit reach verdicts."""
+    v = stg.builtin("v1_scaled")
+    W = stg.from_callables("grad_only", v.value_fn, gradient_fn=v.gradient_fn,
+                           regularity="lipschitz", dim=2)
+    s1 = sy.make_sigma1()
+    assert W.subdiff([1.0, 0.0]).intervals == ((-np.inf, np.inf),) * 2
+    assert hji.point_residual(s1, W, 1.0, [1.0, 0.0]) == (np.inf, None, None)
+    lo, hi = W.subdiff_batch([[1.0, 0.0], [1.0, 1.0]])
+    assert lo.tolist() == [[-np.inf, -np.inf], [2.0, 2.0]]
+    assert hi.tolist() == [[np.inf, np.inf], [2.0, 2.0]]
+
+    region = hji.Region(box=((-2.0, 2.0), (-2.0, 2.0)), points_per_dim=21)
+    report = hji.check_witness(s1, W, 1.0, region)
+    assert report.verdict == "fail" and report.max_residual == np.inf
+    kink = np.any(report.grid == 0.0, axis=1)
+    assert np.all(report.point_residuals[kink] == np.inf)
+    builtin = hji.check_witness(s1, v, 1.0, region)
+    assert np.array_equal(report.point_residuals[~kink], builtin.point_residuals[~kink])
+    assert au.audit_sigma1_axis(W).kind == au.OBSTRUCTION   # the scan skips the kinks
 
 
 def test_axis_audit_obstruction_branch():
@@ -266,6 +291,94 @@ def test_sigma3_pieces_pass_rule():
     for case in ("case1_equality", "case2_inequality", "case3_inequality", "case4_equality"):
         assert not au.sigma3_pieces_pass({**d, case: 2e-12})
     assert au.sigma3_pieces_pass({**d, "phi_range": 1.0})   # only the four cases count
+
+
+def _dense_sigma3_pieces(x_grid=None, u_grid=None):
+    """The reference: every defect masked out of dense meshgrid arrays."""
+    x = np.linspace(0.0, 3.0, 301) if x_grid is None else np.asarray(x_grid, dtype=float)
+    u = np.linspace(-3.0, 3.0, 301) if u_grid is None else np.asarray(u_grid, dtype=float)
+    XX, UU = np.meshgrid(x, u, indexing="ij")
+    F = sy.f_scalar(XX, UU)
+    Q = UU * UU - XX * XX
+
+    out = {}
+    m1 = (XX <= 1) & (np.abs(UU) <= 1)
+    out["case1_equality"] = float(np.max(np.abs(F - Q)[m1]))
+    m2 = (XX <= 1) & (np.abs(UU) >= 1)
+    out["case2_inequality"] = float(np.max((F - Q)[m2]))
+    m3 = (XX >= 1) & (np.abs(UU) <= 1)
+    out["case3_inequality"] = float(np.max((F - 0.5 * Q)[m3]))
+    m4 = (XX >= 1) & (np.abs(UU) >= 1)
+    out["case4_equality"] = float(np.max(np.abs(F - 0.5 * Q)[m4]))
+
+    s = np.linspace(-3.0, 3.0, 301)
+    t = np.linspace(-3.0, 3.0, 301)
+    SS, TT = np.meshgrid(s, t, indexing="ij")
+    PH = sy.phi_clip(SS, TT)
+    out["phi_range"] = float(np.max(np.abs(PH) - np.abs(SS)))
+    zero_mask = TT >= np.abs(SS)
+    out["phi_zero_regime"] = float(np.max(np.abs(PH[zero_mask])))
+    id_mask = TT <= -np.abs(SS)
+    out["phi_identity_regime"] = float(np.max(np.abs(PH - SS)[id_mask]))
+
+    aa = np.linspace(0.0, 3.0, 301)
+    bb = np.linspace(0.0, 3.0, 301)
+    AA, BB = np.meshgrid(aa, bb, indexing="ij")
+    PS = sy.psi_blend(AA, BB)
+    diff = BB - AA
+    m_hi = (AA >= 1) & (BB >= 1)
+    out["psi_half_regime"] = float(np.max(np.abs(PS - 0.5 * diff)[m_hi]))
+    m_lo = (AA <= 1) & (BB <= 1)
+    out["psi_full_regime"] = float(np.max(np.abs(PS - diff)[m_lo]))
+    m_ge = AA >= BB
+    out["psi_bracket_a_ge_b"] = float(np.max(np.maximum(diff - PS, PS - 0.5 * diff)[m_ge]))
+    m_le = AA <= BB
+    out["psi_bracket_a_le_b"] = float(np.max(np.maximum(0.5 * diff - PS, PS - diff)[m_le]))
+    return out
+
+
+def _bits(d):
+    return [(k, float(v).hex()) for k, v in d.items()]
+
+
+def test_sigma3_pieces_match_dense_reference():
+    """Same keys in the same order and bitwise the same values as the dense grids."""
+    assert _bits(au.verify_sigma3_pieces()) == _bits(_dense_sigma3_pieces())
+    # more rows than the fixed grids, and the largest defects (x < 0) in the last block
+    x = np.linspace(3.0, -1.0, 333)
+    assert _bits(au.verify_sigma3_pieces(x)) == _bits(_dense_sigma3_pieces(x))
+
+
+_edge = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -2.0, 3.0, 1e-300, 5e-324])
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=st.lists(st.one_of(_edge, st.floats(-3.0, 3.5)), max_size=90),
+       u=st.lists(st.one_of(_edge, st.floats(-4.0, 4.0)), max_size=90),
+       x_at=st.integers(0, 90), u_at=st.integers(0, 90), pad=st.integers(0, 400))
+def test_sigma3_pieces_match_dense_reference_on_custom_grids(x, u, x_at, u_at, pad):
+    """Custom axes with the case boundaries x = 1 and u = +/-1 placed anywhere in
+    them.  ``pad`` leading copies of x = 1 push the drawn rows into the last row
+    blocks, up to past the fixed grids' 301 rows; the x length is never a
+    multiple of the row block."""
+    x.insert(x_at % (len(x) + 1), 1.0)
+    x = [1.0] * pad + x
+    if len(x) % au._PIECE_BLOCK == 0:
+        x.append(3.0)
+    u[u_at % (len(u) + 1):u_at % (len(u) + 1)] = [-1.0, 1.0]
+    assert _bits(au.verify_sigma3_pieces(x, u)) == _bits(_dense_sigma3_pieces(x, u))
+
+
+def test_sigma3_pieces_name_empty_cases():
+    """A case the axes leave without a point is an error naming it, never a -inf defect."""
+    with pytest.raises(ValueError, match="case1_equality, case2_inequality$"):
+        au.verify_sigma3_pieces(x_grid=[2.0, 3.0])
+    with pytest.raises(ValueError, match="no point in case2_inequality, case4_equality$"):
+        au.verify_sigma3_pieces(u_grid=[-0.5, 0.5])
+    with pytest.raises(ValueError, match="case1_equality, case2_inequality, case3_inequality"):
+        au.verify_sigma3_pieces(x_grid=[])
+    d = au.verify_sigma3_pieces(x_grid=[1.0], u_grid=[1.0])   # one point meets every case
+    assert all(np.isfinite(list(d.values())))
 
 
 def test_phi_psi_point_values():
