@@ -16,7 +16,7 @@ from .hji import (Region, WitnessReport, affine_residual, check_witness,
                   power_residual, residuals, supply)
 from .storage import (GradientUndefinedError, MissingOracleError, StorageCandidate,
                       SubdiffSet, builtin, builtins, from_callables,
-                      from_expression, subdiff, verify_subgradient)
+                      from_expression, verify_subgradient)
 from .systems import (AffineSystem, GeneralSystem, PowerAffineSystem, ZooEntry,
                       dynamics, system_from_config, system_to_config, zoo, zoo_entry)
 from .trajectories import (BlowUpError, ConstantInput, PiecewiseConstantInput,

@@ -94,7 +94,7 @@ def audit_sigma1_axis(W: StorageCandidate, a_samples: Sequence[float] = (0.5, 1.
     Richardson-style extrapolation; non-monotone sequences yield ``inconclusive``.
     """
     sys = make_sigma1()
-    if W.gradient_fn is None:
+    if not W.has_oracle:
         raise GradientUndefinedError(f"candidate {W.name!r} has no gradient oracle")
 
     if scan:
@@ -238,7 +238,7 @@ def audit_sigmap(V: StorageCandidate, p: float, gamma: float,
     """
     if p <= 2:
         raise ValueError("this falsifier applies to input powers p > 2")
-    if V.gradient_fn is None:
+    if not V.has_oracle:
         raise GradientUndefinedError(f"candidate {V.name!r} has no gradient oracle")
     sp = make_sigma_p(p)
     for xi in xi_samples:

@@ -227,11 +227,12 @@ class ConstructedW:
             X = np.asarray(X, dtype=float)
             return self.w_at(X[..., 0])
 
-        def grad(x):
-            return np.array([float(self.slope_at(float(np.atleast_1d(x)[0])))])
+        def slopes(X):
+            s = self.slope_at(X)
+            return s, s
 
-        return from_callables("constructed_w", value, gradient_fn=grad,
-                              regularity="c1_away_from_origin", dim=1)
+        return from_callables("constructed_w", value, regularity="c1_away_from_origin",
+                              dim=1, subdiff_batch_fn=slopes)
 
 
 def construct_w(sys: AffineSystem, gamma: float, V: StorageCandidate,

@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import HjikitError
-from .storage import _KINK_SNAP, MissingOracleError, StorageCandidate
+from .errors import DimensionError, HjikitError
+from .storage import _KINK_SNAP, StorageCandidate
 from .systems import AffineSystem, PowerAffineSystem, System
 
 
@@ -335,12 +335,11 @@ def check_witness(sys: System, V: StorageCandidate, gamma: float, region: Region
         tol = DEFAULT_TOL_EXACT if exact else DEFAULT_TOL_SAMPLED
     if region.dim != sys.n:
         raise ValueError(f"region dimension {region.dim} does not match system n={sys.n}")
+    if V.dim is not None and V.dim != sys.n:
+        raise DimensionError(f"candidate {V.name!r} has dimension {V.dim}, system n={sys.n}")
     X = region.grid(V.kinks)
     if X.shape[0] == 0:
         raise EmptyRegionError("region grid is empty")
-    if not V.has_oracle:
-        raise MissingOracleError(
-            f"candidate {V.name!r} has no exact subdifferential or gradient oracle")
     if not exact and u_box is None:
         u_box = _default_u_box(X, sys.m)
 

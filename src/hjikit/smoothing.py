@@ -32,6 +32,10 @@ class BoundaryRadiusError(HjikitError):
     """The mollification radius reaches outside the sampled hull at some query."""
 
 
+_EVAL_CHUNK = 4096      # query rows per gathered window block in MollifiedFunction.evaluate
+_HYPOTHESIS_PPD = 41    # grid points per axis of smooth_witness's hypothesis check
+
+
 # ---------------------------------------------------------------------------
 # Input compactification and the transformed field
 # ---------------------------------------------------------------------------
@@ -327,16 +331,16 @@ class MollifiedFunction:
         dw[:, 1:] += dCR
         return idx, w, dw
 
-    def evaluate(self, X: np.ndarray, chunk: int = 4096):
-        """Values and gradients at query points X of shape (Q, ndim)."""
+    def evaluate(self, X: np.ndarray):
+        """Values and gradients at query points X of shape (Q, ndim), in chunks of rows."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
         Q, n = X.shape[0], self.ndim
         vals = np.empty(Q)
         grads = np.empty((Q, n))
-        for start in range(0, Q, chunk):
-            sl = slice(start, min(start + chunk, Q))
+        for start in range(0, Q, _EVAL_CHUNK):
+            sl = slice(start, min(start + _EVAL_CHUNK, Q))
             idx, w, dw = zip(*(self._axis_weights(i, X[sl, i]) for i in range(n)))
             # gather each point's window block (q, M_1, ..., M_n)
             blk = self.values[tuple(
@@ -494,16 +498,16 @@ def _as_power_affine(sys: System) -> PowerAffineSystem:
 
 def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: float,
                    r_min: float = 0.05, r_max: float = 2.0,
-                   grid_ratio: float = 1.1, initial_delta_min: Optional[float] = None,
-                   max_refinements: int = 6, check_hypothesis: bool = True,
-                   hypothesis_ppd: int = 41) -> CertifiedSmooth:
+                   grid_ratio: float = 1.1, max_refinements: int = 6) -> CertifiedSmooth:
     """Mollify a witness and certify the relaxed-gain bounds on the annulus.
 
-    The radius schedule starts at four local grid spacings and halves once;
-    reaching one grid spacing counts as failure at that grid, upon which the
-    sample grid is refined (geometric floor divided by 8) and the schedule
-    rerun, up to ``max_refinements``.  The returned report carries the worst
-    point on failure instead of raising.
+    The hypothesis, that V witnesses ``gamma`` on the box of half-width
+    ``r_max`` outside radius ``r_min``, is checked first.  The radius schedule
+    starts at four local grid spacings and halves once; reaching one grid
+    spacing counts as failure at that grid, upon which the sample grid is
+    refined (geometric floor, first ``r_min / 40``, divided by 8) and the
+    schedule rerun, up to ``max_refinements``.  The returned report carries the
+    worst point on failure instead of raising.
     """
     if gamma_prime <= gamma:
         raise ValueError("gamma_prime must exceed gamma")
@@ -514,16 +518,15 @@ def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: 
     dlt = choose_delta(eps)
     gamma_eff = (1.0 + eps) * gamma + eps
 
-    if check_hypothesis:
-        region = Region(box=((-r_max, r_max),) * psys.n, points_per_dim=hypothesis_ppd,
-                        exclude_radius=r_min)
-        base = check_witness(sys, V, gamma, region)
-        if not base.passed:
-            raise ValueError(
-                f"hypothesis fails: {V.name!r} does not witness gain {gamma:g} "
-                f"on the region (max residual {base.max_residual:.3e})")
+    region = Region(box=((-r_max, r_max),) * psys.n, points_per_dim=_HYPOTHESIS_PPD,
+                    exclude_radius=r_min)
+    base = check_witness(sys, V, gamma, region)
+    if not base.passed:
+        raise ValueError(
+            f"hypothesis fails: {V.name!r} does not witness gain {gamma:g} "
+            f"on the region (max residual {base.max_residual:.3e})")
 
-    delta_min = initial_delta_min if initial_delta_min is not None else r_min / 40.0
+    delta_min = r_min / 40.0
     slope = grid_ratio - 1.0
     schedule_trace = []
     last_fail = ("not attempted", None, math.nan, math.nan)
@@ -628,9 +631,5 @@ def _wrap_candidate(moll: MollifiedFunction, dlt: float, base_name: str) -> Stor
         g = scale * moll.evaluate(X)[1]
         return g, g
 
-    def grad(x):
-        return subdiff_batch(np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0][0]
-
-    return from_callables(f"smoothed({base_name})", value, gradient_fn=grad,
-                          regularity="smooth", dim=moll.ndim,
-                          subdiff_batch_fn=subdiff_batch)
+    return from_callables(f"smoothed({base_name})", value, regularity="smooth",
+                          dim=moll.ndim, subdiff_batch_fn=subdiff_batch)

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import HjikitError
+from .errors import DimensionError, HjikitError
 
 
 class MissingOracleError(HjikitError):
@@ -112,98 +112,72 @@ class SubdiffSet:
 
 @dataclass(frozen=True, eq=False)
 class StorageCandidate:
-    """A nonnegative scalar function with optional exact subdifferential machinery.
+    """A nonnegative scalar function with an optional exact subdifferential oracle.
 
-    ``value`` maps a state (n,) to a float and must accept batched (..., n) arrays.
-    ``subdiff``/``gradient`` are exact oracles when present; the gradient oracle raises
-    :class:`GradientUndefinedError` on its kink loci, where ``subdiff`` of a candidate
-    with a gradient alone is the unbounded box.  ``subdiff_batch_fn`` is the batched
-    form of the subdifferential oracle, mapping states (Q, n) to box bounds ``(lo, hi)``
-    of shape (Q, n); ``kinks`` lists the (axis, value) coordinates where the
-    subdifferential is not a singleton, so that region grids can visit them.
+    ``value_fn`` maps states (..., n) to values (...).  ``subdiff_batch_fn`` is the
+    one oracle: it maps states (Q, n) to the bounds ``(lo, hi)``, each of shape
+    (Q, n), of the box subdifferential at every row, with lo = +inf, hi = -inf on a
+    row where it is empty.  ``subdiff`` and ``gradient`` are one-row views of it;
+    ``gradient`` raises :class:`GradientUndefinedError` where the box is not a
+    singleton (the kink loci).  ``kinks`` lists the (axis, value) coordinates where
+    the subdifferential is not a singleton, so that region grids can visit them.
+    ``dim`` (None = any) is checked against the last axis of every query.
     ``regularity`` is one of 'continuous', 'lipschitz', 'c1_away_from_origin', 'smooth'.
     """
 
     name: str
     value_fn: Callable[[np.ndarray], np.ndarray]
     regularity: str = "continuous"
-    subdiff_fn: Optional[Callable[[np.ndarray], SubdiffSet]] = None
-    gradient_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dim: Optional[int] = None  # None = any dimension
     subdiff_batch_fn: Optional[Callable[[np.ndarray], tuple]] = None
     kinks: tuple = ()
 
+    def _checked(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if self.dim is not None and X.shape[-1:] != (self.dim,):
+            raise DimensionError(f"candidate {self.name!r} takes states of dimension "
+                                 f"{self.dim}, got shape {X.shape}")
+        return X
+
     def value(self, x) -> float:
-        return float(self.value_fn(np.asarray(x, dtype=float)))
+        return float(self.value_fn(self._checked(x)))
 
     def value_batch(self, X) -> np.ndarray:
-        return np.asarray(self.value_fn(np.asarray(X, dtype=float)), dtype=float)
+        return np.asarray(self.value_fn(self._checked(X)), dtype=float)
 
-    def subdiff(self, x) -> SubdiffSet:
-        if self.subdiff_fn is None:
-            if self.gradient_fn is not None:
-                try:
-                    return SubdiffSet.singleton(self.gradient_fn(np.asarray(x, dtype=float)))
-                except GradientUndefinedError:   # a kink: the gradient bounds no coordinate
-                    return SubdiffSet(((-_INF, _INF),) * np.size(x))
+    def subdiff_batch(self, X) -> tuple:
+        """Box subdifferentials at the rows of X (Q, n) as arrays ``lo, hi`` of shape (Q, n)."""
+        if self.subdiff_batch_fn is None:
             raise MissingOracleError(
                 f"candidate {self.name!r} has no exact subdifferential oracle; "
                 "use verify_subgradient for numeric evidence")
-        return self.subdiff_fn(np.asarray(x, dtype=float))
+        return self.subdiff_batch_fn(self._checked(X))
 
-    def subdiff_batch(self, X) -> tuple:
-        """Box subdifferentials at the rows of X (Q, n) as arrays ``lo, hi`` of shape (Q, n).
+    def _row(self, x) -> tuple:
+        lo, hi = self.subdiff_batch(np.asarray(x, dtype=float).reshape(1, -1))
+        return lo[0], hi[0]
 
-        Without a batched oracle the scalar one is queried row by row; an empty
-        subdifferential becomes the row lo = +inf, hi = -inf.
-        """
-        X = np.asarray(X, dtype=float)
-        if self.subdiff_batch_fn is not None:
-            return self.subdiff_batch_fn(X)
-        lo, hi = np.full(X.shape, _INF), np.full(X.shape, -_INF)
-        for q, x in enumerate(X):
-            S = self.subdiff(x)
-            if not S.is_empty:
-                lo[q], hi[q] = np.array(S.intervals).T
-        return lo, hi
+    def subdiff(self, x) -> SubdiffSet:
+        lo, hi = self._row(x)
+        if np.any(lo > hi):
+            return SubdiffSet.empty_set()
+        return SubdiffSet(tuple(zip(lo.tolist(), hi.tolist())))
 
     def gradient(self, x) -> np.ndarray:
-        if self.gradient_fn is None:
-            raise MissingOracleError(f"candidate {self.name!r} has no gradient oracle")
-        return np.asarray(self.gradient_fn(np.asarray(x, dtype=float)), dtype=float)
+        lo, hi = self._row(x)
+        if np.any(lo != hi):
+            raise GradientUndefinedError(
+                f"the gradient of {self.name!r} is undefined at {np.ravel(x).tolist()}")
+        return lo
 
     @property
     def has_oracle(self) -> bool:
-        return self.subdiff_fn is not None or self.gradient_fn is not None
-
-
-def subdiff(V: StorageCandidate, x) -> SubdiffSet:
-    """The exact viscosity subdifferential of a built-in candidate at x."""
-    return V.subdiff(x)
+        return self.subdiff_batch_fn is not None
 
 
 # ---------------------------------------------------------------------------
 # Built-in candidates
 # ---------------------------------------------------------------------------
-
-def _from_batch(name, value, sd_batch, regularity, dim, kinks, where) -> StorageCandidate:
-    """A built-in whose scalar subdifferential and gradient are one-row calls of ``sd_batch``."""
-
-    def row(x):
-        return sd_batch(np.asarray(x, dtype=float).reshape(1, -1))
-
-    def sd(x):
-        lo, hi = row(x)
-        return SubdiffSet.box(zip(lo[0], hi[0]))
-
-    def grad(x):
-        lo, hi = row(x)
-        if np.any(lo[0] != hi[0]):
-            raise GradientUndefinedError(f"gradient undefined {where}")
-        return lo[0]
-
-    return StorageCandidate(name, value, regularity, sd, grad, dim, sd_batch, kinks)
-
 
 def _weighted_l1(name: str, scale: float) -> StorageCandidate:
     """scale * (|x1| + |x2|) with its exact box subdifferential."""
@@ -217,8 +191,7 @@ def _weighted_l1(name: str, scale: float) -> StorageCandidate:
         slope = scale * np.sign(X)
         return np.where(kink, -scale, slope), np.where(kink, scale, slope)
 
-    return _from_batch(name, value, sd, "lipschitz", 2, ((0, 0.0), (1, 0.0)),
-                       "on the coordinate axes")
+    return StorageCandidate(name, value, "lipschitz", 2, sd, ((0, 0.0), (1, 0.0)))
 
 
 def _make_v2() -> StorageCandidate:
@@ -234,7 +207,7 @@ def _make_v2() -> StorageCandidate:
         hi = np.stack([2 * X[:, 0], np.where(kink, _INF, z2)], axis=1)
         return lo, hi
 
-    return _from_batch("v2", value, sd, "continuous", 2, ((1, 0.0),), "on the x2 = 0 axis")
+    return StorageCandidate("v2", value, "continuous", 2, sd, ((1, 0.0),))
 
 
 def _make_v3_scalar() -> StorageCandidate:
@@ -250,8 +223,7 @@ def _make_v3_scalar() -> StorageCandidate:
         return (np.where(at0, -1.0, np.where(at1, 1.0, slope)),
                 np.where(at0, 1.0, np.where(at1, 2.0, slope)))
 
-    return _from_batch("v3_scalar", value, sd, "lipschitz", 1, ((0, 0.0), (0, 1.0)),
-                       "at the kinks x = 0 and x = 1")
+    return StorageCandidate("v3_scalar", value, "lipschitz", 1, sd, ((0, 0.0), (0, 1.0)))
 
 
 def _make_sq_norm() -> StorageCandidate:
@@ -262,7 +234,7 @@ def _make_sq_norm() -> StorageCandidate:
     def sd(X):
         return 2 * X, 2 * X
 
-    return _from_batch("sq_norm", value, sd, "smooth", None, (), "")
+    return StorageCandidate("sq_norm", value, "smooth", None, sd)
 
 
 def builtins() -> dict:
@@ -285,9 +257,33 @@ def builtin(name: str) -> StorageCandidate:
 
 def from_callables(name, value_fn, gradient_fn=None, subdiff_fn=None,
                    regularity="smooth", dim=None, subdiff_batch_fn=None) -> StorageCandidate:
-    """Wrap plain callables as a candidate (used for smoothed/constructed functions)."""
-    return StorageCandidate(name, value_fn, regularity, subdiff_fn, gradient_fn, dim,
-                            subdiff_batch_fn)
+    """Wrap plain callables as a candidate (used for smoothed/constructed functions).
+
+    The oracle is ``subdiff_batch_fn`` if given, else a row loop over the scalar
+    ``subdiff_fn`` (an empty set is the row lo = +inf, hi = -inf), else over
+    ``gradient_fn`` (the unbounded box where it raises GradientUndefinedError).
+    """
+    if subdiff_batch_fn is None and (subdiff_fn is not None or gradient_fn is not None):
+        subdiff_batch_fn = _row_loop(subdiff_fn, gradient_fn)
+    return StorageCandidate(name, value_fn, regularity, dim, subdiff_batch_fn)
+
+
+def _row_loop(subdiff_fn, gradient_fn):
+    def batch(X):
+        lo, hi = np.full(X.shape, _INF), np.full(X.shape, -_INF)
+        for q, x in enumerate(X):
+            if subdiff_fn is not None:
+                S = subdiff_fn(x)
+                if not S.is_empty:
+                    lo[q], hi[q] = np.array(S.intervals).T
+                continue
+            try:
+                lo[q] = hi[q] = gradient_fn(x)
+            except GradientUndefinedError:   # a kink: the gradient bounds no coordinate
+                lo[q], hi[q] = -_INF, _INF
+        return lo, hi
+
+    return batch
 
 
 def from_expression(src: str, n: int, regularity: str = "continuous") -> StorageCandidate:
@@ -298,7 +294,7 @@ def from_expression(src: str, n: int, regularity: str = "continuous") -> Storage
     def value(X):
         return fn(np.asarray(X, dtype=float), None)
 
-    return StorageCandidate(f"expr:{src}", value, regularity, None, None, dim=n)
+    return StorageCandidate(f"expr:{src}", value, regularity, dim=n)
 
 
 def from_config(cfg: dict) -> StorageCandidate:

@@ -15,11 +15,7 @@ import numpy as np
 
 from . import expr as ex
 from . import storage
-from .errors import HjikitError
-
-
-class DimensionError(HjikitError):
-    pass
+from .errors import DimensionError
 
 
 def _compile_fields(asts: Sequence) -> tuple:

@@ -89,7 +89,7 @@ def test_axis_scan_skips_kink_points():
         kink = np.any(lo != hi, axis=1, keepdims=True)
         return np.where(kink, -100.0, lo), np.where(kink, 100.0, hi)
 
-    W = stg.from_callables("wide_kinks", v.value_fn, gradient_fn=v.gradient_fn,
+    W = stg.from_callables("wide_kinks", v.value_fn, gradient_fn=v.gradient,
                            regularity="lipschitz", dim=2, subdiff_batch_fn=wide_at_kinks)
     X = np.array([[1.0, 0.0]])
     assert hji.residuals(sy.make_sigma1(), *W.subdiff_batch(X), X, 1.0)[0][0] > 1.0
@@ -101,7 +101,7 @@ def test_gradient_only_candidate_is_unbounded_at_its_kinks():
     its subdifferential is the unbounded box: the residual there is +inf (the
     coefficients do not vanish), and the sweep and the axis audit reach verdicts."""
     v = stg.builtin("v1_scaled")
-    W = stg.from_callables("grad_only", v.value_fn, gradient_fn=v.gradient_fn,
+    W = stg.from_callables("grad_only", v.value_fn, gradient_fn=v.gradient,
                            regularity="lipschitz", dim=2)
     s1 = sy.make_sigma1()
     assert W.subdiff([1.0, 0.0]).intervals == ((-np.inf, np.inf),) * 2
@@ -236,8 +236,8 @@ def test_straddle_v3():
 def test_straddle_translation_invariance():
     v3 = stg.builtin("v3_scalar")
     shifted = stg.from_callables("v3+c", lambda X: v3.value_batch(X) + 2.5,
-                                 gradient_fn=v3.gradient_fn,
-                                 subdiff_fn=v3.subdiff_fn, dim=1)
+                                 gradient_fn=v3.gradient,
+                                 subdiff_fn=v3.subdiff, dim=1)
     report = au.audit_scalar_straddle(shifted)
     assert report.kind == au.OBSTRUCTION
     assert report.detail["limsup_left"] == pytest.approx(1.0, abs=1e-12)

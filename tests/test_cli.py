@@ -96,6 +96,24 @@ def test_missing_inputs_are_usage_errors(tmp_path):
     assert run(["zoo", "run", "--out", tmp_path / "y"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--zoo", "sigma1", "--storage", "builtin:v3_scalar", "--gamma", "1"],
+    ["verify", "--zoo", "sigma3_scalar", "--storage", "builtin:v1_scaled", "--gamma", "1"],
+    ["smooth", "--zoo", "scalar_linear", "--storage", "builtin:v1", "--gamma", "1",
+     "--gamma-prime", "1.1"],
+    ["simulate", "--zoo", "sigma1", "--storage", "builtin:v3_scalar", "--gamma", "1",
+     "--x0", "1", "1", "--input", '{"kind":"constant","values":[0,0]}'],
+    ["subdiff", "--storage", "builtin:v1_scaled", "--point", "1"],
+], ids=["verify-1d-on-2d", "verify-2d-on-1d", "smooth", "simulate", "subdiff"])
+def test_candidate_of_another_dimension_is_a_usage_error(tmp_path, capsys, argv):
+    """A candidate whose dimension differs from the system's (or the point's) is
+    neither a pass nor a falsification: exit 2 with one error line, no report."""
+    assert run(argv + ["--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: candidate ") and "dimension" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_simulate_and_audit_commands(tmp_path):
     code = run(["simulate", "--zoo", "sigma1", "--storage", "builtin:v1_scaled",
                 "--gamma", "1", "--x0", "1", "1",

@@ -1,10 +1,14 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hjikit import construct1d as c1
+from hjikit import hji
 from hjikit import storage as stg
+from hjikit import systems as sy
 
 
 # ---------------------------------------------------------------------------
@@ -263,3 +267,107 @@ def test_subdiff_batch_scalar_fallback():
     grad_only = stg.from_callables("sq", v3.value_fn, gradient_fn=lambda x: 2 * x, dim=1)
     lo, hi = grad_only.subdiff_batch(np.array([[0.5], [-1.5]]))
     assert lo.tolist() == hi.tolist() == [[1.0], [-3.0]]
+
+
+def test_candidate_dimension_is_checked():
+    """A fixed-dimension candidate rejects states of another dimension on every query."""
+    v = stg.builtin("v1_scaled")
+    for query in (v.value, v.value_batch, v.subdiff_batch, v.subdiff, v.gradient):
+        with pytest.raises(sy.DimensionError, match="takes states of dimension 2"):
+            query(np.ones((3, 1)) if query == v.subdiff_batch else [1.0])
+    region = hji.Region(box=((-2.0, 2.0),), points_per_dim=11)
+    with pytest.raises(sy.DimensionError, match="has dimension 2, system n=1"):
+        hji.check_witness(sy.make_scalar_linear(), v, 1.0, region)
+    assert stg.builtin("sq_norm").value([1.0, 2.0, 2.0]) == 9.0   # dim None takes any n
+
+
+# ---------------------------------------------------------------------------
+# one oracle: subdiff, gradient and the residuals read the batched oracle
+# ---------------------------------------------------------------------------
+
+def _wide_at_kinks(X):
+    lo, hi = stg.builtin("v1_scaled").subdiff_batch(X)
+    kink = np.any(lo != hi, axis=1, keepdims=True)
+    return np.where(kink, -100.0, lo), np.where(kink, 100.0, hi)
+
+
+@functools.lru_cache(maxsize=None)
+def _constructed():
+    return c1.construct_w(sy.make_scalar_linear(), 1.0, stg.builtin("sq_norm"),
+                          np.linspace(0.05, 2.0, 40))
+
+
+def _candidate_form(form, smoothed):
+    """The candidate built as ``form`` names it, with an affine system of its dimension."""
+    v, v3 = stg.builtin("v1_scaled"), stg.builtin("v3_scalar")
+    if form in stg.builtins():
+        V = stg.builtin(form)
+    elif form == "gradient_only":
+        V = stg.from_callables("grad_only", v.value_fn, gradient_fn=v.gradient, dim=2)
+    elif form == "subdiff_only":   # empty right of 1.5
+        V = stg.from_callables(
+            "v3-partial", v3.value_fn, dim=1,
+            subdiff_fn=lambda x: stg.SubdiffSet.empty_set() if x[0] > 1.5 else v3.subdiff(x))
+    elif form == "wide_kinks":     # the batched oracle wins over the gradient
+        V = stg.from_callables("wide_kinks", v.value_fn, gradient_fn=v.gradient,
+                               regularity="lipschitz", dim=2, subdiff_batch_fn=_wide_at_kinks)
+    elif form == "smoothed":
+        V = smoothed.W
+    else:
+        V = _constructed().to_storage()
+    return V, sy.make_scalar_linear() if V.dim == 1 else sy.make_sigma1()
+
+
+_FORMS = sorted(stg.builtins()) + ["gradient_only", "subdiff_only", "wide_kinks",
+                                   "smoothed", "constructed"]
+
+
+@pytest.mark.parametrize("form", _FORMS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_every_candidate_form_reads_one_oracle(form, data, smoothed_sigma1):
+    """subdiff and gradient are row views of one subdiff_batch call, bit for bit, and
+    point_residual equals the batched residual kernel on every row, kinks included.
+
+    The smoothed W is the exception to bit for bit: MollifiedFunction.evaluate sizes
+    its kernel window to the widest row of a batch, and the zero-padded sums round
+    differently, so a one-row query agrees with its batch row to about 1e-14.
+    """
+    V, sysm = _candidate_form(form, smoothed_sigma1)
+
+    def same(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if form == "smoothed":
+            return np.allclose(a, b, rtol=1e-12, atol=1e-12)
+        return a.tobytes() == b.tobytes()
+
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    drawn = data.draw(st.lists(st.lists(coord, min_size=sysm.n, max_size=sysm.n),
+                               min_size=1, max_size=6))
+    fixed = [[1.0, 0.0], [0.0, -1.5], [0.0, 0.0]] if sysm.n == 2 else [[0.0], [1.0], [1.75]]
+    X = np.array(drawn + fixed)
+    lo, hi = V.subdiff_batch(X)
+    for q, x in enumerate(X):
+        S = V.subdiff(x)
+        if np.any(lo[q] > hi[q]):
+            assert S.is_empty, x
+        else:
+            assert same(S.intervals, np.column_stack([lo[q], hi[q]])), x
+        if np.array_equal(lo[q], hi[q]):
+            assert same(V.gradient(x), lo[q]), x
+        else:
+            with pytest.raises(stg.GradientUndefinedError):
+                V.gradient(x)
+
+    res = hji.residuals(sysm, lo, hi, X, 1.0)[0]
+    for q, x in enumerate(X):
+        ref = hji.point_residual(sysm, V, 1.0, x)[0]
+        if math.isinf(ref):
+            assert res[q] == ref, (x, res[q], ref)
+        else:
+            assert abs(res[q] - ref) <= 1e-12 * max(1.0, abs(ref)), (x, res[q], ref)
+
+    if form == "constructed":      # the batched selector is the scalar one, row by row
+        built = _constructed()
+        slopes = [float(built.slope_at(float(x[0]))) for x in X]
+        assert lo[:, 0].tobytes() == hi[:, 0].tobytes() == np.array(slopes).tobytes()
