@@ -17,8 +17,8 @@ from .hji import (Region, WitnessReport, affine_residual, check_witness,
 from .storage import (GradientUndefinedError, MissingOracleError, StorageCandidate,
                       SubdiffSet, builtin, builtins, from_callables,
                       from_expression, verify_subgradient)
-from .systems import (AffineSystem, GeneralSystem, PowerAffineSystem, ZooEntry,
-                      dynamics, system_from_config, system_to_config, zoo, zoo_entry)
+from .systems import (AffineSystem, GeneralSystem, ZooEntry, system_from_config,
+                      system_to_config, zoo, zoo_entry)
 from .trajectories import (BlowUpError, ConstantInput, PiecewiseConstantInput,
                            SinusoidInput, Trajectory, dissipation_audit,
                            integrate, integrate_ensemble, l2_gain_lowerbound,

@@ -245,6 +245,8 @@ def construct_w(sys: AffineSystem, gamma: float, V: StorageCandidate,
     contracts  W >= V > 0 on the grid,  Delta(p(x)) <= tol, and the witness
     residual of W with slope oracle p is within tolerance at every grid point.
     """
+    if not (isinstance(sys, AffineSystem) and sys.input_affine):
+        raise ValueError("the construction applies to input-affine systems (p = 1, signed)")
     if sys.n != 1:
         raise ValueError("the construction applies to 1-D systems")
     grid = np.asarray(grid, dtype=float)

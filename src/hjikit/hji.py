@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionError, HjikitError
 from .storage import _KINK_SNAP, StorageCandidate
-from .systems import AffineSystem, PowerAffineSystem, System
+from .systems import AffineSystem, System
 
 
 class EmptyRegionError(HjikitError):
@@ -125,7 +125,7 @@ def supply(x, u, gamma: float) -> float:
 
 
 def affine_residual(sys: AffineSystem, x, zeta, gamma: float) -> float:
-    """Exact value of sup_u [zeta.F(x,u) - supply(x,u,gamma)] for an affine system."""
+    """Exact sup_u [zeta.F(x,u) - supply(x,u,gamma)] for an input-affine system (p = 1)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     g0 = sys.drift(x)
@@ -134,20 +134,12 @@ def affine_residual(sys: AffineSystem, x, zeta, gamma: float) -> float:
     return float(np.dot(zeta, g0)) + quad / (4.0 * gamma) + float(np.dot(x, x))
 
 
-def affine_worst_u(sys: AffineSystem, x, zeta, gamma: float) -> np.ndarray:
-    """The maximizing input of the affine sup: u_i = zeta.g_i(x) / (2 gamma)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    fields = sys.input_fields(x)
-    return np.array([float(np.dot(zeta, fields[i])) / (2.0 * gamma) for i in range(sys.m)])
-
-
-def power_residual(sys: PowerAffineSystem, x, zeta, gamma: float) -> float:
-    """Exact sup over u for a power-affine system."""
+def power_residual(sys: AffineSystem, x, zeta, gamma: float) -> float:
+    """Exact sup over u for an :class:`AffineSystem` of any p and phi."""
     return _power_sup(sys, x, zeta, gamma)[0]
 
 
-def _power_sup(sys: PowerAffineSystem, x, zeta, gamma: float):
+def _power_sup(sys: AffineSystem, x, zeta, gamma: float):
     """Exact sup over u for a power-affine system and a maximizer (None if p >= 2 gives +inf).
 
     Channels separate:  sup_r c phi(r) - gamma r^2 is gamma (2-p)/p r*^2 at
@@ -246,7 +238,7 @@ def residuals(sys: System, lo, hi, X, gamma: float,
     for k in reversed(flips):
         vertices += [np.where(np.arange(n) == k, zhi, Z) for Z in vertices]
 
-    if isinstance(sys, (AffineSystem, PowerAffineSystem)):
+    if isinstance(sys, AffineSystem):
         step, parts = max(Q, 1), (lambda s: _affine_parts(sys, X[s], gamma))
     else:
         U = _u_grid_from_box(_default_u_box(X, sys.m) if u_box is None else u_box, u_points)
@@ -274,8 +266,7 @@ def residuals(sys: System, lo, hi, X, gamma: float,
 
 def _affine_parts(sys, X, gamma):
     """Per-point dynamic coefficients (Q, n) and the exact sup over u at a vertex array."""
-    p, signed = (sys.p, sys.phi == "signed_pow") if isinstance(sys, PowerAffineSystem) \
-        else (1.0, True)
+    p, signed = sys.p, sys.phi == "signed_pow"
     G0 = sys.drift(X)
     GI = sys.input_fields(X)                              # (m, Q, n)
     xx = np.sum(X * X, axis=1)
@@ -330,7 +321,7 @@ def check_witness(sys: System, V: StorageCandidate, gamma: float, region: Region
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    exact = isinstance(sys, (AffineSystem, PowerAffineSystem))
+    exact = isinstance(sys, AffineSystem)
     if tol is None:
         tol = DEFAULT_TOL_EXACT if exact else DEFAULT_TOL_SAMPLED
     if region.dim != sys.n:
@@ -373,7 +364,7 @@ def point_residual(sys: System, V: StorageCandidate, gamma: float, x,
     if S.is_empty:
         return -math.inf, None, None
     if S.unbounded_axes:
-        if isinstance(sys, (AffineSystem, PowerAffineSystem)):
+        if isinstance(sys, AffineSystem):
             g0 = sys.drift(x)
             gi = sys.input_fields(x)
             ok = all(abs(g0[k]) <= _COEFF_ZERO_TOL
@@ -389,9 +380,6 @@ def point_residual(sys: System, V: StorageCandidate, gamma: float, x,
     best, best_z, best_u = -math.inf, None, None
     for zeta in S.finite_vertices():
         if isinstance(sys, AffineSystem):
-            res = affine_residual(sys, x, zeta, gamma)
-            u = affine_worst_u(sys, x, zeta, gamma)
-        elif isinstance(sys, PowerAffineSystem):
             res, u = _power_sup(sys, x, zeta, gamma)
         else:
             res, u = general_residual(sys, x, zeta, gamma, u_box=u_box,

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import HjikitError
 from .hji import Region, check_witness, residuals, tensor_grid
 from .storage import StorageCandidate, from_callables
-from .systems import AffineSystem, PowerAffineSystem, System
+from .systems import AffineSystem, System
 
 
 class BoundaryRadiusError(HjikitError):
@@ -55,7 +55,7 @@ def decompactify(d) -> np.ndarray:
     return d / np.sqrt(1.0 - rad)
 
 
-def transformed_field(sys: PowerAffineSystem, x, d) -> np.ndarray:
+def transformed_field(sys: AffineSystem, x, d) -> np.ndarray:
     """f(x, d) = (1-|d|^2) g0(x) + sum_i phi(d_i) (1-|d|^2)^(1-p/2) g_i(x).
 
     For p = 2 the coefficient of g_i is plainly phi(d_i); for p < 2 the field
@@ -86,7 +86,7 @@ def default_alpha(x) -> np.ndarray:
     return np.sum(x * x, axis=-1)
 
 
-def check_case1_p2(sys: PowerAffineSystem, x, zeta, beta_val: float, d,
+def check_case1_p2(sys: AffineSystem, x, zeta, beta_val: float, d,
                    eps_seq: Sequence[float] = (1.0, 0.5, 0.25, 0.125, 0.0625),
                    alpha: Optional[Callable] = None, tol: float = 1e-9) -> bool:
     """The unit-sphere boundary inequality for p = 2 at subgradient zeta.
@@ -430,7 +430,7 @@ def mirrored_geometric_axis(delta_min: float, ratio: float, extent: float) -> np
 class SmoothingProblem:
     """The data of one smoothing run (annulus stands in for the punctured space)."""
 
-    sys: PowerAffineSystem
+    sys: AffineSystem
     V: StorageCandidate
     alpha: Callable
     beta: Callable
@@ -487,15 +487,6 @@ class CertifiedSmooth:
         }
 
 
-def _as_power_affine(sys: System) -> PowerAffineSystem:
-    if isinstance(sys, PowerAffineSystem):
-        return sys
-    if isinstance(sys, AffineSystem):
-        return PowerAffineSystem(sys.n, sys.m, sys.g0, sys.g, p=1.0,
-                                 phi="signed_pow", name=sys.name)
-    raise ValueError("smoothing applies to (power-)affine systems")
-
-
 def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: float,
                    r_min: float = 0.05, r_max: float = 2.0,
                    grid_ratio: float = 1.1, max_refinements: int = 6) -> CertifiedSmooth:
@@ -511,14 +502,15 @@ def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: 
     """
     if gamma_prime <= gamma:
         raise ValueError("gamma_prime must exceed gamma")
-    psys = _as_power_affine(sys)
+    if not isinstance(sys, AffineSystem):
+        raise ValueError("smoothing applies to (power-)affine systems")
     eps = ((gamma + gamma_prime) / 2.0 - gamma) / (gamma + 1.0)
     # construction validates p <= 2 and the annulus bounds
-    SmoothingProblem(psys, V, default_alpha, lambda x: gamma, eps, r_min, r_max)
+    SmoothingProblem(sys, V, default_alpha, lambda x: gamma, eps, r_min, r_max)
     dlt = choose_delta(eps)
     gamma_eff = (1.0 + eps) * gamma + eps
 
-    region = Region(box=((-r_max, r_max),) * psys.n, points_per_dim=_HYPOTHESIS_PPD,
+    region = Region(box=((-r_max, r_max),) * sys.n, points_per_dim=_HYPOTHESIS_PPD,
                     exclude_radius=r_min)
     base = check_witness(sys, V, gamma, region)
     if not base.passed:
@@ -536,17 +528,17 @@ def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: 
         pad_radius = 4.0 * (delta_min + slope * math.sqrt(r_max ** 2 + delta_min ** 2)
                             + delta_min)
         axis = mirrored_geometric_axis(delta_min, grid_ratio, (r_max + pad_radius) * 1.05)
-        axes = [axis] * psys.n
+        axes = [axis] * sys.n
         values = V.value_batch(tensor_grid(axes)).reshape([a.size for a in axes])
 
-        coords, keep, Pc = _annulus_grid(_with_midpoints(axis), psys.n, r_min, r_max)
+        coords, keep, Pc = _annulus_grid(_with_midpoints(axis), sys.n, r_min, r_max)
         Vc = V.value_batch(Pc)
         grids = {"sample_axis_nodes": int(axis.size), "certification_points": int(Pc.shape[0])}
 
         for scale in (4.0, 2.0):
-            radii = [GeometricRadius(delta_min, slope, scale)] * psys.n
+            radii = [GeometricRadius(delta_min, slope, scale)] * sys.n
             moll = MollifiedFunction(axes, values, radii)
-            ok, detail = _certify(psys, moll, coords, keep, Pc, Vc, dlt, gamma_eff)
+            ok, detail = _certify(sys, moll, coords, keep, Pc, Vc, dlt, gamma_eff)
             schedule_trace.append({
                 "refinement": refinement, "delta_min": delta_min, "scale": scale,
                 "outcome": "pass" if ok else f"fail ({detail[0]})",
@@ -585,7 +577,7 @@ def _annulus_grid(axis: np.ndarray, n: int, r_min: float, r_max: float):
     return coords, keep, P[keep]
 
 
-def _certify(psys: PowerAffineSystem, moll: MollifiedFunction, coords: np.ndarray,
+def _certify(sys: AffineSystem, moll: MollifiedFunction, coords: np.ndarray,
              keep: np.ndarray, Pc: np.ndarray, Vc: np.ndarray, dlt: float,
              gamma_eff: float):
     """Check the Upsilon_1 bound, the relative bound (19), and the residual (20).
@@ -593,8 +585,8 @@ def _certify(psys: PowerAffineSystem, moll: MollifiedFunction, coords: np.ndarra
     W is evaluated on the tensor grid of ``coords`` and masked by ``keep`` to
     the certification points ``Pc``.
     """
-    Wg, Gg = moll.evaluate_grid([coords] * psys.n)
-    Wh, Gh = Wg.ravel()[keep], Gg.reshape(-1, psys.n)[keep]
+    Wg, Gg = moll.evaluate_grid([coords] * sys.n)
+    Wh, Gh = Wg.ravel()[keep], Gg.reshape(-1, sys.n)[keep]
     ups1 = (1.0 - dlt) / 4.0 * Vc
     approx_gap = np.abs(Vc - Wh) - ups1
     k = int(np.argmax(approx_gap))
@@ -608,7 +600,7 @@ def _certify(psys: PowerAffineSystem, moll: MollifiedFunction, coords: np.ndarra
         return False, ("relative bound", Pc[rk], float(rel[rk]), math.nan)
 
     Z = Gh / (1.0 - dlt)
-    res = residuals(psys, Z, Z, Pc, gamma_eff)[0]
+    res = residuals(sys, Z, Z, Pc, gamma_eff)[0]
     ek = int(np.argmax(res))
     if res[ek] > 0.0:
         return False, ("gain residual", Pc[ek], float(rel[rk]), float(res[ek]))

@@ -1,4 +1,4 @@
-"""System shapes (input-affine, power-affine, general) and the built-in example zoo.
+"""System shapes ((power-)affine in the input, general) and the built-in example zoo.
 
 All vector fields are expression-defined (see :mod:`hjikit.expr`).  Systems are
 immutable after construction and ``dynamics`` is pure: region sweeps and
@@ -42,16 +42,43 @@ def _compile_affine(sys, weights: Sequence) -> None:
 
 @dataclass(frozen=True, eq=False)
 class AffineSystem:
-    """dx/dt = g0(x) + sum_i u_i * g_i(x); the g's depend on the state only."""
+    """dx/dt = g0(x) + sum_i phi(u_i) g_i(x), phi(r) = |r|^p or sign(r)|r|^p, p >= 1.
+
+    The g's depend on the state only.  The defaults p = 1 and ``signed_pow``
+    are the input-affine case phi(u) = u, whose right-hand side weights g_i by
+    u_i itself (no pow, and u = -0.0 keeps its sign).
+    """
 
     n: int
     m: int
     g0: tuple  # n expression source strings
     g: tuple   # m vector fields, each n source strings
+    p: float = 1.0
+    phi: str = "signed_pow"  # 'abs_pow' | 'signed_pow'
     name: str = ""
 
     def __post_init__(self):
-        _compile_affine(self, [ex.Var("u", i) for i in range(self.m)])
+        if self.p < 1:
+            raise ValueError("power-affine exponent must satisfy p >= 1")
+        if self.phi not in ("abs_pow", "signed_pow"):
+            raise ValueError("phi must be 'abs_pow' or 'signed_pow'")
+        if self.input_affine:
+            weights = [ex.Var("u", i) for i in range(self.m)]
+        else:
+            p = ex.Num(float(self.p))
+            weights = [ex.Call(self.phi, (ex.Var("u", i), p)) for i in range(self.m)]
+        _compile_affine(self, weights)
+
+    @property
+    def input_affine(self) -> bool:
+        """True for phi(u) = u: p = 1 with the signed power."""
+        return self.p == 1 and self.phi == "signed_pow"
+
+    def phi_apply(self, r):
+        r = np.asarray(r, dtype=float)
+        if self.phi == "abs_pow":
+            return np.abs(r) ** self.p
+        return np.sign(r) * np.abs(r) ** self.p
 
     def drift(self, X: np.ndarray) -> np.ndarray:
         """g0 evaluated at a batch of states; X is (..., n), result (..., n)."""
@@ -64,40 +91,6 @@ class AffineSystem:
 
     def dynamics(self, x, u) -> np.ndarray:
         return self._rhs(*_checked(self, x, u))
-
-
-@dataclass(frozen=True, eq=False)
-class PowerAffineSystem:
-    """dx/dt = g0(x) + sum_i phi(u_i) g_i(x), phi(r) = |r|^p or sign(r)|r|^p, p >= 1.
-
-    With p = 1 and ``signed_pow`` this reduces exactly to :class:`AffineSystem`.
-    """
-
-    n: int
-    m: int
-    g0: tuple
-    g: tuple
-    p: float = 1.0
-    phi: str = "signed_pow"  # 'abs_pow' | 'signed_pow'
-    name: str = ""
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("power-affine exponent must satisfy p >= 1")
-        if self.phi not in ("abs_pow", "signed_pow"):
-            raise ValueError("phi must be 'abs_pow' or 'signed_pow'")
-        p = ex.Num(float(self.p))
-        _compile_affine(self, [ex.Call(self.phi, (ex.Var("u", i), p)) for i in range(self.m)])
-
-    def phi_apply(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.phi == "abs_pow":
-            return np.abs(r) ** self.p
-        return np.sign(r) * np.abs(r) ** self.p
-
-    drift = AffineSystem.drift
-    input_fields = AffineSystem.input_fields
-    dynamics = AffineSystem.dynamics
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +111,7 @@ class GeneralSystem:
     dynamics = AffineSystem.dynamics
 
 
-System = Union[AffineSystem, PowerAffineSystem, GeneralSystem]
+System = Union[AffineSystem, GeneralSystem]
 
 
 def _checked(sys: System, x, u) -> tuple:
@@ -130,11 +123,6 @@ def _checked(sys: System, x, u) -> tuple:
     if u.shape[-1] != sys.m:
         raise DimensionError(f"input has dimension {u.shape[-1]}, expected {sys.m}")
     return x, u
-
-
-def dynamics(sys: System, x, u) -> np.ndarray:
-    """Evaluate dx/dt for any system shape at (x, u); accepts batched arguments."""
-    return sys.dynamics(x, u)
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +229,17 @@ _L1_OSC = ("abs(x1)*x2", "-abs(x2)*x1")
 _L1_DRIFT = ("-abs(x1)*x1", "-abs(x2)*x2")
 
 
-def make_sigma_p(p: float) -> PowerAffineSystem:
+def make_sigma_p(p: float) -> AffineSystem:
     """Two-channel power-affine system g0 + |u1|^p g - |u2|^p g."""
     neg = tuple(f"-({c})" for c in _L1_OSC)
-    return PowerAffineSystem(
+    return AffineSystem(
         n=2, m=2, g0=_L1_DRIFT, g=(_L1_OSC, neg),
         p=p, phi="abs_pow", name=f"sigma_p({p:g})")
 
 
-def make_sigma_p_signed(p: float) -> PowerAffineSystem:
+def make_sigma_p_signed(p: float) -> AffineSystem:
     """Single-channel signed variant g0 + sign(u)|u|^p g."""
-    return PowerAffineSystem(
+    return AffineSystem(
         n=2, m=1, g0=_L1_DRIFT, g=(_L1_OSC,),
         p=p, phi="signed_pow", name=f"sigma_p_signed({p:g})")
 
@@ -327,25 +315,22 @@ def system_from_config(cfg: dict) -> System:
     kind = cfg.get("kind")
     name = cfg.get("name", "")
     n, m = int(cfg["n"]), int(cfg["m"])
-    if kind == "affine":
-        return AffineSystem(n, m, tuple(cfg["g0"]), tuple(tuple(gi) for gi in cfg["g"]), name=name)
-    if kind == "power_affine":
-        return PowerAffineSystem(
-            n, m, tuple(cfg["g0"]), tuple(tuple(gi) for gi in cfg["g"]),
-            p=float(cfg["p"]), phi=cfg["phi"], name=name)
+    if kind in ("affine", "power_affine"):
+        power = {"p": float(cfg["p"]), "phi": cfg["phi"]} if kind == "power_affine" else {}
+        return AffineSystem(n, m, tuple(cfg["g0"]), tuple(tuple(gi) for gi in cfg["g"]),
+                            name=name, **power)
     if kind == "general":
         return GeneralSystem(n, m, tuple(cfg["F"]), name=name)
     raise ValueError(f"unknown system kind {kind!r}")
 
 
 def system_to_config(sys: System) -> dict:
-    if isinstance(sys, PowerAffineSystem):
-        return {"name": sys.name, "kind": "power_affine", "n": sys.n, "m": sys.m,
-                "g0": list(sys.g0), "g": [list(gi) for gi in sys.g],
-                "p": sys.p, "phi": sys.phi}
     if isinstance(sys, AffineSystem):
-        return {"name": sys.name, "kind": "affine", "n": sys.n, "m": sys.m,
-                "g0": list(sys.g0), "g": [list(gi) for gi in sys.g]}
+        cfg = {"name": sys.name, "kind": "affine", "n": sys.n, "m": sys.m,
+               "g0": list(sys.g0), "g": [list(gi) for gi in sys.g]}
+        if not sys.input_affine:
+            cfg.update(kind="power_affine", p=sys.p, phi=sys.phi)
+        return cfg
     if isinstance(sys, GeneralSystem):
         return {"name": sys.name, "kind": "general", "n": sys.n, "m": sys.m,
                 "F": list(sys.F)}

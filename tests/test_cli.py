@@ -196,6 +196,34 @@ def test_construct_command(tmp_path):
     assert contract["w_dominates_v"] and contract["max_delta_of_selector"] <= 1e-9
 
 
+def test_construct_on_a_general_system_is_a_usage_error(tmp_path, capsys):
+    code = run(["construct1d", "--zoo", "sigma3_scalar", "--storage", "builtin:v3_scalar",
+                "--gamma", "1", "--out", tmp_path])
+    assert code == 2
+    assert "input-affine" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_construct_on_a_power_affine_system_is_a_usage_error(tmp_path, capsys):
+    """Delta(p) is the quadratic of phi(u) = u only: p = 1.5 gets no verdict."""
+    sys_file = tmp_path / "sys.json"
+    sys_file.write_text(json.dumps({"kind": "power_affine", "n": 1, "m": 1, "g0": ["-x1"],
+                                    "g": [["1"]], "p": 1.5, "phi": "signed_pow"}))
+    code = run(["construct1d", "--system", sys_file, "--storage", "builtin:sq_norm",
+                "--gamma", "10", "--out", tmp_path / "c"])
+    assert code == 2
+    assert "input-affine" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_smooth_on_a_general_system_is_a_usage_error(tmp_path, capsys):
+    code = run(["smooth", "--zoo", "sigma3_scalar", "--storage", "builtin:v3_scalar",
+                "--gamma", "1", "--gamma-prime", "1.1", "--out", tmp_path])
+    assert code == 2
+    assert "smoothing applies to (power-)affine systems" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("zoo, name", [("sigma1", "v1_scaled"), ("sigma2", "v2")])
 def test_smooth_grid_csv_matches_pointwise_reference(tmp_path, zoo, name):
     """smooth_grid.csv (batched dump) agrees with W.value / W.gradient point by point."""

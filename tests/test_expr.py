@@ -388,7 +388,7 @@ def _combine_reference(system, x, u):
     if isinstance(system, sy.GeneralSystem):
         return np.stack([_closure_compile(ex.parse(s, system.n, system.m))(x, u)
                          for s in system.F], axis=-1)
-    phi = system.phi_apply if isinstance(system, sy.PowerAffineSystem) else (lambda r: r)
+    phi = (lambda r: r) if system.input_affine else system.phi_apply
     w = [phi(u[..., i]) for i in range(system.m)]
     comps = []
     for j, src in enumerate(system.g0):
@@ -402,9 +402,9 @@ def _combine_reference(system, x, u):
 _REFERENCE_SYSTEMS = [e.system for e in sy.zoo()] + [
     sy.AffineSystem(1, 1, ("1",), (("1",),)),                 # no x anywhere
     sy.AffineSystem(1, 1, ("0",), (("-2",),)),
-    sy.PowerAffineSystem(1, 2, ("-0.5",), (("2",), ("x1",)), p=2.0, phi="abs_pow"),
-    sy.PowerAffineSystem(2, 1, ("-x1", "-pow(x2, 2)"), (("0.5", "sqrt(abs(x1))"),),
-                         p=2.7, phi="signed_pow"),
+    sy.AffineSystem(1, 2, ("-0.5",), (("2",), ("x1",)), p=2.0, phi="abs_pow"),
+    sy.AffineSystem(2, 1, ("-x1", "-pow(x2, 2)"), (("0.5", "sqrt(abs(x1))"),),
+                    p=2.7, phi="signed_pow"),
     sy.GeneralSystem(1, 2, ("u1 + 1 + pow(u2, 2) + pow(u1 + 2, 0.5) - x1",)),
 ]
 

@@ -69,22 +69,21 @@ def test_boundary_warning():
 
 
 def test_power_residual_matches_affine_at_p1(sigma1):
-    ps = sy.PowerAffineSystem(2, 2, sigma1.g0, sigma1.g, p=1.0, phi="signed_pow")
     rng = np.random.default_rng(1)
     for _ in range(50):
         x = rng.uniform(-2, 2, 2)
         z = rng.uniform(-3, 3, 2)
         gamma = rng.uniform(0.2, 3)
-        assert hji.power_residual(ps, x, z, gamma) == pytest.approx(
+        assert hji.power_residual(sigma1, x, z, gamma) == pytest.approx(
             hji.affine_residual(sigma1, x, z, gamma), rel=1e-12, abs=1e-12)
 
 
 def test_power_residual_p2_and_fractional():
-    ps = sy.PowerAffineSystem(1, 1, ("-x1",), (("1",),), p=2.0, phi="abs_pow")
+    ps = sy.AffineSystem(1, 1, ("-x1",), (("1",),), p=2.0, phi="abs_pow")
     assert hji.power_residual(ps, [1.0], [0.5], 1.0) == pytest.approx(-0.5 + 1.0)
     assert hji.power_residual(ps, [1.0], [2.0], 1.0) == math.inf
     # p = 1.5: cross-check the closed form against a dense grid sup
-    ps = sy.PowerAffineSystem(1, 1, ("-x1",), (("1",),), p=1.5, phi="abs_pow")
+    ps = sy.AffineSystem(1, 1, ("-x1",), (("1",),), p=1.5, phi="abs_pow")
     closed = hji.power_residual(ps, [1.0], [1.2], 1.0)
     r = np.linspace(-10, 10, 200001)
     grid = np.max(1.2 * np.abs(r) ** 1.5 - r * r) + (-1.2 + 1.0)
@@ -223,10 +222,10 @@ def test_report_serialization(sigma1, region2):
 # ---------------------------------------------------------------------------
 
 _BAD_V2 = sy.AffineSystem(2, 2, ("-x1", "-x2+0.5"), (("1", "0"), ("0", "1")), name="bad")
-_P2 = sy.PowerAffineSystem(2, 1, ("-x1", "-x2"), (("x2", "x1"),), p=2.0, phi="abs_pow",
-                           name="p2")
-_P1999 = sy.PowerAffineSystem(1, 1, ("-x1",), (("1",),), p=1.999, phi="abs_pow",
-                              name="p1.999")
+_P2 = sy.AffineSystem(2, 1, ("-x1", "-x2"), (("x2", "x1"),), p=2.0, phi="abs_pow",
+                      name="p2")
+_P1999 = sy.AffineSystem(1, 1, ("-x1",), (("1",),), p=1.999, phi="abs_pow",
+                         name="p1.999")
 # sigma2 and the "bad" system written without structure: the sampled path's
 # zero-coefficient rule on v2's unbounded axis
 _SIGMA2_GENERAL = sy.GeneralSystem(
@@ -337,7 +336,7 @@ def test_grid_visits_kink_loci():
 _SCANS = {
     "sigma1/v1_scaled": (sy.make_sigma1(), "v1_scaled", 2, hji.gamma_range(0.5, 2.0, 0.01)),
     "sigma2/v2": (sy.make_sigma2(), "v2", 2, hji.gamma_range(0.5, 2.0, 0.01)),
-    "power p=1.5": (sy.PowerAffineSystem(1, 1, ("-x1",), (("1",),), p=1.5, phi="abs_pow"),
+    "power p=1.5": (sy.AffineSystem(1, 1, ("-x1",), (("1",),), p=1.5, phi="abs_pow"),
                     "sq_norm", 1, hji.gamma_range(0.5, 3.0, 0.01)),
     "sigma3_scalar/v3_scalar": (sy.make_sigma3_scalar(), "v3_scalar", 1,
                                 hji.gamma_range(0.8, 1.2, 0.01)),

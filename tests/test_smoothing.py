@@ -46,15 +46,14 @@ def test_compactification_identity_suite():
 
 def test_transformed_field_examples():
     s1 = sy.make_sigma1()
-    ps = sm._as_power_affine(s1)
     d = sm.compactify(np.array([1.0, 0.0]))
-    f = sm.transformed_field(ps, [1, 1], d)
+    f = sm.transformed_field(s1, [1, 1], d)
     assert np.allclose(f, [0.5, -1.0])
     assert np.allclose(2 * f, s1.dynamics([1, 1], [1, 0]))
-    assert np.allclose(sm.transformed_field(ps, [1, 1], [0, 0]),
-                       ps.drift(np.array([1.0, 1.0])))
+    assert np.allclose(sm.transformed_field(s1, [1, 1], [0, 0]),
+                       s1.drift(np.array([1.0, 1.0])))
     # p < 2 vanishes on the unit sphere
-    assert np.allclose(sm.transformed_field(ps, [1, 1], [1.0, 0.0]), [0, 0])
+    assert np.allclose(sm.transformed_field(s1, [1, 1], [1.0, 0.0]), [0, 0])
 
 
 def test_field_correspondence_over_zoo():
@@ -62,9 +61,9 @@ def test_field_correspondence_over_zoo():
     rng = np.random.default_rng(2)
     systems = [sy.zoo_entry("sigma_p(3)").system,
                sy.zoo_entry("sigma_p_signed(3)").system,
-               sm._as_power_affine(sy.zoo_entry("sigma1").system),
-               sy.PowerAffineSystem(2, 2, sy.make_sigma1().g0, sy.make_sigma1().g,
-                                    p=1.5, phi="abs_pow")]
+               sy.zoo_entry("sigma1").system,
+               sy.AffineSystem(2, 2, sy.make_sigma1().g0, sy.make_sigma1().g,
+                               p=1.5, phi="abs_pow")]
     for ps in systems:
         for _ in range(60):
             x = rng.uniform(-2, 2, 2)
@@ -85,19 +84,19 @@ def test_theta_examples():
 
 def test_check_case1_p2():
     # zeta.g_i identically zero: the boundary inequality holds with 0 <= beta
-    zero_g = sy.PowerAffineSystem(2, 2, ("-abs(x1)*x1", "-abs(x2)*x2"),
-                                  (("abs(x1)*x2", "-abs(x2)*x1"),
-                                   ("-abs(x1)*x2", "abs(x2)*x1")),
-                                  p=2.0, phi="abs_pow")
+    zero_g = sy.AffineSystem(2, 2, ("-abs(x1)*x1", "-abs(x2)*x2"),
+                             (("abs(x1)*x2", "-abs(x2)*x1"),
+                              ("-abs(x1)*x2", "abs(x2)*x1")),
+                             p=2.0, phi="abs_pow")
     assert sm.check_case1_p2(zero_g, [1, 1], [1, 1], 1.0, [1, 0])
     # a gain-1 claim at p = 2 fails the boundary test at this point
     s1 = sy.make_sigma1()
-    p2 = sy.PowerAffineSystem(2, 2, s1.g0, s1.g, p=2.0, phi="abs_pow")
+    p2 = sy.AffineSystem(2, 2, s1.g0, s1.g, p=2.0, phi="abs_pow")
     assert not sm.check_case1_p2(p2, [1, 1], [2, 2], 1.0, [1, 0])
     with pytest.raises(ValueError):
         sm.check_case1_p2(p2, [1, 1], [2, 2], 1.0, [0.5, 0])
     with pytest.raises(ValueError):
-        sm.check_case1_p2(sm._as_power_affine(s1), [1, 1], [2, 2], 1.0, [1, 0])
+        sm.check_case1_p2(s1, [1, 1], [2, 2], 1.0, [1, 0])
 
 
 def test_choose_delta_examples():
@@ -339,7 +338,7 @@ def test_smooth_witness_precondition_errors():
 
 
 def test_smoothing_problem_validation():
-    ps = sm._as_power_affine(sy.make_sigma1())
+    ps = sy.make_sigma1()
     with pytest.raises(ValueError):
         sm.SmoothingProblem(sy.make_sigma_p(3.0), stg.builtin("v1"),
                             sm.default_alpha, lambda x: 1.0, 0.1, 0.05, 2.0)

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hjikit import systems as sy
+from hjikit import hji, systems as sy
 
 
 def test_dynamics_worked_examples():
@@ -27,16 +29,18 @@ def test_zoo_contents_and_claims():
         sy.zoo_entry("nope")
 
 
-def test_power_affine_p1_signed_matches_affine_exactly():
-    """With p = 1 and the signed power, the two shapes agree to 0 ulps."""
+def test_defaults_are_the_input_affine_case():
+    """p = 1 with the signed power is the default, field for field and bit for bit."""
     s1 = sy.make_sigma1()
-    ps = sy.PowerAffineSystem(2, 2, s1.g0, s1.g, p=1.0, phi="signed_pow")
+    explicit = sy.AffineSystem(2, 2, s1.g0, s1.g, p=1.0, phi="signed_pow", name="sigma1")
+    assert (s1.p, s1.phi) == (explicit.p, explicit.phi) == (1.0, "signed_pow")
+    assert s1.input_affine and explicit.input_affine
+    assert sy.system_to_config(s1) == sy.system_to_config(explicit)
     rng = np.random.default_rng(0)
     X = rng.uniform(-3, 3, (1000, 2))
     U = rng.uniform(-3, 3, (1000, 2))
-    a = s1.dynamics(X, U)
-    b = ps.dynamics(X, U)
-    assert np.all(a == b)
+    U[::7] = -0.0
+    assert s1.dynamics(X, U).tobytes() == explicit.dynamics(X, U).tobytes()
 
 
 def test_sigma2_drift_plus_input_decomposition():
@@ -92,9 +96,9 @@ def test_dimension_checks():
 
 def test_power_affine_validation():
     with pytest.raises(ValueError):
-        sy.PowerAffineSystem(1, 1, ("-x1",), (("1",),), p=0.5)
+        sy.AffineSystem(1, 1, ("-x1",), (("1",),), p=0.5)
     with pytest.raises(ValueError):
-        sy.PowerAffineSystem(1, 1, ("-x1",), (("1",),), p=2.0, phi="weird")
+        sy.AffineSystem(1, 1, ("-x1",), (("1",),), p=2.0, phi="weird")
 
 
 def test_config_round_trip():
@@ -105,6 +109,63 @@ def test_config_round_trip():
         X = rng.uniform(-2, 2, (50, entry.system.n))
         U = rng.uniform(-2, 2, (50, entry.system.m))
         assert np.all(rebuilt.dynamics(X, U) == entry.system.dynamics(X, U))
+
+
+def test_config_of_zoo_entries_is_unchanged():
+    """Input-affine systems are written as kind "affine" without p and phi."""
+    assert json.dumps(sy.system_to_config(sy.make_sigma1())) == (
+        '{"name": "sigma1", "kind": "affine", "n": 2, "m": 2, '
+        '"g0": ["abs(x1)*(-x1+abs(x2))", "x2*(-x1-abs(x2))"], '
+        '"g": [["abs(x1)", "0"], ["0", "x2"]]}')
+    assert json.dumps(sy.system_to_config(sy.make_sigma_p(3.0))) == (
+        '{"name": "sigma_p(3)", "kind": "power_affine", "n": 2, "m": 2, '
+        '"g0": ["-abs(x1)*x1", "-abs(x2)*x2"], '
+        '"g": [["abs(x1)*x2", "-abs(x2)*x1"], ["-(abs(x1)*x2)", "-(-abs(x2)*x1)"]], '
+        '"p": 3.0, "phi": "abs_pow"}')
+    kinds = {e.name: sy.system_to_config(e.system)["kind"] for e in sy.zoo()}
+    assert kinds == {"sigma1": "affine", "sigma1_c1": "affine", "sigma2": "affine",
+                     "sigma_p(3)": "power_affine", "sigma_p_signed(3)": "power_affine",
+                     "sigma3_scalar": "general", "scalar_linear": "affine",
+                     "scalar_decay": "affine"}
+
+
+_LINEAR_CFG = {"n": 2, "m": 2, "g0": ["-x1+abs(x2)", "-x2"], "g": [["1", "x2"], ["0", "-x1"]]}
+
+
+def test_power_affine_config_at_p1_signed_is_the_affine_system():
+    """Both JSON kinds load; p = 1 signed weights g_i by u_i, so u = -0.0 keeps its sign."""
+    affine = sy.system_from_config({"kind": "affine", **_LINEAR_CFG})
+    power = sy.system_from_config({"kind": "power_affine", "p": 1, "phi": "signed_pow",
+                                   **_LINEAR_CFG})
+    assert power.input_affine
+    assert sy.system_to_config(power) == sy.system_to_config(affine)
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-2, 2, (400, 2))
+    U = rng.uniform(-2, 2, (400, 2))
+    X[::5] = -0.0
+    U[::3] = -0.0
+    U[1::4, 0] = 0.0
+    assert power.dynamics(X, U).tobytes() == affine.dynamics(X, U).tobytes()
+    # dx/dt = -x + u at (0, -0.0) is -0.0 + -0.0 = -0.0; sign(u)|u| would give +0.0
+    assert np.signbit(sy.make_scalar_linear().dynamics([0.0], [-0.0])[0])
+    lo = hi = rng.uniform(-3, 3, X.shape)
+    lo[::6] = -0.0
+    for a, b in zip(hji.residuals(power, lo, hi, X, 0.7), hji.residuals(affine, lo, hi, X, 0.7)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_abs_pow_at_p1_stays_power_affine():
+    """phi = |u| with p = 1 weights g_i by |u_i| and round-trips as power_affine."""
+    sysm = sy.system_from_config({"kind": "power_affine", "p": 1.0, "phi": "abs_pow",
+                                  **_LINEAR_CFG})
+    assert not sysm.input_affine
+    cfg = sy.system_to_config(sysm)
+    assert (cfg["kind"], cfg["p"], cfg["phi"]) == ("power_affine", 1.0, "abs_pow")
+    rng = np.random.default_rng(6)
+    X = rng.uniform(-2, 2, (200, 2))
+    U = rng.uniform(-2, 2, (200, 2))
+    assert np.array_equal(sysm.dynamics(X, U), sysm.dynamics(X, np.abs(U)))
+    assert np.array_equal(sy.system_from_config(cfg).dynamics(X, U), sysm.dynamics(X, U))
 
 
 def test_config_rejects_unknown_kind():
@@ -119,17 +180,14 @@ def _stacked_dynamics(sys, x, u):
     out = sys.drift(x)
     fields = sys.input_fields(x)
     for i in range(sys.m):
-        if isinstance(sys, sy.PowerAffineSystem):
-            out = out + sys.phi_apply(u[..., i])[..., None] * fields[i]
-        else:
-            out = out + u[..., i, None] * fields[i]
+        w = u[..., i] if sys.input_affine else sys.phi_apply(u[..., i])
+        out = out + w[..., None] * fields[i]
     return out
 
 
-_AFFINE_SHAPES = [e.system for e in sy.zoo()
-                  if isinstance(e.system, (sy.AffineSystem, sy.PowerAffineSystem))] + [
-    sy.PowerAffineSystem(2, 2, ("-x1+x2", "-cbrt(x2)"), (("1", "x2"), ("abs(x1)", "0")),
-                         p=p, phi=phi)
+_AFFINE_SHAPES = [e.system for e in sy.zoo() if isinstance(e.system, sy.AffineSystem)] + [
+    sy.AffineSystem(2, 2, ("-x1+x2", "-cbrt(x2)"), (("1", "x2"), ("abs(x1)", "0")),
+                    p=p, phi=phi)
     for p in (1.0, 1.5, 2.0, 2.7, 3.0) for phi in ("abs_pow", "signed_pow")]
 
 # (batch shape of x, batch shape of u): equal batches, one state against many
@@ -162,7 +220,7 @@ def test_dynamics_matches_stacked_formula_bitwise(k, seed):
 def test_power_affine_square_matches_phi_apply_bitwise(phi, batch, g0, g):
     """p = 2 takes numpy's square path in phi_apply (a scalar exponent), for one
     0-d state and for a (1, n) batch alike; array pow would differ in the last bit."""
-    sys = sy.PowerAffineSystem(len(g0), len(g), g0, g, p=2.0, phi=phi)
+    sys = sy.AffineSystem(len(g0), len(g), g0, g, p=2.0, phi=phi)
     rng = np.random.default_rng(len(phi) + len(batch))
     for _ in range(300):
         x = rng.uniform(-3, 3, batch + (sys.n,))
