@@ -1,10 +1,12 @@
 """Batch command-line front end.
 
-Subcommands dispatch to the library modules and write machine-readable reports
-(JSON) plus plot-ready CSV dumps to the output directory; a one-line verdict
-goes to stdout.  Exit codes: 0 = claim verified / obstruction verified,
-1 = claim falsified / violation found, 2 = usage or runtime error.  Runs are
-deterministic: any randomized sampling uses the 64-bit seed recorded in the
+Each subcommand handler returns its outcome, a one-line verdict and its reports;
+``main`` alone writes the reports (JSON, plus plot-ready CSV dumps) to the output
+directory, prints the verdict and exits with 0 = claim verified / obstruction
+verified, 1 = claim falsified / violation found, 2 = usage or runtime error (no
+report written), 3 = inconclusive (an audit that decides nothing, a ``smooth`` run
+out of refinements, an ``l2gain`` bound whose state never left the origin).  Runs
+are deterministic: any randomized sampling uses the 64-bit seed recorded in the
 report (default 0, ``--seed``).
 """
 from __future__ import annotations
@@ -21,20 +23,14 @@ import numpy as np
 from . import audits, construct1d, hji, smoothing, storage, systems, trajectories
 from .errors import HjikitError
 
-EXIT_VERIFIED = 0
-EXIT_FALSIFIED = 1
 EXIT_ERROR = 2
+_EXIT_CODES = {"pass": 0, audits.OBSTRUCTION: 0, "fail": 1, audits.VIOLATION: 1,
+               audits.INCONCLUSIVE: 3}
 
 
 # ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
-
-def _out_dir(args) -> Path:
-    path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
 
 def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -60,8 +56,7 @@ def _load_system(args) -> systems.System:
     if getattr(args, "zoo", None):
         return systems.zoo_entry(args.zoo).system
     if getattr(args, "system", None):
-        cfg = json.loads(Path(args.system).read_text())
-        return systems.system_from_config(cfg)
+        return systems.system_from_config(json.loads(Path(args.system).read_text()))
     raise HjikitError("specify --zoo NAME or --system FILE")
 
 
@@ -73,8 +68,7 @@ def _load_storage(args) -> storage.StorageCandidate:
         raise HjikitError("specify --storage (builtin:NAME or a JSON file)")
     if spec.startswith("builtin:"):
         return storage.builtin(spec.split(":", 1)[1])
-    cfg = json.loads(Path(spec).read_text())
-    return storage.from_config(cfg)
+    return storage.from_config(json.loads(Path(spec).read_text()))
 
 
 def _region_from(args, n: int) -> hji.Region:
@@ -95,212 +89,176 @@ def _gamma_grid(spec: str):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns (outcome, stdout line, {file name: report}),
+# a report being a JSON dict or the (header, table, flags) of a CSV dump
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(args) -> int:
+def _verdict(ok) -> str:
+    return "pass" if ok else "fail"
+
+
+def _cmd_verify(args) -> tuple:
     sysm = _load_system(args)
     V = _load_storage(args)
     region = _region_from(args, sysm.n)
     report = hji.check_witness(sysm, V, args.gamma, region, tol=args.tol)
-    out = _out_dir(args)
-    _write_json(out / "verify.json", report.to_dict())
-    _write_csv(out / "sweep.csv",
-               [f"x{i+1}" for i in range(sysm.n)] + ["residual"]
-               + [f"worst_u{i+1}" for i in range(sysm.m)] + ["pass"],
-               np.column_stack([report.grid, report.point_residuals, report.point_u]),
-               flags=report.point_residuals <= report.tolerance)
-    print(f"verify: {report.verdict} (max residual {report.max_residual:.3e} "
-          f"over {report.points_checked} points)")
-    return EXIT_VERIFIED if report.passed else EXIT_FALSIFIED
+    sweep = ([f"x{i+1}" for i in range(sysm.n)] + ["residual"]
+             + [f"worst_u{i+1}" for i in range(sysm.m)] + ["pass"],
+             np.column_stack([report.grid, report.point_residuals, report.point_u]),
+             report.point_residuals <= report.tolerance)
+    return (report.verdict, f"verify: {report.verdict} (max residual {report.max_residual:.3e} "
+            f"over {report.points_checked} points)",
+            {"verify.json": report.to_dict(), "sweep.csv": sweep})
 
 
-def _cmd_gain(args) -> int:
+def _cmd_gain(args) -> tuple:
     sysm = _load_system(args)
     V = _load_storage(args)
     region = _region_from(args, sysm.n)
     grid = _gamma_grid(args.gammas)
     gamma = hji.min_gain_scan(sysm, V, region, grid, tol=args.tol)
-    _write_json(_out_dir(args) / "gain.json",
-                {"gamma_grid": [grid[0], grid[-1], len(grid)], "min_gamma": gamma})
-    if gamma is None:
-        print("gain: no grid gamma passes")
-        return EXIT_FALSIFIED
-    print(f"gain: {gamma:.2f}")
-    return EXIT_VERIFIED
+    return (_verdict(gamma is not None),
+            "gain: no grid gamma passes" if gamma is None else f"gain: {gamma:.2f}",
+            {"gain.json": {"gamma_grid": [grid[0], grid[-1], len(grid)], "min_gamma": gamma}})
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple:
     sysm = _load_system(args)
     V = _load_storage(args)
     x0 = np.asarray(args.x0, dtype=float)
     signal = trajectories.signal_from_config(json.loads(args.input))
     traj = trajectories.integrate(sysm, x0, signal, tuple(args.tspan), args.step)
     slack, interval = trajectories.dissipation_audit_detail(traj, V, args.gamma)
-    out = _out_dir(args)
-    _write_csv(out / "trajectory.csv",
-               ["t"] + [f"x{i+1}" for i in range(sysm.n)]
-               + [f"u{i+1}" for i in range(sysm.m)],
-               trajectories.trajectory_rows(traj))
-    _write_json(out / "dissipation.json",
-                {"max_slack": slack, "argmax_interval": list(interval),
-                 "gamma": args.gamma})
-    ok = slack <= args.slack_tol
-    print(f"simulate: max dissipation slack {slack:.3e} over [{interval[0]:g}, {interval[1]:g}] "
-          f"({'pass' if ok else 'fail'})")
-    return EXIT_VERIFIED if ok else EXIT_FALSIFIED
+    verdict = _verdict(slack <= args.slack_tol)
+    return (verdict, f"simulate: max dissipation slack {slack:.3e} over "
+            f"[{interval[0]:g}, {interval[1]:g}] ({verdict})",
+            {"trajectory.csv": (["t"] + [f"x{i+1}" for i in range(sysm.n)]
+                                + [f"u{i+1}" for i in range(sysm.m)],
+                                trajectories.trajectory_rows(traj)),
+             "dissipation.json": {"max_slack": slack, "argmax_interval": list(interval),
+                                  "gamma": args.gamma}})
 
 
-def _cmd_l2gain(args) -> int:
+def _cmd_l2gain(args) -> tuple:
     sysm = _load_system(args)
     ensemble = trajectories.random_piecewise_ensemble(
         sysm.m, args.T, args.step, args.count, seed=args.seed, amplitude=args.amplitude)
     bound, max_norm = trajectories.l2_gain_detail(sysm, ensemble, args.T, args.step)
-    trivial = max_norm == 0.0
-    _write_json(_out_dir(args) / "l2gain.json",
-                {"lower_bound": bound, "max_state_norm": max_norm, "trivial": trivial,
-                 "count": args.count, "T": args.T,
-                 "step": args.step, "seed": args.seed, "amplitude": args.amplitude})
-    print(f"l2gain: squared-gain lower bound {bound:.6f}"
-          + (" (trivial: the state never left the origin)" if trivial else ""))
-    return EXIT_VERIFIED
+    trivial = max_norm == 0.0    # the state never moved: the bound measures no gain
+    return (audits.INCONCLUSIVE if trivial else "pass",
+            f"l2gain: squared-gain lower bound {bound:.6f}"
+            + (" (trivial: the state never left the origin)" if trivial else ""),
+            {"l2gain.json": {"lower_bound": bound, "max_state_norm": max_norm,
+                             "trivial": trivial, "count": args.count, "T": args.T,
+                             "step": args.step, "seed": args.seed,
+                             "amplitude": args.amplitude}})
 
 
-def _cmd_construct1d(args) -> int:
+def _cmd_construct1d(args) -> tuple:
     sysm = _load_system(args)
     V = _load_storage(args)
     lo, hi, count = args.grid
     grid = np.linspace(float(lo), float(hi), int(count))
     built = construct1d.construct_w(sysm, args.gamma, V, grid, margin=args.margin)
-    out = _out_dir(args)
-    _write_csv(out / "construct.csv", ["x", "p", "W"],
-               np.column_stack([built.grid, built.p_values, built.w_values]))
     w_vals = built.w_values
     v_vals = V.value_batch(built.grid[:, None])
     contract = {
         "gamma": args.gamma,
         "w_dominates_v": bool(np.all(w_vals >= v_vals - 1e-7)),
         "w_strictly_increasing": bool(np.all(np.diff(np.concatenate([[0.0], w_vals])) > 0)),
-        "max_delta_of_selector": float(np.max(construct1d.delta(
-            construct1d.QuadCoeffs.at(sysm, args.gamma, built.grid), built.p_values))),
+        "max_delta_of_selector": built.max_delta,
     }
-    _write_json(out / "construct.json", contract)
-    ok = contract["w_dominates_v"] and contract["max_delta_of_selector"] <= 1e-9
-    print(f"construct1d: {'pass' if ok else 'fail'} "
-          f"(max Delta(p) = {contract['max_delta_of_selector']:.3e})")
-    return EXIT_VERIFIED if ok else EXIT_FALSIFIED
+    verdict = _verdict(contract["w_dominates_v"] and built.max_delta <= 1e-9)
+    return (verdict, f"construct1d: {verdict} (max Delta(p) = {built.max_delta:.3e})",
+            {"construct.csv": (["x", "p", "W"],
+                               np.column_stack([built.grid, built.p_values, w_vals])),
+             "construct.json": contract})
 
 
-def _cmd_smooth(args) -> int:
+def _cmd_smooth(args) -> tuple:
     sysm = _load_system(args)
     V = _load_storage(args)
     cert = smoothing.smooth_witness(
         sysm, V, args.gamma, args.gamma_prime, r_min=args.rmin, r_max=args.rmax)
-    out = _out_dir(args)
-    _write_json(out / "smooth.json", cert.to_dict())
     axis = smoothing.mirrored_geometric_axis(args.rmin / 4, 1.25, args.rmax)
     P = smoothing._annulus_grid(axis, sysm.n, args.rmin, args.rmax)[2]
-    _write_csv(out / "smooth_grid.csv",
-               [f"x{i+1}" for i in range(sysm.n)] + ["V", "W"]
-               + [f"gradW{i+1}" for i in range(sysm.n)],
-               np.column_stack([P, V.value_batch(P), *cert.evaluate(P)]))
-    print(f"smooth: {cert.verdict} (max |V-W|/V = {cert.max_rel_approx_error:.3e}, "
-          f"max gain residual = {cert.max_eq20_residual:.3e})")
-    return EXIT_VERIFIED if cert.passed else EXIT_FALSIFIED
+    # smooth_witness fails only once its refinement budget is spent: not a falsification
+    return ("pass" if cert.passed else audits.INCONCLUSIVE,
+            f"smooth: {cert.verdict} (max |V-W|/V = {cert.max_rel_approx_error:.3e}, "
+            f"max gain residual = {cert.max_eq20_residual:.3e})",
+            {"smooth.json": cert.to_dict(),
+             "smooth_grid.csv": ([f"x{i+1}" for i in range(sysm.n)] + ["V", "W"]
+                                 + [f"gradW{i+1}" for i in range(sysm.n)],
+                                 np.column_stack([P, V.value_batch(P), *cert.evaluate(P)]))})
 
 
-def _cmd_subdiff(args) -> int:
+def _cmd_subdiff(args) -> tuple:
     V = _load_storage(args)
     x = np.asarray(args.point, dtype=float)
     S = V.subdiff(x)
-    payload = {"point": x.tolist(), "empty": S.is_empty,
-               "intervals": [[lo, hi] for lo, hi in S.intervals],
-               "singleton": S.is_singleton}
-    _write_json(_out_dir(args) / "subdiff.json", payload)
-    print(f"subdiff: {payload['intervals']}")
-    return EXIT_VERIFIED
+    intervals = [[lo, hi] for lo, hi in S.intervals]
+    return ("pass", f"subdiff: {intervals}",
+            {"subdiff.json": {"point": x.tolist(), "empty": S.is_empty,
+                              "intervals": intervals, "singleton": S.is_singleton}})
 
 
-_AUDIT_KINDS = ("sigma1-axis", "curve-monotone", "curve-tangency", "sigmap",
-                "scalar-straddle", "sigma3-pieces")
+# the audits that return an AuditReport; its kind is the outcome
+_AUDITS = {
+    "sigma1-axis": lambda args: audits.audit_sigma1_axis(_load_storage(args)),
+    "curve-monotone": lambda args: audits.audit_curve_monotone(_load_storage(args), args.a),
+    "sigmap": lambda args: audits.audit_sigmap(_load_storage(args), args.p, args.gamma,
+                                               search_u_max=args.umax),
+    "scalar-straddle": lambda args: audits.audit_scalar_straddle(_load_storage(args)),
+}
 
 
-def _cmd_audit(args) -> int:
-    kind = args.kind
-    out = _out_dir(args)
-    if kind == "sigma1-axis":
-        report = audits.audit_sigma1_axis(_load_storage(args))
-    elif kind == "curve-monotone":
-        report = audits.audit_curve_monotone(_load_storage(args), args.a)
-    elif kind == "curve-tangency":
+def _cmd_audit(args) -> tuple:
+    if args.kind == "curve-tangency":
         defect = audits.audit_curve_tangency(args.a)
-        _write_json(out / "audit.json", {"kind": "curve-tangency", "a": args.a,
-                                         "max_defect": defect})
-        ok = defect <= 1e-9
-        print(f"audit curve-tangency: max defect {defect:.3e} ({'pass' if ok else 'fail'})")
-        return EXIT_VERIFIED if ok else EXIT_FALSIFIED
-    elif kind == "sigmap":
-        report = audits.audit_sigmap(_load_storage(args), args.p, args.gamma,
-                                     search_u_max=args.umax)
-    elif kind == "scalar-straddle":
-        report = audits.audit_scalar_straddle(_load_storage(args))
-    elif kind == "sigma3-pieces":
+        verdict = _verdict(defect <= 1e-9)
+        return (verdict, f"audit curve-tangency: max defect {defect:.3e} ({verdict})",
+                {"audit.json": {"kind": "curve-tangency", "a": args.a, "max_defect": defect}})
+    if args.kind == "sigma3-pieces":
         defects = audits.verify_sigma3_pieces()
-        _write_json(out / "audit.json", {"kind": "sigma3-pieces", "defects": defects})
-        ok = audits.sigma3_pieces_pass(defects)
-        print(f"audit sigma3-pieces: {'pass' if ok else 'fail'}")
-        return EXIT_VERIFIED if ok else EXIT_FALSIFIED
-    else:  # pragma: no cover - argparse restricts choices
-        raise HjikitError(f"unknown audit kind {kind!r}")
-    _write_json(out / "audit.json", report.to_dict())
-    print(f"audit {kind}: {report.kind}")
-    if report.kind == audits.OBSTRUCTION:
-        return EXIT_VERIFIED
-    if report.kind == audits.VIOLATION:
-        return EXIT_FALSIFIED
-    return EXIT_ERROR
+        verdict = _verdict(audits.sigma3_pieces_pass(defects))
+        return (verdict, f"audit sigma3-pieces: {verdict}",
+                {"audit.json": {"kind": "sigma3-pieces", "defects": defects}})
+    report = _AUDITS[args.kind](args)
+    return report.kind, f"audit {args.kind}: {report.kind}", {"audit.json": report.to_dict()}
 
 
-def _cmd_zoo(args) -> int:
+def _cmd_zoo(args) -> tuple:
     if args.action == "list":
-        for entry in systems.zoo():
-            gamma = entry.claimed_gamma if entry.has_specific_gamma else "any positive"
-            print(f"{entry.name:22s} gamma={gamma!s:12s} witness={entry.claimed_witness.name}")
-        return EXIT_VERIFIED
-    names = [e.name for e in systems.zoo()] if args.all else [args.name]
+        rows = [(e.name, e.claimed_gamma if e.has_specific_gamma else "any positive",
+                 e.claimed_witness.name) for e in systems.zoo()]
+        return "pass", "\n".join(f"{name:22s} gamma={gamma!s:12s} witness={witness}"
+                                  for name, gamma, witness in rows), {}
     if not args.all and args.name is None:
         raise HjikitError("zoo run needs a NAME or --all")
-    out = _out_dir(args)
-    worst = EXIT_VERIFIED
-    results = {}
-    for name in names:
-        code, summary = _run_zoo_entry(name, args)
-        results[name] = summary
-        worst = max(worst, code)
-        print(f"zoo {name}: {'ok' if code == EXIT_VERIFIED else 'FAIL'}")
-    _write_json(out / "zoo.json", {"seed": args.seed, "results": results})
-    return worst
+    oks, results = [], {}
+    for entry in systems.zoo() if args.all else [systems.zoo_entry(args.name)]:
+        ok, results[entry.name] = _run_zoo_entry(entry)
+        oks.append(ok)
+    return (_verdict(all(oks)),
+            "\n".join(f"zoo {name}: {'ok' if ok else 'FAIL'}" for name, ok in zip(results, oks)),
+            {"zoo.json": {"seed": args.seed, "results": results}})
 
 
-def _run_zoo_entry(name: str, args) -> tuple:
-    entry = systems.zoo_entry(name)
+def _run_zoo_entry(entry) -> tuple:
     sysm = entry.system
-    gamma = entry.gamma_for_checks
     region = hji.Region(box=((-2.0, 2.0),) * sysm.n,
                         points_per_dim=41 if sysm.n > 1 else 81,
                         exclude_radius=1e-9)
-    report = hji.check_witness(sysm, entry.claimed_witness, gamma, region)
+    report = hji.check_witness(sysm, entry.claimed_witness, entry.gamma_for_checks, region)
     summary = {"claim": report.to_dict()}
-    code = EXIT_VERIFIED if report.passed else EXIT_FALSIFIED
-
-    if name == "sigma3_scalar" and code == EXIT_VERIFIED:
+    ok = report.passed
+    if entry.name == "sigma3_scalar" and ok:
         defects = audits.verify_sigma3_pieces()
         straddle = audits.audit_scalar_straddle(entry.claimed_witness)
         summary["pieces"] = defects
         summary["straddle"] = straddle.to_dict()
-        if not audits.sigma3_pieces_pass(defects) or straddle.kind != audits.OBSTRUCTION:
-            code = EXIT_FALSIFIED
-    return code, summary
+        ok = audits.sigma3_pieces_pass(defects) and straddle.kind == audits.OBSTRUCTION
+    return ok, summary
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_smooth)
 
     p = sub.add_parser("audit", help="run a nonexistence-argument auditor")
-    p.add_argument("kind", choices=_AUDIT_KINDS)
+    p.add_argument("kind", choices=(*_AUDITS, "curve-tangency", "sigma3-pieces"))
     common(p)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--p", type=float, default=3.0)
@@ -416,10 +374,20 @@ def main(argv=None) -> int:
                 args.seed = int(os.environ.get("HJI_SEED", "0"))
             except ValueError:
                 parser.error(f"argument --seed: invalid HJI_SEED {os.environ['HJI_SEED']!r}")
-        return args.func(args)
+        outcome, line, reports = args.func(args)
+        if reports:
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, report in reports.items():
+                if isinstance(report, dict):
+                    _write_json(out / name, report)
+                else:
+                    _write_csv(out / name, *report)
     except (HjikitError, OSError, json.JSONDecodeError, ValueError, KeyError) as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_ERROR
+    print(line)
+    return _EXIT_CODES[outcome]
 
 
 if __name__ == "__main__":

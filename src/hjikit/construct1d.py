@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import HjikitError
-from .hji import residuals, tensor_grid
+from .hji import _cumulative_simpson, residuals, tensor_grid
 from .storage import StorageCandidate, from_callables
 from .systems import AffineSystem
 
@@ -192,6 +192,7 @@ class ConstructedW:
     ``grid`` holds the positive abscissae; the negative half-line mirrors them.
     ``p_values``/``w_values`` belong to the positive side and
     ``q_values``/``w_neg_values`` to the mirrored one (W > 0 there as well).
+    ``max_delta`` is the largest Delta(p) of the selector on the positive grid.
     """
 
     grid: np.ndarray
@@ -200,6 +201,7 @@ class ConstructedW:
     q_values: np.ndarray
     w_neg_values: np.ndarray
     gamma: float
+    max_delta: float
 
     def w_at(self, x) -> np.ndarray:
         """W by interpolation (W(0) = 0, linear beyond the grid ends)."""
@@ -261,19 +263,17 @@ def construct_w(sys: AffineSystem, gamma: float, V: StorageCandidate,
     p_vals, pos = _selector(sys, gamma, env, grid)
     q_vals, neg = _selector(sys, gamma, env, -grid)
 
-    w_vals = _cumulative_from_zero(grid, p_vals)
-    w_neg = _cumulative_from_zero(grid, -q_vals)  # integral of q from 0 to -x, mirrored
-
-    built = ConstructedW(grid, p_vals, w_vals, q_vals, w_neg, gamma)
-
     # contract: admissibility of the selector everywhere on the grid (Delta as the selector saw it)
-    bad = np.flatnonzero(delta(pos, p_vals) > tol)
+    d_pos = delta(pos, p_vals)
+    bad = np.flatnonzero(d_pos > tol)
     if bad.size:
         raise HjikitError(f"selector violates Delta(p) <= 0 at x={grid[bad[0]]:g}")
     bad = np.flatnonzero(delta(neg, -q_vals) > tol)
     if bad.size:
         raise HjikitError(f"selector violates the mirrored quadratic at x={-grid[bad[0]]:g}")
-    return built
+    w_vals = _cumulative_from_zero(grid, p_vals)
+    w_neg = _cumulative_from_zero(grid, -q_vals)  # integral of q from 0 to -x, mirrored
+    return ConstructedW(grid, p_vals, w_vals, q_vals, w_neg, gamma, float(np.max(d_pos)))
 
 
 def _cumulative_from_zero(grid: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -282,12 +282,10 @@ def _cumulative_from_zero(grid: np.ndarray, vals: np.ndarray) -> np.ndarray:
     Composite Simpson over the grid; the head uses a trapezoid against the
     linear extrapolation of the first two selector values clamped at 0.
     """
-    from scipy.integrate import cumulative_simpson     # scipy loads slowly: only when used
     p0 = vals[0] - (vals[1] - vals[0]) / (grid[1] - grid[0]) * grid[0]
     p0 = max(0.0, min(float(p0), float(vals[0])))
     head = 0.5 * grid[0] * (p0 + vals[0])
-    inner = cumulative_simpson(vals, x=grid, initial=0.0)
-    return head + inner
+    return head + _cumulative_simpson(vals, grid)
 
 
 def _check_witness_on_grid(sys: AffineSystem, V: StorageCandidate, gamma: float,

@@ -47,6 +47,25 @@ def tensor_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The integral of samples ``y`` from ``x[0]`` to each of the increasing ``x`` (>= 3
+    points), operation for operation scipy 1.17's ``cumulative_simpson(y, x=x, initial=0)``:
+    each interval takes the Simpson quadratic through it and the next sample, the odd
+    ones and the last through it and the previous sample (Cartwright's unequal-step rule)."""
+    def first_intervals(f, d):
+        x21, x32 = d[:-1], d[1:]
+        x21_x31 = x21 / (x21 + x32)
+        x21x21_x31x32 = x21_x31 * (x21 / x32)
+        return x21 / 6 * ((3 - x21_x31) * f[:-2] + (3 + x21x21_x31x32 + x21_x31) * f[1:-1]
+                          - x21x21_x31x32 * f[2:])
+
+    dx = np.diff(x)
+    ahead, behind = first_intervals(y, dx), first_intervals(y[::-1], dx[::-1])[::-1]
+    pieces = np.empty(len(y) - 1)
+    pieces[:-1:2], pieces[1::2], pieces[-1] = ahead[::2], behind[::2], behind[-1]
+    return np.concatenate([[0.0], np.cumsum(pieces) + 0.0])    # + 0.0: -0.0 reads as 0.0
+
+
 @dataclass(frozen=True)
 class Region:
     """A sampling box; grid points with |x| below ``exclude_radius`` are omitted."""

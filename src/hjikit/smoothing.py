@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import HjikitError
-from .hji import Region, check_witness, residuals, tensor_grid
+from .hji import Region, _cumulative_simpson, check_witness, residuals, tensor_grid
 from .storage import StorageCandidate, from_callables
 from .systems import AffineSystem, System
 
@@ -180,10 +180,7 @@ _I1_GRID = np.linspace(-1.0, 1.0, 8193)
 
 @functools.cache
 def _build_i1_table() -> np.ndarray:
-    # built on first use: importing scipy costs more than the rest of hjikit
-    from scipy.integrate import cumulative_simpson
-    integrand = _I1_GRID * kernel(_I1_GRID)
-    return cumulative_simpson(integrand, x=_I1_GRID, initial=0.0)
+    return _cumulative_simpson(_I1_GRID * kernel(_I1_GRID), _I1_GRID)
 
 
 _I1_STEP = _I1_GRID[1] - _I1_GRID[0]

@@ -307,8 +307,11 @@ def from_config(cfg: dict) -> StorageCandidate:
 
 
 def to_config(V: StorageCandidate) -> dict:
+    """The JSON form :func:`from_config` reads; only built-ins and expressions have one."""
     if V.name.startswith("expr:"):
         return {"kind": "expr", "expr": V.name[5:], "n": V.dim, "regularity": V.regularity}
+    if V.name not in builtins():
+        raise ValueError(f"candidate {V.name!r} is neither a built-in nor an expression")
     return {"kind": "builtin", "name": V.name}
 
 

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 
 import numpy as np
@@ -154,6 +155,26 @@ def test_sigma1_axis_and_straddle_audit_commands(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "st" / "audit.json").read_text())
     assert payload["kind"] == "obstruction_verified"
+
+
+def test_inconclusive_audit_exits_3(tmp_path, capsys):
+    """Below the violating inputs' size the sigmap falsifier finds nothing, and the
+    candidate's obstruction is not verified either: neither 0 nor 1 (nor 2)."""
+    assert run(["audit", "sigmap", "--storage", "builtin:sq_norm", "--p", "3",
+                "--gamma", "1", "--umax", "1", "--out", tmp_path]) == 3
+    assert capsys.readouterr().out == "audit sigmap: inconclusive\n"
+    assert json.loads((tmp_path / "audit.json").read_text())["kind"] == "inconclusive"
+
+
+def test_smooth_out_of_refinements_exits_3(tmp_path, monkeypatch):
+    """smooth_witness fails only once its budget is spent: the run is inconclusive,
+    and its report is still written."""
+    monkeypatch.setattr(smoothing, "smooth_witness",
+                        functools.partial(smoothing.smooth_witness, max_refinements=0))
+    assert run(["smooth", "--zoo", "sigma2", "--storage", "builtin:v2", "--gamma", "1",
+                "--gamma-prime", "1.1", "--out", tmp_path]) == 3
+    assert json.loads((tmp_path / "smooth.json").read_text())["verdict"] == "fail"
+    assert (tmp_path / "smooth_grid.csv").is_file()
 
 
 @pytest.mark.parametrize("argv", [["zoo", "run", "scalar_linear"],

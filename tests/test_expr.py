@@ -422,7 +422,12 @@ def test_system_dynamics_matches_combine_reference_bitwise(k, seed):
 
 
 def test_import_leaves_scipy_unloaded():
-    code = "import sys, hjikit; hjikit.zoo(); print('scipy' in sys.modules)"
+    """scipy is a test dependency only: neither the import nor the two Simpson
+    quadratures (the mollifier's moment table, the 1-D construction) load it."""
+    code = ("import sys, hjikit; from hjikit import construct1d, smoothing; hjikit.zoo(); "
+            "smoothing._build_i1_table(); construct1d.construct_w(hjikit.zoo_entry("
+            "'scalar_linear').system, 1.0, hjikit.builtin('sq_norm'), [0.5, 1.0, 1.5]); "
+            "print('scipy' in sys.modules)")
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)

@@ -369,3 +369,32 @@ def test_min_gain_bisection_matches_linear_scan(case, monkeypatch):
     assert len(sweeps) <= math.ceil(math.log2(len(gammas) + 1))
     if case == "none passes":
         assert linear is None
+
+
+# ---------------------------------------------------------------------------
+# The numpy Simpson rule is scipy's, bit for bit (scipy is a test dependency only)
+# ---------------------------------------------------------------------------
+
+def test_cumulative_simpson_matches_scipy_on_the_i1_grid():
+    from scipy.integrate import cumulative_simpson
+
+    from hjikit import smoothing as sm
+    y = sm._I1_GRID * sm.kernel(sm._I1_GRID)
+    assert sm._build_i1_table().tobytes() == \
+        cumulative_simpson(y, x=sm._I1_GRID, initial=0.0).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 1001), seed=st.integers(0, 2 ** 32 - 1),
+       start=st.floats(-1e3, 1e3), spread=st.floats(0.0, 6.0),
+       zeros=st.floats(0.0, 1.0))
+def test_cumulative_simpson_matches_scipy_on_unequal_grids(n, seed, start, spread, zeros):
+    """Steps spread over `spread` decades; a share `zeros` of the samples is +-0.0."""
+    from scipy.integrate import cumulative_simpson
+    rng = np.random.default_rng(seed)
+    x = start + np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(-spread, 0.0, n - 1))])
+    y = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    y[rng.random(n) < zeros] = 0.0
+    y = np.copysign(y, rng.normal(size=n))
+    assert hji._cumulative_simpson(y, x).tobytes() == \
+        cumulative_simpson(y, x=x, initial=0.0).tobytes()

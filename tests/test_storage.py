@@ -124,6 +124,23 @@ def test_storage_config_round_trip():
         stg.from_config({"kind": "weird"})
 
 
+def test_to_config_round_trips_or_raises(smoothed_sigma1):
+    """Built-ins and expressions load back from their config; a smoothed or a
+    constructed candidate has no config, so writing one is an error, not a bad file."""
+    X = np.array([[0.5], [-1.25]])
+    for V in [*stg.builtins().values(),
+              stg.from_expression("x1*x1 + abs(x2)", 2, "lipschitz")]:
+        back = stg.from_config(stg.to_config(V))
+        assert (back.name, back.regularity, back.dim) == (V.name, V.regularity, V.dim)
+        Y = np.hstack([X, -X]) if V.dim == 2 else X
+        assert back.value_batch(Y).tobytes() == V.value_batch(Y).tobytes()
+    built = c1.construct_w(sy.zoo_entry("scalar_linear").system, 1.0, stg.builtin("sq_norm"),
+                           np.linspace(0.01, 2.0, 50))
+    for V in (smoothed_sigma1.W, built.to_storage()):
+        with pytest.raises(ValueError, match="neither a built-in nor an expression"):
+            stg.to_config(V)
+
+
 # ---------------------------------------------------------------------------
 # numeric subgradient verification
 # ---------------------------------------------------------------------------

@@ -175,9 +175,10 @@ def test_l2_gain_nontrivial_upper_side():
 
 
 def test_l2gain_flags_trivial_bound(tmp_path):
-    """sigma1's fields vanish at the origin: the bound is 0 and the report says why."""
+    """sigma1's fields vanish at the origin: the bound is 0, the report says why and
+    the exit code is 3, inconclusive (a bound that measures no gain decides nothing)."""
     assert cli.main(["l2gain", "--zoo", "sigma1", "--count", "3", "--T", "0.5",
-                     "--step", "0.01", "--out", str(tmp_path / "s1")]) == 0
+                     "--step", "0.01", "--out", str(tmp_path / "s1")]) == 3
     payload = json.loads((tmp_path / "s1" / "l2gain.json").read_text())
     assert payload["lower_bound"] == 0.0 and payload["max_state_norm"] == 0.0
     assert payload["trivial"] is True
