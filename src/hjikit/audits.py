@@ -24,6 +24,13 @@ VIOLATION = "violation_found"
 OBSTRUCTION = "obstruction_verified"
 INCONCLUSIVE = "inconclusive"
 
+# the audits' fixed sample sets and tolerances
+_SCAN_TOL = 1e-6                          # residual above which a scanned point violates
+_TOL = 1e-9                               # slack of the derived inequalities
+_AXIS_SAMPLES = (0.5, 1.0, 1.5, 2.0)      # abscissae a of the sigma1 axis limits
+_CURVE_T = np.linspace(0.0, 1.0, 101)     # orbit-curve parameters t
+_STRADDLE_STEPS = np.array([2.0 ** -k for k in range(10, 21)])   # quotient steps h at x = 1
+
 
 @dataclass
 class AuditReport:
@@ -82,26 +89,25 @@ _SIGMA1_CLAIM = (
     "would force W(a,0)=0, killing positive definiteness")
 
 
-def audit_sigma1_axis(W: StorageCandidate, a_samples: Sequence[float] = (0.5, 1.0, 1.5, 2.0),
-                      limit_tol: float = 1e-6, scan_tol: float = 1e-6,
-                      scan: bool = True, scan_extent: float = 2.0) -> AuditReport:
+def audit_sigma1_axis(W: StorageCandidate, scan: bool = True) -> AuditReport:
     """Scan the witness condition, then probe the axis-derivative obstruction.
 
-    The candidate must carry a gradient oracle.  The scan reports the first
-    point, in scan order, whose exact residual exceeds ``scan_tol``; points
+    The candidate must carry a gradient oracle.  The scan over [-2, 2]^2 reports
+    the first point, in scan order, whose exact residual exceeds 1e-6; points
     without a singleton subdifferential (kinks) are skipped.  One-sided limits
     at x2 -> 0 use gradient samples at x2 = +/-10^-k (k = 3..6) with
-    Richardson-style extrapolation; non-monotone sequences yield ``inconclusive``.
+    Richardson-style extrapolation; non-monotone sequences, or a limit above
+    1e-6, yield ``inconclusive``.
     """
     sys = make_sigma1()
     if not W.has_oracle:
         raise GradientUndefinedError(f"candidate {W.name!r} has no gradient oracle")
 
     if scan:
-        X = _scan_grid_2d(scan_extent)
+        X = _scan_grid_2d(2.0)
         lo, hi = W.subdiff_batch(X)
         smooth = np.all(lo == hi, axis=1)
-        hit = _first_violation(sys, lo[smooth], hi[smooth], X[smooth], scan_tol)
+        hit = _first_violation(sys, lo[smooth], hi[smooth], X[smooth], _SCAN_TOL)
         if hit is not None:
             x, u, res = hit
             return AuditReport(VIOLATION, _SIGMA1_CLAIM, witness_point=(x, u),
@@ -109,7 +115,7 @@ def audit_sigma1_axis(W: StorageCandidate, a_samples: Sequence[float] = (0.5, 1.
 
     hs = np.array([1e-3, 1e-4, 1e-5, 1e-6])
     worst = -math.inf
-    for a in a_samples:
+    for a in _AXIS_SAMPLES:
         for sign in (1.0, -1.0):
             seq = []
             for h in hs:
@@ -120,14 +126,14 @@ def audit_sigma1_axis(W: StorageCandidate, a_samples: Sequence[float] = (0.5, 1.
                 return AuditReport(INCONCLUSIVE, _SIGMA1_CLAIM,
                                    detail={"a": a, "side": sign, "sequence": seq})
             worst = max(worst, lim)
-            if lim > limit_tol:
+            if lim > 1e-6:
                 return AuditReport(
                     INCONCLUSIVE, _SIGMA1_CLAIM,
                     detail={"a": a, "side": sign, "limit": lim,
                             "note": "one-sided limit exceeds tolerance but no scan "
                                     "violation was found"})
     return AuditReport(OBSTRUCTION, _SIGMA1_CLAIM,
-                       detail={"max_onesided_limit": worst, "a_samples": list(a_samples)})
+                       detail={"max_onesided_limit": worst, "a_samples": list(_AXIS_SAMPLES)})
 
 
 def _extrapolate(seq, hs):
@@ -176,13 +182,10 @@ _CURVE_CLAIM = (
 
 
 def audit_curve_monotone(V: StorageCandidate, a: float,
-                         t_grid: Sequence[float] = None,
-                         tol: float = 1e-9) -> AuditReport:
+                         t_grid: Sequence[float] = _CURVE_T) -> AuditReport:
     """Check V(gamma(t)) for an increase; report the largest rise over the running min."""
     if a <= 0:
         raise ValueError("a must be positive")
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 1.0, 101)
     t = np.asarray(t_grid, dtype=float)
     if t.size < 2:
         return AuditReport(INCONCLUSIVE, _CURVE_CLAIM,
@@ -190,7 +193,7 @@ def audit_curve_monotone(V: StorageCandidate, a: float,
     vals = V.value_batch(curve_point(a, t))
     rises = vals - np.minimum.accumulate(vals)
     k = int(np.argmax(rises))
-    if rises[k] > tol:
+    if rises[k] > _TOL:
         return AuditReport(VIOLATION, _CURVE_CLAIM, witness_point=(a, float(t[k])),
                            detail={"increase": float(rises[k]),
                                    "value": float(vals[k]),
@@ -201,13 +204,11 @@ def audit_curve_monotone(V: StorageCandidate, a: float,
                                "max_increase": float(rises[k])})
 
 
-def audit_curve_tangency(a: float, t_grid: Sequence[float] = None) -> float:
+def audit_curve_tangency(a: float) -> float:
     """max_t |g(gamma(t)) - beta(t) gamma'(t)|: the curve is a reparameterized orbit."""
     if a <= 0:
         raise ValueError("a must be positive")
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 1.0, 101)
-    t = np.asarray(t_grid, dtype=float)
+    t = _CURVE_T
     lhs = drift_field(curve_point(a, t))
     rhs = curve_speed_factor(a, t)[..., None] * curve_velocity(a, t)
     return float(np.max(np.linalg.norm(lhs - rhs, axis=-1)))
@@ -227,14 +228,13 @@ _SIGMAP_CLAIM = (
 
 def audit_sigmap(V: StorageCandidate, p: float, gamma: float,
                  xi_samples: Sequence = ((2.0, 1.0), (1.0, 0.5), (0.5, 1.5)),
-                 search_u_max: float = 1e3, u_points: int = 64,
-                 tol: float = 1e-9, axis_a: float = 1.0) -> AuditReport:
+                 search_u_max: float = 1e3, u_points: int = 64) -> AuditReport:
     """Probe the u -> infinity argument for the two-channel p > 2 system.
 
     For each sample xi with c = grad V(xi).g(xi) != 0, the audit searches the
     matching input channel (u1 for c > 0, u2 for c < 0) for a violating input
     and reports the largest-residual grid input.  If c vanishes at every
-    sample, the audit tests the axis point (a, 0) for the forced zero gradient.
+    sample, the audit tests the axis point (1, 0) for the forced zero gradient.
     """
     if p <= 2:
         raise ValueError("this falsifier applies to input powers p > 2")
@@ -245,7 +245,7 @@ def audit_sigmap(V: StorageCandidate, p: float, gamma: float,
         xi = np.asarray(xi, dtype=float)
         grad = V.gradient(xi)
         c = float(np.dot(grad, sp.input_fields(xi)[0]))
-        if abs(c) <= tol:
+        if abs(c) <= _TOL:
             continue
         base = float(np.dot(grad, sp.drift(xi))) + float(np.dot(xi, xi))
         u_mag = np.linspace(0.0, search_u_max, u_points + 1)[1:]
@@ -253,7 +253,7 @@ def audit_sigmap(V: StorageCandidate, p: float, gamma: float,
         signed = u_mag ** p * c if c > 0 else u_mag ** p * (-c)
         residuals = base + signed - gamma * u_mag ** 2
         k = int(np.argmax(residuals))
-        if residuals[k] > tol:
+        if residuals[k] > _TOL:
             u = (float(u_mag[k]), 0.0) if c > 0 else (0.0, float(u_mag[k]))
             return AuditReport(
                 VIOLATION, _SIGMAP_CLAIM, witness_point=(tuple(xi), u),
@@ -264,7 +264,7 @@ def audit_sigmap(V: StorageCandidate, p: float, gamma: float,
                             "search_u_max", "xi": tuple(xi), "grad_dot_g": c})
 
     # grad V . g vanished at every sample: probe the forced-zero-gradient axis step
-    axis = np.array([axis_a, 0.0])
+    axis = np.array([1.0, 0.0])
     grad = V.gradient(axis)
     gnorm = float(np.linalg.norm(grad))
     u0_residual = float(np.dot(grad, sp.drift(axis))) + float(np.dot(axis, axis))
@@ -292,27 +292,24 @@ _STRADDLE_CLAIM = (
     "u = 1), so it cannot be differentiable at 1")
 
 
-def audit_scalar_straddle(W: StorageCandidate,
-                          h_seq: Sequence[float] = tuple(2.0 ** -k for k in range(10, 21)),
-                          tol: float = 1e-9, scan_points: int = 201,
-                          scan_tol: float = 1e-6) -> AuditReport:
+def audit_scalar_straddle(W: StorageCandidate) -> AuditReport:
     """Verify gain-1 membership on a scalar grid, then the kink-straddle quotients."""
     sys = make_sigma3_scalar()
-    xs = np.linspace(-3.0, 3.0, scan_points)
+    xs = np.linspace(-3.0, 3.0, 201)
     X = xs[np.abs(xs) > 1e-9][:, None]
-    hit = _first_violation(sys, *W.subdiff_batch(X), X, scan_tol,
+    hit = _first_violation(sys, *W.subdiff_batch(X), X, _SCAN_TOL,
                            u_box=[(-4.0, 4.0)], u_points=161)
     if hit is not None:
         (x,), (u,), res = hit
         return AuditReport(VIOLATION, _STRADDLE_CLAIM, witness_point=(x, u),
                            detail={"residual": res})
 
-    h = np.asarray(h_seq, dtype=float)
+    h = _STRADDLE_STEPS
     w1 = W.value(np.array([1.0]))
     left = (W.value_batch((1.0 - h)[:, None]) - w1) / (-h)
     right = (W.value_batch((1.0 + h)[:, None]) - w1) / h
-    left_ok = bool(np.max(left) <= 1.0 + tol)
-    right_ok = bool(np.min(right) >= 2.0 - tol)
+    left_ok = bool(np.max(left) <= 1.0 + _TOL)
+    right_ok = bool(np.min(right) >= 2.0 - _TOL)
     detail = {"left_quotients": left.tolist(), "right_quotients": right.tolist(),
               "limsup_left": float(np.max(left)), "liminf_right": float(np.min(right))}
     if left_ok and right_ok:

@@ -168,7 +168,7 @@ def _cmd_construct1d(args) -> tuple:
         "w_strictly_increasing": bool(np.all(np.diff(np.concatenate([[0.0], w_vals])) > 0)),
         "max_delta_of_selector": built.max_delta,
     }
-    verdict = _verdict(contract["w_dominates_v"] and built.max_delta <= 1e-9)
+    verdict = _verdict(contract["w_dominates_v"])    # construct_w enforces the Delta bound
     return (verdict, f"construct1d: {verdict} (max Delta(p) = {built.max_delta:.3e})",
             {"construct.csv": (["x", "p", "W"],
                                np.column_stack([built.grid, built.p_values, w_vals])),
@@ -183,9 +183,11 @@ def _cmd_smooth(args) -> tuple:
     axis = smoothing.mirrored_geometric_axis(args.rmin / 4, 1.25, args.rmax)
     P = smoothing._annulus_grid(axis, sysm.n, args.rmin, args.rmax)[2]
     # smooth_witness fails only once its refinement budget is spent: not a falsification
-    return ("pass" if cert.passed else audits.INCONCLUSIVE,
-            f"smooth: {cert.verdict} (max |V-W|/V = {cert.max_rel_approx_error:.3e}, "
-            f"max gain residual = {cert.max_eq20_residual:.3e})",
+    line = (f"smooth: pass (max |V-W|/V = {cert.max_rel_approx_error:.3e}, "
+            f"max gain residual = {cert.max_eq20_residual:.3e})" if cert.passed else
+            f"smooth: fail ({cert.failure_reason} violated at "
+            f"({', '.join(f'{v:g}' for v in cert.worst_point)}); refinement budget spent)")
+    return ("pass" if cert.passed else audits.INCONCLUSIVE, line,
             {"smooth.json": cert.to_dict(),
              "smooth_grid.csv": ([f"x{i+1}" for i in range(sysm.n)] + ["V", "W"]
                                  + [f"gradW{i+1}" for i in range(sysm.n)],
@@ -276,9 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
         # unset, it is read from HJI_SEED (default 0) when the arguments are parsed
         p.add_argument("--seed", type=int, default=None)
 
-    def common(p, with_storage=True):
+    def common(p, with_system=True, with_storage=True):
         p.add_argument("--zoo", help="zoo system name")
-        p.add_argument("--system", help="system JSON file")
+        if with_system:
+            p.add_argument("--system", help="system JSON file")
         if with_storage:
             p.add_argument("--storage", help="builtin:NAME or storage JSON file")
         out_and_seed(p)
@@ -338,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="run a nonexistence-argument auditor")
     p.add_argument("kind", choices=(*_AUDITS, "curve-tangency", "sigma3-pieces"))
-    common(p)
+    common(p, with_system=False)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--p", type=float, default=3.0)
     p.add_argument("--gamma", type=float, default=1.0)
@@ -353,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_zoo)
 
     p = sub.add_parser("subdiff", help="exact subdifferential point query")
-    common(p)
+    common(p, with_system=False)
     p.add_argument("--point", type=float, nargs="+", required=True)
     p.set_defaults(func=_cmd_subdiff)
 

@@ -40,8 +40,9 @@ class WitnessHypothesisError(HjikitError):
     """The supplied V fails the witness check on the construction grid."""
 
 
-_DISC_CLAMP = 1e-10
+_DISC_CLAMP = 1e-10     # discriminants in [-_DISC_CLAMP, 0) count as a double root
 _H_FLOOR = 1e-9
+_DELTA_TOL = 1e-9       # construct_w's bound on Delta(p) of the selector
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,12 @@ def as_envelope(h) -> Envelope:
 
 
 def f_membership(sys: AffineSystem, gamma: float, x: float, p: float,
-                 mode: str = "quadratic", u_points: int = 1001,
-                 slack: float = 1e-6) -> bool:
+                 mode: str = "quadratic", u_points: int = 1001) -> bool:
     """Whether slope p is admissible at x > 0.
 
     'quadratic' checks Delta(p) <= 0 exactly; 'direct' checks
     p*(g0 + sum u_i g_i) <= gamma|u|^2 - x^2 on a dense u grid (so it can accept
-    marginal cases within the grid slack).  The two must agree away from the
+    marginal cases within the grid slack 1e-6).  The two must agree away from the
     boundary Delta(p) = 0.
     """
     if x <= 0:
@@ -113,25 +113,23 @@ def f_membership(sys: AffineSystem, gamma: float, x: float, p: float,
     U = tensor_grid([np.linspace(-half, half, u_points)] * sys.m)
     lhs = p * (g0 + U @ gvals)
     rhs = gamma * np.sum(U * U, axis=1) - x * x
-    return bool(np.max(lhs - rhs) <= slack)
+    return bool(np.max(lhs - rhs) <= 1e-6)
 
 
-def p_of_x(sys: AffineSystem, gamma: float, h, x: float,
-           tol_disc: float = _DISC_CLAMP) -> float:
+def p_of_x(sys: AffineSystem, gamma: float, h, x: float) -> float:
     """The slope selector: h(x) when a = 0, else min(h(x), larger root of Delta).
 
     Raises :class:`DriftSignError` if g0(x) >= 0 and :class:`InfeasibleAtError`
-    if the discriminant is below -tol_disc (the quadratic has no real root, so
-    the gain-gamma hypothesis fails at x).  Discriminants in [-tol_disc, 0) are
+    if the discriminant is below -1e-10 (the quadratic has no real root, so
+    the gain-gamma hypothesis fails at x).  Discriminants in [-1e-10, 0) are
     clamped to zero to absorb the double-root case against rounding.
     """
     if x <= 0:
         raise ValueError("the selector is defined for x > 0")
-    return float(_selector(sys, gamma, as_envelope(h), np.array([float(x)]), tol_disc)[0][0])
+    return float(_selector(sys, gamma, as_envelope(h), np.array([float(x)]))[0][0])
 
 
-def _selector(sys: AffineSystem, gamma: float, env: Envelope, x: np.ndarray,
-              tol_disc: float = _DISC_CLAMP) -> tuple:
+def _selector(sys: AffineSystem, gamma: float, env: Envelope, x: np.ndarray) -> tuple:
     """The selector at abscissae x of one sign: p(x) of :func:`p_of_x` for x > 0;
     for x < 0 the slope q <= 0 with q*(g0 + sum u_i g_i) <= gamma|u|^2 - x^2,
     whose |q| solves the same quadratic with b' = -4 gamma g0(x) (g0 > 0 there).
@@ -143,7 +141,7 @@ def _selector(sys: AffineSystem, gamma: float, env: Envelope, x: np.ndarray,
     q = QuadCoeffs.at(sys, gamma, x, sign)
     disc = q.b * q.b - 4.0 * q.a * q.c
     # where a = 0, disc = b^2 and the root is +inf: those x take h(|x|)
-    bad = np.flatnonzero((q.b >= 0) | (disc < -tol_disc))
+    bad = np.flatnonzero((q.b >= 0) | (disc < -_DISC_CLAMP))
     k = int(bad[0]) if bad.size else x.size
     hv = np.array([env(float(v)) for v in np.abs(x[:k])])
     if k < x.size:
@@ -159,11 +157,11 @@ def _selector(sys: AffineSystem, gamma: float, env: Envelope, x: np.ndarray,
 
 
 def h_from_v(V: StorageCandidate, grid: Sequence[float], window: Optional[float] = None,
-             margin: float = 0.1, samples: int = 17) -> Envelope:
+             margin: float = 0.1) -> Envelope:
     """Envelope from windowed difference quotients of V.
 
-    h(x) = 2 (1 + margin) * max adjacent difference quotient of V over
-    [x - window, x + window], linearly interpolated between grid points and
+    h(x) = 2 (1 + margin) * max adjacent difference quotient of V over 17
+    samples of [x - window, x + window], linearly interpolated between grid points and
     floored at a tiny positive constant so the envelope stays positive where V
     is locally constant.
     """
@@ -174,7 +172,7 @@ def h_from_v(V: StorageCandidate, grid: Sequence[float], window: Optional[float]
         window = 0.5 * float(np.min(np.diff(grid)))
     if window <= 0:
         raise ValueError("degenerate window")
-    S = np.linspace(grid - window, grid + window, samples, axis=1)   # one window per row
+    S = np.linspace(grid - window, grid + window, 17, axis=1)   # one window per row
     vals = V.value_batch(S.reshape(-1, 1)).reshape(S.shape)
     quot = np.abs(np.diff(vals, axis=1)) / np.diff(S, axis=1)
     hv = np.maximum(2.0 * (1.0 + margin) * np.max(quot, axis=1), _H_FLOOR)
@@ -239,13 +237,14 @@ class ConstructedW:
 
 def construct_w(sys: AffineSystem, gamma: float, V: StorageCandidate,
                 grid: Sequence[float], h=None, margin: float = 0.1,
-                tol: float = 1e-9, check_hypothesis: bool = True) -> ConstructedW:
+                check_hypothesis: bool = True) -> ConstructedW:
     """Run the construction on a positive grid (mirrored to the negative side).
 
     Preconditions checked: the witness hypothesis for (sys, V, gamma) on the
     grid, and the drift sign pattern.  The returned object satisfies the
-    contracts  W >= V > 0 on the grid,  Delta(p(x)) <= tol, and the witness
+    contracts  W >= V > 0 on the grid,  Delta(p(x)) <= 1e-9, and the witness
     residual of W with slope oracle p is within tolerance at every grid point.
+    A Delta that is not a number (NaN) violates the bound too.
     """
     if not (isinstance(sys, AffineSystem) and sys.input_affine):
         raise ValueError("the construction applies to input-affine systems (p = 1, signed)")
@@ -263,12 +262,13 @@ def construct_w(sys: AffineSystem, gamma: float, V: StorageCandidate,
     p_vals, pos = _selector(sys, gamma, env, grid)
     q_vals, neg = _selector(sys, gamma, env, -grid)
 
-    # contract: admissibility of the selector everywhere on the grid (Delta as the selector saw it)
+    # contract: admissibility of the selector everywhere on the grid (Delta as the selector
+    # saw it); written as not (Delta <= tol) so that a NaN Delta is a violation
     d_pos = delta(pos, p_vals)
-    bad = np.flatnonzero(d_pos > tol)
+    bad = np.flatnonzero(~(d_pos <= _DELTA_TOL))
     if bad.size:
         raise HjikitError(f"selector violates Delta(p) <= 0 at x={grid[bad[0]]:g}")
-    bad = np.flatnonzero(delta(neg, -q_vals) > tol)
+    bad = np.flatnonzero(~(delta(neg, -q_vals) <= _DELTA_TOL))
     if bad.size:
         raise HjikitError(f"selector violates the mirrored quadratic at x={-grid[bad[0]]:g}")
     w_vals = _cumulative_from_zero(grid, p_vals)

@@ -411,8 +411,7 @@ def point_residual(sys: System, V: StorageCandidate, gamma: float, x,
 
 
 def min_gain_scan(sys: System, V: StorageCandidate, region: Region,
-                  gamma_grid: Sequence[float], tol: Optional[float] = None,
-                  **kwargs) -> Optional[float]:
+                  gamma_grid: Sequence[float], tol: Optional[float] = None) -> Optional[float]:
     """Smallest grid gamma whose witness check passes; None if every gamma fails.
 
     The residual is nonincreasing in gamma at a fixed u-grid, so once a grid
@@ -425,7 +424,7 @@ def min_gain_scan(sys: System, V: StorageCandidate, region: Region,
     first, last = 0, len(gammas)      # gammas[:first] fail; gammas[last:] pass
     while first < last:
         mid = (first + last) // 2
-        if check_witness(sys, V, gammas[mid], region, tol=tol, **kwargs).passed:
+        if check_witness(sys, V, gammas[mid], region, tol=tol).passed:
             last = mid
         else:
             first = mid + 1

@@ -34,6 +34,8 @@ class BoundaryRadiusError(HjikitError):
 
 _EVAL_CHUNK = 4096      # query rows per gathered window block in MollifiedFunction.evaluate
 _HYPOTHESIS_PPD = 41    # grid points per axis of smooth_witness's hypothesis check
+_GRID_RATIO = 1.1       # node ratio of smooth_witness's mirrored geometric sample axis
+_CASE1_EPS = (1.0, 0.5, 0.25, 0.125, 0.0625)   # check_case1_p2's decreasing eps sequence
 
 
 # ---------------------------------------------------------------------------
@@ -86,14 +88,12 @@ def default_alpha(x) -> np.ndarray:
     return np.sum(x * x, axis=-1)
 
 
-def check_case1_p2(sys: AffineSystem, x, zeta, beta_val: float, d,
-                   eps_seq: Sequence[float] = (1.0, 0.5, 0.25, 0.125, 0.0625),
-                   alpha: Optional[Callable] = None, tol: float = 1e-9) -> bool:
+def check_case1_p2(sys: AffineSystem, x, zeta, beta_val: float, d) -> bool:
     """The unit-sphere boundary inequality for p = 2 at subgradient zeta.
 
-    Verifies sum_i phi(d_i) zeta.g_i(x) <= beta + tol by evaluating the
-    eps^2-scaled witness inequality along the decreasing eps sequence (inputs
-    of the form d/eps) and confirming the limit value.
+    Verifies sum_i phi(d_i) zeta.g_i(x) <= beta + 1e-9 by evaluating the
+    eps^2-scaled witness inequality (alpha = |x|^2) along a decreasing eps
+    sequence (inputs of the form d/eps) and confirming the limit value.
     """
     if sys.p != 2:
         raise ValueError("this check applies to p = 2 systems")
@@ -102,22 +102,19 @@ def check_case1_p2(sys: AffineSystem, x, zeta, beta_val: float, d,
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     if abs(float(np.dot(d, d)) - 1.0) > 1e-9:
         raise ValueError("d must be a unit vector")
-    if alpha is None:
-        alpha = default_alpha
     fields = sys.input_fields(x)
     g0 = sys.drift(x)
     phid = sys.phi_apply(d)
     limit_lhs = sum(float(phid[i]) * float(np.dot(zeta, fields[i])) for i in range(sys.m))
-    a = float(alpha(x))
+    a = float(default_alpha(x))
     zg0 = float(np.dot(zeta, g0))
     # scaled members: [eps^2 zeta.g0 + limit] - [-eps^2 alpha + beta]; linear in eps^2,
     # so the sequence converges monotonically onto the boundary inequality.
-    gaps = [eps * eps * (zg0 + a) + (limit_lhs - beta_val)
-            for eps in sorted(eps_seq, reverse=True)]
+    gaps = [eps * eps * (zg0 + a) + (limit_lhs - beta_val) for eps in _CASE1_EPS]
     steps = np.diff(gaps)
     if steps.size and not (np.all(steps <= 1e-12) or np.all(steps >= -1e-12)):
         raise RuntimeError("scaled sequence failed to converge monotonically")
-    return limit_lhs <= beta_val + tol
+    return limit_lhs <= beta_val + 1e-9
 
 
 def choose_delta(eps: float) -> float:
@@ -329,7 +326,10 @@ class MollifiedFunction:
         return idx, w, dw
 
     def evaluate(self, X: np.ndarray):
-        """Values and gradients at query points X of shape (Q, ndim), in chunks of rows."""
+        """Values and gradients at query points X of shape (Q, ndim), in chunks of rows.
+
+        Windows are zero-padded to the widest row of a chunk and summed in order, so a
+        point's W and grad W do not depend on the other rows of its batch."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
@@ -343,9 +343,9 @@ class MollifiedFunction:
             blk = self.values[tuple(
                 ix.reshape((-1,) + (1,) * i + (ix.shape[1],) + (1,) * (n - 1 - i))
                 for i, ix in enumerate(idx))]
-            N, dN = _contract(blk, w, dw, lambda T, a: np.einsum("qm...,qm->q...", T, a))
-            vals[sl], grads[sl] = _quotient(N, dN, [a.sum(axis=1) for a in w],
-                                            [a.sum(axis=1) for a in dw])
+            N, dN = _contract(blk, w, dw, _window_step)
+            vals[sl], grads[sl] = _quotient(N, dN, [_ordered_rowsum(a) for a in w],
+                                            [_ordered_rowsum(a) for a in dw])
         return vals, grads
 
     def evaluate_grid(self, coords: Sequence[np.ndarray]):
@@ -370,6 +370,21 @@ class MollifiedFunction:
         # np.ix_ shapes each axis's row sums to broadcast along that axis
         return _quotient(N, dN, np.ix_(*(a.sum(axis=1) for a in A)),
                          np.ix_(*(a.sum(axis=1) for a in dA)))
+
+
+def _ordered_rowsum(A: np.ndarray) -> np.ndarray:
+    """Row sums of A (Q, M), added column by column (np.sum's pairwise order depends on M)."""
+    out = A[:, 0].copy()
+    for j in range(1, A.shape[1]):
+        out += A[:, j]
+    return out
+
+
+def _window_step(T: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """T (Q, M, ...) contracted with the window weights a (Q, M) along M, in order."""
+    if T.ndim > 2:      # M is not the innermost axis: einsum adds along it in order
+        return np.einsum("qm...,qm->q...", T, a)
+    return _ordered_rowsum(T * a)
 
 
 def _contract(T: np.ndarray, w, dw, step):
@@ -423,25 +438,6 @@ def mirrored_geometric_axis(delta_min: float, ratio: float, extent: float) -> np
 # Certification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SmoothingProblem:
-    """The data of one smoothing run (annulus stands in for the punctured space)."""
-
-    sys: AffineSystem
-    V: StorageCandidate
-    alpha: Callable
-    beta: Callable
-    epsilon: float
-    r_min: float
-    r_max: float
-
-    def __post_init__(self):
-        if self.sys.p > 2:
-            raise ValueError("smoothing requires a power-affine system with p <= 2")
-        if self.epsilon <= 0 or self.r_min <= 0 or self.r_max <= self.r_min:
-            raise ValueError("need epsilon > 0 and 0 < r_min < r_max")
-
-
 @dataclass(eq=False)
 class CertifiedSmooth:
     W: StorageCandidate
@@ -486,24 +482,28 @@ class CertifiedSmooth:
 
 def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: float,
                    r_min: float = 0.05, r_max: float = 2.0,
-                   grid_ratio: float = 1.1, max_refinements: int = 6) -> CertifiedSmooth:
+                   max_refinements: int = 6) -> CertifiedSmooth:
     """Mollify a witness and certify the relaxed-gain bounds on the annulus.
 
-    The hypothesis, that V witnesses ``gamma`` on the box of half-width
-    ``r_max`` outside radius ``r_min``, is checked first.  The radius schedule
+    Invalid inputs raise ValueError before any work.  The hypothesis, that V
+    witnesses ``gamma`` on the box of half-width ``r_max`` outside radius
+    ``r_min`` (the annulus stands in for the punctured space), is checked
+    next.  The radius schedule
     starts at four local grid spacings and halves once; reaching one grid
     spacing counts as failure at that grid, upon which the sample grid is
     refined (geometric floor, first ``r_min / 40``, divided by 8) and the
     schedule rerun, up to ``max_refinements``.  The returned report carries the
     worst point on failure instead of raising.
     """
-    if gamma_prime <= gamma:
-        raise ValueError("gamma_prime must exceed gamma")
     if not isinstance(sys, AffineSystem):
         raise ValueError("smoothing applies to (power-)affine systems")
+    if sys.p > 2:
+        raise ValueError("smoothing requires a power-affine system with p <= 2")
+    if not 0 < gamma < gamma_prime:
+        raise ValueError("need 0 < gamma < gamma_prime")
+    if not (0 < r_min < r_max and max_refinements >= 0):
+        raise ValueError("need 0 < r_min < r_max and max_refinements >= 0")
     eps = ((gamma + gamma_prime) / 2.0 - gamma) / (gamma + 1.0)
-    # construction validates p <= 2 and the annulus bounds
-    SmoothingProblem(sys, V, default_alpha, lambda x: gamma, eps, r_min, r_max)
     dlt = choose_delta(eps)
     gamma_eff = (1.0 + eps) * gamma + eps
 
@@ -516,15 +516,14 @@ def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: 
             f"on the region (max residual {base.max_residual:.3e})")
 
     delta_min = r_min / 40.0
-    slope = grid_ratio - 1.0
+    slope = _GRID_RATIO - 1.0
     schedule_trace = []
-    last_fail = ("not attempted", None, math.nan, math.nan)
 
     for refinement in range(max_refinements + 1):
         # sample axes with enough padding for the largest scheduled radius
         pad_radius = 4.0 * (delta_min + slope * math.sqrt(r_max ** 2 + delta_min ** 2)
                             + delta_min)
-        axis = mirrored_geometric_axis(delta_min, grid_ratio, (r_max + pad_radius) * 1.05)
+        axis = mirrored_geometric_axis(delta_min, _GRID_RATIO, (r_max + pad_radius) * 1.05)
         axes = [axis] * sys.n
         values = V.value_batch(tensor_grid(axes)).reshape([a.size for a in axes])
 
@@ -554,8 +553,7 @@ def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: 
     return CertifiedSmooth(
         W=_wrap_candidate(moll, dlt, V.name), verdict="fail", epsilon=eps, delta=dlt,
         gamma_eff=gamma_eff, max_rel_approx_error=rel_err, max_eq20_residual=eq20,
-        radius_schedule=schedule_trace, grids=grids,
-        worst_point=None if worst is None else [float(v) for v in worst],
+        radius_schedule=schedule_trace, grids=grids, worst_point=[float(v) for v in worst],
         failure_reason=reason, mollified=moll)
 
 

@@ -31,6 +31,7 @@ class NoAdmissibleInputError(HjikitError):
 
 
 _BLOWUP_NORM = 1e8
+_SEGMENTS = 8           # pieces of each input of random_piecewise_ensemble
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +122,14 @@ def signal_from_config(cfg: dict) -> InputSignal:
 
 
 def random_piecewise_ensemble(m: int, T: float, step: float, count: int,
-                              seed: int = 0, segments: int = 8,
-                              amplitude: float = 1.0) -> list:
-    """Seeded ensemble of piecewise-constant inputs with grid-aligned switches."""
+                              seed: int = 0, amplitude: float = 1.0) -> list:
+    """Seeded ensemble of piecewise-constant inputs of _SEGMENTS grid-aligned pieces."""
     rng = np.random.default_rng(seed)
-    seg_steps = max(1, int(round(T / segments / step)))
-    switches = [k * seg_steps * step for k in range(1, segments)]
+    seg_steps = max(1, int(round(T / _SEGMENTS / step)))
+    switches = [k * seg_steps * step for k in range(1, _SEGMENTS)]
     out = []
     for _ in range(count):
-        vals = rng.uniform(-amplitude, amplitude, size=(segments, m))
+        vals = rng.uniform(-amplitude, amplitude, size=(_SEGMENTS, m))
         out.append(PiecewiseConstantInput(switches, vals))
     return out
 

@@ -166,15 +166,40 @@ def test_inconclusive_audit_exits_3(tmp_path, capsys):
     assert json.loads((tmp_path / "audit.json").read_text())["kind"] == "inconclusive"
 
 
-def test_smooth_out_of_refinements_exits_3(tmp_path, monkeypatch):
+def test_smooth_out_of_refinements_exits_3(tmp_path, monkeypatch, capsys):
     """smooth_witness fails only once its budget is spent: the run is inconclusive,
-    and its report is still written."""
+    its report is still written, and its line names the failed bound and the worst
+    point (certification stopped before any bound was measured: no nan)."""
     monkeypatch.setattr(smoothing, "smooth_witness",
                         functools.partial(smoothing.smooth_witness, max_refinements=0))
     assert run(["smooth", "--zoo", "sigma2", "--storage", "builtin:v2", "--gamma", "1",
                 "--gamma-prime", "1.1", "--out", tmp_path]) == 3
-    assert json.loads((tmp_path / "smooth.json").read_text())["verdict"] == "fail"
+    report = json.loads((tmp_path / "smooth.json").read_text())
+    assert report["verdict"] == "fail"
     assert (tmp_path / "smooth_grid.csv").is_file()
+    line = capsys.readouterr().out
+    worst = ", ".join(f"{v:g}" for v in report["worst_point"])
+    assert line == (f"smooth: fail ({report['failure_reason']} violated at ({worst}); "
+                    "refinement budget spent)\n")
+    assert report["failure_reason"] == "approximation bound" and "nan" not in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["smooth", "--zoo", "sigma1", "--gamma", "-1", "--gamma-prime", "0"],
+    ["smooth", "--zoo", "sigma1", "--gamma", "1", "--gamma-prime", "1.1",
+     "--rmin", "0.3", "--rmax", "0.1"],
+    ["audit", "sigma1-axis", "--system", "x.json", "--storage", "builtin:v1_scaled"],
+    ["subdiff", "--system", "x.json", "--storage", "builtin:v1", "--point", "1", "2"],
+], ids=["smooth-gamma", "smooth-annulus", "audit-system", "subdiff-system"])
+def test_invalid_inputs_are_usage_errors(tmp_path, argv):
+    """A nonpositive gamma or an empty annulus is rejected before any work, and the
+    commands that read no system do not accept --system: exit 2, no report."""
+    try:
+        code = run(argv + ["--out", tmp_path])
+    except SystemExit as err:     # argparse rejects an unknown option itself
+        code = err.code
+    assert code == 2
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [["zoo", "run", "scalar_linear"],

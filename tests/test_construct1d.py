@@ -49,6 +49,16 @@ def test_construct_w_reports_first_inadmissible_x(linear):
                        h=lambda x: 3 * x if x < 1 else 0.5 * x, check_hypothesis=False)
 
 
+def test_construct_w_rejects_a_nan_delta():
+    """A drift that is NaN below x = 1 makes Delta(p) NaN there: that is a violation
+    of Delta(p) <= 1e-9, not a pass with max_delta = nan."""
+    nan_below_1 = sy.AffineSystem(1, 1, ("-x1 - sqrt(x1 - 1)",), (("1",),))
+    grid = np.linspace(0.05, 2.0, 40)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(hk.HjikitError, match=r"violates Delta\(p\) <= 0 at x=0.05$"):
+        c1.construct_w(nan_below_1, 1.0, stg.builtin("sq_norm"), grid, check_hypothesis=False)
+
+
 def test_membership_examples(linear):
     assert c1.f_membership(linear, 1.0, 1.0, 2.0, "direct")
     assert c1.f_membership(linear, 1.0, 1.0, 2.0, "quadratic")

@@ -247,6 +247,31 @@ def test_evaluate_grid_matches_scattered_evaluate(n, data):
     assert np.all(np.abs(Gg.reshape(-1, n) - G) <= 1e-9 * (1.0 + np.abs(G)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from(sorted(_AXIS_RANGES)), data=st.data())
+def test_evaluate_row_equals_its_batch_row(n, data):
+    """A point's W and grad W do not depend on the other points of its batch, bit for bit
+    (the batch's widest window pads the others with zero weights)."""
+    (dlo, dhi), (qlo, qhi) = _AXIS_RANGES[n]
+    axes, radii = [], []
+    for _ in range(n):
+        delta, ratio = data.draw(st.floats(dlo, dhi)), data.draw(st.floats(qlo, qhi))
+        if data.draw(st.booleans()):
+            radii.append(sm.GeometricRadius(delta, ratio - 1.0, data.draw(st.floats(1.0, 4.0))))
+        else:
+            radii.append(sm.ConstantRadius(data.draw(st.floats(0.01, 0.3))))
+        axes.append(sm.mirrored_geometric_axis(delta, ratio, 2.0))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    m = sm.MollifiedFunction(axes, rng.standard_normal([a.size for a in axes]), radii)
+    X = np.array(data.draw(st.lists(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n),
+                                    min_size=1, max_size=12)))
+    W, G = m.evaluate(X)
+    for q in range(X.shape[0]):
+        w, g = m.evaluate(X[q:q + 1])
+        assert w.tobytes() == W[q:q + 1].tobytes(), X[q]
+        assert g.tobytes() == G[q:q + 1].tobytes(), X[q]
+
+
 def test_mollify_exact_on_linear_data_3d():
     ax = np.linspace(-1, 1, 41)
     X1, X2, X3 = np.meshgrid(ax, ax, ax, indexing="ij")
@@ -337,14 +362,19 @@ def test_smooth_witness_precondition_errors():
         sm.smooth_witness(s1, stg.builtin("v1_scaled"), 0.5, 0.6)
 
 
-def test_smoothing_problem_validation():
-    ps = sy.make_sigma1()
-    with pytest.raises(ValueError):
-        sm.SmoothingProblem(sy.make_sigma_p(3.0), stg.builtin("v1"),
-                            sm.default_alpha, lambda x: 1.0, 0.1, 0.05, 2.0)
-    with pytest.raises(ValueError):
-        sm.SmoothingProblem(ps, stg.builtin("v1_scaled"), sm.default_alpha,
-                            lambda x: 1.0, 0.1, 2.0, 0.05)
-    prob = sm.SmoothingProblem(ps, stg.builtin("v1_scaled"), sm.default_alpha,
-                               lambda x: 1.0, 0.1, 0.05, 2.0)
-    assert prob.epsilon == 0.1
+@pytest.mark.parametrize("kwargs, match", [
+    ({"sys": sy.make_sigma_p(3.0), "V": stg.builtin("v1")}, "p <= 2"),
+    ({"gamma": -1.0, "gamma_prime": 0.0}, "0 < gamma < gamma_prime"),
+    ({"gamma": 0.0}, "0 < gamma < gamma_prime"),
+    ({"r_min": 2.0, "r_max": 0.05}, "0 < r_min < r_max"),
+    ({"r_min": 0.0}, "0 < r_min < r_max"),
+    ({"max_refinements": -1}, "max_refinements >= 0"),
+], ids=["p-above-2", "gamma-negative", "gamma-zero", "annulus-reversed", "r_min-zero",
+        "negative-budget"])
+def test_smooth_witness_input_validation(kwargs, match, monkeypatch):
+    """Invalid inputs raise ValueError before any work: the hypothesis check never runs."""
+    monkeypatch.setattr(sm, "check_witness", None)
+    args = {"sys": sy.make_sigma1(), "V": stg.builtin("v1_scaled"), "gamma": 1.0,
+            "gamma_prime": 1.1, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        sm.smooth_witness(**args)
