@@ -15,8 +15,8 @@ from .hji import (Region, WitnessReport, affine_residual, check_witness,
                   gamma_range, general_residual, min_gain_scan, point_residual,
                   power_residual, residuals, supply)
 from .storage import (GradientUndefinedError, MissingOracleError, StorageCandidate,
-                      SubdiffSet, builtin, builtins, from_callables,
-                      from_expression, verify_subgradient)
+                      SubdiffSet, builtin, builtins, from_expression,
+                      verify_subgradient)
 from .systems import (AffineSystem, GeneralSystem, ZooEntry, system_from_config,
                       system_to_config, zoo, zoo_entry)
 from .trajectories import (BlowUpError, ConstantInput, PiecewiseConstantInput,

@@ -212,6 +212,11 @@ _AUDITS = {
                                                search_u_max=args.umax),
     "scalar-straddle": lambda args: audits.audit_scalar_straddle(_load_storage(args)),
 }
+# the options each audit kind reads, with their defaults; the kinds in _AUDITS also read
+# --zoo and --storage, and any other option is a usage error
+_AUDIT_OPTIONS = {"sigma1-axis": {}, "curve-monotone": {"a": 1.0},
+                  "sigmap": {"p": 3.0, "gamma": 1.0, "umax": 1e3}, "scalar-straddle": {},
+                  "curve-tangency": {"a": 1.0}, "sigma3-pieces": {}}
 
 
 def _cmd_audit(args) -> tuple:
@@ -340,13 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_smooth)
 
     p = sub.add_parser("audit", help="run a nonexistence-argument auditor")
-    p.add_argument("kind", choices=(*_AUDITS, "curve-tangency", "sigma3-pieces"))
-    common(p, with_system=False)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--p", type=float, default=3.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--umax", type=float, default=1e3)
-    p.set_defaults(func=_cmd_audit)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, options in _AUDIT_OPTIONS.items():
+        k = kinds.add_parser(kind)
+        if kind in _AUDITS:
+            common(k, with_system=False)
+        else:
+            out_and_seed(k)
+        for name, default in options.items():
+            k.add_argument(f"--{name}", type=float, default=default)
+        k.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("zoo", help="list or run the registered examples")
     p.add_argument("action", choices=("list", "run"))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import HjikitError
 from .hji import _cumulative_simpson, residuals, tensor_grid
-from .storage import StorageCandidate, from_callables
+from .storage import StorageCandidate
 from .systems import AffineSystem
 
 
@@ -231,8 +231,7 @@ class ConstructedW:
             s = self.slope_at(X)
             return s, s
 
-        return from_callables("constructed_w", value, regularity="c1_away_from_origin",
-                              dim=1, subdiff_batch_fn=slopes)
+        return StorageCandidate("constructed_w", value, "c1_away_from_origin", 1, slopes)
 
 
 def construct_w(sys: AffineSystem, gamma: float, V: StorageCandidate,

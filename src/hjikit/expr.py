@@ -361,29 +361,46 @@ def _fmt(e: Expr, parent_level: int) -> str:
 # Generated code calls only these names; a field's source text never reaches it.
 _NUMPY = {"abs": np.abs, "sign": np.sign, "sqrt": np.sqrt, "cbrt": np.cbrt, "empty": np.empty,
           "minimum": np.minimum, "maximum": np.maximum, "full": np.full, "asarray": np.asarray}
-_CODE = {"+": "{0} + {1}", "-": "{0} - {1}", "*": "{0} * {1}", "/": "{0} / {1}",
+_CODE = {"num": "{0}", "full": "full(S, {0})", "x": "X[..., {0}]", "u": "U[..., {0}]",
+         "neg": "-{0}", "+": "{0} + {1}", "-": "{0} - {1}", "*": "{0} * {1}", "/": "{0} / {1}",
          "abs": "abs({0})", "sign": "sign({0})", "sqrt": "sqrt({0})", "cbrt": "cbrt({0})",
          "min": "minimum({0}, {1})", "max": "maximum({0}, {1})",
          "pow": "abs({0}) ** {1}", "spow": "sign({0}) * abs({0}) ** {1}",
          "abs_pow": "abs({0}) ** {1}", "signed_pow": "sign({0}) * abs({0}) ** {1}"}
-_VAR = {"x": "X[..., {0}]", "u": "U[..., {0}]"}
 # numpy may take other loops for a scalar input (pow: square/sqrt for 2 or 0.5)
 _SCALAR_UNSAFE = ("sqrt", "cbrt", "pow", "spow")
 # phi of a power-affine input (not in the grammar): a numpy-scalar exponent, as in phi_apply
 _PHI = ("abs_pow", "signed_pow")
 
 
+@dataclass(frozen=True, eq=False)
+class OpTable:
+    """What the code generator writes for each node: ``code`` maps 'num' (a constant),
+    'full' (a constant as an array of X's batch shape), the variable kinds 'x' and 'u',
+    'neg' and every operator to a format string over its operands' temporaries, and
+    ``scope`` holds the names that code calls.  Hashed by identity, for the compile cache."""
+
+    code: dict
+    scope: dict
+
+
+FLOAT = OpTable(_CODE, _NUMPY)
+
+
 @functools.lru_cache(maxsize=4096)
-def compile_evaluator(e) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def compile_evaluator(e, table: OpTable = FLOAT) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Compile an AST, or a tuple of k ASTs, into one flat numpy function ``f(X, U)`` (memoized).
 
-    ``X`` has shape (..., n) and ``U`` shape (..., m).  One AST gives values of shape
-    (...,); a tuple gives one (..., k) array whose column j is what its j-th AST alone
-    gives.  Inputs on which scalar evaluation would raise let IEEE nan/inf propagate.
-    Each distinct subtree is computed once, across the whole tuple, and each temporary
-    is freed after its last use.  Constants are numpy scalars, but arrays of X's batch
-    shape in an x-free subtree that is a whole root or feeds sqrt/cbrt/pow/spow, so
-    every result is bitwise (and in shape) that of evaluating every node as an array.
+    ``X`` has shape (..., n) and ``U`` shape (..., m).  With the default table, one AST
+    gives values of shape (...,); a tuple gives one (..., k) array whose column j is
+    what its j-th AST alone gives.  Inputs on which scalar evaluation would raise let
+    IEEE nan/inf propagate.  Each distinct subtree is computed once, across the whole
+    tuple, and each temporary is freed after its last use.  Constants are numpy
+    scalars, but arrays of X's batch shape in an x-free subtree that is a whole root
+    or feeds sqrt/cbrt/pow/spow, so every result is bitwise (and in shape) that of
+    evaluating every node as an array.  :data:`TANGENT` generates, for one AST of x
+    only, ``(value, lo, hi, dep)`` instead: the bounds (n, ...) of a subdifferential
+    enclosure and the coordinates the AST depends on (see below).
     """
     lines, consts, temps = [], {}, {}      # lines: (statement, temporaries it reads)
 
@@ -397,18 +414,18 @@ def compile_evaluator(e) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         if isinstance(node, Num):
             const = f"c{len(consts)}"
             consts[const] = np.asarray(node.value)[()]
-            code = f"full(S, {const})" if full else const
+            code = table.code["full" if full else "num"].format(const)
         elif isinstance(node, Var):
-            code = _VAR[node.kind].format(int(node.index))
+            code = table.code[node.kind].format(int(node.index))
         elif isinstance(node, Neg):
             reads = (emit(node.arg, full),)
-            code = f"-{reads[0]}"
+            code = table.code["neg"].format(reads[0])
         elif isinstance(node, (Bin, Call)):
             op, args = ((node.op, (node.lhs, node.rhs)) if isinstance(node, Bin)
                         else (node.fn, node.args))
             reads = tuple(emit(a, op not in _PHI and (
                 full or (op in _SCALAR_UNSAFE and not has_x(a)))) for a in args)
-            code = _CODE[op].format(*reads)
+            code = table.code[op].format(*reads)
         else:
             raise TypeError(f"not an Expr node: {node!r}")
         temps[node, full] = name = f"t{len(temps)}"
@@ -432,9 +449,146 @@ def compile_evaluator(e) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     head += ["    S = X.shape[:-1]"] if "(S," in body else []
     head += ["    U = asarray(U)"] if "U[" in body else []
     src = "\n".join(["def field(X, U):", *head, body, f"    return {out}"])
-    scope = dict(_NUMPY, **consts)
+    scope = dict(table.scope, **consts)
     exec(compile(src, "<hjikit field>", "exec"), scope)
     return scope["field"]
+
+
+# ---------------------------------------------------------------------------
+# Tangent bounds: a subdifferential enclosure generated from the AST
+# ---------------------------------------------------------------------------
+# Each node becomes (value, lo, hi, dep): its values (...), bounds (n, ...) on its
+# derivative along each state coordinate (coordinate-major, so that every operation
+# broadcasts along the batch), and the coordinates (n, 1, ...) it depends on.  The
+# rules are Clarke's chain rules as interval inclusions (Clarke, Optimization and
+# Nonsmooth Analysis, 1983), so where V is locally Lipschitz the root's box contains
+# the generalized gradient.  A bound is +-inf only as the whole line.  The caller
+# silences numpy's warnings, which kinks raise.
+
+_KINK_SNAP = 1e-12  # values this close to a kink (abs, sign or a root at 0, a min/max tie) snap onto it
+
+
+def _scaled(s, a):
+    """Bounds of s * da: the whole line where a product is not finite on a coordinate
+    that a depends on (0 x unbounded, or an infinite s even on a zero tangent, as for
+    sqrt(x1*x1) at 0), and -0.0 on every other coordinate (the additive identity that
+    keeps the sign of a zero it is added to)."""
+    _, lo, hi, dep = a
+    p = s * lo
+    if hi is lo and np.isfinite(p).all():          # a finite singleton: one product
+        lo = hi = p
+    else:
+        q = s * hi
+        finite = np.isfinite(p) & np.isfinite(q)
+        lo = np.where(finite, np.minimum(p, q), -np.inf)
+        hi = np.where(finite, np.maximum(p, q), np.inf)
+    if dep.all():
+        return lo, hi
+    lo = np.where(dep, lo, -0.0)
+    return lo, (lo if hi is p else np.where(dep, hi, -0.0))
+
+
+# A singleton tangent is one array in both bounds (lo is hi), and every rule keeps it
+# one, so that each rule computes it once.
+
+def _sum(lo1, hi1, lo2, hi2):
+    lo = lo1 + lo2
+    return lo, (lo if lo1 is hi1 and lo2 is hi2 else hi1 + hi2)
+
+
+def _neg(lo, hi):
+    n = -hi
+    return n, (n if lo is hi else -lo)
+
+
+def _chain(value, coef, a, at0):
+    """value with the tangent coef * da, unbounded where at0 holds."""
+    return (value, *_scaled(np.where(at0, np.inf, coef), a), a[3])
+
+
+def _d_var(X, i):
+    n = X.shape[-1]
+    t = np.zeros((n,) + X.shape[:-1])
+    t[i] = 1.0
+    return X[..., i], t, t, (np.arange(n) == i).reshape((n,) + (1,) * (X.ndim - 1))
+
+
+def _d_const(X, c):
+    t = np.zeros((X.shape[-1],) + X.shape[:-1])
+    return c, t, t, np.zeros((X.shape[-1],) + (1,) * (X.ndim - 1), dtype=bool)
+
+
+def _d_mul(a, b):
+    return a[0] * b[0], *_sum(*_scaled(a[0], b), *_scaled(b[0], a)), a[3] | b[3]
+
+
+def _d_div(a, b):
+    q = a[0] / b[0]
+    return q, *_sum(*_scaled(1.0 / b[0], a), *_neg(*_scaled(q / b[0], b))), a[3] | b[3]
+
+
+def _d_abs(a, snap=True):
+    """sign(v) * da, and the hull of +-da within _KINK_SNAP of v = 0 (where ``snap``)."""
+    v, lo, hi, dep = a
+    kink, neg = snap & (np.abs(v) <= _KINK_SNAP), v < 0
+    nlo, nhi = _neg(lo, hi)
+    lo2 = np.where(neg, nlo, lo)
+    hi2 = lo2 if lo is hi else np.where(neg, nhi, hi)
+    if np.any(kink):
+        m = np.maximum(hi, nhi)
+        lo2, hi2 = np.where(kink, -m, lo2), np.where(kink, m, hi2)
+    return np.abs(v), lo2, hi2, dep
+
+
+def _d_choice(value, first, a, b):
+    """min/max: the chosen operand's tangent, or the hull of both at a tie."""
+    lo = np.where(first, a[1], b[1])
+    hi = lo if a[1] is a[2] and b[1] is b[2] else np.where(first, a[2], b[2])
+    tie = np.abs(a[0] - b[0]) <= _KINK_SNAP
+    if np.any(tie):
+        lo, hi = (np.where(tie, np.minimum(a[1], b[1]), lo),
+                  np.where(tie, np.maximum(a[2], b[2]), hi))
+    return value, lo, hi, a[3] | b[3]
+
+
+def _d_cbrt(a):
+    c = np.cbrt(a[0])
+    return _chain(c, 1.0 / 3.0 / c / c, a, np.abs(a[0]) <= _KINK_SNAP)
+
+
+def _d_sqrt(a):
+    r = np.sqrt(a[0])
+    return _chain(r, 0.5 / r, a, np.abs(a[0]) <= _KINK_SNAP)
+
+
+def _d_spow(a, p):
+    """sign(a) |a|^p: unbounded at a = 0 where p < 1; an x-dependent p adds V ln|a| dp."""
+    r, e = np.abs(a[0]), p[0]
+    v, lo, hi, _ = _chain(np.sign(a[0]) * r ** e, e * r ** (e - 1), a,
+                          (r <= _KINK_SNAP) & (e < 1))
+    return v, *_sum(lo, hi, *_scaled(v * np.log(r), p)), a[3] | p[3]
+
+
+def _d_pow(a, p):
+    """|a|^p = spow(|a|, p); the kink of |a| at 0 matters only where p <= 1."""
+    _, lo, hi, dep = _d_spow(_d_abs(a, p[0] <= 1), p)
+    return np.abs(a[0]) ** p[0], lo, hi, dep
+
+
+TANGENT = OpTable(
+    {"num": "const(X, {0})", "full": "const(X, {0})", "x": "var(X, {0})", "neg": "neg({0})",
+     **{op: f"{fn}({{0}}, {{1}})" for op, fn in (("+", "add"), ("-", "sub"), ("*", "mul"),
+                                                 ("/", "div"), ("min", "min"), ("max", "max"),
+                                                 ("pow", "pow"), ("spow", "spow"))},
+     **{fn: f"{fn}({{0}})" for fn in ("abs", "sign", "sqrt", "cbrt")}},
+    {"const": _d_const, "var": _d_var, "neg": lambda a: (-a[0], *_neg(a[1], a[2]), a[3]),
+     "add": lambda a, b: (a[0] + b[0], *_sum(a[1], a[2], b[1], b[2]), a[3] | b[3]),
+     "sub": lambda a, b: (a[0] - b[0], *_sum(a[1], a[2], *_neg(b[1], b[2])), a[3] | b[3]),
+     "mul": _d_mul, "div": _d_div, "abs": _d_abs, "cbrt": _d_cbrt, "sqrt": _d_sqrt,
+     "sign": lambda a: _chain(np.sign(a[0]), 0.0, a, np.abs(a[0]) <= _KINK_SNAP),
+     "min": lambda a, b: _d_choice(np.minimum(a[0], b[0]), a[0] <= b[0], a, b),
+     "max": lambda a, b: _d_choice(np.maximum(a[0], b[0]), a[0] >= b[0], a, b),
+     "pow": _d_pow, "spow": _d_spow})
 
 
 def variables_used(e: Expr) -> set:

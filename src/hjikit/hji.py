@@ -25,7 +25,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, HjikitError
-from .storage import _KINK_SNAP, StorageCandidate
+from .expr import _KINK_SNAP
+from .storage import StorageCandidate
 from .systems import AffineSystem, System
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import HjikitError
 from .hji import Region, _cumulative_simpson, check_witness, residuals, tensor_grid
-from .storage import StorageCandidate, from_callables
+from .storage import StorageCandidate
 from .systems import AffineSystem, System
 
 
@@ -618,5 +618,4 @@ def _wrap_candidate(moll: MollifiedFunction, dlt: float, base_name: str) -> Stor
         g = scale * moll.evaluate(X)[1]
         return g, g
 
-    return from_callables(f"smoothed({base_name})", value, regularity="smooth",
-                          dim=moll.ndim, subdiff_batch_fn=subdiff_batch)
+    return StorageCandidate(f"smoothed({base_name})", value, "smooth", moll.ndim, subdiff_batch)

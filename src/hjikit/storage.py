@@ -1,16 +1,19 @@
 """Storage-function candidates, their subdifferentials, and the numeric subgradient test.
 
-A candidate is a nonnegative scalar function of the state.  Built-ins carry
-exact subdifferential oracles; user expression candidates have none, and claims
-about them must go through :func:`verify_subgradient`, which samples the
-defining liminf quotient
+A candidate is a nonnegative scalar function of the state.  Every expression
+candidate, the built-ins but ``sq_norm`` among them, gets its subdifferential
+oracle from the expression: :data:`hjikit.expr.TANGENT` generates a box that
+contains Clarke's generalized gradient where V is locally Lipschitz (a singleton
+where V is smooth, wider at kinks, the whole line where V is not Lipschitz).
+:func:`verify_subgradient` remains numeric cross-evidence for any candidate: it
+samples the defining liminf quotient
 
     [V(x + h) - V(x) - zeta . h] / |h|  >=  0   as h -> 0.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,11 +28,6 @@ class MissingOracleError(HjikitError):
 
 class GradientUndefinedError(HjikitError):
     """The candidate's gradient does not exist at the queried point (kink locus)."""
-
-
-_KINK_SNAP = 1e-12  # queries this close to a known kink locus snap onto it
-
-_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,7 @@ class SubdiffSet:
 
 @dataclass(frozen=True, eq=False)
 class StorageCandidate:
-    """A nonnegative scalar function with an optional exact subdifferential oracle.
+    """A nonnegative scalar function with an optional subdifferential oracle.
 
     ``value_fn`` maps states (..., n) to values (...).  ``subdiff_batch_fn`` is the
     one oracle: it maps states (Q, n) to the bounds ``(lo, hi)``, each of shape
@@ -148,7 +146,7 @@ class StorageCandidate:
         """Box subdifferentials at the rows of X (Q, n) as arrays ``lo, hi`` of shape (Q, n)."""
         if self.subdiff_batch_fn is None:
             raise MissingOracleError(
-                f"candidate {self.name!r} has no exact subdifferential oracle; "
+                f"candidate {self.name!r} has no subdifferential oracle; "
                 "use verify_subgradient for numeric evidence")
         return self.subdiff_batch_fn(self._checked(X))
 
@@ -175,76 +173,51 @@ class StorageCandidate:
 
 
 # ---------------------------------------------------------------------------
-# Built-in candidates
+# Candidates: expressions with their generated oracle, and the square norm
 # ---------------------------------------------------------------------------
 
-def _weighted_l1(name: str, scale: float) -> StorageCandidate:
-    """scale * (|x1| + |x2|) with its exact box subdifferential."""
+def from_expression(src: str, n: int, regularity: str = "continuous",
+                    kinks: tuple = ()) -> StorageCandidate:
+    """An expression candidate in x1..xn; its oracle is the enclosure that
+    :data:`hjikit.expr.TANGENT` generates from the expression.  ``kinks`` (declared
+    by the built-in records; storage JSON has no such field) lists the (axis, value)
+    coordinates where the box is not a singleton, for region grids to visit."""
+    ast = ex.parse(src, n, 0)
+    fn, tangent = ex.compile_evaluator(ast), ex.compile_evaluator(ast, ex.TANGENT)
 
     def value(X):
-        X = np.asarray(X, dtype=float)
-        return scale * (np.abs(X[..., 0]) + np.abs(X[..., 1]))
+        return fn(np.asarray(X, dtype=float), None)
 
-    def sd(X):
-        kink = np.abs(X) <= _KINK_SNAP
-        slope = scale * np.sign(X)
-        return np.where(kink, -scale, slope), np.where(kink, scale, slope)
+    def subdiff(X):
+        with np.errstate(all="ignore"):
+            _, lo, hi, dep = tangent(X, None)
+        return np.where(dep, lo, 0.0).T, np.where(dep, hi, 0.0).T
 
-    return StorageCandidate(name, value, "lipschitz", 2, sd, ((0, 0.0), (1, 0.0)))
-
-
-def _make_v2() -> StorageCandidate:
-    def value(X):
-        X = np.asarray(X, dtype=float)
-        return X[..., 0] ** 2 + np.cbrt(X[..., 1]) ** 2
-
-    def sd(X):
-        kink = np.abs(X[:, 1]) <= _KINK_SNAP
-        # liminf of |h|^(2/3)/|h| diverges on x2 = 0, so every second coordinate qualifies
-        z2 = (2.0 / 3.0) / np.cbrt(np.where(kink, 1.0, X[:, 1]))
-        lo = np.stack([2 * X[:, 0], np.where(kink, -_INF, z2)], axis=1)
-        hi = np.stack([2 * X[:, 0], np.where(kink, _INF, z2)], axis=1)
-        return lo, hi
-
-    return StorageCandidate("v2", value, "continuous", 2, sd, ((1, 0.0),))
+    return StorageCandidate(f"expr:{src}", value, regularity, n, subdiff, kinks)
 
 
-def _make_v3_scalar() -> StorageCandidate:
-    def value(X):
-        X = np.asarray(X, dtype=float)
-        v = X[..., 0]
-        return np.maximum(np.abs(v), 2 * v - 1)
-
-    def sd(X):
-        v = X[:, :1]
-        slope = np.where(v < 0, -1.0, np.where(v < 1, 1.0, 2.0))
-        at0, at1 = np.abs(v) <= _KINK_SNAP, np.abs(v - 1.0) <= _KINK_SNAP
-        return (np.where(at0, -1.0, np.where(at1, 1.0, slope)),
-                np.where(at0, 1.0, np.where(at1, 2.0, slope)))
-
-    return StorageCandidate("v3_scalar", value, "lipschitz", 1, sd, ((0, 0.0), (0, 1.0)))
+# the built-ins but sq_norm (of any dimension), as expression records: source, n,
+# regularity and the (axis, value) coordinates of their kinks
+_BUILTIN_EXPRESSIONS = {
+    "v1_scaled": ("2*(abs(x1) + abs(x2))", 2, "lipschitz", ((0, 0.0), (1, 0.0))),
+    "v1": ("abs(x1) + abs(x2)", 2, "lipschitz", ((0, 0.0), (1, 0.0))),
+    "v2": ("x1*x1 + cbrt(x2)*cbrt(x2)", 2, "continuous", ((1, 0.0),)),
+    "v3_scalar": ("max(abs(x1), 2*x1 - 1)", 1, "lipschitz", ((0, 0.0), (0, 1.0))),
+}
 
 
-def _make_sq_norm() -> StorageCandidate:
-    def value(X):
-        X = np.asarray(X, dtype=float)
-        return np.sum(X * X, axis=-1)
-
-    def sd(X):
-        return 2 * X, 2 * X
-
-    return StorageCandidate("sq_norm", value, "smooth", None, sd)
+def _sq_norm_value(X):
+    X = np.asarray(X, dtype=float)
+    return np.sum(X * X, axis=-1)
 
 
 def builtins() -> dict:
     """Fresh instances of the built-in candidates, keyed by name."""
-    return {
-        "v1_scaled": _weighted_l1("v1_scaled", 2.0),
-        "v1": _weighted_l1("v1", 1.0),
-        "v2": _make_v2(),
-        "v3_scalar": _make_v3_scalar(),
-        "sq_norm": _make_sq_norm(),
-    }
+    table = {name: replace(from_expression(*record), name=name)
+             for name, record in _BUILTIN_EXPRESSIONS.items()}
+    table["sq_norm"] = StorageCandidate("sq_norm", _sq_norm_value, "smooth", None,
+                                        lambda X: (2 * X, 2 * X))
+    return table
 
 
 def builtin(name: str) -> StorageCandidate:
@@ -252,48 +225,6 @@ def builtin(name: str) -> StorageCandidate:
     if name not in table:
         raise KeyError(f"no builtin candidate named {name!r}; have {sorted(table)}")
     return table[name]
-
-
-def from_callables(name, value_fn, gradient_fn=None, subdiff_fn=None,
-                   regularity="smooth", dim=None, subdiff_batch_fn=None) -> StorageCandidate:
-    """Wrap plain callables as a candidate (used for smoothed/constructed functions).
-
-    The oracle is ``subdiff_batch_fn`` if given, else a row loop over the scalar
-    ``subdiff_fn`` (an empty set is the row lo = +inf, hi = -inf), else over
-    ``gradient_fn`` (the unbounded box where it raises GradientUndefinedError).
-    """
-    if subdiff_batch_fn is None and (subdiff_fn is not None or gradient_fn is not None):
-        subdiff_batch_fn = _row_loop(subdiff_fn, gradient_fn)
-    return StorageCandidate(name, value_fn, regularity, dim, subdiff_batch_fn)
-
-
-def _row_loop(subdiff_fn, gradient_fn):
-    def batch(X):
-        lo, hi = np.full(X.shape, _INF), np.full(X.shape, -_INF)
-        for q, x in enumerate(X):
-            if subdiff_fn is not None:
-                S = subdiff_fn(x)
-                if not S.is_empty:
-                    lo[q], hi[q] = np.array(S.intervals).T
-                continue
-            try:
-                lo[q] = hi[q] = gradient_fn(x)
-            except GradientUndefinedError:   # a kink: the gradient bounds no coordinate
-                lo[q], hi[q] = -_INF, _INF
-        return lo, hi
-
-    return batch
-
-
-def from_expression(src: str, n: int, regularity: str = "continuous") -> StorageCandidate:
-    """An expression-backed candidate in x1..xn; it has no exact oracle."""
-    ast = ex.parse(src, n, 0)
-    fn = ex.compile_evaluator(ast)
-
-    def value(X):
-        return fn(np.asarray(X, dtype=float), None)
-
-    return StorageCandidate(f"expr:{src}", value, regularity, dim=n)
 
 
 def from_config(cfg: dict) -> StorageCandidate:

@@ -9,7 +9,12 @@ from hjikit import systems as sy
 
 
 def _candidate(name, value, grad):
-    return stg.from_callables(name, value, gradient_fn=grad, dim=2)
+    """A candidate outside the expression grammar: ``grad`` maps states (Q, 2) to gradients."""
+    def batch(X):
+        g = grad(X)
+        return g, g
+
+    return stg.StorageCandidate(name, value, "smooth", 2, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -17,9 +22,7 @@ def _candidate(name, value, grad):
 # ---------------------------------------------------------------------------
 
 def test_axis_audit_finds_violation_for_growing_candidate():
-    W = _candidate("lin_quad",
-                   lambda X: 2 * np.asarray(X)[..., 0] + np.asarray(X)[..., 1] ** 2,
-                   lambda x: np.array([2.0, 2 * x[1]]))
+    W = stg.from_expression("2*x1 + x2*x2", 2)
     report = au.audit_sigma1_axis(W)
     assert report.kind == au.VIOLATION
     # the hand-checkable point: at ((-1, 0), u = 0) the inequality fails by 3
@@ -31,9 +34,7 @@ def test_axis_audit_finds_violation_for_growing_candidate():
 
 
 def test_axis_audit_constant_candidate():
-    W = _candidate("const", lambda X: np.full(np.asarray(X).shape[:-1], 3.0),
-                   lambda x: np.zeros(2))
-    report = au.audit_sigma1_axis(W)
+    report = au.audit_sigma1_axis(stg.from_expression("3", 2))
     assert report.kind == au.VIOLATION
 
 
@@ -48,11 +49,9 @@ def test_axis_audit_smoothed_witness_fails_at_original_gain(smoothed_sigma1):
 
 def _axis_candidate(name, request):
     if name == "lin_quad":
-        return _candidate(name, lambda X: 2 * np.asarray(X)[..., 0] + np.asarray(X)[..., 1] ** 2,
-                          lambda x: np.array([2.0, 2 * x[1]]))
+        return stg.from_expression("2*x1 + x2*x2", 2)
     if name == "const":
-        return _candidate(name, lambda X: np.full(np.asarray(X).shape[:-1], 3.0),
-                          lambda x: np.zeros(2))
+        return stg.from_expression("3", 2)
     if name == "smoothed":
         return request.getfixturevalue("smoothed_sigma1").W
     return stg.builtin(name)
@@ -89,20 +88,24 @@ def test_axis_scan_skips_kink_points():
         kink = np.any(lo != hi, axis=1, keepdims=True)
         return np.where(kink, -100.0, lo), np.where(kink, 100.0, hi)
 
-    W = stg.from_callables("wide_kinks", v.value_fn, gradient_fn=v.gradient,
-                           regularity="lipschitz", dim=2, subdiff_batch_fn=wide_at_kinks)
+    W = stg.StorageCandidate("wide_kinks", v.value_fn, "lipschitz", 2, wide_at_kinks)
     X = np.array([[1.0, 0.0]])
     assert hji.residuals(sy.make_sigma1(), *W.subdiff_batch(X), X, 1.0)[0][0] > 1.0
     assert au.audit_sigma1_axis(W).kind == au.OBSTRUCTION
 
 
 def test_gradient_only_candidate_is_unbounded_at_its_kinks():
-    """Where the gradient of a candidate without a subdifferential oracle is undefined,
-    its subdifferential is the unbounded box: the residual there is +inf (the
-    coefficients do not vanish), and the sweep and the axis audit reach verdicts."""
+    """A candidate that knows only its gradient gives the unbounded box where the
+    gradient is undefined: the residual there is +inf (the coefficients do not
+    vanish), and the sweep and the axis audit reach verdicts."""
     v = stg.builtin("v1_scaled")
-    W = stg.from_callables("grad_only", v.value_fn, gradient_fn=v.gradient,
-                           regularity="lipschitz", dim=2)
+
+    def unbounded_at_kinks(X):
+        lo, hi = v.subdiff_batch(X)
+        kink = np.any(lo != hi, axis=1, keepdims=True)
+        return np.where(kink, -np.inf, lo), np.where(kink, np.inf, hi)
+
+    W = stg.StorageCandidate("grad_only", v.value_fn, "lipschitz", 2, unbounded_at_kinks)
     s1 = sy.make_sigma1()
     assert W.subdiff([1.0, 0.0]).intervals == ((-np.inf, np.inf),) * 2
     assert hji.point_residual(s1, W, 1.0, [1.0, 0.0]) == (np.inf, None, None)
@@ -124,7 +127,7 @@ def test_axis_audit_obstruction_branch():
     """A candidate satisfying both one-sided limits reports the obstruction."""
     W = _candidate("decaying",
                    lambda X: np.exp(-np.asarray(X)[..., 0]) + np.asarray(X)[..., 1] ** 2,
-                   lambda x: np.array([-np.exp(-x[0]), 2 * x[1]]))
+                   lambda X: np.stack([-np.exp(-X[:, 0]), 2 * X[:, 1]], axis=1))
     report = au.audit_sigma1_axis(W, scan=False)
     assert report.kind == au.OBSTRUCTION
     assert report.detail["max_onesided_limit"] <= 1e-6
@@ -132,7 +135,7 @@ def test_axis_audit_obstruction_branch():
 
 def test_axis_audit_requires_gradient():
     with pytest.raises(stg.GradientUndefinedError):
-        au.audit_sigma1_axis(stg.from_expression("x1*x1+x2*x2", 2))
+        au.audit_sigma1_axis(stg.StorageCandidate("values_only", lambda X: np.sum(X * X, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +197,7 @@ def test_sigmap_falsifies_square_norm():
 
 def test_sigmap_negative_channel():
     """grad V . g < 0 at the sample routes the search to the second channel."""
-    W = _candidate("swapped", lambda X: np.sum(np.asarray(X) ** 2, axis=-1),
-                   lambda x: np.array([2 * x[0], 2 * x[1]]))
+    W = stg.from_expression("x1*x1 + x2*x2", 2)
     report = au.audit_sigmap(W, 3.0, 1.0, xi_samples=[(1.0, 2.0)], search_u_max=3.0)
     assert report.kind == au.VIOLATION
     _, u = report.witness_point
@@ -208,16 +210,14 @@ def test_sigmap_error_and_axis_paths():
     with pytest.raises(ValueError):
         au.audit_sigmap(stg.builtin("sq_norm"), 2.0, 1.0)
     # orthogonal-everywhere candidate with vanishing axis gradient: obstruction
-    const = _candidate("flat", lambda X: np.full(np.asarray(X).shape[:-1], 1.0),
-                       lambda x: np.zeros(2))
-    report = au.audit_sigmap(const, 3.0, 1.0)
+    report = au.audit_sigmap(stg.from_expression("1", 2), 3.0, 1.0)
     assert report.kind == au.OBSTRUCTION
     assert report.detail["u0_requirement_residual"] > 0
     # orthogonal at samples but nonzero axis gradient: inconclusive
     pseudo = _candidate(
         "radial_l1",
         lambda X: (np.abs(np.asarray(X)[..., 0]) + np.abs(np.asarray(X)[..., 1])) ** 2,
-        lambda x: 2 * (abs(x[0]) + abs(x[1])) * np.array([np.sign(x[0]), np.sign(x[1])]))
+        lambda X: 2 * np.sum(np.abs(X), axis=1, keepdims=True) * np.sign(X))
     report = au.audit_sigmap(pseudo, 3.0, 1.0, xi_samples=[(2.0, 1.0), (1.0, 0.5)])
     assert report.kind == au.INCONCLUSIVE
 
@@ -234,10 +234,7 @@ def test_straddle_v3():
 
 
 def test_straddle_translation_invariance():
-    v3 = stg.builtin("v3_scalar")
-    shifted = stg.from_callables("v3+c", lambda X: v3.value_batch(X) + 2.5,
-                                 gradient_fn=v3.gradient,
-                                 subdiff_fn=v3.subdiff, dim=1)
+    shifted = stg.from_expression("max(abs(x1), 2*x1 - 1) + 2.5", 1)
     report = au.audit_scalar_straddle(shifted)
     assert report.kind == au.OBSTRUCTION
     assert report.detail["limsup_left"] == pytest.approx(1.0, abs=1e-12)

@@ -67,10 +67,11 @@ def test_system_and_storage_files(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "sd" / "subdiff.json").read_text())
     assert payload["intervals"] == [[1.0, 2.0]]
-    # expression candidates have no oracle: subdiff query is a usage error
+    # an expression candidate has the generated oracle
     code = run(["subdiff", "--storage", sto_file, "--point", "1",
                 "--out", tmp_path / "sd2"])
-    assert code == 2
+    assert code == 0
+    assert json.loads((tmp_path / "sd2" / "subdiff.json").read_text())["intervals"] == [[2.0, 2.0]]
     # power-affine configs load
     pw = tmp_path / "pw.json"
     pw.write_text(json.dumps({
@@ -113,6 +114,32 @@ def test_candidate_of_another_dimension_is_a_usage_error(tmp_path, capsys, argv)
     err = capsys.readouterr().err
     assert err.startswith("error: candidate ") and "dimension" in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name, zoo, expr, n", [
+    ("v1_scaled", "sigma1", "2*(abs(x1)+abs(x2))", 2),
+    ("v1", "sigma1", "abs(x1)+abs(x2)", 2),
+    ("v2", "sigma2", "x1*x1 + cbrt(x2)*cbrt(x2)", 2),
+    ("v3_scalar", "sigma3_scalar", "max(abs(x1), 2*x1 - 1)", 1),
+])
+def test_builtin_and_its_expression_json_agree(tmp_path, capsys, name, zoo, expr, n):
+    """verify, subdiff and audit sigma1-axis read a built-in and its expression JSON
+    alike: the same exit code, stdout line and report (the default grid already holds
+    every kink, which only the built-in declares)."""
+    spec = tmp_path / "v.json"
+    spec.write_text(json.dumps({"kind": "expr", "expr": expr, "n": n}))
+    for argv, report in ((["verify", "--zoo", zoo, "--gamma", "1"], "verify.json"),
+                         (["subdiff", "--point", *["0", "1"][:n]], "subdiff.json"),
+                         (["audit", "sigma1-axis"], "audit.json")):
+        runs = []
+        for storage in (f"builtin:{name}", spec):
+            out = tmp_path / f"{argv[0]}{len(runs)}"
+            code = run([*argv, "--storage", storage, "--out", out])
+            path = out / report
+            runs.append((code, capsys.readouterr().out,
+                         path.read_text() if path.exists() else None))
+        assert runs[0] == runs[1], argv
+        assert runs[0][2] is not None or (n == 1 and argv[0] == "audit")
 
 
 def test_simulate_and_audit_commands(tmp_path):
@@ -190,10 +217,14 @@ def test_smooth_out_of_refinements_exits_3(tmp_path, monkeypatch, capsys):
      "--rmin", "0.3", "--rmax", "0.1"],
     ["audit", "sigma1-axis", "--system", "x.json", "--storage", "builtin:v1_scaled"],
     ["subdiff", "--system", "x.json", "--storage", "builtin:v1", "--point", "1", "2"],
-], ids=["smooth-gamma", "smooth-annulus", "audit-system", "subdiff-system"])
+    ["audit", "curve-tangency", "--storage", "builtin:nonexistent", "--p", "7", "--umax", "-3"],
+    ["audit", "sigma1-axis", "--storage", "builtin:v1_scaled", "--a", "-5", "--gamma", "-2"],
+], ids=["smooth-gamma", "smooth-annulus", "audit-system", "subdiff-system",
+        "audit-tangency-options", "audit-axis-options"])
 def test_invalid_inputs_are_usage_errors(tmp_path, argv):
-    """A nonpositive gamma or an empty annulus is rejected before any work, and the
-    commands that read no system do not accept --system: exit 2, no report."""
+    """A nonpositive gamma or an empty annulus is rejected before any work, and a
+    command or audit kind takes only the options it reads (audit and subdiff read no
+    system): exit 2, no report."""
     try:
         code = run(argv + ["--out", tmp_path])
     except SystemExit as err:     # argparse rejects an unknown option itself

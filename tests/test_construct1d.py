@@ -118,10 +118,10 @@ def test_h_from_v_examples():
     sq = stg.builtin("sq_norm")
     h = c1.h_from_v(sq, np.linspace(0.1, 2, 96), margin=1.0)
     assert h(1.0) == pytest.approx(8.0, abs=0.25)
-    l1 = stg.from_callables("absx", lambda X: np.abs(np.asarray(X)[..., 0]))
+    l1 = stg.from_expression("abs(x1)", 1)
     h = c1.h_from_v(l1, np.linspace(0.1, 2, 96), margin=0.0)
     assert h(1.0) == pytest.approx(2.0, abs=1e-9)
-    const = stg.from_callables("const", lambda X: np.full(np.asarray(X).shape[:-1], 5.0))
+    const = stg.from_expression("5", 1)
     h = c1.h_from_v(const, np.linspace(0.1, 2, 24))
     assert h(1.0) == pytest.approx(1e-9)  # positive floor where V is flat
     with pytest.raises(ValueError):
@@ -144,9 +144,7 @@ def test_construct_w_reproduces_square(linear):
 
 def test_construct_w_a_zero_branch(decay):
     grid = np.linspace(0.01, 2.0, 200)
-    half_sq = stg.from_callables(
-        "half_sq", lambda X: 0.5 * np.sum(np.asarray(X, dtype=float) ** 2, axis=-1),
-        gradient_fn=lambda x: np.asarray(x, dtype=float))
+    half_sq = stg.from_expression("0.5*pow(x1, 2)", 1)
     built = c1.construct_w(decay, 1.0, half_sq, grid, h=lambda x: 2 * abs(x))
     assert np.max(np.abs(built.w_values - grid ** 2)) <= 1e-6
     # W' (-2x) <= -x^2 pointwise on the grid
@@ -164,9 +162,7 @@ def test_construct_w_witness_check(linear):
 
 def test_construct_w_precondition_failures(linear):
     grid = np.linspace(0.01, 2.0, 50)
-    not_witness = stg.from_callables(
-        "x4", lambda X: np.sum(np.asarray(X, dtype=float) ** 4, axis=-1),
-        gradient_fn=lambda x: 4 * np.asarray(x, dtype=float) ** 3)
+    not_witness = stg.from_expression("pow(x1, 4)", 1)
     with pytest.raises(c1.WitnessHypothesisError):
         c1.construct_w(linear, 1.0, not_witness, grid)
     drifty = sy.AffineSystem(1, 1, ("-x1+0.5",), (("1",),))

@@ -368,6 +368,18 @@ def test_parse_and_compile_are_memoized():
             ex.parse("x1 +", 1, 0)
 
 
+def test_each_op_table_compiles_apart_and_is_memoized():
+    """The tangent table generates its own function, cached like the float one; it
+    returns values, coordinate-major bounds (n, Q) and the coordinates it depends on."""
+    a = ex.parse("abs(x1)*(-x1+2)", 2, 0)
+    tangent = ex.compile_evaluator(a, ex.TANGENT)
+    assert tangent is ex.compile_evaluator(a, ex.TANGENT)
+    assert tangent is not ex.compile_evaluator(a)
+    v, lo, hi, dep = tangent(np.array([[-1.0, 5.0], [2.0, 0.0]]), None)
+    assert v.tolist() == [3.0, 0.0] and dep.ravel().tolist() == [True, False]
+    assert lo.tolist() == hi.tolist() == [[-4.0, -2.0], [-0.0, -0.0]]
+
+
 @pytest.mark.parametrize("node", [
     ex.Call("__import__('os').getcwd", (ex.Var("x", 0),)),
     ex.Bin("**", ex.Var("x", 0), ex.Num(2.0)),

@@ -134,7 +134,7 @@ def test_check_witness_zero_coefficient_rule(region2):
 
 
 def test_check_witness_requires_oracle(region2, sigma1):
-    e = stg.from_expression("x1*x1 + x2*x2", 2)
+    e = stg.StorageCandidate("values_only", lambda X: np.sum(X * X, axis=-1))
     with pytest.raises(stg.MissingOracleError):
         hji.check_witness(sigma1, e, 1.0, region2)
 

@@ -111,7 +111,7 @@ def test_choose_delta_examples():
 
 
 def test_upsilons_examples():
-    four = stg.from_callables("four", lambda X: np.full(np.asarray(X).shape[:-1], 4.0))
+    four = stg.from_expression("4", 2)
     u1, u2 = sm.upsilons(four, sm.default_alpha, 0.2, [3.0, 0.0])
     assert u1 == pytest.approx(0.8) and u2 == pytest.approx(0.2)
     _, u2 = sm.upsilons(four, sm.default_alpha, 0.2, [0.5, 0.0])

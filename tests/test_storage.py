@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hjikit import construct1d as c1
+from hjikit import expr as ex
 from hjikit import hji
 from hjikit import storage as stg
 from hjikit import systems as sy
@@ -102,12 +103,89 @@ def test_nonnegativity_on_samples():
 
 
 def test_missing_oracle_paths():
-    e = stg.from_expression("x1*x1 + abs(x2)", 2)
+    e = stg.StorageCandidate("values_only", stg.from_expression("x1*x1 + abs(x2)", 2).value_fn)
     with pytest.raises(stg.MissingOracleError):
         e.subdiff([1, 1])
     with pytest.raises(stg.MissingOracleError):
         e.gradient([1, 1])
-    assert e.value([2, -3]) == 7.0
+    assert e.value([2, -3]) == 7.0 and not e.has_oracle
+
+
+_INF = math.inf
+
+
+@pytest.mark.parametrize("src, x, box", [
+    ("abs(x1)", [0.0], ((-1, 1),)),
+    ("abs(x1)", [5e-13], ((-1, 1),)),                  # within 1e-12 of the kink
+    ("abs(x1)", [-2.0], ((-1, -1),)),
+    ("-abs(x1)", [0.0], ((-1, 1),)),                   # Clarke's box; no subgradient exists
+    ("max(x1, x2)", [1.0, 1.0], ((0, 1), (0, 1))),     # a tie: the hull of both
+    ("max(x1, x2)", [2.0, 1.0], ((1, 1), (0, 0))),
+    ("min(x1, 2*x1)", [0.0], ((1, 2),)),
+    ("sign(x2)", [1.0, 0.0], ((0, 0), (-_INF, _INF))),
+    ("sign(x1)", [3.0], ((0, 0),)),
+    ("sqrt(x1)", [4.0], ((0.25, 0.25),)),
+    ("sqrt(x1)", [0.0], ((-_INF, _INF),)),
+    ("sqrt(x1*x1)", [0.0], ((-_INF, _INF),)),          # a zero tangent under an infinite slope
+    ("cbrt(x1)", [8.0], ((1 / 12, 1 / 12),)),
+    ("cbrt(x2)", [1.0, 0.0], ((0, 0), (-_INF, _INF))),
+    ("pow(x1, 0.5)", [0.0], ((-_INF, _INF),)),
+    ("pow(x1, 1)", [0.0], ((-1, 1),)),
+    ("pow(x1, 2)", [0.0], ((0, 0),)),
+    ("pow(x1, 3)", [-2.0], ((-12, -12),)),
+    ("spow(x1, 1)", [0.0], ((1, 1),)),
+    ("spow(x1, 3)", [-2.0], ((12, 12),)),
+    ("0*sign(x1)", [0.0], ((-_INF, _INF),)),           # 0 x unbounded is unbounded
+    ("x2*sign(x1)", [0.0, 0.0], ((-_INF, _INF), (0, 0))),
+    ("x1/x2", [1.0, 2.0], ((0.5, 0.5), (-0.25, -0.25))),
+    ("5", [1.0, 2.0], ((0, 0), (0, 0))),
+    ("pow(x2, x1)", [2.0, 3.0], ((9 * math.log(3), 9 * math.log(3)), (6, 6))),
+])
+def test_generated_oracle_rules(src, x, box):
+    """Worked examples of the derivative table's rules at and off the kinks."""
+    got = stg.from_expression(src, len(x)).subdiff(x).intervals
+    assert np.allclose(got, box, rtol=1e-15, atol=0.0), (src, x, got)
+
+
+_x_leaves = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 0.5, -1.0, 3.0]).map(ex.Num),
+                      st.builds(ex.Var, st.just("x"), st.integers(0, 1)))
+
+
+def _x_extend(kids):
+    return st.one_of(
+        kids.map(ex.Neg),
+        st.builds(ex.Bin, st.sampled_from("+-*/"), kids, kids),
+        st.builds(lambda fn, a: ex.Call(fn, (a,)),
+                  st.sampled_from(["abs", "sign", "sqrt", "cbrt"]), kids),
+        st.builds(lambda fn, a, b: ex.Call(fn, (a, b)),
+                  st.sampled_from(["min", "max", "pow", "spow"]), kids, kids),
+        st.builds(lambda fn, a, k: ex.Call(fn, (a, ex.Num(k))), st.sampled_from(["pow", "spow"]),
+                  kids, st.sampled_from([2.0, 0.5, 1.0, 3.0, -1.0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ast=st.recursive(_x_leaves, _x_extend, max_leaves=8), seed=st.integers(0, 2**32 - 1))
+def test_generated_oracle_bounds_one_sided_slopes(ast, seed):
+    """Where V is finite around x, its one-sided difference quotients along each axis
+    lie in the generated box: (V(x + h e_k) - V(x))/h <= hi_k and
+    (V(x) - V(x - h e_k))/h >= lo_k, up to the quotients' own drift between
+    h = 1e-7 and 1e-9.  Half the points lie on a grid of halves, where many kinks of
+    the random expressions lie."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-3.0, 3.0, (64, 2))
+    X[::2] = np.round(2 * X[::2]) / 2
+    V = stg.from_expression(ex.to_source(ast), 2)
+    lo, hi = V.subdiff_batch(X)
+    with np.errstate(all="ignore"):
+        fx = V.value_batch(X)
+        for k, e in enumerate(np.eye(2)):
+            (fwd, bwd), (fwd2, bwd2) = [((V.value_batch(X + h * e) - fx) / h,
+                                          (fx - V.value_batch(X - h * e)) / h)
+                                         for h in (1e-7, 1e-9)]
+            tol = 4 * np.maximum(np.abs(fwd - fwd2), np.abs(bwd - bwd2)) + 1e-6 * (1 + np.abs(fx))
+            seen = np.isfinite(fwd) & np.isfinite(bwd) & np.isfinite(tol)
+            assert np.all(fwd[seen] <= hi[seen, k] + tol[seen]), ex.to_source(ast)
+            assert np.all(bwd[seen] >= lo[seen, k] - tol[seen]), ex.to_source(ast)
 
 
 def test_storage_config_round_trip():
@@ -216,74 +294,98 @@ def test_v2_constant_on_orbit_curve():
 
 
 # ---------------------------------------------------------------------------
-# batched oracles against the scalar formulas
+# the generated oracles against the hand-written ones they replaced
 # ---------------------------------------------------------------------------
 
-_DIMS = {"v1_scaled": 2, "v1": 2, "v2": 2, "v3_scalar": 1, "sq_norm": 3}
+_KINK_SNAP = 1e-12
 
 
-def _reference_intervals(name, x):
-    """The built-in subdifferentials written out one point at a time."""
-    def snap(v):
-        return 0.0 if abs(v) <= 1e-12 else float(v)
+def _weighted_l1(name, scale):
+    """scale * (|x1| + |x2|) with its exact box subdifferential."""
 
-    if name in ("v1", "v1_scaled"):
-        s = 1.0 if name == "v1" else 2.0
-        return tuple((-s, s) if snap(v) == 0 else (math.copysign(s, v),) * 2 for v in x)
-    if name == "v2":
-        z1 = 2 * float(x[0])
-        if snap(x[1]) == 0:
-            return ((z1, z1), (-math.inf, math.inf))
-        z2 = float((2.0 / 3.0) / np.cbrt(x[1]))
-        return ((z1, z1), (z2, z2))
-    if name == "v3_scalar":
-        v = float(x[0])
-        if abs(v) <= 1e-12:
-            return ((-1.0, 1.0),)
-        if abs(v - 1.0) <= 1e-12:
-            return ((1.0, 2.0),)
-        s = -1.0 if v < 0 else (1.0 if v < 1 else 2.0)
-        return ((s, s),)
-    return tuple((2 * float(v), 2 * float(v)) for v in x)
+    def value(X):
+        X = np.asarray(X, dtype=float)
+        return scale * (np.abs(X[..., 0]) + np.abs(X[..., 1]))
+
+    def sd(X):
+        kink = np.abs(X) <= _KINK_SNAP
+        slope = scale * np.sign(X)
+        return np.where(kink, -scale, slope), np.where(kink, scale, slope)
+
+    return stg.StorageCandidate(name, value, "lipschitz", 2, sd)
+
+
+def _make_v2():
+    def value(X):
+        X = np.asarray(X, dtype=float)
+        return X[..., 0] ** 2 + np.cbrt(X[..., 1]) ** 2
+
+    def sd(X):
+        kink = np.abs(X[:, 1]) <= _KINK_SNAP
+        # liminf of |h|^(2/3)/|h| diverges on x2 = 0, so every second coordinate qualifies
+        z2 = (2.0 / 3.0) / np.cbrt(np.where(kink, 1.0, X[:, 1]))
+        lo = np.stack([2 * X[:, 0], np.where(kink, -math.inf, z2)], axis=1)
+        hi = np.stack([2 * X[:, 0], np.where(kink, math.inf, z2)], axis=1)
+        return lo, hi
+
+    return stg.StorageCandidate("v2", value, "continuous", 2, sd)
+
+
+def _make_v3_scalar():
+    def value(X):
+        X = np.asarray(X, dtype=float)
+        v = X[..., 0]
+        return np.maximum(np.abs(v), 2 * v - 1)
+
+    def sd(X):
+        v = X[:, :1]
+        slope = np.where(v < 0, -1.0, np.where(v < 1, 1.0, 2.0))
+        at0, at1 = np.abs(v) <= _KINK_SNAP, np.abs(v - 1.0) <= _KINK_SNAP
+        return (np.where(at0, -1.0, np.where(at1, 1.0, slope)),
+                np.where(at0, 1.0, np.where(at1, 2.0, slope)))
+
+    return stg.StorageCandidate("v3_scalar", value, "lipschitz", 1, sd)
+
+
+_HAND = {"v1_scaled": _weighted_l1("v1_scaled", 2.0), "v1": _weighted_l1("v1", 1.0),
+         "v2": _make_v2(), "v3_scalar": _make_v3_scalar()}
+
+
+def _ulps(a, b):
+    """|a - b| in units in the last place of the larger magnitude (0 where equal)."""
+    with np.errstate(invalid="ignore"):
+        d = np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+    return np.where(a == b, 0.0, d)
 
 
 @settings(max_examples=80, deadline=None)
-@given(name=st.sampled_from(sorted(_DIMS)), data=st.data())
-def test_subdiff_batch_matches_scalar(name, data):
-    """Batched boxes equal the per-point oracle, on random points and on every kink locus."""
-    V = stg.builtin(name)
-    n = _DIMS[name]
+@given(name=st.sampled_from(sorted(_HAND)), data=st.data())
+def test_generated_oracle_matches_hand_oracle(name, data):
+    """Each built-in's generated oracle gives its hand oracle's boxes, on random points
+    and on points snapped within 1e-12 of every kink: bit for bit, except that v2's
+    finite slopes (2/3)/cbrt(x2) come out of the chain rule within 4 ulps."""
+    V, ref = stg.builtin(name), _HAND[name]
+    n = V.dim
     coord = st.floats(-3.0, 3.0, allow_nan=False)
     X = np.array(data.draw(st.lists(st.lists(coord, min_size=n, max_size=n),
                                     min_size=1, max_size=6)))
+    X = np.concatenate([X, -X])                        # -0.0 wherever X has 0.0
     copies = [X]
     for axis, value in V.kinks:
         Y = X.copy()
         Y[:, axis] = value + data.draw(st.floats(-1e-12, 1e-12))
         copies.append(Y)
     X = np.concatenate(copies)
+    assert V.value_batch(X).tobytes() == ref.value_batch(X).tobytes()
     lo, hi = V.subdiff_batch(X)
-    assert lo.shape == hi.shape == X.shape
-    for x, row_lo, row_hi in zip(X, lo, hi):
-        expected = _reference_intervals(name, x)
-        assert tuple(zip(row_lo.tolist(), row_hi.tolist())) == expected, x
-        assert V.subdiff(x).intervals == expected, x
-
-
-def test_subdiff_batch_scalar_fallback():
-    """Candidates with only a scalar oracle are queried row by row; empty sets mark lo > hi."""
-    v3 = stg.builtin("v3_scalar")
-
-    def sd(x):
-        return stg.SubdiffSet.empty_set() if x[0] > 2.0 else v3.subdiff(x)
-
-    cand = stg.from_callables("v3-partial", v3.value_fn, subdiff_fn=sd, dim=1)
-    lo, hi = cand.subdiff_batch(np.array([[-1.0], [0.0], [1.0], [2.5]]))
-    assert lo[:, 0].tolist() == [-1.0, -1.0, 1.0, math.inf]
-    assert hi[:, 0].tolist() == [-1.0, 1.0, 2.0, -math.inf]
-    grad_only = stg.from_callables("sq", v3.value_fn, gradient_fn=lambda x: 2 * x, dim=1)
-    lo, hi = grad_only.subdiff_batch(np.array([[0.5], [-1.5]]))
-    assert lo.tolist() == hi.tolist() == [[1.0], [-3.0]]
+    rlo, rhi = ref.subdiff_batch(X)
+    kink = np.any(rlo != rhi, axis=1)
+    assert np.array_equal(kink, np.any(lo != hi, axis=1))
+    assert lo[kink].tobytes() == rlo[kink].tobytes() and hi[kink].tobytes() == rhi[kink].tobytes()
+    if name == "v2":
+        assert np.max(_ulps(lo[~kink], rlo[~kink]), initial=0.0) <= 4
+    else:
+        assert lo.tobytes() == rlo.tobytes() and hi.tobytes() == rhi.tobytes()
 
 
 def test_candidate_dimension_is_checked():
@@ -302,10 +404,21 @@ def test_candidate_dimension_is_checked():
 # one oracle: subdiff, gradient and the residuals read the batched oracle
 # ---------------------------------------------------------------------------
 
-def _wide_at_kinks(X):
-    lo, hi = stg.builtin("v1_scaled").subdiff_batch(X)
-    kink = np.any(lo != hi, axis=1, keepdims=True)
-    return np.where(kink, -100.0, lo), np.where(kink, 100.0, hi)
+def _at_kinks(bound):
+    """v1_scaled's oracle, with every kink row replaced by the box [-bound, bound]^2."""
+    def batch(X):
+        lo, hi = stg.builtin("v1_scaled").subdiff_batch(X)
+        kink = np.any(lo != hi, axis=1, keepdims=True)
+        return np.where(kink, -bound, lo), np.where(kink, bound, hi)
+
+    return batch
+
+
+def _empty_right(X):
+    """v3_scalar's oracle, empty (lo > hi) right of 1.5."""
+    lo, hi = stg.builtin("v3_scalar").subdiff_batch(X)
+    right = X > 1.5
+    return np.where(right, math.inf, lo), np.where(right, -math.inf, hi)
 
 
 @functools.lru_cache(maxsize=None)
@@ -319,15 +432,16 @@ def _candidate_form(form, smoothed):
     v, v3 = stg.builtin("v1_scaled"), stg.builtin("v3_scalar")
     if form in stg.builtins():
         V = stg.builtin(form)
-    elif form == "gradient_only":
-        V = stg.from_callables("grad_only", v.value_fn, gradient_fn=v.gradient, dim=2)
-    elif form == "subdiff_only":   # empty right of 1.5
-        V = stg.from_callables(
-            "v3-partial", v3.value_fn, dim=1,
-            subdiff_fn=lambda x: stg.SubdiffSet.empty_set() if x[0] > 1.5 else v3.subdiff(x))
-    elif form == "wide_kinks":     # the batched oracle wins over the gradient
-        V = stg.from_callables("wide_kinks", v.value_fn, gradient_fn=v.gradient,
-                               regularity="lipschitz", dim=2, subdiff_batch_fn=_wide_at_kinks)
+    elif form == "unbounded_kinks":
+        V = stg.StorageCandidate("unbounded_kinks", v.value_fn, "lipschitz", 2,
+                                 _at_kinks(math.inf))
+    elif form == "empty_right":
+        V = stg.StorageCandidate("v3-partial", v3.value_fn, "lipschitz", 1, _empty_right)
+    elif form == "wide_kinks":
+        V = stg.StorageCandidate("wide_kinks", v.value_fn, "lipschitz", 2, _at_kinks(100.0))
+    elif form == "expression":     # every rule of the generated oracle, kinks on the axes
+        V = stg.from_expression("min(abs(x1 - x2), spow(x1, 3) / (1 + x2*x2)) - cbrt(x2)"
+                                " + sqrt(x1*x1 + x2*x2) + max(sign(x2), pow(x1, 0.5))", 2)
     elif form == "smoothed":
         V = smoothed.W
     else:
@@ -335,8 +449,8 @@ def _candidate_form(form, smoothed):
     return V, sy.make_scalar_linear() if V.dim == 1 else sy.make_sigma1()
 
 
-_FORMS = sorted(stg.builtins()) + ["gradient_only", "subdiff_only", "wide_kinks",
-                                   "smoothed", "constructed"]
+_FORMS = sorted(stg.builtins()) + ["unbounded_kinks", "empty_right", "wide_kinks",
+                                   "expression", "smoothed", "constructed"]
 
 
 @pytest.mark.parametrize("form", _FORMS)

@@ -97,7 +97,7 @@ def test_dissipation_audit_examples():
 
 def test_dissipation_audit_flags_nonwitness(linear):
     """A candidate that is not a witness shows positive slack along some run."""
-    fake = stg.from_callables("x4", lambda X: np.sum(np.asarray(X) ** 4, axis=-1))
+    fake = stg.from_expression("pow(x1, 4)", 1)
     traj = tr.integrate(linear, [1.5], tr.ConstantInput([0.0]), (0, 1), 1e-3)
     # d/dt x^4 = -4x^4 vs supply -x^2: at x = 1.5, -4x^4 < -x^2 holds... drive it:
     traj2 = tr.integrate(linear, [0.0], tr.ConstantInput([2.0]), (0, 2), 1e-3)
@@ -327,7 +327,7 @@ def test_dissipation_audit_detail_ties_match_loop(xs, us, a, gamma):
     times = a + h * np.arange(len(xs))
     sig = tr.PiecewiseConstantInput(times[1:len(us)], np.array(us[:len(xs)], float)[:, None])
     traj = tr.Trajectory(times, np.array(xs, float)[:, None], sig, h)
-    V = stg.from_callables("twice", lambda X: 2.0 * np.asarray(X)[:, 0])
+    V = stg.from_expression("2*x1", 1)
     assert tr.dissipation_audit_detail(traj, V, gamma) == _audit_reference(traj, V, gamma)
 
 
@@ -336,7 +336,7 @@ def test_dissipation_audit_detail_tie_example():
     times = np.arange(5.0)
     A = np.array([3.0, 1.0, 2.0, 1.0, 5.0])
     traj = tr.Trajectory(times, np.zeros((5, 1)), tr.ConstantInput([0.0]), 1.0)
-    lookup = stg.from_callables("lut", lambda X: A[:np.shape(X)[0]])
+    lookup = stg.StorageCandidate("lut", lambda X: A[:np.shape(X)[0]])
     assert tr.dissipation_audit_detail(traj, lookup, 1.0) == (4.0, (1.0, 4.0))
 
 
