@@ -11,9 +11,9 @@ constructive upgrade (:mod:`hjikit.construct1d`), gain-relaxed smoothing
 
 from .errors import HjikitError
 from .expr import EvalError, ExprSyntaxError, compile_evaluator, evaluate, parse, to_source
-from .hji import (Region, WitnessReport, affine_residual, check_witness,
-                  gamma_range, general_residual, min_gain_scan, point_residual,
-                  power_residual, residuals, supply)
+from .hji import (GainScan, Region, WitnessReport, affine_residual, check_witness,
+                  gamma_range, general_residual, min_gain_scan, needed_gains,
+                  point_residual, power_residual, residuals, supply)
 from .storage import (GradientUndefinedError, MissingOracleError, StorageCandidate,
                       SubdiffSet, builtin, builtins, from_expression,
                       verify_subgradient)

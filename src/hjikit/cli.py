@@ -116,10 +116,15 @@ def _cmd_gain(args) -> tuple:
     V = _load_storage(args)
     region = _region_from(args, sysm.n)
     grid = _gamma_grid(args.gammas)
-    gamma = hji.min_gain_scan(sysm, V, region, grid, tol=args.tol)
-    return (_verdict(gamma is not None),
-            "gain: no grid gamma passes" if gamma is None else f"gain: {gamma:.2f}",
-            {"gain.json": {"gamma_grid": [grid[0], grid[-1], len(grid)], "min_gamma": gamma}})
+    scan = hji.min_gain_scan(sysm, V, region, grid, tol=args.tol)
+    star, star_x = scan.gamma_star, scan.gamma_star_x    # None in sampled mode
+    line = "gain: no grid gamma passes" if scan.min_gamma is None else f"gain: {scan.min_gamma!r}"
+    return (_verdict(scan.min_gamma is not None),
+            line if star is None else f"{line} (gamma_star {star!r})",
+            {"gain.json": {"gamma_grid": [grid[0], grid[-1], len(grid)],
+                           "min_gamma": scan.min_gamma,
+                           "gamma_star": star if star is not None and np.isfinite(star) else None,
+                           "gamma_star_x": None if star_x is None else star_x.tolist()}})
 
 
 def _cmd_simulate(args) -> tuple:

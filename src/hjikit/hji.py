@@ -13,14 +13,19 @@ admissible only where their dynamic coefficient vanishes identically in u.
 
 :func:`residuals` is the one batched kernel behind region sweeps; the scalar
 functions (:func:`point_residual` and the closed forms it calls) are the
-reference it is tested against.
+reference it is tested against.  :func:`needed_gains` solves the same exact sup
+for gamma: the least gain at which each point passes.  The minimal-gain scan
+takes the first grid gamma at or above the largest, confirms it with two
+witness checks (it passes, the grid gamma below fails) and bisects the grid
+where they disagree and for general systems.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -248,6 +253,47 @@ def residuals(sys: System, lo, hi, X, gamma: float,
     ``u`` (Q, m); both are NaN where no finite maximizer exists.
     """
     X = np.asarray(X, dtype=float)
+    if isinstance(sys, AffineSystem):
+        sup = (lambda A, ceff, sgn: _affine_sup(sys.p, gamma, A, ceff, sgn))
+        step, parts = max(len(X), 1), (lambda s: _affine_parts(sys, X[s], sup))
+    else:
+        U = _u_grid_from_box(_default_u_box(X, sys.m) if u_box is None else u_box, u_points)
+        step = max(1, _CHUNK_ROWS // U.shape[0])
+        parts = (lambda s: _sampled_parts(sys, X[s], gamma, U))
+    return _vertex_max(lo, hi, X, sys.m, step, parts)
+
+
+def needed_gains(sys: AffineSystem, lo, hi, X, tol: float) -> np.ndarray:
+    """The least gain at which each point's residual (:func:`residuals`, same rules)
+    is at most ``tol``, shape (Q,): +inf if none, -inf for an empty row.
+
+    At a vertex the residual is A + S gamma^(-p/(2-p)) for p < 2, with
+    S = sum_i (2-p)/p (p c_i/2)^(2/(2-p)) (sum c_i^2/4 at p = 1), so it needs
+    (S/(tol - A))^((2-p)/p), 0 if S = 0; p = 2 needs max c_i, p > 2 0 or +inf
+    (a c_i > 0).  A > tol, or A = tol with S > 0, needs +inf.
+    """
+    p, X = sys.p, np.asarray(X, dtype=float)
+    no_u = np.full((len(X), sys.m), math.nan)
+
+    def need(A, ceff, sgn):
+        if p >= 2:
+            top = np.fmax.reduce(ceff, axis=1, initial=0.0)   # the sup adds 0 for a NaN c_i
+            top = np.where(top > _COEFF_ZERO_TOL, math.inf, 0.0) if p > 2 else top
+            return np.where(A <= tol, top, math.inf), no_u
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            S = np.sum((2.0 - p) / p * (p * ceff / 2.0) ** (2.0 / (2.0 - p)), axis=1)
+            slack = tol - A
+            return np.where(S == 0.0, np.where(slack >= 0.0, 0.0, math.inf), np.where(
+                slack > 0.0, (S / slack) ** ((2.0 - p) / p), math.inf)), no_u
+
+    return _vertex_max(lo, hi, X, sys.m, max(len(X), 1),
+                       lambda s: _affine_parts(sys, X[s], need))[0]
+
+
+def _vertex_max(lo, hi, X, m, step, parts):
+    """The largest ``sup`` over each row's box vertices, chunk by chunk of ``step`` rows,
+    with :func:`residuals`' rules; ``parts(s)`` gives the dynamic coefficients of
+    chunk ``s`` and its ``sup``, which maps a vertex array to values and maximizers."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     Q, n = X.shape
     zlo = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
@@ -258,16 +304,9 @@ def residuals(sys: System, lo, hi, X, gamma: float,
     for k in reversed(flips):
         vertices += [np.where(np.arange(n) == k, zhi, Z) for Z in vertices]
 
-    if isinstance(sys, AffineSystem):
-        step, parts = max(Q, 1), (lambda s: _affine_parts(sys, X[s], gamma))
-    else:
-        U = _u_grid_from_box(_default_u_box(X, sys.m) if u_box is None else u_box, u_points)
-        step = max(1, _CHUNK_ROWS // U.shape[0])
-        parts = (lambda s: _sampled_parts(sys, X[s], gamma, U))
-
     res = np.full(Q, -math.inf)
     zeta = np.full((Q, n), math.nan)
-    worst_u = np.full((Q, sys.m), math.nan)
+    worst_u = np.full((Q, m), math.nan)
     for start in range(0, Q, step):
         s = slice(start, start + step)
         coef, sup = parts(s)
@@ -284,30 +323,37 @@ def residuals(sys: System, lo, hi, X, gamma: float,
     return res, zeta, worst_u
 
 
-def _affine_parts(sys, X, gamma):
-    """Per-point dynamic coefficients (Q, n) and the exact sup over u at a vertex array."""
-    p, signed = sys.p, sys.phi == "signed_pow"
+def _affine_parts(sys, X, sup):
+    """Per-point dynamic coefficients (Q, n) and, at a vertex array, ``sup`` of its
+    gamma-free parts: A = zeta.g0 + |x|^2 (Q,), the effective channel coefficients
+    (Q, m) and their signs."""
+    signed = sys.phi == "signed_pow"
     G0 = sys.drift(X)
     GI = sys.input_fields(X)                              # (m, Q, n)
     xx = np.sum(X * X, axis=1)
 
-    def sup(Z):
+    def at(Z):
         ceff = np.einsum("iqn,qn->qi", GI, Z)             # channel coefficients (Q, m)
         sgn = np.sign(ceff) if signed else 1.0
         ceff = np.abs(ceff) if signed else np.maximum(ceff, 0.0)
-        if p >= 2:
-            val = np.where(ceff > (gamma if p == 2 else _COEFF_ZERO_TOL), math.inf, 0.0)
-            r = np.zeros_like(ceff)
-        elif p == 1:
-            val, r = ceff * ceff / (4.0 * gamma), ceff / (2.0 * gamma)
-        else:
-            with np.errstate(over="ignore"):          # p near 2: r and val overflow to inf
-                r = (p * ceff / (2.0 * gamma)) ** (1.0 / (2.0 - p))
-                val = gamma * (2.0 - p) / p * r * r   # c r^p - gamma r^2 at r
-        u = np.where(np.isinf(val), math.nan, sgn * r)
-        return np.sum(Z * G0, axis=1) + xx + np.sum(val, axis=1), u
+        return sup(np.sum(Z * G0, axis=1) + xx, ceff, sgn)
 
-    return np.max(np.abs(np.concatenate([G0[None], GI])), axis=0), sup
+    return np.max(np.abs(np.concatenate([G0[None], GI])), axis=0), at
+
+
+def _affine_sup(p, gamma, A, ceff, sgn):
+    """The exact sup over u at gamma, A + sum_i sup_r c_i phi(r) - gamma r^2, and its maximizer."""
+    if p >= 2:
+        val = np.where(ceff > (gamma if p == 2 else _COEFF_ZERO_TOL), math.inf, 0.0)
+        r = np.zeros_like(ceff)
+    elif p == 1:
+        val, r = ceff * ceff / (4.0 * gamma), ceff / (2.0 * gamma)
+    else:
+        with np.errstate(over="ignore"):          # p near 2: r and val overflow to inf
+            r = (p * ceff / (2.0 * gamma)) ** (1.0 / (2.0 - p))
+            val = gamma * (2.0 - p) / p * r * r   # c r^p - gamma r^2 at r
+    u = np.where(np.isinf(val), math.nan, sgn * r)
+    return A + np.sum(val, axis=1), u
 
 
 def _sampled_parts(sys, X, gamma, U):
@@ -322,6 +368,18 @@ def _sampled_parts(sys, X, gamma, U):
         return vals[np.arange(B), j], U[j]
 
     return np.max(np.abs(F), axis=1), sup
+
+
+def _sweep_boxes(sys: System, V: StorageCandidate, region: Region) -> tuple:
+    """The region grid (kink loci included) and its subdifferential boxes: (X, lo, hi)."""
+    if region.dim != sys.n:
+        raise ValueError(f"region dimension {region.dim} does not match system n={sys.n}")
+    if V.dim is not None and V.dim != sys.n:
+        raise DimensionError(f"candidate {V.name!r} has dimension {V.dim}, system n={sys.n}")
+    X = region.grid(V.kinks)
+    if X.shape[0] == 0:
+        raise EmptyRegionError("region grid is empty")
+    return (X, *V.subdiff_batch(X))
 
 
 def check_witness(sys: System, V: StorageCandidate, gamma: float, region: Region,
@@ -344,17 +402,11 @@ def check_witness(sys: System, V: StorageCandidate, gamma: float, region: Region
     exact = isinstance(sys, AffineSystem)
     if tol is None:
         tol = DEFAULT_TOL_EXACT if exact else DEFAULT_TOL_SAMPLED
-    if region.dim != sys.n:
-        raise ValueError(f"region dimension {region.dim} does not match system n={sys.n}")
-    if V.dim is not None and V.dim != sys.n:
-        raise DimensionError(f"candidate {V.name!r} has dimension {V.dim}, system n={sys.n}")
-    X = region.grid(V.kinks)
-    if X.shape[0] == 0:
-        raise EmptyRegionError("region grid is empty")
+    X, lo, hi = _sweep_boxes(sys, V, region)
     if not exact and u_box is None:
         u_box = _default_u_box(X, sys.m)
 
-    res, Z, U = residuals(sys, *V.subdiff_batch(X), X, gamma, u_box, u_points)
+    res, Z, U = residuals(sys, lo, hi, X, gamma, u_box, u_points)
     k = int(np.argmax(res))
     best = float(res[k])
     worst_zeta = None if np.isnan(Z[k]).any() else Z[k].copy()
@@ -411,25 +463,47 @@ def point_residual(sys: System, V: StorageCandidate, gamma: float, x,
     return best, best_z, best_u
 
 
-def min_gain_scan(sys: System, V: StorageCandidate, region: Region,
-                  gamma_grid: Sequence[float], tol: Optional[float] = None) -> Optional[float]:
-    """Smallest grid gamma whose witness check passes; None if every gamma fails.
+class GainScan(NamedTuple):
+    """A scan's smallest passing grid gamma (None if none passes); in exact mode also
+    the largest needed gain on the region grid (maybe +inf) and the point needing it."""
 
-    The residual is nonincreasing in gamma at a fixed u-grid, so once a grid
-    gamma passes every larger one does: the scan bisects the grid, and finds
-    the same gamma as a linear scan in about log2(len(grid)) sweeps.
+    min_gamma: Optional[float]
+    gamma_star: Optional[float] = None
+    gamma_star_x: Optional[np.ndarray] = None
+
+
+def min_gain_scan(sys: System, V: StorageCandidate, region: Region,
+                  gamma_grid: Sequence[float], tol: Optional[float] = None) -> GainScan:
+    """Smallest grid gamma whose witness check passes (``min_gamma``, None if all fail).
+
+    Exact mode (affine systems) takes the first grid gamma at or above the largest
+    needed gain (:func:`needed_gains`), ``gamma_star``, and confirms it with two
+    :func:`check_witness` calls: it passes and the grid gamma below it fails.  If
+    either disagrees, and in sampled mode, the scan bisects the grid: the residual
+    is nonincreasing in gamma at a fixed u-grid, so bisection finds the same gamma
+    as a linear scan in about log2(len(grid)) sweeps.
     """
     gammas = list(gamma_grid)
     if not gammas or any(g <= 0 for g in gammas) or gammas != sorted(gammas):
         raise ValueError("gamma_grid must be positive and increasing")
+    passes = (lambda g: check_witness(sys, V, g, region, tol=tol).passed)
     first, last = 0, len(gammas)      # gammas[:first] fail; gammas[last:] pass
+    star = star_x = None
+    if isinstance(sys, AffineSystem):
+        X, lo, hi = _sweep_boxes(sys, V, region)
+        need = needed_gains(sys, lo, hi, X, DEFAULT_TOL_EXACT if tol is None else tol)
+        k = int(np.argmax(need))
+        star, star_x = max(float(need[k]), 0.0), X[k].copy()
+        k = bisect.bisect_left(gammas, star)
+        if (k == last or passes(gammas[k])) and (k == 0 or not passes(gammas[k - 1])):
+            first = last = k          # confirmed: no bisection
     while first < last:
         mid = (first + last) // 2
-        if check_witness(sys, V, gammas[mid], region, tol=tol).passed:
+        if passes(gammas[mid]):
             last = mid
         else:
             first = mid + 1
-    return gammas[first] if first < len(gammas) else None
+    return GainScan(gammas[first] if first < len(gammas) else None, star, star_x)
 
 
 def gamma_range(start: float, stop: float, step: float) -> list:

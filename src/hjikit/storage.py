@@ -179,9 +179,9 @@ class StorageCandidate:
 def from_expression(src: str, n: int, regularity: str = "continuous",
                     kinks: tuple = ()) -> StorageCandidate:
     """An expression candidate in x1..xn; its oracle is the enclosure that
-    :data:`hjikit.expr.TANGENT` generates from the expression.  ``kinks`` (declared
-    by the built-in records; storage JSON has no such field) lists the (axis, value)
-    coordinates where the box is not a singleton, for region grids to visit."""
+    :data:`hjikit.expr.TANGENT` generates from the expression.  ``kinks`` lists the
+    (axis, value) coordinates, axis 0 for x1, where the box is not a singleton, for
+    region grids to visit."""
     ast = ex.parse(src, n, 0)
     fn, tangent = ex.compile_evaluator(ast), ex.compile_evaluator(ast, ex.TANGENT)
 
@@ -211,36 +211,45 @@ def _sq_norm_value(X):
     return np.sum(X * X, axis=-1)
 
 
+_BUILTIN_NAMES = (*_BUILTIN_EXPRESSIONS, "sq_norm")
+
+
 def builtins() -> dict:
     """Fresh instances of the built-in candidates, keyed by name."""
-    table = {name: replace(from_expression(*record), name=name)
-             for name, record in _BUILTIN_EXPRESSIONS.items()}
-    table["sq_norm"] = StorageCandidate("sq_norm", _sq_norm_value, "smooth", None,
-                                        lambda X: (2 * X, 2 * X))
-    return table
+    return {name: builtin(name) for name in _BUILTIN_NAMES}
 
 
 def builtin(name: str) -> StorageCandidate:
-    table = builtins()
-    if name not in table:
-        raise KeyError(f"no builtin candidate named {name!r}; have {sorted(table)}")
-    return table[name]
+    """A fresh instance of the one built-in candidate ``name``."""
+    if name == "sq_norm":
+        return StorageCandidate("sq_norm", _sq_norm_value, "smooth", None,
+                                lambda X: (2 * X, 2 * X))
+    if name not in _BUILTIN_EXPRESSIONS:
+        raise KeyError(f"no builtin candidate named {name!r}; have {sorted(_BUILTIN_NAMES)}")
+    return replace(from_expression(*_BUILTIN_EXPRESSIONS[name]), name=name)
 
 
 def from_config(cfg: dict) -> StorageCandidate:
+    """A candidate from its JSON form; an ``expr`` form may list ``kinks`` as
+    [axis, value] pairs, axis 0 for x1."""
     kind = cfg.get("kind")
     if kind == "builtin":
         return builtin(cfg["name"])
     if kind == "expr":
-        return from_expression(cfg["expr"], int(cfg["n"]), cfg.get("regularity", "continuous"))
+        n = int(cfg["n"])
+        kinks = tuple((int(k), float(v)) for k, v in cfg.get("kinks", ()))
+        if any(not 0 <= k < n for k, _ in kinks):
+            raise ValueError(f"a kink axis lies outside 0..{n - 1}: {cfg['kinks']!r}")
+        return from_expression(cfg["expr"], n, cfg.get("regularity", "continuous"), kinks)
     raise ValueError(f"unknown storage kind {kind!r}")
 
 
 def to_config(V: StorageCandidate) -> dict:
     """The JSON form :func:`from_config` reads; only built-ins and expressions have one."""
     if V.name.startswith("expr:"):
-        return {"kind": "expr", "expr": V.name[5:], "n": V.dim, "regularity": V.regularity}
-    if V.name not in builtins():
+        return {"kind": "expr", "expr": V.name[5:], "n": V.dim, "regularity": V.regularity,
+                "kinks": [list(kink) for kink in V.kinks]}
+    if V.name not in _BUILTIN_NAMES:
         raise ValueError(f"candidate {V.name!r} is neither a built-in nor an expression")
     return {"kind": "builtin", "name": V.name}
 

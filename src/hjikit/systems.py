@@ -256,6 +256,37 @@ def make_scalar_decay() -> AffineSystem:
     return AffineSystem(n=1, m=1, g0=("-2*x1",), g=(("0",),), name="scalar_decay")
 
 
+# name, system factory, claimed witness (a built-in), claimed gamma, notes
+_ZOO = (
+    ("sigma1", make_sigma1, "v1_scaled", 1.0,
+     "Lipschitz fields; the scaled L1 norm witnesses gain 1, but no "
+     "C1-away-from-origin witness of gain 1 can be proper or positive definite."),
+    ("sigma1_c1", make_sigma1_c1, "v1_scaled", 1.0,
+     "C1 fields variant of sigma1; cubic cross terms cancel against the "
+     "sign pattern of the witness, so the same claim holds."),
+    ("sigma2", make_sigma2, "v2", 1.0,
+     "Continuous witness x1^2 + x2^(2/3) of gain 1; no locally Lipschitz "
+     "witness of gain 1 can be proper or positive definite."),
+    ("sigma_p(3)", lambda: make_sigma_p(3.0), "v1", ANY_POSITIVE,
+     "Cubic input powers; the L1 norm witnesses every positive gain, yet "
+     "no C1-away-from-origin candidate witnesses any gain."),
+    ("sigma_p_signed(3)", lambda: make_sigma_p_signed(3.0), "v1", ANY_POSITIVE,
+     "Signed single-channel variant of sigma_p(3) with the same claims."),
+    ("sigma3_scalar", make_sigma3_scalar, "v3_scalar", 1.0,
+     "Scalar non-affine system; max(|x|, 2x-1) witnesses gain 1 and every "
+     "gain-1 witness must be non-differentiable at x = 1."),
+    ("scalar_linear", make_scalar_linear, "sq_norm", 1.0,
+     "dx/dt = -x + u; |x|^2 witnesses gain 1 (used by the 1-D construction)."),
+    ("scalar_decay", make_scalar_decay, "sq_norm", ANY_POSITIVE,
+     "dx/dt = -2x with a zero input field; |x|^2 witnesses every positive "
+     "gain (used by the 1-D construction)."),
+)
+
+
+def _build(name, make, witness, gamma, notes) -> ZooEntry:
+    return ZooEntry(name, make(), storage.builtin(witness), gamma, notes=notes)
+
+
 def zoo() -> list:
     """The registered example systems together with their claimed witnesses.
 
@@ -264,45 +295,14 @@ def zoo() -> list:
     ``sigma2`` (witness ``v2``) and the scalar one is ``sigma3_scalar``
     (witness ``v3_scalar``).
     """
-    b = storage.builtins()
-    return [
-        ZooEntry(
-            "sigma1", make_sigma1(), b["v1_scaled"], 1.0,
-            notes="Lipschitz fields; the scaled L1 norm witnesses gain 1, but no "
-                  "C1-away-from-origin witness of gain 1 can be proper or positive definite."),
-        ZooEntry(
-            "sigma1_c1", make_sigma1_c1(), b["v1_scaled"], 1.0,
-            notes="C1 fields variant of sigma1; cubic cross terms cancel against the "
-                  "sign pattern of the witness, so the same claim holds."),
-        ZooEntry(
-            "sigma2", make_sigma2(), b["v2"], 1.0,
-            notes="Continuous witness x1^2 + x2^(2/3) of gain 1; no locally Lipschitz "
-                  "witness of gain 1 can be proper or positive definite."),
-        ZooEntry(
-            "sigma_p(3)", make_sigma_p(3.0), b["v1"], ANY_POSITIVE,
-            notes="Cubic input powers; the L1 norm witnesses every positive gain, yet "
-                  "no C1-away-from-origin candidate witnesses any gain."),
-        ZooEntry(
-            "sigma_p_signed(3)", make_sigma_p_signed(3.0), b["v1"], ANY_POSITIVE,
-            notes="Signed single-channel variant of sigma_p(3) with the same claims."),
-        ZooEntry(
-            "sigma3_scalar", make_sigma3_scalar(), b["v3_scalar"], 1.0,
-            notes="Scalar non-affine system; max(|x|, 2x-1) witnesses gain 1 and every "
-                  "gain-1 witness must be non-differentiable at x = 1."),
-        ZooEntry(
-            "scalar_linear", make_scalar_linear(), b["sq_norm"], 1.0,
-            notes="dx/dt = -x + u; |x|^2 witnesses gain 1 (used by the 1-D construction)."),
-        ZooEntry(
-            "scalar_decay", make_scalar_decay(), b["sq_norm"], ANY_POSITIVE,
-            notes="dx/dt = -2x with a zero input field; |x|^2 witnesses every positive "
-                  "gain (used by the 1-D construction)."),
-    ]
+    return [_build(*row) for row in _ZOO]
 
 
 def zoo_entry(name: str) -> ZooEntry:
-    for entry in zoo():
-        if entry.name == name:
-            return entry
+    """The one zoo entry ``name``, built alone."""
+    for row in _ZOO:
+        if row[0] == name:
+            return _build(*row)
     raise KeyError(f"no zoo entry named {name!r}")
 
 

@@ -37,7 +37,7 @@ def test_criterion_1_sigma1_witness():
     res_11 = hk.affine_residual(s1, [1.0, 1.0], [2.0, 2.0], 0.9)
     assert res_11 == pytest.approx(2.0 / 0.9 - 2.0, abs=1e-9)
 
-    g = hk.min_gain_scan(s1, v1s, REGION2, hk.gamma_range(0.5, 2.0, 0.01))
+    g = hk.min_gain_scan(s1, v1s, REGION2, hk.gamma_range(0.5, 2.0, 0.01)).min_gamma
     assert g is not None and abs(g - 1.0) <= 0.01 + 1e-12
     _report(1, "sigma1 witness, falsification at 0.9, minimal gain")
 
@@ -99,7 +99,7 @@ def test_criterion_5_scalar_system():
 
     s3 = sy.zoo_entry("sigma3_scalar").system
     reg = hk.Region(box=((-3.0, 3.0),), points_per_dim=121)
-    g = hk.min_gain_scan(s3, v3, reg, hk.gamma_range(0.8, 1.2, 0.01))
+    g = hk.min_gain_scan(s3, v3, reg, hk.gamma_range(0.8, 1.2, 0.01)).min_gamma
     assert g == pytest.approx(1.0, abs=1e-12)
 
     report = au.audit_scalar_straddle(v3)

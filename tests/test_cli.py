@@ -55,6 +55,22 @@ def test_gain_scan(tmp_path):
     assert json.loads((out / "gain.json").read_text())["min_gamma"] == pytest.approx(1.0)
 
 
+def test_gain_line_prints_min_gamma_as_reported(tmp_path, capsys):
+    """On a 0.001-step grid the line gives min_gamma as gain.json holds it (1.563; the
+    1.56 that two decimals print fails), plus gamma_star, the largest needed gain."""
+    spec = tmp_path / "v.json"
+    spec.write_text(json.dumps({"kind": "expr", "expr": "2.5*x1*x1", "n": 1}))
+    code = run(["gain", "--zoo", "scalar_linear", "--storage", spec,
+                "--gammas", "0.5:2:0.001", "--out", tmp_path / "g"])
+    report = json.loads((tmp_path / "g" / "gain.json").read_text())
+    assert code == 0 and report["min_gamma"] == 1.563
+    assert capsys.readouterr().out == f"gain: 1.563 (gamma_star {report['gamma_star']!r})\n"
+    # 25 x^2 / (4 (tol + 4 x^2)) is largest at the box corner x = -2, just below 25/16
+    assert 1.562 < report["gamma_star"] < 1.5625 and report["gamma_star_x"] == [-2.0]
+    assert run(["verify", "--zoo", "scalar_linear", "--storage", spec, "--gamma", "1.56",
+                "--out", tmp_path / "v"]) == 1
+
+
 def test_system_and_storage_files(tmp_path):
     sys_file = tmp_path / "sys.json"
     sys_file.write_text(json.dumps({
@@ -124,17 +140,20 @@ def test_candidate_of_another_dimension_is_a_usage_error(tmp_path, capsys, argv)
 ])
 def test_builtin_and_its_expression_json_agree(tmp_path, capsys, name, zoo, expr, n):
     """verify, subdiff and audit sigma1-axis read a built-in and its expression JSON
-    alike: the same exit code, stdout line and report (the default grid already holds
-    every kink, which only the built-in declares)."""
+    alike: the same exit code, stdout line and report.  The JSON declares the
+    built-in's kinks, so an even --ppd grid visits the same kink loci."""
     spec = tmp_path / "v.json"
-    spec.write_text(json.dumps({"kind": "expr", "expr": expr, "n": n}))
+    kinks = [list(k) for k in storage.builtin(name).kinks]
+    spec.write_text(json.dumps({"kind": "expr", "expr": expr, "n": n, "kinks": kinks}))
     for argv, report in ((["verify", "--zoo", zoo, "--gamma", "1"], "verify.json"),
+                         (["verify", "--zoo", zoo, "--gamma", "1", "--ppd", "40"],
+                          "verify.json"),
                          (["subdiff", "--point", *["0", "1"][:n]], "subdiff.json"),
                          (["audit", "sigma1-axis"], "audit.json")):
         runs = []
-        for storage in (f"builtin:{name}", spec):
+        for candidate in (f"builtin:{name}", spec):
             out = tmp_path / f"{argv[0]}{len(runs)}"
-            code = run([*argv, "--storage", storage, "--out", out])
+            code = run([*argv, "--storage", candidate, "--out", out])
             path = out / report
             runs.append((code, capsys.readouterr().out,
                          path.read_text() if path.exists() else None))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -146,14 +147,14 @@ def test_point_residual_matches_check(sigma1):
 
 def test_min_gain_scan_examples(sigma1, region2):
     g = hji.min_gain_scan(sigma1, stg.builtin("v1_scaled"), region2,
-                          hji.gamma_range(0.5, 2.0, 0.01))
+                          hji.gamma_range(0.5, 2.0, 0.01)).min_gamma
     assert g == pytest.approx(1.0, abs=1e-12)
     sp = sy.make_sigma_p(3.0)
-    g = hji.min_gain_scan(sp, stg.builtin("v1"), region2, [0.01, 0.1, 1.0])
+    g = hji.min_gain_scan(sp, stg.builtin("v1"), region2, [0.01, 0.1, 1.0]).min_gamma
     assert g == 0.01
     # an unattainable gain comes back as None
     assert hji.min_gain_scan(sigma1, stg.builtin("v1_scaled"), region2,
-                             [0.1, 0.2]) is None
+                             [0.1, 0.2]).min_gamma is None
     with pytest.raises(ValueError):
         hji.min_gain_scan(sigma1, stg.builtin("v1_scaled"), region2, [2.0, 1.0])
 
@@ -351,7 +352,7 @@ def test_min_gain_bisection_finds_every_threshold(monkeypatch):
         threshold = gammas[t] if t < len(gammas) else math.inf
         monkeypatch.setattr(hji, "check_witness", lambda s, V, g, r, **k: hji.WitnessReport(
             "pass" if g >= threshold else "fail", 0.0, None, None, None, 1))
-        assert hji.min_gain_scan(None, None, None, gammas) == (
+        assert hji.min_gain_scan(None, None, None, gammas).min_gamma == (
             gammas[t] if t < len(gammas) else None)
 
 
@@ -365,10 +366,138 @@ def test_min_gain_bisection_matches_linear_scan(case, monkeypatch):
     sweeps = []
     check = hji.check_witness
     monkeypatch.setattr(hji, "check_witness", lambda *a, **k: sweeps.append(1) or check(*a, **k))
-    assert hji.min_gain_scan(sysm, V, region, gammas) == linear
+    assert hji.min_gain_scan(sysm, V, region, gammas).min_gamma == linear
     assert len(sweeps) <= math.ceil(math.log2(len(gammas) + 1))
     if case == "none passes":
         assert linear is None
+
+
+# ---------------------------------------------------------------------------
+# The closed-form minimal gain: one needed-gain pass, two confirming checks
+# ---------------------------------------------------------------------------
+
+def _bisected(sysm, V, region, gammas):
+    """The reference answer: bisection over the grid with real witness checks."""
+    first, last = 0, len(gammas)
+    while first < last:
+        mid = (first + last) // 2
+        if hji.check_witness(sysm, V, gammas[mid], region).passed:
+            last = mid
+        else:
+            first = mid + 1
+    return gammas[first] if first < len(gammas) else None
+
+
+def _scan_counted(sysm, V, region, gammas):
+    """min_gain_scan and the check_witness calls it made."""
+    with mock.patch.object(hji, "check_witness", wraps=hji.check_witness) as check:
+        scan = hji.min_gain_scan(sysm, V, region, gammas)
+    return scan, check.call_count
+
+
+_EXACT_CASES = {
+    **{case: (sysm, stg.builtin(name),
+              hji.Region(box=((-1.5, 1.5),) * n, points_per_dim=13 if n > 1 else 61), gammas)
+       for case, (sysm, name, n, gammas) in _SCANS.items()},
+    **{f"zoo {e.name}": (e.system, e.claimed_witness,
+                         hji.Region(box=((-2.0, 2.0),) * e.system.n, points_per_dim=21),
+                         hji.gamma_range(0.5, 2.0, 0.01))
+       for e in sy.zoo()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXACT_CASES))
+def test_exact_scan_equals_bisection(case):
+    """On every zoo entry and scan case the scan returns bisection's answer; an exact
+    scan makes at most 2 witness checks and reports the largest needed gain."""
+    sysm, V, region, gammas = _EXACT_CASES[case]
+    scan, calls = _scan_counted(sysm, V, region, gammas)
+    assert scan.min_gamma == _bisected(sysm, V, region, gammas)
+    if isinstance(sysm, sy.AffineSystem):
+        assert calls <= 2
+        X = region.grid(V.kinks)
+        need = hji.needed_gains(sysm, *V.subdiff_batch(X), X, hji.DEFAULT_TOL_EXACT)
+        assert scan.gamma_star == need.max() and scan.gamma_star_x.tolist() == \
+            X[np.argmax(need)].tolist()
+    else:
+        assert scan.gamma_star is None and scan.gamma_star_x is None
+        assert calls <= math.ceil(math.log2(len(gammas) + 1))
+
+
+@pytest.mark.parametrize("case", ["sigma1/v1_scaled", "power p=1.5", "none passes",
+                                  "zoo sigma_p(3)"])
+def test_confirmation_mismatch_falls_back_to_bisection(case, monkeypatch):
+    """A confirming check that disagrees with the closed form (here: the first one,
+    its verdict flipped) sends the scan to bisection, which gives its answer."""
+    sysm, V, region, gammas = _EXACT_CASES[case]
+    expected = _bisected(sysm, V, region, gammas)
+    check, calls = hji.check_witness, []
+
+    def flip_first(*a, **k):
+        rep = check(*a, **k)
+        calls.append(rep)
+        if len(calls) == 1:
+            rep.verdict = "fail" if rep.passed else "pass"
+        return rep
+    monkeypatch.setattr(hji, "check_witness", flip_first)
+    assert hji.min_gain_scan(sysm, V, region, gammas).min_gamma == expected
+    assert len(calls) > 2
+
+
+_MONOMIALS = ("0", "1", "x1", "x2", "x1*x2", "abs(x1)", "x1*x1", "abs(x2)*x1")
+
+
+@st.composite
+def _power_affine_scans(draw):
+    """A random 2-D (power-)affine system with a dissipative drift, a quadratic or
+    L1-type candidate, and an 8-point gamma grid placed below, around or above the
+    largest needed gain (or around 1 where that is 0 or +inf)."""
+    p = draw(st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(1.05, 1.9)))
+    phi = draw(st.sampled_from(["abs_pow", "signed_pow"]))
+    m = draw(st.integers(1, 2))
+    coef = st.integers(-2, 2)
+
+    def field(j):
+        extra = " + ".join(f"({draw(coef)})*{draw(st.sampled_from(_MONOMIALS[2:]))}"
+                           for _ in range(2))
+        return f"-{draw(st.sampled_from([0.5, 2, 4]))}*x{j} + 0.1*({extra})"
+    g0 = (field(1), field(2))
+    g = tuple(tuple(f"{draw(coef)}*{draw(st.sampled_from(_MONOMIALS))}" for _ in range(2))
+              for _ in range(m))
+    sysm = sy.AffineSystem(2, m, g0, g, p=p, phi=phi)
+    a, b = draw(st.sampled_from([0.5, 1.0, 2.5])), draw(st.sampled_from([0.5, 1.0, 2.5]))
+    if draw(st.booleans()):
+        V = stg.from_expression(f"{a}*x1*x1 + {b}*x2*x2", 2)
+    else:
+        V = stg.from_expression(f"{a}*abs(x1) + {b}*abs(x2)", 2, kinks=((0, 0.0), (1, 0.0)))
+    region = hji.Region(box=((-1.5, 1.3), (-1.2, 1.5)), points_per_dim=6)
+    X = region.grid(V.kinks)
+    star = hji.needed_gains(sysm, *V.subdiff_batch(X), X, hji.DEFAULT_TOL_EXACT).max()
+    center = draw(st.sampled_from([0.25, 0.9, 1.0, 1.1, 4.0]))
+    if 0 < star < math.inf:
+        center *= star
+    return sysm, V, region, [center * (0.7 + 0.6 * i / 7) for i in range(8)], star
+
+
+@settings(max_examples=80, deadline=None)
+@given(_power_affine_scans())
+def test_exact_scan_equals_bisection_on_generated_systems(case):
+    """p = 1, 1 < p < 2, p = 2 and p > 2, both phis: the exact scan returns bisection's
+    answer with at most 2 witness checks, none passes when the whole grid lies below
+    the largest needed gain, and all do when it lies above."""
+    sysm, V, region, gammas, star = case
+    scan, calls = _scan_counted(sysm, V, region, gammas)
+    assert scan.min_gamma == _bisected(sysm, V, region, gammas)
+    assert calls <= 2 and scan.gamma_star == star
+    if gammas[-1] < star:
+        assert scan.min_gamma is None
+    if gammas[0] > star:
+        assert scan.min_gamma == gammas[0]
+    if 0 < star < math.inf:      # the needed gain is the threshold, not just on the grid
+        X = region.grid(V.kinks)
+        lo, hi = V.subdiff_batch(X)
+        assert hji.residuals(sysm, lo, hi, X, star * 1.01)[0].max() <= hji.DEFAULT_TOL_EXACT
+        assert hji.residuals(sysm, lo, hi, X, star / 1.01)[0].max() > hji.DEFAULT_TOL_EXACT
 
 
 # ---------------------------------------------------------------------------

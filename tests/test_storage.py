@@ -200,6 +200,13 @@ def test_storage_config_round_trip():
         stg.builtin("nope")
     with pytest.raises(ValueError):
         stg.from_config({"kind": "weird"})
+    # an expression config may declare its kinks as [axis, value] pairs, axis 0 for x1
+    v = stg.from_config({"kind": "expr", "expr": "max(abs(x1), 2*x1 - 1)", "n": 1,
+                         "kinks": [[0, 0], [0, 1]]})
+    assert v.kinks == stg.builtin("v3_scalar").kinks
+    assert stg.to_config(v)["kinks"] == [[0, 0.0], [0, 1.0]]
+    with pytest.raises(ValueError, match="kink axis"):
+        stg.from_config({"kind": "expr", "expr": "abs(x1)", "n": 1, "kinks": [[1, 0.0]]})
 
 
 def test_to_config_round_trips_or_raises(smoothed_sigma1):
@@ -207,9 +214,10 @@ def test_to_config_round_trips_or_raises(smoothed_sigma1):
     constructed candidate has no config, so writing one is an error, not a bad file."""
     X = np.array([[0.5], [-1.25]])
     for V in [*stg.builtins().values(),
-              stg.from_expression("x1*x1 + abs(x2)", 2, "lipschitz")]:
+              stg.from_expression("x1*x1 + abs(x2)", 2, "lipschitz", ((1, 0.0),))]:
         back = stg.from_config(stg.to_config(V))
-        assert (back.name, back.regularity, back.dim) == (V.name, V.regularity, V.dim)
+        assert (back.name, back.regularity, back.dim, back.kinks) == \
+            (V.name, V.regularity, V.dim, V.kinks)
         Y = np.hstack([X, -X]) if V.dim == 2 else X
         assert back.value_batch(Y).tobytes() == V.value_batch(Y).tobytes()
     built = c1.construct_w(sy.zoo_entry("scalar_linear").system, 1.0, stg.builtin("sq_norm"),
