@@ -11,7 +11,7 @@ constructive upgrade (:mod:`hjikit.construct1d`), gain-relaxed smoothing
 
 from .errors import HjikitError
 from .expr import EvalError, ExprSyntaxError, compile_evaluator, evaluate, parse, to_source
-from .hji import (GainScan, Region, WitnessReport, affine_residual, check_witness,
+from .hji import (GainScan, Region, Sweep, WitnessReport, affine_residual, check_witness,
                   gamma_range, general_residual, min_gain_scan, needed_gains,
                   point_residual, power_residual, residuals, supply)
 from .storage import (GradientUndefinedError, MissingOracleError, StorageCandidate,

@@ -11,13 +11,15 @@ lower-bounded by sampling a u-grid.  Box subdifferentials are handled by vertex
 enumeration (the residual is convex in zeta); unbounded box coordinates are
 admissible only where their dynamic coefficient vanishes identically in u.
 
-:func:`residuals` is the one batched kernel behind region sweeps; the scalar
-functions (:func:`point_residual` and the closed forms it calls) are the
-reference it is tested against.  :func:`needed_gains` solves the same exact sup
-for gamma: the least gain at which each point passes.  The minimal-gain scan
-takes the first grid gamma at or above the largest, confirms it with two
-witness checks (it passes, the grid gamma below fails) and bisects the grid
-where they disagree and for general systems.
+A :class:`Sweep` builds a region's grid, boxes, box vertices and (for
+(power-)affine systems) each vertex's gamma-free parts once.  Its residuals at
+any gamma are the one batched kernel; the scalar functions (:func:`point_residual`
+and the closed forms it calls) are the reference it is tested against.  Its
+needed gains solve the same exact sup for gamma.  :func:`check_witness`,
+:func:`residuals` and :func:`needed_gains` are each one use of a sweep.  The
+minimal-gain scan reads one sweep: it takes the first grid gamma at or above the
+largest needed gain, confirms it with two checks (it passes, the grid gamma
+below fails) and bisects the grid where they disagree and for general systems.
 """
 from __future__ import annotations
 
@@ -237,108 +239,139 @@ def _on_boundary(u: np.ndarray, u_box) -> bool:
 # Region sweep
 # ---------------------------------------------------------------------------
 
-def residuals(sys: System, lo, hi, X, gamma: float,
-              u_box: Optional[Sequence] = None, u_points: int = 41):
-    """Worst residual over each point's box subdifferential: arrays (res, zeta, u).
+class Sweep:
+    """A region sweep prepared once for any gamma: points, boxes and box vertices.
 
     Row q of ``lo``/``hi`` (Q, n) bounds the subdifferential at ``X[q]``.  The
     sup over zeta is taken over the box vertices (the residual is convex in
     zeta); a vertex takes a coordinate's finite side, or 0 on a coordinate
     unbounded on both sides.  A point with an unbounded coordinate whose dynamic
     coefficient does not vanish gets +inf, as does a point whose sup is NaN;
-    an empty row (lo > hi) gets -inf.
-    The sup over u is exact for (power-)affine systems and taken over the
-    u-grid of ``u_box`` (default: the u-box of the whole of X) for general
-    systems.  ``res`` has shape (Q,), the worst ``zeta`` (Q, n) and the worst
-    ``u`` (Q, m); both are NaN where no finite maximizer exists.
+    an empty row (lo > hi) gets -inf.  The sup over u is exact for
+    (power-)affine systems, from each vertex's gamma-free parts built here;
+    general systems sample it on the u-grid of ``u_box`` (default: the u-box of
+    the whole of X), evaluating the dynamics in chunks at each gamma.
     """
-    X = np.asarray(X, dtype=float)
-    if isinstance(sys, AffineSystem):
-        sup = (lambda A, ceff, sgn: _affine_sup(sys.p, gamma, A, ceff, sgn))
-        step, parts = max(len(X), 1), (lambda s: _affine_parts(sys, X[s], sup))
-    else:
-        U = _u_grid_from_box(_default_u_box(X, sys.m) if u_box is None else u_box, u_points)
-        step = max(1, _CHUNK_ROWS // U.shape[0])
-        parts = (lambda s: _sampled_parts(sys, X[s], gamma, U))
-    return _vertex_max(lo, hi, X, sys.m, step, parts)
 
+    def __init__(self, sys: System, X, lo, hi,
+                 u_box: Optional[Sequence] = None, u_points: int = 41):
+        self.sys, self.X = sys, np.asarray(X, dtype=float)
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        n = self.X.shape[1]
+        zlo = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+        zhi = np.where(np.isfinite(hi), hi, zlo)
+        self._unbounded = ~(np.isfinite(lo) & np.isfinite(hi))
+        self._empty = np.any(lo > hi, axis=1)
+        flips = [k for k in range(n) if np.any(zhi[:, k] != zlo[:, k])]
+        self.vertices = [zlo]            # lexicographic order, first axis slowest
+        for k in reversed(flips):
+            self.vertices += [np.where(np.arange(n) == k, zhi, Z) for Z in self.vertices]
+        self.exact = isinstance(sys, AffineSystem)
+        if self.exact:
+            signed = sys.phi == "signed_pow"
+            G0, GI = sys.drift(self.X), sys.input_fields(self.X)     # (Q, n), (m, Q, n)
+            coef = np.max(np.abs(np.concatenate([G0[None], GI])), axis=0)
+            self._bad = np.any(self._unbounded & (coef > _COEFF_ZERO_TOL), axis=1)
+            xx = np.sum(self.X * self.X, axis=1)
+            self._parts = []             # per vertex: A (Q,), c_eff (Q, m), sign of c
+            for Z in self.vertices:
+                c = np.einsum("iqn,qn->qi", GI, Z)
+                self._parts.append((np.sum(Z * G0, axis=1) + xx,
+                                    np.abs(c) if signed else np.maximum(c, 0.0),
+                                    np.sign(c) if signed else 1.0))
+        else:
+            self.u_box = _default_u_box(self.X, sys.m) if u_box is None else u_box
+            self._U = _u_grid_from_box(self.u_box, u_points)
 
-def needed_gains(sys: AffineSystem, lo, hi, X, tol: float) -> np.ndarray:
-    """The least gain at which each point's residual (:func:`residuals`, same rules)
-    is at most ``tol``, shape (Q,): +inf if none, -inf for an empty row.
+    @classmethod
+    def of(cls, sys: System, V: StorageCandidate, region: Region,
+           u_box: Optional[Sequence] = None, u_points: int = 41) -> "Sweep":
+        """The sweep of ``V``'s subdifferential over the region grid (kink loci included)."""
+        if region.dim != sys.n:
+            raise ValueError(f"region dimension {region.dim} does not match system n={sys.n}")
+        if V.dim is not None and V.dim != sys.n:
+            raise DimensionError(f"candidate {V.name!r} has dimension {V.dim}, system n={sys.n}")
+        X = region.grid(V.kinks)
+        if X.shape[0] == 0:
+            raise EmptyRegionError("region grid is empty")
+        return cls(sys, X, *V.subdiff_batch(X), u_box, u_points)
 
-    At a vertex the residual is A + S gamma^(-p/(2-p)) for p < 2, with
-    S = sum_i (2-p)/p (p c_i/2)^(2/(2-p)) (sum c_i^2/4 at p = 1), so it needs
-    (S/(tol - A))^((2-p)/p), 0 if S = 0; p = 2 needs max c_i, p > 2 0 or +inf
-    (a c_i > 0).  A > tol, or A = tol with S > 0, needs +inf.
-    """
-    p, X = sys.p, np.asarray(X, dtype=float)
-    no_u = np.full((len(X), sys.m), math.nan)
+    def residuals(self, gamma: float):
+        """Worst residual over each point's box at ``gamma``: arrays res (Q,), zeta
+        (Q, n) and u (Q, m); zeta and u are NaN where no finite maximizer exists."""
+        if self.exact:
+            return self._vertex_max((_affine_sup(self.sys.p, gamma, *parts)
+                                     for parts in self._parts), self._bad)
+        X, U = self.X, self._U
+        K, uu = len(U), np.sum(U * U, axis=1)
+        step = max(1, _CHUNK_ROWS // K)
+        vals = np.empty((len(self.vertices), len(X)))
+        best = np.empty(vals.shape, dtype=int)          # the u-grid row of each sup
+        bad = np.empty(len(X), dtype=bool)
+        for start in range(0, len(X), step):
+            s = slice(start, start + step)
+            B = len(X[s])
+            F = self.sys.dynamics(np.repeat(X[s], K, axis=0), np.tile(U, (B, 1))).reshape(B, K, -1)
+            base = np.sum(X[s] * X[s], axis=1)[:, None] - gamma * uu
+            for v, Z in enumerate(self.vertices):      # the sampled sup at each vertex
+                at_u = np.einsum("bkn,bn->bk", F, Z[s]) + base
+                best[v, s] = np.argmax(at_u, axis=1)
+                vals[v, s] = at_u[np.arange(B), best[v, s]]
+            bad[s] = np.any(self._unbounded[s] & (np.max(np.abs(F), axis=1) > _COEFF_ZERO_TOL),
+                            axis=1)
+        return self._vertex_max(zip(vals, U[best]), bad)
 
-    def need(A, ceff, sgn):
-        if p >= 2:
-            top = np.fmax.reduce(ceff, axis=1, initial=0.0)   # the sup adds 0 for a NaN c_i
-            top = np.where(top > _COEFF_ZERO_TOL, math.inf, 0.0) if p > 2 else top
-            return np.where(A <= tol, top, math.inf), no_u
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            S = np.sum((2.0 - p) / p * (p * ceff / 2.0) ** (2.0 / (2.0 - p)), axis=1)
-            slack = tol - A
-            return np.where(S == 0.0, np.where(slack >= 0.0, 0.0, math.inf), np.where(
-                slack > 0.0, (S / slack) ** ((2.0 - p) / p), math.inf)), no_u
+    def needed_gains(self, tol: float) -> np.ndarray:
+        """The least gain at which each point's residual is at most ``tol``, shape (Q,):
+        +inf if none, -inf for an empty row.  (Power-)affine systems only.
 
-    return _vertex_max(lo, hi, X, sys.m, max(len(X), 1),
-                       lambda s: _affine_parts(sys, X[s], need))[0]
+        At a vertex the residual is A + S gamma^(-p/(2-p)) for p < 2, with
+        S = sum_i (2-p)/p (p c_i/2)^(2/(2-p)) (sum c_i^2/4 at p = 1), so it needs
+        (S/(tol - A))^((2-p)/p), 0 if S = 0; p = 2 needs max c_i, p > 2 0 or +inf
+        (a c_i > 0).  A > tol, or A = tol with S > 0, needs +inf.
+        """
+        if not self.exact:
+            raise TypeError("needed gains are closed-form for (power-)affine systems only")
+        no_u = np.full((len(self.X), self.sys.m), math.nan)
+        return self._vertex_max(((_needed_gain(self.sys.p, tol, A, ceff), no_u)
+                                 for A, ceff, _ in self._parts), self._bad)[0]
 
+    def check(self, gamma: float, tol: Optional[float] = None) -> WitnessReport:
+        """The witness verdict at ``gamma``: pass iff no residual exceeds ``tol``
+        (default by mode).  The report carries the arrays of :meth:`residuals`."""
+        if gamma <= 0:
+            raise ValueError("gamma must be positive")
+        if tol is None:
+            tol = DEFAULT_TOL_EXACT if self.exact else DEFAULT_TOL_SAMPLED
+        res, Z, U = self.residuals(gamma)
+        k = int(np.argmax(res))
+        best = float(res[k])
+        worst_zeta = None if np.isnan(Z[k]).any() else Z[k].copy()
+        worst_u = None if np.isnan(U[k]).any() else U[k].copy()
+        verdict = "pass" if best <= tol else "fail"
+        if not self.exact and verdict == "pass" and worst_u is not None \
+                and _on_boundary(worst_u, self.u_box):
+            # a fail is conclusive even if truncated; a pass with the max on the
+            # u-box boundary may be hiding a larger sup outside the box
+            warnings.warn("worst sampled u lies on the u-box boundary; the sup may be larger",
+                          stacklevel=2)
+        return WitnessReport(verdict, best, self.X[k].copy(), worst_zeta, worst_u,
+                             len(self.X), gamma, tol, "exact" if self.exact else "sampled",
+                             grid=self.X, point_residuals=res, point_u=U)
 
-def _vertex_max(lo, hi, X, m, step, parts):
-    """The largest ``sup`` over each row's box vertices, chunk by chunk of ``step`` rows,
-    with :func:`residuals`' rules; ``parts(s)`` gives the dynamic coefficients of
-    chunk ``s`` and its ``sup``, which maps a vertex array to values and maximizers."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    Q, n = X.shape
-    zlo = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-    zhi = np.where(np.isfinite(hi), hi, zlo)
-    unbounded = ~(np.isfinite(lo) & np.isfinite(hi))
-    flips = [k for k in range(n) if np.any(zhi[:, k] != zlo[:, k])]
-    vertices = [zlo]                 # lexicographic order, first axis slowest
-    for k in reversed(flips):
-        vertices += [np.where(np.arange(n) == k, zhi, Z) for Z in vertices]
-
-    res = np.full(Q, -math.inf)
-    zeta = np.full((Q, n), math.nan)
-    worst_u = np.full((Q, m), math.nan)
-    for start in range(0, Q, step):
-        s = slice(start, start + step)
-        coef, sup = parts(s)
-        r, z, w = res[s], zeta[s], worst_u[s]        # views into the outputs
-        for Z in vertices:
-            val, u = sup(Z[s])
-            val = np.where(np.isnan(val), math.inf, val)     # an undefined sup fails
-            better = val > r
-            r[better], z[better], w[better] = val[better], Z[s][better], u[better]
-        bad = np.any(unbounded[s] & (coef > _COEFF_ZERO_TOL), axis=1)
-        r[bad], z[bad], w[bad] = math.inf, math.nan, math.nan
-    empty = np.any(lo > hi, axis=1)
-    res[empty], zeta[empty], worst_u[empty] = -math.inf, math.nan, math.nan
-    return res, zeta, worst_u
-
-
-def _affine_parts(sys, X, sup):
-    """Per-point dynamic coefficients (Q, n) and, at a vertex array, ``sup`` of its
-    gamma-free parts: A = zeta.g0 + |x|^2 (Q,), the effective channel coefficients
-    (Q, m) and their signs."""
-    signed = sys.phi == "signed_pow"
-    G0 = sys.drift(X)
-    GI = sys.input_fields(X)                              # (m, Q, n)
-    xx = np.sum(X * X, axis=1)
-
-    def at(Z):
-        ceff = np.einsum("iqn,qn->qi", GI, Z)             # channel coefficients (Q, m)
-        sgn = np.sign(ceff) if signed else 1.0
-        ceff = np.abs(ceff) if signed else np.maximum(ceff, 0.0)
-        return sup(np.sum(Z * G0, axis=1) + xx, ceff, sgn)
-
-    return np.max(np.abs(np.concatenate([G0[None], GI])), axis=0), at
+    def _vertex_max(self, sups, bad: np.ndarray) -> tuple:
+        """Each row's largest (value, maximizer) in ``sups``, one pair per vertex, as (res,
+        zeta, u); an undefined (NaN) value and a ``bad`` row are +inf, an empty row -inf."""
+        Q, n = self.X.shape
+        res, zeta, u = (np.full(Q, -math.inf), np.full((Q, n), math.nan),
+                        np.full((Q, self.sys.m), math.nan))
+        for Z, (val, w) in zip(self.vertices, sups):
+            val = np.where(np.isnan(val), math.inf, val)
+            better = val > res
+            res[better], zeta[better], u[better] = val[better], Z[better], w[better]
+        res[bad], res[self._empty] = math.inf, -math.inf
+        zeta[bad | self._empty], u[bad | self._empty] = math.nan, math.nan
+        return res, zeta, u
 
 
 def _affine_sup(p, gamma, A, ceff, sgn):
@@ -356,71 +389,37 @@ def _affine_sup(p, gamma, A, ceff, sgn):
     return A + np.sum(val, axis=1), u
 
 
-def _sampled_parts(sys, X, gamma, U):
-    """Per-point dynamic coefficients over the u-grid and the sampled sup at a vertex array."""
-    B, K = X.shape[0], U.shape[0]
-    F = sys.dynamics(np.repeat(X, K, axis=0), np.tile(U, (B, 1))).reshape(B, K, -1)
-    base = np.sum(X * X, axis=1)[:, None] - gamma * np.sum(U * U, axis=1)
+def _needed_gain(p, tol, A, ceff):
+    """The least gamma at which A + sum_i sup_r c_i phi(r) - gamma r^2 is at most tol."""
+    if p >= 2:
+        top = np.fmax.reduce(ceff, axis=1, initial=0.0)   # the sup adds 0 for a NaN c_i
+        top = np.where(top > _COEFF_ZERO_TOL, math.inf, 0.0) if p > 2 else top
+        return np.where(A <= tol, top, math.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        S = np.sum((2.0 - p) / p * (p * ceff / 2.0) ** (2.0 / (2.0 - p)), axis=1)
+        slack = tol - A
+        return np.where(S == 0.0, np.where(slack >= 0.0, 0.0, math.inf), np.where(
+            slack > 0.0, (S / slack) ** ((2.0 - p) / p), math.inf))
 
-    def sup(Z):
-        vals = np.einsum("bkn,bn->bk", F, Z) + base
-        j = np.argmax(vals, axis=1)
-        return vals[np.arange(B), j], U[j]
 
-    return np.max(np.abs(F), axis=1), sup
+def residuals(sys: System, lo, hi, X, gamma: float,
+              u_box: Optional[Sequence] = None, u_points: int = 41):
+    """Worst residual over each point's box subdifferential: arrays (res, zeta, u),
+    by the rules of :class:`Sweep`; one use of a sweep."""
+    return Sweep(sys, X, lo, hi, u_box, u_points).residuals(gamma)
 
 
-def _sweep_boxes(sys: System, V: StorageCandidate, region: Region) -> tuple:
-    """The region grid (kink loci included) and its subdifferential boxes: (X, lo, hi)."""
-    if region.dim != sys.n:
-        raise ValueError(f"region dimension {region.dim} does not match system n={sys.n}")
-    if V.dim is not None and V.dim != sys.n:
-        raise DimensionError(f"candidate {V.name!r} has dimension {V.dim}, system n={sys.n}")
-    X = region.grid(V.kinks)
-    if X.shape[0] == 0:
-        raise EmptyRegionError("region grid is empty")
-    return (X, *V.subdiff_batch(X))
+def needed_gains(sys: AffineSystem, lo, hi, X, tol: float) -> np.ndarray:
+    """The least gain at which each point passes (:meth:`Sweep.needed_gains`)."""
+    return Sweep(sys, X, lo, hi).needed_gains(tol)
 
 
 def check_witness(sys: System, V: StorageCandidate, gamma: float, region: Region,
                   tol: Optional[float] = None,
                   u_box: Optional[Sequence] = None, u_points: int = 41) -> WitnessReport:
-    """Sweep the region grid and verify the witness condition at every point.
-
-    The grid visits the candidate's kink loci.  At each grid point the
-    candidate's subdifferential is maximized over: a box maximum is attained at
-    a vertex (the residual is convex in zeta).  An unbounded box coordinate k is
-    admissible only if the coefficient that multiplies zeta_k vanishes
-    identically in u (for affine-structured systems: the k-th component of g0
-    and of every g_i is zero at x); otherwise the point is recorded with +inf
-    residual.  General systems sample one u-grid over ``u_box`` (default: the
-    u-box of the whole grid) at every point.  The report carries the per-point
-    arrays that :func:`residuals` returns.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    exact = isinstance(sys, AffineSystem)
-    if tol is None:
-        tol = DEFAULT_TOL_EXACT if exact else DEFAULT_TOL_SAMPLED
-    X, lo, hi = _sweep_boxes(sys, V, region)
-    if not exact and u_box is None:
-        u_box = _default_u_box(X, sys.m)
-
-    res, Z, U = residuals(sys, lo, hi, X, gamma, u_box, u_points)
-    k = int(np.argmax(res))
-    best = float(res[k])
-    worst_zeta = None if np.isnan(Z[k]).any() else Z[k].copy()
-    worst_u = None if np.isnan(U[k]).any() else U[k].copy()
-    verdict = "pass" if best <= tol else "fail"
-    if not exact and verdict == "pass" and worst_u is not None \
-            and _on_boundary(worst_u, u_box):
-        # a fail is conclusive even if truncated; a pass with the max on the
-        # u-box boundary may be hiding a larger sup outside the box
-        warnings.warn("worst sampled u lies on the u-box boundary; the sup may be larger",
-                      stacklevel=2)
-    return WitnessReport(verdict, best, X[k].copy(), worst_zeta, worst_u,
-                         X.shape[0], gamma, tol, "exact" if exact else "sampled",
-                         grid=X, point_residuals=res, point_u=U)
+    """Verify the witness condition at every point of the region grid, which visits
+    the candidate's kink loci, by the rules of :class:`Sweep`; one use of a sweep."""
+    return Sweep.of(sys, V, region, u_box, u_points).check(gamma, tol)
 
 
 def point_residual(sys: System, V: StorageCandidate, gamma: float, x,
@@ -440,7 +439,7 @@ def point_residual(sys: System, V: StorageCandidate, gamma: float, x,
             g0 = sys.drift(x)
             gi = sys.input_fields(x)
             ok = all(abs(g0[k]) <= _COEFF_ZERO_TOL
-                     and (sys.m == 0 or np.all(np.abs(gi[:, k]) <= _COEFF_ZERO_TOL))
+                     and np.all(np.abs(gi[:, k]) <= _COEFF_ZERO_TOL)
                      for k in S.unbounded_axes)
         else:
             U = _u_grid_from_box(_default_u_box(x, sys.m) if u_box is None else u_box,
@@ -476,24 +475,25 @@ def min_gain_scan(sys: System, V: StorageCandidate, region: Region,
                   gamma_grid: Sequence[float], tol: Optional[float] = None) -> GainScan:
     """Smallest grid gamma whose witness check passes (``min_gamma``, None if all fail).
 
-    Exact mode (affine systems) takes the first grid gamma at or above the largest
-    needed gain (:func:`needed_gains`), ``gamma_star``, and confirms it with two
-    :func:`check_witness` calls: it passes and the grid gamma below it fails.  If
-    either disagrees, and in sampled mode, the scan bisects the grid: the residual
-    is nonincreasing in gamma at a fixed u-grid, so bisection finds the same gamma
-    as a linear scan in about log2(len(grid)) sweeps.
+    One :class:`Sweep` of the region serves every pass below.  Exact mode (affine
+    systems) takes the first grid gamma at or above the largest needed gain
+    (:meth:`Sweep.needed_gains`), ``gamma_star``, and confirms it with two checks:
+    it passes and the grid gamma below it fails.  If either disagrees, and in
+    sampled mode, the scan bisects the grid: the residual is nonincreasing in
+    gamma at a fixed u-grid, so bisection finds the same gamma as a linear scan
+    in about log2(len(grid)) checks.
     """
     gammas = list(gamma_grid)
     if not gammas or any(g <= 0 for g in gammas) or gammas != sorted(gammas):
         raise ValueError("gamma_grid must be positive and increasing")
-    passes = (lambda g: check_witness(sys, V, g, region, tol=tol).passed)
+    sweep = Sweep.of(sys, V, region)
+    passes = (lambda g: sweep.check(g, tol).passed)
     first, last = 0, len(gammas)      # gammas[:first] fail; gammas[last:] pass
     star = star_x = None
-    if isinstance(sys, AffineSystem):
-        X, lo, hi = _sweep_boxes(sys, V, region)
-        need = needed_gains(sys, lo, hi, X, DEFAULT_TOL_EXACT if tol is None else tol)
+    if sweep.exact:
+        need = sweep.needed_gains(DEFAULT_TOL_EXACT if tol is None else tol)
         k = int(np.argmax(need))
-        star, star_x = max(float(need[k]), 0.0), X[k].copy()
+        star, star_x = max(float(need[k]), 0.0), sweep.X[k].copy()
         k = bisect.bisect_left(gammas, star)
         if (k == last or passes(gammas[k])) and (k == 0 or not passes(gammas[k - 1])):
             first = last = k          # confirmed: no bisection

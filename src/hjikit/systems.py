@@ -87,6 +87,8 @@ class AffineSystem:
     def input_fields(self, X: np.ndarray) -> np.ndarray:
         """All g_i at a batch of states; result has shape (m, ..., n)."""
         X = np.asarray(X, dtype=float)
+        if not self._g_fn:                   # m = 0: no fields to stack
+            return np.zeros((0, *X.shape))
         return np.stack([g(X, None) for g in self._g_fn], axis=0)
 
     def dynamics(self, x, u) -> np.ndarray:

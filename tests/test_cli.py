@@ -99,6 +99,31 @@ def test_system_and_storage_files(tmp_path):
     assert code in (0, 1)
 
 
+def test_system_without_inputs(tmp_path):
+    """An affine system with no inputs (m = 0, dx = -x) checks like any other: the
+    library calls, and verify and gain on its --system JSON, which exit 0."""
+    sysm = systems.AffineSystem(1, 0, ("-x1",), ())
+    V = storage.builtin("sq_norm")
+    region = hji.Region(box=((-2.0, 2.0),), points_per_dim=41)
+    report = hji.check_witness(sysm, V, 1.0, region)
+    assert report.passed and report.point_u.shape == (report.points_checked, 0)
+    assert hji.point_residual(sysm, V, 1.0, [1.0])[0] == -1.0
+    X = region.grid()
+    assert hji.needed_gains(sysm, *V.subdiff_batch(X), X, hji.DEFAULT_TOL_EXACT).max() == 0.0
+    scan = hji.min_gain_scan(sysm, V, region, hji.gamma_range(0.5, 2.0, 0.01))
+    assert scan.min_gamma == 0.5 and scan.gamma_star == 0.0
+
+    sys_file = tmp_path / "decay.json"
+    sys_file.write_text(json.dumps(systems.system_to_config(sysm)))
+    assert run(["verify", "--system", sys_file, "--storage", "builtin:sq_norm",
+                "--gamma", "1", "--out", tmp_path / "v"]) == 0
+    assert json.loads((tmp_path / "v" / "verify.json").read_text())["worst_u"] == []
+    assert run(["gain", "--system", sys_file, "--storage", "builtin:sq_norm",
+                "--gammas", "0.5:2:0.01", "--out", tmp_path / "g"]) == 0
+    gain = json.loads((tmp_path / "g" / "gain.json").read_text())
+    assert gain["min_gamma"] == 0.5 and gain["gamma_star"] == 0.0
+
+
 def test_malformed_expression_reports_usage_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

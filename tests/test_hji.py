@@ -1,5 +1,6 @@
 import itertools
 import math
+import types
 import warnings
 from unittest import mock
 
@@ -350,8 +351,9 @@ def test_min_gain_bisection_finds_every_threshold(monkeypatch):
     gammas = hji.gamma_range(0.5, 2.0, 0.01)
     for t in range(len(gammas) + 1):
         threshold = gammas[t] if t < len(gammas) else math.inf
-        monkeypatch.setattr(hji, "check_witness", lambda s, V, g, r, **k: hji.WitnessReport(
+        sweep = types.SimpleNamespace(exact=False, check=lambda g, tol: hji.WitnessReport(
             "pass" if g >= threshold else "fail", 0.0, None, None, None, 1))
+        monkeypatch.setattr(hji.Sweep, "of", staticmethod(lambda *a, sweep=sweep: sweep))
         assert hji.min_gain_scan(None, None, None, gammas).min_gamma == (
             gammas[t] if t < len(gammas) else None)
 
@@ -364,8 +366,8 @@ def test_min_gain_bisection_matches_linear_scan(case, monkeypatch):
     linear = next((g for g in gammas
                    if hji.check_witness(sysm, V, g, region).passed), None)
     sweeps = []
-    check = hji.check_witness
-    monkeypatch.setattr(hji, "check_witness", lambda *a, **k: sweeps.append(1) or check(*a, **k))
+    check = hji.Sweep.check
+    monkeypatch.setattr(hji.Sweep, "check", lambda *a, **k: sweeps.append(1) or check(*a, **k))
     assert hji.min_gain_scan(sysm, V, region, gammas).min_gamma == linear
     assert len(sweeps) <= math.ceil(math.log2(len(gammas) + 1))
     if case == "none passes":
@@ -389,8 +391,9 @@ def _bisected(sysm, V, region, gammas):
 
 
 def _scan_counted(sysm, V, region, gammas):
-    """min_gain_scan and the check_witness calls it made."""
-    with mock.patch.object(hji, "check_witness", wraps=hji.check_witness) as check:
+    """min_gain_scan and the witness checks it made on its sweep."""
+    with mock.patch.object(hji.Sweep, "check", autospec=True,
+                           side_effect=hji.Sweep.check) as check:
         scan = hji.min_gain_scan(sysm, V, region, gammas)
     return scan, check.call_count
 
@@ -431,7 +434,7 @@ def test_confirmation_mismatch_falls_back_to_bisection(case, monkeypatch):
     its verdict flipped) sends the scan to bisection, which gives its answer."""
     sysm, V, region, gammas = _EXACT_CASES[case]
     expected = _bisected(sysm, V, region, gammas)
-    check, calls = hji.check_witness, []
+    check, calls = hji.Sweep.check, []
 
     def flip_first(*a, **k):
         rep = check(*a, **k)
@@ -439,9 +442,24 @@ def test_confirmation_mismatch_falls_back_to_bisection(case, monkeypatch):
         if len(calls) == 1:
             rep.verdict = "fail" if rep.passed else "pass"
         return rep
-    monkeypatch.setattr(hji, "check_witness", flip_first)
+    monkeypatch.setattr(hji.Sweep, "check", flip_first)
     assert hji.min_gain_scan(sysm, V, region, gammas).min_gamma == expected
     assert len(calls) > 2
+
+
+@pytest.mark.parametrize("case", ["sigma1/v1_scaled", "sigma3_scalar/v3_scalar"])
+def test_min_gain_scan_builds_one_sweep(case):
+    """A scan builds the region grid and the candidate's boxes once: the exact scan's
+    needed gains and both confirmations, and every sampled bisection step, read one
+    sweep."""
+    sysm, V, region, gammas = _EXACT_CASES[case]
+    with mock.patch.object(hji.Region, "grid", autospec=True,
+                           side_effect=hji.Region.grid) as grid, \
+            mock.patch.object(stg.StorageCandidate, "subdiff_batch", autospec=True,
+                              side_effect=stg.StorageCandidate.subdiff_batch) as boxes:
+        scan = hji.min_gain_scan(sysm, V, region, gammas)
+    assert scan.min_gamma == _bisected(sysm, V, region, gammas)
+    assert grid.call_count == 1 and boxes.call_count == 1
 
 
 _MONOMIALS = ("0", "1", "x1", "x2", "x1*x2", "abs(x1)", "x1*x1", "abs(x2)*x1")
@@ -498,6 +516,40 @@ def test_exact_scan_equals_bisection_on_generated_systems(case):
         lo, hi = V.subdiff_batch(X)
         assert hji.residuals(sysm, lo, hi, X, star * 1.01)[0].max() <= hji.DEFAULT_TOL_EXACT
         assert hji.residuals(sysm, lo, hi, X, star / 1.01)[0].max() > hji.DEFAULT_TOL_EXACT
+
+
+def _sweep_step(sweep, step):
+    """One use of a sweep as comparable bytes: a check and the residuals at a gamma, or
+    the needed gains."""
+    if step == "needed gains":
+        return sweep.needed_gains(hji.DEFAULT_TOL_EXACT).tobytes()
+    report = sweep.check(step)
+    return repr(report.to_dict()), *(a.tobytes() for a in sweep.residuals(step))
+
+
+def _assert_sweep_keeps_no_state(sysm, V, region):
+    """One sweep reused across gammas and a needed-gain pass gives, at every step,
+    bitwise what a fresh sweep gives."""
+    reused = hji.Sweep.of(sysm, V, region)
+    for step in (0.9, 1.3, 0.9, "needed gains", 1.0):
+        if step == "needed gains" and not reused.exact:
+            with pytest.raises(TypeError):
+                reused.needed_gains(hji.DEFAULT_TOL_EXACT)
+            continue
+        assert _sweep_step(reused, step) == _sweep_step(hji.Sweep.of(sysm, V, region), step)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_power_affine_scans())
+def test_sweep_keeps_no_state_between_gammas(case):
+    """p = 1, 1 < p < 2, p = 2 and p > 2, both phis."""
+    sysm, V, region, _, _ = case
+    _assert_sweep_keeps_no_state(sysm, V, region)
+
+
+def test_sampled_sweep_keeps_no_state_between_gammas():
+    sysm, V, region, _ = _EXACT_CASES["sigma3_scalar/v3_scalar"]
+    _assert_sweep_keeps_no_state(sysm, V, region)
 
 
 # ---------------------------------------------------------------------------
