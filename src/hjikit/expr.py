@@ -378,13 +378,55 @@ class OpTable:
     """What the code generator writes for each node: ``code`` maps 'num' (a constant),
     'full' (a constant as an array of X's batch shape), the variable kinds 'x' and 'u',
     'neg' and every operator to a format string over its operands' temporaries, and
-    ``scope`` holds the names that code calls.  Hashed by identity, for the compile cache."""
+    ``scope`` holds the names that code calls.  ``const`` converts a literal, each line
+    of ``head`` is written when the body holds one of its marks, and ``first`` and
+    ``column`` start a tuple's result from its first root and put root j into it.
+    Hashed by identity, for the compile cache."""
 
     code: dict
     scope: dict
+    const: Callable = lambda v: np.asarray(v)[()]
+    head: tuple = ()
+    first: str = "out = empty({0}.shape + ({1},))"
+    column: str = "out[..., {1}] = {0}"
 
 
-FLOAT = OpTable(_CODE, _NUMPY)
+FLOAT = OpTable(_CODE, _NUMPY, head=(("X = asarray(X)", ("X[", "(S,")),
+                                     ("S = X.shape[:-1]", ("(S,",)),
+                                     ("U = asarray(U)", ("U[",))))
+
+
+def _sign(a):
+    """numpy's sign of one float: 0.0 at -0.0, and nan as it is."""
+    return 1.0 if a > 0 else -1.0 if a < 0 else 0.0 if a == 0 else a
+
+
+def _minimum(a, b):
+    """numpy's minimum of two floats: a nan operand (the first of two), or b on a tie."""
+    return a if a < b or a != a else b
+
+
+def _maximum(a, b):
+    return a if a > b or a != a else b
+
+
+def _divide(a, b):
+    """a / b, and numpy's inf or nan where Python would raise (b = 0)."""
+    return a / b if b else np.divide(a, b)
+
+
+# One point as sequences of Python floats.  Python's + - * /, negation and abs round
+# as numpy's loops do; the other functions call numpy's ufunc on the floats.  pow
+# passes its exponent as a one-element array, as the array loop sees it: numpy takes
+# square, sqrt or reciprocal for a 0-d exponent 2, 0.5 or -1.  phi's exponent is a
+# numpy scalar in FLOAT too, so a float exponent takes the same loop there.
+SCALAR = OpTable(
+    {**_CODE, "full": "{0}", "x": "X[{0}]", "u": "U[{0}]", "/": "divide({0}, {1})",
+     "pow": "power(abs({0}), ({1},))[0]", "spow": "sign({0}) * power(abs({0}), ({1},))[0]",
+     "abs_pow": "power(abs({0}), {1})", "signed_pow": "sign({0}) * power(abs({0}), {1})"},
+    {"sign": _sign, "sqrt": np.sqrt, "cbrt": np.cbrt, "minimum": _minimum,
+     "maximum": _maximum, "divide": _divide, "power": np.power},
+    const=float, first="out = ()", column="out += ({0},)")
 
 
 @functools.lru_cache(maxsize=4096)
@@ -398,9 +440,12 @@ def compile_evaluator(e, table: OpTable = FLOAT) -> Callable[[np.ndarray, np.nda
     tuple, and each temporary is freed after its last use.  Constants are numpy
     scalars, but arrays of X's batch shape in an x-free subtree that is a whole root
     or feeds sqrt/cbrt/pow/spow, so every result is bitwise (and in shape) that of
-    evaluating every node as an array.  :data:`TANGENT` generates, for one AST of x
-    only, ``(value, lo, hi, dep)`` instead: the bounds (n, ...) of a subdifferential
-    enclosure and the coordinates the AST depends on (see below).
+    evaluating every node as an array.  :data:`SCALAR` generates ``f(X, U)`` over
+    one point, X and U sequences of Python floats: a float, or a tuple of k, bitwise
+    what the default table gives on the (1, n) batch of that point.  :data:`TANGENT`
+    generates, for one AST of x only, ``(value, lo, hi, dep)`` instead: the bounds
+    (n, ...) of a subdifferential enclosure and the coordinates the AST depends on
+    (see below).
     """
     lines, consts, temps = [], {}, {}      # lines: (statement, temporaries it reads)
 
@@ -413,7 +458,7 @@ def compile_evaluator(e, table: OpTable = FLOAT) -> Callable[[np.ndarray, np.nda
         reads = ()
         if isinstance(node, Num):
             const = f"c{len(consts)}"
-            consts[const] = np.asarray(node.value)[()]
+            consts[const] = table.const(node.value)
             code = table.code["full" if full else "num"].format(const)
         elif isinstance(node, Var):
             code = table.code[node.kind].format(int(node.index))
@@ -436,8 +481,8 @@ def compile_evaluator(e, table: OpTable = FLOAT) -> Callable[[np.ndarray, np.nda
         for j, root in enumerate(e):
             t = emit(root, not has_x(root))
             if not j:
-                lines.append((f"out = empty({t}.shape + ({len(e)},))", (t,)))
-            lines.append((f"out[..., {j}] = {t}", (t,)))
+                lines.append((table.first.format(t, len(e)), (t,)))
+            lines.append((table.column.format(t, j), (t,)))
         out = "out"
     else:
         out = emit(e, not has_x(e))
@@ -445,9 +490,7 @@ def compile_evaluator(e, table: OpTable = FLOAT) -> Callable[[np.ndarray, np.nda
     body = "\n".join(f"    {code}" + "".join(f"; del {t}" for t in dict.fromkeys(reads)
                                               if last[t] == i)
                      for i, (code, reads) in enumerate(lines))
-    head = ["    X = asarray(X)"] if "X[" in body or "(S," in body else []
-    head += ["    S = X.shape[:-1]"] if "(S," in body else []
-    head += ["    U = asarray(U)"] if "U[" in body else []
+    head = [f"    {line}" for line, marks in table.head if any(m in body for m in marks)]
     src = "\n".join(["def field(X, U):", *head, body, f"    return {out}"])
     scope = dict(table.scope, **consts)
     exec(compile(src, "<hjikit field>", "exec"), scope)

@@ -464,7 +464,8 @@ def point_residual(sys: System, V: StorageCandidate, gamma: float, x,
 
 class GainScan(NamedTuple):
     """A scan's smallest passing grid gamma (None if none passes); in exact mode also
-    the largest needed gain on the region grid (maybe +inf) and the point needing it."""
+    the largest needed gain on the region grid (maybe +inf) and the point needing it
+    (None when no point needs a positive gain)."""
 
     min_gamma: Optional[float]
     gamma_star: Optional[float] = None
@@ -493,7 +494,8 @@ def min_gain_scan(sys: System, V: StorageCandidate, region: Region,
     if sweep.exact:
         need = sweep.needed_gains(DEFAULT_TOL_EXACT if tol is None else tol)
         k = int(np.argmax(need))
-        star, star_x = max(float(need[k]), 0.0), sweep.X[k].copy()
+        star = max(float(need[k]), 0.0)
+        star_x = sweep.X[k].copy() if need[k] > 0 else None    # else every point ties
         k = bisect.bisect_left(gammas, star)
         if (k == last or passes(gammas[k])) and (k == 0 or not passes(gammas[k - 1])):
             first = last = k          # confirmed: no bisection

@@ -5,6 +5,9 @@ immutable after construction and ``dynamics`` is pure: region sweeps and
 ensemble integrations evaluate them once per batch of points, in one thread.
 Each system's right-hand side is one generated function ``_rhs(X, U) -> (..., n)``:
 ``dynamics`` checks x's and u's shapes and calls it; the RK4 loop checks them once.
+The system keeps the right-hand side's ASTs as ``_rhs_ast``, from which the RK4 loop
+of a single trajectory compiles the Python-float form (:data:`hjikit.expr.SCALAR`)
+when it first needs it.
 """
 from __future__ import annotations
 
@@ -38,6 +41,7 @@ def _compile_affine(sys, weights: Sequence) -> None:
     object.__setattr__(sys, "_g0_fn", drift)
     object.__setattr__(sys, "_g_fn", tuple(fields))
     object.__setattr__(sys, "_rhs", rhs)
+    object.__setattr__(sys, "_rhs_ast", comps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +113,7 @@ class GeneralSystem:
         if len(self.F) != self.n:
             raise DimensionError("F must have n components")
         object.__setattr__(self, "_rhs", _compile_fields((asts,))[0])
+        object.__setattr__(self, "_rhs_ast", asts)
 
     dynamics = AffineSystem.dynamics
 

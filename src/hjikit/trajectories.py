@@ -1,7 +1,10 @@
 """Closed-loop integration and integral dissipation audits.
 
 Integration is fixed-step classical RK4 (no adaptive stepping) so that runs
-replay deterministically in tests.  Input signals are measurable and
+replay deterministically in tests.  A batch of trajectories steps in arrays; a
+batch of one steps in Python floats with the right-hand side's
+:data:`hjikit.expr.SCALAR` form, where numpy's per-call overhead would be all of
+the work, and gives the same bits.  Input signals are measurable and
 essentially bounded by construction: constants, piecewise constants (switch
 times snapped to the integration grid so the supply quadrature is exact on
 each step), and per-channel sinusoids.
@@ -13,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import expr as ex
 from .errors import HjikitError
 from .storage import StorageCandidate
 from .systems import System
@@ -161,20 +165,22 @@ def integrate(sys: System, x0, u: InputSignal, t_span, step: float) -> Trajector
 
 def integrate_ensemble(sys: System, X0, inputs: Sequence[InputSignal],
                        t_span, step: float) -> list:
-    """Integrate a batch of initial conditions/inputs in lockstep (shared time grid)."""
+    """Integrate a batch of initial conditions/inputs in lockstep (shared time grid).
+
+    A batch of one steps in Python floats, with the right-hand side's
+    :data:`~hjikit.expr.SCALAR` form; a larger batch steps in arrays.  Both give the
+    same bits: one trajectory is the same whether it runs alone or in a batch.
+    """
     a, b = float(t_span[0]), float(t_span[1])
     if step <= 0 or b <= a:
         raise ValueError("need step > 0 and b > a")
     X = np.asarray(X0, dtype=float)
-    B, n = X.shape
+    B, _ = X.shape
     if len(inputs) != B:
         raise ValueError("need one input signal per initial condition")
     N = max(1, int(round((b - a) / step)))
     h = step
     times = a + h * np.arange(N + 1)
-
-    states = np.empty((B, N + 1, n))
-    states[:, 0, :] = X
 
     # one call per signal; t + h is sampled too: times[k] + h need not be times[k + 1]
     t0 = times[:-1]
@@ -182,10 +188,23 @@ def integrate_ensemble(sys: System, X0, inputs: Sequence[InputSignal],
                          sys.m).reshape(3, N, B, sys.m)
     u_mid = U2.transpose(1, 0, 2).copy()                # (B, N, m): the audits' midpoints
 
-    rhs = sys._rhs
-    for k in range(N):
-        # the first stage checks the shapes; the others call the right-hand side unchecked
-        k1 = rhs(X, U1[k]) if k else sys.dynamics(X, U1[0])
+    # the first stage checks the shapes; the others call the right-hand side unchecked
+    k1 = sys.dynamics(X, U1[0])
+    if B == 1:       # numpy's per-call overhead is all the work on one row
+        states = _rk4_point(ex.compile_evaluator(sys._rhs_ast, ex.SCALAR), X, k1,
+                            U1, U2, U3, times, h)
+    else:
+        states = _rk4_batch(sys._rhs, X, k1, U1, U2, U3, times, h)
+    return [Trajectory(times, states[j], inputs[j], h, u_mid[j]) for j in range(B)]
+
+
+def _rk4_batch(rhs, X, k1, U1, U2, U3, times, h) -> np.ndarray:
+    """The RK4 steps of a batch, in arrays: the states (B, N+1, n)."""
+    states = np.empty((X.shape[0], times.size, X.shape[1]))
+    states[:, 0, :] = X
+    for k in range(times.size - 1):
+        if k:
+            k1 = rhs(X, U1[k])
         k2 = rhs(X + 0.5 * h * k1, U2[k])
         k3 = rhs(X + 0.5 * h * k2, U2[k])
         k4 = rhs(X + h * k3, U3[k])
@@ -194,8 +213,28 @@ def integrate_ensemble(sys: System, X0, inputs: Sequence[InputSignal],
         if not worst <= _BLOWUP_NORM:                   # also nan
             raise BlowUpError(float(times[k + 1]), float(worst))
         states[:, k + 1, :] = X
+    return states
 
-    return [Trajectory(times, states[j], inputs[j], h, u_mid[j]) for j in range(B)]
+
+def _rk4_point(rhs, X, k1, U1, U2, U3, times, h) -> np.ndarray:
+    """The same steps for a batch of one, in Python floats and in the same order of
+    operations; ``rhs`` takes and gives sequences.  The states (1, N+1, n)."""
+    x, k1 = X[0].tolist(), k1[0].tolist()
+    u1, u2, u3 = (U[:, 0].tolist() for U in (U1, U2, U3))
+    half, sixth = 0.5 * h, h / 6.0
+    rows = [x]
+    for k in range(times.size - 1):
+        if k:
+            k1 = rhs(x, u1[k])
+        k2 = rhs([v + half * d for v, d in zip(x, k1)], u2[k])
+        k3 = rhs([v + half * d for v, d in zip(x, k2)], u2[k])
+        k4 = rhs([v + h * d for v, d in zip(x, k3)], u3[k])
+        x = [v + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
+             for v, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4)]
+        if not all(abs(v) <= _BLOWUP_NORM for v in x):        # also nan
+            raise BlowUpError(float(times[k + 1]), float(np.abs(x).max()))
+        rows.append(x)
+    return np.array(rows)[None]
 
 
 def _sample(inputs: Sequence[InputSignal], t: np.ndarray, m: int) -> np.ndarray:

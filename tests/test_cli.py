@@ -124,6 +124,22 @@ def test_system_without_inputs(tmp_path):
     assert gain["min_gamma"] == 0.5 and gain["gamma_star"] == 0.0
 
 
+def test_degenerate_scan_names_no_point(tmp_path):
+    """When no grid point needs a positive gain every point ties at 0: gamma_star is 0
+    and gamma_star_x is None in the scan and null in gain.json, not the first point."""
+    cfg = {"kind": "affine", "n": 1, "m": 0, "g0": ["-x1"], "g": []}
+    sysm, V = systems.system_from_config(cfg), storage.builtin("sq_norm")
+    region = hji.Region(box=((-2.0, 2.0),), points_per_dim=41)
+    scan = hji.min_gain_scan(sysm, V, region, hji.gamma_range(0.5, 2.0, 0.01))
+    assert scan == (0.5, 0.0, None)
+    sys_file = tmp_path / "decay.json"
+    sys_file.write_text(json.dumps(cfg))
+    assert run(["gain", "--system", sys_file, "--storage", "builtin:sq_norm",
+                "--gammas", "0.5:2:0.01", "--out", tmp_path / "g"]) == 0
+    gain = json.loads((tmp_path / "g" / "gain.json").read_text())
+    assert (gain["gamma_star"], gain["gamma_star_x"]) == (0.0, None)
+
+
 def test_malformed_expression_reports_usage_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -369,15 +369,20 @@ def test_parse_and_compile_are_memoized():
 
 
 def test_each_op_table_compiles_apart_and_is_memoized():
-    """The tangent table generates its own function, cached like the float one; it
-    returns values, coordinate-major bounds (n, Q) and the coordinates it depends on."""
+    """The tangent and scalar tables generate their own functions, cached like the
+    float one.  The tangent function returns values, coordinate-major bounds (n, Q)
+    and the coordinates it depends on; the scalar one takes and returns Python floats."""
     a = ex.parse("abs(x1)*(-x1+2)", 2, 0)
-    tangent = ex.compile_evaluator(a, ex.TANGENT)
+    tangent, scalar = ex.compile_evaluator(a, ex.TANGENT), ex.compile_evaluator(a, ex.SCALAR)
     assert tangent is ex.compile_evaluator(a, ex.TANGENT)
-    assert tangent is not ex.compile_evaluator(a)
+    assert scalar is ex.compile_evaluator(a, ex.SCALAR)
+    assert len({id(tangent), id(scalar), id(ex.compile_evaluator(a))}) == 3
     v, lo, hi, dep = tangent(np.array([[-1.0, 5.0], [2.0, 0.0]]), None)
     assert v.tolist() == [3.0, 0.0] and dep.ravel().tolist() == [True, False]
     assert lo.tolist() == hi.tolist() == [[-4.0, -2.0], [-0.0, -0.0]]
+    got = [scalar([-1.0, 5.0], ()), scalar([2.0, 0.0], ())]
+    assert got == [3.0, 0.0] and all(type(g) is float for g in got)
+    assert ex.compile_evaluator((a, ex.Var("x", 1)), ex.SCALAR)([2.0, 0.5], ()) == (0.0, 0.5)
 
 
 @pytest.mark.parametrize("node", [
@@ -388,8 +393,88 @@ def test_each_op_table_compiles_apart_and_is_memoized():
     "x1",
 ])
 def test_generated_source_takes_no_text_from_the_ast(node):
-    with pytest.raises((TypeError, ValueError, KeyError)):
-        ex.compile_evaluator(node)
+    for table in (ex.FLOAT, ex.SCALAR):
+        with pytest.raises((TypeError, ValueError, KeyError)):
+            ex.compile_evaluator(node, table)
+
+
+# ---------------------------------------------------------------------------
+# the scalar table: one point in Python floats, bitwise the float table's batch of one
+# ---------------------------------------------------------------------------
+
+def _same_or_both_nan(got, ref):
+    """Bit for bit, with every nan alike: when both operands of a sum or product are
+    nan, IEEE 754 leaves which one comes out (and so its sign) to the implementation,
+    and CPython's compiled a + b returns the other operand than numpy's loop."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    return got.shape == ref.shape and bool(np.all(
+        (got.view(np.int64) == ref.view(np.int64)) | (np.isnan(got) & np.isnan(ref))))
+
+
+def _has_pow(e) -> bool:
+    return any("pow(" in ex.to_source(a) for a in (e if isinstance(e, tuple) else (e,)))
+
+
+def _assert_scalar_matches_float(e, x, u):
+    """SCALAR at (x, u) against FLOAT on the (1, n) batch of that point, and on the
+    single point () too unless e has pow or spow: there a 0-d exponent 2, 0.5 or -1
+    takes numpy's square, sqrt or reciprocal loop, so FLOAT's () and (1,) batches
+    differ in the last bit themselves."""
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    fn = ex.compile_evaluator(e)
+    with np.errstate(all="ignore"):
+        got = ex.compile_evaluator(e, ex.SCALAR)(x.tolist(), u.tolist())
+        one, point = fn(x[None], u[None])[0], fn(x, u)
+    assert isinstance(got, tuple) == isinstance(e, tuple)
+    assert _same_or_both_nan(got, one), (x, u, got, one)
+    assert _has_pow(e) or _same_or_both_nan(got, point), (x, u, got, point)
+
+
+def _point(rng):
+    """_draw's values for (x1, x2, u1, u2), each nan or +-inf a fifth of the time."""
+    v = _draw(rng, (4,))
+    special = rng.random(4) < 0.2
+    v[special] = rng.choice([np.nan, np.inf, -np.inf], int(special.sum()))
+    return v[:2], v[2:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(asts=st.lists(_asts, min_size=1, max_size=3), as_tuple=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_scalar_table_matches_float_table_bitwise(asts, as_tuple, seed):
+    """No Python exception either: division by 0 and sqrt of a negative give numpy's
+    inf and nan, and nan, inf and +-0 inputs run through every operator."""
+    e = tuple(asts) if as_tuple else asts[0]
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        _assert_scalar_matches_float(e, *_point(rng))
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("src, x, expected", [
+    ("x1 / x2", (1.0, 0.0), _INF), ("x1 / x2", (1.0, -0.0), -_INF), ("x1 / x2", (0.0, 0.0), _NAN),
+    ("x1 / 0", (-2.0, 0.0), -_INF), ("x1 / 2", (3.0, 0.0), 1.5), ("sqrt(x1)", (-1.0, 0.0), _NAN),
+    ("sqrt(x1)", (-0.0, 0.0), -0.0), ("cbrt(x1)", (-8.0, 0.0), -2.0),
+    ("sign(x1)", (-0.0, 0.0), 0.0), ("sign(x1)", (_NAN, 0.0), _NAN), ("sign(x1)", (-3.0, 0.0), -1.0),
+    ("min(x1, x2)", (0.0, -0.0), -0.0), ("min(x1, x2)", (-0.0, 0.0), 0.0),
+    ("max(x1, x2)", (0.0, -0.0), -0.0), ("min(x1, x2)", (_NAN, 1.0), _NAN),
+    ("max(x1, x2)", (1.0, _NAN), _NAN), ("max(x1, x2)", (-_INF, 2.0), 2.0),
+    ("pow(x1, 2)", (-1.7, 0.0), None), ("spow(x1, 0.5)", (-2.3, 0.0), None),
+    ("pow(x1, -1)", (0.0, 0.0), _INF), ("pow(x1, x2)", (1.3, 2.0), None),
+    ("x1 * x2 - x1", (_INF, 0.0), _NAN), ("abs(x1) + x2", (-0.0, -0.0), 0.0),
+    ("3*pow(cbrt(x2),4)*(-x1-x2)", (0.4, -0.9), None),
+])
+def test_scalar_table_special_values(src, x, expected):
+    """numpy's rules on one float: sign(-0) = 0, nan propagates through min and max,
+    a min/max tie gives the second argument, and division by 0 is inf or nan."""
+    e = ex.parse(src, 2, 0)
+    with np.errstate(all="ignore"):
+        got = ex.compile_evaluator(e, ex.SCALAR)(list(x), ())
+    if expected is not None:
+        assert _same_or_both_nan(got, expected)
+    _assert_scalar_matches_float(e, x, ())
 
 
 def _combine_reference(system, x, u):
@@ -431,6 +516,21 @@ def test_system_dynamics_matches_combine_reference_bitwise(k, seed):
         with np.errstate(all="ignore"):
             got, ref = system.dynamics(x, u), _combine_reference(system, x, u)
         assert _same_bits(got, ref), (system.name, xb, ub)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(0, len(_REFERENCE_SYSTEMS) - 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_system_scalar_rhs_matches_dynamics_bitwise(k, seed):
+    """The scalar right-hand side, phi's numpy-scalar exponent included, is the
+    dynamics of the point's batch of one."""
+    system = _REFERENCE_SYSTEMS[k]
+    rhs = ex.compile_evaluator(system._rhs_ast, ex.SCALAR)
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        x, u = _draw(rng, (system.n,)), _draw(rng, (system.m,))
+        with np.errstate(all="ignore"):
+            got, ref = rhs(x.tolist(), u.tolist()), system.dynamics(x[None], u[None])[0]
+        assert type(got) is tuple and _same_or_both_nan(got, ref), (system.name, x, u)
 
 
 def test_import_leaves_scipy_unloaded():

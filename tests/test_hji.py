@@ -420,8 +420,11 @@ def test_exact_scan_equals_bisection(case):
         assert calls <= 2
         X = region.grid(V.kinks)
         need = hji.needed_gains(sysm, *V.subdiff_batch(X), X, hji.DEFAULT_TOL_EXACT)
-        assert scan.gamma_star == need.max() and scan.gamma_star_x.tolist() == \
-            X[np.argmax(need)].tolist()
+        assert scan.gamma_star == need.max()
+        if need.max() > 0:
+            assert scan.gamma_star_x.tolist() == X[np.argmax(need)].tolist()
+        else:                              # every point ties at 0: no point is named
+            assert scan.gamma_star_x is None
     else:
         assert scan.gamma_star is None and scan.gamma_star_x is None
         assert calls <= math.ceil(math.log2(len(gammas) + 1))

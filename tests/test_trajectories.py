@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hjikit import cli
+from hjikit import expr as ex
 from hjikit import storage as stg
 from hjikit import systems as sy
 from hjikit import trajectories as tr
@@ -282,6 +283,30 @@ def test_carried_midpoint_inputs_match_resampling(name, kinds, a, h, N, seed):
             tr.dissipation_audit_detail(bare, V, 1.5)
 
 
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from([e.name for e in sy.zoo()]),
+       kind=st.sampled_from(["constant", "piecewise", "sinusoid"]),
+       a=st.sampled_from([0.0, 0.1, 0.37, 1.5]),
+       h=st.sampled_from([1e-3, 2.5e-3, 1e-2, 0.1 / 3]),
+       N=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_one_trajectory_matches_the_batch_path_bitwise(name, kind, a, h, N, seed):
+    """A batch of one steps in Python floats with the scalar right-hand side; its
+    states are those of the same run in a two-copy ensemble (the array path) and of
+    the per-step reference, bit for bit."""
+    sys = sy.zoo_entry(name).system
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-1, 1, sys.n)
+    sig = _signal(kind, rng, sys.m, a, h, N)
+    span = (a, a + N * h)
+    one = tr.integrate(sys, x0, sig, span, h)
+    pair = tr.integrate_ensemble(sys, np.stack([x0, x0]), [sig, sig], span, h)[0]
+    assert one.states.tobytes() == pair.states.tobytes()
+    assert one.states.tobytes() == _integrate_reference(sys, x0[None], [sig], span, h)[0].tobytes()
+    assert one.times.tobytes() == pair.times.tobytes()
+    assert one.u_mid.tobytes() == pair.u_mid.tobytes()
+
+
 class _Counting:
     def __init__(self, sig):
         self.sig, self.calls = sig, 0
@@ -358,15 +383,20 @@ def _blow_up_reference(sys, X0, inputs, t_span, step):
     (("x1*x1*x1 + u1",), [[1.0], [1.5]], (0, 1), 1e-2),
     (("sqrt(x1 - 1)",), [[0.5]], (0, 1), 0.1),                  # nan on the first step
     (("x1*x1*x1*x1*x1*x1*x1",), [[1e3]], (0, 1), 0.2),          # inf on the first step
+    (("-x1", "sqrt(x2 - 1)"), [[1.0, 0.5]], (0, 1), 0.1),      # nan in x2 alone
 ])
 def test_blow_up_time_is_first_grid_time_past_bound(F, x0s, span, step):
-    sys = sy.GeneralSystem(1, 1, F)
+    sys = sy.GeneralSystem(len(F), 1, F)
     X0 = np.array(x0s)
     inputs = [tr.ConstantInput([0.5])] * len(x0s)
     with np.errstate(all="ignore"):
         expected = _blow_up_reference(sys, X0, inputs, span, step)
         with pytest.raises(tr.BlowUpError) as info:
             tr.integrate_ensemble(sys, X0, inputs, span, step)
+        if len(x0s) == 1:      # alone, in Python floats, and as a two-copy batch in arrays
+            with pytest.raises(tr.BlowUpError) as pair:
+                tr.integrate_ensemble(sys, np.repeat(X0, 2, axis=0), inputs * 2, span, step)
+            assert str(info.value) == str(pair.value)       # the same time and norm
     assert info.value.t == expected
 
 
@@ -382,7 +412,25 @@ def _count_rhs_calls(sys):
     return calls
 
 
-def test_state_dimension_mismatch_raises_before_any_step():
+def _count_scalar_rhs_calls(monkeypatch):
+    """Count the calls of every scalar right-hand side compiled from now on."""
+    calls, compile_evaluator = [], ex.compile_evaluator
+
+    def compile_counted(e, table=ex.FLOAT):
+        fn = compile_evaluator(e, table)
+        if table is not ex.SCALAR:
+            return fn
+
+        def counted(x, u):
+            calls.append(1)
+            return fn(x, u)
+        return counted
+
+    monkeypatch.setattr(ex, "compile_evaluator", compile_counted)
+    return calls
+
+
+def test_state_dimension_mismatch_raises_before_any_step(monkeypatch):
     sys = sy.make_sigma1()
     calls = _count_rhs_calls(sys)
     with pytest.raises(sy.DimensionError, match="state has dimension 3, expected 2"):
@@ -392,9 +440,17 @@ def test_state_dimension_mismatch_raises_before_any_step():
     tr.integrate_ensemble(sys, np.zeros((2, 2)), [tr.ConstantInput([0.0, 0.0])] * 2,
                           (0, 0.1), 1e-2)
     assert len(calls) == 4 * 10                  # every stage of every step, no extra call
+    # a batch of one: the same checked first stage, then the scalar right-hand side
+    calls.clear()
+    scalar_calls = _count_scalar_rhs_calls(monkeypatch)
+    with pytest.raises(sy.DimensionError, match="state has dimension 3, expected 2"):
+        tr.integrate(sys, np.zeros(3), tr.ConstantInput([0.0, 0.0]), (0, 0.1), 1e-2)
+    assert calls == [] and scalar_calls == []
+    tr.integrate(sys, np.zeros(2), tr.ConstantInput([0.0, 0.0]), (0, 0.1), 1e-2)
+    assert len(calls) == 1 and len(scalar_calls) == 4 * 10 - 1
 
 
-def test_signal_with_wrong_input_dimension_is_named():
+def test_signal_with_wrong_input_dimension_is_named(monkeypatch):
     sys = sy.make_sigma1()
     calls = _count_rhs_calls(sys)
     good = tr.ConstantInput([0.0, 1.0])
@@ -404,6 +460,10 @@ def test_signal_with_wrong_input_dimension_is_named():
         with pytest.raises(ValueError, match=f"input signal {j} returned shape "):
             tr.integrate_ensemble(sys, np.zeros((3, 2)), inputs, (0, 0.1), 1e-2)
     assert calls == []
+    scalar_calls = _count_scalar_rhs_calls(monkeypatch)
+    with pytest.raises(ValueError, match="input signal 0 returned shape "):
+        tr.integrate(sys, np.zeros(2), tr.SinusoidInput([1.0], [2.0]), (0, 0.1), 1e-2)
+    assert calls == [] and scalar_calls == []
 
 
 # ---------------------------------------------------------------------------
