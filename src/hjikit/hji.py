@@ -250,7 +250,8 @@ class Sweep:
     an empty row (lo > hi) gets -inf.  The sup over u is exact for
     (power-)affine systems, from each vertex's gamma-free parts built here;
     general systems sample it on the u-grid of ``u_box`` (default: the u-box of
-    the whole of X), evaluating the dynamics in chunks at each gamma.
+    the whole of X), evaluating the dynamics in chunks at each gamma, or once
+    for every gamma where all (point, u) rows fit in one chunk.
     """
 
     def __init__(self, sys: System, X, lo, hi,
@@ -282,6 +283,7 @@ class Sweep:
         else:
             self.u_box = _default_u_box(self.X, sys.m) if u_box is None else u_box
             self._U = _u_grid_from_box(self.u_box, u_points)
+            self._F = None               # the dynamics of all rows, if they fit in one chunk
 
     @classmethod
     def of(cls, sys: System, V: StorageCandidate, region: Region,
@@ -311,7 +313,10 @@ class Sweep:
         for start in range(0, len(X), step):
             s = slice(start, start + step)
             B = len(X[s])
-            F = self.sys.dynamics(np.repeat(X[s], K, axis=0), np.tile(U, (B, 1))).reshape(B, K, -1)
+            F = self._F if self._F is not None else self.sys.dynamics(
+                np.repeat(X[s], K, axis=0), np.tile(U, (B, 1))).reshape(B, K, -1)
+            if B == len(X):              # F does not depend on gamma
+                self._F = F
             base = np.sum(X[s] * X[s], axis=1)[:, None] - gamma * uu
             for v, Z in enumerate(self.vertices):      # the sampled sup at each vertex
                 at_u = np.einsum("bkn,bn->bk", F, Z[s]) + base

@@ -269,7 +269,8 @@ class MollifiedFunction:
 
     # -- per-axis weight construction -------------------------------------
     def _axis_weights(self, i: int, q: np.ndarray):
-        """Node indices, hat-convolution weights, and their x-derivatives.
+        """Node indices, hat-convolution weights, their x-derivatives, and each row's
+        window width (the columns past it are padding with zero weight).
 
         For every grid cell [y_c, y_{c+1}] met by the kernel support, with
         A_c = int_cell k_r(x - y) dy and B_c = int_cell s k_r(x - y) dy, the
@@ -323,13 +324,15 @@ class MollifiedFunction:
         w[:, 1:] += CR
         dw[:, :-1] += dCL
         dw[:, 1:] += dCR
-        return idx, w, dw
+        return idx, w, dw, hi - lo
 
     def evaluate(self, X: np.ndarray):
         """Values and gradients at query points X of shape (Q, ndim), in chunks of rows.
 
-        Windows are zero-padded to the widest row of a chunk and summed in order, so a
-        point's W and grad W do not depend on the other rows of its batch."""
+        Weights are computed once per distinct coordinate (bit pattern) of an axis, and
+        rows are contracted in groups of window widths rounded up to a power of two, each
+        trimmed to its widest row.  Windows are summed in order, and trailing zero weights
+        leave such a sum as it is, so a point's W and grad W do not depend on its batch."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
@@ -338,14 +341,28 @@ class MollifiedFunction:
         grads = np.empty((Q, n))
         for start in range(0, Q, _EVAL_CHUNK):
             sl = slice(start, min(start + _EVAL_CHUNK, Q))
-            idx, w, dw = zip(*(self._axis_weights(i, X[sl, i]) for i in range(n)))
-            # gather each point's window block (q, M_1, ..., M_n)
-            blk = self.values[tuple(
-                ix.reshape((-1,) + (1,) * i + (ix.shape[1],) + (1,) * (n - 1 - i))
-                for i, ix in enumerate(idx))]
-            N, dN = _contract(blk, w, dw, _window_step)
-            vals[sl], grads[sl] = _quotient(N, dN, [_ordered_rowsum(a) for a in w],
-                                            [_ordered_rowsum(a) for a in dw])
+            bits, inv = zip(*(np.unique(np.ascontiguousarray(X[sl, i]).view(np.uint64),
+                                        return_inverse=True) for i in range(n)))
+            inv = [k.ravel() for k in inv]
+            idx, w, dw, width = zip(*(self._axis_weights(i, b.view(float))
+                                      for i, b in enumerate(bits)))
+            widths = np.stack([m[k] for m, k in zip(width, inv)], axis=1)
+            of_row = np.unique(np.ceil(np.log2(widths)), axis=0, return_inverse=True)[1].ravel()
+            N, dN = np.empty(len(widths)), np.empty((n, len(widths)))
+            for g in range(of_row.max() + 1):
+                rows = np.flatnonzero(of_row == g)
+                ms = widths[rows].max(axis=0)
+                ix, a, da = ([x[k[rows], :m] for x, k, m in zip(t, inv, ms)] for t in (idx, w, dw))
+                # gather each row's window block (rows, m_1, ..., m_n)
+                blk = self.values[tuple(
+                    j.reshape((-1,) + (1,) * i + j.shape[1:] + (1,) * (n - 1 - i))
+                    for i, j in enumerate(ix))]
+                partial = _chain(blk, a, _window_step)
+                N[rows], dN[:, rows] = partial[-1], _gradient_numerators(
+                    partial, a, da, _window_step)
+            D, dD = ([_ordered_rowsum(a)[k] for a, k in zip(t, inv)] for t in (w, dw))
+            vals[sl] = _values(N, D)
+            grads[sl] = _gradients(vals[sl], dN, D, dD)
         return vals, grads
 
     def evaluate_grid(self, coords: Sequence[np.ndarray]):
@@ -356,20 +373,33 @@ class MollifiedFunction:
         weights become one dense (Q_i, nodes_i) matrix, so the work is n
         contractions of the sample values instead of one window per point.
         """
+        W, gradient = self._grid_stages(coords)
+        return W, gradient()
+
+    def _grid_stages(self, coords: Sequence[np.ndarray]):
+        """W on the tensor grid of ``coords``, and a function building grad W from the
+        same weights and partial contractions.  An axis that repeats an earlier axis's
+        nodes, radius and coordinates reuses its weight matrices."""
         mats = []
         for i, q in enumerate(coords):
             q = np.asarray(q, dtype=float)
-            idx, w, dw = self._axis_weights(i, q)
-            flat = (np.arange(q.size)[:, None] * self.axes[i].size + idx).ravel()
-            shape = (q.size, self.axes[i].size)
-            mats.append(tuple(np.bincount(flat, a.ravel(), shape[0] * shape[1]).reshape(shape)
-                              for a in (w, dw)))
-        A, dA = zip(*mats)
-        N, dN = _contract(self.values, A, dA,
-                          lambda T, a: np.tensordot(T, a, axes=([0], [1])))
+            key = (self.axes[i].tobytes(), self.radii[i], q.tobytes())
+            pair = next((p for k, p in mats if k == key), None)
+            if pair is None:
+                idx, w, dw, _ = self._axis_weights(i, q)
+                flat = (np.arange(q.size)[:, None] * self.axes[i].size + idx).ravel()
+                shape = (q.size, self.axes[i].size)
+                pair = tuple(np.bincount(flat, a.ravel(), shape[0] * shape[1]).reshape(shape)
+                             for a in (w, dw))
+            mats.append((key, pair))
+        A, dA = zip(*(p for _, p in mats))
+        step = (lambda T, a: np.tensordot(T, a, axes=([0], [1])))
+        partial = _chain(self.values, A, step)
         # np.ix_ shapes each axis's row sums to broadcast along that axis
-        return _quotient(N, dN, np.ix_(*(a.sum(axis=1) for a in A)),
-                         np.ix_(*(a.sum(axis=1) for a in dA)))
+        D = np.ix_(*(a.sum(axis=1) for a in A))
+        W = _values(partial[-1], D)
+        return W, lambda: _gradients(W, _gradient_numerators(partial, A, dA, step), D,
+                                     np.ix_(*(a.sum(axis=1) for a in dA)))
 
 
 def _ordered_rowsum(A: np.ndarray) -> np.ndarray:
@@ -387,26 +417,36 @@ def _window_step(T: np.ndarray, a: np.ndarray) -> np.ndarray:
     return _ordered_rowsum(T * a)
 
 
-def _contract(T: np.ndarray, w, dw, step):
-    """N = T contracted with w_i on every axis, and dN_i with dw_i in place of w_i.
-
-    ``step(T, a)`` contracts the first remaining sample axis of T with a; axes
-    are consumed in order, partial contractions shared between N and the dN_i.
-    """
-    N, dN = T, []
-    for a, da in zip(w, dw):
-        dN = [step(t, a) for t in dN] + [step(N, da)]
-        N = step(N, a)
-    return N, dN
+def _chain(T: np.ndarray, w, step) -> list:
+    """T and its partial contractions with w_0, w_1, ... by ``step``; the last is N."""
+    partial = [T]
+    for a in w:
+        partial.append(step(partial[-1], a))
+    return partial
 
 
-def _quotient(N, dN, D, dD):
-    """W = N / prod D_i and the quotient rule dW_i = dN_i / D - W dD_i / D_i."""
+def _gradient_numerators(partial: list, w, dw, step) -> list:
+    """dN_i: ``_chain``'s contraction with dw_i in place of w_i, from its partials."""
+    dN = []
+    for i, da in enumerate(dw):
+        t = step(partial[i], da)
+        for a in w[i + 1:]:
+            t = step(t, a)
+        dN.append(t)
+    return dN
+
+
+def _values(N, D):
+    """W = N / prod D_i."""
     if any(np.any(d <= 0) for d in D):
         raise BoundaryRadiusError("empty kernel support at a query point")
+    return N / math.prod(D)
+
+
+def _gradients(W, dN, D, dD):
+    """The quotient rule dW_i = dN_i / prod D - W dD_i / D_i, stacked on a last axis."""
     Dprod = math.prod(D)
-    W = N / Dprod
-    return W, np.stack([g / Dprod - W * dd / d for g, dd, d in zip(dN, dD, D)], axis=-1)
+    return np.stack([g / Dprod - W * dd / d for g, dd, d in zip(dN, dD, D)], axis=-1)
 
 
 def mollify(values: np.ndarray, axes: Sequence[np.ndarray], radius) -> MollifiedFunction:
@@ -564,12 +604,12 @@ def _with_midpoints(axis: np.ndarray) -> np.ndarray:
 
 def _annulus_grid(axis: np.ndarray, n: int, r_min: float, r_max: float):
     """The coordinates |c| <= r_max of ``axis``, the annulus mask over their
-    ravelled n-fold tensor grid, and the annulus points (in row-major order)."""
+    ravelled n-fold tensor grid, and the annulus points (in row-major order); the
+    norms add the squares in axis order, as np.linalg.norm does on the grid's rows."""
     coords = axis[np.abs(axis) <= r_max]
-    P = tensor_grid([coords] * n)
-    norms = np.linalg.norm(P, axis=1)
+    norms = np.sqrt(functools.reduce(np.add.outer, [coords * coords] * n))
     keep = (norms >= r_min) & (norms <= r_max)
-    return coords, keep, P[keep]
+    return coords, keep.ravel(), np.stack([coords[j] for j in np.nonzero(keep)], axis=1)
 
 
 def _certify(sys: AffineSystem, moll: MollifiedFunction, coords: np.ndarray,
@@ -578,10 +618,11 @@ def _certify(sys: AffineSystem, moll: MollifiedFunction, coords: np.ndarray,
     """Check the Upsilon_1 bound, the relative bound (19), and the residual (20).
 
     W is evaluated on the tensor grid of ``coords`` and masked by ``keep`` to
-    the certification points ``Pc``.
+    the certification points ``Pc``; grad W is built only once W passes both
+    value bounds.
     """
-    Wg, Gg = moll.evaluate_grid([coords] * sys.n)
-    Wh, Gh = Wg.ravel()[keep], Gg.reshape(-1, sys.n)[keep]
+    Wg, gradient = moll._grid_stages([coords] * sys.n)
+    Wh = Wg.ravel()[keep]
     ups1 = (1.0 - dlt) / 4.0 * Vc
     approx_gap = np.abs(Vc - Wh) - ups1
     k = int(np.argmax(approx_gap))
@@ -594,7 +635,7 @@ def _certify(sys: AffineSystem, moll: MollifiedFunction, coords: np.ndarray,
     if rel[rk] > 0.5:
         return False, ("relative bound", Pc[rk], float(rel[rk]), math.nan)
 
-    Z = Gh / (1.0 - dlt)
+    Z = gradient().reshape(-1, sys.n)[keep] / (1.0 - dlt)
     res = residuals(sys, Z, Z, Pc, gamma_eff)[0]
     ek = int(np.argmax(res))
     if res[ek] > 0.0:

@@ -137,7 +137,8 @@ class StorageCandidate:
         return X
 
     def value(self, x) -> float:
-        return float(self.value_fn(self._checked(x)))
+        """V at one point x (n,), read as row 0 of a (1, n) batch: value_batch's bits."""
+        return float(self.value_fn(self._checked(x)[None])[0])
 
     def value_batch(self, X) -> np.ndarray:
         return np.asarray(self.value_fn(self._checked(X)), dtype=float)

@@ -555,6 +555,24 @@ def test_sampled_sweep_keeps_no_state_between_gammas():
     _assert_sweep_keeps_no_state(sysm, V, region)
 
 
+def test_sampled_scan_evaluates_the_dynamics_once(monkeypatch):
+    """F does not depend on gamma: where every (point, u) row fits in one chunk, a
+    sampled scan makes one dynamics call for all its checks; with a chunk per point,
+    each check evaluates every point.  Both give the scan of fresh witness checks."""
+    sysm, V, region, gammas = _EXACT_CASES["sigma3_scalar/v3_scalar"]
+    expected = hji.GainScan(_bisected(sysm, V, region, gammas), None, None)
+    points = len(region.grid(V.kinks))
+    for chunk_rows in (hji._CHUNK_ROWS, 1):
+        monkeypatch.setattr(hji, "_CHUNK_ROWS", chunk_rows)
+        with mock.patch.object(type(sysm), "dynamics", autospec=True,
+                               side_effect=type(sysm).dynamics) as dyn, \
+                mock.patch.object(hji.Sweep, "check", autospec=True,
+                                  side_effect=hji.Sweep.check) as check:
+            assert hji.min_gain_scan(sysm, V, region, gammas) == expected
+        assert check.call_count > 2
+        assert dyn.call_count == (1 if chunk_rows > 1 else check.call_count * points)
+
+
 # ---------------------------------------------------------------------------
 # The numpy Simpson rule is scipy's, bit for bit (scipy is a test dependency only)
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hjikit as hk
+from hjikit import hji
 from hjikit import smoothing as sm
 from hjikit import storage as stg
 from hjikit import systems as sy
@@ -247,13 +248,19 @@ def test_evaluate_grid_matches_scattered_evaluate(n, data):
     assert np.all(np.abs(Gg.reshape(-1, n) - G) <= 1e-9 * (1.0 + np.abs(G)))
 
 
+# a query coordinate: anywhere, next to the origin (where geometric windows are
+# widest), or a signed zero
+_COORD = st.one_of(st.floats(-0.5, 0.5), st.floats(-0.02, 0.02), st.sampled_from([0.0, -0.0]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.sampled_from(sorted(_AXIS_RANGES)), data=st.data())
 def test_evaluate_row_equals_its_batch_row(n, data):
-    """A point's W and grad W do not depend on the other points of its batch, bit for bit
-    (the batch's widest window pads the others with zero weights)."""
+    """A point's W and grad W do not depend on the other points of its batch, bit for bit:
+    rows share the weights of a repeated coordinate, as on a tensor grid, and rows of
+    other window widths are contracted in other groups or padded with zero weights."""
     (dlo, dhi), (qlo, qhi) = _AXIS_RANGES[n]
-    axes, radii = [], []
+    axes, radii, pools = [], [], []
     for _ in range(n):
         delta, ratio = data.draw(st.floats(dlo, dhi)), data.draw(st.floats(qlo, qhi))
         if data.draw(st.booleans()):
@@ -261,15 +268,85 @@ def test_evaluate_row_equals_its_batch_row(n, data):
         else:
             radii.append(sm.ConstantRadius(data.draw(st.floats(0.01, 0.3))))
         axes.append(sm.mirrored_geometric_axis(delta, ratio, 2.0))
+        pools.append(data.draw(st.lists(_COORD, min_size=1, max_size=4)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     m = sm.MollifiedFunction(axes, rng.standard_normal([a.size for a in axes]), radii)
-    X = np.array(data.draw(st.lists(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n),
+    X = np.array(data.draw(st.lists(st.tuples(*(st.sampled_from(p) for p in pools)),
                                     min_size=1, max_size=12)))
     W, G = m.evaluate(X)
     for q in range(X.shape[0]):
         w, g = m.evaluate(X[q:q + 1])
         assert w.tobytes() == W[q:q + 1].tobytes(), X[q]
         assert g.tobytes() == G[q:q + 1].tobytes(), X[q]
+
+
+class _Distinct:
+    """A radius profile equal only to itself, with the values of ``prof``."""
+
+    def __init__(self, prof):
+        self.value, self.deriv = prof.value, prof.deriv
+
+
+def _count_axis_weights(monkeypatch):
+    calls = []
+    weights = sm.MollifiedFunction._axis_weights
+    monkeypatch.setattr(sm.MollifiedFunction, "_axis_weights",
+                        lambda self, i, q: calls.append(i) or weights(self, i, q))
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_evaluate_grid_reuses_the_weights_of_a_repeated_axis(n, monkeypatch):
+    """One shared axis, radius and coordinate array, equal copies of them, and radii
+    that are equal only to themselves give the same bytes; only the first two reuse
+    the first axis's weights.  Different radii or coordinates are not reused."""
+    ax = sm.mirrored_geometric_axis(1e-2, 1.2, 2.0)
+    rad = sm.GeometricRadius(1e-2, 0.2, 2.0)
+    q = np.array([-0.4, -0.01, 0.0, 0.003, 0.25])
+    values = np.random.default_rng(6).standard_normal((ax.size,) * n)
+    calls = _count_axis_weights(monkeypatch)
+
+    def grid(axes, radii, coords):
+        calls.clear()
+        W, G = sm.MollifiedFunction(axes, values, radii).evaluate_grid(coords)
+        return W.tobytes() + G.tobytes(), len(calls)
+
+    shared = grid([ax] * n, [rad] * n, [q] * n)
+    assert shared[1] == 1
+    copies = grid([ax.copy() for _ in range(n)],
+                  [sm.GeometricRadius(1e-2, 0.2, 2.0) for _ in range(n)],
+                  [q.copy() for _ in range(n)])
+    assert copies == shared
+    assert grid([ax] * n, [_Distinct(rad) for _ in range(n)], [q] * n) == (shared[0], n)
+    for radii, coords in (([rad] * (n - 1) + [sm.GeometricRadius(1e-2, 0.2, 3.0)], [q] * n),
+                          ([rad] * n, [q] * (n - 1) + [q[::-1]])):
+        m = sm.MollifiedFunction([ax] * n, values, radii)
+        calls.clear()
+        Wg, Gg = m.evaluate_grid(coords)
+        assert len(calls) == 2
+        W, G = m.evaluate(_grid_points(coords))
+        assert np.all(np.abs(Wg.ravel() - W) <= 1e-12 * (1.0 + np.abs(W)))
+        assert np.all(np.abs(Gg.reshape(-1, n) - G) <= 1e-9 * (1.0 + np.abs(G)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), size=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_annulus_grid_is_the_masked_tensor_grid(n, size, seed, data):
+    """The annulus mask and points equal, bit for bit, the tensor grid's row norms
+    (np.linalg.norm) masked to [r_min, r_max].  The radii are norms of grid points, and
+    [r_max, r_max] keeps exactly the points of that norm, so a norm one bit off the
+    reference's changes the mask."""
+    axis = np.sort(np.random.default_rng(seed).uniform(-1.0, 1.0, size))
+    norms = np.linalg.norm(hji.tensor_grid([axis] * n), axis=1)
+    r_min, r_max = sorted(data.draw(st.lists(st.sampled_from(norms), min_size=2, max_size=2)))
+    for lo in (r_min, r_max):
+        coords, keep, P = sm._annulus_grid(axis, n, lo, r_max)
+        assert coords.tobytes() == axis[np.abs(axis) <= r_max].tobytes()
+        grid = hji.tensor_grid([coords] * n)
+        ref = np.linalg.norm(grid, axis=1)
+        assert keep.tobytes() == ((ref >= lo) & (ref <= r_max)).tobytes()
+        assert P.shape == (int(keep.sum()), n) and P.tobytes() == grid[keep].tobytes()
 
 
 def test_mollify_exact_on_linear_data_3d():
@@ -336,6 +413,21 @@ def test_smooth_witness_sigma2_schedule():
         assert np.allclose(cert.W.gradient(x), g, rtol=1e-9, atol=1e-9)
         fd = [(cert.W.value(x + h * e) - cert.W.value(x - h * e)) / (2 * h) for e in np.eye(2)]
         assert np.allclose(fd, g, rtol=1e-6, atol=1e-6)
+
+
+def test_failed_value_bounds_build_no_gradient(monkeypatch):
+    """The certificate contracts grad W only for an attempt whose W passes both value
+    bounds: sigma2/v2 on [0.1, 0.3] fails the approximation bound four times, then
+    passes, and builds the gradient stage once."""
+    stages = []
+    numerators = sm._gradient_numerators
+    monkeypatch.setattr(sm, "_gradient_numerators",
+                        lambda *a: stages.append(len(a[0])) or numerators(*a))
+    cert = sm.smooth_witness(sy.zoo_entry("sigma2").system, stg.builtin("v2"), 1.0, 1.1,
+                             r_min=0.1, r_max=0.3)
+    assert [r["outcome"] for r in cert.radius_schedule] == \
+        ["fail (approximation bound)"] * 4 + ["pass"]
+    assert stages == [3]          # one grid gradient: the sample values and two partials
 
 
 def test_smooth_witness_failure_report():

@@ -408,6 +408,23 @@ def test_candidate_dimension_is_checked():
     assert stg.builtin("sq_norm").value([1.0, 2.0, 2.0]) == 9.0   # dim None takes any n
 
 
+_POW_CANDIDATES = (stg.from_expression("pow(x1, 2) + pow(x2, 0.5)", 2),
+                   stg.from_expression("spow(x1, -1) - pow(abs(x2), 0.5) * spow(x2, 2)", 2),
+                   stg.builtin("v2"), stg.builtin("sq_norm"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2))
+def test_value_is_row_zero_of_a_batch(x):
+    """value(x) is value_batch(x[None])[0] bit for bit: numpy's power loop takes another
+    path for an exponent of 2, 0.5 or -1 on a single point than on a batch."""
+    x = np.array(x)
+    for V in _POW_CANDIDATES:
+        with np.errstate(all="ignore"):      # 0 ** -1 and overflow are drawn on purpose
+            one, batch = V.value(x), V.value_batch(x[None])
+        assert np.float64(one).tobytes() == batch[0].tobytes(), V.name
+
+
 # ---------------------------------------------------------------------------
 # one oracle: subdiff, gradient and the residuals read the batched oracle
 # ---------------------------------------------------------------------------
