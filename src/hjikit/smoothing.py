@@ -347,7 +347,9 @@ class MollifiedFunction:
             idx, w, dw, width = zip(*(self._axis_weights(i, b.view(float))
                                       for i, b in enumerate(bits)))
             widths = np.stack([m[k] for m, k in zip(width, inv)], axis=1)
-            of_row = np.unique(np.ceil(np.log2(widths)), axis=0, return_inverse=True)[1].ravel()
+            # a row's group: its widths' log2 ceilings, one base-64 digit per axis
+            of_row = np.unique(np.ceil(np.log2(widths)).astype(np.int64) @ 64 ** np.arange(n),
+                               return_inverse=True)[1]
             N, dN = np.empty(len(widths)), np.empty((n, len(widths)))
             for g in range(of_row.max() + 1):
                 rows = np.flatnonzero(of_row == g)
@@ -374,12 +376,12 @@ class MollifiedFunction:
         contractions of the sample values instead of one window per point.
         """
         W, gradient = self._grid_stages(coords)
-        return W, gradient()
+        return W, gradient(np.ones(W.shape, dtype=bool)).reshape(W.shape + (W.ndim,))
 
     def _grid_stages(self, coords: Sequence[np.ndarray]):
-        """W on the tensor grid of ``coords``, and a function building grad W from the
-        same weights and partial contractions.  An axis that repeats an earlier axis's
-        nodes, radius and coordinates reuses its weight matrices."""
+        """W on the tensor grid of ``coords``, and a function building grad W at masked
+        grid points from the same weights and partial contractions.  An axis that repeats an
+        earlier axis's nodes, radius and coordinates reuses its weight matrices."""
         mats = []
         for i, q in enumerate(coords):
             q = np.asarray(q, dtype=float)
@@ -398,8 +400,15 @@ class MollifiedFunction:
         # np.ix_ shapes each axis's row sums to broadcast along that axis
         D = np.ix_(*(a.sum(axis=1) for a in A))
         W = _values(partial[-1], D)
-        return W, lambda: _gradients(W, _gradient_numerators(partial, A, dA, step), D,
-                                     np.ix_(*(a.sum(axis=1) for a in dA)))
+
+        def gradient(mask):
+            """grad W (K, n) at the K grid points where ``mask`` (W's shape) holds: the
+            quotient rule is elementwise, so masking its operands first keeps its bits."""
+            dN = _gradient_numerators(partial, A, dA, step)
+            dD = np.ix_(*(a.sum(axis=1) for a in dA))
+            return _gradients(W[mask], [g[mask] for g in dN],
+                              *([np.broadcast_to(d, W.shape)[mask] for d in ds] for ds in (D, dD)))
+        return W, gradient
 
 
 def _ordered_rowsum(A: np.ndarray) -> np.ndarray:
@@ -635,7 +644,7 @@ def _certify(sys: AffineSystem, moll: MollifiedFunction, coords: np.ndarray,
     if rel[rk] > 0.5:
         return False, ("relative bound", Pc[rk], float(rel[rk]), math.nan)
 
-    Z = gradient().reshape(-1, sys.n)[keep] / (1.0 - dlt)
+    Z = gradient(keep.reshape(Wg.shape)) / (1.0 - dlt)
     res = residuals(sys, Z, Z, Pc, gamma_eff)[0]
     ek = int(np.argmax(res))
     if res[ek] > 0.0:

@@ -127,14 +127,20 @@ def signal_from_config(cfg: dict) -> InputSignal:
 
 def random_piecewise_ensemble(m: int, T: float, step: float, count: int,
                               seed: int = 0, amplitude: float = 1.0) -> list:
-    """Seeded ensemble of piecewise-constant inputs of _SEGMENTS grid-aligned pieces."""
+    """Seeded ensemble of piecewise-constant inputs of _SEGMENTS grid-aligned pieces: signal
+    j holds row j of one read-only draw and all share one read-only switch-time array."""
     rng = np.random.default_rng(seed)
     seg_steps = max(1, int(round(T / _SEGMENTS / step)))
     switches = [k * seg_steps * step for k in range(1, _SEGMENTS)]
-    out = []
-    for _ in range(count):
-        vals = rng.uniform(-amplitude, amplitude, size=(_SEGMENTS, m))
-        out.append(PiecewiseConstantInput(switches, vals))
+    if count <= 0:
+        return []
+    values = rng.uniform(-amplitude, amplitude, size=(count, _SEGMENTS, m))
+    values.flags.writeable = False
+    first = PiecewiseConstantInput(switches, values[0])        # checks the switch times once
+    first.switch_times.flags.writeable = False
+    out = [first] + [object.__new__(PiecewiseConstantInput) for _ in range(count - 1)]
+    for sig, v in zip(out, values):                            # the others skip the check
+        sig.switch_times, sig.values = first.switch_times, v
     return out
 
 
@@ -182,7 +188,7 @@ def integrate_ensemble(sys: System, X0, inputs: Sequence[InputSignal],
     h = step
     times = a + h * np.arange(N + 1)
 
-    # one call per signal; t + h is sampled too: times[k] + h need not be times[k + 1]
+    # one sampling pass; t + h is sampled too: times[k] + h need not be times[k + 1]
     t0 = times[:-1]
     U1, U2, U3 = _sample(inputs, np.concatenate([t0, t0 + 0.5 * h, t0 + h]),
                          sys.m).reshape(3, N, B, sys.m)
@@ -238,7 +244,13 @@ def _rk4_point(rhs, X, k1, U1, U2, U3, times, h) -> np.ndarray:
 
 
 def _sample(inputs: Sequence[InputSignal], t: np.ndarray, m: int) -> np.ndarray:
-    """Every signal on the times t, stacked as (N, B, m)."""
+    """Every signal on the times t, stacked as (N, B, m).  Piecewise constants on one
+    switch-time array share one search and one gather of their stacked values."""
+    ts = getattr(inputs[0], "switch_times", None) if inputs else None
+    if ts is not None and all(type(s) is PiecewiseConstantInput and s.values.shape[1:] == (m,) and
+                              (s.switch_times is ts or s.switch_times.tobytes() == ts.tobytes())
+                              for s in inputs):
+        return np.stack([s.values for s in inputs], axis=1)[np.searchsorted(ts, t, "right")]
     U = [np.asarray(sig(t), dtype=float) for sig in inputs]
     for j, u in enumerate(U):
         if u.shape != (t.size, m):
@@ -261,10 +273,11 @@ def _storage_minus_supply_running(traj: Trajectory, V: StorageCandidate,
     h = traj.step
     xs = traj.states
     Vx = V.value_batch(xs)
-    xsq = np.sum(xs * xs, axis=1)
-    usq_mid = np.sum(np.square(traj.midpoint_inputs()), axis=1)
-    increments = h * gamma * usq_mid - 0.5 * h * (xsq[:-1] + xsq[1:])
-    S = np.concatenate([[0.0], np.cumsum(increments)])
+    # the ufunc methods np.sum and np.cumsum call, without their wrappers
+    xsq = np.add.reduce(xs * xs, axis=1)
+    usq_mid = np.add.reduce(np.square(traj.midpoint_inputs()), axis=1)
+    S = np.zeros(xsq.size)
+    np.add.accumulate(h * gamma * usq_mid - 0.5 * h * (xsq[:-1] + xsq[1:]), out=S[1:])
     return Vx - S
 
 
@@ -281,8 +294,8 @@ def dissipation_audit_detail(traj: Trajectory, V: StorageCandidate, gamma: float
     """Max slack together with the (t_a, t_b) pair attaining it."""
     A = _storage_minus_supply_running(traj, V, gamma)
     slacks = A - np.minimum.accumulate(A)
-    b = int(np.argmax(slacks))
-    a = int(np.argmin(A[:b + 1]))  # the first index of the running minimum at b
+    b = int(slacks.argmax())
+    a = int(A[:b + 1].argmin())    # the first index of the running minimum at b
     return float(slacks[b]), (float(traj.times[a]), float(traj.times[b]))
 
 

@@ -248,6 +248,37 @@ def test_evaluate_grid_matches_scattered_evaluate(n, data):
     assert np.all(np.abs(Gg.reshape(-1, n) - G) <= 1e-9 * (1.0 + np.abs(G)))
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from(sorted(_AXIS_RANGES)), data=st.data())
+def test_grid_gradient_on_a_mask_is_the_masked_grid_gradient(n, data):
+    """grad W on a mask of the grid, as the certificate takes it on the annulus points,
+    is at every kept point the bits of the whole grid's grad W (``evaluate_grid``): a
+    point's gradient does not depend on which other points are masked out."""
+    (dlo, dhi), (qlo, qhi) = _AXIS_RANGES[n]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    axes = [sm.mirrored_geometric_axis(data.draw(st.floats(dlo, dhi)),
+                                       data.draw(st.floats(qlo, qhi)), 2.0) for _ in range(n)]
+    geometric = sm.GeometricRadius(data.draw(st.floats(dlo, dhi)), 0.2, 2.0)
+    radii = [geometric, sm.ConstantRadius(data.draw(st.floats(0.01, 0.3))), geometric][:n]
+    coords = [np.sort(rng.uniform(-0.5, 0.5, data.draw(st.integers(1, 8)))) for _ in range(n)]
+    m = sm.MollifiedFunction(axes, rng.standard_normal([a.size for a in axes]), radii)
+    W, gradient = m._grid_stages(coords)
+    keep = rng.random(W.shape) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+    full = m.evaluate_grid(coords)[1]
+    assert full.shape == W.shape + (n,)
+    assert gradient(keep).tobytes() == full[keep].tobytes()
+    # the quotient rule's row sums D_i and dD_i of axis i vary along axis i alone
+    operands, quotient = [], sm._gradients
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sm, "_gradients", lambda *a: operands.append(a) or quotient(*a))
+        gradient(np.ones(W.shape, dtype=bool))
+    for D in operands[0][2:]:
+        for i, d in enumerate(D):
+            d = d.reshape(W.shape)
+            line = d[tuple(slice(None) if j == i else slice(0, 1) for j in range(n))]
+            assert np.array_equal(d, np.broadcast_to(line, W.shape)), i
+
+
 # a query coordinate: anywhere, next to the origin (where geometric windows are
 # widest), or a signed zero
 _COORD = st.one_of(st.floats(-0.5, 0.5), st.floats(-0.02, 0.02), st.sampled_from([0.0, -0.0]))

@@ -326,9 +326,19 @@ def test_audits_reuse_the_integration_samples():
     assert ens[0].calls == 2
 
 
+def _running_reference(traj, V, gamma):
+    """A_k = V(x_k) - S_k with np.sum, np.cumsum and a concatenated leading 0."""
+    h, xs = traj.step, traj.states
+    xsq = np.sum(xs * xs, axis=1)
+    usq_mid = np.sum(np.square(traj.midpoint_inputs()), axis=1)
+    increments = h * gamma * usq_mid - 0.5 * h * (xsq[:-1] + xsq[1:])
+    return V.value_batch(xs) - np.concatenate([[0.0], np.cumsum(increments)])
+
+
 def _audit_reference(traj, V, gamma):
     """Running argmin by an explicit loop: ties keep the earliest index."""
-    A = tr._storage_minus_supply_running(traj, V, gamma)
+    A = _running_reference(traj, V, gamma)
+    assert A.tobytes() == tr._storage_minus_supply_running(traj, V, gamma).tobytes()
     run_min = np.minimum.accumulate(A)
     run_arg = np.zeros(A.size, dtype=int)
     best, bi = A[0], 0
@@ -516,3 +526,129 @@ def test_l2_gain_detail_skips_only_low_energy_inputs(linear):
     bound, max_norm = tr.l2_gain_detail(linear, [tiny, big], 1.0, 1e-2)
     assert (bound, max_norm) == _l2_reference(linear, [big], 1.0, 1e-2)
     assert 0.0 < max_norm < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# Random ensembles: one draw, one gather
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed, count, m, amplitude, T, step", [
+    (0, 1, 1, 1.0, 1.0, 1e-3), (7, 100, 2, 1.0, 0.2, 1e-3), (3, 5, 3, 0.25, 0.02, 2.5e-4),
+    (2 ** 40 + 1, 12, 2, 3.0, 5.0, 1e-3), (11, 4, 0, 1.0, 0.5, 1e-2)])
+def test_random_ensemble_is_the_per_signal_draw(seed, count, m, amplitude, T, step):
+    """One (count, K, m) draw gives each signal the block a loop drawing one (K, m)
+    block per signal gives it; all signals share one read-only switch-time array."""
+    rng = np.random.default_rng(seed)
+    seg_steps = max(1, int(round(T / tr._SEGMENTS / step)))
+    switches = np.array([k * seg_steps * step for k in range(1, tr._SEGMENTS)])
+    ens = tr.random_piecewise_ensemble(m, T, step, count, seed=seed, amplitude=amplitude)
+    assert len(ens) == count
+    for sig in ens:
+        ref = rng.uniform(-amplitude, amplitude, size=(tr._SEGMENTS, m))
+        assert type(sig) is tr.PiecewiseConstantInput and sig.m == m
+        assert sig.values.tobytes() == ref.tobytes() and sig.values.shape == ref.shape
+        assert sig.switch_times is ens[0].switch_times
+        assert sig.switch_times.tobytes() == switches.tobytes()
+        assert not sig.values.flags.writeable and not sig.switch_times.flags.writeable
+        assert tr.signal_from_config(sig.config()).config() == sig.config()
+    with pytest.raises(ValueError, match="read-only"):
+        ens[-1].values[0, ...] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        ens[0].switch_times[0] = 0.0
+    assert tr.random_piecewise_ensemble(m, T, step, 0, seed=seed) == []
+
+
+def test_random_ensemble_checks_its_switch_times():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        tr.random_piecewise_ensemble(1, 1.0, -1e-3, 3)
+
+
+def _per_signal(inputs, t):
+    return np.stack([np.asarray(sig(t), dtype=float) for sig in inputs], axis=1)
+
+
+def _no_calls(monkeypatch):
+    """Make calling any PiecewiseConstantInput fail: the shared gather calls none."""
+    def called(self, t):
+        raise AssertionError("a signal was called one by one")
+    monkeypatch.setattr(tr.PiecewiseConstantInput, "__call__", called)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(0, 3), count=st.integers(1, 6), K=st.integers(1, 6),
+       copies=st.lists(st.booleans(), min_size=6, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_shared_gather_equals_per_signal_sampling(m, count, K, copies, seed):
+    """Signals on one switch-time array, shared or equal in bytes, are sampled by one
+    search and one gather; the samples are the per-signal calls' bit for bit."""
+    rng = np.random.default_rng(seed)
+    switches = np.sort(rng.choice(np.arange(1, 40), K - 1, replace=False)) * 0.025
+    first = tr.PiecewiseConstantInput(switches, rng.uniform(-2, 2, (K, m)))
+    sigs = [first] + [tr.PiecewiseConstantInput(switches.copy() if copy else first.switch_times,
+                                                rng.uniform(-2, 2, (K, m)))
+                      for copy in copies[:count - 1]]
+    # times before, on and between the switches, and past the last
+    t = np.concatenate([switches, rng.uniform(-0.1, 1.1, 20), [-1.0, 0.0, 2.0]])
+    ref = _per_signal(sigs, t)
+    with pytest.MonkeyPatch.context() as mp:
+        _no_calls(mp)
+        got = tr._sample(sigs, t, m)
+    assert got.shape == (t.size, count, m) and got.tobytes() == ref.tobytes()
+
+
+def test_other_lists_are_sampled_one_signal_at_a_time(monkeypatch):
+    """Mixed lists, wrapped signals, a subclass and other switch times take the
+    per-signal path; a signal with the wrong m fails with the per-signal error."""
+    ens = tr.random_piecewise_ensemble(2, 0.5, 1e-2, 3, seed=1)
+    t = np.arange(50) * 1e-2 + 5e-3
+    calls = []
+    call = tr.PiecewiseConstantInput.__call__
+    monkeypatch.setattr(tr.PiecewiseConstantInput, "__call__",
+                        lambda self, t: calls.append(1) or call(self, t))
+
+    class Sub(tr.PiecewiseConstantInput):
+        pass
+
+    other = tr.PiecewiseConstantInput(ens[0].switch_times + 1e-2, ens[0].values)
+    for extra, n_calls in ((tr.ConstantInput([0.5, -0.5]), 3),
+                           (_Counting(ens[0]), 4),
+                           (Sub(ens[0].switch_times, ens[1].values), 4),
+                           (other, 4)):
+        calls.clear()
+        inputs = ens + [extra]
+        got = tr._sample(inputs, t, 2)
+        assert len(calls) == n_calls, extra
+        assert got.tobytes() == _per_signal(inputs, t).tobytes()
+    calls.clear()
+    assert tr._sample(ens, t, 2).shape == (50, 3, 2) and calls == []
+    narrow = tr.random_piecewise_ensemble(1, 0.5, 1e-2, 1, seed=2)[0]   # equal times, m = 1
+    assert narrow.switch_times.tobytes() == ens[0].switch_times.tobytes()
+    for j in range(3):
+        inputs = list(ens)
+        inputs[j] = narrow
+        with pytest.raises(ValueError, match=f"input signal {j} returned shape "):
+            tr.integrate_ensemble(sy.make_sigma1(), np.zeros((3, 2)), inputs, (0, 0.1), 1e-2)
+
+
+@pytest.mark.parametrize("name", ["sigma1", "sigma2", "sigma_p(3)", "sigma3_scalar",
+                                  "scalar_linear", "scalar_decay"])
+def test_random_ensemble_end_to_end_matches_references(name, monkeypatch):
+    """All-ensemble lists take the shared gather: the states are the per-step
+    reference's, the l2 bound is the per-trajectory loop's and every audit is the
+    reference audit's, bit for bit."""
+    entry = sy.zoo_entry(name)
+    sys, V = entry.system, entry.claimed_witness
+    rng = np.random.default_rng(len(name))
+    for T, step, count in ((0.3, 1e-3, 7), (0.25, 2.5e-3, 1), (0.02, 2.5e-4, 30)):
+        ens = tr.random_piecewise_ensemble(sys.m, T, step, count, seed=int(rng.integers(99)))
+        X0 = rng.uniform(-1, 1, (count, sys.n))
+        states = _integrate_reference(sys, X0, ens, (0.0, T), step)
+        l2_ref = _l2_reference(sys, ens, T, step)
+        with monkeypatch.context() as mp:
+            _no_calls(mp)
+            trajs = tr.integrate_ensemble(sys, X0, ens, (0.0, T), step)
+            l2 = tr.l2_gain_detail(sys, ens, T, step)
+        assert np.stack([t.states for t in trajs]).tobytes() == states.tobytes()
+        assert repr(l2) == repr(l2_ref)
+        for traj in trajs:
+            assert tr.dissipation_audit_detail(traj, V, 1.5) == _audit_reference(traj, V, 1.5)
