@@ -11,8 +11,9 @@ lower-bounded by sampling a u-grid.  Box subdifferentials are handled by vertex
 enumeration (the residual is convex in zeta); unbounded box coordinates are
 admissible only where their dynamic coefficient vanishes identically in u.
 
-A :class:`Sweep` builds a region's grid, boxes, box vertices and (for
-(power-)affine systems) each vertex's gamma-free parts once.  Its residuals at
+A :class:`Sweep` builds a region's grid, boxes, box vertices (vertex 0 for every
+row; the others of a box row's own axes for that row only) and, for
+(power-)affine systems, each vertex's gamma-free parts once.  Its residuals at
 any gamma are the one batched kernel; the scalar functions (:func:`point_residual`
 and the closed forms it calls) are the reference it is tested against.  Its
 needed gains solve the same exact sup for gamma.  :func:`check_witness`,
@@ -45,6 +46,24 @@ DEFAULT_TOL_EXACT = 1e-9    # exact-oracle affine checks
 DEFAULT_TOL_SAMPLED = 1e-6  # sampled-sup general checks
 _COEFF_ZERO_TOL = 1e-12     # "vanishes identically" threshold for unbounded axes
 _CHUNK_ROWS = 200_000       # (point, u) rows per dynamics call on the sampled path
+
+
+def _row_sum(A: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(A, axis=1)`` in A's dtype (``np.any`` for booleans).  Fewer than 8
+    columns, which numpy adds in order, are added column by column from 0 (faster): only
+    the sign of a zero sum can differ, and no caller's terms let it matter."""
+    if A.shape[1] < 8:
+        return sum(A.T, np.zeros(len(A), dtype=A.dtype))
+    return np.add.reduce(A, axis=1, dtype=A.dtype)
+
+
+def _dots(spec: str, G: np.ndarray, Z: np.ndarray, in_order: bool) -> np.ndarray:
+    """``np.einsum(spec, G, Z)``, a sum over the last axis of G and of Z (R, n).  Einsum adds
+    in order unless Z is C-ordered; ``in_order`` keeps that order for gathered rows of such
+    a Z, which are C-ordered copies."""
+    if not in_order:
+        return np.einsum(spec, G, Z)
+    return sum(np.einsum(spec, G[..., k:k + 1], Z[:, k:k + 1]) for k in range(Z.shape[1]))
 
 
 def tensor_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -239,16 +258,24 @@ def _on_boundary(u: np.ndarray, u_box) -> bool:
 # Region sweep
 # ---------------------------------------------------------------------------
 
+# a sweep's row counts by kind (see Sweep)
+RowKinds = NamedTuple("RowKinds", [(k, int) for k in ("singleton", "box", "unbounded", "empty")])
+
+
 class Sweep:
     """A region sweep prepared once for any gamma: points, boxes and box vertices.
 
     Row q of ``lo``/``hi`` (Q, n) bounds the subdifferential at ``X[q]``.  The
     sup over zeta is taken over the box vertices (the residual is convex in
     zeta); a vertex takes a coordinate's finite side, or 0 on a coordinate
-    unbounded on both sides.  A point with an unbounded coordinate whose dynamic
-    coefficient does not vanish gets +inf, as does a point whose sup is NaN;
-    an empty row (lo > hi) gets -inf.  The sup over u is exact for
-    (power-)affine systems, from each vertex's gamma-free parts built here;
+    unbounded on both sides.  Every row takes vertex 0; a box row (lo < hi, both
+    finite, on some axes) also takes the others of its own axes, grouped with the
+    rows that flip the same axes and folded in the order of all 2^n, so the first
+    maximum wins a tie.  ``row_kinds`` counts the rows by kind: empty, else box,
+    else unbounded (an infinite or NaN bound), else singleton.  A point with an
+    unbounded coordinate whose dynamic coefficient does not vanish gets +inf, as
+    does a point whose sup is NaN; an empty row (lo > hi) gets -inf.  The sup over
+    u is exact for (power-)affine systems, from each vertex's gamma-free parts;
     general systems sample it on the u-grid of ``u_box`` (default: the u-box of
     the whole of X), evaluating the dynamics in chunks at each gamma, or once
     for every gamma where all (point, u) rows fit in one chunk.
@@ -258,26 +285,36 @@ class Sweep:
                  u_box: Optional[Sequence] = None, u_points: int = 41):
         self.sys, self.X = sys, np.asarray(X, dtype=float)
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        n = self.X.shape[1]
+        Q, n = self.X.shape
         zlo = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
         zhi = np.where(np.isfinite(hi), hi, zlo)
         self._unbounded = ~(np.isfinite(lo) & np.isfinite(hi))
-        self._empty = np.any(lo > hi, axis=1)
-        flips = [k for k in range(n) if np.any(zhi[:, k] != zlo[:, k])]
-        self.vertices = [zlo]            # lexicographic order, first axis slowest
-        for k in reversed(flips):
-            self.vertices += [np.where(np.arange(n) == k, zhi, Z) for Z in self.vertices]
+        self._empty = _row_sum(lo > hi)
+        flips = zhi != zlo                                 # the axes each box row flips
+        box = np.flatnonzero(_row_sum(flips) & ~self._empty)
+        code = flips[box] @ (1 << np.arange(n))
+        self.vertices = [(slice(None), zlo)]       # (rows, zeta), in folding order
+        for c in np.flatnonzero(np.bincount(code)):    # not np.unique: it imports numpy.ma
+            rows = box[code == c]
+            group = [zlo[rows]]
+            for k in np.flatnonzero(flips[rows[0]])[::-1]:
+                group += [np.where(np.arange(n) == k, zhi[rows], Z) for Z in group]
+            self.vertices += [(rows, Z) for Z in group[1:]]
+        kind = np.where(self._empty, 3, 2 * _row_sum(self._unbounded))
+        kind[box] = 1
+        self.row_kinds = RowKinds(*np.bincount(kind, minlength=4).tolist())
+        self._in_order = not zlo.flags.c_contiguous     # how einsum sums the full vertex rows
         self.exact = isinstance(sys, AffineSystem)
         if self.exact:
             signed = sys.phi == "signed_pow"
             G0, GI = sys.drift(self.X), sys.input_fields(self.X)     # (Q, n), (m, Q, n)
-            coef = np.max(np.abs(np.concatenate([G0[None], GI])), axis=0)
-            self._bad = np.any(self._unbounded & (coef > _COEFF_ZERO_TOL), axis=1)
-            xx = np.sum(self.X * self.X, axis=1)
-            self._parts = []             # per vertex: A (Q,), c_eff (Q, m), sign of c
-            for Z in self.vertices:
-                c = np.einsum("iqn,qn->qi", GI, Z)
-                self._parts.append((np.sum(Z * G0, axis=1) + xx,
+            coef = np.maximum(np.abs(G0), np.max(np.abs(GI), axis=0, initial=0.0))
+            self._bad = _row_sum(self._unbounded & (coef > _COEFF_ZERO_TOL))
+            xx = _row_sum(self.X * self.X)
+            self._parts = []             # per vertex: A, c_eff (rows, m), sign of c
+            for rows, Z in self.vertices:
+                c = _dots("iqn,qn->qi", GI[:, rows], Z, self._in_order)
+                self._parts.append((_row_sum(Z * G0[rows]) + xx[rows],
                                     np.abs(c) if signed else np.maximum(c, 0.0),
                                     np.sign(c) if signed else 1.0))
         else:
@@ -307,8 +344,9 @@ class Sweep:
         X, U = self.X, self._U
         K, uu = len(U), np.sum(U * U, axis=1)
         step = max(1, _CHUNK_ROWS // K)
-        vals = np.empty((len(self.vertices), len(X)))
-        best = np.empty(vals.shape, dtype=int)          # the u-grid row of each sup
+        index = [np.arange(len(X))[rows] for rows, _ in self.vertices]
+        vals = [np.empty(len(rows)) for rows in index]
+        best = [np.empty(len(rows), dtype=int) for rows in index]   # the u-grid row of each sup
         bad = np.empty(len(X), dtype=bool)
         for start in range(0, len(X), step):
             s = slice(start, start + step)
@@ -318,13 +356,15 @@ class Sweep:
             if B == len(X):              # F does not depend on gamma
                 self._F = F
             base = np.sum(X[s] * X[s], axis=1)[:, None] - gamma * uu
-            for v, Z in enumerate(self.vertices):      # the sampled sup at each vertex
-                at_u = np.einsum("bkn,bn->bk", F, Z[s]) + base
-                best[v, s] = np.argmax(at_u, axis=1)
-                vals[v, s] = at_u[np.arange(B), best[v, s]]
+            for rows, (_, Z), val, arg in zip(index, self.vertices, vals, best):
+                i, j = np.searchsorted(rows, (start, start + B))   # the sampled sup at each vertex
+                b = rows[i:j] - start
+                at_u = _dots("bkn,bn->bk", F[b], Z[i:j], self._in_order) + base[b]
+                arg[i:j] = np.argmax(at_u, axis=1)
+                val[i:j] = at_u[np.arange(j - i), arg[i:j]]
             bad[s] = np.any(self._unbounded[s] & (np.max(np.abs(F), axis=1) > _COEFF_ZERO_TOL),
                             axis=1)
-        return self._vertex_max(zip(vals, U[best]), bad)
+        return self._vertex_max(zip(vals, (U[arg] for arg in best)), bad)
 
     def needed_gains(self, tol: float) -> np.ndarray:
         """The least gain at which each point's residual is at most ``tol``, shape (Q,):
@@ -338,7 +378,7 @@ class Sweep:
         if not self.exact:
             raise TypeError("needed gains are closed-form for (power-)affine systems only")
         no_u = np.full((len(self.X), self.sys.m), math.nan)
-        return self._vertex_max(((_needed_gain(self.sys.p, tol, A, ceff), no_u)
+        return self._vertex_max(((_needed_gain(self.sys.p, tol, A, ceff), no_u[:len(A)])
                                  for A, ceff, _ in self._parts), self._bad)[0]
 
     def check(self, gamma: float, tol: Optional[float] = None) -> WitnessReport:
@@ -365,18 +405,20 @@ class Sweep:
                              grid=self.X, point_residuals=res, point_u=U)
 
     def _vertex_max(self, sups, bad: np.ndarray) -> tuple:
-        """Each row's largest (value, maximizer) in ``sups``, one pair per vertex, as (res,
-        zeta, u); an undefined (NaN) value and a ``bad`` row are +inf, an empty row -inf."""
+        """Each row's largest (value, maximizer) in ``sups``, a pair per entry of ``vertices``,
+        as (res, zeta, u); a NaN value and a ``bad`` row are +inf, an empty row -inf."""
         Q, n = self.X.shape
-        res, zeta, u = (np.full(Q, -math.inf), np.full((Q, n), math.nan),
-                        np.full((Q, self.sys.m), math.nan))
-        for Z, (val, w) in zip(self.vertices, sups):
-            val = np.where(np.isnan(val), math.inf, val)
-            better = val > res
-            res[better], zeta[better], u[better] = val[better], Z[better], w[better]
-        res[bad], res[self._empty] = math.inf, -math.inf
-        zeta[bad | self._empty], u[bad | self._empty] = math.nan, math.nan
-        return res, zeta, u
+        res, zeta, u = (np.full(Q, -math.inf), np.full((n, Q), math.nan),
+                        np.full((self.sys.m, Q), math.nan))     # (n, Q): wheres over rows
+        for (rows, Z), (val, w) in zip(self.vertices, sups):
+            val, top = np.where(np.isnan(val), math.inf, val), res[rows]
+            better = val > top
+            res[rows] = np.where(better, val, top)
+            zeta[:, rows] = np.where(better, Z.T, zeta[:, rows])
+            u[:, rows] = np.where(better, w.T, u[:, rows])
+        drop = bad | self._empty
+        return (np.where(self._empty, -math.inf, np.where(bad, math.inf, res)),
+                np.where(drop, math.nan, zeta).T, np.where(drop, math.nan, u).T)
 
 
 def _affine_sup(p, gamma, A, ceff, sgn):
@@ -391,7 +433,7 @@ def _affine_sup(p, gamma, A, ceff, sgn):
             r = (p * ceff / (2.0 * gamma)) ** (1.0 / (2.0 - p))
             val = gamma * (2.0 - p) / p * r * r   # c r^p - gamma r^2 at r
     u = np.where(np.isinf(val), math.nan, sgn * r)
-    return A + np.sum(val, axis=1), u
+    return A + _row_sum(val), u
 
 
 def _needed_gain(p, tol, A, ceff):

@@ -574,6 +574,206 @@ def test_sampled_scan_evaluates_the_dynamics_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Rows by kind: the partitioned sweep against every row x every vertex, bit for bit
+# ---------------------------------------------------------------------------
+
+def _dense_affine_sup(p, gamma, A, ceff, sgn):
+    """The exact sup over u as the sweep summed it over all rows: ``np.sum`` of the channels."""
+    if p >= 2:
+        val, r = np.where(ceff > (gamma if p == 2 else hji._COEFF_ZERO_TOL), math.inf, 0.0), 0.0
+    elif p == 1:
+        val, r = ceff * ceff / (4.0 * gamma), ceff / (2.0 * gamma)
+    else:
+        with np.errstate(over="ignore"):
+            r = (p * ceff / (2.0 * gamma)) ** (1.0 / (2.0 - p))
+            val = gamma * (2.0 - p) / p * r * r
+    return A + np.sum(val, axis=1), np.where(np.isinf(val), math.nan, sgn * r)
+
+
+def _dense_sweep(sysm, X, lo, hi, gamma=None, tol=None, u_box=None, u_points=41):
+    """The reference: every row takes every vertex of the axes that any row flips, each
+    vertex's parts are built over all rows, and a boolean-scatter fold keeps the first
+    maximum.  Residuals (res, zeta, u) at ``gamma``, or the needed gains at ``tol``."""
+    Q, n = X.shape
+    zlo = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    zhi = np.where(np.isfinite(hi), hi, zlo)
+    unbounded, empty = ~(np.isfinite(lo) & np.isfinite(hi)), np.any(lo > hi, axis=1)
+    vertices = [zlo]
+    for k in reversed([k for k in range(n) if np.any(zhi[:, k] != zlo[:, k])]):
+        vertices += [np.where(np.arange(n) == k, zhi, Z) for Z in vertices]
+    if isinstance(sysm, sy.AffineSystem):
+        signed = sysm.phi == "signed_pow"
+        G0, GI = sysm.drift(X), sysm.input_fields(X)
+        coef = np.max(np.abs(np.concatenate([G0[None], GI])), axis=0)
+        bad = np.any(unbounded & (coef > hji._COEFF_ZERO_TOL), axis=1)
+        sups = []
+        for Z in vertices:
+            c = np.einsum("iqn,qn->qi", GI, Z)
+            A = np.sum(Z * G0, axis=1) + np.sum(X * X, axis=1)
+            ceff = np.abs(c) if signed else np.maximum(c, 0.0)
+            sups.append(_dense_affine_sup(sysm.p, gamma, A, ceff, np.sign(c) if signed else 1.0)
+                        if tol is None else (hji._needed_gain(sysm.p, tol, A, ceff),
+                                             np.full((Q, sysm.m), math.nan)))
+    else:
+        U = hji._u_grid_from_box(hji._default_u_box(X, sysm.m) if u_box is None else u_box,
+                                 u_points)
+        F = sysm.dynamics(np.repeat(X, len(U), axis=0), np.tile(U, (Q, 1))).reshape(Q, len(U), -1)
+        base = np.sum(X * X, axis=1)[:, None] - gamma * np.sum(U * U, axis=1)
+        sups = []
+        for Z in vertices:
+            at_u = np.einsum("bkn,bn->bk", F, Z) + base
+            best = np.argmax(at_u, axis=1)
+            sups.append((at_u[np.arange(Q), best], U[best]))
+        bad = np.any(unbounded & (np.max(np.abs(F), axis=1) > hji._COEFF_ZERO_TOL), axis=1)
+    res, zeta, u = np.full(Q, -math.inf), np.full((Q, n), math.nan), np.full((Q, sysm.m), math.nan)
+    for Z, (val, w) in zip(vertices, sups):
+        val = np.where(np.isnan(val), math.inf, val)
+        better = val > res
+        res[better], zeta[better], u[better] = val[better], Z[better], w[better]
+    res[bad], res[empty] = math.inf, -math.inf
+    zeta[bad | empty], u[bad | empty] = math.nan, math.nan
+    return res if gamma is None else (res, zeta, u)
+
+
+def _assert_bitwise(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# every kind of bound a row can have on one axis: (lo, hi) up to the value v
+_BOUNDS = (lambda v, w: (v, v), lambda v, w: (v, v + w), lambda v, w: (-math.inf, v),
+           lambda v, w: (v, math.inf), lambda v, w: (-math.inf, math.inf),
+           lambda v, w: (v + w, v), lambda v, w: (math.nan, v), lambda v, w: (v, math.nan),
+           lambda v, w: (-0.0, 0.0))
+
+
+def _random_sweep_input(n, m, p, phi, seed, fortran):
+    """A random (power-)affine system whose fields round, or are constants (so that
+    vertices tie), or vanish; grid rows with bounds of every kind; and rows with the box
+    [0, 1] on each subset of the axes."""
+    rng = np.random.default_rng(seed)
+    terms = ["1", *(f"x{k}" for k in range(1, n + 1)), "x1*x1", f"x1*x{n}", f"abs(x{n})"]
+
+    def field():
+        if rng.random() < 0.5:
+            return str(rng.choice(["0", "1", "-1", "2"]))
+        return " + ".join(f"({rng.uniform(-2, 2)!r})*{rng.choice(terms)}" for _ in range(3))
+    sysm = sy.AffineSystem(n, m, tuple(field() for _ in range(n)),
+                           tuple(tuple(field() for _ in range(n)) for _ in range(m)),
+                           p=p, phi=phi)
+    subsets = list(itertools.product([False, True], repeat=n))
+    X = rng.uniform(-2, 2, (24 + len(subsets), n))
+    X[rng.random(X.shape) < 0.2] = 0.0
+    v, w = rng.uniform(-3, 3, X.shape), rng.uniform(0.1, 2, X.shape)
+    kind = rng.choice(len(_BOUNDS), X.shape, p=[0.35, 0.25] + [0.4 / 7] * 7)
+    kind[24:], v[24:], w[24:] = subsets, 0.0, 1.0      # 1: a box, 0: a singleton
+    lo, hi = np.array([[_BOUNDS[k](a, b) for k, a, b in zip(*row)]
+                       for row in zip(kind, v, w)]).transpose(2, 0, 1)
+    if fortran:                  # the layout of the bounds an expression candidate returns
+        lo, hi = np.asfortranarray(lo), np.asfortranarray(hi)
+    return sysm, X, lo, hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(0, 2), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       phi=st.sampled_from(["abs_pow", "signed_pow"]), seed=st.integers(0, 2 ** 32 - 1),
+       fortran=st.booleans(), gammas=st.lists(st.floats(0.2, 3.0), min_size=1, max_size=3),
+       tol=st.sampled_from([hji.DEFAULT_TOL_EXACT, 0.5]))
+def test_partitioned_sweep_matches_dense_reference(n, m, p, phi, seed, fortran, gammas, tol):
+    """Residuals, zeta and u at several gammas, and the needed gains, keep every bit of
+    the dense reference: singleton rows, boxes on every subset of the axes, rows
+    unbounded on one side or both, empty rows and NaN bounds, in either layout."""
+    sysm, X, lo, hi = _random_sweep_input(n, m, p, phi, seed, fortran)
+    sweep = hji.Sweep(sysm, X, lo, hi)
+    for gamma in gammas:
+        _assert_bitwise(sweep.residuals(gamma), _dense_sweep(sysm, X, lo, hi, gamma))
+    assert sweep.needed_gains(tol).tobytes() == _dense_sweep(sysm, X, lo, hi, tol=tol).tobytes()
+    assert sum(sweep.row_kinds) == len(X)
+
+
+_SAMPLED_BOXES = {
+    "sigma3_scalar/v3_scalar": (sy.make_sigma3_scalar(), stg.builtin("v3_scalar"), 1, None),
+    "sigma2_general/v1_scaled": (_SIGMA2_GENERAL, stg.builtin("v1_scaled"), 2, None),
+    "3-D general": (sy.GeneralSystem(3, 1, ("-x1+0.3*x2*u1", "-x2+0.7*x3+u1",
+                                           "-x3+0.1*x1*x2-0.2*u1")),
+                    stg.from_expression("abs(x1)+abs(x2-0.5)+0.3*abs(x3)+x1*x2", 3,
+                                        kinks=((0, 0.0), (1, 0.5), (2, 0.0))),
+                    3, [(-2.0, 2.0)]),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [hji._CHUNK_ROWS, 100])
+@pytest.mark.parametrize("case", sorted(_SAMPLED_BOXES))
+def test_sampled_sweep_matches_dense_reference(case, chunk_rows, monkeypatch):
+    """The sampled sup at each box row's own vertices, gathered per chunk, keeps every
+    bit of the dense reference (sigma3_scalar's grid holds its x = 1 kink row)."""
+    sysm, V, n, u_box = _SAMPLED_BOXES[case]
+    monkeypatch.setattr(hji, "_CHUNK_ROWS", chunk_rows)
+    region = hji.Region(box=((-1.3, 1.1),) * n, points_per_dim={1: 81, 2: 13, 3: 7}[n])
+    u_points = 41 if n < 3 else 9
+    sweep = hji.Sweep.of(sysm, V, region, u_box, u_points)
+    assert sweep.row_kinds.box > 0 and not sweep.exact
+    X = region.grid(V.kinks)
+    for gamma in (0.5, 1.0, 2.0):
+        _assert_bitwise(sweep.residuals(gamma),
+                        _dense_sweep(sysm, X, *V.subdiff_batch(X), gamma, u_box=u_box,
+                                     u_points=u_points))
+
+
+_CUBE = sy.AffineSystem(3, 3, ("-x1", "-x2", "-x3"),
+                        (("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")), name="cube")
+_L1_CUBE = stg.from_expression("abs(x1)+abs(x2)+abs(x3)", 3,
+                               kinks=((0, 0.0), (1, 0.0), (2, 0.0)))
+
+
+def test_row_kinds_on_the_kink_planes(sigma1):
+    """sigma1 / v1_scaled at ppd 201: the two kink lines hold the 400 box rows.  The
+    3-D cube at ppd 41: a row on one kink plane takes 2 vertices and a row on two takes
+    4, not 8; the counts sum to the grid size."""
+    sweep = hji.Sweep.of(sigma1, stg.builtin("v1_scaled"),
+                         hji.Region(box=((-2, 2), (-2, 2)), points_per_dim=201))
+    assert sweep.row_kinds == (40_000, 400, 0, 0) == hji.RowKinds(40_000, 400, 0, 0)
+    assert sweep.row_kinds.box == 400
+    with pytest.raises(AttributeError):
+        sweep.row_kinds.box = 0
+    sweep = hji.Sweep.of(_CUBE, _L1_CUBE, hji.Region(box=((-2, 2),) * 3, points_per_dim=41))
+    assert sum(sweep.row_kinds) == len(sweep.X) == 41 ** 3 - 1
+    assert sweep.row_kinds == (40 ** 3, 41 ** 3 - 1 - 40 ** 3, 0, 0)
+    on_planes, on_lines = 3 * 40 ** 2, 3 * 40          # rows with one or two zero coordinates
+    assert sum(len(Z) for _, Z in sweep.vertices) == len(sweep.X) + on_planes + 3 * on_lines
+
+
+def test_row_kinds_count_unbounded_and_empty_rows():
+    """A box row that is unbounded on another axis counts as a box; an empty row as
+    empty, whatever its other bounds."""
+    inf, nan = math.inf, math.nan
+    lo = np.array([[1.0, 2.0], [0.0, 2.0], [-inf, 2.0], [0.0, -inf], [nan, 1.0], [3.0, 0.0],
+                   [3.0, -inf]])
+    hi = np.array([[1.0, 2.0], [1.0, 2.0], [inf, 2.0], [1.0, inf], [1.0, 1.0], [2.0, 0.0],
+                   [2.0, inf]])
+    X = np.ones_like(lo)
+    assert hji.Sweep(sy.make_sigma1(), X, lo, hi).row_kinds == (1, 2, 2, 2)
+    v2 = hji.Sweep.of(sy.make_sigma2(), stg.builtin("v2"),
+                      hji.Region(box=((-2, 2), (-2, 2)), points_per_dim=41))
+    assert v2.row_kinds == (41 * 41 - 1 - 40, 0, 40, 0)       # x2 = 0: cbrt's slope
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(0, 10), seed=st.integers(0, 2 ** 32 - 1), fortran=st.booleans())
+def test_row_sum_is_numpys_sum_over_a_short_axis(k, seed, fortran):
+    """By columns, the row sums are np.sum's up to the sign of a zero sum (so its bits
+    once a nonnegative term joins them), and np.any's for booleans."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(37, k)) * 10.0 ** rng.integers(-8, 8, (37, k))
+    A[rng.random(A.shape) < 0.3] = -0.0
+    A[rng.random(A.shape) < 0.05] = rng.choice([math.inf, -math.inf, math.nan])
+    A = np.asfortranarray(A) if fortran else A
+    nonneg = rng.uniform(0, 1, 37) * (rng.random(37) < 0.5)
+    assert (hji._row_sum(A) + nonneg).tobytes() == (np.sum(A, axis=1) + nonneg).tobytes()
+    assert hji._row_sum(A > 0).tobytes() == np.any(A > 0, axis=1).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # The numpy Simpson rule is scipy's, bit for bit (scipy is a test dependency only)
 # ---------------------------------------------------------------------------
 
