@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hji import residuals, tensor_grid
+from .hji import Sweep, tensor_grid
 from .storage import GradientUndefinedError, StorageCandidate
 from .systems import (System, f_scalar, make_sigma1, make_sigma3_scalar, make_sigma_p,
                       phi_clip, psi_blend)
@@ -70,7 +70,7 @@ def _scan_grid_2d(extent: float, inner: float = 1e-3) -> np.ndarray:
 
 def _first_violation(sys: System, lo, hi, X: np.ndarray, tol: float, **kwargs):
     """(x, u, residual) at the first row of X whose gain-1 residual exceeds tol, or None."""
-    res, _, u = residuals(sys, lo, hi, X, 1.0, **kwargs)
+    res, _, u = Sweep(sys, X, lo, hi, **kwargs).residuals(1.0)
     bad = np.flatnonzero(res > tol)
     if not bad.size:
         return None

@@ -185,8 +185,7 @@ def _cmd_smooth(args) -> tuple:
     V = _load_storage(args)
     cert = smoothing.smooth_witness(
         sysm, V, args.gamma, args.gamma_prime, r_min=args.rmin, r_max=args.rmax)
-    axis = smoothing.mirrored_geometric_axis(args.rmin / 4, 1.25, args.rmax)
-    P = smoothing._annulus_grid(axis, sysm.n, args.rmin, args.rmax)[2]
+    P = smoothing.dump_points(sysm.n, args.rmin, args.rmax)
     # smooth_witness fails only once its refinement budget is spent: not a falsification
     line = (f"smooth: pass (max |V-W|/V = {cert.max_rel_approx_error:.3e}, "
             f"max gain residual = {cert.max_eq20_residual:.3e})" if cert.passed else
@@ -399,7 +398,7 @@ def main(argv=None) -> int:
                     _write_json(out / name, report)
                 else:
                     _write_csv(out / name, *report)
-    except (HjikitError, OSError, json.JSONDecodeError, ValueError, KeyError) as err:
+    except (HjikitError, OSError, ValueError, ArithmeticError, KeyError) as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_ERROR
     print(line)

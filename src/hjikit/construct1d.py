@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import HjikitError
-from .hji import _cumulative_simpson, residuals, tensor_grid
+from .hji import Sweep, _cumulative_simpson, tensor_grid
 from .storage import StorageCandidate
 from .systems import AffineSystem
 
@@ -253,8 +253,13 @@ def construct_w(sys: AffineSystem, gamma: float, V: StorageCandidate,
     if grid.ndim != 1 or grid.size < 3 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be increasing positive abscissae (>= 3 points)")
 
-    if check_hypothesis:
-        _check_witness_on_grid(sys, V, gamma, grid)
+    if check_hypothesis:      # V witnesses gamma on the mirrored grid
+        X = np.concatenate([-grid[::-1], grid])[:, None]
+        res = Sweep(sys, X, *V.subdiff_batch(X)).residuals(gamma)[0]
+        k = int(np.argmax(res))
+        if res[k] > 1e-9:
+            raise WitnessHypothesisError(
+                f"V={V.name!r} fails the gain-{gamma:g} witness check at x={X[k, 0]:g}")
 
     env = as_envelope(h) if h is not None else h_from_v(V, grid, margin=margin)
 
@@ -285,13 +290,3 @@ def _cumulative_from_zero(grid: np.ndarray, vals: np.ndarray) -> np.ndarray:
     p0 = max(0.0, min(float(p0), float(vals[0])))
     head = 0.5 * grid[0] * (p0 + vals[0])
     return head + _cumulative_simpson(vals, grid)
-
-
-def _check_witness_on_grid(sys: AffineSystem, V: StorageCandidate, gamma: float,
-                           grid: np.ndarray):
-    X = np.concatenate([-grid[::-1], grid])[:, None]
-    res = residuals(sys, *V.subdiff_batch(X), X, gamma)[0]
-    k = int(np.argmax(res))
-    if res[k] > 1e-9:
-        raise WitnessHypothesisError(
-            f"V={V.name!r} fails the gain-{gamma:g} witness check at x={X[k, 0]:g}")

@@ -16,11 +16,11 @@ row; the others of a box row's own axes for that row only) and, for
 (power-)affine systems, each vertex's gamma-free parts once.  Its residuals at
 any gamma are the one batched kernel; the scalar functions (:func:`point_residual`
 and the closed forms it calls) are the reference it is tested against.  Its
-needed gains solve the same exact sup for gamma.  :func:`check_witness`,
-:func:`residuals` and :func:`needed_gains` are each one use of a sweep.  The
-minimal-gain scan reads one sweep: it takes the first grid gamma at or above the
-largest needed gain, confirms it with two checks (it passes, the grid gamma
-below fails) and bisects the grid where they disagree and for general systems.
+needed gains solve the same exact sup for gamma.  :func:`check_witness` is one
+use of a sweep, and the minimal-gain scan reads one sweep: it takes the first
+grid gamma at or above the largest needed gain, confirms it with two checks (it
+passes, the grid gamma below fails) and bisects the grid where they disagree and
+for general systems.
 """
 from __future__ import annotations
 
@@ -46,6 +46,7 @@ DEFAULT_TOL_EXACT = 1e-9    # exact-oracle affine checks
 DEFAULT_TOL_SAMPLED = 1e-6  # sampled-sup general checks
 _COEFF_ZERO_TOL = 1e-12     # "vanishes identically" threshold for unbounded axes
 _CHUNK_ROWS = 200_000       # (point, u) rows per dynamics call on the sampled path
+_MAX_GAMMAS = 10 ** 6       # points of a gamma grid, at most
 
 
 def _row_sum(A: np.ndarray) -> np.ndarray:
@@ -55,15 +56,6 @@ def _row_sum(A: np.ndarray) -> np.ndarray:
     if A.shape[1] < 8:
         return sum(A.T, np.zeros(len(A), dtype=A.dtype))
     return np.add.reduce(A, axis=1, dtype=A.dtype)
-
-
-def _dots(spec: str, G: np.ndarray, Z: np.ndarray, in_order: bool) -> np.ndarray:
-    """``np.einsum(spec, G, Z)``, a sum over the last axis of G and of Z (R, n).  Einsum adds
-    in order unless Z is C-ordered; ``in_order`` keeps that order for gathered rows of such
-    a Z, which are C-ordered copies."""
-    if not in_order:
-        return np.einsum(spec, G, Z)
-    return sum(np.einsum(spec, G[..., k:k + 1], Z[:, k:k + 1]) for k in range(Z.shape[1]))
 
 
 def tensor_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -278,13 +270,14 @@ class Sweep:
     u is exact for (power-)affine systems, from each vertex's gamma-free parts;
     general systems sample it on the u-grid of ``u_box`` (default: the u-box of
     the whole of X), evaluating the dynamics in chunks at each gamma, or once
-    for every gamma where all (point, u) rows fit in one chunk.
+    for every gamma where all (point, u) rows fit in one chunk.  The bounds are read
+    as C-ordered copies, so the results depend on their values, not their layout.
     """
 
     def __init__(self, sys: System, X, lo, hi,
                  u_box: Optional[Sequence] = None, u_points: int = 41):
         self.sys, self.X = sys, np.asarray(X, dtype=float)
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        lo, hi = np.ascontiguousarray(lo, dtype=float), np.ascontiguousarray(hi, dtype=float)
         Q, n = self.X.shape
         zlo = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
         zhi = np.where(np.isfinite(hi), hi, zlo)
@@ -303,7 +296,6 @@ class Sweep:
         kind = np.where(self._empty, 3, 2 * _row_sum(self._unbounded))
         kind[box] = 1
         self.row_kinds = RowKinds(*np.bincount(kind, minlength=4).tolist())
-        self._in_order = not zlo.flags.c_contiguous     # how einsum sums the full vertex rows
         self.exact = isinstance(sys, AffineSystem)
         if self.exact:
             signed = sys.phi == "signed_pow"
@@ -313,7 +305,7 @@ class Sweep:
             xx = _row_sum(self.X * self.X)
             self._parts = []             # per vertex: A, c_eff (rows, m), sign of c
             for rows, Z in self.vertices:
-                c = _dots("iqn,qn->qi", GI[:, rows], Z, self._in_order)
+                c = np.einsum("iqn,qn->qi", GI[:, rows], Z)
                 self._parts.append((_row_sum(Z * G0[rows]) + xx[rows],
                                     np.abs(c) if signed else np.maximum(c, 0.0),
                                     np.sign(c) if signed else 1.0))
@@ -323,8 +315,7 @@ class Sweep:
             self._F = None               # the dynamics of all rows, if they fit in one chunk
 
     @classmethod
-    def of(cls, sys: System, V: StorageCandidate, region: Region,
-           u_box: Optional[Sequence] = None, u_points: int = 41) -> "Sweep":
+    def of(cls, sys: System, V: StorageCandidate, region: Region) -> "Sweep":
         """The sweep of ``V``'s subdifferential over the region grid (kink loci included)."""
         if region.dim != sys.n:
             raise ValueError(f"region dimension {region.dim} does not match system n={sys.n}")
@@ -333,7 +324,7 @@ class Sweep:
         X = region.grid(V.kinks)
         if X.shape[0] == 0:
             raise EmptyRegionError("region grid is empty")
-        return cls(sys, X, *V.subdiff_batch(X), u_box, u_points)
+        return cls(sys, X, *V.subdiff_batch(X))
 
     def residuals(self, gamma: float):
         """Worst residual over each point's box at ``gamma``: arrays res (Q,), zeta
@@ -359,7 +350,7 @@ class Sweep:
             for rows, (_, Z), val, arg in zip(index, self.vertices, vals, best):
                 i, j = np.searchsorted(rows, (start, start + B))   # the sampled sup at each vertex
                 b = rows[i:j] - start
-                at_u = _dots("bkn,bn->bk", F[b], Z[i:j], self._in_order) + base[b]
+                at_u = np.einsum("bkn,bn->bk", F[b], Z[i:j]) + base[b]
                 arg[i:j] = np.argmax(at_u, axis=1)
                 val[i:j] = at_u[np.arange(j - i), arg[i:j]]
             bad[s] = np.any(self._unbounded[s] & (np.max(np.abs(F), axis=1) > _COEFF_ZERO_TOL),
@@ -449,24 +440,11 @@ def _needed_gain(p, tol, A, ceff):
             slack > 0.0, (S / slack) ** ((2.0 - p) / p), math.inf))
 
 
-def residuals(sys: System, lo, hi, X, gamma: float,
-              u_box: Optional[Sequence] = None, u_points: int = 41):
-    """Worst residual over each point's box subdifferential: arrays (res, zeta, u),
-    by the rules of :class:`Sweep`; one use of a sweep."""
-    return Sweep(sys, X, lo, hi, u_box, u_points).residuals(gamma)
-
-
-def needed_gains(sys: AffineSystem, lo, hi, X, tol: float) -> np.ndarray:
-    """The least gain at which each point passes (:meth:`Sweep.needed_gains`)."""
-    return Sweep(sys, X, lo, hi).needed_gains(tol)
-
-
 def check_witness(sys: System, V: StorageCandidate, gamma: float, region: Region,
-                  tol: Optional[float] = None,
-                  u_box: Optional[Sequence] = None, u_points: int = 41) -> WitnessReport:
+                  tol: Optional[float] = None) -> WitnessReport:
     """Verify the witness condition at every point of the region grid, which visits
     the candidate's kink loci, by the rules of :class:`Sweep`; one use of a sweep."""
-    return Sweep.of(sys, V, region, u_box, u_points).check(gamma, tol)
+    return Sweep.of(sys, V, region).check(gamma, tol)
 
 
 def point_residual(sys: System, V: StorageCandidate, gamma: float, x,
@@ -475,7 +453,7 @@ def point_residual(sys: System, V: StorageCandidate, gamma: float, x,
 
     Returns +inf with zeta = None when an unbounded subdifferential coordinate
     multiplies a non-vanishing dynamic coefficient, and +inf where the sup at a
-    vertex is NaN.  This is the scalar reference for :func:`residuals`.
+    vertex is NaN.  This is the scalar reference for :meth:`Sweep.residuals`.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     S = V.subdiff(x)
@@ -556,6 +534,9 @@ def min_gain_scan(sys: System, V: StorageCandidate, region: Region,
 
 
 def gamma_range(start: float, stop: float, step: float) -> list:
-    """An inclusive gamma grid built with integer stepping to avoid float drift."""
-    k = int(round((stop - start) / step))
-    return [round(start + i * step, 12) for i in range(k + 1)]
+    """An inclusive gamma grid of at most 10^6 points, built with integer stepping."""
+    span = (stop - start) / step if step > 0 else math.nan     # round(span) + 1 points
+    if not (all(map(math.isfinite, (start, stop, step, span))) and span < _MAX_GAMMAS - 0.5):
+        raise ValueError("a gamma grid needs finite bounds, a finite positive step and at "
+                         f"most {_MAX_GAMMAS} points")
+    return [round(start + i * step, 12) for i in range(int(round(span)) + 1)]

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import HjikitError
-from .hji import Region, _cumulative_simpson, check_witness, residuals, tensor_grid
+from .hji import Region, Sweep, _cumulative_simpson, check_witness, tensor_grid
 from .storage import StorageCandidate
 from .systems import AffineSystem, System
 
@@ -621,6 +621,11 @@ def _annulus_grid(axis: np.ndarray, n: int, r_min: float, r_max: float):
     return coords, keep.ravel(), np.stack([coords[j] for j in np.nonzero(keep)], axis=1)
 
 
+def dump_points(n: int, r_min: float, r_max: float) -> np.ndarray:
+    """The annulus points at which ``smooth`` dumps V and W: an axis from r_min/4, ratio 1.25."""
+    return _annulus_grid(mirrored_geometric_axis(r_min / 4, 1.25, r_max), n, r_min, r_max)[2]
+
+
 def _certify(sys: AffineSystem, moll: MollifiedFunction, coords: np.ndarray,
              keep: np.ndarray, Pc: np.ndarray, Vc: np.ndarray, dlt: float,
              gamma_eff: float):
@@ -645,7 +650,7 @@ def _certify(sys: AffineSystem, moll: MollifiedFunction, coords: np.ndarray,
         return False, ("relative bound", Pc[rk], float(rel[rk]), math.nan)
 
     Z = gradient(keep.reshape(Wg.shape)) / (1.0 - dlt)
-    res = residuals(sys, Z, Z, Pc, gamma_eff)[0]
+    res = Sweep(sys, Pc, Z, Z).residuals(gamma_eff)[0]
     ek = int(np.argmax(res))
     if res[ek] > 0.0:
         return False, ("gain residual", Pc[ek], float(rel[rk]), float(res[ek]))

@@ -90,7 +90,7 @@ def test_axis_scan_skips_kink_points():
 
     W = stg.StorageCandidate("wide_kinks", v.value_fn, "lipschitz", 2, wide_at_kinks)
     X = np.array([[1.0, 0.0]])
-    assert hji.residuals(sy.make_sigma1(), *W.subdiff_batch(X), X, 1.0)[0][0] > 1.0
+    assert hji.Sweep(sy.make_sigma1(), X, *W.subdiff_batch(X)).residuals(1.0)[0][0] > 1.0
     assert au.audit_sigma1_axis(W).kind == au.OBSTRUCTION
 
 

@@ -109,7 +109,7 @@ def test_system_without_inputs(tmp_path):
     assert report.passed and report.point_u.shape == (report.points_checked, 0)
     assert hji.point_residual(sysm, V, 1.0, [1.0])[0] == -1.0
     X = region.grid()
-    assert hji.needed_gains(sysm, *V.subdiff_batch(X), X, hji.DEFAULT_TOL_EXACT).max() == 0.0
+    assert hji.Sweep(sysm, X, *V.subdiff_batch(X)).needed_gains(hji.DEFAULT_TOL_EXACT).max() == 0.0
     scan = hji.min_gain_scan(sysm, V, region, hji.gamma_range(0.5, 2.0, 0.01))
     assert scan.min_gamma == 0.5 and scan.gamma_star == 0.0
 
@@ -290,6 +290,25 @@ def test_invalid_inputs_are_usage_errors(tmp_path, argv):
     except SystemExit as err:     # argparse rejects an unknown option itself
         code = err.code
     assert code == 2
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["gain", "--zoo", "sigma1", "--gammas", "0.5:2:0"],
+    ["gain", "--zoo", "sigma1", "--gammas", "0.5:inf:0.1"],
+    ["gain", "--zoo", "sigma1", "--gammas", "0.5:2:1e-300"],
+    ["gain", "--zoo", "sigma1", "--gammas", "0.5:2:1e-6"],
+    ["simulate", "--zoo", "sigma1", "--gamma", "1", "--x0", "1", "1",
+     "--input", '{"kind": "constant", "values": [0.1]}', "--tspan", "0", "inf"],
+    ["l2gain", "--zoo", "sigma2", "--T", "inf"],
+    ["construct1d", "--zoo", "scalar_linear", "--gamma", "1", "--grid", "0.01", "2", "inf"],
+], ids=["zero-step", "infinite-stop", "1e300-gammas", "1.5e6-gammas", "simulate-tspan",
+        "l2gain-T", "construct1d-grid"])
+def test_bad_numeric_arguments_are_usage_errors(tmp_path, capsys, argv):
+    """A zero step, an infinite bound or a gamma grid of more than 10^6 points (a
+    step of 1e-6 on [0.5, 2] makes 1,500,001) is a usage error: exit 2, no report."""
+    assert run(argv + ["--out", tmp_path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not any(tmp_path.iterdir())
 
 

@@ -146,6 +146,23 @@ def test_point_residual_matches_check(sigma1):
     assert res == 0.0 and np.allclose(zeta, [2, 2]) and np.allclose(u, [1, 1])
 
 
+@pytest.mark.parametrize("start, stop, step", [
+    (0.5, 2.0, 0.0), (0.5, 2.0, -0.1), (0.5, 2.0, math.nan), (0.5, 2.0, math.inf),
+    (0.5, math.inf, 0.1), (-math.inf, 2.0, 0.1), (math.nan, 2.0, 0.1), (0.5, 2.0, 1e-300),
+    (0.5, 2.0, 1e-6), (1.0, 1e6 + 1, 1.0), (-1e308, 1e308, 1.0)])
+def test_gamma_range_rejects_bad_grids(start, stop, step):
+    """Non-finite bounds, a step that is not finite and positive, and grids of more
+    than 10^6 points raise ValueError before any list is built."""
+    with pytest.raises(ValueError, match="gamma grid"):
+        hji.gamma_range(start, stop, step)
+
+
+def test_gamma_range_examples():
+    assert hji.gamma_range(0.5, 0.53, 0.01) == [0.5, 0.51, 0.52, 0.53]
+    assert hji.gamma_range(2.0, 0.5, 0.1) == []
+    assert len(hji.gamma_range(1.0, 1e6, 1.0)) == 10 ** 6
+
+
 def test_min_gain_scan_examples(sigma1, region2):
     g = hji.min_gain_scan(sigma1, stg.builtin("v1_scaled"), region2,
                           hji.gamma_range(0.5, 2.0, 0.01)).min_gamma
@@ -280,7 +297,7 @@ def test_residuals_match_point_residual(case, gamma, data):
     X = np.concatenate(copies)
     X = X[np.linalg.norm(X, axis=1) > 0.0]
     u_box = [(-4.0, 4.0)] * sysm.m
-    res, zeta, u = hji.residuals(sysm, *V.subdiff_batch(X), X, gamma, u_box=u_box)
+    res, zeta, u = hji.Sweep(sysm, X, *V.subdiff_batch(X), u_box=u_box).residuals(gamma)
     for q, x in enumerate(X):
         ref, ref_zeta, _ = hji.point_residual(sysm, V, gamma, x, u_box=u_box)
         if math.isinf(ref):
@@ -312,7 +329,7 @@ def test_power_affine_near_p2_overflow_fails():
     assert 2 * 8 ** 1.999 - 64 + float(zeta @ _P1999.drift(x)) + 1 > 60
     V = stg.builtin("sq_norm")
     X = np.array([[0.5], [1.0], [2.0]])
-    res, _, _ = hji.residuals(_P1999, *V.subdiff_batch(X), X, 1.0)
+    res, _, _ = hji.Sweep(_P1999, X, *V.subdiff_batch(X)).residuals(1.0)
     assert not np.any(np.isnan(res)) and np.all(np.isinf(res[1:])) and res[0] < 0
     rep = hji.check_witness(_P1999, V, 1.0, hji.Region(box=((-2, 2),), points_per_dim=41))
     assert rep.mode == "exact" and not rep.passed and math.isinf(rep.max_residual)
@@ -419,7 +436,7 @@ def test_exact_scan_equals_bisection(case):
     if isinstance(sysm, sy.AffineSystem):
         assert calls <= 2
         X = region.grid(V.kinks)
-        need = hji.needed_gains(sysm, *V.subdiff_batch(X), X, hji.DEFAULT_TOL_EXACT)
+        need = hji.Sweep(sysm, X, *V.subdiff_batch(X)).needed_gains(hji.DEFAULT_TOL_EXACT)
         assert scan.gamma_star == need.max()
         if need.max() > 0:
             assert scan.gamma_star_x.tolist() == X[np.argmax(need)].tolist()
@@ -493,7 +510,7 @@ def _power_affine_scans(draw):
         V = stg.from_expression(f"{a}*abs(x1) + {b}*abs(x2)", 2, kinks=((0, 0.0), (1, 0.0)))
     region = hji.Region(box=((-1.5, 1.3), (-1.2, 1.5)), points_per_dim=6)
     X = region.grid(V.kinks)
-    star = hji.needed_gains(sysm, *V.subdiff_batch(X), X, hji.DEFAULT_TOL_EXACT).max()
+    star = hji.Sweep(sysm, X, *V.subdiff_batch(X)).needed_gains(hji.DEFAULT_TOL_EXACT).max()
     center = draw(st.sampled_from([0.25, 0.9, 1.0, 1.1, 4.0]))
     if 0 < star < math.inf:
         center *= star
@@ -517,8 +534,9 @@ def test_exact_scan_equals_bisection_on_generated_systems(case):
     if 0 < star < math.inf:      # the needed gain is the threshold, not just on the grid
         X = region.grid(V.kinks)
         lo, hi = V.subdiff_batch(X)
-        assert hji.residuals(sysm, lo, hi, X, star * 1.01)[0].max() <= hji.DEFAULT_TOL_EXACT
-        assert hji.residuals(sysm, lo, hi, X, star / 1.01)[0].max() > hji.DEFAULT_TOL_EXACT
+        sweep = hji.Sweep(sysm, X, lo, hi)
+        assert sweep.residuals(star * 1.01)[0].max() <= hji.DEFAULT_TOL_EXACT
+        assert sweep.residuals(star / 1.01)[0].max() > hji.DEFAULT_TOL_EXACT
 
 
 def _sweep_step(sweep, step):
@@ -685,6 +703,7 @@ def test_partitioned_sweep_matches_dense_reference(n, m, p, phi, seed, fortran, 
     unbounded on one side or both, empty rows and NaN bounds, in either layout."""
     sysm, X, lo, hi = _random_sweep_input(n, m, p, phi, seed, fortran)
     sweep = hji.Sweep(sysm, X, lo, hi)
+    lo, hi = np.ascontiguousarray(lo), np.ascontiguousarray(hi)     # the layout it sweeps
     for gamma in gammas:
         _assert_bitwise(sweep.residuals(gamma), _dense_sweep(sysm, X, lo, hi, gamma))
     assert sweep.needed_gains(tol).tobytes() == _dense_sweep(sysm, X, lo, hi, tol=tol).tobytes()
@@ -711,13 +730,43 @@ def test_sampled_sweep_matches_dense_reference(case, chunk_rows, monkeypatch):
     monkeypatch.setattr(hji, "_CHUNK_ROWS", chunk_rows)
     region = hji.Region(box=((-1.3, 1.1),) * n, points_per_dim={1: 81, 2: 13, 3: 7}[n])
     u_points = 41 if n < 3 else 9
-    sweep = hji.Sweep.of(sysm, V, region, u_box, u_points)
-    assert sweep.row_kinds.box > 0 and not sweep.exact
     X = region.grid(V.kinks)
+    sweep = hji.Sweep(sysm, X, *V.subdiff_batch(X), u_box, u_points)
+    assert sweep.row_kinds.box > 0 and not sweep.exact
+    lo, hi = map(np.ascontiguousarray, V.subdiff_batch(X))      # the layout it sweeps
     for gamma in (0.5, 1.0, 2.0):
         _assert_bitwise(sweep.residuals(gamma),
-                        _dense_sweep(sysm, X, *V.subdiff_batch(X), gamma, u_box=u_box,
-                                     u_points=u_points))
+                        _dense_sweep(sysm, X, lo, hi, gamma, u_box=u_box, u_points=u_points))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 3), m=st.integers(0, 2), p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       phi=st.sampled_from(["abs_pow", "signed_pow"]), seed=st.integers(0, 2 ** 32 - 1),
+       gammas=st.lists(st.floats(0.2, 3.0), min_size=1, max_size=3),
+       tol=st.sampled_from([hji.DEFAULT_TOL_EXACT, 0.5]))
+def test_sweep_does_not_depend_on_the_bound_layout(n, m, p, phi, seed, gammas, tol):
+    """F-ordered bounds (an expression candidate's) and C-ordered ones (the other
+    candidates') of the same values give the same bits: residuals, zeta and u at
+    several gammas, and the needed gains."""
+    sysm, X, lo, hi = _random_sweep_input(n, m, p, phi, seed, fortran=False)
+    for k, bounds in enumerate(_BOUNDS):          # a row of each kind on the first axis
+        lo[k, 0], hi[k, 0] = bounds(0.5, 1.0)
+    c_order = hji.Sweep(sysm, X, np.ascontiguousarray(lo), np.ascontiguousarray(hi))
+    f_order = hji.Sweep(sysm, X, np.asfortranarray(lo), np.asfortranarray(hi))
+    for gamma in gammas:
+        _assert_bitwise(f_order.residuals(gamma), c_order.residuals(gamma))
+    assert f_order.needed_gains(tol).tobytes() == c_order.needed_gains(tol).tobytes()
+
+
+def test_sampled_sweep_does_not_depend_on_the_bound_layout():
+    sysm, V, n, u_box = _SAMPLED_BOXES["3-D general"]
+    X = hji.Region(box=((-1.3, 1.1),) * n, points_per_dim=7).grid(V.kinks)
+    lo, hi = V.subdiff_batch(X)
+    c_order = hji.Sweep(sysm, X, np.ascontiguousarray(lo), np.ascontiguousarray(hi), u_box, 9)
+    f_order = hji.Sweep(sysm, X, np.asfortranarray(lo), np.asfortranarray(hi), u_box, 9)
+    assert c_order.row_kinds.box > 0
+    for gamma in (0.5, 1.0, 2.0):
+        _assert_bitwise(f_order.residuals(gamma), c_order.residuals(gamma))
 
 
 _CUBE = sy.AffineSystem(3, 3, ("-x1", "-x2", "-x3"),

@@ -507,7 +507,7 @@ def test_every_candidate_form_reads_one_oracle(form, data, smoothed_sigma1):
             with pytest.raises(stg.GradientUndefinedError):
                 V.gradient(x)
 
-    res = hji.residuals(sysm, lo, hi, X, 1.0)[0]
+    res = hji.Sweep(sysm, X, lo, hi).residuals(1.0)[0]
     for q, x in enumerate(X):
         ref = hji.point_residual(sysm, V, 1.0, x)[0]
         if math.isinf(ref):

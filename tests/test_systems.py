@@ -150,7 +150,8 @@ def test_power_affine_config_at_p1_signed_is_the_affine_system():
     assert np.signbit(sy.make_scalar_linear().dynamics([0.0], [-0.0])[0])
     lo = hi = rng.uniform(-3, 3, X.shape)
     lo[::6] = -0.0
-    for a, b in zip(hji.residuals(power, lo, hi, X, 0.7), hji.residuals(affine, lo, hi, X, 0.7)):
+    for a, b in zip(hji.Sweep(power, X, lo, hi).residuals(0.7),
+                    hji.Sweep(affine, X, lo, hi).residuals(0.7)):
         assert a.tobytes() == b.tobytes()
 
 
