@@ -68,9 +68,9 @@ def _scan_grid_2d(extent: float, inner: float = 1e-3) -> np.ndarray:
     return P[np.linalg.norm(P, axis=1) > 0]
 
 
-def _first_violation(sys: System, lo, hi, X: np.ndarray, tol: float, **kwargs):
+def _first_violation(sys: System, lo, hi, X: np.ndarray, tol: float):
     """(x, u, residual) at the first row of X whose gain-1 residual exceeds tol, or None."""
-    res, _, u = Sweep(sys, X, lo, hi, **kwargs).residuals(1.0)
+    res, _, u = Sweep(sys, X, lo, hi).residuals(1.0)
     bad = np.flatnonzero(res > tol)
     if not bad.size:
         return None
@@ -297,8 +297,7 @@ def audit_scalar_straddle(W: StorageCandidate) -> AuditReport:
     sys = make_sigma3_scalar()
     xs = np.linspace(-3.0, 3.0, 201)
     X = xs[np.abs(xs) > 1e-9][:, None]
-    hit = _first_violation(sys, *W.subdiff_batch(X), X, _SCAN_TOL,
-                           u_box=[(-4.0, 4.0)], u_points=161)
+    hit = _first_violation(sys, *W.subdiff_batch(X), X, _SCAN_TOL)
     if hit is not None:
         (x,), (u,), res = hit
         return AuditReport(VIOLATION, _STRADDLE_CLAIM, witness_point=(x, u),

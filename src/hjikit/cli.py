@@ -82,10 +82,18 @@ def _region_from(args, n: int) -> hji.Region:
 
 
 def _gamma_grid(spec: str):
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise HjikitError("--gammas must look like start:stop:step")
-    return hji.gamma_range(float(parts[0]), float(parts[1]), float(parts[2]))
+    try:
+        start, stop, step = map(float, spec.split(":"))
+        return hji.gamma_range(start, stop, step)
+    except ValueError as err:
+        raise ValueError(f"--gammas start:stop:step: {err}") from None
+
+
+def _finite(option: str, *values):
+    """The values of ``option``; a usage error naming it if one is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{option} needs finite values, got {' '.join(map(repr, values))}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +125,12 @@ def _cmd_gain(args) -> tuple:
     region = _region_from(args, sysm.n)
     grid = _gamma_grid(args.gammas)
     scan = hji.min_gain_scan(sysm, V, region, grid, tol=args.tol)
-    star, star_x = scan.gamma_star, scan.gamma_star_x    # None in sampled mode
-    line = "gain: no grid gamma passes" if scan.min_gamma is None else f"gain: {scan.min_gamma!r}"
-    return (_verdict(scan.min_gamma is not None),
-            line if star is None else f"{line} (gamma_star {star!r})",
+    min_gamma, star, star_x = scan
+    line = "gain: no grid gamma passes" if min_gamma is None else f"gain: {min_gamma!r}"
+    return (_verdict(min_gamma is not None), f"{line} (gamma_star {star!r})",
             {"gain.json": {"gamma_grid": [grid[0], grid[-1], len(grid)],
-                           "min_gamma": scan.min_gamma,
-                           "gamma_star": star if star is not None and np.isfinite(star) else None,
+                           "min_gamma": min_gamma,
+                           "gamma_star": star if np.isfinite(star) else None,
                            "gamma_star_x": None if star_x is None else star_x.tolist()}})
 
 
@@ -132,7 +139,7 @@ def _cmd_simulate(args) -> tuple:
     V = _load_storage(args)
     x0 = np.asarray(args.x0, dtype=float)
     signal = trajectories.signal_from_config(json.loads(args.input))
-    traj = trajectories.integrate(sysm, x0, signal, tuple(args.tspan), args.step)
+    traj = trajectories.integrate(sysm, x0, signal, _finite("--tspan", *args.tspan), args.step)
     slack, interval = trajectories.dissipation_audit_detail(traj, V, args.gamma)
     verdict = _verdict(slack <= args.slack_tol)
     return (verdict, f"simulate: max dissipation slack {slack:.3e} over "
@@ -146,6 +153,7 @@ def _cmd_simulate(args) -> tuple:
 
 def _cmd_l2gain(args) -> tuple:
     sysm = _load_system(args)
+    _finite("--T", args.T)
     ensemble = trajectories.random_piecewise_ensemble(
         sysm.m, args.T, args.step, args.count, seed=args.seed, amplitude=args.amplitude)
     bound, max_norm = trajectories.l2_gain_detail(sysm, ensemble, args.T, args.step)
@@ -162,7 +170,7 @@ def _cmd_l2gain(args) -> tuple:
 def _cmd_construct1d(args) -> tuple:
     sysm = _load_system(args)
     V = _load_storage(args)
-    lo, hi, count = args.grid
+    lo, hi, count = _finite("--grid", *args.grid)
     grid = np.linspace(float(lo), float(hi), int(count))
     built = construct1d.construct_w(sysm, args.gamma, V, grid, margin=args.margin)
     w_vals = built.w_values

@@ -7,26 +7,28 @@ For input-affine systems the inner maximization over u has the exact closed form
 and the witness condition at (x, zeta) is ``residual <= 0``.  Power-affine
 systems have an exact sup too (channel by channel; +inf for p > 2 wherever a
 channel coefficient does not vanish).  For general systems the sup over u is
-lower-bounded by sampling a u-grid.  Box subdifferentials are handled by vertex
-enumeration (the residual is convex in zeta); unbounded box coordinates are
-admissible only where their dynamic coefficient vanishes identically in u.
+lower-bounded on one fixed input grid, the tensor grid of u = d/sqrt(1 - d^2)
+(:func:`decompactify`) at 41 nodes d in [-1, 1], the ends moved to +-(1 - 1e-6),
+so |u_i| <= 707.  Box subdifferentials are handled by vertex enumeration (the
+residual is convex in zeta); unbounded box coordinates are admissible only where
+their dynamic coefficient vanishes identically in u.
 
 A :class:`Sweep` builds a region's grid, boxes, box vertices (vertex 0 for every
 row; the others of a box row's own axes for that row only) and, for
 (power-)affine systems, each vertex's gamma-free parts once.  Its residuals at
 any gamma are the one batched kernel; the scalar functions (:func:`point_residual`
 and the closed forms it calls) are the reference it is tested against.  Its
-needed gains solve the same exact sup for gamma.  :func:`check_witness` is one
-use of a sweep, and the minimal-gain scan reads one sweep: it takes the first
-grid gamma at or above the largest needed gain, confirms it with two checks (it
-passes, the grid gamma below fails) and bisects the grid where they disagree and
-for general systems.
+needed gains solve the same sup for gamma, exactly or over the fixed input grid.
+:func:`check_witness` is one use of a sweep, and the minimal-gain scan reads one
+sweep: it takes the first grid gamma at or above the largest needed gain,
+confirms it with two checks (it passes, the grid gamma below fails) and bisects
+the grid only where they disagree.
 """
 from __future__ import annotations
 
 import bisect
+import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -47,6 +49,8 @@ DEFAULT_TOL_SAMPLED = 1e-6  # sampled-sup general checks
 _COEFF_ZERO_TOL = 1e-12     # "vanishes identically" threshold for unbounded axes
 _CHUNK_ROWS = 200_000       # (point, u) rows per dynamics call on the sampled path
 _MAX_GAMMAS = 10 ** 6       # points of a gamma grid, at most
+_U_NODES = 41               # nodes per axis of the fixed input grid
+_U_END = 1.0 - 1e-6         # its outer d nodes, so |u_i| <= 707
 
 
 def _row_sum(A: np.ndarray) -> np.ndarray:
@@ -212,38 +216,42 @@ def _power_sup(sys: AffineSystem, x, zeta, gamma: float):
     return total, u
 
 
-def general_residual(sys: System, x, zeta, gamma: float,
-                     u_box: Optional[Sequence] = None, u_points: int = 41,
-                     warn_on_boundary: bool = True):
-    """Sampled lower bound on sup_u [zeta.F(x,u) - supply]; also returns the argmax u."""
+def general_residual(sys: System, x, zeta, gamma: float):
+    """Sampled lower bound on sup_u [zeta.F(x,u) - supply] on the fixed input grid, and u."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    if u_box is None:
-        u_box = _default_u_box(x, sys.m)
-    U = _u_grid_from_box(u_box, u_points)
+    U = _u_grid(sys.m)
     F = sys.dynamics(np.broadcast_to(x, (U.shape[0], x.size)), U)
-    vals = F @ zeta - gamma * np.sum(U * U, axis=1) + float(np.dot(x, x))
+    # Sweep's order of terms: at the outer nodes they cancel from |u|^2 = 5e5 to rounding
+    vals = F @ zeta + (float(np.dot(x, x)) - gamma * np.sum(U * U, axis=1))
     k = int(np.argmax(vals))
-    if warn_on_boundary and _on_boundary(U[k], u_box):
-        warnings.warn(
-            "sup over the u-grid attained on the box boundary; enlarge u_box",
-            stacklevel=2)
     return float(vals[k]), U[k].copy()
 
 
-def _u_grid_from_box(u_box, u_points: int) -> np.ndarray:
-    return tensor_grid([np.linspace(lo, hi, u_points) for lo, hi in u_box])
+def compactify(u) -> np.ndarray:
+    """d_i = u_i / sqrt(1 + |u|^2); maps R^m onto the open unit ball."""
+    u = np.asarray(u, dtype=float)
+    return u / np.sqrt(1.0 + np.sum(u * u, axis=-1, keepdims=True))
 
 
-def _default_u_box(X, m: int) -> list:
-    """The u-box [-4 max|x_i|, 4 max|x_i|]^m over the given state(s)."""
-    half = 4.0 * float(np.max(np.abs(X)))
-    return [(-half, half)] * m
+def decompactify(d) -> np.ndarray:
+    """Inverse map u = d / sqrt(1 - |d|^2); requires |d| < 1."""
+    d = np.asarray(d, dtype=float)
+    rad = np.sum(d * d, axis=-1, keepdims=True)
+    if np.any(rad >= 1.0):
+        raise ValueError("decompactify requires |d| < 1")
+    return d / np.sqrt(1.0 - rad)
 
 
-def _on_boundary(u: np.ndarray, u_box) -> bool:
-    lo, hi = np.asarray(u_box, dtype=float).T
-    return bool(np.any(((u <= lo) | (u >= hi)) & (hi > lo)))
+@functools.lru_cache(maxsize=None)
+def _u_grid(m: int) -> np.ndarray:
+    """The fixed input grid of every sampled sup, (41^m, m), read-only: the tensor grid of
+    the axis u = decompactify(d), d = linspace(-1, 1, 41) with the ends at +-(1 - 1e-6)."""
+    d = np.linspace(-1.0, 1.0, _U_NODES)
+    d[[0, -1]] = -_U_END, _U_END
+    U = tensor_grid([decompactify(d[:, None])[:, 0]] * m)
+    U.flags.writeable = False
+    return U
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +276,13 @@ class Sweep:
     unbounded coordinate whose dynamic coefficient does not vanish gets +inf, as
     does a point whose sup is NaN; an empty row (lo > hi) gets -inf.  The sup over
     u is exact for (power-)affine systems, from each vertex's gamma-free parts;
-    general systems sample it on the u-grid of ``u_box`` (default: the u-box of
-    the whole of X), evaluating the dynamics in chunks at each gamma, or once
-    for every gamma where all (point, u) rows fit in one chunk.  The bounds are read
-    as C-ordered copies, so the results depend on their values, not their layout.
+    general systems sample it on the fixed input grid, so a point's results do not
+    depend on the other rows, evaluating the dynamics in chunks at each call, or
+    once for every call where all (point, u) rows fit in one chunk.  The bounds are
+    read as C-ordered copies, so the results depend on their values, not their layout.
     """
 
-    def __init__(self, sys: System, X, lo, hi,
-                 u_box: Optional[Sequence] = None, u_points: int = 41):
+    def __init__(self, sys: System, X, lo, hi):
         self.sys, self.X = sys, np.asarray(X, dtype=float)
         lo, hi = np.ascontiguousarray(lo, dtype=float), np.ascontiguousarray(hi, dtype=float)
         Q, n = self.X.shape
@@ -297,12 +304,13 @@ class Sweep:
         kind[box] = 1
         self.row_kinds = RowKinds(*np.bincount(kind, minlength=4).tolist())
         self.exact = isinstance(sys, AffineSystem)
+        self.tol = DEFAULT_TOL_EXACT if self.exact else DEFAULT_TOL_SAMPLED   # the default
+        xx = _row_sum(self.X * self.X)
         if self.exact:
             signed = sys.phi == "signed_pow"
             G0, GI = sys.drift(self.X), sys.input_fields(self.X)     # (Q, n), (m, Q, n)
             coef = np.maximum(np.abs(G0), np.max(np.abs(GI), axis=0, initial=0.0))
             self._bad = _row_sum(self._unbounded & (coef > _COEFF_ZERO_TOL))
-            xx = _row_sum(self.X * self.X)
             self._parts = []             # per vertex: A, c_eff (rows, m), sign of c
             for rows, Z in self.vertices:
                 c = np.einsum("iqn,qn->qi", GI[:, rows], Z)
@@ -310,8 +318,8 @@ class Sweep:
                                     np.abs(c) if signed else np.maximum(c, 0.0),
                                     np.sign(c) if signed else 1.0))
         else:
-            self.u_box = _default_u_box(self.X, sys.m) if u_box is None else u_box
-            self._U = _u_grid_from_box(self.u_box, u_points)
+            self._xx, self._U = xx, _u_grid(sys.m)
+            self._uu = np.sum(self._U * self._U, axis=1)
             self._F = None               # the dynamics of all rows, if they fit in one chunk
 
     @classmethod
@@ -332,12 +340,60 @@ class Sweep:
         if self.exact:
             return self._vertex_max((_affine_sup(self.sys.p, gamma, *parts)
                                      for parts in self._parts), self._bad)
-        X, U = self.X, self._U
-        K, uu = len(U), np.sum(U * U, axis=1)
+
+        def sup(S, rows):                # the sampled sup at a vertex and its grid u
+            at_u = S + (self._xx[rows, None] - gamma * self._uu)
+            arg = np.argmax(at_u, axis=1)
+            return at_u[np.arange(len(rows)), arg], self._U[arg]
+        return self._sampled(sup)
+
+    def needed_gains(self, tol: Optional[float] = None) -> np.ndarray:
+        """The least gain at which each point's residual is at most ``tol`` (default by
+        mode), shape (Q,): +inf if none, -inf for an empty row.
+
+        An affine vertex's residual is A + S gamma^(-p/(2-p)) for p < 2, with S = sum_i
+        (2-p)/p (p c_i/2)^(2/(2-p)), so it needs (S/(tol - A))^((2-p)/p), 0 if S = 0 (+inf
+        if A > tol, or A = tol < A + S); p = 2 needs max c_i, p > 2 0 or +inf (a c_i > 0).
+        Sampled, it is max_k B_k - gamma |u_k|^2, B_k = zeta.F(x, u_k) + |x|^2, so it
+        needs the largest (B_k - tol)/|u_k|^2 (at least 0), or +inf if B_k > tol at u_k = 0.
+        """
+        tol = self.tol if tol is None else tol
+        no_u = np.full((len(self.X), self.sys.m), math.nan)
+        if self.exact:
+            return self._vertex_max(((_needed_gain(self.sys.p, tol, A, ceff), no_u[:len(A)])
+                                     for A, ceff, _ in self._parts), self._bad)[0]
+
+        def need(S, rows):               # u = 0 is the node of least |u|
+            B = S + self._xx[rows, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gain = np.max((B - tol) / self._uu, axis=1, where=self._uu > 0.0, initial=0.0)
+            return np.where(B[:, np.argmin(self._uu)] <= tol, gain, math.inf), no_u[:len(rows)]
+        return self._sampled(need)[0]
+
+    def check(self, gamma: float, tol: Optional[float] = None) -> WitnessReport:
+        """The witness verdict at ``gamma``: pass iff no residual exceeds ``tol``
+        (default by mode).  The report carries the arrays of :meth:`residuals`."""
+        if gamma <= 0:
+            raise ValueError("gamma must be positive")
+        tol = self.tol if tol is None else tol
+        res, Z, U = self.residuals(gamma)
+        k = int(np.argmax(res))
+        best = float(res[k])
+        worst_zeta = None if np.isnan(Z[k]).any() else Z[k].copy()
+        worst_u = None if np.isnan(U[k]).any() else U[k].copy()
+        return WitnessReport("pass" if best <= tol else "fail", best, self.X[k].copy(),
+                             worst_zeta, worst_u, len(self.X), gamma, tol,
+                             "exact" if self.exact else "sampled",
+                             grid=self.X, point_residuals=res, point_u=U)
+
+    def _sampled(self, reduce) -> tuple:
+        """:meth:`_vertex_max` over ``reduce(S, rows)``, a (value, u) pair per row of a
+        vertex, where S (rows, K) holds zeta.F(x, u_k) at those rows and every grid u_k.
+        The dynamics are evaluated per chunk of rows, and kept where all rows fit in one."""
+        X, U, K = self.X, self._U, len(self._U)
         step = max(1, _CHUNK_ROWS // K)
         index = [np.arange(len(X))[rows] for rows, _ in self.vertices]
-        vals = [np.empty(len(rows)) for rows in index]
-        best = [np.empty(len(rows), dtype=int) for rows in index]   # the u-grid row of each sup
+        sups = [[] for _ in index]                 # per vertex: its (value, u) per chunk
         bad = np.empty(len(X), dtype=bool)
         for start in range(0, len(X), step):
             s = slice(start, start + step)
@@ -346,54 +402,13 @@ class Sweep:
                 np.repeat(X[s], K, axis=0), np.tile(U, (B, 1))).reshape(B, K, -1)
             if B == len(X):              # F does not depend on gamma
                 self._F = F
-            base = np.sum(X[s] * X[s], axis=1)[:, None] - gamma * uu
-            for rows, (_, Z), val, arg in zip(index, self.vertices, vals, best):
-                i, j = np.searchsorted(rows, (start, start + B))   # the sampled sup at each vertex
-                b = rows[i:j] - start
-                at_u = np.einsum("bkn,bn->bk", F[b], Z[i:j]) + base[b]
-                arg[i:j] = np.argmax(at_u, axis=1)
-                val[i:j] = at_u[np.arange(j - i), arg[i:j]]
+            for rows, (_, Z), sup in zip(index, self.vertices, sups):
+                i, j = np.searchsorted(rows, (start, start + B))
+                sup.append(reduce(np.einsum("bkn,bn->bk", F[rows[i:j] - start], Z[i:j]),
+                                  rows[i:j]))
             bad[s] = np.any(self._unbounded[s] & (np.max(np.abs(F), axis=1) > _COEFF_ZERO_TOL),
                             axis=1)
-        return self._vertex_max(zip(vals, (U[arg] for arg in best)), bad)
-
-    def needed_gains(self, tol: float) -> np.ndarray:
-        """The least gain at which each point's residual is at most ``tol``, shape (Q,):
-        +inf if none, -inf for an empty row.  (Power-)affine systems only.
-
-        At a vertex the residual is A + S gamma^(-p/(2-p)) for p < 2, with
-        S = sum_i (2-p)/p (p c_i/2)^(2/(2-p)) (sum c_i^2/4 at p = 1), so it needs
-        (S/(tol - A))^((2-p)/p), 0 if S = 0; p = 2 needs max c_i, p > 2 0 or +inf
-        (a c_i > 0).  A > tol, or A = tol with S > 0, needs +inf.
-        """
-        if not self.exact:
-            raise TypeError("needed gains are closed-form for (power-)affine systems only")
-        no_u = np.full((len(self.X), self.sys.m), math.nan)
-        return self._vertex_max(((_needed_gain(self.sys.p, tol, A, ceff), no_u[:len(A)])
-                                 for A, ceff, _ in self._parts), self._bad)[0]
-
-    def check(self, gamma: float, tol: Optional[float] = None) -> WitnessReport:
-        """The witness verdict at ``gamma``: pass iff no residual exceeds ``tol``
-        (default by mode).  The report carries the arrays of :meth:`residuals`."""
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if tol is None:
-            tol = DEFAULT_TOL_EXACT if self.exact else DEFAULT_TOL_SAMPLED
-        res, Z, U = self.residuals(gamma)
-        k = int(np.argmax(res))
-        best = float(res[k])
-        worst_zeta = None if np.isnan(Z[k]).any() else Z[k].copy()
-        worst_u = None if np.isnan(U[k]).any() else U[k].copy()
-        verdict = "pass" if best <= tol else "fail"
-        if not self.exact and verdict == "pass" and worst_u is not None \
-                and _on_boundary(worst_u, self.u_box):
-            # a fail is conclusive even if truncated; a pass with the max on the
-            # u-box boundary may be hiding a larger sup outside the box
-            warnings.warn("worst sampled u lies on the u-box boundary; the sup may be larger",
-                          stacklevel=2)
-        return WitnessReport(verdict, best, self.X[k].copy(), worst_zeta, worst_u,
-                             len(self.X), gamma, tol, "exact" if self.exact else "sampled",
-                             grid=self.X, point_residuals=res, point_u=U)
+        return self._vertex_max((map(np.concatenate, zip(*sup)) for sup in sups), bad)
 
     def _vertex_max(self, sups, bad: np.ndarray) -> tuple:
         """Each row's largest (value, maximizer) in ``sups``, a pair per entry of ``vertices``,
@@ -447,8 +462,7 @@ def check_witness(sys: System, V: StorageCandidate, gamma: float, region: Region
     return Sweep.of(sys, V, region).check(gamma, tol)
 
 
-def point_residual(sys: System, V: StorageCandidate, gamma: float, x,
-                   u_box: Optional[Sequence] = None, u_points: int = 41):
+def point_residual(sys: System, V: StorageCandidate, gamma: float, x):
     """Worst residual over the subdifferential at one point: (residual, zeta, u).
 
     Returns +inf with zeta = None when an unbounded subdifferential coordinate
@@ -459,27 +473,18 @@ def point_residual(sys: System, V: StorageCandidate, gamma: float, x,
     S = V.subdiff(x)
     if S.is_empty:
         return -math.inf, None, None
-    if S.unbounded_axes:
-        if isinstance(sys, AffineSystem):
-            g0 = sys.drift(x)
-            gi = sys.input_fields(x)
-            ok = all(abs(g0[k]) <= _COEFF_ZERO_TOL
-                     and np.all(np.abs(gi[:, k]) <= _COEFF_ZERO_TOL)
-                     for k in S.unbounded_axes)
-        else:
-            U = _u_grid_from_box(_default_u_box(x, sys.m) if u_box is None else u_box,
-                                 u_points)
-            F = sys.dynamics(np.broadcast_to(x, (U.shape[0], x.size)), U)
-            ok = all(np.max(np.abs(F[:, k])) <= _COEFF_ZERO_TOL for k in S.unbounded_axes)
-        if not ok:
+    if S.unbounded_axes:            # their coefficients: g0 and each g_i, or F on the grid
+        U = _u_grid(sys.m)
+        coef = (np.vstack([sys.drift(x), sys.input_fields(x)]) if isinstance(sys, AffineSystem)
+                else sys.dynamics(np.broadcast_to(x, (len(U), x.size)), U))
+        if not np.all(np.abs(coef[:, list(S.unbounded_axes)]) <= _COEFF_ZERO_TOL):
             return math.inf, None, None
     best, best_z, best_u = -math.inf, None, None
     for zeta in S.finite_vertices():
         if isinstance(sys, AffineSystem):
             res, u = _power_sup(sys, x, zeta, gamma)
         else:
-            res, u = general_residual(sys, x, zeta, gamma, u_box=u_box,
-                                      u_points=u_points, warn_on_boundary=False)
+            res, u = general_residual(sys, x, zeta, gamma)
         if math.isnan(res):
             res = math.inf
         if res > best:
@@ -488,9 +493,9 @@ def point_residual(sys: System, V: StorageCandidate, gamma: float, x,
 
 
 class GainScan(NamedTuple):
-    """A scan's smallest passing grid gamma (None if none passes); in exact mode also
-    the largest needed gain on the region grid (maybe +inf) and the point needing it
-    (None when no point needs a positive gain)."""
+    """A scan's smallest passing grid gamma (None if none passes), the largest needed
+    gain on the region grid (maybe +inf) and the point needing it (None when no point
+    needs a positive gain)."""
 
     min_gamma: Optional[float]
     gamma_star: Optional[float] = None
@@ -501,13 +506,12 @@ def min_gain_scan(sys: System, V: StorageCandidate, region: Region,
                   gamma_grid: Sequence[float], tol: Optional[float] = None) -> GainScan:
     """Smallest grid gamma whose witness check passes (``min_gamma``, None if all fail).
 
-    One :class:`Sweep` of the region serves every pass below.  Exact mode (affine
-    systems) takes the first grid gamma at or above the largest needed gain
-    (:meth:`Sweep.needed_gains`), ``gamma_star``, and confirms it with two checks:
-    it passes and the grid gamma below it fails.  If either disagrees, and in
-    sampled mode, the scan bisects the grid: the residual is nonincreasing in
-    gamma at a fixed u-grid, so bisection finds the same gamma as a linear scan
-    in about log2(len(grid)) checks.
+    One :class:`Sweep` of the region serves every pass below.  The scan takes the
+    first grid gamma at or above the largest needed gain (:meth:`Sweep.needed_gains`),
+    ``gamma_star``, and confirms it with two checks: it passes and the grid gamma
+    below it fails.  If either disagrees, the scan bisects the grid: the residual is
+    nonincreasing in gamma, so bisection finds the same gamma as a linear scan in
+    about log2(len(grid)) checks.
     """
     gammas = list(gamma_grid)
     if not gammas or any(g <= 0 for g in gammas) or gammas != sorted(gammas):
@@ -515,15 +519,13 @@ def min_gain_scan(sys: System, V: StorageCandidate, region: Region,
     sweep = Sweep.of(sys, V, region)
     passes = (lambda g: sweep.check(g, tol).passed)
     first, last = 0, len(gammas)      # gammas[:first] fail; gammas[last:] pass
-    star = star_x = None
-    if sweep.exact:
-        need = sweep.needed_gains(DEFAULT_TOL_EXACT if tol is None else tol)
-        k = int(np.argmax(need))
-        star = max(float(need[k]), 0.0)
-        star_x = sweep.X[k].copy() if need[k] > 0 else None    # else every point ties
-        k = bisect.bisect_left(gammas, star)
-        if (k == last or passes(gammas[k])) and (k == 0 or not passes(gammas[k - 1])):
-            first = last = k          # confirmed: no bisection
+    need = sweep.needed_gains(tol)
+    k = int(np.argmax(need))
+    star = max(float(need[k]), 0.0)
+    star_x = sweep.X[k].copy() if need[k] > 0 else None    # else every point ties
+    k = bisect.bisect_left(gammas, star)
+    if (k == last or passes(gammas[k])) and (k == 0 or not passes(gammas[k - 1])):
+        first = last = k              # confirmed: no bisection
     while first < last:
         mid = (first + last) // 2
         if passes(gammas[mid]):

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import HjikitError
 from .hji import Region, Sweep, _cumulative_simpson, check_witness, tensor_grid
+from .hji import compactify, decompactify      # the input map, also exported from here
 from .storage import StorageCandidate
 from .systems import AffineSystem, System
 
@@ -39,23 +40,8 @@ _CASE1_EPS = (1.0, 0.5, 0.25, 0.125, 0.0625)   # check_case1_p2's decreasing eps
 
 
 # ---------------------------------------------------------------------------
-# Input compactification and the transformed field
+# The transformed field of the input compactification (:func:`hji.compactify`)
 # ---------------------------------------------------------------------------
-
-def compactify(u) -> np.ndarray:
-    """d_i = u_i / sqrt(1 + |u|^2); maps R^m onto the open unit ball."""
-    u = np.asarray(u, dtype=float)
-    return u / np.sqrt(1.0 + np.sum(u * u, axis=-1, keepdims=True))
-
-
-def decompactify(d) -> np.ndarray:
-    """Inverse map u = d / sqrt(1 - |d|^2); requires |d| < 1."""
-    d = np.asarray(d, dtype=float)
-    rad = np.sum(d * d, axis=-1, keepdims=True)
-    if np.any(rad >= 1.0):
-        raise ValueError("decompactify requires |d| < 1")
-    return d / np.sqrt(1.0 - rad)
-
 
 def transformed_field(sys: AffineSystem, x, d) -> np.ndarray:
     """f(x, d) = (1-|d|^2) g0(x) + sum_i phi(d_i) (1-|d|^2)^(1-p/2) g_i(x).

@@ -115,13 +115,16 @@ InputSignal = Callable  # the classes above, or any callable mapping times (N,) 
 
 
 def signal_from_config(cfg: dict) -> InputSignal:
-    kind = cfg["kind"]
-    if kind == "constant":
-        return ConstantInput(cfg["values"])
-    if kind == "piecewise_constant":
-        return PiecewiseConstantInput(cfg["switch_times"], cfg["values"])
-    if kind == "sinusoid":
-        return SinusoidInput(cfg["amplitude"], cfg["omega"], cfg.get("phase"))
+    try:
+        kind = cfg["kind"]
+        if kind == "constant":
+            return ConstantInput(cfg["values"])
+        if kind == "piecewise_constant":
+            return PiecewiseConstantInput(cfg["switch_times"], cfg["values"])
+        if kind == "sinusoid":
+            return SinusoidInput(cfg["amplitude"], cfg["omega"], cfg.get("phase"))
+    except KeyError as err:
+        raise ValueError(f"input config has no key {err.args[0]!r}") from None
     raise ValueError(f"unknown input kind {kind!r}")
 
 

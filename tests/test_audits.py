@@ -256,7 +256,7 @@ def test_straddle_violation_is_first_in_scan_order():
     report = au.audit_scalar_straddle(sq)
     xs = np.linspace(-3.0, 3.0, 201)
     for x in xs[np.abs(xs) > 1e-9]:
-        res, _, u = hji.point_residual(s3, sq, 1.0, [x], u_box=[(-4.0, 4.0)], u_points=161)
+        res, _, u = hji.point_residual(s3, sq, 1.0, [x])
         if res > 1e-6:
             break
     assert report.witness_point == (float(x), float(u[0]))

@@ -124,6 +124,28 @@ def test_system_without_inputs(tmp_path):
     assert gain["min_gamma"] == 0.5 and gain["gamma_star"] == 0.0
 
 
+def test_growth_beyond_the_region_fails_verify(tmp_path):
+    """dx = -x + x max(|u| - 10, 0)^2 with sq_norm at gamma 1 has residual +inf at every
+    x != 0; the input grid reaches |u| = 707, so verify fails (exit 1)."""
+    sys_file = tmp_path / "late.json"
+    sys_file.write_text(json.dumps({"kind": "general", "n": 1, "m": 1,
+                                    "F": ["-x1 + x1*pow(max(abs(u1)-10, 0), 2)"]}))
+    assert run(["verify", "--system", sys_file, "--storage", "builtin:sq_norm", "--gamma", "1",
+                "--box", "-2", "2", "--ppd", "81", "--out", tmp_path / "v"]) == 1
+    report = json.loads((tmp_path / "v" / "verify.json").read_text())
+    assert report["verdict"] == "fail" and abs(report["worst_u"][0]) > 700
+
+
+def test_gain_of_a_general_system(tmp_path, capsys):
+    """sigma3_scalar's scan confirms its sampled needed gain: min_gamma 1.0 and a
+    gamma_star just below it."""
+    assert run(["gain", "--zoo", "sigma3_scalar", "--gammas", "0.5:2:0.01",
+                "--out", tmp_path]) == 0
+    report = json.loads((tmp_path / "gain.json").read_text())
+    assert report["min_gamma"] == 1.0 and 0.99 < report["gamma_star"] <= 1.0
+    assert capsys.readouterr().out == f"gain: 1.0 (gamma_star {report['gamma_star']!r})\n"
+
+
 def test_degenerate_scan_names_no_point(tmp_path):
     """When no grid point needs a positive gain every point ties at 0: gamma_star is 0
     and gamma_star_x is None in the scan and null in gain.json, not the first point."""
@@ -293,22 +315,27 @@ def test_invalid_inputs_are_usage_errors(tmp_path, argv):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("argv", [
-    ["gain", "--zoo", "sigma1", "--gammas", "0.5:2:0"],
-    ["gain", "--zoo", "sigma1", "--gammas", "0.5:inf:0.1"],
-    ["gain", "--zoo", "sigma1", "--gammas", "0.5:2:1e-300"],
-    ["gain", "--zoo", "sigma1", "--gammas", "0.5:2:1e-6"],
-    ["simulate", "--zoo", "sigma1", "--gamma", "1", "--x0", "1", "1",
-     "--input", '{"kind": "constant", "values": [0.1]}', "--tspan", "0", "inf"],
-    ["l2gain", "--zoo", "sigma2", "--T", "inf"],
-    ["construct1d", "--zoo", "scalar_linear", "--gamma", "1", "--grid", "0.01", "2", "inf"],
+@pytest.mark.parametrize("argv, option", [
+    (["gain", "--zoo", "sigma1", "--gammas", "0.5:2:0"], "--gammas"),
+    (["gain", "--zoo", "sigma1", "--gammas", "0.5:inf:0.1"], "--gammas"),
+    (["gain", "--zoo", "sigma1", "--gammas", "0.5:2:1e-300"], "--gammas"),
+    (["gain", "--zoo", "sigma1", "--gammas", "0.5:2:1e-6"], "--gammas"),
+    (["simulate", "--zoo", "sigma1", "--gamma", "1", "--x0", "1", "1",
+      "--input", '{"kind": "constant", "values": [0.1]}', "--tspan", "0", "inf"], "--tspan"),
+    (["l2gain", "--zoo", "sigma2", "--T", "inf"], "--T"),
+    (["construct1d", "--zoo", "scalar_linear", "--gamma", "1", "--grid", "0.01", "2", "inf"],
+     "--grid"),
+    (["simulate", "--zoo", "sigma1", "--gamma", "1", "--x0", "1", "1",
+      "--input", '{"kind": "constant", "value": [0.1]}'], "key 'values'"),
 ], ids=["zero-step", "infinite-stop", "1e300-gammas", "1.5e6-gammas", "simulate-tspan",
-        "l2gain-T", "construct1d-grid"])
-def test_bad_numeric_arguments_are_usage_errors(tmp_path, capsys, argv):
+        "l2gain-T", "construct1d-grid", "input-key"])
+def test_bad_numeric_arguments_are_usage_errors(tmp_path, capsys, argv, option):
     """A zero step, an infinite bound or a gamma grid of more than 10^6 points (a
-    step of 1e-6 on [0.5, 2] makes 1,500,001) is a usage error: exit 2, no report."""
+    step of 1e-6 on [0.5, 2] makes 1,500,001), or an input config without a key it
+    needs, is a usage error that names the option or key: exit 2, no report."""
     assert run(argv + ["--out", tmp_path]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and option in err
     assert not any(tmp_path.iterdir())
 
 

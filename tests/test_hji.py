@@ -1,12 +1,11 @@
 import itertools
 import math
 import types
-import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hjikit import hji
 from hjikit import storage as stg
@@ -43,31 +42,95 @@ def test_affine_residual_examples(sigma1):
 
 def test_general_residual_examples():
     s3 = sy.make_sigma3_scalar()
-    res, u = hji.general_residual(s3, [0.5], [1.0], 1.0, u_box=[(-3, 3)], u_points=241)
+    res, u = hji.general_residual(s3, [0.5], [1.0], 1.0)
     assert res == pytest.approx(0.0, abs=1e-9)
     sp = sy.make_sigma_p(3.0)
-    res, _ = hji.general_residual(sp, [1, 1], [1, 1], 0.01, warn_on_boundary=False)
+    res, _ = hji.general_residual(sp, [1, 1], [1, 1], 0.01)
     assert res <= 1e-12
 
 
 def test_affine_general_cross_check(sigma1):
     exact = hji.affine_residual(sigma1, [1, 1], [2, 2], 1.0)
-    approx, u = hji.general_residual(sigma1, [1, 1], [2, 2], 1.0,
-                                     u_box=[(-4, 4), (-4, 4)], u_points=81)
+    approx, u = hji.general_residual(sigma1, [1, 1], [2, 2], 1.0)
     assert abs(exact - approx) <= 1e-3
     assert np.allclose(u, [1, 1], atol=0.11)
     # off-grid maximizer: the gap is bounded by the quadratic grid error
     exact = hji.affine_residual(sigma1, [1, 1], [2, 2], 0.7)
-    approx, _ = hji.general_residual(sigma1, [1, 1], [2, 2], 0.7,
-                                     u_box=[(-4, 4), (-4, 4)], u_points=81)
+    approx, _ = hji.general_residual(sigma1, [1, 1], [2, 2], 0.7)
     spacing = 8 / 80
     assert 0 <= exact - approx <= 0.7 * 2 * spacing ** 2
 
 
-def test_boundary_warning():
-    s1 = sy.make_sigma1()
-    with pytest.warns(UserWarning, match="boundary"):
-        hji.general_residual(s1, [1, 1], [2, 2], 1.0, u_box=[(-0.5, 0.5)] * 2)
+# F grows like x u^2 only beyond |u| = 10: the residual with sq_norm is +inf at x != 0
+_LATE_GROWTH = sy.GeneralSystem(1, 1, ("-x1 + x1*pow(max(abs(u1)-10, 0), 2)",),
+                                name="late_growth")
+
+
+def test_fixed_input_grid():
+    """41^m nodes, the tensor grid of one axis u = d/sqrt(1-d^2): d on linspace(-1, 1,
+    41) with the ends at +-(1 - 1e-6), so u = 0 is a node and |u_i| <= 707; one
+    read-only array per m."""
+    for m in (0, 1, 2):
+        U = hji._u_grid(m)
+        assert U.shape == (41 ** m, m) and not U.flags.writeable and U is hji._u_grid(m)
+        assert np.count_nonzero(np.all(U == 0.0, axis=1)) == 1
+    axis = hji._u_grid(1)[:, 0]
+    d = np.linspace(-1.0, 1.0, 41)
+    d[[0, -1]] = -(1 - 1e-6), 1 - 1e-6
+    assert axis.tolist() == hji.decompactify(d[:, None])[:, 0].tolist()
+    assert np.all(np.diff(axis) > 0) and 707.1 < -axis[0] and axis[-1] < 707.2
+    assert hji._u_grid(2)[:41].tolist() == [[axis[0], u] for u in axis]
+
+
+def test_growth_beyond_the_region_fails():
+    """A u-box scaled to the region (|u| <= 8 on [-2, 2]) passed this system; the fixed
+    grid's outer node finds the growth."""
+    rep = hji.check_witness(_LATE_GROWTH, stg.builtin("sq_norm"), 1.0,
+                            hji.Region(box=((-2.0, 2.0),), points_per_dim=81))
+    assert not rep.passed and rep.max_residual > 1e6 and abs(rep.worst_u[0]) > 700
+
+
+_QUADRATIC = ("1", "x1", "x2", "x1*x2", "x1*x1", "x2*x2")
+
+
+@st.composite
+def _affine_as_general(draw):
+    """A random input-affine system with fields of degree at most 2, written both as an
+    AffineSystem and as a GeneralSystem, with a point, a zeta and a gamma."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    terms = st.sampled_from([t for t in _QUADRATIC if n == 2 or "x2" not in t])
+    coef = st.floats(-2.0, 2.0, allow_nan=False)
+
+    def field():
+        return " + ".join(f"({draw(coef)!r})*{draw(terms)}" for _ in range(2))
+    g0 = tuple(field() for _ in range(n))
+    g = tuple(tuple(field() for _ in range(n)) for _ in range(m))
+    F = tuple(" + ".join([f"({g0[j]})"] + [f"u{i + 1}*({g[i][j]})" for i in range(m)])
+              for j in range(n))
+    vec = lambda k, bound: np.array(draw(st.lists(st.floats(-bound, bound), min_size=k,
+                                                  max_size=k)))
+    return (sy.AffineSystem(n, m, g0, g), sy.GeneralSystem(n, m, F), vec(n, 2.0), vec(n, 3.0),
+            draw(st.floats(0.2, 3.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_affine_as_general())
+def test_sampled_sup_brackets_the_exact_sup(case):
+    """On the fixed grid the sampled sup never exceeds the exact one (beyond rounding,
+    1e-12 of the terms' size), and lies at most gamma sum_i h_i^2 below it, h_i the
+    grid spacing around the exact maximizer u*_i (|u*| <= 700)."""
+    affine, general, x, zeta, gamma = case
+    c = affine.input_fields(x) @ zeta
+    u_star = c / (2.0 * gamma)
+    assume(np.all(np.abs(u_star) <= 700.0))
+    exact = hji.affine_residual(affine, x, zeta, gamma)
+    sampled, _ = hji.general_residual(general, x, zeta, gamma)
+    size = abs(float(zeta @ affine.drift(x))) + float(c @ c) / (4.0 * gamma) + float(x @ x)
+    assert sampled <= exact + 1e-12 * max(1.0, size)
+    axis = hji._u_grid(1)[:, 0]
+    k = np.searchsorted(axis, u_star)
+    h = axis[k] - axis[k - 1]
+    assert sampled >= exact - gamma * float(h @ h)
 
 
 def test_power_residual_matches_affine_at_p1(sigma1):
@@ -219,14 +282,11 @@ def test_zoo_regression_claims():
         reg = hji.Region(box=((-2.0, 2.0),) * n,
                          points_per_dim=41 if n > 1 else 81)
         gamma = entry.gamma_for_checks
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep = hji.check_witness(entry.system, entry.claimed_witness, gamma, reg)
-            assert rep.passed, entry.name
-            if entry.has_specific_gamma:
-                rep = hji.check_witness(entry.system, entry.claimed_witness,
-                                        0.9 * gamma, reg)
-                assert not rep.passed, entry.name
+        rep = hji.check_witness(entry.system, entry.claimed_witness, gamma, reg)
+        assert rep.passed, entry.name
+        if entry.has_specific_gamma:
+            rep = hji.check_witness(entry.system, entry.claimed_witness, 0.9 * gamma, reg)
+            assert not rep.passed, entry.name
 
 
 def test_report_serialization(sigma1, region2):
@@ -296,10 +356,9 @@ def test_residuals_match_point_residual(case, gamma, data):
         copies.append(Y)
     X = np.concatenate(copies)
     X = X[np.linalg.norm(X, axis=1) > 0.0]
-    u_box = [(-4.0, 4.0)] * sysm.m
-    res, zeta, u = hji.Sweep(sysm, X, *V.subdiff_batch(X), u_box=u_box).residuals(gamma)
+    res, zeta, u = hji.Sweep(sysm, X, *V.subdiff_batch(X)).residuals(gamma)
     for q, x in enumerate(X):
-        ref, ref_zeta, _ = hji.point_residual(sysm, V, gamma, x, u_box=u_box)
+        ref, ref_zeta, _ = hji.point_residual(sysm, V, gamma, x)
         if math.isinf(ref):
             assert res[q] == ref, (x, res[q], ref)
         else:
@@ -364,12 +423,15 @@ _SCANS = {
 
 
 def test_min_gain_bisection_finds_every_threshold(monkeypatch):
-    """Against a pass/fail threshold at every grid position, bisection returns that gamma."""
+    """Against a pass/fail threshold at every grid position, bisection returns that gamma
+    (a needed gain of 0 is confirmed only where the first grid gamma passes)."""
     gammas = hji.gamma_range(0.5, 2.0, 0.01)
     for t in range(len(gammas) + 1):
         threshold = gammas[t] if t < len(gammas) else math.inf
-        sweep = types.SimpleNamespace(exact=False, check=lambda g, tol: hji.WitnessReport(
-            "pass" if g >= threshold else "fail", 0.0, None, None, None, 1))
+        sweep = types.SimpleNamespace(
+            X=np.zeros((1, 1)), needed_gains=lambda tol: np.zeros(1),
+            check=lambda g, tol: hji.WitnessReport(
+                "pass" if g >= threshold else "fail", 0.0, None, None, None, 1))
         monkeypatch.setattr(hji.Sweep, "of", staticmethod(lambda *a, sweep=sweep: sweep))
         assert hji.min_gain_scan(None, None, None, gammas).min_gamma == (
             gammas[t] if t < len(gammas) else None)
@@ -428,23 +490,19 @@ _EXACT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_EXACT_CASES))
 def test_exact_scan_equals_bisection(case):
-    """On every zoo entry and scan case the scan returns bisection's answer; an exact
-    scan makes at most 2 witness checks and reports the largest needed gain."""
+    """On every zoo entry and scan case the scan returns bisection's answer, makes at
+    most 2 witness checks and reports the largest needed gain (exact or sampled)."""
     sysm, V, region, gammas = _EXACT_CASES[case]
     scan, calls = _scan_counted(sysm, V, region, gammas)
     assert scan.min_gamma == _bisected(sysm, V, region, gammas)
-    if isinstance(sysm, sy.AffineSystem):
-        assert calls <= 2
-        X = region.grid(V.kinks)
-        need = hji.Sweep(sysm, X, *V.subdiff_batch(X)).needed_gains(hji.DEFAULT_TOL_EXACT)
-        assert scan.gamma_star == need.max()
-        if need.max() > 0:
-            assert scan.gamma_star_x.tolist() == X[np.argmax(need)].tolist()
-        else:                              # every point ties at 0: no point is named
-            assert scan.gamma_star_x is None
-    else:
-        assert scan.gamma_star is None and scan.gamma_star_x is None
-        assert calls <= math.ceil(math.log2(len(gammas) + 1))
+    assert calls <= 2
+    X = region.grid(V.kinks)
+    need = hji.Sweep(sysm, X, *V.subdiff_batch(X)).needed_gains()
+    assert scan.gamma_star == need.max()
+    if need.max() > 0:
+        assert scan.gamma_star_x.tolist() == X[np.argmax(need)].tolist()
+    else:                              # every point ties at 0: no point is named
+        assert scan.gamma_star_x is None
 
 
 @pytest.mark.parametrize("case", ["sigma1/v1_scaled", "power p=1.5", "none passes",
@@ -469,9 +527,8 @@ def test_confirmation_mismatch_falls_back_to_bisection(case, monkeypatch):
 
 @pytest.mark.parametrize("case", ["sigma1/v1_scaled", "sigma3_scalar/v3_scalar"])
 def test_min_gain_scan_builds_one_sweep(case):
-    """A scan builds the region grid and the candidate's boxes once: the exact scan's
-    needed gains and both confirmations, and every sampled bisection step, read one
-    sweep."""
+    """A scan builds the region grid and the candidate's boxes once: its needed gains
+    and both confirmations read one sweep."""
     sysm, V, region, gammas = _EXACT_CASES[case]
     with mock.patch.object(hji.Region, "grid", autospec=True,
                            side_effect=hji.Region.grid) as grid, \
@@ -553,10 +610,6 @@ def _assert_sweep_keeps_no_state(sysm, V, region):
     bitwise what a fresh sweep gives."""
     reused = hji.Sweep.of(sysm, V, region)
     for step in (0.9, 1.3, 0.9, "needed gains", 1.0):
-        if step == "needed gains" and not reused.exact:
-            with pytest.raises(TypeError):
-                reused.needed_gains(hji.DEFAULT_TOL_EXACT)
-            continue
         assert _sweep_step(reused, step) == _sweep_step(hji.Sweep.of(sysm, V, region), step)
 
 
@@ -575,20 +628,24 @@ def test_sampled_sweep_keeps_no_state_between_gammas():
 
 def test_sampled_scan_evaluates_the_dynamics_once(monkeypatch):
     """F does not depend on gamma: where every (point, u) row fits in one chunk, a
-    sampled scan makes one dynamics call for all its checks; with a chunk per point,
-    each check evaluates every point.  Both give the scan of fresh witness checks."""
+    sampled scan makes one dynamics call for its needed gains and both checks; with a
+    chunk per point, each pass evaluates every point.  Both give bisection's answer
+    and the same needed gain."""
     sysm, V, region, gammas = _EXACT_CASES["sigma3_scalar/v3_scalar"]
-    expected = hji.GainScan(_bisected(sysm, V, region, gammas), None, None)
+    expected = _bisected(sysm, V, region, gammas)
     points = len(region.grid(V.kinks))
+    stars = []
     for chunk_rows in (hji._CHUNK_ROWS, 1):
         monkeypatch.setattr(hji, "_CHUNK_ROWS", chunk_rows)
         with mock.patch.object(type(sysm), "dynamics", autospec=True,
                                side_effect=type(sysm).dynamics) as dyn, \
                 mock.patch.object(hji.Sweep, "check", autospec=True,
                                   side_effect=hji.Sweep.check) as check:
-            assert hji.min_gain_scan(sysm, V, region, gammas) == expected
-        assert check.call_count > 2
-        assert dyn.call_count == (1 if chunk_rows > 1 else check.call_count * points)
+            scan = hji.min_gain_scan(sysm, V, region, gammas)
+        assert scan.min_gamma == expected and check.call_count <= 2
+        assert dyn.call_count == (1 if chunk_rows > 1 else (check.call_count + 1) * points)
+        stars.append(scan.gamma_star)
+    assert stars[0] == stars[1] < math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +665,7 @@ def _dense_affine_sup(p, gamma, A, ceff, sgn):
     return A + np.sum(val, axis=1), np.where(np.isinf(val), math.nan, sgn * r)
 
 
-def _dense_sweep(sysm, X, lo, hi, gamma=None, tol=None, u_box=None, u_points=41):
+def _dense_sweep(sysm, X, lo, hi, gamma=None, tol=None):
     """The reference: every row takes every vertex of the axes that any row flips, each
     vertex's parts are built over all rows, and a boolean-scatter fold keeps the first
     maximum.  Residuals (res, zeta, u) at ``gamma``, or the needed gains at ``tol``."""
@@ -633,15 +690,22 @@ def _dense_sweep(sysm, X, lo, hi, gamma=None, tol=None, u_box=None, u_points=41)
                         if tol is None else (hji._needed_gain(sysm.p, tol, A, ceff),
                                              np.full((Q, sysm.m), math.nan)))
     else:
-        U = hji._u_grid_from_box(hji._default_u_box(X, sysm.m) if u_box is None else u_box,
-                                 u_points)
+        U = hji._u_grid(sysm.m)
         F = sysm.dynamics(np.repeat(X, len(U), axis=0), np.tile(U, (Q, 1))).reshape(Q, len(U), -1)
-        base = np.sum(X * X, axis=1)[:, None] - gamma * np.sum(U * U, axis=1)
+        xx, uu = np.sum(X * X, axis=1)[:, None], np.sum(U * U, axis=1)
         sups = []
         for Z in vertices:
-            at_u = np.einsum("bkn,bn->bk", F, Z) + base
-            best = np.argmax(at_u, axis=1)
-            sups.append((at_u[np.arange(Q), best], U[best]))
+            S = np.einsum("bkn,bn->bk", F, Z)
+            if tol is None:
+                at_u = S + (xx - gamma * uu)
+                best = np.argmax(at_u, axis=1)
+                sups.append((at_u[np.arange(Q), best], U[best]))
+            else:                   # the largest (B_k - tol)/|u_k|^2, +inf if B_0 > tol
+                B = S + xx
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    need = np.max(np.where(uu > 0, (B - tol) / uu, 0.0), axis=1)
+                sups.append((np.where(B[:, uu == 0][:, 0] <= tol, need, math.inf),
+                             np.full((Q, sysm.m), math.nan)))
         bad = np.any(unbounded & (np.max(np.abs(F), axis=1) > hji._COEFF_ZERO_TOL), axis=1)
     res, zeta, u = np.full(Q, -math.inf), np.full((Q, n), math.nan), np.full((Q, sysm.m), math.nan)
     for Z, (val, w) in zip(vertices, sups):
@@ -711,32 +775,33 @@ def test_partitioned_sweep_matches_dense_reference(n, m, p, phi, seed, fortran, 
 
 
 _SAMPLED_BOXES = {
-    "sigma3_scalar/v3_scalar": (sy.make_sigma3_scalar(), stg.builtin("v3_scalar"), 1, None),
-    "sigma2_general/v1_scaled": (_SIGMA2_GENERAL, stg.builtin("v1_scaled"), 2, None),
+    "sigma3_scalar/v3_scalar": (sy.make_sigma3_scalar(), stg.builtin("v3_scalar"), 1),
+    "sigma2_general/v1_scaled": (_SIGMA2_GENERAL, stg.builtin("v1_scaled"), 2),
     "3-D general": (sy.GeneralSystem(3, 1, ("-x1+0.3*x2*u1", "-x2+0.7*x3+u1",
                                            "-x3+0.1*x1*x2-0.2*u1")),
                     stg.from_expression("abs(x1)+abs(x2-0.5)+0.3*abs(x3)+x1*x2", 3,
                                         kinks=((0, 0.0), (1, 0.5), (2, 0.0))),
-                    3, [(-2.0, 2.0)]),
+                    3),
 }
 
 
 @pytest.mark.parametrize("chunk_rows", [hji._CHUNK_ROWS, 100])
 @pytest.mark.parametrize("case", sorted(_SAMPLED_BOXES))
 def test_sampled_sweep_matches_dense_reference(case, chunk_rows, monkeypatch):
-    """The sampled sup at each box row's own vertices, gathered per chunk, keeps every
-    bit of the dense reference (sigma3_scalar's grid holds its x = 1 kink row)."""
-    sysm, V, n, u_box = _SAMPLED_BOXES[case]
+    """The sampled sup at each box row's own vertices, gathered per chunk, and the
+    sampled needed gains keep every bit of the dense reference (sigma3_scalar's grid
+    holds its x = 1 kink row)."""
+    sysm, V, n = _SAMPLED_BOXES[case]
     monkeypatch.setattr(hji, "_CHUNK_ROWS", chunk_rows)
     region = hji.Region(box=((-1.3, 1.1),) * n, points_per_dim={1: 81, 2: 13, 3: 7}[n])
-    u_points = 41 if n < 3 else 9
     X = region.grid(V.kinks)
-    sweep = hji.Sweep(sysm, X, *V.subdiff_batch(X), u_box, u_points)
+    sweep = hji.Sweep(sysm, X, *V.subdiff_batch(X))
     assert sweep.row_kinds.box > 0 and not sweep.exact
     lo, hi = map(np.ascontiguousarray, V.subdiff_batch(X))      # the layout it sweeps
     for gamma in (0.5, 1.0, 2.0):
-        _assert_bitwise(sweep.residuals(gamma),
-                        _dense_sweep(sysm, X, lo, hi, gamma, u_box=u_box, u_points=u_points))
+        _assert_bitwise(sweep.residuals(gamma), _dense_sweep(sysm, X, lo, hi, gamma))
+    for tol in (hji.DEFAULT_TOL_SAMPLED, 0.5):
+        assert sweep.needed_gains(tol).tobytes() == _dense_sweep(sysm, X, lo, hi, tol=tol).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -759,14 +824,48 @@ def test_sweep_does_not_depend_on_the_bound_layout(n, m, p, phi, seed, gammas, t
 
 
 def test_sampled_sweep_does_not_depend_on_the_bound_layout():
-    sysm, V, n, u_box = _SAMPLED_BOXES["3-D general"]
+    sysm, V, n = _SAMPLED_BOXES["3-D general"]
     X = hji.Region(box=((-1.3, 1.1),) * n, points_per_dim=7).grid(V.kinks)
     lo, hi = V.subdiff_batch(X)
-    c_order = hji.Sweep(sysm, X, np.ascontiguousarray(lo), np.ascontiguousarray(hi), u_box, 9)
-    f_order = hji.Sweep(sysm, X, np.asfortranarray(lo), np.asfortranarray(hi), u_box, 9)
+    c_order = hji.Sweep(sysm, X, np.ascontiguousarray(lo), np.ascontiguousarray(hi))
+    f_order = hji.Sweep(sysm, X, np.asfortranarray(lo), np.asfortranarray(hi))
     assert c_order.row_kinds.box > 0
     for gamma in (0.5, 1.0, 2.0):
         _assert_bitwise(f_order.residuals(gamma), c_order.residuals(gamma))
+
+
+@pytest.mark.parametrize("case", sorted(_SAMPLED_BOXES))
+def test_sampled_needed_gain_is_each_rows_threshold(case):
+    """Each row passes at a gamma above its sampled needed gain and fails below it (a
+    relative margin of 1e-6 either side); +inf rows fail at every gamma."""
+    sysm, V, n = _SAMPLED_BOXES[case]
+    X = hji.Region(box=((-1.3, 1.1),) * n, points_per_dim={1: 81, 2: 13, 3: 7}[n]).grid(V.kinks)
+    sweep = hji.Sweep(sysm, X, *V.subdiff_batch(X))
+    need = sweep.needed_gains()
+    assert np.all(need >= 0.0)
+    for gamma in (0.25, 0.5, 1.0, 2.0, 4.0):
+        res = sweep.residuals(gamma)[0]
+        assert np.all(res[need * (1 + 1e-6) < gamma] <= hji.DEFAULT_TOL_SAMPLED)
+        assert np.all(res[need > gamma * (1 + 1e-6)] > hji.DEFAULT_TOL_SAMPLED)
+        assert np.all(res[np.isinf(need)] > hji.DEFAULT_TOL_SAMPLED)
+
+
+@pytest.mark.parametrize("case", sorted(_SAMPLED_BOXES))
+def test_sampled_point_does_not_depend_on_the_other_rows(case):
+    """The input grid is fixed, so a general system's residual, zeta and u at a point
+    keep their bits whether it is swept alone, in a subset of the grid or in the full
+    grid (box rows included)."""
+    sysm, V, n = _SAMPLED_BOXES[case]
+    X = hji.Region(box=((-1.3, 1.1),) * n, points_per_dim={1: 81, 2: 13, 3: 7}[n]).grid(V.kinks)
+
+    def swept(rows):
+        return hji.Sweep(sysm, X[rows], *V.subdiff_batch(X[rows])).residuals(1.0)
+    full = swept(slice(None))
+    subset = np.flatnonzero(np.linalg.norm(X, axis=1) < 1.0)     # without the far rows
+    _assert_bitwise(swept(subset), [a[subset] for a in full])
+    box = np.flatnonzero(~np.all(np.equal(*V.subdiff_batch(X)), axis=1))
+    for q in [*box[:3], 0, len(X) // 2, len(X) - 1]:
+        _assert_bitwise(swept([q]), [a[[q]] for a in full])
 
 
 _CUBE = sy.AffineSystem(3, 3, ("-x1", "-x2", "-x3"),
