@@ -8,8 +8,8 @@ and the witness condition at (x, zeta) is ``residual <= 0``.  Power-affine
 systems have an exact sup too (channel by channel; +inf for p > 2 wherever a
 channel coefficient does not vanish).  For general systems the sup over u is
 lower-bounded on one fixed input grid, the tensor grid of u = d/sqrt(1 - d^2)
-(:func:`decompactify`) at 41 nodes d in [-1, 1], the ends moved to +-(1 - 1e-6),
-so |u_i| <= 707.  Box subdifferentials are handled by vertex enumeration (the
+(:func:`decompactify`) at 79 nodes d: every 0.05 in [-0.95, 0.95] and 20 per side
+with 1 - |d| geometric from 0.05 to 1e-6, so |u_i| <= 707 at a ratio of 1.31.  Box subdifferentials are handled by vertex enumeration (the
 residual is convex in zeta); unbounded box coordinates are admissible only where
 their dynamic coefficient vanishes identically in u.
 
@@ -49,8 +49,7 @@ DEFAULT_TOL_SAMPLED = 1e-6  # sampled-sup general checks
 _COEFF_ZERO_TOL = 1e-12     # "vanishes identically" threshold for unbounded axes
 _CHUNK_ROWS = 200_000       # (point, u) rows per dynamics call on the sampled path
 _MAX_GAMMAS = 10 ** 6       # points of a gamma grid, at most
-_U_NODES = 41               # nodes per axis of the fixed input grid
-_U_END = 1.0 - 1e-6         # its outer d nodes, so |u_i| <= 707
+_U_TAIL = 20                # tail nodes per side of the fixed input grid's axis
 
 
 def _row_sum(A: np.ndarray) -> np.ndarray:
@@ -245,10 +244,11 @@ def decompactify(d) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _u_grid(m: int) -> np.ndarray:
-    """The fixed input grid of every sampled sup, (41^m, m), read-only: the tensor grid of
-    the axis u = decompactify(d), d = linspace(-1, 1, 41) with the ends at +-(1 - 1e-6)."""
-    d = np.linspace(-1.0, 1.0, _U_NODES)
-    d[[0, -1]] = -_U_END, _U_END
+    """The fixed input grid of every sampled sup, (79^m, m), read-only: the tensor grid of
+    the axis u = decompactify(d), d = linspace(-1, 1, 41) without its ends (|u| <= 3.04),
+    and a tail per side with 1 - |d| = geomspace(0.05, 1e-6, 21)[1:] (|u| to 707)."""
+    tail = 1.0 - np.geomspace(0.05, 1e-6, _U_TAIL + 1)[1:]
+    d = np.concatenate([-tail[::-1], np.linspace(-1.0, 1.0, 41)[1:-1], tail])
     U = tensor_grid([decompactify(d[:, None])[:, 0]] * m)
     U.flags.writeable = False
     return U

@@ -124,16 +124,20 @@ def test_system_without_inputs(tmp_path):
     assert gain["min_gamma"] == 0.5 and gain["gamma_star"] == 0.0
 
 
-def test_growth_beyond_the_region_fails_verify(tmp_path):
+@pytest.mark.parametrize("F, gamma, half, ppd, reach", [
+    ("-x1 + x1*pow(max(abs(u1)-10, 0), 2)", "1", "2", "81", (700, 708)),
+    ("-100*x1 + 20*u1", "2", "10", "41", (3.1, 700))])
+def test_growth_beyond_the_region_fails_verify(tmp_path, F, gamma, half, ppd, reach):
     """dx = -x + x max(|u| - 10, 0)^2 with sq_norm at gamma 1 has residual +inf at every
-    x != 0; the input grid reaches |u| = 707, so verify fails (exit 1)."""
-    sys_file = tmp_path / "late.json"
-    sys_file.write_text(json.dumps({"kind": "general", "n": 1, "m": 1,
-                                    "F": ["-x1 + x1*pow(max(abs(u1)-10, 0), 2)"]}))
-    assert run(["verify", "--system", sys_file, "--storage", "builtin:sq_norm", "--gamma", "1",
-                "--box", "-2", "2", "--ppd", "81", "--out", tmp_path / "v"]) == 1
+    x != 0; the input grid reaches |u| = 707.  dx = -100 x + 20 u at gamma 2 has residual
+    x^2 > 0 at u* = 10 x, up to 100 on [-10, 10], past the grid's core (|u| <= 3.04).
+    Both fail verify (exit 1)."""
+    sys_file = tmp_path / "general.json"
+    sys_file.write_text(json.dumps({"kind": "general", "n": 1, "m": 1, "F": [F]}))
+    assert run(["verify", "--system", sys_file, "--storage", "builtin:sq_norm", "--gamma", gamma,
+                "--box", f"-{half}", half, "--ppd", ppd, "--out", tmp_path / "v"]) == 1
     report = json.loads((tmp_path / "v" / "verify.json").read_text())
-    assert report["verdict"] == "fail" and abs(report["worst_u"][0]) > 700
+    assert report["verdict"] == "fail" and reach[0] < abs(report["worst_u"][0]) < reach[1]
 
 
 def test_gain_of_a_general_system(tmp_path, capsys):

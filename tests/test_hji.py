@@ -54,40 +54,50 @@ def test_affine_general_cross_check(sigma1):
     approx, u = hji.general_residual(sigma1, [1, 1], [2, 2], 1.0)
     assert abs(exact - approx) <= 1e-3
     assert np.allclose(u, [1, 1], atol=0.11)
-    # off-grid maximizer: the gap is bounded by the quadratic grid error
+    # off-grid maximizer u* = (1/0.7, 1/0.7): the gap is bounded by the quadratic grid
+    # error at the nearest node, gamma sum_i (h_i/2)^2 with h_i the fixed grid's spacing
+    # around u*_i
     exact = hji.affine_residual(sigma1, [1, 1], [2, 2], 0.7)
     approx, _ = hji.general_residual(sigma1, [1, 1], [2, 2], 0.7)
-    spacing = 8 / 80
-    assert 0 <= exact - approx <= 0.7 * 2 * spacing ** 2
-
-
-# F grows like x u^2 only beyond |u| = 10: the residual with sq_norm is +inf at x != 0
-_LATE_GROWTH = sy.GeneralSystem(1, 1, ("-x1 + x1*pow(max(abs(u1)-10, 0), 2)",),
-                                name="late_growth")
+    axis = hji._u_grid(1)[:, 0]
+    k = np.searchsorted(axis, 1 / 0.7)
+    assert 0 <= exact - approx <= 0.7 * 2 * ((axis[k] - axis[k - 1]) / 2) ** 2
 
 
 def test_fixed_input_grid():
-    """41^m nodes, the tensor grid of one axis u = d/sqrt(1-d^2): d on linspace(-1, 1,
-    41) with the ends at +-(1 - 1e-6), so u = 0 is a node and |u_i| <= 707; one
-    read-only array per m."""
+    """79^m nodes, the tensor grid of one axis u = d/sqrt(1-d^2): d every 0.05 in
+    [-0.95, 0.95] and 20 tail nodes per side with 1 - |d| geometric from 0.05 to 1e-6, so
+    u = 0 is a node, |u_i| <= 707, and beyond |u| = 3.04 each node is 1.31 times the one
+    before (up to 1.34); one read-only array per m."""
     for m in (0, 1, 2):
         U = hji._u_grid(m)
-        assert U.shape == (41 ** m, m) and not U.flags.writeable and U is hji._u_grid(m)
+        assert U.shape == (79 ** m, m) and not U.flags.writeable and U is hji._u_grid(m)
         assert np.count_nonzero(np.all(U == 0.0, axis=1)) == 1
     axis = hji._u_grid(1)[:, 0]
-    d = np.linspace(-1.0, 1.0, 41)
-    d[[0, -1]] = -(1 - 1e-6), 1 - 1e-6
+    tail = 1 - np.geomspace(0.05, 1e-6, 21)[1:]
+    d = np.concatenate([-tail[::-1], np.linspace(-1.0, 1.0, 41)[1:-1], tail])
     assert axis.tolist() == hji.decompactify(d[:, None])[:, 0].tolist()
     assert np.all(np.diff(axis) > 0) and 707.1 < -axis[0] and axis[-1] < 707.2
-    assert hji._u_grid(2)[:41].tolist() == [[axis[0], u] for u in axis]
+    ratio = axis[59:] / axis[58:-1]
+    assert axis[58] == pytest.approx(3.04, abs=0.01) and np.all((1.3 < ratio) & (ratio < 1.34))
+    assert hji._u_grid(2)[:79].tolist() == [[axis[0], u] for u in axis]
 
 
-def test_growth_beyond_the_region_fails():
-    """A u-box scaled to the region (|u| <= 8 on [-2, 2]) passed this system; the fixed
-    grid's outer node finds the growth."""
-    rep = hji.check_witness(_LATE_GROWTH, stg.builtin("sq_norm"), 1.0,
-                            hji.Region(box=((-2.0, 2.0),), points_per_dim=81))
-    assert not rep.passed and rep.max_residual > 1e6 and abs(rep.worst_u[0]) > 700
+@pytest.mark.parametrize("F, gamma, half, ppd, least, reach", [
+    ("-x1 + x1*pow(max(abs(u1)-10, 0), 2)", 1.0, 2.0, 81, 1e6, (700, 708)),
+    ("-100*x1 + 20*u1", 2.0, 10.0, 41, 1.0, (3.1, 700)),
+    ("-5000*x1 + 100*u1", 1.0, 2.0, 41, 1.0, (3.1, 700))])
+def test_growth_beyond_the_region_fails(F, gamma, half, ppd, least, reach):
+    """With sq_norm the first system's residual is +inf at every x != 0 (F grows like
+    x u^2 beyond |u| = 10); a u-box scaled to the region (|u| <= 8 on [-2, 2]) passed it,
+    and the grid's outer node finds the growth.  The others' residual is
+    x^2 - gamma (u - u*)^2, u* = 10 x and 100 x: > 0 at every x != 0.  Both passed an axis
+    without nodes between |u| = 3.04 and 707 (max residual -7.4 and -48, at |u| = 3.04);
+    the tail nodes come close enough to u*."""
+    rep = hji.check_witness(sy.GeneralSystem(1, 1, (F,)), stg.builtin("sq_norm"), gamma,
+                            hji.Region(box=((-half, half),), points_per_dim=ppd))
+    assert not rep.passed and rep.max_residual > least
+    assert reach[0] < abs(rep.worst_u[0]) < reach[1]
 
 
 _QUADRATIC = ("1", "x1", "x2", "x1*x2", "x1*x1", "x2*x2")
@@ -109,8 +119,13 @@ def _affine_as_general(draw):
               for j in range(n))
     vec = lambda k, bound: np.array(draw(st.lists(st.floats(-bound, bound), min_size=k,
                                                   max_size=k)))
-    return (sy.AffineSystem(n, m, g0, g), sy.GeneralSystem(n, m, F), vec(n, 2.0), vec(n, 3.0),
-            draw(st.floats(0.2, 3.0)))
+    affine, x, zeta = sy.AffineSystem(n, m, g0, g), vec(n, 2.0), vec(n, 3.0)
+    # gamma puts the largest |u*_i| = |c_i| / (2 gamma) at a log-uniform draw in
+    # [0.01, 700], so many draws land in the grid's tail (|u| > 3.04)
+    top = float(np.max(np.abs(affine.input_fields(x) @ zeta)))
+    reach = 10.0 ** draw(st.floats(-2.0, math.log10(700.0)))
+    gamma = top / (2.0 * reach) if top > 1e-3 else draw(st.floats(0.2, 3.0))
+    return affine, sy.GeneralSystem(n, m, F), x, zeta, gamma
 
 
 @settings(max_examples=200, deadline=None)
@@ -118,7 +133,8 @@ def _affine_as_general(draw):
 def test_sampled_sup_brackets_the_exact_sup(case):
     """On the fixed grid the sampled sup never exceeds the exact one (beyond rounding,
     1e-12 of the terms' size), and lies at most gamma sum_i h_i^2 below it, h_i the
-    grid spacing around the exact maximizer u*_i (|u*| <= 700)."""
+    grid spacing around the exact maximizer u*_i (|u*| <= 700), and h_i <= 0.06 + |u*_i|/2,
+    so the bound binds in the grid's tail too."""
     affine, general, x, zeta, gamma = case
     c = affine.input_fields(x) @ zeta
     u_star = c / (2.0 * gamma)
@@ -130,6 +146,7 @@ def test_sampled_sup_brackets_the_exact_sup(case):
     axis = hji._u_grid(1)[:, 0]
     k = np.searchsorted(axis, u_star)
     h = axis[k] - axis[k - 1]
+    assert np.all(h <= 0.06 + 0.5 * np.abs(u_star))     # the grid's reach, up to 707
     assert sampled >= exact - gamma * float(h @ h)
 
 
