@@ -39,21 +39,6 @@ class AuditReport:
     witness_point: Optional[tuple] = None
     detail: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        def conv(v):
-            if isinstance(v, np.ndarray):
-                return [float(x) for x in np.atleast_1d(v)]
-            if isinstance(v, (np.floating, np.integer)):
-                return float(v)
-            if isinstance(v, (list, tuple)):
-                return [conv(x) for x in v]
-            if isinstance(v, dict):
-                return {k: conv(x) for k, x in v.items()}
-            return v
-        return {"kind": self.kind, "claim": self.claim,
-                "witness_point": conv(self.witness_point),
-                "detail": conv(self.detail)}
-
 
 def _log_axis(lo: float, hi: float, per_decade: int = 12) -> np.ndarray:
     count = max(2, int(math.log10(hi / lo) * per_decade) + 1)
@@ -184,8 +169,8 @@ _CURVE_CLAIM = (
 def audit_curve_monotone(V: StorageCandidate, a: float,
                          t_grid: Sequence[float] = _CURVE_T) -> AuditReport:
     """Check V(gamma(t)) for an increase; report the largest rise over the running min."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not 0 < a < math.inf:
+        raise ValueError("a must be positive and finite")
     t = np.asarray(t_grid, dtype=float)
     if t.size < 2:
         return AuditReport(INCONCLUSIVE, _CURVE_CLAIM,
@@ -206,8 +191,8 @@ def audit_curve_monotone(V: StorageCandidate, a: float,
 
 def audit_curve_tangency(a: float) -> float:
     """max_t |g(gamma(t)) - beta(t) gamma'(t)|: the curve is a reparameterized orbit."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not 0 < a < math.inf:
+        raise ValueError("a must be positive and finite")
     t = _CURVE_T
     lhs = drift_field(curve_point(a, t))
     rhs = curve_speed_factor(a, t)[..., None] * curve_velocity(a, t)
@@ -236,8 +221,10 @@ def audit_sigmap(V: StorageCandidate, p: float, gamma: float,
     and reports the largest-residual grid input.  If c vanishes at every
     sample, the audit tests the axis point (1, 0) for the forced zero gradient.
     """
-    if p <= 2:
-        raise ValueError("this falsifier applies to input powers p > 2")
+    if not 2 < p < math.inf:
+        raise ValueError("this falsifier applies to finite input powers p > 2")
+    if not (gamma > 0 and search_u_max > 0):
+        raise ValueError("gamma and search_u_max must be positive")
     if not V.has_oracle:
         raise GradientUndefinedError(f"candidate {V.name!r} has no gradient oracle")
     sp = make_sigma_p(p)

@@ -12,6 +12,7 @@ report (default 0, ``--seed``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -32,8 +33,23 @@ _EXIT_CODES = {"pass": 0, audits.OBSTRUCTION: 0, "fail": 1, audits.VIOLATION: 1,
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _plain(value):
+    """A report as JSON values: a dataclass as its fields, less those with metadata
+    ``{"report": False}``; numpy values via ``tolist``; containers recursively; NaN as None."""
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)
+                 if f.metadata.get("report", True)}
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return None if isinstance(value, float) and np.isnan(value) else value
+
+
+def _write_json(path: Path, report):
+    path.write_text(json.dumps(_plain(report), indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header, table, flags=None):
@@ -89,16 +105,9 @@ def _gamma_grid(spec: str):
         raise ValueError(f"--gammas start:stop:step: {err}") from None
 
 
-def _finite(option: str, *values):
-    """The values of ``option``; a usage error naming it if one is not finite."""
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{option} needs finite values, got {' '.join(map(repr, values))}")
-    return values
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (outcome, stdout line, {file name: report}),
-# a report being a JSON dict or the (header, table, flags) of a CSV dump
+# a report being a result for JSON (see _plain) or the (header, table, flags) of a CSV dump
 # ---------------------------------------------------------------------------
 
 def _verdict(ok) -> str:
@@ -116,7 +125,7 @@ def _cmd_verify(args) -> tuple:
              report.point_residuals <= report.tolerance)
     return (report.verdict, f"verify: {report.verdict} (max residual {report.max_residual:.3e} "
             f"over {report.points_checked} points)",
-            {"verify.json": report.to_dict(), "sweep.csv": sweep})
+            {"verify.json": report, "sweep.csv": sweep})
 
 
 def _cmd_gain(args) -> tuple:
@@ -131,7 +140,7 @@ def _cmd_gain(args) -> tuple:
             {"gain.json": {"gamma_grid": [grid[0], grid[-1], len(grid)],
                            "min_gamma": min_gamma,
                            "gamma_star": star if np.isfinite(star) else None,
-                           "gamma_star_x": None if star_x is None else star_x.tolist()}})
+                           "gamma_star_x": star_x}})
 
 
 def _cmd_simulate(args) -> tuple:
@@ -139,7 +148,7 @@ def _cmd_simulate(args) -> tuple:
     V = _load_storage(args)
     x0 = np.asarray(args.x0, dtype=float)
     signal = trajectories.signal_from_config(json.loads(args.input))
-    traj = trajectories.integrate(sysm, x0, signal, _finite("--tspan", *args.tspan), args.step)
+    traj = trajectories.integrate(sysm, x0, signal, args.tspan, args.step)
     slack, interval = trajectories.dissipation_audit_detail(traj, V, args.gamma)
     verdict = _verdict(slack <= args.slack_tol)
     return (verdict, f"simulate: max dissipation slack {slack:.3e} over "
@@ -147,13 +156,12 @@ def _cmd_simulate(args) -> tuple:
             {"trajectory.csv": (["t"] + [f"x{i+1}" for i in range(sysm.n)]
                                 + [f"u{i+1}" for i in range(sysm.m)],
                                 trajectories.trajectory_rows(traj)),
-             "dissipation.json": {"max_slack": slack, "argmax_interval": list(interval),
+             "dissipation.json": {"max_slack": slack, "argmax_interval": interval,
                                   "gamma": args.gamma}})
 
 
 def _cmd_l2gain(args) -> tuple:
     sysm = _load_system(args)
-    _finite("--T", args.T)
     ensemble = trajectories.random_piecewise_ensemble(
         sysm.m, args.T, args.step, args.count, seed=args.seed, amplitude=args.amplitude)
     bound, max_norm = trajectories.l2_gain_detail(sysm, ensemble, args.T, args.step)
@@ -170,15 +178,14 @@ def _cmd_l2gain(args) -> tuple:
 def _cmd_construct1d(args) -> tuple:
     sysm = _load_system(args)
     V = _load_storage(args)
-    lo, hi, count = _finite("--grid", *args.grid)
-    grid = np.linspace(float(lo), float(hi), int(count))
+    grid = np.linspace(args.grid[0], args.grid[1], int(args.grid[2]))
     built = construct1d.construct_w(sysm, args.gamma, V, grid, margin=args.margin)
     w_vals = built.w_values
     v_vals = V.value_batch(built.grid[:, None])
     contract = {
         "gamma": args.gamma,
-        "w_dominates_v": bool(np.all(w_vals >= v_vals - 1e-7)),
-        "w_strictly_increasing": bool(np.all(np.diff(np.concatenate([[0.0], w_vals])) > 0)),
+        "w_dominates_v": np.all(w_vals >= v_vals - 1e-7),
+        "w_strictly_increasing": np.all(np.diff(np.concatenate([[0.0], w_vals])) > 0),
         "max_delta_of_selector": built.max_delta,
     }
     verdict = _verdict(contract["w_dominates_v"])    # construct_w enforces the Delta bound
@@ -195,12 +202,12 @@ def _cmd_smooth(args) -> tuple:
         sysm, V, args.gamma, args.gamma_prime, r_min=args.rmin, r_max=args.rmax)
     P = smoothing.dump_points(sysm.n, args.rmin, args.rmax)
     # smooth_witness fails only once its refinement budget is spent: not a falsification
-    line = (f"smooth: pass (max |V-W|/V = {cert.max_rel_approx_error:.3e}, "
+    line = (f"smooth: pass (max |V-W|/V = {cert.max_relative_approx_error:.3e}, "
             f"max gain residual = {cert.max_eq20_residual:.3e})" if cert.passed else
             f"smooth: fail ({cert.failure_reason} violated at "
             f"({', '.join(f'{v:g}' for v in cert.worst_point)}); refinement budget spent)")
     return ("pass" if cert.passed else audits.INCONCLUSIVE, line,
-            {"smooth.json": cert.to_dict(),
+            {"smooth.json": cert,
              "smooth_grid.csv": ([f"x{i+1}" for i in range(sysm.n)] + ["V", "W"]
                                  + [f"gradW{i+1}" for i in range(sysm.n)],
                                  np.column_stack([P, V.value_batch(P), *cert.evaluate(P)]))})
@@ -212,7 +219,7 @@ def _cmd_subdiff(args) -> tuple:
     S = V.subdiff(x)
     intervals = [[lo, hi] for lo, hi in S.intervals]
     return ("pass", f"subdiff: {intervals}",
-            {"subdiff.json": {"point": x.tolist(), "empty": S.is_empty,
+            {"subdiff.json": {"point": x, "empty": S.is_empty,
                               "intervals": intervals, "singleton": S.is_singleton}})
 
 
@@ -243,7 +250,7 @@ def _cmd_audit(args) -> tuple:
         return (verdict, f"audit sigma3-pieces: {verdict}",
                 {"audit.json": {"kind": "sigma3-pieces", "defects": defects}})
     report = _AUDITS[args.kind](args)
-    return report.kind, f"audit {args.kind}: {report.kind}", {"audit.json": report.to_dict()}
+    return report.kind, f"audit {args.kind}: {report.kind}", {"audit.json": report}
 
 
 def _cmd_zoo(args) -> tuple:
@@ -269,15 +276,20 @@ def _run_zoo_entry(entry) -> tuple:
                         points_per_dim=41 if sysm.n > 1 else 81,
                         exclude_radius=1e-9)
     report = hji.check_witness(sysm, entry.claimed_witness, entry.gamma_for_checks, region)
-    summary = {"claim": report.to_dict()}
-    ok = report.passed
-    if entry.name == "sigma3_scalar" and ok:
-        defects = audits.verify_sigma3_pieces()
-        straddle = audits.audit_scalar_straddle(entry.claimed_witness)
-        summary["pieces"] = defects
-        summary["straddle"] = straddle.to_dict()
-        ok = audits.sigma3_pieces_pass(defects) and straddle.kind == audits.OBSTRUCTION
+    summary, ok = {"claim": report}, report.passed
+    for check in entry.checks if ok else ():     # each runs, and each must pass
+        run, passed = _ZOO_CHECKS[check]
+        summary[check] = run(entry)
+        ok = ok and passed(summary[check])
     return ok, summary
+
+
+# the checks a zoo entry may declare (ZooEntry.checks): name -> (run(entry), passed(report))
+_ZOO_CHECKS = {
+    "pieces": (lambda entry: audits.verify_sigma3_pieces(), audits.sigma3_pieces_pass),
+    "straddle": (lambda entry: audits.audit_scalar_straddle(entry.claimed_witness),
+                 lambda report: report.kind == audits.OBSTRUCTION),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +409,17 @@ def main(argv=None) -> int:
                 args.seed = int(os.environ.get("HJI_SEED", "0"))
             except ValueError:
                 parser.error(f"argument --seed: invalid HJI_SEED {os.environ['HJI_SEED']!r}")
+        for name, value in vars(args).items():      # every numeric option must be finite
+            values = value if isinstance(value, (list, tuple)) else (value,)
+            if any(isinstance(v, float) and not np.isfinite(v) for v in values):
+                raise ValueError(f"--{name.replace('_', '-')} needs finite values, "
+                                 f"got {' '.join(map(repr, values))}")
         outcome, line, reports = args.func(args)
         if reports:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             for name, report in reports.items():
-                if isinstance(report, dict):
+                if name.endswith(".json"):
                     _write_json(out / name, report)
                 else:
                     _write_csv(out / name, *report)

@@ -249,6 +249,8 @@ def construct_w(sys: AffineSystem, gamma: float, V: StorageCandidate,
         raise ValueError("the construction applies to input-affine systems (p = 1, signed)")
     if sys.n != 1:
         raise ValueError("the construction applies to 1-D systems")
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be increasing positive abscissae (>= 3 points)")

@@ -134,28 +134,16 @@ class WitnessReport:
     tolerance: float = 0.0
     mode: str = "exact"               # 'exact' | 'sampled'
     # per-point arrays behind the verdict: grid (Q, n), residuals (Q,), worst u (Q, m)
-    grid: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    point_residuals: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    point_u: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    grid: Optional[np.ndarray] = field(default=None, repr=False, compare=False,
+                                       metadata={"report": False})
+    point_residuals: Optional[np.ndarray] = field(default=None, repr=False, compare=False,
+                                                  metadata={"report": False})
+    point_u: Optional[np.ndarray] = field(default=None, repr=False, compare=False,
+                                          metadata={"report": False})
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-    def to_dict(self) -> dict:
-        def arr(a):
-            return None if a is None else [float(v) for v in np.atleast_1d(a)]
-        return {
-            "verdict": self.verdict,
-            "max_residual": float(self.max_residual),
-            "worst_x": arr(self.worst_x),
-            "worst_zeta": arr(self.worst_zeta),
-            "worst_u": arr(self.worst_u),
-            "points_checked": self.points_checked,
-            "gamma": float(self.gamma),
-            "tolerance": float(self.tolerance),
-            "mode": self.mode,
-        }
 
 
 def supply(x, u, gamma: float) -> float:
@@ -373,7 +361,7 @@ class Sweep:
     def check(self, gamma: float, tol: Optional[float] = None) -> WitnessReport:
         """The witness verdict at ``gamma``: pass iff no residual exceeds ``tol``
         (default by mode).  The report carries the arrays of :meth:`residuals`."""
-        if gamma <= 0:
+        if not gamma > 0:
             raise ValueError("gamma must be positive")
         tol = self.tol if tol is None else tol
         res, Z, U = self.residuals(gamma)
@@ -382,7 +370,7 @@ class Sweep:
         worst_zeta = None if np.isnan(Z[k]).any() else Z[k].copy()
         worst_u = None if np.isnan(U[k]).any() else U[k].copy()
         return WitnessReport("pass" if best <= tol else "fail", best, self.X[k].copy(),
-                             worst_zeta, worst_u, len(self.X), gamma, tol,
+                             worst_zeta, worst_u, len(self.X), float(gamma), float(tol),
                              "exact" if self.exact else "sampled",
                              grid=self.X, point_residuals=res, point_u=U)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -475,18 +475,18 @@ def mirrored_geometric_axis(delta_min: float, ratio: float, extent: float) -> np
 
 @dataclass(eq=False)
 class CertifiedSmooth:
-    W: StorageCandidate
+    W: StorageCandidate = field(metadata={"report": False})   # mollified / (1 - delta)
     verdict: str                    # 'pass' | 'fail'
     epsilon: float
     delta: float
     gamma_eff: float                # (1+eps) gamma + eps, the certified u-coefficient
-    max_rel_approx_error: float
+    max_relative_approx_error: float
     max_eq20_residual: float
     radius_schedule: list
     grids: dict
     worst_point: Optional[list] = None
     failure_reason: Optional[str] = None
-    mollified: Optional[MollifiedFunction] = None    # W = mollified / (1 - delta)
+    mollified: Optional[MollifiedFunction] = field(default=None, metadata={"report": False})
 
     @property
     def passed(self) -> bool:
@@ -497,22 +497,6 @@ class CertifiedSmooth:
         vals, grads = self.mollified.evaluate(X)
         scale = 1.0 / (1.0 - self.delta)
         return scale * vals, scale * grads
-
-    def to_dict(self) -> dict:
-        def num(v):
-            return None if (isinstance(v, float) and math.isnan(v)) else v
-        return {
-            "verdict": self.verdict,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "gamma_eff": self.gamma_eff,
-            "max_relative_approx_error": num(self.max_rel_approx_error),
-            "max_eq20_residual": num(self.max_eq20_residual),
-            "radius_schedule": self.radius_schedule,
-            "grids": self.grids,
-            "worst_point": self.worst_point,
-            "failure_reason": self.failure_reason,
-        }
 
 
 def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: float,
@@ -579,7 +563,7 @@ def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: 
                 return CertifiedSmooth(
                     W=W_cand, verdict="pass", epsilon=eps, delta=dlt,
                     gamma_eff=gamma_eff,
-                    max_rel_approx_error=detail[2], max_eq20_residual=detail[3],
+                    max_relative_approx_error=detail[2], max_eq20_residual=detail[3],
                     radius_schedule=schedule_trace, grids=grids, mollified=moll)
             last_fail = detail
         delta_min /= 8.0
@@ -587,7 +571,7 @@ def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: 
     reason, worst, rel_err, eq20 = last_fail
     return CertifiedSmooth(
         W=_wrap_candidate(moll, dlt, V.name), verdict="fail", epsilon=eps, delta=dlt,
-        gamma_eff=gamma_eff, max_rel_approx_error=rel_err, max_eq20_residual=eq20,
+        gamma_eff=gamma_eff, max_relative_approx_error=rel_err, max_eq20_residual=eq20,
         radius_schedule=schedule_trace, grids=grids, worst_point=[float(v) for v in worst],
         failure_reason=reason, mollified=moll)
 

@@ -194,6 +194,7 @@ class ZooEntry:
     claimed_witness: "storage.StorageCandidate"
     claimed_gamma: object  # float, or the string ANY_POSITIVE
     notes: str = ""
+    checks: tuple = ()     # the checks ``zoo run`` makes once the claim passes
 
     @property
     def has_specific_gamma(self) -> bool:
@@ -263,7 +264,7 @@ def make_scalar_decay() -> AffineSystem:
     return AffineSystem(n=1, m=1, g0=("-2*x1",), g=(("0",),), name="scalar_decay")
 
 
-# name, system factory, claimed witness (a built-in), claimed gamma, notes
+# name, system factory, claimed witness (a built-in), claimed gamma, notes[, checks]
 _ZOO = (
     ("sigma1", make_sigma1, "v1_scaled", 1.0,
      "Lipschitz fields; the scaled L1 norm witnesses gain 1, but no "
@@ -281,7 +282,7 @@ _ZOO = (
      "Signed single-channel variant of sigma_p(3) with the same claims."),
     ("sigma3_scalar", make_sigma3_scalar, "v3_scalar", 1.0,
      "Scalar non-affine system; max(|x|, 2x-1) witnesses gain 1 and every "
-     "gain-1 witness must be non-differentiable at x = 1."),
+     "gain-1 witness must be non-differentiable at x = 1.", ("pieces", "straddle")),
     ("scalar_linear", make_scalar_linear, "sq_norm", 1.0,
      "dx/dt = -x + u; |x|^2 witnesses gain 1 (used by the 1-D construction)."),
     ("scalar_decay", make_scalar_decay, "sq_norm", ANY_POSITIVE,
@@ -290,8 +291,8 @@ _ZOO = (
 )
 
 
-def _build(name, make, witness, gamma, notes) -> ZooEntry:
-    return ZooEntry(name, make(), storage.builtin(witness), gamma, notes=notes)
+def _build(name, make, witness, gamma, notes, checks=()) -> ZooEntry:
+    return ZooEntry(name, make(), storage.builtin(witness), gamma, notes, checks)
 
 
 def zoo() -> list:

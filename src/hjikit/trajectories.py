@@ -295,6 +295,8 @@ def dissipation_audit(traj: Trajectory, V: StorageCandidate, gamma: float) -> fl
 
 def dissipation_audit_detail(traj: Trajectory, V: StorageCandidate, gamma: float):
     """Max slack together with the (t_a, t_b) pair attaining it."""
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
     A = _storage_minus_supply_running(traj, V, gamma)
     slacks = A - np.minimum.accumulate(A)
     b = int(slacks.argmax())

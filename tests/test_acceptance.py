@@ -182,7 +182,7 @@ def test_criterion_7_smoothing_pipeline():
         cert = sm.smooth_witness(sysm, stg.builtin(vname), 1.0, 1.1,
                                  r_min=0.05, r_max=2.0)
         assert cert.passed, (name, cert.failure_reason)
-        assert cert.max_rel_approx_error <= 0.5
+        assert cert.max_relative_approx_error <= 0.5
         assert cert.max_eq20_residual <= 0.0
     _report(7, "smoothing: identities, delta bookkeeping, certified instances")
 

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hjikit import audits as au
+from hjikit import cli
 from hjikit import hji
 from hjikit import storage as stg
 from hjikit import systems as sy
@@ -222,6 +225,24 @@ def test_sigmap_error_and_axis_paths():
     assert report.kind == au.INCONCLUSIVE
 
 
+@pytest.mark.parametrize("p, gamma, u_max", [
+    (3.0, 0.0, 1e3), (3.0, -1.0, 1e3), (3.0, math.nan, 1e3), (3.0, 1.0, -3.0),
+    (3.0, 1.0, 0.0), (3.0, 1.0, math.nan), (math.inf, 1.0, 1e3), (math.nan, 1.0, 1e3)])
+def test_sigmap_rejects_nonpositive_gains_and_ranges(p, gamma, u_max):
+    """A gain or search range that is not positive, or a power outside (2, inf), is an
+    error, not a verdict: a zero gain finds a violation and a negative range decides nothing."""
+    with pytest.raises(ValueError):
+        au.audit_sigmap(stg.builtin("sq_norm"), p, gamma, search_u_max=u_max)
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
+def test_curve_audits_reject_a_nonpositive_or_infinite_a(a):
+    with pytest.raises(ValueError, match="a must be positive and finite"):
+        au.audit_curve_monotone(stg.builtin("v2"), a)
+    with pytest.raises(ValueError, match="a must be positive and finite"):
+        au.audit_curve_tangency(a)
+
+
 # ---------------------------------------------------------------------------
 # scalar straddle audit
 # ---------------------------------------------------------------------------
@@ -397,6 +418,6 @@ def test_supply_pivot_on_special_input():
 
 def test_report_serialization():
     report = au.audit_curve_monotone(stg.builtin("v1"), 1.0, t_grid=[0, 0.5, 1])
-    d = report.to_dict()
+    d = cli._plain(report)
     assert d["kind"] == au.VIOLATION and isinstance(d["detail"]["increase"], float)
     assert isinstance(d["claim"], str) and d["claim"]

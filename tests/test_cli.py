@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -305,12 +307,20 @@ def test_smooth_out_of_refinements_exits_3(tmp_path, monkeypatch, capsys):
     ["subdiff", "--system", "x.json", "--storage", "builtin:v1", "--point", "1", "2"],
     ["audit", "curve-tangency", "--storage", "builtin:nonexistent", "--p", "7", "--umax", "-3"],
     ["audit", "sigma1-axis", "--storage", "builtin:v1_scaled", "--a", "-5", "--gamma", "-2"],
+    ["audit", "sigmap", "--storage", "builtin:sq_norm", "--gamma", "0"],
+    ["audit", "sigmap", "--storage", "builtin:sq_norm", "--umax", "-3"],
+    ["audit", "curve-monotone", "--storage", "builtin:v2", "--a", "0"],
+    ["audit", "curve-tangency", "--a", "-1"],
+    ["simulate", "--zoo", "sigma1", "--storage", "builtin:v1_scaled", "--gamma", "-1",
+     "--x0", "1", "1", "--input", '{"kind": "constant", "values": [0.1, 0.1]}'],
+    ["construct1d", "--zoo", "scalar_linear", "--storage", "builtin:sq_norm", "--gamma", "-1"],
 ], ids=["smooth-gamma", "smooth-annulus", "audit-system", "subdiff-system",
-        "audit-tangency-options", "audit-axis-options"])
+        "audit-tangency-options", "audit-axis-options", "sigmap-gamma", "sigmap-umax",
+        "curve-monotone-a", "curve-tangency-a", "simulate-gamma", "construct1d-gamma"])
 def test_invalid_inputs_are_usage_errors(tmp_path, argv):
-    """A nonpositive gamma or an empty annulus is rejected before any work, and a
-    command or audit kind takes only the options it reads (audit and subdiff read no
-    system): exit 2, no report."""
+    """A nonpositive gamma, audit parameter or search range, or an empty annulus, is
+    rejected before any work, and a command or audit kind takes only the options it
+    reads (audit and subdiff read no system): exit 2, no report."""
     try:
         code = run(argv + ["--out", tmp_path])
     except SystemExit as err:     # argparse rejects an unknown option itself
@@ -331,12 +341,32 @@ def test_invalid_inputs_are_usage_errors(tmp_path, argv):
      "--grid"),
     (["simulate", "--zoo", "sigma1", "--gamma", "1", "--x0", "1", "1",
       "--input", '{"kind": "constant", "value": [0.1]}'], "key 'values'"),
+    (["verify", "--zoo", "sigma1", "--gamma", "inf"], "--gamma"),
+    (["verify", "--zoo", "sigma1", "--gamma", "nan"], "--gamma"),
+    (["verify", "--zoo", "sigma1", "--gamma", "1", "--tol", "inf"], "--tol"),
+    (["verify", "--zoo", "sigma1", "--gamma", "1", "--box", "-2", "2", "nan", "2"], "--box"),
+    (["smooth", "--zoo", "sigma1", "--gamma", "1", "--gamma-prime", "inf"], "--gamma-prime"),
+    (["audit", "curve-monotone", "--storage", "builtin:v2", "--a", "nan"], "--a"),
+    (["audit", "curve-monotone", "--storage", "builtin:v2", "--a", "inf"], "--a"),
+    (["audit", "curve-tangency", "--a", "nan"], "--a"),
+    (["audit", "sigmap", "--storage", "builtin:sq_norm", "--p", "inf"], "--p"),
+    (["audit", "sigmap", "--storage", "builtin:sq_norm", "--p", "nan"], "--p"),
+    (["subdiff", "--storage", "builtin:v1", "--point", "nan", "0"], "--point"),
+    (["simulate", "--zoo", "sigma1", "--storage", "builtin:v1_scaled", "--gamma", "nan",
+      "--x0", "1", "1", "--input", '{"kind": "constant", "values": [0.1, 0.1]}'], "--gamma"),
+    (["simulate", "--zoo", "sigma1", "--storage", "builtin:v1_scaled", "--gamma", "1",
+      "--x0", "1", "1", "--input", '{"kind": "constant", "values": [0.1, 0.1]}',
+      "--slack-tol", "nan"], "--slack-tol"),
 ], ids=["zero-step", "infinite-stop", "1e300-gammas", "1.5e6-gammas", "simulate-tspan",
-        "l2gain-T", "construct1d-grid", "input-key"])
+        "l2gain-T", "construct1d-grid", "input-key", "verify-gamma-inf", "verify-gamma-nan",
+        "verify-tol", "verify-box", "smooth-gamma-prime", "curve-monotone-a-nan",
+        "curve-monotone-a-inf", "curve-tangency-a-nan", "sigmap-p-inf", "sigmap-p-nan",
+        "subdiff-point", "simulate-gamma-nan", "simulate-slack-tol"])
 def test_bad_numeric_arguments_are_usage_errors(tmp_path, capsys, argv, option):
-    """A zero step, an infinite bound or a gamma grid of more than 10^6 points (a
-    step of 1e-6 on [0.5, 2] makes 1,500,001), or an input config without a key it
-    needs, is a usage error that names the option or key: exit 2, no report."""
+    """A zero step, a non-finite value of any numeric option or a gamma grid of more
+    than 10^6 points (a step of 1e-6 on [0.5, 2] makes 1,500,001), or an input config
+    without a key it needs, is a usage error that names the option or key: exit 2, no
+    report."""
     assert run(argv + ["--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and option in err
@@ -453,6 +483,45 @@ def test_zoo_list_and_deterministic_run(tmp_path, capsys):
     a = (tmp_path / "z1" / "zoo.json").read_bytes()
     b = (tmp_path / "z2" / "zoo.json").read_bytes()
     assert a == b
+
+
+def test_zoo_entries_declare_their_checks(tmp_path):
+    """zoo run makes the checks an entry declares once its claim passes, and only those:
+    sigma3_scalar declares the piece and straddle audits, every other entry none."""
+    assert systems.zoo_entry("sigma3_scalar").checks == ("pieces", "straddle")
+    assert run(["zoo", "run", "--all", "--out", tmp_path]) == 0
+    results = json.loads((tmp_path / "zoo.json").read_text())["results"]
+    assert list(results["sigma3_scalar"]) == ["claim", "pieces", "straddle"]
+    assert results["sigma3_scalar"]["straddle"]["kind"] == "obstruction_verified"
+    assert all(list(r) == ["claim"] for name, r in results.items() if name != "sigma3_scalar")
+    # a declared check runs for any entry; sq_norm is no straddle witness, so the run fails
+    entry = dataclasses.replace(systems.zoo_entry("scalar_linear"), checks=("straddle",))
+    ok, summary = cli._run_zoo_entry(entry)
+    assert not ok and list(summary) == ["claim", "straddle"]
+
+
+@dataclasses.dataclass
+class _Result:
+    value: float
+    flags: tuple
+    hidden: object = dataclasses.field(default=None, metadata={"report": False})
+
+
+def test_report_encoder(tmp_path):
+    """One encoder writes every report: a dataclass as its reported fields, numpy values
+    as Python values, containers recursively, NaN as null and +-inf as Python's json."""
+    report = {"rows": [({"t": (np.float64(1.5), np.bool_(True))},), np.array(2.0),
+                       np.arange(4.0).reshape(2, 2), np.int64(3)],
+              "result": _Result(math.nan, (math.inf, -math.inf), hidden=np.ones(3))}
+    plain = cli._plain(report)
+    assert plain == {"rows": [[{"t": [1.5, True]}], 2.0, [[0.0, 1.0], [2.0, 3.0]], 3],
+                     "result": {"value": None, "flags": [math.inf, -math.inf]}}
+    t = plain["rows"][0][0]["t"]
+    assert (type(t[0]), type(t[1]), type(plain["rows"][3])) == (float, bool, int)
+    cli._write_json(tmp_path / "r.json", report)
+    text = (tmp_path / "r.json").read_text()
+    assert '"value": null' in text and "Infinity" in text and "-Infinity" in text
+    assert json.loads(text) == plain
 
 
 # ---------------------------------------------------------------------------

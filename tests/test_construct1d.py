@@ -171,6 +171,14 @@ def test_construct_w_precondition_failures(linear):
                        h=lambda x: 4 * abs(x), check_hypothesis=False)
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
+def test_construct_w_rejects_a_nonpositive_gamma(linear, gamma):
+    """Checked before the drift sign, which a negative gamma would misreport."""
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        c1.construct_w(linear, gamma, stg.builtin("sq_norm"), np.linspace(0.01, 2.0, 20),
+                       check_hypothesis=False)
+
+
 def test_construct_w_default_envelope(linear):
     grid = np.linspace(0.05, 2.0, 120)
     built = c1.construct_w(linear, 1.0, stg.builtin("sq_norm"), grid, margin=0.2)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hjikit import hji
+from hjikit import cli, hji
 from hjikit import storage as stg
 from hjikit import systems as sy
 
@@ -308,7 +308,7 @@ def test_zoo_regression_claims():
 
 def test_report_serialization(sigma1, region2):
     rep = hji.check_witness(sigma1, stg.builtin("v1_scaled"), 1.0, region2)
-    d = rep.to_dict()
+    d = cli._plain(rep)
     assert d["verdict"] == "pass" and isinstance(d["worst_x"], list)
     assert d["points_checked"] == 1680
 
@@ -619,7 +619,7 @@ def _sweep_step(sweep, step):
     if step == "needed gains":
         return sweep.needed_gains(hji.DEFAULT_TOL_EXACT).tobytes()
     report = sweep.check(step)
-    return repr(report.to_dict()), *(a.tobytes() for a in sweep.residuals(step))
+    return repr(cli._plain(report)), *(a.tobytes() for a in sweep.residuals(step))
 
 
 def _assert_sweep_keeps_no_state(sysm, V, region):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -30,6 +31,13 @@ def test_signals():
         tr.PiecewiseConstantInput([2.0, 1.0], [[0], [1], [2]])
     for sig in (c, pw, s):
         assert tr.signal_from_config(sig.config()).config() == sig.config()
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
+def test_dissipation_audit_rejects_a_nonpositive_gamma(linear, gamma):
+    traj = tr.integrate(linear, [1.0], tr.ConstantInput([0.1]), (0, 0.1), 1e-2)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        tr.dissipation_audit_detail(traj, stg.builtin("sq_norm"), gamma)
 
 
 def test_rk4_exponential_oracle(linear):
@@ -355,7 +363,7 @@ def _audit_reference(traj, V, gamma):
 @given(xs=st.lists(st.integers(-2, 2), min_size=1, max_size=25),
        us=st.lists(st.integers(-2, 2), min_size=1, max_size=25),
        a=st.sampled_from([0.0, 0.25, 1.0]),
-       gamma=st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+       gamma=st.sampled_from([0.25, 0.5, 1.0, 2.0]))
 def test_dissipation_audit_detail_ties_match_loop(xs, us, a, gamma):
     """Integer states, dyadic steps: A is exact and its running minimum has ties."""
     h = 0.5
