@@ -139,7 +139,7 @@ def _cmd_gain(args) -> tuple:
     return (_verdict(min_gamma is not None), f"{line} (gamma_star {star!r})",
             {"gain.json": {"gamma_grid": [grid[0], grid[-1], len(grid)],
                            "min_gamma": min_gamma,
-                           "gamma_star": star if np.isfinite(star) else None,
+                           "gamma_star": star,
                            "gamma_star_x": star_x}})
 
 

@@ -163,8 +163,10 @@ def h_from_v(V: StorageCandidate, grid: Sequence[float], window: Optional[float]
     h(x) = 2 (1 + margin) * max adjacent difference quotient of V over 17
     samples of [x - window, x + window], linearly interpolated between grid points and
     floored at a tiny positive constant so the envelope stays positive where V
-    is locally constant.
+    is locally constant.  ``margin`` must exceed -1: at -1 only the floor is left.
     """
+    if not margin > -1:
+        raise ValueError(f"margin must be > -1, got {margin!r}")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be increasing positive abscissae")

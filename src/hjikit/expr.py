@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -100,119 +101,70 @@ def _cbrt(v: float) -> float:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_OPS = set("+-*/(),")
-
-
-class _Tokenizer:
-    def __init__(self, src: str):
-        self.src = src
-        self.pos = 0
-
-    def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.src):
-            return ("eof", "", self.pos)
-        ch = self.src[self.pos]
-        if ch in _OPS:
-            return ("op", ch, self.pos)
-        if ch.isdigit() or ch == ".":
-            return self._number()
-        if ch.isalpha() or ch == "_":
-            return self._ident()
-        raise ExprSyntaxError(f"unexpected character {ch!r}", self.pos)
-
-    def next(self):
-        tok = self.peek()
-        self.pos = tok[2] + len(tok[1])
-        return tok
-
-    def _skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def _number(self):
-        start = self.pos
-        i = start
-        src = self.src
-        while i < len(src) and (src[i].isdigit() or src[i] == "."):
-            i += 1
-        if i < len(src) and src[i] in "eE":
-            j = i + 1
-            if j < len(src) and src[j] in "+-":
-                j += 1
-            if j < len(src) and src[j].isdigit():
-                i = j
-                while i < len(src) and src[i].isdigit():
-                    i += 1
-        text = src[start:i]
-        try:
-            float(text)
-        except ValueError:
-            raise ExprSyntaxError(f"malformed number {text!r}", start) from None
-        return ("num", text, start)
-
-    def _ident(self):
-        start = self.pos
-        i = start
-        src = self.src
-        while i < len(src) and (src[i].isalnum() or src[i] == "_"):
-            i += 1
-        return ("ident", src[start:i], start)
+# One token: whitespace (as str.isspace reads it), then a number (an exponent only where
+# digits follow the e), an ASCII name, an operator, or any other character (an error).
+_TOKEN = re.compile(r"\s*(?:(?P<num>[0-9.]+(?:[eE][+-]?[0-9]+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+                    r"|(?P<op>[-+*/(),])|(?P<char>\S))")
+_LEVELS = ("+-", "*/")     # binary operators, loosest first; all left-associative
 
 
 class _Parser:
     def __init__(self, src: str, n: int, m: int):
-        if not src or not src.strip():
+        if not src.strip():
             raise ExprSyntaxError("empty expression", 0)
-        self.toks = _Tokenizer(src)
-        self.n = n
-        self.m = m
+        self.toks = [(t.lastgroup, t[t.lastgroup], t.start(t.lastgroup))
+                     for t in _TOKEN.finditer(src)] + [("eof", "", len(src))]
+        self.i, self.n, self.m = 0, n, m
+
+    def peek(self):
+        """The next token; a bad character or number raises only when it is reached."""
+        kind, text, pos = tok = self.toks[self.i]
+        if kind == "char":
+            raise ExprSyntaxError(f"unexpected character {text!r}", pos)
+        if kind == "num":
+            try:
+                float(text)
+            except ValueError:
+                raise ExprSyntaxError(f"malformed number {text!r}", pos) from None
+        return tok
+
+    def next(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
 
     def parse(self) -> Expr:
-        e = self._expr()
-        kind, text, pos = self.toks.peek()
+        e = self._binary()
+        kind, text, pos = self.peek()
         if kind != "eof":
             raise ExprSyntaxError(f"unexpected token {text!r}", pos)
         return e
 
-    def _expr(self) -> Expr:
-        e = self._term()
-        while True:
-            kind, text, _ = self.toks.peek()
-            if kind == "op" and text in "+-":
-                self.toks.next()
-                e = Bin(text, e, self._term())
-            else:
-                return e
-
-    def _term(self) -> Expr:
-        e = self._unary()
-        while True:
-            kind, text, _ = self.toks.peek()
-            if kind == "op" and text in "*/":
-                self.toks.next()
-                e = Bin(text, e, self._unary())
-            else:
-                return e
+    def _binary(self, level: int = 0) -> Expr:
+        operand = (self._unary if level + 1 == len(_LEVELS)
+                   else functools.partial(self._binary, level + 1))
+        e = operand()
+        while (tok := self.peek())[0] == "op" and tok[1] in _LEVELS[level]:
+            self.next()
+            e = Bin(tok[1], e, operand())
+        return e
 
     def _unary(self) -> Expr:
-        kind, text, _ = self.toks.peek()
-        if kind == "op" and text == "-":
-            self.toks.next()
+        if self.peek()[:2] == ("op", "-"):
+            self.next()
             return Neg(self._unary())
         return self._atom()
 
     def _atom(self) -> Expr:
-        kind, text, pos = self.toks.next()
+        kind, text, pos = self.next()
         if kind == "num":
             return Num(float(text))
         if kind == "op" and text == "(":
-            e = self._expr()
+            e = self._binary()
             self._expect(")")
             return e
         if kind == "ident":
-            nxt_kind, nxt_text, _ = self.toks.peek()
-            if nxt_kind == "op" and nxt_text == "(":
+            if self.peek()[:2] == ("op", "("):
                 return self._call(text, pos)
             return self._variable(text, pos)
         raise ExprSyntaxError(f"unexpected token {text!r}", pos)
@@ -221,14 +173,10 @@ class _Parser:
         if name not in FUNCTION_ARITY:
             raise ExprSyntaxError(f"unknown function {name!r}", pos)
         self._expect("(")
-        args = [self._expr()]
-        while True:
-            kind, text, _ = self.toks.peek()
-            if kind == "op" and text == ",":
-                self.toks.next()
-                args.append(self._expr())
-            else:
-                break
+        args = [self._binary()]
+        while self.peek()[:2] == ("op", ","):
+            self.next()
+            args.append(self._binary())
         self._expect(")")
         arity = FUNCTION_ARITY[name]
         if len(args) != arity:
@@ -248,7 +196,7 @@ class _Parser:
         return Var(head, index - 1)
 
     def _expect(self, ch: str):
-        kind, text, pos = self.toks.next()
+        kind, text, pos = self.next()
         if kind != "op" or text != ch:
             raise ExprSyntaxError(f"expected {ch!r}, got {text!r}", pos)
 

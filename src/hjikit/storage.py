@@ -73,12 +73,6 @@ class SubdiffSet:
         return not self.empty and all(lo == hi for lo, hi in self.intervals)
 
     @property
-    def vector(self) -> np.ndarray:
-        if not self.is_singleton:
-            raise ValueError("not a singleton subdifferential")
-        return np.array([lo for lo, _ in self.intervals])
-
-    @property
     def unbounded_axes(self) -> tuple:
         return tuple(k for k, (lo, hi) in enumerate(self.intervals)
                      if math.isinf(lo) or math.isinf(hi))

@@ -132,6 +132,8 @@ def random_piecewise_ensemble(m: int, T: float, step: float, count: int,
                               seed: int = 0, amplitude: float = 1.0) -> list:
     """Seeded ensemble of piecewise-constant inputs of _SEGMENTS grid-aligned pieces: signal
     j holds row j of one read-only draw and all share one read-only switch-time array."""
+    if not amplitude > 0:
+        raise ValueError(f"amplitude must be > 0, got {amplitude!r}")
     rng = np.random.default_rng(seed)
     seg_steps = max(1, int(round(T / _SEGMENTS / step)))
     switches = [k * seg_steps * step for k in range(1, _SEGMENTS)]

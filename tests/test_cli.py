@@ -168,14 +168,30 @@ def test_degenerate_scan_names_no_point(tmp_path):
     assert (gain["gamma_star"], gain["gamma_star_x"]) == (0.0, None)
 
 
-def test_malformed_expression_reports_usage_error(tmp_path):
+def test_unbounded_gamma_star_is_written_as_infinity(tmp_path, capsys):
+    """sigma_p(3) under sq_norm needs an unbounded gain at its box corner: gain.json
+    writes gamma_star as Infinity, as verify.json writes an unbounded max_residual."""
+    assert run(["gain", "--zoo", "sigma_p(3)", "--storage", "builtin:sq_norm",
+                "--gammas", "0.5:2:0.01", "--out", tmp_path]) == 1
+    assert capsys.readouterr().out == "gain: no grid gamma passes (gamma_star inf)\n"
+    gain = json.loads((tmp_path / "gain.json").read_text())
+    assert gain["min_gamma"] is None and gain["gamma_star"] == math.inf
+    assert gain["gamma_star_x"] == [-2.0, -1.9]
+
+
+def test_malformed_expression_reports_usage_error(tmp_path, capsys):
+    """A parse error is a usage error that names its position; a non-ASCII digit is
+    an unexpected character."""
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "name": "bad", "kind": "affine", "n": 1, "m": 1,
-        "g0": ["x1 +"], "g": [["1"]]}))
-    code = run(["verify", "--system", bad, "--storage", "builtin:sq_norm",
-                "--gamma", "1", "--out", tmp_path / "o"])
-    assert code == 2
+    for g0, message in (("x1 +", "unexpected token '' (at position 4)"),
+                        ("x1²", "unexpected character '²' (at position 2)")):
+        bad.write_text(json.dumps({
+            "name": "bad", "kind": "affine", "n": 1, "m": 1,
+            "g0": [g0], "g": [["1"]]}))
+        code = run(["verify", "--system", bad, "--storage", "builtin:sq_norm",
+                    "--gamma", "1", "--out", tmp_path / "o"])
+        assert code == 2 and message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_missing_inputs_are_usage_errors(tmp_path):
@@ -357,16 +373,21 @@ def test_invalid_inputs_are_usage_errors(tmp_path, argv):
     (["simulate", "--zoo", "sigma1", "--storage", "builtin:v1_scaled", "--gamma", "1",
       "--x0", "1", "1", "--input", '{"kind": "constant", "values": [0.1, 0.1]}',
       "--slack-tol", "nan"], "--slack-tol"),
+    (["construct1d", "--zoo", "scalar_linear", "--storage", "builtin:sq_norm", "--gamma", "1",
+      "--margin", "-1"], "margin"),
+    (["l2gain", "--zoo", "sigma2", "--count", "10", "--amplitude", "-1"], "amplitude"),
+    (["l2gain", "--zoo", "sigma2", "--count", "10", "--amplitude", "0"], "amplitude"),
 ], ids=["zero-step", "infinite-stop", "1e300-gammas", "1.5e6-gammas", "simulate-tspan",
         "l2gain-T", "construct1d-grid", "input-key", "verify-gamma-inf", "verify-gamma-nan",
         "verify-tol", "verify-box", "smooth-gamma-prime", "curve-monotone-a-nan",
         "curve-monotone-a-inf", "curve-tangency-a-nan", "sigmap-p-inf", "sigmap-p-nan",
-        "subdiff-point", "simulate-gamma-nan", "simulate-slack-tol"])
+        "subdiff-point", "simulate-gamma-nan", "simulate-slack-tol", "construct1d-margin",
+        "l2gain-amplitude", "l2gain-zero-amplitude"])
 def test_bad_numeric_arguments_are_usage_errors(tmp_path, capsys, argv, option):
-    """A zero step, a non-finite value of any numeric option or a gamma grid of more
-    than 10^6 points (a step of 1e-6 on [0.5, 2] makes 1,500,001), or an input config
-    without a key it needs, is a usage error that names the option or key: exit 2, no
-    report."""
+    """A zero step, a non-finite value of any numeric option, a gamma grid of more
+    than 10^6 points (a step of 1e-6 on [0.5, 2] makes 1,500,001), a margin at or
+    below -1 or an amplitude at or below 0, or an input config without a key it needs,
+    is a usage error that names the option or key: exit 2, no report."""
     assert run(argv + ["--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and option in err
@@ -411,6 +432,9 @@ def test_construct_command(tmp_path):
     assert rows[0] == "x,p,W"
     contract = json.loads((tmp_path / "c" / "construct.json").read_text())
     assert contract["w_dominates_v"] and contract["max_delta_of_selector"] <= 1e-9
+    # a negative margin above -1 still leaves the envelope above V's slope
+    assert run(["construct1d", "--zoo", "scalar_linear", "--storage", "builtin:sq_norm",
+                "--gamma", "1", "--margin", "-0.5", "--out", tmp_path / "m"]) == 0
 
 
 def test_construct_on_a_general_system_is_a_usage_error(tmp_path, capsys):

@@ -120,12 +120,40 @@ def test_parse_errors_carry_position():
         ex.parse("min(x1)", 1, 0)
     with pytest.raises(ex.ExprSyntaxError, match="unknown function"):
         ex.parse("sin(x1)", 1, 0)
-    err = None
-    try:
-        ex.parse("x1 * (x1 + ", 1, 0)
-    except ex.ExprSyntaxError as e:
-        err = e
-    assert err is not None and err.pos >= 10
+    # the message and 0-based position of the first bad token the parser reaches
+    for src, message, pos in [
+        ("x1 ) ?", "unexpected token ')'", 3),
+        ("1.2.3*x1", "malformed number '1.2.3'", 0),
+        ("..5", "malformed number '..5'", 0),
+        (".", "malformed number '.'", 0),
+        ("2e", "unexpected token 'e'", 1),
+        ("1e+", "unexpected token 'e'", 1),
+        ("1.e-3e", "unexpected token 'e'", 5),
+        ("1e5x1", "unexpected token 'x1'", 3),
+        ("x1 ? 2", "unexpected character '?'", 3),
+        ("(x1", "expected ')', got ''", 3),
+        ("abs x1", "unknown identifier 'abs'", 0),
+        ("x_1", "unknown identifier 'x_1'", 0),
+        ("+x1", "unexpected token '+'", 0),
+        ("x1,x1", "unexpected token ','", 2),
+        ("x1 + ", "unexpected token ''", 5),
+        ("x1 * (x1 + ", "unexpected token ''", 11),
+        ("max(x1, 2, 3)", "max takes 2 argument(s), got 3", 0),
+        (" \t\n", "empty expression", 0),
+        # non-ASCII letters and digits are not in the grammar: each fails where it stands
+        ("x1²", "unexpected character '²'", 2),
+        ("x١", "unexpected character '١'", 1),
+        ("١", "unexpected character '١'", 0),
+    ]:
+        with pytest.raises(ex.ExprSyntaxError) as err:
+            ex.parse(src, 1, 0)
+        assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos), src
+
+
+def test_any_unicode_whitespace_separates_tokens():
+    ref = ex.parse("x1 + 2*x1", 1, 0)
+    for space in ("\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", " "):
+        assert ex.parse(f"{space}x1{space}+{space}2{space}*x1{space}", 1, 0) == ref
 
 
 def test_eval_domain_errors():
