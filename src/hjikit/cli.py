@@ -423,8 +423,8 @@ def main(argv=None) -> int:
                     _write_json(out / name, report)
                 else:
                     _write_csv(out / name, *report)
-    except (HjikitError, OSError, ValueError, ArithmeticError, KeyError) as err:
-        print(f"error: {err}", file=_sys.stderr)
+    except Exception as err:       # exit 1 is a verdict: any other failure is an error (2)
+        print(f"error: {err} ({type(err).__name__})", file=_sys.stderr)
         return EXIT_ERROR
     print(line)
     return _EXIT_CODES[outcome]

@@ -14,13 +14,19 @@ Variables are ``x1..xn`` and ``u1..um``.  The function set is fixed:
 encode the real reading of ``x**(4/3)``.  There is no generic ``a^q`` with a
 fractional literal exponent and no conditional construct; piecewise functions
 are assembled from ``min``/``max``/``abs``/``sign``.
+
+Nodes are interned: equal subtrees are one node, compared and hashed by identity.
+The parser and :func:`fold`, the one traversal, keep explicit stacks: an expression's
+depth and length are bounded only by memory; compilation is linear in distinct nodes.
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -44,57 +50,92 @@ class EvalError(HjikitError):
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-    # 0.0 == -0.0 and 1 == 1.0 as numbers, not as literals: they evaluate differently
-    literal: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "literal", (type(self.value), repr(self.value)))
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
-class Var:
-    kind: str  # 'x' or 'u'
-    index: int  # 0-based
+class _Node:
+    """An interned AST node: constructing one equal to a live node returns that node, and
+    a node lives only while an expression or the parse and compile caches hold it.
+    ``tag`` names its operation (a ``_CODE`` key) and ``kids`` its operands, in order."""
+
+    __slots__ = ("tag", "kids", "__weakref__")
+
+    def __new__(cls, key, tag, kids, *values):
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = object.__new__(cls)
+            for name, value in zip(("tag", "kids", *cls._fields), (tag, kids, *values)):
+                object.__setattr__(node, name, value)
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __repr__(self):
+        return f"{type(self).__name__}<{to_source(self)}>"
+
+    def __reduce__(self):              # copy and pickle rebuild through the intern table
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
+class Num(_Node):
+    __slots__ = _fields = ("value",)
+
+    def __new__(cls, value: float):
+        # 0.0 == -0.0 and 1 == 1.0 as numbers, not as literals: they evaluate differently
+        return super().__new__(cls, (cls, type(value), repr(value)), "num", (), value)
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str  # one of + - * /
-    lhs: "Expr"
-    rhs: "Expr"
+class Var(_Node):
+    __slots__ = _fields = ("kind", "index")      # 'x' or 'u'; 0-based
+
+    def __new__(cls, kind: str, index: int):
+        return super().__new__(cls, (cls, kind, index), kind, (), kind, index)
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    args: tuple
+class Neg(_Node):
+    __slots__ = _fields = ("arg",)
+
+    def __new__(cls, arg: "Expr"):
+        return super().__new__(cls, (cls, arg), "neg", (arg,), arg)
+
+
+class Bin(_Node):
+    __slots__ = _fields = ("op", "lhs", "rhs")    # op: one of + - * /
+
+    def __new__(cls, op: str, lhs: "Expr", rhs: "Expr"):
+        return super().__new__(cls, (cls, op, lhs, rhs), op, (lhs, rhs), op, lhs, rhs)
+
+
+class Call(_Node):
+    __slots__ = _fields = ("fn", "args")
+
+    def __new__(cls, fn: str, args: tuple):
+        return super().__new__(cls, (cls, fn, args), fn, args, fn, args)
 
 
 Expr = Union[Num, Var, Neg, Bin, Call]
 
-FUNCTION_ARITY = {
-    "abs": 1,
-    "sign": 1,
-    "sqrt": 1,
-    "cbrt": 1,
-    "min": 2,
-    "max": 2,
-    "pow": 2,
-    "spow": 2,
-}
+FUNCTION_ARITY = {"abs": 1, "sign": 1, "sqrt": 1, "cbrt": 1, "min": 2, "max": 2, "pow": 2, "spow": 2}
 
 
-def _cbrt(v: float) -> float:
-    # math.cbrt only exists on 3.11+; copysign keeps the real-root reading.
-    return math.copysign(abs(v) ** (1.0 / 3.0), v)
+def fold(roots: Sequence, rule: Callable, kids: Callable = _Node.kids.__get__,
+         done: dict | None = None) -> dict:
+    """Apply ``rule(key, *its kids' results)`` once to each key reachable from ``roots``, in
+    post-order, left to right, with an explicit stack; return ``done``, every result by
+    key.  Keys are nodes (else TypeError) unless ``kids`` maps a key to its kids' keys;
+    keys already in ``done`` are skipped, so roots can be folded one at a time."""
+    done = {} if done is None else done
+    stack = [(key, None) for key in reversed(roots)]
+    while stack:
+        key, keys = stack.pop()
+        if keys is not None:
+            done[key] = rule(key, *[done[k] for k in keys])
+        elif key not in done:
+            keys = kids(key)
+            stack.append((key, keys))
+            stack.extend((k, None) for k in reversed(keys))
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +146,7 @@ def _cbrt(v: float) -> float:
 # digits follow the e), an ASCII name, an operator, or any other character (an error).
 _TOKEN = re.compile(r"\s*(?:(?P<num>[0-9.]+(?:[eE][+-]?[0-9]+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
                     r"|(?P<op>[-+*/(),])|(?P<char>\S))")
-_LEVELS = ("+-", "*/")     # binary operators, loosest first; all left-associative
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}      # binary operators, all left-associative
 
 
 class _Parser:
@@ -134,55 +175,58 @@ class _Parser:
         return tok
 
     def parse(self) -> Expr:
-        e = self._binary()
-        kind, text, pos = self.peek()
-        if kind != "eof":
-            raise ExprSyntaxError(f"unexpected token {text!r}", pos)
-        return e
-
-    def _binary(self, level: int = 0) -> Expr:
-        operand = (self._unary if level + 1 == len(_LEVELS)
-                   else functools.partial(self._binary, level + 1))
-        e = operand()
-        while (tok := self.peek())[0] == "op" and tok[1] in _LEVELS[level]:
-            self.next()
-            e = Bin(tok[1], e, operand())
-        return e
-
-    def _unary(self) -> Expr:
-        if self.peek()[:2] == ("op", "-"):
-            self.next()
-            return Neg(self._unary())
-        return self._atom()
-
-    def _atom(self) -> Expr:
-        kind, text, pos = self.next()
-        if kind == "num":
-            return Num(float(text))
-        if kind == "op" and text == "(":
-            e = self._binary()
-            self._expect(")")
-            return e
-        if kind == "ident":
-            if self.peek()[:2] == ("op", "("):
-                return self._call(text, pos)
-            return self._variable(text, pos)
-        raise ExprSyntaxError(f"unexpected token {text!r}", pos)
-
-    def _call(self, name: str, pos: int) -> Call:
-        if name not in FUNCTION_ARITY:
-            raise ExprSyntaxError(f"unknown function {name!r}", pos)
-        self._expect("(")
-        args = [self._binary()]
-        while self.peek()[:2] == ("op", ","):
-            self.next()
-            args.append(self._binary())
-        self._expect(")")
-        arity = FUNCTION_ARITY[name]
-        if len(args) != arity:
-            raise ExprSyntaxError(
-                f"{name} takes {arity} argument(s), got {len(args)}", pos)
-        return Call(name, tuple(args))
+        """Precedence climbing over a stack, innermost last, of a unary minus (3, "-", None),
+        a binary operator and its left operand (level, op, lhs), a call (0, name, pos, args)
+        or a parenthesis (0, None, pos, []); tokens are read in recursive-descent order."""
+        stack = []
+        while True:
+            while self.peek()[:2] == ("op", "-"):       # an operand: unary minuses, then an atom
+                self.next()
+                stack.append((3, "-", None))
+            kind, text, pos = self.next()
+            if kind == "ident" and self.peek()[:2] == ("op", "("):
+                if text not in FUNCTION_ARITY:
+                    raise ExprSyntaxError(f"unknown function {text!r}", pos)
+                self.next()
+                stack.append((0, text, pos, []))
+                continue
+            if (kind, text) == ("op", "("):
+                stack.append((0, None, pos, []))
+                continue
+            if kind == "num":
+                e = Num(float(text))
+            elif kind == "ident":
+                e = self._variable(text, pos)
+            else:
+                raise ExprSyntaxError(f"unexpected token {text!r}", pos)
+            while True:                                  # close what the operand completes
+                kind, text, pos = self.peek()
+                level = _PRECEDENCE.get(text, 0) if kind == "op" else 0
+                while stack and stack[-1][0] >= max(level, 1):
+                    _, op, lhs = stack.pop()
+                    e = Neg(e) if lhs is None else Bin(op, lhs, e)
+                if level:
+                    self.next()
+                    stack.append((level, text, e))
+                    break
+                if not stack:
+                    if kind != "eof":
+                        raise ExprSyntaxError(f"unexpected token {text!r}", pos)
+                    return e
+                _, name, start, args = stack[-1]
+                args.append(e)
+                if name and (kind, text) == ("op", ","):
+                    self.next()
+                    break
+                if (kind, text) != ("op", ")"):
+                    raise ExprSyntaxError(f"expected ')', got {text!r}", pos)
+                self.next()
+                stack.pop()
+                if name:
+                    if len(args) != FUNCTION_ARITY[name]:
+                        raise ExprSyntaxError(
+                            f"{name} takes {FUNCTION_ARITY[name]} argument(s), got {len(args)}", start)
+                    e = Call(name, tuple(args))
 
     def _variable(self, name: str, pos: int) -> Var:
         head, tail = name[0], name[1:]
@@ -194,11 +238,6 @@ class _Parser:
             raise ExprSyntaxError(
                 f"variable {name!r} out of range (declared {head}-dimension is {bound})", pos)
         return Var(head, index - 1)
-
-    def _expect(self, ch: str):
-        kind, text, pos = self.next()
-        if kind != "op" or text != ch:
-            raise ExprSyntaxError(f"expected {ch!r}, got {text!r}", pos)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -213,93 +252,73 @@ def parse(src: str, n: int, m: int) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation and printing: rule tables over the fold
 # ---------------------------------------------------------------------------
 
 def evaluate(e: Expr, x: Sequence[float] = (), u: Sequence[float] = ()) -> float:
-    """Evaluate an AST at the point (x, u) in IEEE double precision.
-
-    Raises :class:`EvalError` on division by zero or sqrt of a negative number.
-    """
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        vec = x if e.kind == "x" else u
-        return float(vec[e.index])
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, x, u)
-    if isinstance(e, Bin):
-        a = evaluate(e.lhs, x, u)
-        b = evaluate(e.rhs, x, u)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if b == 0.0:
-            raise EvalError("division by zero")
-        return a / b
-    if isinstance(e, Call):
-        args = [evaluate(a, x, u) for a in e.args]
-        return _apply(e.fn, args)
-    raise TypeError(f"not an Expr node: {e!r}")
+    """Evaluate an AST at the point (x, u) in IEEE double precision; raises
+    :class:`EvalError` on division by zero or sqrt of a negative number."""
+    def rule(node, *args):
+        if isinstance(node, Var):
+            return float((x if node.kind == "x" else u)[node.index])
+        return node.value if isinstance(node, Num) else _EVAL[node.tag](*args)
+    return fold((e,), rule)[e]
 
 
-def _apply(fn: str, args: list) -> float:
-    if fn == "abs":
-        return abs(args[0])
-    if fn == "sign":
-        v = args[0]
-        return 0.0 if v == 0 else math.copysign(1.0, v)
-    if fn == "sqrt":
-        if args[0] < 0:
-            raise EvalError("sqrt of a negative number")
-        return math.sqrt(args[0])
-    if fn == "cbrt":
-        return _cbrt(args[0])
-    if fn == "min":
-        return min(args)
-    if fn == "max":
-        return max(args)
-    if fn == "pow":
-        return abs(args[0]) ** args[1]
-    if fn == "spow":
-        v = args[0]
-        s = 0.0 if v == 0 else math.copysign(1.0, v)
-        return s * abs(v) ** args[1]
-    raise TypeError(f"unknown function {fn!r}")
+def _quotient(a: float, b: float) -> float:
+    if b == 0.0:
+        raise EvalError("division by zero")
+    return a / b
 
 
-# ---------------------------------------------------------------------------
-# Pretty-printing (round-trips through parse to a structurally identical AST)
-# ---------------------------------------------------------------------------
+def _root(v: float) -> float:
+    if v < 0:
+        raise EvalError("sqrt of a negative number")
+    return math.sqrt(v)
+
+
+def _unit(v: float) -> float:
+    return 0.0 if v == 0 else math.copysign(1.0, v)
+
+
+_EVAL = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
+         "/": _quotient, "abs": abs, "sign": _unit, "sqrt": _root, "min": min, "max": max,
+         "pow": lambda a, p: abs(a) ** p, "spow": lambda a, p: _unit(a) * abs(a) ** p,
+         # math.cbrt only exists on 3.11+; copysign keeps the real-root reading
+         "cbrt": lambda v: math.copysign(abs(v) ** (1.0 / 3.0), v)}
+
 
 def to_source(e: Expr) -> str:
-    """Render an AST back to source; ``parse(to_source(e))`` is structurally equal to ``e``."""
-    return _fmt(e, 0)
+    """Render an AST back to source; ``parse(to_source(e))`` is ``e`` for every AST
+    that ``parse`` gives (no negative literal)."""
+    parts, stack = [], [fold((e,), _source)[e][0]]
+    while stack:
+        part = stack.pop()
+        if isinstance(part, str):
+            parts.append(part)
+        else:
+            stack.extend(reversed(part))
+    return "".join(parts)
 
 
-# precedence levels: 1 = additive, 2 = multiplicative, 3 = unary/atom
-def _fmt(e: Expr, parent_level: int) -> str:
-    if isinstance(e, Num):
-        s = repr(e.value)
-        return f"({s})" if e.value < 0 else s
-    if isinstance(e, Var):
-        return f"{e.kind}{e.index + 1}"
-    if isinstance(e, Neg):
-        inner = f"-{_fmt(e.arg, 3)}"
-        return f"({inner})" if parent_level >= 3 else inner
-    if isinstance(e, Bin):
-        level = 1 if e.op in "+-" else 2
-        # right child needs a bump for non-associative rendering: a-(b-c), a/(b/c)
-        lhs = _fmt(e.lhs, level)
-        rhs = _fmt(e.rhs, level + 1)
-        s = f"{e.op}".join([lhs, rhs])
-        return f"({s})" if parent_level > level else s
-    if isinstance(e, Call):
-        return f"{e.fn}({', '.join(_fmt(a, 0) for a in e.args)})"
-    raise TypeError(f"not an Expr node: {e!r}")
+def _group(operand: tuple, need: int):
+    return operand[0] if operand[1] >= need else ("(", operand[0], ")")
+
+
+def _source(node, *args) -> tuple:
+    """A node's text, as nested tuples of strings (joined once: a deep AST's text is not
+    copied at every level), and its level: 1 additive, 2 multiplicative or negation, 3 an
+    atom.  An operand below the level its place needs is parenthesized: a-(b-c), -(-a)."""
+    if isinstance(node, Num):
+        return (f"({node.value!r})" if node.value < 0 else repr(node.value)), 3
+    if isinstance(node, Var):
+        return f"{node.kind}{node.index + 1}", 3
+    if isinstance(node, Neg):
+        return ("-", _group(args[0], 3)), 2
+    if isinstance(node, Bin):
+        level = _PRECEDENCE[node.op]
+        return (_group(args[0], level), node.op, _group(args[1], level + 1)), level
+    return (f"{node.fn}(", args[0][0], *[(", ", text) for text, _ in args[1:]], ")"), 3
 
 
 # ---------------------------------------------------------------------------
@@ -395,45 +414,37 @@ def compile_evaluator(e, table: OpTable = FLOAT) -> Callable[[np.ndarray, np.nda
     (n, ...) of a subdifferential enclosure and the coordinates the AST depends on
     (see below).
     """
+    roots = e if isinstance(e, tuple) else (e,)
+    has_x = fold(roots, lambda node, *kids: node.tag == "x" or any(kids))
     lines, consts, temps = [], {}, {}      # lines: (statement, temporaries it reads)
 
-    def has_x(node) -> bool:
-        return any(kind == "x" for kind, _ in variables_used(node))
+    def kids(key) -> tuple:                # a key is (node, whether its constants are full)
+        node, full = key
+        return tuple((a, node.tag not in _PHI and (
+            full or (node.tag in _SCALAR_UNSAFE and not has_x[a]))) for a in node.kids)
 
-    def emit(node, full: bool) -> str:
-        if (node, full) in temps:
-            return temps[node, full]
-        reads = ()
+    def emit(key, *reads) -> str:
+        node, full = key
         if isinstance(node, Num):
             const = f"c{len(consts)}"
             consts[const] = table.const(node.value)
             code = table.code["full" if full else "num"].format(const)
         elif isinstance(node, Var):
             code = table.code[node.kind].format(int(node.index))
-        elif isinstance(node, Neg):
-            reads = (emit(node.arg, full),)
-            code = table.code["neg"].format(reads[0])
-        elif isinstance(node, (Bin, Call)):
-            op, args = ((node.op, (node.lhs, node.rhs)) if isinstance(node, Bin)
-                        else (node.fn, node.args))
-            reads = tuple(emit(a, op not in _PHI and (
-                full or (op in _SCALAR_UNSAFE and not has_x(a)))) for a in args)
-            code = table.code[op].format(*reads)
         else:
-            raise TypeError(f"not an Expr node: {node!r}")
-        temps[node, full] = name = f"t{len(temps)}"
+            code = table.code[node.tag].format(*reads)
+        name = f"t{len(temps)}"
         lines.append((f"{name} = {code}", reads))
         return name
 
-    if isinstance(e, tuple):
-        for j, root in enumerate(e):
-            t = emit(root, not has_x(root))
+    for j, root in enumerate(roots):       # root by root: a tuple's columns interleave
+        key = (root, not has_x[root])
+        t = fold((key,), emit, kids, temps)[key]
+        if isinstance(e, tuple):
             if not j:
                 lines.append((table.first.format(t, len(e)), (t,)))
             lines.append((table.column.format(t, j), (t,)))
-        out = "out"
-    else:
-        out = emit(e, not has_x(e))
+    out = "out" if isinstance(e, tuple) else t
     last = {t: i for i, (_, reads) in enumerate(lines) for t in reads}      # never the result
     body = "\n".join(f"    {code}" + "".join(f"; del {t}" for t in dict.fromkeys(reads)
                                               if last[t] == i)
@@ -584,16 +595,5 @@ TANGENT = OpTable(
 
 def variables_used(e: Expr) -> set:
     """Collect the (kind, 0-based index) pairs referenced by an AST."""
-    out: set = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            out.add((node.kind, node.index))
-        elif isinstance(node, Neg):
-            stack.append(node.arg)
-        elif isinstance(node, Bin):
-            stack.extend((node.lhs, node.rhs))
-        elif isinstance(node, Call):
-            stack.extend(node.args)
-    return out
+    return fold((e,), lambda node, *kids: {(node.kind, node.index)} if isinstance(node, Var)
+                else set().union(*kids))[e]

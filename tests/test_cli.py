@@ -194,6 +194,30 @@ def test_malformed_expression_reports_usage_error(tmp_path, capsys):
         assert not (tmp_path / "o").exists()
 
 
+def test_any_exception_a_command_raises_exits_2(tmp_path, monkeypatch, capsys):
+    """Exit 1 is a falsified claim: an unexpected failure is an error (2), no report."""
+    def fail(*args, **kwargs):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(hji, "check_witness", fail)
+    assert run(["verify", "--zoo", "sigma1", "--storage", "builtin:v1_scaled", "--gamma", "1",
+                "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == "error: boom (RuntimeError)\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_thousand_term_field_verifies_like_one_term(tmp_path, capsys):
+    """1000 terms of -0.001*x1 are -x1: the long field gives the one-term verdict."""
+    residuals = []
+    for name, g0 in (("one", "-x1"), ("long", " + ".join(["-0.001*x1"] * 1000))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"kind": "affine", "n": 1, "m": 1, "g0": [g0], "g": [["1"]]}))
+        assert run(["verify", "--system", path, "--storage", "builtin:sq_norm", "--gamma", "2",
+                    "--out", tmp_path / name]) == 0
+        assert capsys.readouterr().out == "verify: pass (max residual -5.000e-03 over 40 points)\n"
+        residuals.append(json.loads((tmp_path / name / "verify.json").read_text())["max_residual"])
+    assert residuals[1] == pytest.approx(residuals[0], abs=1e-12)
+
+
 def test_missing_inputs_are_usage_errors(tmp_path):
     assert run(["verify", "--gamma", "1", "--out", tmp_path / "x"]) == 2
     assert run(["zoo", "run", "--out", tmp_path / "y"]) == 2

@@ -1,8 +1,11 @@
+import copy
 import math
 import operator
 import os
+import pickle
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -198,6 +201,49 @@ def test_pretty_roundtrip_random_asts():
     for _ in range(400):
         ast = _random_ast(rng, 2, 2, 4)
         assert ex.parse(ex.to_source(ast), 2, 2) == ast
+
+
+def test_equal_subtrees_are_one_node():
+    """Nodes are interned: equal subtrees are one object, a literal is keyed by its type
+    and repr, and a node lives only while something holds it."""
+    e = ex.parse("abs(x1) + abs(x1)", 1, 0)
+    assert e.lhs is e.rhs and e.lhs.args[0] is ex.Var("x", 0)
+    assert ex.Num(0.0) is not ex.Num(-0.0) and ex.Num(1) is not ex.Num(1.0)
+    assert ex.Bin("*", ex.Num(2.0), ex.Var("u", 1)) is ex.parse("2*u2", 1, 2)
+    assert copy.deepcopy(e) is e and pickle.loads(pickle.dumps(e)) is e
+    for src, n, m in CORPUS:
+        ast = ex.parse(src, n, m)
+        assert ex.parse(ex.to_source(ast), n, m) is ast
+    rng = np.random.default_rng(0)
+    for _ in range(400):
+        ast = _random_ast(rng, 2, 2, 4)
+        assert ex.parse(ex.to_source(ast), 2, 2) is ast
+    e = ex.parse("sign(x2)*x1 - 7.125", 2, 0)
+    ex.compile_evaluator(e)
+    ref = weakref.ref(e)
+    del e
+    assert ref() is not None                # the parse and compile caches hold it
+    ex.parse.cache_clear()
+    ex.compile_evaluator.cache_clear()
+    assert ref() is None
+
+
+# Python's default recursion limit (1000) is in force: no pass over an AST recurses
+@pytest.mark.parametrize("src, x, value, slope", [
+    (" + ".join(["x1"] * 10_000), 0.5, 5000.0, 10_000.0),
+    ("(" * 10_000 + "x1" + ")" * 10_000, -2.0, -2.0, 1.0),
+    ("abs(" * 10_000 + "x1" + ")" * 10_000, -2.0, 2.0, -1.0),
+    ("-" * 10_000 + "x1", -2.0, -2.0, 1.0),
+], ids=["sum", "parentheses", "abs", "negations"])
+def test_deep_and_long_expressions(src, x, value, slope):
+    e = ex.parse(src, 1, 0)
+    X = np.array([[x]])
+    assert ex.compile_evaluator(e)(X, None).tolist() == [value]
+    assert ex.compile_evaluator(e, ex.SCALAR)([x], ()) == value
+    v, lo, hi, dep = ex.compile_evaluator(e, ex.TANGENT)(X, None)
+    assert v.tolist() == [value] and lo.tolist() == hi.tolist() == [[slope]] and dep.all()
+    assert ex.evaluate(e, [x]) == value
+    assert ex.parse(ex.to_source(e), 1, 0) is e
 
 
 def test_reference_agreement_random():
