@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .hji import Sweep, tensor_grid
+from .hji import Sweep, annulus_grid
 from .storage import GradientUndefinedError, StorageCandidate
 from .systems import (System, f_scalar, make_sigma1, make_sigma3_scalar, make_sigma_p,
                       phi_clip, psi_blend)
@@ -49,18 +49,18 @@ def _scan_grid_2d(extent: float, inner: float = 1e-3) -> np.ndarray:
     """Axis-refined scan points: log-spaced magnitudes in each quadrant plus the axes."""
     mags = _log_axis(inner, extent)
     vals = np.concatenate([-mags[::-1], [0.0], mags])
-    P = tensor_grid([vals, vals])
-    return P[np.linalg.norm(P, axis=1) > 0]
+    return annulus_grid([vals, vals], inner / 2)[1]      # all but the origin
 
 
 def _first_violation(sys: System, lo, hi, X: np.ndarray, tol: float):
-    """(x, u, residual) at the first row of X whose gain-1 residual exceeds tol, or None."""
-    res, _, u = Sweep(sys, X, lo, hi).residuals(1.0)
-    bad = np.flatnonzero(res > tol)
-    if not bad.size:
+    """(x, u, residual) at the first row of X, in scan order, that fails the gain-1
+    check at tolerance tol, or None (also for no rows)."""
+    report = Sweep(sys, X, lo, hi).check(1.0, tol) if len(X) else None
+    if report is None or report.passed:
         return None
-    k = bad[0]
-    return tuple(X[k].tolist()), tuple(u[k].tolist()), float(res[k])
+    k = int(np.argmin(report.point_passed))     # the first False
+    return (tuple(X[k].tolist()), tuple(report.point_u[k].tolist()),
+            float(report.point_residuals[k]))
 
 
 # ---------------------------------------------------------------------------

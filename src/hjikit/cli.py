@@ -122,7 +122,7 @@ def _cmd_verify(args) -> tuple:
     sweep = ([f"x{i+1}" for i in range(sysm.n)] + ["residual"]
              + [f"worst_u{i+1}" for i in range(sysm.m)] + ["pass"],
              np.column_stack([report.grid, report.point_residuals, report.point_u]),
-             report.point_residuals <= report.tolerance)
+             report.point_passed)
     return (report.verdict, f"verify: {report.verdict} (max residual {report.max_residual:.3e} "
             f"over {report.points_checked} points)",
             {"verify.json": report, "sweep.csv": sweep})

@@ -257,13 +257,12 @@ def construct_w(sys: AffineSystem, gamma: float, V: StorageCandidate,
     if grid.ndim != 1 or grid.size < 3 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be increasing positive abscissae (>= 3 points)")
 
-    if check_hypothesis:      # V witnesses gamma on the mirrored grid
+    if check_hypothesis:      # V witnesses gamma on the mirrored grid (the exact-mode check)
         X = np.concatenate([-grid[::-1], grid])[:, None]
-        res = Sweep(sys, X, *V.subdiff_batch(X)).residuals(gamma)[0]
-        k = int(np.argmax(res))
-        if res[k] > 1e-9:
-            raise WitnessHypothesisError(
-                f"V={V.name!r} fails the gain-{gamma:g} witness check at x={X[k, 0]:g}")
+        report = Sweep(sys, X, *V.subdiff_batch(X)).check(gamma)
+        if not report.passed:
+            raise WitnessHypothesisError(f"V={V.name!r} fails the gain-{gamma:g} witness "
+                                         f"check at x={report.worst_x[0]:g}")
 
     env = as_envelope(h) if h is not None else h_from_v(V, grid, margin=margin)
 

@@ -257,33 +257,28 @@ def parse(src: str, n: int, m: int) -> Expr:
 
 def evaluate(e: Expr, x: Sequence[float] = (), u: Sequence[float] = ()) -> float:
     """Evaluate an AST at the point (x, u) in IEEE double precision; raises
-    :class:`EvalError` on division by zero or sqrt of a negative number."""
+    :class:`EvalError` on a domain error: division by zero, sqrt of a negative number,
+    and pow or spow of 0 to a negative power or past the float range."""
     def rule(node, *args):
         if isinstance(node, Var):
             return float((x if node.kind == "x" else u)[node.index])
-        return node.value if isinstance(node, Num) else _EVAL[node.tag](*args)
+        if isinstance(node, Num):
+            return node.value
+        try:
+            return _EVAL[node.tag](*args)
+        except (ArithmeticError, ValueError) as err:
+            raise EvalError(f"{node.tag}({', '.join(map(repr, args))}): {err.args[-1]}") from None
     return fold((e,), rule)[e]
 
 
-def _quotient(a: float, b: float) -> float:
-    if b == 0.0:
-        raise EvalError("division by zero")
-    return a / b
-
-
-def _root(v: float) -> float:
-    if v < 0:
-        raise EvalError("sqrt of a negative number")
-    return math.sqrt(v)
-
-
 def _unit(v: float) -> float:
-    return 0.0 if v == 0 else math.copysign(1.0, v)
+    """sign(v) as numpy gives it: 0.0 at either zero, nan at nan."""
+    return 0.0 if v == 0 else v if math.isnan(v) else math.copysign(1.0, v)
 
 
 _EVAL = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
-         "/": _quotient, "abs": abs, "sign": _unit, "sqrt": _root, "min": min, "max": max,
-         "pow": lambda a, p: abs(a) ** p, "spow": lambda a, p: _unit(a) * abs(a) ** p,
+         "/": operator.truediv, "abs": abs, "sign": _unit, "sqrt": math.sqrt, "min": min,
+         "max": max, "pow": lambda a, p: abs(a) ** p, "spow": lambda a, p: _unit(a) * abs(a) ** p,
          # math.cbrt only exists on 3.11+; copysign keeps the real-root reading
          "cbrt": lambda v: math.copysign(abs(v) ** (1.0 / 3.0), v)}
 

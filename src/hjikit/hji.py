@@ -23,6 +23,10 @@ needed gains solve the same sup for gamma, exactly or over the fixed input grid.
 sweep: it takes the first grid gamma at or above the largest needed gain,
 confirms it with two checks (it passes, the grid gamma below fails) and bisects
 the grid only where they disagree.
+
+Two rules live here alone: every witness verdict is a :meth:`Sweep.check` report (its
+``point_passed`` per point), and :func:`annulus_grid` decides which tensor-grid points lie
+in r_min <= |x| <= r_max (Region grids, the smoothing certificate's and the audits' scans).
 """
 from __future__ import annotations
 
@@ -67,6 +71,17 @@ def tensor_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
         return np.zeros((1, 0))
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def annulus_grid(axes: Sequence[np.ndarray], r_min: float, r_max: float = math.inf):
+    """The mask over the ravelled tensor grid of ``axes`` (first axis slowest) of its points
+    with r_min <= |x| <= r_max, and those points (K, n) in grid order; the norms add the
+    squares in axis order, as np.linalg.norm does on a row of the grid.  r_min > 0."""
+    if not len(axes):          # the one point of R^0 is the origin
+        return np.zeros(1, dtype=bool), np.zeros((0, 0))
+    norms = np.sqrt(functools.reduce(np.add.outer, [a * a for a in axes]))
+    keep = (norms >= r_min) & (norms <= r_max)
+    return keep.ravel(), np.stack([a[j] for a, j in zip(axes, np.nonzero(keep))], axis=1)
 
 
 def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -117,9 +132,7 @@ class Region:
             lo, hi = self.box[k]
             if lo <= v <= hi and not np.any(np.abs(axes[k] - v) <= _KINK_SNAP):
                 axes[k] = np.sort(np.append(axes[k], v))
-        X = tensor_grid(axes)
-        keep = np.linalg.norm(X, axis=1) >= self.exclude_radius
-        return X[keep]
+        return annulus_grid(axes, self.exclude_radius)[1]
 
 
 @dataclass
@@ -144,6 +157,11 @@ class WitnessReport:
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
+
+    @property
+    def point_passed(self) -> np.ndarray:
+        """Per grid point, whether its residual is at most the tolerance."""
+        return self.point_residuals <= self.tolerance
 
 
 def supply(x, u, gamma: float) -> float:

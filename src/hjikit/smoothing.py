@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import HjikitError
-from .hji import Region, Sweep, _cumulative_simpson, check_witness, tensor_grid
+from .hji import Region, Sweep, _cumulative_simpson, annulus_grid, check_witness, tensor_grid
 from .hji import compactify, decompactify      # the input map, also exported from here
 from .storage import StorageCandidate
 from .systems import AffineSystem, System
@@ -546,54 +546,39 @@ def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: 
         axes = [axis] * sys.n
         values = V.value_batch(tensor_grid(axes)).reshape([a.size for a in axes])
 
-        coords, keep, Pc = _annulus_grid(_with_midpoints(axis), sys.n, r_min, r_max)
+        coords = _with_midpoints(axis, r_max)
+        keep, Pc = annulus_grid([coords] * sys.n, r_min, r_max)
         Vc = V.value_batch(Pc)
         grids = {"sample_axis_nodes": int(axis.size), "certification_points": int(Pc.shape[0])}
 
         for scale in (4.0, 2.0):
-            radii = [GeometricRadius(delta_min, slope, scale)] * sys.n
-            moll = MollifiedFunction(axes, values, radii)
-            ok, detail = _certify(sys, moll, coords, keep, Pc, Vc, dlt, gamma_eff)
-            schedule_trace.append({
-                "refinement": refinement, "delta_min": delta_min, "scale": scale,
-                "outcome": "pass" if ok else f"fail ({detail[0]})",
-            })
-            if ok:
-                W_cand = _wrap_candidate(moll, dlt, V.name)
-                return CertifiedSmooth(
-                    W=W_cand, verdict="pass", epsilon=eps, delta=dlt,
-                    gamma_eff=gamma_eff,
-                    max_relative_approx_error=detail[2], max_eq20_residual=detail[3],
-                    radius_schedule=schedule_trace, grids=grids, mollified=moll)
-            last_fail = detail
+            moll = MollifiedFunction(axes, values, GeometricRadius(delta_min, slope, scale))
+            failed, worst, rel, eq20 = _certify(sys, moll, coords, keep, Pc, Vc, dlt, gamma_eff)
+            schedule_trace.append({"refinement": refinement, "delta_min": delta_min, "scale": scale,
+                                   "outcome": f"fail ({failed})" if failed else "pass"})
+            if not failed:
+                break
+        if not failed:
+            break
         delta_min /= 8.0
 
-    reason, worst, rel_err, eq20 = last_fail
     return CertifiedSmooth(
-        W=_wrap_candidate(moll, dlt, V.name), verdict="fail", epsilon=eps, delta=dlt,
-        gamma_eff=gamma_eff, max_relative_approx_error=rel_err, max_eq20_residual=eq20,
-        radius_schedule=schedule_trace, grids=grids, worst_point=[float(v) for v in worst],
-        failure_reason=reason, mollified=moll)
+        W=_wrap_candidate(moll, dlt, V.name), verdict="fail" if failed else "pass",
+        epsilon=eps, delta=dlt, gamma_eff=gamma_eff, max_relative_approx_error=rel,
+        max_eq20_residual=eq20, radius_schedule=schedule_trace, grids=grids,
+        worst_point=[float(v) for v in worst] if failed else None, failure_reason=failed,
+        mollified=moll)
 
 
-def _with_midpoints(axis: np.ndarray) -> np.ndarray:
-    mids = 0.5 * (axis[:-1] + axis[1:])
-    return np.sort(np.concatenate([axis, mids]))
-
-
-def _annulus_grid(axis: np.ndarray, n: int, r_min: float, r_max: float):
-    """The coordinates |c| <= r_max of ``axis``, the annulus mask over their
-    ravelled n-fold tensor grid, and the annulus points (in row-major order); the
-    norms add the squares in axis order, as np.linalg.norm does on the grid's rows."""
-    coords = axis[np.abs(axis) <= r_max]
-    norms = np.sqrt(functools.reduce(np.add.outer, [coords * coords] * n))
-    keep = (norms >= r_min) & (norms <= r_max)
-    return coords, keep.ravel(), np.stack([coords[j] for j in np.nonzero(keep)], axis=1)
+def _with_midpoints(axis: np.ndarray, r_max: float) -> np.ndarray:
+    """The nodes and midpoints c of ``axis`` with |c| <= r_max, in order."""
+    coords = np.sort(np.concatenate([axis, 0.5 * (axis[:-1] + axis[1:])]))
+    return coords[np.abs(coords) <= r_max]
 
 
 def dump_points(n: int, r_min: float, r_max: float) -> np.ndarray:
     """The annulus points at which ``smooth`` dumps V and W: an axis from r_min/4, ratio 1.25."""
-    return _annulus_grid(mirrored_geometric_axis(r_min / 4, 1.25, r_max), n, r_min, r_max)[2]
+    return annulus_grid([mirrored_geometric_axis(r_min / 4, 1.25, r_max)] * n, r_min, r_max)[1]
 
 
 def _certify(sys: AffineSystem, moll: MollifiedFunction, coords: np.ndarray,
@@ -603,7 +588,9 @@ def _certify(sys: AffineSystem, moll: MollifiedFunction, coords: np.ndarray,
 
     W is evaluated on the tensor grid of ``coords`` and masked by ``keep`` to
     the certification points ``Pc``; grad W is built only once W passes both
-    value bounds.
+    value bounds, and (20) is a sweep's verdict at ``gamma_eff`` with tolerance 0.
+    Returns the bound that failed (None if all hold), the worst point of the last
+    bound checked, and the max relative error and residual (NaN if not reached).
     """
     Wg, gradient = moll._grid_stages([coords] * sys.n)
     Wh = Wg.ravel()[keep]
@@ -611,20 +598,18 @@ def _certify(sys: AffineSystem, moll: MollifiedFunction, coords: np.ndarray,
     approx_gap = np.abs(Vc - Wh) - ups1
     k = int(np.argmax(approx_gap))
     if approx_gap[k] > 0:
-        return False, ("approximation bound", Pc[k], math.nan, math.nan)
+        return "approximation bound", Pc[k], math.nan, math.nan
 
     Wv = Wh / (1.0 - dlt)
     rel = np.abs(Vc - Wv) / Vc
     rk = int(np.argmax(rel))
     if rel[rk] > 0.5:
-        return False, ("relative bound", Pc[rk], float(rel[rk]), math.nan)
+        return "relative bound", Pc[rk], float(rel[rk]), math.nan
 
     Z = gradient(keep.reshape(Wg.shape)) / (1.0 - dlt)
-    res = Sweep(sys, Pc, Z, Z).residuals(gamma_eff)[0]
-    ek = int(np.argmax(res))
-    if res[ek] > 0.0:
-        return False, ("gain residual", Pc[ek], float(rel[rk]), float(res[ek]))
-    return True, ("", None, float(np.max(rel)), float(res[ek]))
+    gain = Sweep(sys, Pc, Z, Z).check(gamma_eff, 0.0)
+    return (None if gain.passed else "gain residual", gain.worst_x, float(rel[rk]),
+            gain.max_residual)
 
 
 def _wrap_candidate(moll: MollifiedFunction, dlt: float, base_name: str) -> StorageCandidate:

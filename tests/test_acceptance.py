@@ -217,6 +217,9 @@ def test_criterion_8_trajectories():
     s1 = sy.zoo_entry("sigma1").system
     ens = tr.random_piecewise_ensemble(2, 5.0, 1e-3, 50, seed=0)
     assert tr.l2_gain_lowerbound(s1, ens, 5.0, 1e-3) <= 1.0 + 1e-3
+    # vacuous: sigma1's state never leaves the origin, so the bound above is 0; the
+    # non-trivial upper side is test_trajectories.py::test_l2_gain_nontrivial_upper_side
+    assert tr.l2_gain_detail(s1, ens, 5.0, 1e-3)[1] == 0.0
 
     sweep = [tr.SinusoidInput([1.0], [w]) for w in (0.05, 0.1, 0.2, 0.5)]
     assert tr.l2_gain_lowerbound(lin, sweep, 50.0, 2e-3) >= 0.95

@@ -284,6 +284,17 @@ def test_straddle_violation_is_first_in_scan_order():
     assert report.detail["residual"] == pytest.approx(res, rel=1e-12)
 
 
+def test_straddle_reports_the_first_violation_not_the_worst():
+    """sq_norm violates from x = -0.48 on in scan order; the worst row is x = 3, near 1e6."""
+    report = au.audit_scalar_straddle(stg.builtin("sq_norm"))
+    assert report.witness_point == (-0.48, 0.0)
+    assert report.detail["residual"] == 0.009216000000000002
+    xs = np.linspace(-3.0, 3.0, 201)[:, None]
+    worst = hji.Sweep(sy.make_sigma3_scalar(), xs, *stg.builtin("sq_norm").subdiff_batch(xs)
+                      ).check(1.0, 1e-6)
+    assert worst.worst_x.tolist() == [3.0] and worst.max_residual > 1e5
+
+
 # ---------------------------------------------------------------------------
 # scalar-system piece identities
 # ---------------------------------------------------------------------------

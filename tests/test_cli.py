@@ -654,7 +654,7 @@ def test_smooth_grid_csv_is_csv_writer_bytes(tmp_path):
     cert = smoothing.smooth_witness(systems.zoo_entry("sigma2").system, V, 1.0, 1.1,
                                     r_min=0.1, r_max=0.3)
     axis = smoothing.mirrored_geometric_axis(0.1 / 4, 1.25, 0.3)
-    P = smoothing._annulus_grid(axis, 2, 0.1, 0.3)[2]
+    P = hji.annulus_grid([axis] * 2, 0.1, 0.3)[1]
     rows = np.column_stack([P, V.value_batch(P), *cert.evaluate(P)]).tolist()
     header = ["x1", "x2", "V", "W", "gradW1", "gradW2"]
     assert (tmp_path / "g" / "smooth_grid.csv").read_bytes() == \

@@ -171,6 +171,13 @@ def test_construct_w_precondition_failures(linear):
                        h=lambda x: 4 * abs(x), check_hypothesis=False)
 
 
+def test_construct_w_hypothesis_error_names_the_worst_point():
+    """The hypothesis fails at its worst grid row: the first of the tie at x = -2 and 2."""
+    with pytest.raises(c1.WitnessHypothesisError, match=r"witness check at x=-2$"):
+        c1.construct_w(sy.make_scalar_linear(), 0.5, stg.builtin("sq_norm"),
+                       np.linspace(0.01, 2, 200))
+
+
 @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
 def test_construct_w_rejects_a_nonpositive_gamma(linear, gamma):
     """Checked before the drift sign, which a negative gamma would misreport."""

@@ -58,7 +58,7 @@ def _ref_eval(node, x, u):
     raise AssertionError(node.fn)
 
 
-def _random_ast(rng, n, m, depth):
+def _random_ast(rng, n, m, depth, fns=("abs", "sign", "cbrt", "min", "max")):
     if depth == 0 or rng.random() < 0.3:
         pick = rng.integers(0, 3)
         if pick == 0:
@@ -71,14 +71,14 @@ def _random_ast(rng, n, m, depth):
         return ex.Var("x", int(rng.integers(0, n)))
     pick = rng.integers(0, 4)
     if pick == 0:
-        return ex.Neg(_random_ast(rng, n, m, depth - 1))
+        return ex.Neg(_random_ast(rng, n, m, depth - 1, fns))
     if pick == 1:
         op = "+-*/"[rng.integers(0, 4)]
-        return ex.Bin(op, _random_ast(rng, n, m, depth - 1),
-                      _random_ast(rng, n, m, depth - 1))
-    fn = ["abs", "sign", "cbrt", "min", "max"][rng.integers(0, 5)]
+        return ex.Bin(op, _random_ast(rng, n, m, depth - 1, fns),
+                      _random_ast(rng, n, m, depth - 1, fns))
+    fn = fns[rng.integers(0, len(fns))]
     arity = ex.FUNCTION_ARITY[fn]
-    return ex.Call(fn, tuple(_random_ast(rng, n, m, depth - 1) for _ in range(arity)))
+    return ex.Call(fn, tuple(_random_ast(rng, n, m, depth - 1, fns) for _ in range(arity)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +166,26 @@ def test_eval_domain_errors():
         ex.evaluate(ex.parse("sqrt(x1)", 1, 0), [-1.0])
 
 
+@pytest.mark.parametrize("src, x", [("pow(x1, -1)", 0.0), ("pow(x1, 2000)", 10.0),
+                                    ("spow(x1, -1)", 0.0)])
+def test_eval_pow_out_of_range_is_an_eval_error(src, x):
+    """0 to a negative power and a power past the float range (inf compiled)."""
+    e = ex.parse(src, 1, 0)
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(ex.compile_evaluator(e)(np.array([[x]]), None)[0])
+    with pytest.raises(ex.EvalError, match="pow"):
+        ex.evaluate(e, [x])
+
+
+@pytest.mark.parametrize("src", ["sign(x1)", "spow(x1, 2)"])
+def test_eval_sign_of_nan_is_nan(src):
+    """The reference evaluator gives nan where the compiled tables do."""
+    e = ex.parse(src, 1, 0)
+    assert math.isnan(ex.compile_evaluator(e)(np.array([[math.nan]]), None)[0])
+    assert math.isnan(ex.compile_evaluator(e, ex.SCALAR)([math.nan], ()))
+    assert math.isnan(ex.evaluate(e, [math.nan]))
+
+
 def test_precedence_and_associativity():
     assert ex.evaluate(ex.parse("2+3*4", 0, 0)) == 14.0
     assert ex.evaluate(ex.parse("2-3-4", 0, 0)) == -5.0
@@ -247,11 +267,12 @@ def test_deep_and_long_expressions(src, x, value, slope):
 
 
 def test_reference_agreement_random():
-    """Tree evaluator vs the independent interpreter on 10^4 random ASTs."""
+    """Tree evaluator vs the independent interpreter on 10^4 random ASTs, pow and spow
+    among their functions."""
     rng = np.random.default_rng(1)
     checked = 0
     while checked < 10_000:
-        ast = _random_ast(rng, 2, 2, 4)
+        ast = _random_ast(rng, 2, 2, 4, ("abs", "sign", "cbrt", "min", "max", "pow", "spow"))
         x = [float(v) for v in rng.uniform(-3, 3, 2)]
         u = [float(v) for v in rng.uniform(-3, 3, 2)]
         try:

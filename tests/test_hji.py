@@ -180,10 +180,31 @@ def test_tensor_grid_is_the_product_in_row_major_order():
         assert got.shape == ref.shape and np.array_equal(got, ref)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_annulus_grid_is_the_masked_tensor_grid(n, seed, data):
+    """The mask and points equal, bit for bit, the tensor grid's row norms
+    (np.linalg.norm) masked to [r_min, r_max], with a different coordinate array per
+    axis.  The radii are norms of grid points, and [r_max, r_max] keeps exactly the
+    points of that norm, so a norm one bit off the reference's changes the mask;
+    r_max defaults to inf, as a Region grid takes it."""
+    rng = np.random.default_rng(seed)
+    axes = [np.sort(rng.uniform(-1.0, 1.0, data.draw(st.integers(1, 30)))) for _ in range(n)]
+    grid = hji.tensor_grid(axes)
+    norms = np.linalg.norm(grid, axis=1)
+    r_min, r_max = sorted(data.draw(st.lists(st.sampled_from(norms), min_size=2, max_size=2)))
+    for bounds in ((r_min, r_max), (r_max, r_max), (r_min,), (r_min, math.inf)):
+        keep, P = hji.annulus_grid(axes, *bounds)
+        lo, hi = (bounds + (math.inf,))[:2]
+        assert keep.tobytes() == ((norms >= lo) & (norms <= hi)).tobytes()
+        assert P.shape == (int(keep.sum()), n) and P.tobytes() == grid[keep].tobytes()
+
+
 def test_region_grid_excludes_origin():
     reg = hji.Region(box=((-1, 1),), points_per_dim=5, exclude_radius=0.1)
     pts = reg.grid()
     assert 0.0 not in pts[:, 0]
+    assert hji.Region(box=()).grid().shape == (0, 0)      # R^0 holds only the origin
     with pytest.raises(ValueError):
         hji.Region(box=((-1, 1),), points_per_dim=5, exclude_radius=0.0)
     with pytest.raises(hji.EmptyRegionError):

@@ -360,26 +360,6 @@ def test_evaluate_grid_reuses_the_weights_of_a_repeated_axis(n, monkeypatch):
         assert np.all(np.abs(Gg.reshape(-1, n) - G) <= 1e-9 * (1.0 + np.abs(G)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 3), size=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1),
-       data=st.data())
-def test_annulus_grid_is_the_masked_tensor_grid(n, size, seed, data):
-    """The annulus mask and points equal, bit for bit, the tensor grid's row norms
-    (np.linalg.norm) masked to [r_min, r_max].  The radii are norms of grid points, and
-    [r_max, r_max] keeps exactly the points of that norm, so a norm one bit off the
-    reference's changes the mask."""
-    axis = np.sort(np.random.default_rng(seed).uniform(-1.0, 1.0, size))
-    norms = np.linalg.norm(hji.tensor_grid([axis] * n), axis=1)
-    r_min, r_max = sorted(data.draw(st.lists(st.sampled_from(norms), min_size=2, max_size=2)))
-    for lo in (r_min, r_max):
-        coords, keep, P = sm._annulus_grid(axis, n, lo, r_max)
-        assert coords.tobytes() == axis[np.abs(axis) <= r_max].tobytes()
-        grid = hji.tensor_grid([coords] * n)
-        ref = np.linalg.norm(grid, axis=1)
-        assert keep.tobytes() == ((ref >= lo) & (ref <= r_max)).tobytes()
-        assert P.shape == (int(keep.sum()), n) and P.tobytes() == grid[keep].tobytes()
-
-
 def test_mollify_exact_on_linear_data_3d():
     ax = np.linspace(-1, 1, 41)
     X1, X2, X3 = np.meshgrid(ax, ax, ax, indexing="ij")
