@@ -23,12 +23,10 @@ from .trajectories import (BlowUpError, ConstantInput, PiecewiseConstantInput,
                            SinusoidInput, Trajectory, dissipation_audit,
                            integrate, integrate_ensemble, l2_gain_lowerbound,
                            random_piecewise_ensemble)
-from .construct1d import (ConstructedW, DriftSignError, Envelope, InfeasibleAtError,
-                          QuadCoeffs, construct_w, delta, f_membership, h_from_v,
-                          p_of_x)
+from .construct1d import (ConstructedW, DriftSignError, InfeasibleAtError, QuadCoeffs,
+                          construct_w, delta, f_membership, h_from_v, p_of_x)
 from .smoothing import (CertifiedSmooth, MollifiedFunction, check_case1_p2,
-                        choose_delta, compactify, decompactify, mollify,
-                        mollify_candidate, smooth_witness, theta,
+                        choose_delta, compactify, decompactify, smooth_witness, theta,
                         transformed_field, upsilons)
 from .audits import (AuditReport, audit_curve_monotone, audit_curve_tangency,
                      audit_scalar_straddle, audit_sigma1_axis, audit_sigmap,

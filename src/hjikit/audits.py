@@ -99,24 +99,28 @@ def audit_sigma1_axis(W: StorageCandidate, scan: bool = True) -> AuditReport:
                                detail={"residual": res})
 
     hs = np.array([1e-3, 1e-4, 1e-5, 1e-6])
+    probes = [(a, sign) for a in _AXIS_SAMPLES for sign in (1.0, -1.0)]
+    X = np.array([[a, sign * h] for a, sign in probes for h in hs])
+    lo, hi = W.subdiff_batch(X)      # one oracle call; its rows are read in probe order
     worst = -math.inf
-    for a in _AXIS_SAMPLES:
-        for sign in (1.0, -1.0):
-            seq = []
-            for h in hs:
-                g = W.gradient(np.array([a, sign * h]))
-                seq.append(float(g[0] - sign * g[1]))
-            lim, monotone = _extrapolate(seq, hs)
-            if not monotone:
-                return AuditReport(INCONCLUSIVE, _SIGMA1_CLAIM,
-                                   detail={"a": a, "side": sign, "sequence": seq})
-            worst = max(worst, lim)
-            if lim > 1e-6:
-                return AuditReport(
-                    INCONCLUSIVE, _SIGMA1_CLAIM,
-                    detail={"a": a, "side": sign, "limit": lim,
-                            "note": "one-sided limit exceeds tolerance but no scan "
-                                    "violation was found"})
+    for k, (a, sign) in enumerate(probes):
+        seq = []
+        for j in range(k * hs.size, (k + 1) * hs.size):
+            if np.any(lo[j] != hi[j]):
+                raise GradientUndefinedError(
+                    f"the gradient of {W.name!r} is undefined at {X[j].tolist()}")
+            seq.append(float(lo[j, 0] - sign * lo[j, 1]))
+        lim, monotone = _extrapolate(seq, hs)
+        if not monotone:
+            return AuditReport(INCONCLUSIVE, _SIGMA1_CLAIM,
+                               detail={"a": a, "side": sign, "sequence": seq})
+        worst = max(worst, lim)
+        if lim > 1e-6:
+            return AuditReport(
+                INCONCLUSIVE, _SIGMA1_CLAIM,
+                detail={"a": a, "side": sign, "limit": lim,
+                        "note": "one-sided limit exceeds tolerance but no scan "
+                                "violation was found"})
     return AuditReport(OBSTRUCTION, _SIGMA1_CLAIM,
                        detail={"max_onesided_limit": worst, "a_samples": list(_AXIS_SAMPLES)})
 

@@ -180,19 +180,14 @@ def _cmd_construct1d(args) -> tuple:
     V = _load_storage(args)
     grid = np.linspace(args.grid[0], args.grid[1], int(args.grid[2]))
     built = construct1d.construct_w(sysm, args.gamma, V, grid, margin=args.margin)
-    w_vals = built.w_values
-    v_vals = V.value_batch(built.grid[:, None])
-    contract = {
-        "gamma": args.gamma,
-        "w_dominates_v": np.all(w_vals >= v_vals - 1e-7),
-        "w_strictly_increasing": np.all(np.diff(np.concatenate([[0.0], w_vals])) > 0),
-        "max_delta_of_selector": built.max_delta,
-    }
-    verdict = _verdict(contract["w_dominates_v"])    # construct_w enforces the Delta bound
+    verdict = _verdict(built.w_dominates_v)    # construct_w enforces the Delta bound
     return (verdict, f"construct1d: {verdict} (max Delta(p) = {built.max_delta:.3e})",
             {"construct.csv": (["x", "p", "W"],
-                               np.column_stack([built.grid, built.p_values, w_vals])),
-             "construct.json": contract})
+                               np.column_stack([built.grid, built.p_values, built.w_values])),
+             "construct.json": {"gamma": args.gamma,
+                                "w_dominates_v": built.w_dominates_v,
+                                "w_strictly_increasing": built.w_strictly_increasing,
+                                "max_delta_of_selector": built.max_delta}})
 
 
 def _cmd_smooth(args) -> tuple:

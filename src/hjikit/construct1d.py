@@ -6,14 +6,14 @@ admissible slopes at x form the sublevel set of the quadratic
     Delta(p) = a p^2 + b p + c,   a = sum_i g_i(x)^2,  b = 4 gamma g0(x),  c = 4 gamma x^2,
 
 and ``p in F(x) <=> Delta(p) <= 0``.  The selector takes the envelope-clamped
-larger root, and W(x) = integral_0^x p(s) ds inherits the witness property with
-W >= V.  The mirrored half-line uses the sign-flipped quadratic (see
-``construct_w``).
+larger root, and W(x) = integral_0^x p(s) ds inherits the witness property;
+``construct_w`` reports whether W >= V on its grid.  The mirrored half-line uses
+the sign-flipped quadratic, and one array pass covers both (see ``_selector``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ class WitnessHypothesisError(HjikitError):
 _DISC_CLAMP = 1e-10     # discriminants in [-_DISC_CLAMP, 0) count as a double root
 _H_FLOOR = 1e-9
 _DELTA_TOL = 1e-9       # construct_w's bound on Delta(p) of the selector
+_W_OVER_V_TOL = 1e-7    # construct_w's slack in W >= V
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,9 @@ class QuadCoeffs:
     c: float
 
     @staticmethod
-    def at(sys: AffineSystem, gamma: float, x, sign: float = 1.0) -> "QuadCoeffs":
+    def at(sys: AffineSystem, gamma: float, x, sign=1.0) -> "QuadCoeffs":
         """Delta's coefficients with b = sign * 4 gamma g0(x): floats at a scalar x,
-        arrays at an array of x."""
+        arrays at an array of x (``sign`` a float, or one per x)."""
         xs = np.asarray(x, dtype=float)
         X = xs.reshape(-1, 1)
         fields = sys.input_fields(X)                      # (m, Q, 1)
@@ -69,23 +70,6 @@ class QuadCoeffs:
 def delta(q: QuadCoeffs, p: float) -> float:
     """The admissibility quadratic a p^2 + b p + c."""
     return q.a * p * p + q.b * p + q.c
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """A continuous positive slope bound h on the working half-line."""
-
-    fn: Callable[[float], float]
-
-    def __call__(self, x: float) -> float:
-        v = float(self.fn(x))
-        if v <= 0:
-            raise ValueError(f"envelope must be positive, got h({x:g}) = {v:g}")
-        return v
-
-
-def as_envelope(h) -> Envelope:
-    return h if isinstance(h, Envelope) else Envelope(h)
 
 
 def f_membership(sys: AffineSystem, gamma: float, x: float, p: float,
@@ -119,6 +103,7 @@ def f_membership(sys: AffineSystem, gamma: float, x: float, p: float,
 def p_of_x(sys: AffineSystem, gamma: float, h, x: float) -> float:
     """The slope selector: h(x) when a = 0, else min(h(x), larger root of Delta).
 
+    ``h`` maps an array of abscissae to an array of positive slope bounds.
     Raises :class:`DriftSignError` if g0(x) >= 0 and :class:`InfeasibleAtError`
     if the discriminant is below -1e-10 (the quadratic has no real root, so
     the gain-gamma hypothesis fails at x).  Discriminants in [-1e-10, 0) are
@@ -126,44 +111,48 @@ def p_of_x(sys: AffineSystem, gamma: float, h, x: float) -> float:
     """
     if x <= 0:
         raise ValueError("the selector is defined for x > 0")
-    return float(_selector(sys, gamma, as_envelope(h), np.array([float(x)]))[0][0])
+    return float(_selector(sys, gamma, h, np.array([float(x)]))[0][0])
 
 
-def _selector(sys: AffineSystem, gamma: float, env: Envelope, x: np.ndarray) -> tuple:
-    """The selector at abscissae x of one sign: p(x) of :func:`p_of_x` for x > 0;
+def _selector(sys: AffineSystem, gamma: float, h, x: np.ndarray) -> tuple:
+    """The selector at nonzero abscissae x: p(x) of :func:`p_of_x` for x > 0;
     for x < 0 the slope q <= 0 with q*(g0 + sum u_i g_i) <= gamma|u|^2 - x^2,
     whose |q| solves the same quadratic with b' = -4 gamma g0(x) (g0 > 0 there).
-    Returned with the quadratic's coefficients at x, which the contract reuses.
+    Returned with Delta at |p|, which the contract bounds.
 
-    h(|x|) (h is even in the built flows) is sampled point by point up to the
-    first x where g0 has the wrong sign or Delta no real root, which raises."""
-    sign = float(np.sign(x[0]))
+    h is read once, at |x|.  The first x, in array order, where g0 has the wrong
+    sign, Delta has no real root or h is not positive raises."""
+    sign = np.sign(x)
     q = QuadCoeffs.at(sys, gamma, x, sign)
     disc = q.b * q.b - 4.0 * q.a * q.c
+    hv = np.broadcast_to(np.asarray(h(np.abs(x)), dtype=float), x.shape)
     # where a = 0, disc = b^2 and the root is +inf: those x take h(|x|)
-    bad = np.flatnonzero((q.b >= 0) | (disc < -_DISC_CLAMP))
-    k = int(bad[0]) if bad.size else x.size
-    hv = np.array([env(float(v)) for v in np.abs(x[:k])])
-    if k < x.size:
+    bad = np.flatnonzero((q.b >= 0) | (disc < -_DISC_CLAMP) | (hv <= 0))
+    if bad.size:
+        k = int(bad[0])
         xk = float(x[k])
         if q.b[k] >= 0:
             raise DriftSignError(
-                f"g0({xk:g}) = {float(sign * q.b[k] / (4 * gamma)):g} must be "
-                + ("negative for x > 0" if sign > 0 else "positive for x < 0"))
-        raise InfeasibleAtError(xk, float(disc[k]))
+                f"g0({xk:g}) = {float(sign[k] * q.b[k] / (4 * gamma)):g} must be "
+                + ("negative for x > 0" if xk > 0 else "positive for x < 0"))
+        if disc[k] < -_DISC_CLAMP:
+            raise InfeasibleAtError(xk, float(disc[k]))
+        raise ValueError(f"envelope must be positive, got h({abs(xk):g}) = {hv[k]:g}")
     with np.errstate(divide="ignore", invalid="ignore"):
         root = (-q.b + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * q.a)
-    return sign * np.where(root < hv, root, hv), q
+    slope = np.where(root < hv, root, hv)
+    return sign * slope, delta(q, slope)
 
 
 def h_from_v(V: StorageCandidate, grid: Sequence[float], window: Optional[float] = None,
-             margin: float = 0.1) -> Envelope:
-    """Envelope from windowed difference quotients of V.
+             margin: float = 0.1):
+    """Envelope from windowed difference quotients of V, as a map of arrays of |x|.
 
     h(x) = 2 (1 + margin) * max adjacent difference quotient of V over 17
-    samples of [x - window, x + window], linearly interpolated between grid points and
-    floored at a tiny positive constant so the envelope stays positive where V
-    is locally constant.  ``margin`` must exceed -1: at -1 only the floor is left.
+    samples of [x - window, x + window] and of its mirror [-x - window, -x + window],
+    linearly interpolated between grid points and floored at a tiny positive
+    constant so the envelope stays positive where V is locally constant.
+    ``margin`` must exceed -1: at -1 only the floor is left.
     """
     if not margin > -1:
         raise ValueError(f"margin must be > -1, got {margin!r}")
@@ -175,24 +164,24 @@ def h_from_v(V: StorageCandidate, grid: Sequence[float], window: Optional[float]
     if window <= 0:
         raise ValueError("degenerate window")
     S = np.linspace(grid - window, grid + window, 17, axis=1)   # one window per row
-    vals = V.value_batch(S.reshape(-1, 1)).reshape(S.shape)
-    quot = np.abs(np.diff(vals, axis=1)) / np.diff(S, axis=1)
-    hv = np.maximum(2.0 * (1.0 + margin) * np.max(quot, axis=1), _H_FLOOR)
-
-    def fn(x: float) -> float:
-        return float(np.interp(x, grid, hv))
-
-    return Envelope(fn)
+    both = np.stack([S, -S])                                     # and its mirror
+    vals = V.value_batch(both.reshape(-1, 1)).reshape(both.shape)
+    quot = np.abs(np.diff(vals, axis=2)) / np.diff(S, axis=1)
+    hv = np.maximum(2.0 * (1.0 + margin) * np.max(quot, axis=(0, 2)), _H_FLOOR)
+    return lambda x: np.interp(x, grid, hv)
 
 
 @dataclass(frozen=True, eq=False)
 class ConstructedW:
-    """The selector values and their cumulative quadrature on a mirrored grid.
+    """The selector values, their cumulative quadrature on a mirrored grid, and the
+    contract's outcomes.
 
     ``grid`` holds the positive abscissae; the negative half-line mirrors them.
     ``p_values``/``w_values`` belong to the positive side and
     ``q_values``/``w_neg_values`` to the mirrored one (W > 0 there as well).
-    ``max_delta`` is the largest Delta(p) of the selector on the positive grid.
+    ``max_delta`` is the largest Delta(p) of the selector on both half-lines;
+    ``w_dominates_v`` says whether W >= V - 1e-7 at every point of both, and
+    ``w_strictly_increasing`` whether W rises strictly from W(0) = 0 along each.
     """
 
     grid: np.ndarray
@@ -202,6 +191,8 @@ class ConstructedW:
     w_neg_values: np.ndarray
     gamma: float
     max_delta: float
+    w_dominates_v: bool
+    w_strictly_increasing: bool
 
     def w_at(self, x) -> np.ndarray:
         """W by interpolation (W(0) = 0, linear beyond the grid ends)."""
@@ -239,13 +230,15 @@ class ConstructedW:
 def construct_w(sys: AffineSystem, gamma: float, V: StorageCandidate,
                 grid: Sequence[float], h=None, margin: float = 0.1,
                 check_hypothesis: bool = True) -> ConstructedW:
-    """Run the construction on a positive grid (mirrored to the negative side).
+    """Run the construction on a positive grid mirrored to the negative side, in one
+    array pass over both half-lines.
 
-    Preconditions checked: the witness hypothesis for (sys, V, gamma) on the
-    grid, and the drift sign pattern.  The returned object satisfies the
-    contracts  W >= V > 0 on the grid,  Delta(p(x)) <= 1e-9, and the witness
-    residual of W with slope oracle p is within tolerance at every grid point.
-    A Delta that is not a number (NaN) violates the bound too.
+    Raised: the witness hypothesis for (sys, V, gamma) on the mirrored grid, the
+    drift sign pattern, a nonpositive envelope, and Delta(p(x)) <= 1e-9 at every
+    grid point, positive side first (Delta / (4 gamma) is the witness residual of
+    W with slope p; a Delta that is not a number violates the bound too).
+    Reported on :class:`ConstructedW`: whether W >= V - 1e-7 and whether W is
+    strictly increasing in |x|, each on both half-lines.
     """
     if not (isinstance(sys, AffineSystem) and sys.input_affine):
         raise ValueError("the construction applies to input-affine systems (p = 1, signed)")
@@ -264,23 +257,22 @@ def construct_w(sys: AffineSystem, gamma: float, V: StorageCandidate,
             raise WitnessHypothesisError(f"V={V.name!r} fails the gain-{gamma:g} witness "
                                          f"check at x={report.worst_x[0]:g}")
 
-    env = as_envelope(h) if h is not None else h_from_v(V, grid, margin=margin)
-
-    p_vals, pos = _selector(sys, gamma, env, grid)
-    q_vals, neg = _selector(sys, gamma, env, -grid)
-
-    # contract: admissibility of the selector everywhere on the grid (Delta as the selector
-    # saw it); written as not (Delta <= tol) so that a NaN Delta is a violation
-    d_pos = delta(pos, p_vals)
-    bad = np.flatnonzero(~(d_pos <= _DELTA_TOL))
+    x = np.concatenate([grid, -grid])
+    slopes, d = _selector(sys, gamma, h_from_v(V, grid, margin=margin) if h is None else h, x)
+    # written as not (Delta <= tol) so that a NaN Delta is a violation
+    bad = np.flatnonzero(~(d <= _DELTA_TOL))
     if bad.size:
-        raise HjikitError(f"selector violates Delta(p) <= 0 at x={grid[bad[0]]:g}")
-    bad = np.flatnonzero(~(delta(neg, -q_vals) <= _DELTA_TOL))
-    if bad.size:
-        raise HjikitError(f"selector violates the mirrored quadratic at x={-grid[bad[0]]:g}")
-    w_vals = _cumulative_from_zero(grid, p_vals)
-    w_neg = _cumulative_from_zero(grid, -q_vals)  # integral of q from 0 to -x, mirrored
-    return ConstructedW(grid, p_vals, w_vals, q_vals, w_neg, gamma, float(np.max(d_pos)))
+        xk = x[bad[0]]
+        raise HjikitError("selector violates "
+                          + ("Delta(p) <= 0" if xk > 0 else "the mirrored quadratic")
+                          + f" at x={xk:g}")
+    p_vals, q_vals = np.split(slopes, 2)
+    # W at x and at -x: the integral of q from 0 to -x is that of -q from 0 to x
+    W = np.stack([_cumulative_from_zero(grid, p_vals), _cumulative_from_zero(grid, -q_vals)])
+    return ConstructedW(
+        grid, p_vals, W[0], q_vals, W[1], gamma, float(np.max(d)),
+        w_dominates_v=bool(np.all(W.ravel() >= V.value_batch(x[:, None]) - _W_OVER_V_TOL)),
+        w_strictly_increasing=bool(np.all(np.diff(W, axis=1, prepend=0.0) > 0)))
 
 
 def _cumulative_from_zero(grid: np.ndarray, vals: np.ndarray) -> np.ndarray:

@@ -241,6 +241,8 @@ class MollifiedFunction:
     included) are analytic.  Exact on constants and on linear data, gradients
     included; smooth for any positive smooth radius field.  Any number of axes:
     the sample values are contracted with the weights one axis at a time.
+    ``evaluate`` (the exported W) and ``evaluate_grid`` (the certified one) compute
+    the same sums in different orders, so they agree up to rounding, not bit for bit.
     """
 
     def __init__(self, axes: Sequence[np.ndarray], values: np.ndarray, radii):
@@ -442,18 +444,6 @@ def _gradients(W, dN, D, dD):
     """The quotient rule dW_i = dN_i / prod D - W dD_i / D_i, stacked on a last axis."""
     Dprod = math.prod(D)
     return np.stack([g / Dprod - W * dd / d for g, dd, d in zip(dN, dD, D)], axis=-1)
-
-
-def mollify(values: np.ndarray, axes: Sequence[np.ndarray], radius) -> MollifiedFunction:
-    """Kernel-smooth grid samples; ``radius`` is a float or per-axis profile list."""
-    return MollifiedFunction(axes, values, radius)
-
-
-def mollify_candidate(V: StorageCandidate, axes: Sequence[np.ndarray],
-                      radius) -> MollifiedFunction:
-    """Sample a candidate on the tensor grid spanned by ``axes`` and mollify it."""
-    vals = V.value_batch(tensor_grid(axes)).reshape([a.size for a in axes])
-    return MollifiedFunction(axes, vals, radius)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,35 @@ def test_axis_audit_obstruction_branch():
     assert report.detail["max_onesided_limit"] <= 1e-6
 
 
+def _kinked_from_1_5(name, grad, calls):
+    """A candidate whose box is not a singleton at x1 >= 1.5 (the last two axis samples);
+    ``calls`` collects the row count of each oracle call."""
+    def batch(X):
+        calls.append(len(X))
+        g = grad(X)
+        return g, g + (X[:, :1] >= 1.5)
+
+    return stg.StorageCandidate(name, lambda X: np.zeros(np.shape(X)[:-1]), "lipschitz", 2,
+                                batch)
+
+
+def test_axis_probe_reads_its_rows_in_probe_order():
+    """The 32 probe rows come from one oracle call, but a non-singleton row raises only
+    when the probe reaches it: after the passing samples a = 0.5 and 1, not after an
+    inconclusive one."""
+    calls = []
+    decaying = _kinked_from_1_5(
+        "decaying", lambda X: np.stack([-np.exp(-X[:, 0]), 2 * X[:, 1]], axis=1), calls)
+    with pytest.raises(stg.GradientUndefinedError,
+                       match=r"'decaying' is undefined at \[1\.5, 0\.001\]$"):
+        au.audit_sigma1_axis(decaying, scan=False)
+    rising = _kinked_from_1_5(
+        "rising", lambda X: np.stack([np.ones(len(X)), 0 * X[:, 1]], axis=1), calls)
+    report = au.audit_sigma1_axis(rising, scan=False)
+    assert report.kind == au.INCONCLUSIVE and report.detail["a"] == 0.5
+    assert calls == [32, 32]
+
+
 def test_axis_audit_requires_gradient():
     with pytest.raises(stg.GradientUndefinedError):
         au.audit_sigma1_axis(stg.StorageCandidate("values_only", lambda X: np.sum(X * X, -1)))

@@ -461,6 +461,21 @@ def test_construct_command(tmp_path):
                 "--gamma", "1", "--margin", "-0.5", "--out", tmp_path / "m"]) == 0
 
 
+def test_construct_json_copies_the_library_contract(tmp_path):
+    """construct.json holds ConstructedW's outcomes, which cover both half-lines: for a V
+    steeper on x < 0 the envelope is read on both, so W dominates V there too."""
+    spec = {"kind": "expr", "expr": "x1*x1*(2 - sign(x1))", "n": 1}
+    (tmp_path / "v.json").write_text(json.dumps(spec))
+    assert run(["construct1d", "--zoo", "scalar_linear", "--storage", tmp_path / "v.json",
+                "--gamma", "2", "--out", tmp_path / "c"]) == 0
+    built = construct1d.construct_w(systems.zoo_entry("scalar_linear").system, 2.0,
+                                    storage.from_config(spec), np.linspace(0.01, 2.0, 200))
+    assert built.w_dominates_v and built.w_strictly_increasing
+    assert json.loads((tmp_path / "c" / "construct.json").read_text()) == {
+        "gamma": 2.0, "w_dominates_v": True, "w_strictly_increasing": True,
+        "max_delta_of_selector": built.max_delta}
+
+
 def test_construct_on_a_general_system_is_a_usage_error(tmp_path, capsys):
     code = run(["construct1d", "--zoo", "sigma3_scalar", "--storage", "builtin:v3_scalar",
                 "--gamma", "1", "--out", tmp_path])

@@ -46,7 +46,7 @@ def test_construct_w_reports_first_inadmissible_x(linear):
     grid = np.linspace(0.5, 1.5, 11)
     with pytest.raises(hk.HjikitError, match=r"violates Delta\(p\) <= 0 at x=1$"):
         c1.construct_w(linear, 1.0, stg.builtin("sq_norm"), grid,
-                       h=lambda x: 3 * x if x < 1 else 0.5 * x, check_hypothesis=False)
+                       h=lambda x: np.where(x < 1, 3 * x, 0.5 * x), check_hypothesis=False)
 
 
 def test_construct_w_rejects_a_nan_delta():
@@ -251,6 +251,18 @@ def _scan_selectors(sysm, gamma, env, grid):
     return np.array(p), np.array(q)
 
 
+def _positive(h):
+    """The array envelope h read at one x, as the reference scan reads it: a value
+    that is not positive raises."""
+    def env(x):
+        v = float(h(x))
+        if v <= 0:
+            raise ValueError(f"envelope must be positive, got h({x:g}) = {v:g}")
+        return v
+
+    return env
+
+
 def _outcome(fn):
     try:
         return fn()
@@ -266,9 +278,9 @@ _SELECTOR_CASES = [
     (sy.AffineSystem(1, 1, ("-x1",), (("0.4*max(x1-1, 0)",),)), None),  # a = 0 up to x = 1
     (sy.AffineSystem(1, 1, ("-x1*(1.5-x1)",), (("0.5",),)), None),   # infeasible mid-grid
     (sy.AffineSystem(1, 1, ("-x1*(1.5-x1)",), (("0.5",),)),
-     lambda x: 1.0 if x < 0.5 else -1.0),                           # envelope fails first
+     lambda x: np.where(x < 0.5, 1.0, -1.0)),                       # envelope fails first
     (sy.AffineSystem(1, 1, ("-x1*(1.5-x1)",), (("0.5",),)),
-     lambda x: 1.0 if x < 2 else -1.0),                             # ... and second
+     lambda x: np.where(x < 2, 1.0, -1.0)),                         # ... and second
     (sy.AffineSystem(1, 1, ("-x1 - 0.3*x1*abs(x1)",),
                      (("0.5 + x1*x1*(1-sign(x1))",),)), None),       # fails on the mirror
     (sy.AffineSystem(1, 1, ("-x1 - 0.6*x1*x1",), (("0",),)), None),  # wrong drift sign, x < 0
@@ -281,8 +293,8 @@ def test_construct_w_selectors_match_pointwise_scan(case):
     sysm, h = _SELECTOR_CASES[case]
     grid = np.geomspace(0.05, 3.0, 97)
     V = stg.builtin("sq_norm")
-    env = c1.as_envelope(h) if h is not None else c1.h_from_v(V, grid, margin=0.1)
-    ref = _outcome(lambda: _scan_selectors(sysm, 1.0, env, grid))
+    h_or_default = h if h is not None else c1.h_from_v(V, grid, margin=0.1)
+    ref = _outcome(lambda: _scan_selectors(sysm, 1.0, _positive(h_or_default), grid))
     got = _outcome(lambda: c1.construct_w(sysm, 1.0, V, grid, h=h, check_hypothesis=False))
     if isinstance(ref, str):
         assert got == ref
@@ -290,10 +302,12 @@ def test_construct_w_selectors_match_pointwise_scan(case):
         assert not isinstance(got, str), got
         assert got.p_values.tobytes() == ref[0].tobytes()
         assert got.q_values.tobytes() == ref[1].tobytes()
-        assert [c1.p_of_x(sysm, 1.0, env, float(x)) for x in grid[::8]] == list(ref[0][::8])
+        assert [c1.p_of_x(sysm, 1.0, h_or_default, float(x)) for x in grid[::8]] \
+            == list(ref[0][::8])
 
 
 def test_h_from_v_windows_match_per_point_windows():
+    """Each window's quotients are read on S and on its mirror -S, the larger kept."""
     grid = np.geomspace(0.01, 2.0, 61)
     for V in (stg.builtin("sq_norm"), stg.builtin("v3_scalar"),
               stg.from_expression("pow(x1, 1.5) + abs(x1 - 1)", 1)):
@@ -301,16 +315,17 @@ def test_h_from_v_windows_match_per_point_windows():
         ref = []
         for x in grid:
             s = np.linspace(x - window, x + window, 17)
-            vals = V.value_batch(s[:, None])
-            ref.append(2.0 * 1.1 * float(np.max(np.abs(np.diff(vals)) / np.diff(s))))
+            q = [np.abs(np.diff(V.value_batch(side[:, None]))) / np.diff(s) for side in (s, -s)]
+            ref.append(2.0 * 1.1 * float(max(np.max(q[0]), np.max(q[1]))))
         env = c1.h_from_v(V, grid, margin=0.1)
-        got = np.array([env(float(x)) for x in grid])
+        got = env(grid)
         assert got.tobytes() == np.maximum(np.array(ref), c1._H_FLOOR).tobytes()
+        assert [env(float(x)) for x in grid] == list(got)
 
 
-def test_construct_w_derives_coefficients_once_per_half_line(linear, monkeypatch):
-    """One drift/input_fields call for the witness check and one per half-line,
-    shared by the selector and the admissibility contract."""
+def test_construct_w_runs_one_selector_pass(linear, monkeypatch):
+    """One drift/input_fields call for the witness check and one for the selector over
+    both half-lines, which reads the envelope once and whose Delta the contract reuses."""
     calls = []
     for kind in ("drift", "input_fields"):
         original = getattr(sy.AffineSystem, kind)
@@ -320,5 +335,56 @@ def test_construct_w_derives_coefficients_once_per_half_line(linear, monkeypatch
             return original(self, X)
 
         monkeypatch.setattr(sy.AffineSystem, kind, counted)
-    c1.construct_w(linear, 1.0, stg.builtin("sq_norm"), np.linspace(0.01, 2.0, 500))
-    assert sorted(calls) == ["drift"] * 3 + ["input_fields"] * 3
+    selector = c1._selector
+
+    def counted_selector(*args):
+        calls.append("selector")
+        return selector(*args)
+
+    monkeypatch.setattr(c1, "_selector", counted_selector)
+    reads = []
+
+    def h(x):
+        reads.append(x.copy())
+        return 4.0 * x
+
+    grid = np.linspace(0.01, 2.0, 500)
+    c1.construct_w(linear, 1.0, stg.builtin("sq_norm"), grid, h=h)
+    assert sorted(calls) == ["drift"] * 2 + ["input_fields"] * 2 + ["selector"]
+    assert len(reads) == 1 and reads[0].tobytes() == np.concatenate([grid, grid]).tobytes()
+
+
+_ASYMMETRIC = "x1*x1*(2 - sign(x1))"      # x^2 for x > 0 and 3 x^2 for x < 0
+
+
+def test_construct_w_reads_the_envelope_from_both_half_lines(linear):
+    """V is steeper on x < 0: an envelope read from x > 0 alone clamps the mirrored
+    slopes below V's, so W < V there.  Read from both, W >= V on both half-lines."""
+    V = stg.from_expression(_ASYMMETRIC, 1)
+    grid = np.linspace(0.01, 2.0, 200)                       # the CLI's default grid
+    built = c1.construct_w(linear, 2.0, V, grid)
+    assert np.all(built.w_values >= V.value_batch(grid[:, None]) - 1e-7)
+    assert np.all(built.w_neg_values >= V.value_batch(-grid[:, None]) - 1e-7)
+    assert built.w_dominates_v and built.w_strictly_increasing
+
+
+def test_construct_w_reports_a_one_sided_envelope(linear):
+    """The contract covers the mirrored half-line: a one-sided envelope fails it there."""
+    V = stg.from_expression(_ASYMMETRIC, 1)
+    grid = np.linspace(0.01, 2.0, 200)
+    built = c1.construct_w(linear, 2.0, V, grid, h=lambda x: 4.4 * x)
+    assert np.all(built.w_values >= V.value_batch(grid[:, None]) - 1e-7)
+    assert not built.w_dominates_v
+    assert built.w_strictly_increasing
+    assert built.max_delta <= 1e-9
+
+
+def test_construct_w_max_delta_covers_the_mirrored_half_line():
+    """Without input (a = 0) the selector is h = 2|x| and Delta = b p + c: with
+    g0 = -x - x^2 that is -4 x^2 - 8 x^3 at x > 0 and 4 x^2 (2 x - 1) at -x, the larger."""
+    sysm = sy.AffineSystem(1, 1, ("-x1 - x1*x1",), (("0",),))
+    grid = np.linspace(0.1, 0.45, 8)
+    built = c1.construct_w(sysm, 1.0, stg.builtin("sq_norm"), grid, h=lambda x: 2 * x,
+                           check_hypothesis=False)
+    assert built.max_delta == pytest.approx(np.max(4 * grid ** 2 * (2 * grid - 1)), rel=1e-12)
+    assert built.max_delta > np.max(-4 * grid ** 2 - 8 * grid ** 3)

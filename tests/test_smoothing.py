@@ -150,7 +150,7 @@ def test_kernel_properties():
 def test_mollify_exact_on_affine_data():
     ax = np.linspace(-1, 1, 81)
     X1, X2 = np.meshgrid(ax, ax, indexing="ij")
-    m = sm.mollify(3.0 * X1 - 0.5 * X2 + 2.0, [ax, ax], 0.1)
+    m = sm.MollifiedFunction([ax, ax], 3.0 * X1 - 0.5 * X2 + 2.0, 0.1)
     rng = np.random.default_rng(4)
     q = rng.uniform(-0.7, 0.7, (200, 2))
     w, g = m.evaluate(q)
@@ -162,7 +162,7 @@ def test_mollify_kink_bounds():
     """Smoothed |x|: values within c * radius of |x|, slopes inside [-1, 1]."""
     ax = np.linspace(-1, 1, 201)
     r = 0.05
-    m = sm.mollify(np.abs(ax), [ax], r)
+    m = sm.MollifiedFunction([ax], np.abs(ax), r)
     q = np.linspace(-0.5, 0.5, 401)[:, None]
     w, g = m.evaluate(q)
     assert np.max(np.abs(w - np.abs(q[:, 0]))) <= r
@@ -171,14 +171,14 @@ def test_mollify_kink_bounds():
 
 
 def test_mollify_refinement_convergence():
-    """|mollify(V) - V| -> 0 on continuity points as the radius shrinks."""
+    """|mollified V - V| -> 0 on continuity points as the radius shrinks."""
     ax = np.linspace(-1, 1, 1601)
     vals = np.abs(ax) + 0.3 * ax * ax
     q = np.linspace(-0.6, 0.6, 101)[:, None]
     target = np.abs(q[:, 0]) + 0.3 * q[:, 0] ** 2
     errs = []
     for r in (0.2, 0.1, 0.05, 0.025):
-        m = sm.mollify(vals, [ax], r)
+        m = sm.MollifiedFunction([ax], vals, r)
         w, _ = m.evaluate(q)
         errs.append(float(np.max(np.abs(w - target))))
     assert all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
@@ -187,7 +187,7 @@ def test_mollify_refinement_convergence():
 
 def test_mollify_boundary_guard():
     ax = np.linspace(-1, 1, 51)
-    m = sm.mollify(np.abs(ax), [ax], 0.2)
+    m = sm.MollifiedFunction([ax], np.abs(ax), 0.2)
     with pytest.raises(sm.BoundaryRadiusError):
         m.evaluate(np.array([[0.95]]))
 
@@ -195,19 +195,11 @@ def test_mollify_boundary_guard():
 def test_mollify_variable_radius_stays_exact_on_linears():
     ax = sm.mirrored_geometric_axis(1e-3, 1.1, 2.5)
     rad = sm.GeometricRadius(1e-3, 0.1, 2.0)
-    m = sm.mollify(2.5 * ax, [ax], rad)
+    m = sm.MollifiedFunction([ax], 2.5 * ax, rad)
     q = np.geomspace(0.01, 1.5, 60)[:, None]
     w, g = m.evaluate(q)
     assert np.max(np.abs(w - 2.5 * q[:, 0])) <= 1e-12
     assert np.max(np.abs(g[:, 0] - 2.5)) <= 1e-12
-
-
-def test_mollify_candidate_wrapper():
-    axes = [np.linspace(-1, 1, 101)] * 2
-    m = sm.mollify_candidate(stg.builtin("sq_norm"), axes, 0.05)
-    w, g = m.evaluate(np.array([[0.3, -0.2]]))
-    assert w[0] == pytest.approx(0.13, abs=5e-3)
-    assert np.allclose(g[0], [0.6, -0.4], atol=5e-3)
 
 
 def _grid_points(coords):
@@ -363,7 +355,7 @@ def test_evaluate_grid_reuses_the_weights_of_a_repeated_axis(n, monkeypatch):
 def test_mollify_exact_on_linear_data_3d():
     ax = np.linspace(-1, 1, 41)
     X1, X2, X3 = np.meshgrid(ax, ax, ax, indexing="ij")
-    m = sm.mollify(3.0 * X1 - 0.5 * X2 + 2.0 * X3 + 1.0, [ax, ax, ax], 0.1)
+    m = sm.MollifiedFunction([ax, ax, ax], 3.0 * X1 - 0.5 * X2 + 2.0 * X3 + 1.0, 0.1)
     slope = np.array([3.0, -0.5, 2.0])
     q = np.random.default_rng(5).uniform(-0.7, 0.7, (200, 3))
     w, g = m.evaluate(q)
@@ -377,7 +369,7 @@ def test_mollify_exact_on_linear_data_3d():
 
 def test_evaluate_grid_boundary_guard():
     ax = np.linspace(-1, 1, 51)
-    m = sm.mollify(np.abs(ax), [ax], 0.2)
+    m = sm.MollifiedFunction([ax], np.abs(ax), 0.2)
     with pytest.raises(sm.BoundaryRadiusError):
         m.evaluate_grid([np.array([0.0, 0.95])])
 
