@@ -335,27 +335,36 @@ _SCALAR_UNSAFE = ("sqrt", "cbrt", "pow", "spow")
 _PHI = ("abs_pow", "signed_pow")
 
 
+def _numpy_scalar(v):
+    return np.asarray(v)[()]
+
+
 @dataclass(frozen=True, eq=False)
 class OpTable:
     """What the code generator writes for each node: ``code`` maps 'num' (a constant),
     'full' (a constant as an array of X's batch shape), the variable kinds 'x' and 'u',
     'neg' and every operator to a format string over its operands' temporaries, and
-    ``scope`` holds the names that code calls.  ``const`` converts a literal, each line
-    of ``head`` is written when the body holds one of its marks, and ``first`` and
+    ``scope`` holds the names that code calls.  ``const`` converts a literal and
+    ``exponent`` phi's exponent (by default each to a numpy scalar), each line of
+    ``head`` is written when the body holds one of its marks, and ``first`` and
     ``column`` start a tuple's result from its first root and put root j into it.
     Hashed by identity, for the compile cache."""
 
     code: dict
     scope: dict
-    const: Callable = lambda v: np.asarray(v)[()]
+    const: Callable = _numpy_scalar
+    exponent: Callable = _numpy_scalar
     head: tuple = ()
     first: str = "out = empty({0}.shape + ({1},))"
     column: str = "out[..., {1}] = {0}"
 
 
-FLOAT = OpTable(_CODE, _NUMPY, head=(("X = asarray(X)", ("X[", "(S,")),
-                                     ("S = X.shape[:-1]", ("(S,",)),
-                                     ("U = asarray(U)", ("U[",))))
+# A literal is a 0-d array: numpy's call with a 0-d operand skips the scalar conversion
+# that a numpy scalar or a Python number costs, and takes the same loop.
+FLOAT = OpTable(_CODE, _NUMPY, const=np.asarray,
+                head=(("X = asarray(X)", ("X[", "(S,")),
+                      ("S = X.shape[:-1]", ("(S,",)),
+                      ("U = asarray(U)", ("U[",))))
 
 
 def _sign(a):
@@ -388,7 +397,7 @@ SCALAR = OpTable(
      "abs_pow": "power(abs({0}), {1})", "signed_pow": "sign({0}) * power(abs({0}), {1})"},
     {"sign": _sign, "sqrt": np.sqrt, "cbrt": np.cbrt, "minimum": _minimum,
      "maximum": _maximum, "divide": _divide, "power": np.power},
-    const=float, first="out = ()", column="out += ({0},)")
+    const=float, exponent=float, first="out = ()", column="out += ({0},)")
 
 
 @functools.lru_cache(maxsize=4096)
@@ -399,30 +408,30 @@ def compile_evaluator(e, table: OpTable = FLOAT) -> Callable[[np.ndarray, np.nda
     gives values of shape (...,); a tuple gives one (..., k) array whose column j is
     what its j-th AST alone gives.  Inputs on which scalar evaluation would raise let
     IEEE nan/inf propagate.  Each distinct subtree is computed once, across the whole
-    tuple, and each temporary is freed after its last use.  Constants are numpy
-    scalars, but arrays of X's batch shape in an x-free subtree that is a whole root
-    or feeds sqrt/cbrt/pow/spow, so every result is bitwise (and in shape) that of
-    evaluating every node as an array.  :data:`SCALAR` generates ``f(X, U)`` over
-    one point, X and U sequences of Python floats: a float, or a tuple of k, bitwise
-    what the default table gives on the (1, n) batch of that point.  :data:`TANGENT`
-    generates, for one AST of x only, ``(value, lo, hi, dep)`` instead: the bounds
-    (n, ...) of a subdifferential enclosure and the coordinates the AST depends on
-    (see below).
+    tuple, and each temporary is freed after its last use.  Constants are 0-d
+    arrays, but arrays of X's batch shape in an x-free subtree that is a whole root
+    or feeds sqrt/cbrt/pow/spow, and phi's exponent is a numpy scalar, so every
+    result is bitwise (and in shape) that of evaluating every node as an array.
+    :data:`SCALAR` generates ``f(X, U)`` over one point, X and U sequences of Python
+    floats: a float, or a tuple of k, bitwise what the default table gives on the
+    (1, n) batch of that point.  :data:`TANGENT` generates, for one AST of x only,
+    ``(value, lo, hi, dep)`` instead: the bounds (n, ...) of a subdifferential
+    enclosure and the coordinates the AST depends on (see below).
     """
     roots = e if isinstance(e, tuple) else (e,)
     has_x = fold(roots, lambda node, *kids: node.tag == "x" or any(kids))
     lines, consts, temps = [], {}, {}      # lines: (statement, temporaries it reads)
 
-    def kids(key) -> tuple:                # a key is (node, whether its constants are full)
+    def kids(key) -> tuple:     # a key is (node, whether its constants are full; None in phi)
         node, full = key
-        return tuple((a, node.tag not in _PHI and (
-            full or (node.tag in _SCALAR_UNSAFE and not has_x[a]))) for a in node.kids)
+        return tuple((a, None if node.tag in _PHI else
+                      full or (node.tag in _SCALAR_UNSAFE and not has_x[a])) for a in node.kids)
 
     def emit(key, *reads) -> str:
         node, full = key
         if isinstance(node, Num):
             const = f"c{len(consts)}"
-            consts[const] = table.const(node.value)
+            consts[const] = (table.exponent if full is None else table.const)(node.value)
             code = table.code["full" if full else "num"].format(const)
         elif isinstance(node, Var):
             code = table.code[node.kind].format(int(node.index))

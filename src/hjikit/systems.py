@@ -27,7 +27,8 @@ def _compile_fields(asts: Sequence) -> tuple:
 
 def _compile_affine(sys, weights: Sequence) -> None:
     """Compile g0, each g_i and dx_j/dt = (g0_j + w_1 g_1j) + w_2 g_2j + ...,
-    where w_i is the AST of u_i or of phi(u_i): one function each."""
+    where w_i is the AST of u_i or of phi(u_i): one function each.  A term w * 1
+    is written w (exact); a term w * 0 stays, since it turns g0's -0.0 into 0.0."""
     g0_ast = tuple(ex.parse(src, sys.n, 0) for src in sys.g0)
     g_ast = tuple(tuple(ex.parse(src, sys.n, 0) for src in gi) for gi in sys.g)
     if len(sys.g0) != sys.n or len(sys.g) != sys.m:
@@ -36,7 +37,8 @@ def _compile_affine(sys, weights: Sequence) -> None:
         raise DimensionError("every input field must have n components")
     comps = g0_ast
     for w, gi in zip(weights, g_ast):
-        comps = tuple(ex.Bin("+", c, ex.Bin("*", w, g)) for c, g in zip(comps, gi))
+        comps = tuple(ex.Bin("+", c, w if g is ex.Num(1.0) else ex.Bin("*", w, g))
+                      for c, g in zip(comps, gi))
     drift, *fields, rhs = _compile_fields((g0_ast, *g_ast, comps))
     object.__setattr__(sys, "_g0_fn", drift)
     object.__setattr__(sys, "_g_fn", tuple(fields))

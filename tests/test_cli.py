@@ -401,17 +401,24 @@ def test_invalid_inputs_are_usage_errors(tmp_path, argv):
       "--margin", "-1"], "margin"),
     (["l2gain", "--zoo", "sigma2", "--count", "10", "--amplitude", "-1"], "amplitude"),
     (["l2gain", "--zoo", "sigma2", "--count", "10", "--amplitude", "0"], "amplitude"),
+    (["simulate", "--zoo", "scalar_linear", "--storage", "builtin:sq_norm", "--gamma", "1",
+      "--x0", "1", "--input", '{"kind": "constant", "values": [0.5]}', "--tspan", "0", "1",
+      "--step", "0.6"], "not a whole number of steps of 0.6"),
+    (["l2gain", "--zoo", "scalar_linear", "--count", "3", "--T", "1", "--step", "0.4"],
+     "not a whole number of steps of 0.4"),
 ], ids=["zero-step", "infinite-stop", "1e300-gammas", "1.5e6-gammas", "simulate-tspan",
         "l2gain-T", "construct1d-grid", "input-key", "verify-gamma-inf", "verify-gamma-nan",
         "verify-tol", "verify-box", "smooth-gamma-prime", "curve-monotone-a-nan",
         "curve-monotone-a-inf", "curve-tangency-a-nan", "sigmap-p-inf", "sigmap-p-nan",
         "subdiff-point", "simulate-gamma-nan", "simulate-slack-tol", "construct1d-margin",
-        "l2gain-amplitude", "l2gain-zero-amplitude"])
+        "l2gain-amplitude", "l2gain-zero-amplitude", "simulate-partial-step",
+        "l2gain-partial-step"])
 def test_bad_numeric_arguments_are_usage_errors(tmp_path, capsys, argv, option):
     """A zero step, a non-finite value of any numeric option, a gamma grid of more
     than 10^6 points (a step of 1e-6 on [0.5, 2] makes 1,500,001), a margin at or
-    below -1 or an amplitude at or below 0, or an input config without a key it needs,
-    is a usage error that names the option or key: exit 2, no report."""
+    below -1 or an amplitude at or below 0, an integration span that is not a whole
+    number of steps, or an input config without a key it needs, is a usage error that
+    names the option or key (or the step): exit 2, no report."""
     assert run(argv + ["--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and option in err
