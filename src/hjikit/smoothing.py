@@ -9,7 +9,7 @@ followed by certification of the two output bounds on a declared grid:
     (20)  grad W(x) . (g0(x) + sum_i phi(u_i) g_i(x)) <= -|x|^2 + [(1+eps)gamma + eps]|u|^2
 
 The certified object is the kernel-convolution function itself (smooth by
-construction for any positive radius field); exported grid dumps are
+construction for any positive radius profile); exported grid dumps are
 evaluations of it, not the function.  Certificates are statements about the
 declared grids only.
 """
@@ -125,7 +125,7 @@ def upsilons(V: StorageCandidate, alpha: Callable, delta: float, x):
 
 
 # ---------------------------------------------------------------------------
-# Bump kernel and per-axis radius profiles
+# Bump kernel and the radius profile
 # ---------------------------------------------------------------------------
 
 def kernel_cdf(s: np.ndarray) -> np.ndarray:
@@ -189,23 +189,13 @@ def kernel_moment(s: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConstantRadius:
-    r0: float
-
-    def value(self, t: np.ndarray) -> np.ndarray:
-        return np.full_like(np.asarray(t, dtype=float), self.r0)
-
-    def deriv(self, t: np.ndarray) -> np.ndarray:
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-
-@dataclass(frozen=True)
 class GeometricRadius:
     """Smooth radius profile matched to a mirrored geometric node layout.
 
     r(t) = scale * (delta + slope * sqrt(t^2 + delta^2)) tracks a local node
     spacing of about ``delta`` near 0 and ``slope * |t|`` away from it, and is
-    real-analytic, so the mollified function stays smooth.
+    real-analytic, so the mollified function stays smooth.  ``slope = 0`` and
+    ``scale = 1`` give the constant radius ``delta``, exactly.
     """
 
     delta: float
@@ -221,12 +211,6 @@ class GeometricRadius:
         return self.scale * self.slope * t / np.sqrt(t * t + self.delta ** 2)
 
 
-def _as_radius(r):
-    if isinstance(r, (int, float)):
-        return ConstantRadius(float(r))
-    return r
-
-
 # ---------------------------------------------------------------------------
 # Mollified function (normalized moving-weight kernel sum over a tensor grid)
 # ---------------------------------------------------------------------------
@@ -234,47 +218,43 @@ def _as_radius(r):
 class MollifiedFunction:
     """Exact convolution of the multilinear interpolant of grid samples with the kernel.
 
-    W(x) = integral of hat-interpolant(y) * prod_i (1/r_i) k((x_i - y_i)/r_i(x_i)) dy.
-    For a tensor grid the hat basis separates per axis, and each 1-D factor has
-    the closed form (cell by cell) in the kernel CDF and its first moment, so
-    both weights and their derivatives (chain rule through the radius profile
-    included) are analytic.  Exact on constants and on linear data, gradients
-    included; smooth for any positive smooth radius field.  Any number of axes:
-    the sample values are contracted with the weights one axis at a time.
+    W(x) = integral of hat-interpolant(y) * prod_i (1/r(x_i)) k((x_i - y_i)/r(x_i)) dy.
+    The samples lie on the tensor grid of one sample ``axis`` in each of the n
+    coordinates (``values`` has shape (axis.size,) * n), and one ``radius``
+    profile r serves every coordinate.  The hat basis separates per axis, and
+    each 1-D factor has the closed form (cell by cell) in the kernel CDF and its
+    first moment, so both weights and their derivatives (chain rule through the
+    radius profile included) are analytic.  Exact on constants and on linear
+    data, gradients included; smooth for any positive smooth radius profile.
+    The sample values are contracted with the weights one axis at a time.
     ``evaluate`` (the exported W) and ``evaluate_grid`` (the certified one) compute
     the same sums in different orders, so they agree up to rounding, not bit for bit.
     """
 
-    def __init__(self, axes: Sequence[np.ndarray], values: np.ndarray, radii):
-        self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        self.ndim = len(self.axes)
+    def __init__(self, axis: np.ndarray, values: np.ndarray, radius: GeometricRadius):
+        self.axis = np.asarray(axis, dtype=float)
         self.values = np.asarray(values, dtype=float)
-        if self.values.shape != tuple(a.size for a in self.axes):
-            raise ValueError("values shape does not match the axes")
-        if isinstance(radii, (int, float)) or not isinstance(radii, (list, tuple)):
-            radii = [radii] * self.ndim
-        self.radii = tuple(_as_radius(r) for r in radii)
+        self.ndim = self.values.ndim
+        if self.values.shape != (self.axis.size,) * self.ndim:
+            raise ValueError("values shape does not match the axis")
+        self.radius = radius
 
-    # -- per-axis weight construction -------------------------------------
-    def _axis_weights(self, i: int, q: np.ndarray):
+    # -- 1-D weight construction -------------------------------------------
+    def _axis_weights(self, q: np.ndarray):
         """Node indices, hat-convolution weights, their x-derivatives, and each row's
-        window width (the columns past it are padding with zero weight).
+        window width (the columns past it are padding with zero weight) at coordinates q.
 
         For every grid cell [y_c, y_{c+1}] met by the kernel support, with
         A_c = int_cell k_r(x - y) dy and B_c = int_cell s k_r(x - y) dy, the
         interpolant contributes ((y_{c+1}-x) A + r B)/h to the left node and
         ((x-y_c) A - r B)/h to the right one.
         """
-        nodes = self.axes[i]
-        prof = self.radii[i]
-        r = prof.value(q)
-        dr = prof.deriv(q)
+        nodes, r, dr = self.axis, self.radius.value(q), self.radius.deriv(q)
         if np.any(q - r < nodes[0]) or np.any(q + r > nodes[-1]):
-            raise BoundaryRadiusError(
-                f"kernel support leaves the sampled hull on axis {i}; "
-                "extend the sample grid or shrink the radius")
+            raise BoundaryRadiusError("kernel support leaves the sampled hull; "
+                                      "extend the sample grid or shrink the radius")
         if np.any(r <= 0):
-            raise BoundaryRadiusError(f"nonpositive radius on axis {i}")
+            raise BoundaryRadiusError("nonpositive radius")
         lo = np.searchsorted(nodes, q - r, side="right") - 1   # left node of first cell
         hi = np.searchsorted(nodes, q + r, side="left") + 1    # one past the last node
         lo = np.maximum(lo, 0)
@@ -317,10 +297,11 @@ class MollifiedFunction:
     def evaluate(self, X: np.ndarray):
         """Values and gradients at query points X of shape (Q, ndim), in chunks of rows.
 
-        Weights are computed once per distinct coordinate (bit pattern) of an axis, and
-        rows are contracted in groups of window widths rounded up to a power of two, each
-        trimmed to its widest row.  Windows are summed in order, and trailing zero weights
-        leave such a sum as it is, so a point's W and grad W do not depend on its batch."""
+        Weights are computed in one pass per chunk, once per distinct coordinate (bit
+        pattern) on any axis, and rows are contracted in groups of window widths rounded
+        up to a power of two, each trimmed to its widest row.  Windows are summed in order,
+        and trailing zero weights leave such a sum as it is, so a point's W and grad W do
+        not depend on its batch."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
@@ -328,13 +309,11 @@ class MollifiedFunction:
         vals = np.empty(Q)
         grads = np.empty((Q, n))
         for start in range(0, Q, _EVAL_CHUNK):
-            sl = slice(start, min(start + _EVAL_CHUNK, Q))
-            bits, inv = zip(*(np.unique(np.ascontiguousarray(X[sl, i]).view(np.uint64),
-                                        return_inverse=True) for i in range(n)))
-            inv = [k.ravel() for k in inv]
-            idx, w, dw, width = zip(*(self._axis_weights(i, b.view(float))
-                                      for i, b in enumerate(bits)))
-            widths = np.stack([m[k] for m, k in zip(width, inv)], axis=1)
+            chunk = np.ascontiguousarray(X[start:start + _EVAL_CHUNK])
+            bits, inv = np.unique(chunk.view(np.uint64), return_inverse=True)
+            inv = inv.reshape(chunk.shape)      # column i: row -> its coordinate on axis i
+            idx, w, dw, width = self._axis_weights(bits.view(float))
+            widths = width[inv]
             # a row's group: its widths' log2 ceilings, one base-64 digit per axis
             of_row = np.unique(np.ceil(np.log2(widths)).astype(np.int64) @ 64 ** np.arange(n),
                                return_inverse=True)[1]
@@ -342,7 +321,7 @@ class MollifiedFunction:
             for g in range(of_row.max() + 1):
                 rows = np.flatnonzero(of_row == g)
                 ms = widths[rows].max(axis=0)
-                ix, a, da = ([x[k[rows], :m] for x, k, m in zip(t, inv, ms)] for t in (idx, w, dw))
+                ix, a, da = ([x[inv[rows, i], :m] for i, m in enumerate(ms)] for x in (idx, w, dw))
                 # gather each row's window block (rows, m_1, ..., m_n)
                 blk = self.values[tuple(
                     j.reshape((-1,) + (1,) * i + j.shape[1:] + (1,) * (n - 1 - i))
@@ -350,7 +329,8 @@ class MollifiedFunction:
                 partial = _chain(blk, a, _window_step)
                 N[rows], dN[:, rows] = partial[-1], _gradient_numerators(
                     partial, a, da, _window_step)
-            D, dD = ([_ordered_rowsum(a)[k] for a, k in zip(t, inv)] for t in (w, dw))
+            D, dD = (_ordered_rowsum(a)[inv].T for a in (w, dw))
+            sl = slice(start, start + len(chunk))
             vals[sl] = _values(N, D)
             grads[sl] = _gradients(vals[sl], dN, D, dD)
         return vals, grads
@@ -360,7 +340,7 @@ class MollifiedFunction:
 
         Returns W of shape (Q_1, ..., Q_n) and its gradient (Q_1, ..., Q_n, n)
         at the points (coords[0][j_1], ..., coords[n-1][j_n]).  Each axis's
-        weights become one dense (Q_i, nodes_i) matrix, so the work is n
+        weights become one dense (Q_i, nodes) matrix, so the work is n
         contractions of the sample values instead of one window per point.
         """
         W, gradient = self._grid_stages(coords)
@@ -368,21 +348,19 @@ class MollifiedFunction:
 
     def _grid_stages(self, coords: Sequence[np.ndarray]):
         """W on the tensor grid of ``coords``, and a function building grad W at masked
-        grid points from the same weights and partial contractions.  An axis that repeats an
-        earlier axis's nodes, radius and coordinates reuses its weight matrices."""
-        mats = []
-        for i, q in enumerate(coords):
-            q = np.asarray(q, dtype=float)
-            key = (self.axes[i].tobytes(), self.radii[i], q.tobytes())
-            pair = next((p for k, p in mats if k == key), None)
-            if pair is None:
-                idx, w, dw, _ = self._axis_weights(i, q)
-                flat = (np.arange(q.size)[:, None] * self.axes[i].size + idx).ravel()
-                shape = (q.size, self.axes[i].size)
-                pair = tuple(np.bincount(flat, a.ravel(), shape[0] * shape[1]).reshape(shape)
-                             for a in (w, dw))
-            mats.append((key, pair))
-        A, dA = zip(*(p for _, p in mats))
+        grid points from the same weights and partial contractions.  Axes whose coordinate
+        arrays hold the same bytes share one pair of weight matrices."""
+        coords = [np.asarray(q, dtype=float) for q in coords]
+        mats = {}
+        for q in coords:
+            if q.tobytes() not in mats:
+                idx, w, dw, _ = self._axis_weights(q)
+                flat = (np.arange(q.size)[:, None] * self.axis.size + idx).ravel()
+                shape = (q.size, self.axis.size)
+                mats[q.tobytes()] = tuple(
+                    np.bincount(flat, a.ravel(), shape[0] * shape[1]).reshape(shape)
+                    for a in (w, dw))
+        A, dA = zip(*(mats[q.tobytes()] for q in coords))
         step = (lambda T, a: np.tensordot(T, a, axes=([0], [1])))
         partial = _chain(self.values, A, step)
         # np.ix_ shapes each axis's row sums to broadcast along that axis
@@ -529,12 +507,11 @@ def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: 
     schedule_trace = []
 
     for refinement in range(max_refinements + 1):
-        # sample axes with enough padding for the largest scheduled radius
+        # the sample axis, with enough padding for the largest scheduled radius
         pad_radius = 4.0 * (delta_min + slope * math.sqrt(r_max ** 2 + delta_min ** 2)
                             + delta_min)
         axis = mirrored_geometric_axis(delta_min, _GRID_RATIO, (r_max + pad_radius) * 1.05)
-        axes = [axis] * sys.n
-        values = V.value_batch(tensor_grid(axes)).reshape([a.size for a in axes])
+        values = V.value_batch(tensor_grid([axis] * sys.n)).reshape((axis.size,) * sys.n)
 
         coords = _with_midpoints(axis, r_max)
         keep, Pc = annulus_grid([coords] * sys.n, r_min, r_max)
@@ -542,7 +519,7 @@ def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: 
         grids = {"sample_axis_nodes": int(axis.size), "certification_points": int(Pc.shape[0])}
 
         for scale in (4.0, 2.0):
-            moll = MollifiedFunction(axes, values, GeometricRadius(delta_min, slope, scale))
+            moll = MollifiedFunction(axis, values, GeometricRadius(delta_min, slope, scale))
             failed, worst, rel, eq20 = _certify(sys, moll, coords, keep, Pc, Vc, dlt, gamma_eff)
             schedule_trace.append({"refinement": refinement, "delta_min": delta_min, "scale": scale,
                                    "outcome": f"fail ({failed})" if failed else "pass"})

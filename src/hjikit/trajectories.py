@@ -5,9 +5,11 @@ replay deterministically in tests.  A batch of trajectories steps in arrays; a
 batch of one steps in Python floats with the right-hand side's
 :data:`hjikit.expr.SCALAR` form, where numpy's per-call overhead would be all of
 the work, and gives the same bits.  Input signals are measurable and
-essentially bounded by construction: constants, piecewise constants (switch
-times snapped to the integration grid so the supply quadrature is exact on
-each step), and per-channel sinusoids.
+essentially bounded by construction: constants, piecewise constants, and
+per-channel sinusoids.  Integration starts only from finite states with
+|x_i| <= 1e8, the blow-up bound.  The audits take the supply |u|^2 by the
+midpoint rule, exact on each step only for a piecewise constant whose switch
+times lie on the integration grid, so they reject a switch off the grid.
 """
 from __future__ import annotations
 
@@ -97,6 +99,9 @@ class SinusoidInput:
         self.omega = np.atleast_1d(np.asarray(omega, dtype=float))
         self.phase = (np.zeros_like(self.amplitude) if phase is None
                       else np.atleast_1d(np.asarray(phase, dtype=float)))
+        if not self.amplitude.size == self.omega.size == self.phase.size:
+            raise ValueError(f"sinusoid amplitude, omega and phase need equal lengths, got "
+                             f"{self.amplitude.size}, {self.omega.size} and {self.phase.size}")
 
     @property
     def m(self) -> int:
@@ -189,6 +194,10 @@ def integrate_ensemble(sys: System, X0, inputs: Sequence[InputSignal],
     B, _ = X.shape
     if len(inputs) != B:
         raise ValueError("need one input signal per initial condition")
+    bad = np.flatnonzero(~(np.abs(X) <= _BLOWUP_NORM).all(axis=1))     # also nan
+    if bad.size:
+        raise ValueError(f"start state {bad[0]} ({X[bad[0]].tolist()}) must be finite with "
+                         f"every |x_i| <= {_BLOWUP_NORM:g}, the blow-up bound")
     N = max(1, int(round((b - a) / step)))
     h = step
     if abs(N * h - (b - a)) > 1e-9 * (b - a):
@@ -294,9 +303,16 @@ def _storage_minus_supply_running(traj: Trajectory, V: StorageCandidate,
 
 
 def _slacks(traj: Trajectory, V: StorageCandidate, gamma: float) -> tuple:
-    """A and its slacks A_b - min_{a <= b} A_a."""
+    """A and its slacks A_b - min_{a <= b} A_a.  A piecewise-constant input must switch
+    on the grid (within 1e-9 of the span), where the midpoint rule for |u|^2 is exact."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
+    if isinstance(traj.input, PiecewiseConstantInput):
+        a, b, h = float(traj.times[0]), float(traj.times[-1]), traj.step
+        for s in traj.input.switch_times.tolist():
+            if a < s < b and abs(s - (a + h * round((s - a) / h))) > 1e-9 * (b - a):
+                raise ValueError(f"switch time {s:g} is off the integration grid of step "
+                                 f"{h:g}; the audit needs switches on grid times")
     A = _storage_minus_supply_running(traj, V, gamma)
     return A, A - np.minimum.accumulate(A)
 

@@ -147,10 +147,15 @@ def test_kernel_properties():
     assert abs(sm.kernel_moment(np.array([1.0]))[0]) <= 1e-15
 
 
+def _constant(r):
+    """The radius profile of constant value r (exactly r at every coordinate)."""
+    return sm.GeometricRadius(r, 0.0, 1.0)
+
+
 def test_mollify_exact_on_affine_data():
     ax = np.linspace(-1, 1, 81)
     X1, X2 = np.meshgrid(ax, ax, indexing="ij")
-    m = sm.MollifiedFunction([ax, ax], 3.0 * X1 - 0.5 * X2 + 2.0, 0.1)
+    m = sm.MollifiedFunction(ax, 3.0 * X1 - 0.5 * X2 + 2.0, _constant(0.1))
     rng = np.random.default_rng(4)
     q = rng.uniform(-0.7, 0.7, (200, 2))
     w, g = m.evaluate(q)
@@ -162,7 +167,7 @@ def test_mollify_kink_bounds():
     """Smoothed |x|: values within c * radius of |x|, slopes inside [-1, 1]."""
     ax = np.linspace(-1, 1, 201)
     r = 0.05
-    m = sm.MollifiedFunction([ax], np.abs(ax), r)
+    m = sm.MollifiedFunction(ax, np.abs(ax), _constant(r))
     q = np.linspace(-0.5, 0.5, 401)[:, None]
     w, g = m.evaluate(q)
     assert np.max(np.abs(w - np.abs(q[:, 0]))) <= r
@@ -178,7 +183,7 @@ def test_mollify_refinement_convergence():
     target = np.abs(q[:, 0]) + 0.3 * q[:, 0] ** 2
     errs = []
     for r in (0.2, 0.1, 0.05, 0.025):
-        m = sm.MollifiedFunction([ax], vals, r)
+        m = sm.MollifiedFunction(ax, vals, _constant(r))
         w, _ = m.evaluate(q)
         errs.append(float(np.max(np.abs(w - target))))
     assert all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
@@ -187,7 +192,7 @@ def test_mollify_refinement_convergence():
 
 def test_mollify_boundary_guard():
     ax = np.linspace(-1, 1, 51)
-    m = sm.MollifiedFunction([ax], np.abs(ax), 0.2)
+    m = sm.MollifiedFunction(ax, np.abs(ax), _constant(0.2))
     with pytest.raises(sm.BoundaryRadiusError):
         m.evaluate(np.array([[0.95]]))
 
@@ -195,7 +200,7 @@ def test_mollify_boundary_guard():
 def test_mollify_variable_radius_stays_exact_on_linears():
     ax = sm.mirrored_geometric_axis(1e-3, 1.1, 2.5)
     rad = sm.GeometricRadius(1e-3, 0.1, 2.0)
-    m = sm.MollifiedFunction([ax], 2.5 * ax, rad)
+    m = sm.MollifiedFunction(ax, 2.5 * ax, rad)
     q = np.geomspace(0.01, 1.5, 60)[:, None]
     w, g = m.evaluate(q)
     assert np.max(np.abs(w - 2.5 * q[:, 0])) <= 1e-12
@@ -212,26 +217,28 @@ _AXIS_RANGES = {1: ((1e-3, 0.05), (1.05, 1.5)), 2: ((3e-3, 0.05), (1.1, 1.5)),
                 3: ((1e-2, 0.05), (1.2, 1.5))}
 
 
+def _draw_mollifier(n, data):
+    """A mollifier on the n-fold tensor grid of one drawn sample axis, with one drawn
+    radius profile (geometric or constant) and random sample values, and the rng."""
+    (dlo, dhi), (qlo, qhi) = _AXIS_RANGES[n]
+    delta, ratio = data.draw(st.floats(dlo, dhi)), data.draw(st.floats(qlo, qhi))
+    if data.draw(st.booleans()):
+        radius = sm.GeometricRadius(delta, ratio - 1.0, data.draw(st.floats(1.0, 4.0)))
+    else:
+        radius = _constant(data.draw(st.floats(0.01, 0.3)))
+    # queries in [-0.5, 0.5]; the largest radius there is about 1.2
+    ax = sm.mirrored_geometric_axis(delta, ratio, 2.0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    return sm.MollifiedFunction(ax, rng.standard_normal((ax.size,) * n), radius), rng
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.sampled_from(sorted(_AXIS_RANGES)), data=st.data())
 def test_evaluate_grid_matches_scattered_evaluate(n, data):
     """The per-axis contraction on a tensor grid equals the windowed evaluation."""
-    (dlo, dhi), (qlo, qhi) = _AXIS_RANGES[n]
-    axes, radii, coords = [], [], []
-    for _ in range(n):
-        delta = data.draw(st.floats(dlo, dhi))
-        ratio = data.draw(st.floats(qlo, qhi))
-        if data.draw(st.booleans()):
-            radii.append(sm.GeometricRadius(delta, ratio - 1.0, data.draw(st.floats(1.0, 4.0))))
-        else:
-            radii.append(sm.ConstantRadius(data.draw(st.floats(0.01, 0.3))))
-        # queries in [-0.5, 0.5]; the largest radius there is below 1.2
-        axes.append(sm.mirrored_geometric_axis(delta, ratio, 2.0))
-        coords.append(np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=1,
-                                                  max_size=6))))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    values = rng.standard_normal([a.size for a in axes])
-    m = sm.MollifiedFunction(axes, values, radii)
+    m, _ = _draw_mollifier(n, data)
+    coords = [np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=6)))
+              for _ in range(n)]
     Wg, Gg = m.evaluate_grid(coords)
     assert Wg.shape == tuple(c.size for c in coords)
     assert Gg.shape == Wg.shape + (n,)
@@ -246,14 +253,8 @@ def test_grid_gradient_on_a_mask_is_the_masked_grid_gradient(n, data):
     """grad W on a mask of the grid, as the certificate takes it on the annulus points,
     is at every kept point the bits of the whole grid's grad W (``evaluate_grid``): a
     point's gradient does not depend on which other points are masked out."""
-    (dlo, dhi), (qlo, qhi) = _AXIS_RANGES[n]
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    axes = [sm.mirrored_geometric_axis(data.draw(st.floats(dlo, dhi)),
-                                       data.draw(st.floats(qlo, qhi)), 2.0) for _ in range(n)]
-    geometric = sm.GeometricRadius(data.draw(st.floats(dlo, dhi)), 0.2, 2.0)
-    radii = [geometric, sm.ConstantRadius(data.draw(st.floats(0.01, 0.3))), geometric][:n]
+    m, rng = _draw_mollifier(n, data)
     coords = [np.sort(rng.uniform(-0.5, 0.5, data.draw(st.integers(1, 8)))) for _ in range(n)]
-    m = sm.MollifiedFunction(axes, rng.standard_normal([a.size for a in axes]), radii)
     W, gradient = m._grid_stages(coords)
     keep = rng.random(W.shape) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
     full = m.evaluate_grid(coords)[1]
@@ -280,20 +281,10 @@ _COORD = st.one_of(st.floats(-0.5, 0.5), st.floats(-0.02, 0.02), st.sampled_from
 @given(n=st.sampled_from(sorted(_AXIS_RANGES)), data=st.data())
 def test_evaluate_row_equals_its_batch_row(n, data):
     """A point's W and grad W do not depend on the other points of its batch, bit for bit:
-    rows share the weights of a repeated coordinate, as on a tensor grid, and rows of
-    other window widths are contracted in other groups or padded with zero weights."""
-    (dlo, dhi), (qlo, qhi) = _AXIS_RANGES[n]
-    axes, radii, pools = [], [], []
-    for _ in range(n):
-        delta, ratio = data.draw(st.floats(dlo, dhi)), data.draw(st.floats(qlo, qhi))
-        if data.draw(st.booleans()):
-            radii.append(sm.GeometricRadius(delta, ratio - 1.0, data.draw(st.floats(1.0, 4.0))))
-        else:
-            radii.append(sm.ConstantRadius(data.draw(st.floats(0.01, 0.3))))
-        axes.append(sm.mirrored_geometric_axis(delta, ratio, 2.0))
-        pools.append(data.draw(st.lists(_COORD, min_size=1, max_size=4)))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    m = sm.MollifiedFunction(axes, rng.standard_normal([a.size for a in axes]), radii)
+    rows share the weights of a repeated coordinate, on any axis, and rows of other
+    window widths are contracted in other groups or padded with zero weights."""
+    m, _ = _draw_mollifier(n, data)
+    pools = [data.draw(st.lists(_COORD, min_size=1, max_size=4)) for _ in range(n)]
     X = np.array(data.draw(st.lists(st.tuples(*(st.sampled_from(p) for p in pools)),
                                     min_size=1, max_size=12)))
     W, G = m.evaluate(X)
@@ -303,59 +294,43 @@ def test_evaluate_row_equals_its_batch_row(n, data):
         assert g.tobytes() == G[q:q + 1].tobytes(), X[q]
 
 
-class _Distinct:
-    """A radius profile equal only to itself, with the values of ``prof``."""
-
-    def __init__(self, prof):
-        self.value, self.deriv = prof.value, prof.deriv
-
-
-def _count_axis_weights(monkeypatch):
-    calls = []
-    weights = sm.MollifiedFunction._axis_weights
-    monkeypatch.setattr(sm.MollifiedFunction, "_axis_weights",
-                        lambda self, i, q: calls.append(i) or weights(self, i, q))
-    return calls
-
-
 @pytest.mark.parametrize("n", [2, 3])
 def test_evaluate_grid_reuses_the_weights_of_a_repeated_axis(n, monkeypatch):
-    """One shared axis, radius and coordinate array, equal copies of them, and radii
-    that are equal only to themselves give the same bytes; only the first two reuse
-    the first axis's weights.  Different radii or coordinates are not reused."""
+    """``evaluate`` takes one weight pass per chunk of rows, over the distinct coordinates
+    of all axes.  ``evaluate_grid`` takes one per distinct coordinate array: a shared
+    array and an equal copy of it take one, with the same bytes; a different one adds one."""
     ax = sm.mirrored_geometric_axis(1e-2, 1.2, 2.0)
-    rad = sm.GeometricRadius(1e-2, 0.2, 2.0)
     q = np.array([-0.4, -0.01, 0.0, 0.003, 0.25])
     values = np.random.default_rng(6).standard_normal((ax.size,) * n)
-    calls = _count_axis_weights(monkeypatch)
+    m = sm.MollifiedFunction(ax, values, sm.GeometricRadius(1e-2, 0.2, 2.0))
+    calls, weights = [], sm.MollifiedFunction._axis_weights
+    monkeypatch.setattr(sm.MollifiedFunction, "_axis_weights",
+                        lambda self, c: calls.append(c.size) or weights(self, c))
 
-    def grid(axes, radii, coords):
+    def grid(coords):
         calls.clear()
-        W, G = sm.MollifiedFunction(axes, values, radii).evaluate_grid(coords)
+        W, G = m.evaluate_grid(coords)
         return W.tobytes() + G.tobytes(), len(calls)
 
-    shared = grid([ax] * n, [rad] * n, [q] * n)
+    shared = grid([q] * n)
     assert shared[1] == 1
-    copies = grid([ax.copy() for _ in range(n)],
-                  [sm.GeometricRadius(1e-2, 0.2, 2.0) for _ in range(n)],
-                  [q.copy() for _ in range(n)])
-    assert copies == shared
-    assert grid([ax] * n, [_Distinct(rad) for _ in range(n)], [q] * n) == (shared[0], n)
-    for radii, coords in (([rad] * (n - 1) + [sm.GeometricRadius(1e-2, 0.2, 3.0)], [q] * n),
-                          ([rad] * n, [q] * (n - 1) + [q[::-1]])):
-        m = sm.MollifiedFunction([ax] * n, values, radii)
-        calls.clear()
-        Wg, Gg = m.evaluate_grid(coords)
-        assert len(calls) == 2
-        W, G = m.evaluate(_grid_points(coords))
-        assert np.all(np.abs(Wg.ravel() - W) <= 1e-12 * (1.0 + np.abs(W)))
-        assert np.all(np.abs(Gg.reshape(-1, n) - G) <= 1e-9 * (1.0 + np.abs(G)))
+    assert grid([q.copy() for _ in range(n)]) == shared
+    coords = [q] * (n - 1) + [q[::-1]]
+    assert grid(coords)[1] == 2
+    Wg, Gg = m.evaluate_grid(coords)
+    P = _grid_points(coords)
+    calls.clear()
+    W, G = m.evaluate(np.tile(P, (sm._EVAL_CHUNK // len(P) + 1, 1)))
+    assert calls == [q.size, q.size]        # two chunks, each over the 5 distinct coordinates
+    W, G = W[:len(P)], G[:len(P)]
+    assert np.all(np.abs(Wg.ravel() - W) <= 1e-12 * (1.0 + np.abs(W)))
+    assert np.all(np.abs(Gg.reshape(-1, n) - G) <= 1e-9 * (1.0 + np.abs(G)))
 
 
 def test_mollify_exact_on_linear_data_3d():
     ax = np.linspace(-1, 1, 41)
     X1, X2, X3 = np.meshgrid(ax, ax, ax, indexing="ij")
-    m = sm.MollifiedFunction([ax, ax, ax], 3.0 * X1 - 0.5 * X2 + 2.0 * X3 + 1.0, 0.1)
+    m = sm.MollifiedFunction(ax, 3.0 * X1 - 0.5 * X2 + 2.0 * X3 + 1.0, _constant(0.1))
     slope = np.array([3.0, -0.5, 2.0])
     q = np.random.default_rng(5).uniform(-0.7, 0.7, (200, 3))
     w, g = m.evaluate(q)
@@ -369,7 +344,7 @@ def test_mollify_exact_on_linear_data_3d():
 
 def test_evaluate_grid_boundary_guard():
     ax = np.linspace(-1, 1, 51)
-    m = sm.MollifiedFunction([ax], np.abs(ax), 0.2)
+    m = sm.MollifiedFunction(ax, np.abs(ax), _constant(0.2))
     with pytest.raises(sm.BoundaryRadiusError):
         m.evaluate_grid([np.array([0.0, 0.95])])
 

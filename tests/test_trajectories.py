@@ -40,6 +40,37 @@ def test_dissipation_audit_rejects_a_nonpositive_gamma(linear, gamma):
         tr.dissipation_audit_detail(traj, stg.builtin("sq_norm"), gamma)
 
 
+def test_audits_reject_a_switch_off_the_grid(linear):
+    """The midpoint rule charges a whole step at one input value, so a switch between grid
+    times makes the supply wrong on its step: both audits reject it, naming the switch and
+    the step.  A switch on a grid time (up to 1e-9 of the span) or not inside the span
+    passes, and the on-grid run keeps its slack."""
+    V = stg.builtin("sq_norm")
+    off = tr.PiecewiseConstantInput([0.0005], [[0.0], [1.0]])
+    traj = tr.integrate(linear, [0.0], off, (0, 0.01), 1e-3)
+    for audit in (tr.dissipation_audit, tr.dissipation_audit_detail):
+        with pytest.raises(ValueError, match="switch time 0.0005 .* step 0.001"):
+            audit(traj, V, 1.0)
+    for switches in ([0.001], [0.004 + 1e-13], [0.0], [0.01], [-1.0, 0.5]):
+        on = tr.PiecewiseConstantInput(switches, [[0.0], [1.0], [2.0]][:len(switches) + 1])
+        tr.dissipation_audit(tr.integrate(linear, [0.0], on, (0, 0.01), 1e-3), V, 1.0)
+    on = tr.PiecewiseConstantInput([0.001], [[0.0], [1.0]])
+    slack = tr.dissipation_audit(tr.integrate(linear, [0.0], on, (0, 0.01), 1e-3), V, 1.0)
+    assert 0.0 < slack < 1e-7
+
+
+@pytest.mark.parametrize("amplitude, omega, phase", [
+    ([0.5, 0.7], [1.0], None), ([0.5, 0.7], [1.0, 2.0, 3.0], None),
+    ([0.5], [1.0], [0.0, 1.0]), ([0.5, 0.7], [1.0, 2.0], [0.0])])
+def test_sinusoid_lengths_must_agree(amplitude, omega, phase):
+    """Amplitude, omega and phase (when given) name one value per channel: a length
+    that differs is an error naming the three lengths, not a broadcast."""
+    lengths = (len(amplitude), len(omega), len(amplitude) if phase is None else len(phase))
+    with pytest.raises(ValueError, match="got {}, {} and {}$".format(*lengths)):
+        tr.SinusoidInput(amplitude, omega, phase)
+    assert tr.SinusoidInput([0.5, 0.7], [1.0, 2.0]).m == 2
+
+
 def test_rk4_exponential_oracle(linear):
     traj = tr.integrate(linear, [1.0], tr.ConstantInput([0.0]), (0, 1), 1e-3)
     assert abs(traj.states[-1, 0] - np.exp(-1)) <= 1e-9
@@ -440,7 +471,6 @@ def _blow_up_reference(sys, X0, inputs, t_span, step):
     (("x1*x1*x1*x1*x1*x1*x1",), [[1e3]], (0, 1), 0.2),          # inf on the first step
     (("-x1", "sqrt(x2 - 1)"), [[1.0, 0.5]], (0, 1), 0.1),      # nan in x2 alone
     (("-x1",), [[9e7], [-9e7]] * 100, (0, 0.1), 1e-2),          # sum of x^2 > 1e16: no escape
-    (("-x1",), [[2e8]] + [[9e7], [-9e7]] * 100, (0, 0.1), 1e-2),   # one row past 1e8
 ])
 def test_blow_up_time_is_first_grid_time_past_bound(F, x0s, span, step):
     sys = sy.GeneralSystem(len(F), 1, F)
@@ -459,6 +489,26 @@ def test_blow_up_time_is_first_grid_time_past_bound(F, x0s, span, step):
                 tr.integrate_ensemble(sys, np.repeat(X0, 2, axis=0), inputs * 2, span, step)
             assert str(info.value) == str(pair.value)       # the same time and norm
     assert info.value.t == expected
+
+
+@pytest.mark.parametrize("x0s, row", [
+    pytest.param([[2e8]] + [[9e7], [-9e7]] * 100, 0, id="past-bound-in-batch"),
+    pytest.param([[9e7]] * 3 + [[-3e8]], 3, id="past-bound-last-row"),
+    pytest.param([[3e8]], 0, id="past-bound-alone"),
+    pytest.param([[0.5], [np.nan]], 1, id="nan-in-batch"),
+    pytest.param([[np.nan]], 0, id="nan-alone"),
+    pytest.param([[-np.inf]], 0, id="inf-alone"),
+])
+def test_start_state_outside_the_blow_up_bound_is_bad_input(x0s, row, monkeypatch):
+    """A start past |x_i| = 1e8, or not finite, is bad input: a ValueError naming the row
+    and the bound before any right-hand-side call, on the array and the float path alike,
+    not a blow-up one step later (under dx/dt = -x, |x| only decays)."""
+    sys = sy.GeneralSystem(1, 1, ("-x1",))
+    calls, scalar_calls = _count_rhs_calls(sys), _count_scalar_rhs_calls(monkeypatch)
+    with pytest.raises(ValueError, match=rf"start state {row} .* \|x_i\| <= 1e\+08"):
+        tr.integrate_ensemble(sys, np.array(x0s), [tr.ConstantInput([0.5])] * len(x0s),
+                              (0, 0.1), 1e-2)
+    assert calls == [] and scalar_calls == []
 
 
 def _count_rhs_calls(sys):
