@@ -400,6 +400,18 @@ SCALAR = OpTable(
     const=float, exponent=float, first="out = ()", column="out += ({0},)")
 
 
+def _keys(roots: tuple) -> tuple:
+    """has_x by node, the roots' keys and the kids of a key: (node, whether its constants
+    are full, i.e. arrays of X's batch shape; None in phi)."""
+    has_x = fold(roots, lambda node, *kids: node.tag == "x" or any(kids))
+
+    def kids(key) -> tuple:
+        node, full = key
+        return tuple((a, None if node.tag in _PHI else
+                      full or (node.tag in _SCALAR_UNSAFE and not has_x[a])) for a in node.kids)
+    return has_x, tuple((root, not has_x[root]) for root in roots), kids
+
+
 @functools.lru_cache(maxsize=4096)
 def compile_evaluator(e, table: OpTable = FLOAT) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Compile an AST, or a tuple of k ASTs, into one flat numpy function ``f(X, U)`` (memoized).
@@ -418,14 +430,8 @@ def compile_evaluator(e, table: OpTable = FLOAT) -> Callable[[np.ndarray, np.nda
     ``(value, lo, hi, dep)`` instead: the bounds (n, ...) of a subdifferential
     enclosure and the coordinates the AST depends on (see below).
     """
-    roots = e if isinstance(e, tuple) else (e,)
-    has_x = fold(roots, lambda node, *kids: node.tag == "x" or any(kids))
+    has_x, roots, kids = _keys(e if isinstance(e, tuple) else (e,))
     lines, consts, temps = [], {}, {}      # lines: (statement, temporaries it reads)
-
-    def kids(key) -> tuple:     # a key is (node, whether its constants are full; None in phi)
-        node, full = key
-        return tuple((a, None if node.tag in _PHI else
-                      full or (node.tag in _SCALAR_UNSAFE and not has_x[a])) for a in node.kids)
 
     def emit(key, *reads) -> str:
         node, full = key
@@ -441,8 +447,7 @@ def compile_evaluator(e, table: OpTable = FLOAT) -> Callable[[np.ndarray, np.nda
         lines.append((f"{name} = {code}", reads))
         return name
 
-    for j, root in enumerate(roots):       # root by root: a tuple's columns interleave
-        key = (root, not has_x[root])
+    for j, key in enumerate(roots):        # root by root: a tuple's columns interleave
         t = fold((key,), emit, kids, temps)[key]
         if isinstance(e, tuple):
             if not j:
@@ -458,6 +463,44 @@ def compile_evaluator(e, table: OpTable = FLOAT) -> Callable[[np.ndarray, np.nda
     scope = dict(table.scope, **consts)
     exec(compile(src, "<hjikit field>", "exec"), scope)
     return scope["field"]
+
+
+def _columns(fields: tuple, X, U) -> np.ndarray:
+    """The fields' values (..., k), each column one contiguous array."""
+    out = np.empty((len(fields),) + np.shape(X)[:-1])
+    for j, f in enumerate(fields):
+        out[j] = f(X, U)
+    return np.moveaxis(out, 0, -1)
+
+
+@functools.lru_cache(maxsize=4096)
+def split_evaluator(e: tuple) -> tuple:
+    """``compile_evaluator(e)`` for a tuple of ASTs, split into ``(inputs, state)`` at its
+    input-only frontier: every maximal x-free subtree whose value has X's batch shape, as it
+    reads u or holds a full constant (memoized).  ``inputs(X, U)``, X of shape (..., 0),
+    gives the k frontier values (..., k); ``state(X, W)`` reads subtree j as W[..., j].  The
+    same operations on the same values: ``state(X, inputs(X[..., :0], U))`` is bitwise
+    ``compile_evaluator(e)(X, U)``, but for which nan a sum of two nans gives."""
+    has_x, roots, kids = _keys(e)
+    frontier = {}                          # subtree -> the leaf that reads its column
+
+    def cut(key, node, batch):
+        if has_x[key[0]] or not batch:
+            return node
+        return frontier.setdefault(key[0], Var("u", len(frontier)))
+
+    def rule(key, *done):                  # (the node with its frontier cut, batch-shaped)
+        node, full = key
+        if not has_x[node]:
+            return node, node.tag == "u" or (full and node.tag == "num") or any(b for _, b in done)
+        new = [cut(k, *d) for k, d in zip(kids(key), done)]
+        return (Neg(*new) if isinstance(node, Neg) else Bin(node.op, *new) if isinstance(node, Bin)
+                else Call(node.fn, tuple(new)) if isinstance(node, Call) else node), False
+
+    done = fold(roots, rule, kids)
+    state = tuple(cut(key, *done[key]) for key in roots)
+    return (functools.partial(_columns, tuple(map(compile_evaluator, frontier))),
+            compile_evaluator(state))
 
 
 # ---------------------------------------------------------------------------

@@ -57,12 +57,12 @@ _U_TAIL = 20                # tail nodes per side of the fixed input grid's axis
 
 
 def _row_sum(A: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(A, axis=1)`` in A's dtype (``np.any`` for booleans).  Fewer than 8
+    """``np.add.reduce(A, axis=-1)`` in A's dtype (``np.any`` for booleans).  Fewer than 8
     columns, which numpy adds in order, are added column by column from 0 (faster): only
     the sign of a zero sum can differ, and no caller's terms let it matter."""
-    if A.shape[1] < 8:
-        return sum(A.T, np.zeros(len(A), dtype=A.dtype))
-    return np.add.reduce(A, axis=1, dtype=A.dtype)
+    if A.shape[-1] < 8:
+        return sum(A.T, np.zeros(A.shape[-2::-1], dtype=A.dtype)).T
+    return np.add.reduce(A, axis=-1, dtype=A.dtype)
 
 
 def tensor_grid(axes: Sequence[np.ndarray]) -> np.ndarray:

@@ -249,11 +249,13 @@ class MollifiedFunction:
         interpolant contributes ((y_{c+1}-x) A + r B)/h to the left node and
         ((x-y_c) A - r B)/h to the right one.
         """
-        nodes, r, dr = self.axis, self.radius.value(q), self.radius.deriv(q)
+        nodes = self.axis
+        with np.errstate(over="ignore", invalid="ignore"):     # a far q: r is inf or nan
+            r, dr = self.radius.value(q), self.radius.deriv(q)
         if np.any(q - r < nodes[0]) or np.any(q + r > nodes[-1]):
             raise BoundaryRadiusError("kernel support leaves the sampled hull; "
                                       "extend the sample grid or shrink the radius")
-        if np.any(r <= 0):
+        if not np.all(r > 0):                                  # also nan
             raise BoundaryRadiusError("nonpositive radius")
         lo = np.searchsorted(nodes, q - r, side="right") - 1   # left node of first cell
         hi = np.searchsorted(nodes, q + r, side="left") + 1    # one past the last node
@@ -305,6 +307,9 @@ class MollifiedFunction:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        if bad.size:
+            raise ValueError(f"query row {bad[0]} ({X[bad[0]].tolist()}) is not finite")
         Q, n = X.shape[0], self.ndim
         vals = np.empty(Q)
         grads = np.empty((Q, n))

@@ -6,8 +6,9 @@ ensemble integrations evaluate them once per batch of points, in one thread.
 Each system's right-hand side is one generated function ``_rhs(X, U) -> (..., n)``:
 ``dynamics`` checks x's and u's shapes and calls it; the RK4 loop checks them once.
 The system keeps the right-hand side's ASTs as ``_rhs_ast``, from which the RK4 loop
-of a single trajectory compiles the Python-float form (:data:`hjikit.expr.SCALAR`)
-when it first needs it.
+compiles, when it first needs them, the input and state passes of a batch
+(:func:`hjikit.expr.split_evaluator`) and the Python-float form of a single
+trajectory (:data:`hjikit.expr.SCALAR`).
 """
 from __future__ import annotations
 

@@ -4,12 +4,15 @@ Integration is fixed-step classical RK4 (no adaptive stepping) so that runs
 replay deterministically in tests.  A batch of trajectories steps in arrays; a
 batch of one steps in Python floats with the right-hand side's
 :data:`hjikit.expr.SCALAR` form, where numpy's per-call overhead would be all of
-the work, and gives the same bits.  Input signals are measurable and
-essentially bounded by construction: constants, piecewise constants, and
-per-channel sinusoids.  Integration starts only from finite states with
-|x_i| <= 1e8, the blow-up bound.  The audits take the supply |u|^2 by the
-midpoint rule, exact on each step only for a piecewise constant whose switch
-times lie on the integration grid, so they reject a switch off the grid.
+the work, and gives the same bits.  The array loop's input pass evaluates the
+right-hand side's input-only subtrees once, on all 3N input samples; its stages
+run the state pass on the rest.  Trajectories carry the audits' midpoint inputs
+and squared norms, computed for the batch at once.  Input signals are measurable
+and essentially bounded by construction: constants, piecewise constants, and
+per-channel sinusoids, with finite parameters.  Integration starts only from
+finite states with |x_i| <= 1e8, the blow-up bound.  The audits take the supply
+|u|^2 by the midpoint rule, exact on each step only for a piecewise constant whose
+switch times lie on the integration grid, so they reject a switch off the grid.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import HjikitError
+from .hji import _row_sum
 from .storage import StorageCandidate
 from .systems import System
 
@@ -44,11 +48,19 @@ _SEGMENTS = 8           # pieces of each input of random_piecewise_ensemble
 # Input signals
 # ---------------------------------------------------------------------------
 
+def _finite(key: str, values) -> np.ndarray:
+    """An input config's ``values`` as a float array, or a ValueError naming its ``key``."""
+    a = np.asarray(values, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"input {key} must be finite, got {a.tolist()}")
+    return a
+
+
 class ConstantInput:
     kind = "constant"
 
     def __init__(self, values):
-        self.values = np.atleast_1d(np.asarray(values, dtype=float))
+        self.values = np.atleast_1d(_finite("values", values))
 
     @property
     def m(self) -> int:
@@ -68,8 +80,8 @@ class PiecewiseConstantInput:
     kind = "piecewise_constant"
 
     def __init__(self, switch_times: Sequence[float], values):
-        self.switch_times = np.asarray(switch_times, dtype=float)  # K-1 interior switches
-        self.values = np.atleast_2d(np.asarray(values, dtype=float))  # (K, m)
+        self.switch_times = _finite("switch_times", switch_times)    # K-1 interior switches
+        self.values = np.atleast_2d(_finite("values", values))        # (K, m)
         if self.values.shape[0] != self.switch_times.size + 1:
             raise ValueError("need one more value row than switch times")
         if np.any(np.diff(self.switch_times) <= 0):
@@ -95,10 +107,10 @@ class SinusoidInput:
     kind = "sinusoid"
 
     def __init__(self, amplitude, omega, phase=None):
-        self.amplitude = np.atleast_1d(np.asarray(amplitude, dtype=float))
-        self.omega = np.atleast_1d(np.asarray(omega, dtype=float))
+        self.amplitude = np.atleast_1d(_finite("amplitude", amplitude))
+        self.omega = np.atleast_1d(_finite("omega", omega))
         self.phase = (np.zeros_like(self.amplitude) if phase is None
-                      else np.atleast_1d(np.asarray(phase, dtype=float)))
+                      else np.atleast_1d(_finite("phase", phase)))
         if not self.amplitude.size == self.omega.size == self.phase.size:
             raise ValueError(f"sinusoid amplitude, omega and phase need equal lengths, got "
                              f"{self.amplitude.size}, {self.omega.size} and {self.phase.size}")
@@ -165,11 +177,21 @@ class Trajectory:
     input: object           # the InputSignal
     step: float
     u_mid: np.ndarray | None = field(default=None, repr=False)  # (N, m), kept by integration
+    x_sq: np.ndarray | None = field(default=None, repr=False)   # (N+1,) |x_k|^2, also kept
+    u_sq: np.ndarray | None = field(default=None, repr=False)   # (N,) |u_mid|^2, also kept
 
     def midpoint_inputs(self) -> np.ndarray:
         """The input on the step midpoints: integration's stage-2 samples, or sampled now."""
         return self.u_mid if self.u_mid is not None else np.asarray(
             self.input(self.times[:-1] + 0.5 * self.step), dtype=float)
+
+    def energies(self) -> tuple:
+        """|x|^2 on the grid (N+1,) and |u|^2 on the step midpoints (N,): integration's,
+        or computed now, with the same bits."""
+        if self.x_sq is not None:
+            return self.x_sq, self.u_sq
+        u = self.midpoint_inputs()
+        return _row_sum(self.states * self.states), _row_sum(u * u)
 
 
 def integrate(sys: System, x0, u: InputSignal, t_span, step: float) -> Trajectory:
@@ -206,41 +228,48 @@ def integrate_ensemble(sys: System, X0, inputs: Sequence[InputSignal],
 
     # one sampling pass; t + h is sampled too: times[k] + h need not be times[k + 1]
     t0 = times[:-1]
-    U1, U2, U3 = _sample(inputs, np.concatenate([t0, t0 + 0.5 * h, t0 + h]),
-                         sys.m).reshape(3, N, B, sys.m)
-    u_mid = U2.transpose(1, 0, 2).copy()                # (B, N, m): the audits' midpoints
+    U = _sample(inputs, np.concatenate([t0, t0 + 0.5 * h, t0 + h]), sys.m).reshape(3, N, B, sys.m)
 
     # the first stage checks the shapes; the others call the right-hand side unchecked
-    k1 = sys.dynamics(X, U1[0])
+    k1 = sys.dynamics(X, U[0, 0])
     if B == 1:       # numpy's per-call overhead is all the work on one row
-        states = _rk4_point(ex.compile_evaluator(sys._rhs_ast, ex.SCALAR), X, k1,
-                            U1, U2, U3, times, h)
+        states = _rk4_point(ex.compile_evaluator(sys._rhs_ast, ex.SCALAR), X, k1, *U, times, h)
     else:
-        states = _rk4_batch(sys._rhs, X, k1, U1, U2, U3, times, h)
-    return [Trajectory(times, states[j], inputs[j], h, u_mid[j]) for j in range(B)]
+        states = _rk4_batch(sys._rhs_ast, X, k1, U, times, h)
+    # the audits' midpoint inputs (views of the samples) and squared norms
+    u_mid = U[1].swapaxes(0, 1)                                             # (B, N, m)
+    x_sq, u_sq = _row_sum(states * states), _row_sum(u_mid * u_mid)       # (B, N+1), (B, N)
+    return [Trajectory(times, x, sig, h, u, xq, uq)
+            for x, sig, u, xq, uq in zip(states, inputs, u_mid, x_sq, u_sq)]
 
 
-def _rk4_batch(rhs, X, k1, U1, U2, U3, times, h) -> np.ndarray:
-    """The RK4 steps of a batch, in arrays: the states (B, N+1, n).  The constants are
+def _rk4_batch(rhs_ast, X, k1, U, times, h) -> np.ndarray:
+    """The RK4 steps of a batch, in arrays: the states (B, N+1, n).  The input pass runs on
+    all samples U (3, N, B, m) (:func:`hjikit.expr.split_evaluator`).  The constants are
     0-d arrays, which numpy's calls take without a scalar conversion."""
+    inputs, rhs = ex.split_evaluator(rhs_ast)
+    W1, W2, W3 = inputs(np.empty(U.shape[:-1] + (0,)), U)
     half, whole, two, sixth = map(np.asarray, (0.5 * h, h, 2.0, h / 6.0))
     bound = _BLOWUP_NORM ** 2
-    states = np.empty((X.shape[0], times.size, X.shape[1]))
-    states[:, 0, :] = X
-    for k in range(times.size - 1):
+    states = np.empty((times.size,) + X.shape)         # time-major: one row per step
+    states[0] = X
+    add, mul = np.add, np.multiply
+    Y, dX = np.empty_like(X), np.empty_like(X)          # reused: a call with out is cheaper
+    for k, (w1, w2, w3) in enumerate(zip(W1, W2, W3)):     # step k's frontier values
         if k:
-            k1 = rhs(X, U1[k])
-        k2 = rhs(X + half * k1, U2[k])
-        k3 = rhs(X + half * k2, U2[k])
-        k4 = rhs(X + whole * k3, U3[k])
-        X = X + sixth * (k1 + two * k2 + two * k3 + k4)
+            k1 = rhs(X, w1)
+        k2 = rhs(add(X, mul(half, k1, Y), Y), w2)
+        k3 = rhs(add(X, mul(half, k2, Y), Y), w2)
+        k4 = rhs(add(X, mul(whole, k3, Y), Y), w3)
+        # X + h/6 (((k1 + 2 k2) + 2 k3) + k4), in that order, into the next row
+        add(add(k1, mul(two, k2, dX), dX), mul(two, k3, Y), dX)
+        X = add(X, mul(sixth, add(dX, k4, dX), dX), states[k + 1])
         # a sum of squares bounds every x^2 from above and fails on nan: an exact accept
         if not np.vdot(X, X) <= bound:
             worst = np.abs(X).max()
             if not worst <= _BLOWUP_NORM:               # also nan
                 raise BlowUpError(float(times[k + 1]), float(worst))
-        states[:, k + 1, :] = X
-    return states
+    return np.ascontiguousarray(states.transpose(1, 0, 2))
 
 
 def _rk4_point(rhs, X, k1, U1, U2, U3, times, h) -> np.ndarray:
@@ -292,12 +321,10 @@ def _storage_minus_supply_running(traj: Trajectory, V: StorageCandidate,
     and |x|^2 the trapezoid rule.
     """
     h = traj.step
-    xs = traj.states
-    Vx = V.value_batch(xs)
-    # the ufunc methods np.sum and np.cumsum call, without their wrappers
-    xsq = np.add.reduce(xs * xs, axis=1)
-    usq_mid = np.add.reduce(np.square(traj.midpoint_inputs()), axis=1)
+    Vx = V.value_batch(traj.states)
+    xsq, usq_mid = traj.energies()
     S = np.zeros(xsq.size)
+    # the ufunc method np.cumsum calls, without its wrapper
     np.add.accumulate(h * gamma * usq_mid - 0.5 * h * (xsq[:-1] + xsq[1:]), out=S[1:])
     return Vx - S
 
@@ -359,11 +386,9 @@ def l2_gain_detail(sys: System, ensemble: Sequence[InputSignal], T: float,
     X0 = np.zeros((len(ensemble), sys.n))
     trajs = integrate_ensemble(sys, X0, ensemble, (0.0, T), step)
     # every sum runs along a contiguous last axis, as it does for one trajectory
-    xs = np.stack([traj.states for traj in trajs])                  # (B, N+1, n)
-    xsq = np.sum(xs * xs, axis=2)
+    xsq, usq = (np.stack(e) for e in zip(*(traj.energies() for traj in trajs)))  # (B, N+1), (B, N)
     num = np.trapezoid(xsq, dx=step, axis=1)
-    u_mid = np.stack([traj.midpoint_inputs() for traj in trajs])   # (B, N, m)
-    den = np.sum(np.sum(u_mid * u_mid, axis=2), axis=1) * step
+    den = np.sum(usq, axis=1) * step
     keep = ~(den < 1e-12)
     if not keep.any():
         raise NoAdmissibleInputError("no admissible input")

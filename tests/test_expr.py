@@ -434,6 +434,26 @@ def test_generated_tuple_matches_stacked_closures_bitwise(asts, extra, seed):
         assert _same_bits(got, np.stack(cols, axis=-1)), ([ex.to_source(a) for a in roots], xb, ub)
 
 
+@settings(max_examples=150, deadline=None)
+@given(asts=st.lists(_asts, min_size=1, max_size=4), seed=st.integers(0, 2 ** 32 - 1))
+def test_split_evaluator_matches_the_whole_bitwise(asts, seed):
+    """The input pass over a stack of input samples, then the state pass on each sample's
+    slice of its columns, gives the whole evaluator's bits, every nan alike (which nan a
+    sum of two comes out depends on the loop, and so on its position in the array); the
+    input pass reads no x."""
+    roots = tuple(asts)
+    (inputs, state), whole = ex.split_evaluator(roots), ex.compile_evaluator(roots)
+    rng = np.random.default_rng(seed)
+    for batch in ((1,), (17,)):
+        X, U = _draw(rng, batch + (2,)), _draw(rng, (3,) + batch + (2,))
+        with np.errstate(all="ignore"):
+            W = inputs(np.empty(U.shape[:-1] + (0,)), U)
+            for i in range(3):
+                got, ref = state(X, W[i]), whole(X, U[i])
+                assert type(got) is type(ref) and _same_or_both_nan(got, ref), \
+                    [ex.to_source(a) for a in roots]
+
+
 @pytest.mark.parametrize("src", [
     "-0.3", "0", "1", "-(-0)", "1e400", "-1e400*x1", "2*3 - 1/4", "u1", "u1 + 1",
     "pow(x1, 2)", "pow(x1, 0.5)", "pow(x1, -1)", "pow(x1, -2)", "spow(x1, 2)", "spow(u2, 0.5)",

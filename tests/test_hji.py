@@ -945,18 +945,19 @@ def test_row_kinds_count_unbounded_and_empty_rows():
 
 
 @settings(max_examples=100, deadline=None)
-@given(k=st.integers(0, 10), seed=st.integers(0, 2 ** 32 - 1), fortran=st.booleans())
-def test_row_sum_is_numpys_sum_over_a_short_axis(k, seed, fortran):
-    """By columns, the row sums are np.sum's up to the sign of a zero sum (so its bits
-    once a nonnegative term joins them), and np.any's for booleans."""
+@given(k=st.integers(0, 10), seed=st.integers(0, 2 ** 32 - 1), fortran=st.booleans(),
+       rows=st.sampled_from([(37,), (5, 8)]))
+def test_row_sum_is_numpys_sum_over_a_short_axis(k, seed, fortran, rows):
+    """By columns, the sums over the last axis are np.sum's up to the sign of a zero sum
+    (so its bits once a nonnegative term joins them), and np.any's for booleans."""
     rng = np.random.default_rng(seed)
-    A = rng.normal(size=(37, k)) * 10.0 ** rng.integers(-8, 8, (37, k))
+    A = rng.normal(size=rows + (k,)) * 10.0 ** rng.integers(-8, 8, rows + (k,))
     A[rng.random(A.shape) < 0.3] = -0.0
     A[rng.random(A.shape) < 0.05] = rng.choice([math.inf, -math.inf, math.nan])
     A = np.asfortranarray(A) if fortran else A
-    nonneg = rng.uniform(0, 1, 37) * (rng.random(37) < 0.5)
-    assert (hji._row_sum(A) + nonneg).tobytes() == (np.sum(A, axis=1) + nonneg).tobytes()
-    assert hji._row_sum(A > 0).tobytes() == np.any(A > 0, axis=1).tobytes()
+    nonneg = rng.uniform(0, 1, rows) * (rng.random(rows) < 0.5)
+    assert (hji._row_sum(A) + nonneg).tobytes() == (np.sum(A, axis=-1) + nonneg).tobytes()
+    assert hji._row_sum(A > 0).tobytes() == np.any(A > 0, axis=-1).tobytes()
 
 
 # ---------------------------------------------------------------------------

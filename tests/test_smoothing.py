@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,22 @@ def test_mollify_boundary_guard():
     m = sm.MollifiedFunction(ax, np.abs(ax), _constant(0.2))
     with pytest.raises(sm.BoundaryRadiusError):
         m.evaluate(np.array([[0.95]]))
+
+
+@pytest.mark.parametrize("q, error, message", [
+    ([[0.2], [np.nan]], ValueError, r"^query row 1 \(\[nan\]\) is not finite$"),
+    ([[np.inf], [0.2]], ValueError, r"^query row 0 \(\[inf\]\) is not finite$"),
+    ([[1e200]], sm.BoundaryRadiusError, "^nonpositive radius$"),   # r = 0 * sqrt(inf) is nan
+])
+def test_mollify_rejects_a_non_finite_query_or_radius(q, error, message):
+    """A non-finite query row is named before the hull check, and a radius that is not
+    positive (nan included) is rejected as nonpositive, without numpy warnings."""
+    ax = np.linspace(-1, 1, 51)
+    m = sm.MollifiedFunction(ax, np.abs(ax), _constant(0.1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            m.evaluate(np.array(q))
 
 
 def test_mollify_variable_radius_stays_exact_on_linears():

@@ -59,6 +59,28 @@ def test_audits_reject_a_switch_off_the_grid(linear):
     assert 0.0 < slack < 1e-7
 
 
+@pytest.mark.parametrize("cfg, key", [
+    ({"kind": "constant", "values": [0.5, math.nan]}, "values"),
+    ({"kind": "piecewise_constant", "switch_times": [math.nan], "values": [[0], [1]]},
+     "switch_times"),
+    ({"kind": "piecewise_constant", "switch_times": [0.5], "values": [[0], [math.inf]]}, "values"),
+    ({"kind": "sinusoid", "amplitude": [math.nan], "omega": [1.0]}, "amplitude"),
+    ({"kind": "sinusoid", "amplitude": [1.0], "omega": [-math.inf]}, "omega"),
+    ({"kind": "sinusoid", "amplitude": [1.0], "omega": [1.0], "phase": [math.nan]}, "phase"),
+])
+def test_non_finite_input_config_is_bad_input(cfg, key, tmp_path, capsys):
+    """A nan or inf in an input config is a ValueError naming its key, and simulate exits 2:
+    a nan switch time used to never fire (and pass the audit with slack 0), and a nan
+    amplitude was reported as a blow-up one step in."""
+    with pytest.raises(ValueError, match=f"^input {key} must be finite, got "):
+        tr.signal_from_config(cfg)
+    assert cli.main(["simulate", "--zoo", "scalar_linear", "--storage", "builtin:sq_norm",
+                     "--gamma", "1", "--x0", "0", "--input", json.dumps(cfg), "--tspan", "0",
+                     "0.01", "--step", "1e-3", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "blow-up" not in err
+
+
 @pytest.mark.parametrize("amplitude, omega, phase", [
     ([0.5, 0.7], [1.0], None), ([0.5, 0.7], [1.0, 2.0, 3.0], None),
     ([0.5], [1.0], [0.0, 1.0]), ([0.5, 0.7], [1.0, 2.0], [0.0])])
@@ -293,14 +315,20 @@ def _signal(kind, rng, m, a, h, N):
                             rng.uniform(-np.pi, np.pi, m))
 
 
-# Beyond the zoo: power-affine p = 2 (numpy's square path) and p = 1.5, and input
-# fields with a literal 1 (written w, not w*1) and x-free constants, one component
-# x-free as a whole (its constants are arrays of the batch shape).
+# Beyond the zoo: power-affine p = 2 (numpy's square path), 1.5 and 3, input fields
+# with a literal 1 (written w, not w*1) and x-free constants, one component x-free as
+# a whole (its constants are arrays of the batch shape), components that read only the
+# input or nothing at all, and systems without inputs, with and without an input pass.
 _RK4_SYSTEMS = {
     **{f"{phi}({p:g})": sy.AffineSystem(2, 2, ("-x1+x2", "-cbrt(x2)"),
                                         (("1", "x2"), ("abs(x1)", "0")), p=p, phi=phi)
-       for p in (1.5, 2.0) for phi in ("abs_pow", "signed_pow")},
+       for p in (1.5, 2.0, 3.0) for phi in ("abs_pow", "signed_pow")},
     "constant fields": sy.AffineSystem(2, 2, ("-x1", "0.5"), (("1", "2"), ("x1", "1"))),
+    "input only": sy.GeneralSystem(1, 1, ("u1",)),
+    "constant only": sy.GeneralSystem(1, 1, ("1",)),
+    "mixed": sy.GeneralSystem(2, 1, ("sqrt(abs(u1)) * x2 - x1", "1 - pow(cbrt(x1), 4) + u1*u1")),
+    "m = 0": sy.AffineSystem(2, 0, ("-x1+x2", "-pow(cbrt(x2), 4)"), ()),
+    "m = 0, x only": sy.GeneralSystem(1, 0, ("-x1",)),
 }
 
 
@@ -308,15 +336,17 @@ def _rk4_system(name):
     return _RK4_SYSTEMS[name] if name in _RK4_SYSTEMS else sy.zoo_entry(name).system
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(name=st.sampled_from([e.name for e in sy.zoo()] + list(_RK4_SYSTEMS)),
        kinds=st.lists(st.sampled_from(["constant", "piecewise", "sinusoid"]),
-                      min_size=1, max_size=4),
+                      min_size=1, max_size=7),
        a=st.sampled_from([0.0, 0.1, 0.37, 1.5]),
        h=st.sampled_from([1e-3, 2.5e-3, 1e-2, 0.1 / 3]),
        N=st.integers(1, 30),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_integrate_ensemble_matches_per_step_sampling(name, kinds, a, h, N, seed):
+    """A batch's input pass, state passes and time-major rows give the states of the
+    reference that calls every signal and ``sys.dynamics`` at every stage, bit for bit."""
     sys = _rk4_system(name)
     rng = np.random.default_rng(seed)
     X0 = rng.uniform(-1, 1, (len(kinds), sys.n))
@@ -336,7 +366,8 @@ def test_integrate_ensemble_matches_per_step_sampling(name, kinds, a, h, N, seed
        N=st.integers(1, 30),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_carried_midpoint_inputs_match_resampling(name, kinds, a, h, N, seed):
-    """The stage-2 samples integration keeps are the audits' midpoint samples, bit for bit."""
+    """The stage-2 samples and the squared norms integration keeps are the ones a bare
+    trajectory computes, and every audit and the l2 bound read them to the same bits."""
     sys = sy.zoo_entry(name).system
     rng = np.random.default_rng(seed)
     inputs = [_signal(k, rng, sys.m, a, h, N) for k in kinds]
@@ -346,9 +377,24 @@ def test_carried_midpoint_inputs_match_resampling(name, kinds, a, h, N, seed):
     for traj, sig in zip(trajs, inputs):
         fresh = np.asarray(sig(traj.times[:-1] + 0.5 * h), dtype=float)
         assert traj.midpoint_inputs().tobytes() == fresh.tobytes()
-        bare = tr.Trajectory(traj.times, traj.states, sig, h)      # samples on demand
-        assert tr.dissipation_audit_detail(traj, V, 1.5) == \
-            tr.dissipation_audit_detail(bare, V, 1.5)
+        bare = tr.Trajectory(traj.times, traj.states, sig, h)      # computes on demand
+        for carried, computed in zip(traj.energies(), bare.energies()):
+            assert carried.shape == computed.shape and carried.tobytes() == computed.tobytes()
+        for audit in (tr.dissipation_audit, tr.dissipation_audit_detail):
+            assert repr(audit(traj, V, 1.5)) == repr(audit(bare, V, 1.5))
+    with pytest.MonkeyPatch.context() as mp:      # the l2 bound from bare trajectories
+        integrate_ensemble = tr.integrate_ensemble
+        mp.setattr(tr, "integrate_ensemble", lambda *args: [
+            tr.Trajectory(t.times, t.states, t.input, t.step) for t in integrate_ensemble(*args)])
+        bare = _l2_or_error(sys, inputs, N * h, h)
+    assert _l2_or_error(sys, inputs, N * h, h) == bare
+
+
+def _l2_or_error(sys, inputs, T, step) -> str:
+    try:
+        return repr(tr.l2_gain_detail(sys, inputs, T, step))
+    except tr.NoAdmissibleInputError as err:
+        return f"error: {err}"
 
 
 @settings(max_examples=60, deadline=None)
@@ -541,24 +587,42 @@ def _count_scalar_rhs_calls(monkeypatch):
     return calls
 
 
+def _count_state_calls(monkeypatch):
+    """Count the calls of every state pass split from now on."""
+    calls, split_evaluator = [], ex.split_evaluator
+
+    def split_counted(e):
+        inputs, state = split_evaluator(e)
+
+        def counted(X, W):
+            calls.append(1)
+            return state(X, W)
+        return inputs, counted
+
+    monkeypatch.setattr(ex, "split_evaluator", split_counted)
+    return calls
+
+
 def test_state_dimension_mismatch_raises_before_any_step(monkeypatch):
     sys = sy.make_sigma1()
-    calls = _count_rhs_calls(sys)
+    calls, state_calls = _count_rhs_calls(sys), _count_state_calls(monkeypatch)
     with pytest.raises(sy.DimensionError, match="state has dimension 3, expected 2"):
         tr.integrate_ensemble(sys, np.zeros((2, 3)), [tr.ConstantInput([0.0, 0.0])] * 2,
                               (0, 0.1), 1e-2)
-    assert calls == []
+    assert calls == [] and state_calls == []
     tr.integrate_ensemble(sys, np.zeros((2, 2)), [tr.ConstantInput([0.0, 0.0])] * 2,
                           (0, 0.1), 1e-2)
-    assert len(calls) == 4 * 10                  # every stage of every step, no extra call
+    # the checked first stage, then one state pass per remaining stage, no extra call
+    assert len(calls) == 1 and len(state_calls) == 4 * 10 - 1
     # a batch of one: the same checked first stage, then the scalar right-hand side
     calls.clear()
+    state_calls.clear()
     scalar_calls = _count_scalar_rhs_calls(monkeypatch)
     with pytest.raises(sy.DimensionError, match="state has dimension 3, expected 2"):
         tr.integrate(sys, np.zeros(3), tr.ConstantInput([0.0, 0.0]), (0, 0.1), 1e-2)
     assert calls == [] and scalar_calls == []
     tr.integrate(sys, np.zeros(2), tr.ConstantInput([0.0, 0.0]), (0, 0.1), 1e-2)
-    assert len(calls) == 1 and len(scalar_calls) == 4 * 10 - 1
+    assert len(calls) == 1 and len(scalar_calls) == 4 * 10 - 1 and state_calls == []
 
 
 def test_signal_with_wrong_input_dimension_is_named(monkeypatch):
