@@ -94,7 +94,10 @@ def _region_from(args, n: int) -> hji.Region:
         box = tuple((args.box[2 * i], args.box[2 * i + 1]) for i in range(n))
     else:
         box = ((-2.0, 2.0),) * n
-    return hji.Region(box=box, points_per_dim=args.ppd, exclude_radius=args.exclude_radius)
+    try:
+        return hji.Region(box=box, points_per_dim=args.ppd, exclude_radius=args.exclude_radius)
+    except ValueError as err:
+        raise HjikitError(f"bad region (--box, --ppd, --exclude-radius): {err}") from err
 
 
 def _gamma_grid(spec: str):

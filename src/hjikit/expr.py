@@ -638,9 +638,3 @@ TANGENT = OpTable(
      "min": lambda a, b: _d_choice(np.minimum(a[0], b[0]), a[0] <= b[0], a, b),
      "max": lambda a, b: _d_choice(np.maximum(a[0], b[0]), a[0] >= b[0], a, b),
      "pow": _d_pow, "spow": _d_spow})
-
-
-def variables_used(e: Expr) -> set:
-    """Collect the (kind, 0-based index) pairs referenced by an AST."""
-    return fold((e,), lambda node, *kids: {(node.kind, node.index)} if isinstance(node, Var)
-                else set().union(*kids))[e]

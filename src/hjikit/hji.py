@@ -7,22 +7,21 @@ For input-affine systems the inner maximization over u has the exact closed form
 and the witness condition at (x, zeta) is ``residual <= 0``.  Power-affine
 systems have an exact sup too (channel by channel; +inf for p > 2 wherever a
 channel coefficient does not vanish).  For general systems the sup over u is
-lower-bounded on one fixed input grid, the tensor grid of u = d/sqrt(1 - d^2)
-(:func:`decompactify`) at 79 nodes d: every 0.05 in [-0.95, 0.95] and 20 per side
-with 1 - |d| geometric from 0.05 to 1e-6, so |u_i| <= 707 at a ratio of 1.31.  Box subdifferentials are handled by vertex enumeration (the
-residual is convex in zeta); unbounded box coordinates are admissible only where
-their dynamic coefficient vanishes identically in u.
+lower-bounded on one fixed input grid (:func:`_u_grid`: 79 nodes per axis to
+|u_i| = 707, the tail at a ratio of 1.31).  Box subdifferentials are handled by
+vertex enumeration (the residual is convex in zeta); unbounded box coordinates
+are admissible only where their dynamic coefficient vanishes identically in u.
 
-A :class:`Sweep` builds a region's grid, boxes, box vertices (vertex 0 for every
-row; the others of a box row's own axes for that row only) and, for
-(power-)affine systems, each vertex's gamma-free parts once.  Its residuals at
-any gamma are the one batched kernel; the scalar functions (:func:`point_residual`
-and the closed forms it calls) are the reference it is tested against.  Its
-needed gains solve the same sup for gamma, exactly or over the fixed input grid.
+A :class:`Sweep` builds a region's grid, boxes and box vertices once, and chooses
+its sup over u once, in ``Sweep.__init__``: :func:`_exact_sup` or :func:`_sampled_sup`,
+builders of one interface; another sup (refined between nodes, or exact for fields
+piecewise quadratic in u) is one more builder there.  Its residuals at any gamma are
+the one batched kernel, tested against the scalar reference (:func:`point_residual`
+and the closed forms it calls); its needed gains solve the same sup for gamma.
 :func:`check_witness` is one use of a sweep, and the minimal-gain scan reads one
-sweep: it takes the first grid gamma at or above the largest needed gain,
-confirms it with two checks (it passes, the grid gamma below fails) and bisects
-the grid only where they disagree.
+sweep: it takes the first grid gamma at or above the largest needed gain, confirms
+it with two checks (it passes, the grid gamma below fails) and bisects the grid only
+where they disagree.
 
 Two rules live here alone: every witness verdict is a :meth:`Sweep.check` report (its
 ``point_passed`` per point), and :func:`annulus_grid` decides which tensor-grid points lie
@@ -116,6 +115,9 @@ class Region:
             raise ValueError("exclude_radius must be positive (the origin is never checked)")
         if self.points_per_dim < 2:
             raise ValueError("points_per_dim must be at least 2")
+        for k, (lo, hi) in enumerate(self.box):       # a reversed or flat axis skips kinks
+            if not -math.inf < lo < hi < math.inf:      # or repeats its grid points
+                raise ValueError(f"box axis {k} needs finite lo < hi, got ({lo}, {hi})")
 
     @property
     def dim(self) -> int:
@@ -269,7 +271,7 @@ RowKinds = NamedTuple("RowKinds", [(k, int) for k in ("singleton", "box", "unbou
 
 
 class Sweep:
-    """A region sweep prepared once for any gamma: points, boxes and box vertices.
+    """A region sweep prepared once for any gamma: points, boxes, box vertices and its sup.
 
     Row q of ``lo``/``hi`` (Q, n) bounds the subdifferential at ``X[q]``.  The
     sup over zeta is taken over the box vertices (the residual is convex in
@@ -280,12 +282,13 @@ class Sweep:
     maximum wins a tie.  ``row_kinds`` counts the rows by kind: empty, else box,
     else unbounded (an infinite or NaN bound), else singleton.  A point with an
     unbounded coordinate whose dynamic coefficient does not vanish gets +inf, as
-    does a point whose sup is NaN; an empty row (lo > hi) gets -inf.  The sup over
-    u is exact for (power-)affine systems, from each vertex's gamma-free parts;
-    general systems sample it on the fixed input grid, so a point's results do not
-    depend on the other rows, evaluating the dynamics in chunks at each call, or
-    once for every call where all (point, u) rows fit in one chunk.  The bounds are
+    does a point whose sup is NaN; an empty row (lo > hi) gets -inf.  The bounds are
     read as C-ordered copies, so the results depend on their values, not their layout.
+
+    The sup over u is chosen here alone, in ``__init__``: ``mode`` 'exact' (:func:`_exact_sup`)
+    for (power-)affine systems, else 'sampled' (:func:`_sampled_sup`), with its default ``tol``.
+    Each maps a gamma to (value, maximizer u) per vertex and a tol to (needed gain, NaN), with
+    the rows it rules out; it keeps the sweep's arrays, never the sweep (no reference cycle).
     """
 
     def __init__(self, sys: System, X, lo, hi):
@@ -309,24 +312,9 @@ class Sweep:
         kind = np.where(self._empty, 3, 2 * _row_sum(self._unbounded))
         kind[box] = 1
         self.row_kinds = RowKinds(*np.bincount(kind, minlength=4).tolist())
-        self.exact = isinstance(sys, AffineSystem)
-        self.tol = DEFAULT_TOL_EXACT if self.exact else DEFAULT_TOL_SAMPLED   # the default
-        xx = _row_sum(self.X * self.X)
-        if self.exact:
-            signed = sys.phi == "signed_pow"
-            G0, GI = sys.drift(self.X), sys.input_fields(self.X)     # (Q, n), (m, Q, n)
-            coef = np.maximum(np.abs(G0), np.max(np.abs(GI), axis=0, initial=0.0))
-            self._bad = _row_sum(self._unbounded & (coef > _COEFF_ZERO_TOL))
-            self._parts = []             # per vertex: A, c_eff (rows, m), sign of c
-            for rows, Z in self.vertices:
-                c = np.einsum("iqn,qn->qi", GI[:, rows], Z)
-                self._parts.append((_row_sum(Z * G0[rows]) + xx[rows],
-                                    np.abs(c) if signed else np.maximum(c, 0.0),
-                                    np.sign(c) if signed else 1.0))
-        else:
-            self._xx, self._U = xx, _u_grid(sys.m)
-            self._uu = np.sum(self._U * self._U, axis=1)
-            self._F = None               # the dynamics of all rows, if they fit in one chunk
+        self.mode, self.tol, self._values, self._gains = (      # the one choice of the sup
+            _exact_sup if isinstance(sys, AffineSystem) else _sampled_sup)(
+                sys, self.X, self.vertices, self._unbounded)
 
     @classmethod
     def of(cls, sys: System, V: StorageCandidate, region: Region) -> "Sweep":
@@ -343,38 +331,12 @@ class Sweep:
     def residuals(self, gamma: float):
         """Worst residual over each point's box at ``gamma``: arrays res (Q,), zeta
         (Q, n) and u (Q, m); zeta and u are NaN where no finite maximizer exists."""
-        if self.exact:
-            return self._vertex_max((_affine_sup(self.sys.p, gamma, *parts)
-                                     for parts in self._parts), self._bad)
-
-        def sup(S, rows):                # the sampled sup at a vertex and its grid u
-            at_u = S + (self._xx[rows, None] - gamma * self._uu)
-            arg = np.argmax(at_u, axis=1)
-            return at_u[np.arange(len(rows)), arg], self._U[arg]
-        return self._sampled(sup)
+        return self._vertex_max(*self._values(gamma))
 
     def needed_gains(self, tol: Optional[float] = None) -> np.ndarray:
         """The least gain at which each point's residual is at most ``tol`` (default by
-        mode), shape (Q,): +inf if none, -inf for an empty row.
-
-        An affine vertex's residual is A + S gamma^(-p/(2-p)) for p < 2, with S = sum_i
-        (2-p)/p (p c_i/2)^(2/(2-p)), so it needs (S/(tol - A))^((2-p)/p), 0 if S = 0 (+inf
-        if A > tol, or A = tol < A + S); p = 2 needs max c_i, p > 2 0 or +inf (a c_i > 0).
-        Sampled, it is max_k B_k - gamma |u_k|^2, B_k = zeta.F(x, u_k) + |x|^2, so it
-        needs the largest (B_k - tol)/|u_k|^2 (at least 0), or +inf if B_k > tol at u_k = 0.
-        """
-        tol = self.tol if tol is None else tol
-        no_u = np.full((len(self.X), self.sys.m), math.nan)
-        if self.exact:
-            return self._vertex_max(((_needed_gain(self.sys.p, tol, A, ceff), no_u[:len(A)])
-                                     for A, ceff, _ in self._parts), self._bad)[0]
-
-        def need(S, rows):               # u = 0 is the node of least |u|
-            B = S + self._xx[rows, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gain = np.max((B - tol) / self._uu, axis=1, where=self._uu > 0.0, initial=0.0)
-            return np.where(B[:, np.argmin(self._uu)] <= tol, gain, math.inf), no_u[:len(rows)]
-        return self._sampled(need)[0]
+        mode), shape (Q,): +inf if none, -inf for an empty row."""
+        return self._vertex_max(*self._gains(self.tol if tol is None else tol))[0]
 
     def check(self, gamma: float, tol: Optional[float] = None) -> WitnessReport:
         """The witness verdict at ``gamma``: pass iff no residual exceeds ``tol``
@@ -389,36 +351,11 @@ class Sweep:
         worst_u = None if np.isnan(U[k]).any() else U[k].copy()
         return WitnessReport("pass" if best <= tol else "fail", best, self.X[k].copy(),
                              worst_zeta, worst_u, len(self.X), float(gamma), float(tol),
-                             "exact" if self.exact else "sampled",
-                             grid=self.X, point_residuals=res, point_u=U)
-
-    def _sampled(self, reduce) -> tuple:
-        """:meth:`_vertex_max` over ``reduce(S, rows)``, a (value, u) pair per row of a
-        vertex, where S (rows, K) holds zeta.F(x, u_k) at those rows and every grid u_k.
-        The dynamics are evaluated per chunk of rows, and kept where all rows fit in one."""
-        X, U, K = self.X, self._U, len(self._U)
-        step = max(1, _CHUNK_ROWS // K)
-        index = [np.arange(len(X))[rows] for rows, _ in self.vertices]
-        sups = [[] for _ in index]                 # per vertex: its (value, u) per chunk
-        bad = np.empty(len(X), dtype=bool)
-        for start in range(0, len(X), step):
-            s = slice(start, start + step)
-            B = len(X[s])
-            F = self._F if self._F is not None else self.sys.dynamics(
-                np.repeat(X[s], K, axis=0), np.tile(U, (B, 1))).reshape(B, K, -1)
-            if B == len(X):              # F does not depend on gamma
-                self._F = F
-            for rows, (_, Z), sup in zip(index, self.vertices, sups):
-                i, j = np.searchsorted(rows, (start, start + B))
-                sup.append(reduce(np.einsum("bkn,bn->bk", F[rows[i:j] - start], Z[i:j]),
-                                  rows[i:j]))
-            bad[s] = np.any(self._unbounded[s] & (np.max(np.abs(F), axis=1) > _COEFF_ZERO_TOL),
-                            axis=1)
-        return self._vertex_max((map(np.concatenate, zip(*sup)) for sup in sups), bad)
+                             self.mode, grid=self.X, point_residuals=res, point_u=U)
 
     def _vertex_max(self, sups, bad: np.ndarray) -> tuple:
-        """Each row's largest (value, maximizer) in ``sups``, a pair per entry of ``vertices``,
-        as (res, zeta, u); a NaN value and a ``bad`` row are +inf, an empty row -inf."""
+        """Each row's largest (value, u) in ``sups``, a pair per entry of ``vertices`` (u is
+        (rows, m) or NaN), as (res, zeta, u); a NaN value or ``bad`` row is +inf, empty -inf."""
         Q, n = self.X.shape
         res, zeta, u = (np.full(Q, -math.inf), np.full((n, Q), math.nan),
                         np.full((self.sys.m, Q), math.nan))     # (n, Q): wheres over rows
@@ -427,10 +364,73 @@ class Sweep:
             better = val > top
             res[rows] = np.where(better, val, top)
             zeta[:, rows] = np.where(better, Z.T, zeta[:, rows])
-            u[:, rows] = np.where(better, w.T, u[:, rows])
+            u[:, rows] = np.where(better, np.transpose(w), u[:, rows])
         drop = bad | self._empty
         return (np.where(self._empty, -math.inf, np.where(bad, math.inf, res)),
                 np.where(drop, math.nan, zeta).T, np.where(drop, math.nan, u).T)
+
+
+def _exact_sup(sys: AffineSystem, X, vertices, unbounded):
+    """The exact sup as :class:`Sweep` reads it, from each vertex's gamma-free parts: A =
+    zeta.g0 + |x|^2, c_eff (rows, m) and the sign of c = zeta.g_i.  It is A + S gamma^(-p/(2-p))
+    for p < 2, S = sum_i (2-p)/p (p c_i/2)^(2/(2-p)), so it needs (S/(tol - A))^((2-p)/p), 0 if
+    S = 0 (+inf if A > tol, or A = tol < A + S); p = 2 needs max c_i, p > 2 0 or +inf (a c_i > 0).
+    It rules out a row where an unbounded coordinate's g0 or g_i does not vanish."""
+    signed = sys.phi == "signed_pow"
+    G0, GI = sys.drift(X), sys.input_fields(X)     # (Q, n), (m, Q, n)
+    coef = np.maximum(np.abs(G0), np.max(np.abs(GI), axis=0, initial=0.0))
+    bad, xx = _row_sum(unbounded & (coef > _COEFF_ZERO_TOL)), _row_sum(X * X)
+    parts = []                       # per vertex: A, c_eff (rows, m), sign of c
+    for rows, Z in vertices:
+        c = np.einsum("iqn,qn->qi", GI[:, rows], Z)
+        parts.append((_row_sum(Z * G0[rows]) + xx[rows],
+                      np.abs(c) if signed else np.maximum(c, 0.0), np.sign(c) if signed else 1.0))
+    return ("exact", DEFAULT_TOL_EXACT,
+            lambda gamma: ((_affine_sup(sys.p, gamma, *part) for part in parts), bad),
+            lambda tol: (((_needed_gain(sys.p, tol, A, c), math.nan) for A, c, _ in parts), bad))
+
+
+def _sampled_sup(sys: System, X, vertices, unbounded):
+    """The sup on the fixed input grid as :class:`Sweep` reads it: max_k B_k - gamma |u_k|^2,
+    B_k = zeta.F(x, u_k) + |x|^2, so it needs the largest (B_k - tol)/|u_k|^2 (at least 0),
+    or +inf if B_k > tol at u_k = 0.  It rules out a row where an unbounded coordinate of F
+    does not vanish at some u_k.  A point's results do not depend on the other rows: the
+    dynamics are evaluated in chunks of rows at each call, or once for all calls if they fit."""
+    U, xx = _u_grid(sys.m), _row_sum(X * X)
+    uu, K, step = np.sum(U * U, axis=1), len(U), max(1, _CHUNK_ROWS // len(U))
+    index = [np.arange(len(X))[rows] for rows, _ in vertices]   # each vertex's row numbers
+    F_all = None                     # the dynamics of all rows, if they fit in one chunk
+
+    def sup(S, rows, gamma):         # the sampled sup at a vertex and its grid u
+        at_u = S + (xx[rows, None] - gamma * uu)
+        arg = np.argmax(at_u, axis=1)
+        return at_u[np.arange(len(rows)), arg], U[arg]
+
+    def need(S, rows, tol):          # u = 0 is the node of least |u|
+        B = S + xx[rows, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = np.max((B - tol) / uu, axis=1, where=uu > 0.0, initial=0.0)
+        return (np.where(B[:, np.argmin(uu)] <= tol, gain, math.inf),
+                np.full((len(rows), sys.m), math.nan))
+
+    def scan(reduce, arg):           # per vertex, reduce(S, rows, arg), S = zeta.F(x, U)
+        nonlocal F_all
+        sups = [[] for _ in index]                 # per vertex: its (value, u) per chunk
+        bad = np.empty(len(X), dtype=bool)
+        for start in range(0, len(X), step):
+            s = slice(start, start + step)
+            B = len(X[s])
+            F = F_all if F_all is not None else sys.dynamics(
+                np.repeat(X[s], K, axis=0), np.tile(U, (B, 1))).reshape(B, K, -1)
+            if B == len(X):              # F does not depend on gamma
+                F_all = F
+            for rows, (_, Z), chunks in zip(index, vertices, sups):
+                i, j = np.searchsorted(rows, (start, start + B))
+                chunks.append(reduce(np.einsum("bkn,bn->bk", F[rows[i:j] - start], Z[i:j]),
+                                     rows[i:j], arg))
+            bad[s] = _row_sum(unbounded[s] & (np.max(np.abs(F), axis=1) > _COEFF_ZERO_TOL))
+        return (map(np.concatenate, zip(*chunks)) for chunks in sups), bad
+    return "sampled", DEFAULT_TOL_SAMPLED, lambda g: scan(sup, g), lambda t: scan(need, t)
 
 
 def _affine_sup(p, gamma, A, ceff, sgn):

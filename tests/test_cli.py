@@ -194,6 +194,28 @@ def test_malformed_expression_reports_usage_error(tmp_path, capsys):
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("box", [["2", "-2", "2", "-2"], ["1", "1", "-2", "2"]])
+def test_reversed_or_flat_box_is_a_usage_error(tmp_path, capsys, box):
+    """A reversed axis would skip the x = 0 kink rows (1,600 points checked, not
+    1,680), and a flat one would count 41 distinct points 1,640 times."""
+    assert run(["verify", "--zoo", "sigma1", "--storage", "builtin:v1", "--gamma", "1",
+                "--ppd", "40", "--box", *box, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "--box" in err and "box axis 0 needs finite lo < hi" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("zoo, storage, ppd, mode, tol", [
+    ("sigma3_scalar", "v3_scalar", "401", "sampled", 1e-6),
+    ("sigma1", "v1_scaled", "41", "exact", 1e-9)])
+def test_verify_report_names_the_sup_mode_and_its_tolerance(tmp_path, zoo, storage, ppd,
+                                                            mode, tol):
+    assert run(["verify", "--zoo", zoo, "--storage", f"builtin:{storage}", "--gamma", "1",
+                "--ppd", ppd, "--out", tmp_path]) == 0
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert (report["mode"], report["tolerance"]) == (mode, tol)
+
+
 def test_any_exception_a_command_raises_exits_2(tmp_path, monkeypatch, capsys):
     """Exit 1 is a falsified claim: an unexpected failure is an error (2), no report."""
     def fail(*args, **kwargs):

@@ -315,11 +315,6 @@ def test_eval_hypothesis_min_max_abs(a, b):
     assert ex.evaluate(e2, [a]) == 0.0
 
 
-def test_variables_used():
-    ast = ex.parse("x1*u2 + abs(x2)", 2, 2)
-    assert ex.variables_used(ast) == {("x", 0), ("x", 1), ("u", 1)}
-
-
 # ---------------------------------------------------------------------------
 # generated evaluators against a frozen copy of the closure compiler
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import types
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -211,6 +213,17 @@ def test_region_grid_excludes_origin():
         hji.check_witness(sy.make_scalar_linear(), stg.builtin("sq_norm"), 1.0,
                           hji.Region(box=((-0.01, 0.01),), points_per_dim=3,
                                      exclude_radius=10.0))
+
+
+@pytest.mark.parametrize("box, axis", [
+    (((2, -2), (2, -2)), 0),        # reversed: it would skip the x = 0 kink rows
+    (((1, 1), (-2, 2)), 0),         # flat: it would check 41 distinct points 1,640 times
+    (((-2, 2), (0.5, 0.5)), 1),
+    (((-2, 2), (-math.inf, 2)), 1),
+    (((math.nan, 2), (-2, 2)), 0)])
+def test_region_needs_finite_increasing_axes(box, axis):
+    with pytest.raises(ValueError, match=f"box axis {axis} needs finite lo < hi"):
+        hji.Region(box=box, points_per_dim=40)
 
 
 def test_check_witness_worked_examples(sigma1, region2):
@@ -651,6 +664,25 @@ def _assert_sweep_keeps_no_state(sysm, V, region):
         assert _sweep_step(reused, step) == _sweep_step(hji.Sweep.of(sysm, V, region), step)
 
 
+@pytest.mark.parametrize("case", ["zoo sigma1", "sigma3_scalar/v3_scalar"])
+def test_sweep_is_freed_without_the_cycle_collector(case):
+    """The sup a sweep chooses keeps the sweep's arrays, not the sweep: with the cycle
+    collector off, a sweep that was checked and asked for its needed gains is freed as
+    soon as its last reference goes (exact on sigma1/v1_scaled, sampled on sigma3_scalar)."""
+    sysm, V, region, _ = _EXACT_CASES[case]
+    gc.collect()
+    gc.disable()
+    try:
+        sweep = hji.Sweep.of(sysm, V, region)
+        sweep.check(1.0)
+        sweep.needed_gains()
+        ref = weakref.ref(sweep)
+        del sweep
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 @settings(max_examples=40, deadline=None)
 @given(_power_affine_scans())
 def test_sweep_keeps_no_state_between_gammas(case):
@@ -834,7 +866,7 @@ def test_sampled_sweep_matches_dense_reference(case, chunk_rows, monkeypatch):
     region = hji.Region(box=((-1.3, 1.1),) * n, points_per_dim={1: 81, 2: 13, 3: 7}[n])
     X = region.grid(V.kinks)
     sweep = hji.Sweep(sysm, X, *V.subdiff_batch(X))
-    assert sweep.row_kinds.box > 0 and not sweep.exact
+    assert sweep.row_kinds.box > 0 and sweep.mode == "sampled"
     lo, hi = map(np.ascontiguousarray, V.subdiff_batch(X))      # the layout it sweeps
     for gamma in (0.5, 1.0, 2.0):
         _assert_bitwise(sweep.residuals(gamma), _dense_sweep(sysm, X, lo, hi, gamma))
