@@ -46,6 +46,16 @@ class EvalError(HjikitError):
     """Raised on domain errors during evaluation (division by zero, sqrt of a negative)."""
 
 
+def _row_sum(A: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(A, axis=-1)`` in A's dtype (``np.any`` for booleans), the one row sum
+    of the package.  Fewer than 8 columns, which numpy adds in order, are added column by
+    column from 0 (faster): only the sign of a zero sum can differ, and no caller's terms
+    let it matter."""
+    if A.shape[-1] < 8:
+        return sum(A.T, np.zeros(A.shape[-2::-1], dtype=A.dtype)).T
+    return np.add.reduce(A, axis=-1, dtype=A.dtype)
+
+
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------

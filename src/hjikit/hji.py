@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, HjikitError
-from .expr import _KINK_SNAP
+from .expr import _KINK_SNAP, _row_sum
 from .storage import StorageCandidate
 from .systems import AffineSystem, System
 
@@ -53,15 +53,6 @@ _COEFF_ZERO_TOL = 1e-12     # "vanishes identically" threshold for unbounded axe
 _CHUNK_ROWS = 200_000       # (point, u) rows per dynamics call on the sampled path
 _MAX_GAMMAS = 10 ** 6       # points of a gamma grid, at most
 _U_TAIL = 20                # tail nodes per side of the fixed input grid's axis
-
-
-def _row_sum(A: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(A, axis=-1)`` in A's dtype (``np.any`` for booleans).  Fewer than 8
-    columns, which numpy adds in order, are added column by column from 0 (faster): only
-    the sign of a zero sum can differ, and no caller's terms let it matter."""
-    if A.shape[-1] < 8:
-        return sum(A.T, np.zeros(A.shape[-2::-1], dtype=A.dtype)).T
-    return np.add.reduce(A, axis=-1, dtype=A.dtype)
 
 
 def tensor_grid(axes: Sequence[np.ndarray]) -> np.ndarray:

@@ -203,7 +203,7 @@ _BUILTIN_EXPRESSIONS = {
 
 def _sq_norm_value(X):
     X = np.asarray(X, dtype=float)
-    return np.sum(X * X, axis=-1)
+    return ex._row_sum(X * X)      # np.sum's bits: every term is >= +0
 
 
 _BUILTIN_NAMES = (*_BUILTIN_EXPRESSIONS, "sq_norm")

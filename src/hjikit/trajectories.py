@@ -6,8 +6,11 @@ batch of one steps in Python floats with the right-hand side's
 :data:`hjikit.expr.SCALAR` form, where numpy's per-call overhead would be all of
 the work, and gives the same bits.  The array loop's input pass evaluates the
 right-hand side's input-only subtrees once, on all 3N input samples; its stages
-run the state pass on the rest.  Trajectories carry the audits' midpoint inputs
-and squared norms, computed for the batch at once.  Input signals are measurable
+run the state pass on the rest.  An integration's trajectories are the rows of one
+record (states, midpoint inputs, squared norms).  The audit runs once per (record, V,
+gamma) over all rows and keeps the last result only, so alternating pairs recompute
+it; it evaluates V once on the stacked rows, relying on ``value_fn`` being elementwise
+over leading axes (:class:`~hjikit.storage.StorageCandidate`).  Input signals are measurable
 and essentially bounded by construction: constants, piecewise constants, and
 per-channel sinusoids, with finite parameters.  Integration starts only from
 finite states with |x_i| <= 1e8, the blow-up bound.  The audits take the supply
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import HjikitError
-from .hji import _row_sum
+from .expr import _row_sum
 from .storage import StorageCandidate
 from .systems import System
 
@@ -170,35 +173,86 @@ def random_piecewise_ensemble(m: int, T: float, step: float, count: int,
 # Integration
 # ---------------------------------------------------------------------------
 
+class _Batch:
+    """One integration, trajectory j being row j: the states (B, N+1, n), midpoint inputs
+    (B, N, m), squared norms |x_k|^2 (B, N+1) and |u_mid|^2 (B, N), and the last audit."""
+
+    def __init__(self, times, states, inputs, step, u_mid):
+        self.times, self.states, self.inputs, self.step = times, states, inputs, step
+        self.u_mid = u_mid
+        # C order: the l2 bound's sums run along a contiguous last axis, as for one row
+        self.x_sq, self.u_sq = (np.ascontiguousarray(_row_sum(a * a)) for a in (states, u_mid))
+        self.off_grid = self.last = None
+
+    def audit(self, j: int, V: StorageCandidate, gamma: float) -> tuple:
+        """Row j's A_k = V(x_k) - int_{t_0}^{t_k} (gamma|u|^2 - |x|^2) dt (|u|^2 by the midpoint
+        rule, |x|^2 by the trapezoid rule), its slacks A_k - min_{i<=k} A_i, their argmax."""
+        if not 0 < gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+        if self.off_grid is None:
+            self.off_grid = self._off_grid()
+        if self.off_grid[j]:
+            raise ValueError(self.off_grid[j])
+        gamma, last = float(gamma), self.last
+        if last is None or last[0] is not V or last[1] != gamma:
+            h, (B, N1, n) = self.step, self.states.shape
+            S, xq = np.zeros((B, N1)), self.x_sq
+            # the ufunc method np.cumsum calls, without its wrapper
+            np.add.accumulate(h * gamma * self.u_sq - 0.5 * h * (xq[:, :-1] + xq[:, 1:]),
+                              axis=1, out=S[:, 1:])
+            A = V.value_batch(self.states.reshape(B * N1, n)).reshape(B, N1) - S
+            slacks = A - np.minimum.accumulate(A, axis=1)
+            last = self.last = (V, gamma, A, slacks, slacks.argmax(axis=1))
+        return last[2][j], last[3][j], int(last[4][j])
+
+    def _off_grid(self) -> list:
+        """Per row, the error for an input switching off the grid by more than 1e-9 of the
+        span, or "": one check per switch-time array, however many rows share it."""
+        a, b, h = float(self.times[0]), float(self.times[-1]), self.step
+        found, out = {}, []
+        for sig in self.inputs:
+            ts = sig.switch_times if isinstance(sig, PiecewiseConstantInput) else ()
+            if id(ts) not in found:
+                s = np.asarray(ts, dtype=float)
+                off = s[(a < s) & (s < b) & (np.abs(s - (a + h * np.round((s - a) / h)))
+                                             > 1e-9 * (b - a))]
+                found[id(ts)] = "" if not off.size else (
+                    f"switch time {off[0]:g} is off the integration grid of step {h:g}; "
+                    "the audit needs switches on grid times")
+            out.append(found[id(ts)])
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     times: np.ndarray       # (N+1,)
     states: np.ndarray      # (N+1, n)
     input: object           # the InputSignal
     step: float
-    u_mid: np.ndarray | None = field(default=None, repr=False)  # (N, m), kept by integration
-    x_sq: np.ndarray | None = field(default=None, repr=False)   # (N+1,) |x_k|^2, also kept
-    u_sq: np.ndarray | None = field(default=None, repr=False)   # (N,) |u_mid|^2, also kept
+    _batch: _Batch | None = field(default=None, repr=False)  # its integration's record
+    _row: int = field(default=0, repr=False)                  # this trajectory's row of it
+
+    def _record(self) -> _Batch:
+        """The integration record; a bare trajectory's is one row, built on first use."""
+        if self._batch is None:
+            u = np.asarray(self.input(self.times[:-1] + 0.5 * self.step), dtype=float)[None]
+            X = np.asarray(self.states, dtype=float)[None]
+            object.__setattr__(self, "_batch", _Batch(self.times, X, (self.input,), self.step, u))
+        return self._batch
 
     def midpoint_inputs(self) -> np.ndarray:
-        """The input on the step midpoints: integration's stage-2 samples, or sampled now."""
-        return self.u_mid if self.u_mid is not None else np.asarray(
-            self.input(self.times[:-1] + 0.5 * self.step), dtype=float)
+        """The input on the step midpoints (N, m): integration's stage-2 samples."""
+        return self._record().u_mid[self._row]
 
     def energies(self) -> tuple:
-        """|x|^2 on the grid (N+1,) and |u|^2 on the step midpoints (N,): integration's,
-        or computed now, with the same bits."""
-        if self.x_sq is not None:
-            return self.x_sq, self.u_sq
-        u = self.midpoint_inputs()
-        return _row_sum(self.states * self.states), _row_sum(u * u)
+        """|x|^2 on the grid (N+1,) and |u|^2 on the step midpoints (N,)."""
+        return self._record().x_sq[self._row], self._record().u_sq[self._row]
 
 
 def integrate(sys: System, x0, u: InputSignal, t_span, step: float) -> Trajectory:
     """Fixed-step RK4 over [a, b]; aborts with :class:`BlowUpError` if |x| > 1e8."""
-    trajs = integrate_ensemble(sys, np.atleast_1d(np.asarray(x0, dtype=float))[None, :],
-                               [u], t_span, step)
-    return trajs[0]
+    return integrate_ensemble(sys, np.atleast_1d(np.asarray(x0, dtype=float))[None, :],
+                              [u], t_span, step)[0]
 
 
 def integrate_ensemble(sys: System, X0, inputs: Sequence[InputSignal],
@@ -212,18 +266,22 @@ def integrate_ensemble(sys: System, X0, inputs: Sequence[InputSignal],
     a, b = float(t_span[0]), float(t_span[1])
     if step <= 0 or b <= a:
         raise ValueError("need step > 0 and b > a")
-    X = np.asarray(X0, dtype=float)
-    B, _ = X.shape
-    if len(inputs) != B:
-        raise ValueError("need one input signal per initial condition")
-    bad = np.flatnonzero(~(np.abs(X) <= _BLOWUP_NORM).all(axis=1))     # also nan
-    if bad.size:
-        raise ValueError(f"start state {bad[0]} ({X[bad[0]].tolist()}) must be finite with "
-                         f"every |x_i| <= {_BLOWUP_NORM:g}, the blow-up bound")
     N = max(1, int(round((b - a) / step)))
     h = step
     if abs(N * h - (b - a)) > 1e-9 * (b - a):
         raise ValueError(f"the span [{a:g}, {b:g}] is not a whole number of steps of {h:g}")
+    X = np.asarray(X0, dtype=float)
+    if X.ndim != 2 and X.shape != (0,):                # [] is the empty batch
+        raise ValueError(f"need start states of shape (B, n), got shape {X.shape}")
+    B = len(X)
+    if len(inputs) != B:
+        raise ValueError("need one input signal per initial condition")
+    if not B:
+        return []
+    bad = np.flatnonzero(~(np.abs(X) <= _BLOWUP_NORM).all(axis=1))     # also nan
+    if bad.size:
+        raise ValueError(f"start state {bad[0]} ({X[bad[0]].tolist()}) must be finite with "
+                         f"every |x_i| <= {_BLOWUP_NORM:g}, the blow-up bound")
     times = a + h * np.arange(N + 1)
 
     # one sampling pass; t + h is sampled too: times[k] + h need not be times[k + 1]
@@ -236,11 +294,10 @@ def integrate_ensemble(sys: System, X0, inputs: Sequence[InputSignal],
         states = _rk4_point(ex.compile_evaluator(sys._rhs_ast, ex.SCALAR), X, k1, *U, times, h)
     else:
         states = _rk4_batch(sys._rhs_ast, X, k1, U, times, h)
-    # the audits' midpoint inputs (views of the samples) and squared norms
-    u_mid = U[1].swapaxes(0, 1)                                             # (B, N, m)
-    x_sq, u_sq = _row_sum(states * states), _row_sum(u_mid * u_mid)       # (B, N+1), (B, N)
-    return [Trajectory(times, x, sig, h, u, xq, uq)
-            for x, sig, u, xq, uq in zip(states, inputs, u_mid, x_sq, u_sq)]
+    # one record: the audits' midpoint inputs are a view of the samples
+    batch = _Batch(times, states, tuple(inputs), h, U[1].swapaxes(0, 1))
+    return [Trajectory(times, x, sig, h, batch, j)
+            for j, (x, sig) in enumerate(zip(states, inputs))]
 
 
 def _rk4_batch(rhs_ast, X, k1, U, times, h) -> np.ndarray:
@@ -313,51 +370,19 @@ def _sample(inputs: Sequence[InputSignal], t: np.ndarray, m: int) -> np.ndarray:
 # Audits
 # ---------------------------------------------------------------------------
 
-def _storage_minus_supply_running(traj: Trajectory, V: StorageCandidate,
-                                  gamma: float) -> np.ndarray:
-    """A_k = V(x_k) - integral_0^{t_k} (gamma|u|^2 - |x|^2) dt.
-
-    |u|^2 uses the midpoint rule (exact for grid-aligned piecewise constants)
-    and |x|^2 the trapezoid rule.
-    """
-    h = traj.step
-    Vx = V.value_batch(traj.states)
-    xsq, usq_mid = traj.energies()
-    S = np.zeros(xsq.size)
-    # the ufunc method np.cumsum calls, without its wrapper
-    np.add.accumulate(h * gamma * usq_mid - 0.5 * h * (xsq[:-1] + xsq[1:]), out=S[1:])
-    return Vx - S
-
-
-def _slacks(traj: Trajectory, V: StorageCandidate, gamma: float) -> tuple:
-    """A and its slacks A_b - min_{a <= b} A_a.  A piecewise-constant input must switch
-    on the grid (within 1e-9 of the span), where the midpoint rule for |u|^2 is exact."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    if isinstance(traj.input, PiecewiseConstantInput):
-        a, b, h = float(traj.times[0]), float(traj.times[-1]), traj.step
-        for s in traj.input.switch_times.tolist():
-            if a < s < b and abs(s - (a + h * round((s - a) / h))) > 1e-9 * (b - a):
-                raise ValueError(f"switch time {s:g} is off the integration grid of step "
-                                 f"{h:g}; the audit needs switches on grid times")
-    A = _storage_minus_supply_running(traj, V, gamma)
-    return A, A - np.minimum.accumulate(A)
-
-
 def dissipation_audit(traj: Trajectory, V: StorageCandidate, gamma: float) -> float:
     """Maximum of V(x(b)) - V(x(a)) - int_a^b (gamma|u|^2 - |x|^2) dt over grid a <= b.
 
     Nonnegative by construction (a = b gives 0); for a genuine gain-gamma
     witness the maximum stays within the integration tolerance.
     """
-    slacks = _slacks(traj, V, gamma)[1]
-    return float(slacks[slacks.argmax()])      # the first maximum, as the detail's
+    _, slacks, b = traj._record().audit(traj._row, V, gamma)
+    return float(slacks[b])      # the first maximum, as the detail's
 
 
 def dissipation_audit_detail(traj: Trajectory, V: StorageCandidate, gamma: float):
     """Max slack together with the (t_a, t_b) pair attaining it."""
-    A, slacks = _slacks(traj, V, gamma)
-    b = int(slacks.argmax())
+    A, slacks, b = traj._record().audit(traj._row, V, gamma)
     a = int(A[:b + 1].argmin())    # the first index of the running minimum at b
     return float(slacks[b]), (float(traj.times[a]), float(traj.times[b]))
 
@@ -384,9 +409,8 @@ def l2_gain_detail(sys: System, ensemble: Sequence[InputSignal], T: float,
     if not ensemble:
         raise NoAdmissibleInputError("no admissible input")
     X0 = np.zeros((len(ensemble), sys.n))
-    trajs = integrate_ensemble(sys, X0, ensemble, (0.0, T), step)
-    # every sum runs along a contiguous last axis, as it does for one trajectory
-    xsq, usq = (np.stack(e) for e in zip(*(traj.energies() for traj in trajs)))  # (B, N+1), (B, N)
+    batch = integrate_ensemble(sys, X0, ensemble, (0.0, T), step)[0]._record()
+    xsq, usq = batch.x_sq, batch.u_sq                       # (B, N+1), (B, N)
     num = np.trapezoid(xsq, dx=step, axis=1)
     den = np.sum(usq, axis=1) * step
     keep = ~(den < 1e-12)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,11 +34,39 @@ def test_signals():
         assert tr.signal_from_config(sig.config()).config() == sig.config()
 
 
-@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
 def test_dissipation_audit_rejects_a_nonpositive_gamma(linear, gamma):
-    traj = tr.integrate(linear, [1.0], tr.ConstantInput([0.1]), (0, 0.1), 1e-2)
-    with pytest.raises(ValueError, match="gamma must be positive"):
-        tr.dissipation_audit_detail(traj, stg.builtin("sq_norm"), gamma)
+    """Both audits reject a gamma that is not positive and finite.  inf passes a test of
+    gamma > 0 alone: on a zero input they used to return nan (inf * 0 in the supply)
+    with a RuntimeWarning."""
+    traj = tr.integrate(linear, [0.5], tr.ConstantInput([0.0]), (0, 0.1), 1e-2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for audit in (tr.dissipation_audit, tr.dissipation_audit_detail):
+            with pytest.raises(ValueError, match="gamma must be positive and finite, got "):
+                audit(traj, stg.builtin("sq_norm"), gamma)
+
+
+@pytest.mark.parametrize("X0, shape", [
+    (np.zeros(2), r"\(2,\)"), (np.zeros((1, 2, 1)), r"\(1, 2, 1\)"), (0.5, r"\(\)")])
+def test_integrate_ensemble_names_the_batch_shape(linear, X0, shape):
+    """Start states that are not one (B, n) array raise a ValueError naming that shape,
+    not numpy's unpacking error."""
+    with pytest.raises(ValueError, match=rf"shape \(B, n\), got shape {shape}$"):
+        tr.integrate_ensemble(linear, X0, [tr.ConstantInput([0.0])] * 2, (0, 0.1), 1e-2)
+
+
+@pytest.mark.parametrize("X0", [np.zeros((0, 1)), []])
+def test_empty_batch_integrates_to_no_trajectories(linear, X0):
+    """An empty batch is no trajectories, as a count-0 random ensemble is no signals; the
+    span is still checked."""
+    assert tr.integrate_ensemble(linear, X0, [], (0, 0.1), 1e-2) == []
+    assert tr.integrate_ensemble(linear, X0, tr.random_piecewise_ensemble(1, 0.1, 1e-2, 0),
+                                 (0, 0.1), 1e-2) == []
+    with pytest.raises(ValueError, match="not a whole number of steps"):
+        tr.integrate_ensemble(linear, X0, [], (0, 1), 0.6)
+    with pytest.raises(ValueError, match="one input signal per initial condition"):
+        tr.integrate_ensemble(linear, X0, [tr.ConstantInput([0.0])], (0, 0.1), 1e-2)
 
 
 def test_audits_reject_a_switch_off_the_grid(linear):
@@ -366,8 +395,9 @@ def test_integrate_ensemble_matches_per_step_sampling(name, kinds, a, h, N, seed
        N=st.integers(1, 30),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_carried_midpoint_inputs_match_resampling(name, kinds, a, h, N, seed):
-    """The stage-2 samples and the squared norms integration keeps are the ones a bare
-    trajectory computes, and every audit and the l2 bound read them to the same bits."""
+    """The stage-2 samples and the squared norms of an integration's record are the ones a
+    bare trajectory computes, every audit reads them to the same bits, and the l2 bound
+    read from the record is the per-trajectory reference's."""
     sys = sy.zoo_entry(name).system
     rng = np.random.default_rng(seed)
     inputs = [_signal(k, rng, sys.m, a, h, N) for k in kinds]
@@ -382,17 +412,13 @@ def test_carried_midpoint_inputs_match_resampling(name, kinds, a, h, N, seed):
             assert carried.shape == computed.shape and carried.tobytes() == computed.tobytes()
         for audit in (tr.dissipation_audit, tr.dissipation_audit_detail):
             assert repr(audit(traj, V, 1.5)) == repr(audit(bare, V, 1.5))
-    with pytest.MonkeyPatch.context() as mp:      # the l2 bound from bare trajectories
-        integrate_ensemble = tr.integrate_ensemble
-        mp.setattr(tr, "integrate_ensemble", lambda *args: [
-            tr.Trajectory(t.times, t.states, t.input, t.step) for t in integrate_ensemble(*args)])
-        bare = _l2_or_error(sys, inputs, N * h, h)
-    assert _l2_or_error(sys, inputs, N * h, h) == bare
+    assert (_l2_or_error(tr.l2_gain_detail, sys, inputs, N * h, h)
+            == _l2_or_error(_l2_reference, sys, inputs, N * h, h))
 
 
-def _l2_or_error(sys, inputs, T, step) -> str:
+def _l2_or_error(l2, sys, inputs, T, step) -> str:
     try:
-        return repr(tr.l2_gain_detail(sys, inputs, T, step))
+        return repr(l2(sys, inputs, T, step))
     except tr.NoAdmissibleInputError as err:
         return f"error: {err}"
 
@@ -418,7 +444,7 @@ def test_one_trajectory_matches_the_batch_path_bitwise(name, kind, a, h, N, seed
     assert one.states.tobytes() == pair.states.tobytes()
     assert one.states.tobytes() == _integrate_reference(sys, x0[None], [sig], span, h)[0].tobytes()
     assert one.times.tobytes() == pair.times.tobytes()
-    assert one.u_mid.tobytes() == pair.u_mid.tobytes()
+    assert one.midpoint_inputs().tobytes() == pair.midpoint_inputs().tobytes()
 
 
 class _Counting:
@@ -454,9 +480,10 @@ def _bits(v: float) -> bytes:
 
 
 def _audit_reference(traj, V, gamma):
-    """Running argmin by an explicit loop: ties keep the earliest index."""
+    """Running argmin by an explicit loop: ties keep the earliest index.  A is the row of
+    the trajectory's batch audit, bit for bit."""
     A = _running_reference(traj, V, gamma)
-    assert A.tobytes() == tr._storage_minus_supply_running(traj, V, gamma).tobytes()
+    assert A.tobytes() == traj._record().audit(traj._row, V, gamma)[0].tobytes()
     run_min = np.minimum.accumulate(A)
     run_arg = np.zeros(A.size, dtype=int)
     best, bi = A[0], 0
@@ -494,6 +521,78 @@ def test_dissipation_audit_detail_tie_example():
     lookup = stg.StorageCandidate("lut", lambda X: A[:np.shape(X)[0]])
     assert tr.dissipation_audit_detail(traj, lookup, 1.0) == (4.0, (1.0, 4.0))
     assert _bits(tr.dissipation_audit(traj, lookup, 1.0)) == _bits(4.0)
+
+
+_AUDITS = (tr.dissipation_audit, tr.dissipation_audit_detail)
+
+
+def _bare_audits(traj, V, gamma) -> list:
+    """Both audits of a bare trajectory of the same arrays: a one-row record of its own."""
+    one = tr.Trajectory(traj.times, traj.states, traj.input, traj.step)
+    return [repr(audit(one, V, gamma)) for audit in _AUDITS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from([e.name for e in sy.zoo()]),
+       kinds=st.lists(st.sampled_from(["constant", "piecewise", "sinusoid"]),
+                      min_size=1, max_size=5),
+       a=st.sampled_from([0.0, 0.1, 0.37, 1.5]),
+       h=st.sampled_from([1e-3, 2.5e-3, 1e-2, 0.1 / 3]),
+       N=st.integers(1, 30),
+       gammas=st.lists(st.sampled_from([0.25, 1.0, 1.5, 4.0]), min_size=2, max_size=2),
+       other=st.sampled_from(["witness", "sq_norm"]),
+       rand=st.randoms(use_true_random=False),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_audit_rows_match_one_row_audits(name, kinds, a, h, N, gammas, other, rand,
+                                               seed):
+    """Every row of an ensemble's batch audit is the audit of a bare one-row trajectory of
+    the same arrays (and the reference loop's), bit for bit, for two (V, gamma) pairs:
+    pair by pair in row order, and on a fresh record alternating between the pairs on
+    every call while visiting the rows out of order."""
+    entry = sy.zoo_entry(name)
+    sys = entry.system
+    rng = np.random.default_rng(seed)
+    inputs = [_signal(k, rng, sys.m, a, h, N) for k in kinds]
+    X0 = rng.uniform(-1, 1, (len(kinds), sys.n))
+    V2 = entry.claimed_witness if other == "witness" else stg.builtin("sq_norm")
+    pairs = ((entry.claimed_witness, gammas[0]), (V2, gammas[1]))
+    span = (a, a + N * h)
+    trajs = tr.integrate_ensemble(sys, X0, inputs, span, h)
+    want = {(p, j): _bare_audits(t, *pairs[p]) for p in (0, 1) for j, t in enumerate(trajs)}
+    for p, pair in enumerate(pairs):
+        for j, t in enumerate(trajs):
+            assert [repr(audit(t, *pair)) for audit in _AUDITS] == want[p, j]
+            assert want[p, j][1] == repr(_audit_reference(t, *pair))
+    trajs = tr.integrate_ensemble(sys, X0, inputs, span, h)
+    rows = list(range(len(trajs)))
+    rand.shuffle(rows)
+    for j in rows:
+        for p in rand.sample((0, 1), 2):
+            for audit in rand.sample(_AUDITS, 2):
+                assert repr(audit(trajs[j], *pairs[p])) == want[p, j][_AUDITS.index(audit)]
+
+
+def test_off_grid_switch_fails_its_own_row_only(linear, monkeypatch):
+    """A row whose input switches off the grid raises on its own audit alone, before and
+    after the other rows of its ensemble are audited; the switch times are checked once
+    per record, whatever the calls and (V, gamma) pairs."""
+    checks = []
+    off_grid = tr._Batch._off_grid
+    monkeypatch.setattr(tr._Batch, "_off_grid", lambda self: checks.append(1) or off_grid(self))
+    V = stg.builtin("sq_norm")
+    shared = tr.random_piecewise_ensemble(1, 0.01, 1e-3, 3, seed=4)    # on the grid
+    off = tr.PiecewiseConstantInput([0.0045], [[0.0], [1.0]])
+    inputs = shared[:2] + [off, tr.ConstantInput([0.5])] + shared[2:]
+    trajs = tr.integrate_ensemble(linear, np.full((5, 1), 0.25), inputs, (0, 0.01), 1e-3)
+    for j in (2, 0, 1, 3, 4, 2):
+        if j == 2:
+            for audit in _AUDITS:
+                with pytest.raises(ValueError, match="switch time 0.0045 is off the"):
+                    audit(trajs[j], V, 1.0)
+        else:
+            assert [repr(audit(trajs[j], V, g)) for g in (1.0, 2.0) for audit in _AUDITS] == [
+                r for g in (1.0, 2.0) for r in _bare_audits(trajs[j], V, g)]
+    assert len(checks) == 1 + 4 * 2         # the record's, then one per bare trajectory
 
 
 # ---------------------------------------------------------------------------
