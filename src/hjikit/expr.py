@@ -26,7 +26,7 @@ import math
 import operator
 import re
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -332,7 +332,8 @@ def _source(node, *args) -> tuple:
 
 # Generated code calls only these names; a field's source text never reaches it.
 _NUMPY = {"abs": np.abs, "sign": np.sign, "sqrt": np.sqrt, "cbrt": np.cbrt, "empty": np.empty,
-          "minimum": np.minimum, "maximum": np.maximum, "full": np.full, "asarray": np.asarray}
+          "minimum": np.minimum, "maximum": np.maximum, "full": np.full, "asarray": np.asarray,
+          "add": np.add, "subtract": np.subtract, "multiply": np.multiply, "divide": np.divide}
 _CODE = {"num": "{0}", "full": "full(S, {0})", "x": "X[..., {0}]", "u": "U[..., {0}]",
          "neg": "-{0}", "+": "{0} + {1}", "-": "{0} - {1}", "*": "{0} * {1}", "/": "{0} / {1}",
          "abs": "abs({0})", "sign": "sign({0})", "sqrt": "sqrt({0})", "cbrt": "cbrt({0})",
@@ -357,8 +358,9 @@ class OpTable:
     ``scope`` holds the names that code calls.  ``const`` converts a literal and
     ``exponent`` phi's exponent (by default each to a numpy scalar), each line of
     ``head`` is written when the body holds one of its marks, and ``first`` and
-    ``column`` start a tuple's result from its first root and put root j into it.
-    Hashed by identity, for the compile cache."""
+    ``column`` start a tuple's result from its first root and put root j into it, or
+    ``root[op]`` writes root j in place where op is its last operation.  ``args`` are the
+    generated function's.  Hashed by identity, for the compile cache."""
 
     code: dict
     scope: dict
@@ -367,6 +369,8 @@ class OpTable:
     head: tuple = ()
     first: str = "out = empty({0}.shape + ({1},))"
     column: str = "out[..., {1}] = {0}"
+    root: dict = field(default_factory=dict)
+    args: str = "X, U"
 
 
 # A literal is a 0-d array: numpy's call with a 0-d operand skips the scalar conversion
@@ -409,6 +413,13 @@ SCALAR = OpTable(
      "maximum": _maximum, "divide": _divide, "power": np.power},
     const=float, exponent=float, first="out = ()", column="out += ({0},)")
 
+# The batch RK4 loop's state pass: X (n, B) and U (k, B) read by rows, and root j written
+# into row j of O (n, B), in place by its last operation's ufunc where that is + - * /.
+ROWS = OpTable({**_CODE, "x": "X[{0}]", "u": "U[{0}]"}, _NUMPY, const=np.asarray,
+               head=(("S = X.shape[1:]", ("(S,",)),), first="out = O", column="O[{1}] = {0}",
+               root={op: fn + "({0}, {1}, O[{2}])" for op, fn in
+                     zip("+-*/", ("add", "subtract", "multiply", "divide"))}, args="X, U, O")
+
 
 def _keys(roots: tuple) -> tuple:
     """has_x by node, the roots' keys and the kids of a key: (node, whether its constants
@@ -438,7 +449,8 @@ def compile_evaluator(e, table: OpTable = FLOAT) -> Callable[[np.ndarray, np.nda
     floats: a float, or a tuple of k, bitwise what the default table gives on the
     (1, n) batch of that point.  :data:`TANGENT` generates, for one AST of x only,
     ``(value, lo, hi, dep)`` instead: the bounds (n, ...) of a subdifferential
-    enclosure and the coordinates the AST depends on (see below).
+    enclosure and the coordinates the AST depends on (see below).  :data:`ROWS` writes a
+    tuple's roots into the rows of a given buffer (see :func:`split_evaluator`).
     """
     has_x, roots, kids = _keys(e if isinstance(e, tuple) else (e,))
     lines, consts, temps = [], {}, {}      # lines: (statement, temporaries it reads)
@@ -451,25 +463,29 @@ def compile_evaluator(e, table: OpTable = FLOAT) -> Callable[[np.ndarray, np.nda
             code = table.code["full" if full else "num"].format(const)
         elif isinstance(node, Var):
             code = table.code[node.kind].format(int(node.index))
+        elif key == root and placed:
+            code = table.root[node.tag].format(*reads, j)
         else:
             code = table.code[node.tag].format(*reads)
         name = f"t{len(temps)}"
         lines.append((f"{name} = {code}", reads))
         return name
 
-    for j, key in enumerate(roots):        # root by root: a tuple's columns interleave
-        t = fold((key,), emit, kids, temps)[key]
+    for j, root in enumerate(roots):       # root by root: a tuple's columns interleave
+        placed = isinstance(e, tuple) and root not in temps and root[0].tag in table.root
+        t = fold((root,), emit, kids, temps)[root]
         if isinstance(e, tuple):
             if not j:
                 lines.append((table.first.format(t, len(e)), (t,)))
-            lines.append((table.column.format(t, j), (t,)))
+            if not placed:
+                lines.append((table.column.format(t, j), (t,)))
     out = "out" if isinstance(e, tuple) else t
     last = {t: i for i, (_, reads) in enumerate(lines) for t in reads}      # never the result
     body = "\n".join(f"    {code}" + "".join(f"; del {t}" for t in dict.fromkeys(reads)
                                               if last[t] == i)
                      for i, (code, reads) in enumerate(lines))
     head = [f"    {line}" for line, marks in table.head if any(m in body for m in marks)]
-    src = "\n".join(["def field(X, U):", *head, body, f"    return {out}"])
+    src = "\n".join([f"def field({table.args}):", *head, body, f"    return {out}"])
     scope = dict(table.scope, **consts)
     exec(compile(src, "<hjikit field>", "exec"), scope)
     return scope["field"]
@@ -484,13 +500,16 @@ def _columns(fields: tuple, X, U) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4096)
-def split_evaluator(e: tuple) -> tuple:
+def split_evaluator(e: tuple, table: OpTable = FLOAT) -> tuple:
     """``compile_evaluator(e)`` for a tuple of ASTs, split into ``(inputs, state)`` at its
     input-only frontier: every maximal x-free subtree whose value has X's batch shape, as it
     reads u or holds a full constant (memoized).  ``inputs(X, U)``, X of shape (..., 0),
-    gives the k frontier values (..., k); ``state(X, W)`` reads subtree j as W[..., j].  The
-    same operations on the same values: ``state(X, inputs(X[..., :0], U))`` is bitwise
-    ``compile_evaluator(e)(X, U)``, but for which nan a sum of two nans gives."""
+    gives the k frontier values (..., k), the rows of one (k, ...) buffer; ``state(X, W)``
+    (compiled with ``table``) reads subtree j as W[..., j].  The same operations on the same
+    values: ``state(X, inputs(X[..., :0], U))`` is bitwise ``compile_evaluator(e)(X, U)``,
+    but for which nan a sum of two nans gives.  :data:`ROWS` is component-major:
+    ``state(X, W, O)`` reads X (n, B) and W (k, B) by rows and writes O (n, B) in place,
+    a buffer that must alias neither."""
     has_x, roots, kids = _keys(e)
     frontier = {}                          # subtree -> the leaf that reads its column
 
@@ -510,7 +529,7 @@ def split_evaluator(e: tuple) -> tuple:
     done = fold(roots, rule, kids)
     state = tuple(cut(key, *done[key]) for key in roots)
     return (functools.partial(_columns, tuple(map(compile_evaluator, frontier))),
-            compile_evaluator(state))
+            compile_evaluator(state, table))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ Each system's right-hand side is one generated function ``_rhs(X, U) -> (..., n)
 ``dynamics`` checks x's and u's shapes and calls it; the RK4 loop checks them once.
 The system keeps the right-hand side's ASTs as ``_rhs_ast``, from which the RK4 loop
 compiles, when it first needs them, the input and state passes of a batch
-(:func:`hjikit.expr.split_evaluator`) and the Python-float form of a single
-trajectory (:data:`hjikit.expr.SCALAR`).
+(:func:`hjikit.expr.split_evaluator` with :data:`hjikit.expr.ROWS`) and of a single
+trajectory (with :data:`hjikit.expr.SCALAR`, in Python floats).
 """
 from __future__ import annotations
 

@@ -4,9 +4,10 @@ Integration is fixed-step classical RK4 (no adaptive stepping) so that runs
 replay deterministically in tests.  A batch of trajectories steps in arrays; a
 batch of one steps in Python floats with the right-hand side's
 :data:`hjikit.expr.SCALAR` form, where numpy's per-call overhead would be all of
-the work, and gives the same bits.  The array loop's input pass evaluates the
-right-hand side's input-only subtrees once, on all 3N input samples; its stages
-run the state pass on the rest.  An integration's trajectories are the rows of one
+the work, and gives the same bits.  Both take the right-hand side's input-only
+subtrees from one input pass on all 3N input samples; the array loop's state pass
+(:data:`hjikit.expr.ROWS`) is component-major and writes its roots in place into
+reused (n, B) stage buffers.  An integration's trajectories are the rows of one
 record (states, midpoint inputs, squared norms).  The audit runs once per (record, V,
 gamma) over all rows and keeps the last result only, so alternating pairs recompute
 it; it evaluates V once on the stacked rows, relying on ``value_fn`` being elementwise
@@ -19,6 +20,8 @@ switch times lie on the integration grid, so they reject a switch off the grid.
 """
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -263,11 +266,18 @@ def integrate_ensemble(sys: System, X0, inputs: Sequence[InputSignal],
     :data:`~hjikit.expr.SCALAR` form; a larger batch steps in arrays.  Both give the
     same bits: one trajectory is the same whether it runs alone or in a batch.
     """
-    a, b = float(t_span[0]), float(t_span[1])
-    if step <= 0 or b <= a:
-        raise ValueError("need step > 0 and b > a")
-    N = max(1, int(round((b - a) / step)))
-    h = step
+    batch = _integrate(sys, X0, inputs, t_span, step)
+    return [] if batch is None else [Trajectory(batch.times, x, sig, batch.step, batch, j)
+                                     for j, (x, sig) in enumerate(zip(batch.states, inputs))]
+
+
+def _integrate(sys: System, X0, inputs: Sequence[InputSignal], t_span, step: float):
+    """The record of :func:`integrate_ensemble`'s integration, or None for no start state."""
+    a, b, h = float(t_span[0]), float(t_span[1]), step
+    if not (np.isfinite([a, b, h]).all() and h > 0 and b > a):
+        raise ValueError(f"need a finite span [a, b] with b > a and a finite step > 0, "
+                         f"got [{a:g}, {b:g}] and step {h:g}")
+    N = max(1, int(round((b - a) / h)))
     if abs(N * h - (b - a)) > 1e-9 * (b - a):
         raise ValueError(f"the span [{a:g}, {b:g}] is not a whole number of steps of {h:g}")
     X = np.asarray(X0, dtype=float)
@@ -277,7 +287,7 @@ def integrate_ensemble(sys: System, X0, inputs: Sequence[InputSignal],
     if len(inputs) != B:
         raise ValueError("need one input signal per initial condition")
     if not B:
-        return []
+        return None
     bad = np.flatnonzero(~(np.abs(X) <= _BLOWUP_NORM).all(axis=1))     # also nan
     if bad.size:
         raise ValueError(f"start state {bad[0]} ({X[bad[0]].tolist()}) must be finite with "
@@ -290,64 +300,77 @@ def integrate_ensemble(sys: System, X0, inputs: Sequence[InputSignal],
 
     # the first stage checks the shapes; the others call the right-hand side unchecked
     k1 = sys.dynamics(X, U[0, 0])
-    if B == 1:       # numpy's per-call overhead is all the work on one row
-        states = _rk4_point(ex.compile_evaluator(sys._rhs_ast, ex.SCALAR), X, k1, *U, times, h)
+    # W (3, N, B, k) views the input pass's (k, 3, N, B) buffer; one row steps in floats
+    inputs_pass, rhs = ex.split_evaluator(sys._rhs_ast, ex.SCALAR if B == 1 else ex.ROWS)
+    W = inputs_pass(np.empty(U.shape[:-1] + (0,)), U)
+    if B == 1:
+        states = np.array(_point_loop(sys.n)(rhs, tuple(X[0].tolist()), tuple(k1[0].tolist()),
+                                             W[:, :, 0].swapaxes(0, 1).tolist(), times, h))[None]
     else:
-        states = _rk4_batch(sys._rhs_ast, X, k1, U, times, h)
-    # one record: the audits' midpoint inputs are a view of the samples
-    batch = _Batch(times, states, tuple(inputs), h, U[1].swapaxes(0, 1))
-    return [Trajectory(times, x, sig, h, batch, j)
-            for j, (x, sig) in enumerate(zip(states, inputs))]
+        states = _rk4_batch(rhs, X, k1, W.swapaxes(2, 3), times, h)
+    # the audits' midpoint inputs are a view of the samples
+    return _Batch(times, states, tuple(inputs), h, U[1].swapaxes(0, 1))
 
 
-def _rk4_batch(rhs_ast, X, k1, U, times, h) -> np.ndarray:
-    """The RK4 steps of a batch, in arrays: the states (B, N+1, n).  The input pass runs on
-    all samples U (3, N, B, m) (:func:`hjikit.expr.split_evaluator`).  The constants are
-    0-d arrays, which numpy's calls take without a scalar conversion."""
-    inputs, rhs = ex.split_evaluator(rhs_ast)
-    W1, W2, W3 = inputs(np.empty(U.shape[:-1] + (0,)), U)
+def _rk4_batch(rhs, X, k1, W, times, h) -> np.ndarray:
+    """The RK4 steps of a batch, in arrays: the states (B, N+1, n).  Component-major: ``rhs``,
+    the :data:`~hjikit.expr.ROWS` state pass, reads W (3, N, k, B) by rows and writes reused
+    (n, B) stage buffers, which alias neither its X nor W.  The constants are 0-d arrays."""
     half, whole, two, sixth = map(np.asarray, (0.5 * h, h, 2.0, h / 6.0))
     bound = _BLOWUP_NORM ** 2
-    states = np.empty((times.size,) + X.shape)         # time-major: one row per step
-    states[0] = X
+    states = np.empty((times.size,) + X.shape[::-1])    # time- and component-major
+    states[0], X = X.T, states[0]
+    K1, K2, K3, K4, Y, dX = np.empty((6,) + X.shape)      # reused: a call with out is cheaper
+    K1[...] = k1.T
     add, mul = np.add, np.multiply
-    Y, dX = np.empty_like(X), np.empty_like(X)          # reused: a call with out is cheaper
-    for k, (w1, w2, w3) in enumerate(zip(W1, W2, W3)):     # step k's frontier values
+    for k, (w1, w2, w3) in enumerate(zip(*W)):           # step k's frontier rows
         if k:
-            k1 = rhs(X, w1)
-        k2 = rhs(add(X, mul(half, k1, Y), Y), w2)
-        k3 = rhs(add(X, mul(half, k2, Y), Y), w2)
-        k4 = rhs(add(X, mul(whole, k3, Y), Y), w3)
+            rhs(X, w1, K1)
+        rhs(add(X, mul(half, K1, Y), Y), w2, K2)
+        rhs(add(X, mul(half, K2, Y), Y), w2, K3)
+        rhs(add(X, mul(whole, K3, Y), Y), w3, K4)
         # X + h/6 (((k1 + 2 k2) + 2 k3) + k4), in that order, into the next row
-        add(add(k1, mul(two, k2, dX), dX), mul(two, k3, Y), dX)
-        X = add(X, mul(sixth, add(dX, k4, dX), dX), states[k + 1])
+        add(add(K1, mul(two, K2, dX), dX), mul(two, K3, Y), dX)
+        X = add(X, mul(sixth, add(dX, K4, dX), dX), states[k + 1])
         # a sum of squares bounds every x^2 from above and fails on nan: an exact accept
         if not np.vdot(X, X) <= bound:
             worst = np.abs(X).max()
             if not worst <= _BLOWUP_NORM:               # also nan
                 raise BlowUpError(float(times[k + 1]), float(worst))
-    return np.ascontiguousarray(states.transpose(1, 0, 2))
+    return np.ascontiguousarray(states.transpose(2, 0, 1))
 
 
-def _rk4_point(rhs, X, k1, U1, U2, U3, times, h) -> np.ndarray:
-    """The same steps for a batch of one, in Python floats and in the same order of
-    operations; ``rhs`` takes and gives sequences.  The states (1, N+1, n)."""
-    x, k1 = X[0].tolist(), k1[0].tolist()
-    u1, u2, u3 = (U[:, 0].tolist() for U in (U1, U2, U3))
-    half, sixth = 0.5 * h, h / 6.0
-    rows = [x]
-    for k in range(times.size - 1):
+# One trajectory's RK4 steps in Python floats, in the array loop's order of operations.
+# _point_loop unrolls each braced field over the n components: "{a}" becomes "a0, a1, ...,"
+# and the braced test a conjunction of n terms.
+_POINT_LOOP = """
+def loop(rhs, x, k1, W, times, h):
+    ({x}), ({a}) = x, k1
+    half, sixth, rows = 0.5 * h, h / 6.0, [x]
+    for k, (w1, w2, w3) in enumerate(W):
         if k:
-            k1 = rhs(x, u1[k])
-        k2 = rhs([v + half * d for v, d in zip(x, k1)], u2[k])
-        k3 = rhs([v + half * d for v, d in zip(x, k2)], u2[k])
-        k4 = rhs([v + h * d for v, d in zip(x, k3)], u3[k])
-        x = [v + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
-             for v, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4)]
-        if not all(abs(v) <= _BLOWUP_NORM for v in x):        # also nan
+            {a} = rhs(x, w1)
+        {b} = rhs(({x + half * a}), w2)
+        {c} = rhs(({x + half * b}), w2)
+        {d} = rhs(({x + h * c}), w3)
+        x = {x} = {x + sixth * (a + 2.0 * b + 2.0 * c + d)}
+        if not ({abs(x) <= bound}):
             raise BlowUpError(float(times[k + 1]), float(np.abs(x).max()))
         rows.append(x)
-    return np.array(rows)[None]
+    return rows
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _point_loop(n: int) -> Callable:
+    """The loop for n components: ``rhs`` the :data:`~hjikit.expr.SCALAR` state pass, x and
+    k1 tuples of floats, W[k] step k's frontier values (w1, w2, w3); the states as tuples."""
+    def unroll(match):
+        terms = [re.sub(r"\b([xabcd])\b", rf"\g<1>{i}", match[1]) for i in range(n)]
+        return " and ".join(terms) if "<=" in match[1] else ", ".join(terms) + ","
+    scope = {"BlowUpError": BlowUpError, "np": np, "bound": _BLOWUP_NORM}
+    exec(re.sub(r"\{(.*?)\}", unroll, _POINT_LOOP), scope)
+    return scope["loop"]
 
 
 def _sample(inputs: Sequence[InputSignal], t: np.ndarray, m: int) -> np.ndarray:
@@ -409,7 +432,7 @@ def l2_gain_detail(sys: System, ensemble: Sequence[InputSignal], T: float,
     if not ensemble:
         raise NoAdmissibleInputError("no admissible input")
     X0 = np.zeros((len(ensemble), sys.n))
-    batch = integrate_ensemble(sys, X0, ensemble, (0.0, T), step)[0]._record()
+    batch = _integrate(sys, X0, ensemble, (0.0, T), step)
     xsq, usq = batch.x_sq, batch.u_sq                       # (B, N+1), (B, N)
     num = np.trapezoid(xsq, dx=step, axis=1)
     den = np.sum(usq, axis=1) * step

@@ -449,6 +449,51 @@ def test_split_evaluator_matches_the_whole_bitwise(asts, seed):
                     [ex.to_source(a) for a in roots]
 
 
+def _asts_over(n, m):
+    """_asts over x1..xn and u1..um."""
+    leaves = st.one_of(st.sampled_from(_LITERALS).map(ex.Num),
+                       st.builds(ex.Var, st.just("x"), st.integers(0, n - 1)),
+                       *([st.builds(ex.Var, st.just("u"), st.integers(0, m - 1))] if m else []))
+    return st.recursive(leaves, _extend, max_leaves=8)
+
+
+# roots added after the drawn ones: a repeat, roots that read root 0's value (written in
+# place when its last operation is + - * /), bare reads and x-free roots (copied)
+_EXTRA_ROOTS = {
+    "same": lambda r, n, m: r[0],
+    "reads": lambda r, n, m: ex.Bin("*", r[0], ex.Var("x", n - 1)),
+    "under": lambda r, n, m: ex.Call("abs", (ex.Bin("-", r[0], r[-1]),)),
+    "x": lambda r, n, m: ex.Var("x", 0),
+    "u": lambda r, n, m: ex.Var("u", m - 1) if m else ex.Num(2.0),
+    "free": lambda r, n, m: ex.Bin("+", ex.Num(0.5), ex.Var("u", 0)) if m else ex.Num(-0.0),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), m=st.integers(0, 2),
+       extra=st.lists(st.sampled_from(sorted(_EXTRA_ROOTS)), max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rows_state_pass_matches_the_float_state_pass_bitwise(data, n, m, extra, seed):
+    """The ROWS state pass reads X (n, B) and the frontier (k, B) by rows and writes the
+    caller's (n, B) buffer: every row is bitwise the column the FLOAT state pass gives,
+    with shared, repeated, in-place, bare and x-free roots, and the frontier rows taken
+    straight from the input pass's buffer."""
+    roots = tuple(data.draw(st.lists(_asts_over(n, m), min_size=1, max_size=3)))
+    roots += tuple(_EXTRA_ROOTS[e](roots, n, m) for e in extra)
+    (inputs, state), (_, rows) = ex.split_evaluator(roots), ex.split_evaluator(roots, ex.ROWS)
+    rng = np.random.default_rng(seed)
+    for B in (1, 17):
+        X, U = _draw(rng, (3, B, n)), _draw(rng, (3, B, m))
+        with np.errstate(all="ignore"):
+            W = inputs(np.empty(U.shape[:-1] + (0,)), U)
+            for i in range(3):
+                O = np.full((len(roots), B), np.nan)
+                got = rows(np.ascontiguousarray(X[i].T), np.moveaxis(W, -1, 0)[:, i], O)
+                ref = state(X[i], W[i])
+                assert got is O and _same_bits(O, np.ascontiguousarray(ref.T)), \
+                    [ex.to_source(a) for a in roots]
+
+
 @pytest.mark.parametrize("src", [
     "-0.3", "0", "1", "-(-0)", "1e400", "-1e400*x1", "2*3 - 1/4", "u1", "u1 + 1",
     "pow(x1, 2)", "pow(x1, 0.5)", "pow(x1, -1)", "pow(x1, -2)", "spow(x1, 2)", "spow(u2, 0.5)",
@@ -503,7 +548,7 @@ def test_each_op_table_compiles_apart_and_is_memoized():
     "x1",
 ])
 def test_generated_source_takes_no_text_from_the_ast(node):
-    for table in (ex.FLOAT, ex.SCALAR):
+    for table in (ex.FLOAT, ex.SCALAR, ex.ROWS):
         with pytest.raises((TypeError, ValueError, KeyError)):
             ex.compile_evaluator(node, table)
 

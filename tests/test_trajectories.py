@@ -293,6 +293,31 @@ def test_span_must_be_a_whole_number_of_steps(linear, span, step):
     assert traj.times.size == 8
 
 
+@pytest.mark.parametrize("span, step, shown", [
+    ((0, math.inf), 0.1, r"\[0, inf\] and step 0.1"),
+    ((0, math.nan), 0.1, r"\[0, nan\] and step 0.1"),
+    ((-math.inf, 1), 0.1, r"\[-inf, 1\] and step 0.1"),
+    ((0, 1), math.nan, r"\[0, 1\] and step nan"),
+    ((0, 1), math.inf, r"\[0, 1\] and step inf"),
+])
+def test_non_finite_span_or_step_is_named(span, step, shown):
+    """A span end or a step that is not finite raises a ValueError naming both, before any
+    input sample or right-hand-side call, for one trajectory, a batch and the l2 bound
+    (an infinite end used to raise OverflowError from int(), a nan one naming neither)."""
+    sys = sy.GeneralSystem(1, 1, ("-x1",))
+    calls, samples = _count_rhs_calls(sys), []
+    u = lambda t: samples.append(1) or np.zeros((np.size(t), 1))
+    match = f"need a finite span .* and a finite step > 0, got {shown}$"
+    with pytest.raises(ValueError, match=match):
+        tr.integrate(sys, [1.0], u, span, step)
+    with pytest.raises(ValueError, match=match):
+        tr.integrate_ensemble(sys, np.ones((2, 1)), [u, u], span, step)
+    if span[0] == 0:                     # the l2 bound integrates over [0, T]
+        with pytest.raises(ValueError, match=match):
+            tr.l2_gain_lowerbound(sys, [u], span[1], step)
+    assert calls == [] and samples == []
+
+
 def test_input_signal_shape_is_checked(linear):
     """A signal whose samples are not (N, m) is named in the error."""
     flat = lambda t: np.zeros(np.shape(t))                       # (N,), not (N, 1)
@@ -668,38 +693,33 @@ def _count_rhs_calls(sys):
     return calls
 
 
-def _count_scalar_rhs_calls(monkeypatch):
-    """Count the calls of every scalar right-hand side compiled from now on."""
-    calls, compile_evaluator = [], ex.compile_evaluator
-
-    def compile_counted(e, table=ex.FLOAT):
-        fn = compile_evaluator(e, table)
-        if table is not ex.SCALAR:
-            return fn
-
-        def counted(x, u):
-            calls.append(1)
-            return fn(x, u)
-        return counted
-
-    monkeypatch.setattr(ex, "compile_evaluator", compile_counted)
-    return calls
-
-
-def _count_state_calls(monkeypatch):
-    """Count the calls of every state pass split from now on."""
+def _count_split_calls(monkeypatch, scalar):
+    """Count the calls of every state pass split from now on: of the Python-float ones
+    (the SCALAR table) where ``scalar``, of the array ones where not."""
     calls, split_evaluator = [], ex.split_evaluator
 
-    def split_counted(e):
-        inputs, state = split_evaluator(e)
+    def split_counted(e, table=ex.FLOAT):
+        inputs, state = split_evaluator(e, table)
+        if (table is ex.SCALAR) != scalar:
+            return inputs, state
 
-        def counted(X, W):
+        def counted(*args):
             calls.append(1)
-            return state(X, W)
+            return state(*args)
         return inputs, counted
 
     monkeypatch.setattr(ex, "split_evaluator", split_counted)
     return calls
+
+
+def _count_scalar_rhs_calls(monkeypatch):
+    """Count the calls of every scalar right-hand side (a SCALAR state pass) split from now on."""
+    return _count_split_calls(monkeypatch, scalar=True)
+
+
+def _count_state_calls(monkeypatch):
+    """Count the calls of every array state pass split from now on."""
+    return _count_split_calls(monkeypatch, scalar=False)
 
 
 def test_state_dimension_mismatch_raises_before_any_step(monkeypatch):
