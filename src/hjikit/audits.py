@@ -15,10 +15,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .expr import compile_evaluator, parse
 from .hji import Sweep, annulus_grid
 from .storage import GradientUndefinedError, StorageCandidate
-from .systems import (System, f_scalar, make_sigma1, make_sigma3_scalar, make_sigma_p,
-                      phi_clip, psi_blend)
+from .systems import System, _phi_src, _psi_src, make_sigma1, make_sigma3_scalar, make_sigma_p
 
 VIOLATION = "violation_found"
 OBSTRUCTION = "obstruction_verified"
@@ -318,9 +318,11 @@ def verify_sigma3_pieces(x_grid: Sequence[float] = None,
                          u_grid: Sequence[float] = None) -> dict:
     """Max defect of each structural identity of the scalar system's pieces.
 
-    Grids: (x, u) for ``f_scalar`` (default 301 x 301 on [0, 3] x [-3, 3]), and 301 x 301
-    grids (s, t) on [-3, 3]^2 for ``phi_clip`` and (a, b) on [0, 3]^2 for ``psi_blend``,
-    each evaluated by blocks of rows against its open column axis.  Cases 1 and 4 are
+    The field is the zoo system's own (``make_sigma3_scalar().dynamics``), and phi(s, t)
+    and psi(a, b) are compiled from the source builders that field is written with.
+    Grids: (x, u) for the field (default 301 x 301 on [0, 3] x [-3, 3]), and 301 x 301
+    grids (s, t) on [-3, 3]^2 for phi and (a, b) on [0, 3]^2 for psi, each evaluated by
+    blocks of rows broadcast against its column axis.  Cases 1 and 4 are
     equalities (defect is an absolute difference); cases 2-3 and the range facts are
     one-sided (defect is the amount of violation, so a nonpositive value means the
     inequality held with margin).  A ValueError names each case the x/u axes leave empty.
@@ -334,6 +336,9 @@ def verify_sigma3_pieces(x_grid: Sequence[float] = None,
     if empty:
         raise ValueError(f"the x/u grid has no point in {', '.join(empty)}")
     s, a, uu, out = np.linspace(-3.0, 3.0, 301), np.linspace(0.0, 3.0, 301), u * u, {}
+    field = make_sigma3_scalar().dynamics
+    phi, psi = (compile_evaluator(parse(src("x1", "u1"), 1, 1)) for src in (_phi_src, _psi_src))
+    u_col, s_col, a_col = u[None, :, None], s[None, :, None], a[None, :, None]
 
     def fold(key, v, where=True):
         out[key] = max(out.get(key, -math.inf), float(np.max(v, initial=-math.inf, where=where)))
@@ -342,15 +347,15 @@ def verify_sigma3_pieces(x_grid: Sequence[float] = None,
     for i in range(0, max(x.size, s.size), _PIECE_BLOCK):
         r = slice(i, i + _PIECE_BLOCK)
         xb, sb, ab = x[r, None], s[r, None], a[r, None]
-        F, Q = f_scalar(xb, u), uu - xb * xb
+        F, Q = field(xb[..., None], u_col)[..., 0], uu - xb * xb
         D, H = F - Q, F - 0.5 * Q      # the defects of the x <= 1 and the x >= 1 identities
         for (key, (mx, mu)), v in zip(cases.items(), (np.abs(D), D, H, np.abs(H))):
             fold(key, v, mx[r, None] & mu)
-        PH, s_abs = phi_clip(sb, s), np.abs(sb)
+        PH, s_abs = phi(sb[..., None], s_col), np.abs(sb)
         fold("phi_range", np.abs(PH) - s_abs)
         fold("phi_zero_regime", np.abs(PH), s >= s_abs)
         fold("phi_identity_regime", np.abs(PH - sb), s <= -s_abs)
-        PS, diff = psi_blend(ab, a), a - ab
+        PS, diff = psi(ab[..., None], a_col), a - ab
         fold("psi_half_regime", np.abs(PS - 0.5 * diff), (ab >= 1) & (a >= 1))
         fold("psi_full_regime", np.abs(PS - diff), (ab <= 1) & (a <= 1))
         fold("psi_bracket_a_ge_b", np.maximum(diff - PS, PS - 0.5 * diff), ab >= a)

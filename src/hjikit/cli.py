@@ -253,12 +253,14 @@ def _cmd_audit(args) -> tuple:
 
 def _cmd_zoo(args) -> tuple:
     if args.action == "list":
+        if args.name is not None or args.all:
+            raise HjikitError("zoo list takes neither a NAME nor --all")
         rows = [(e.name, e.claimed_gamma if e.has_specific_gamma else "any positive",
                  e.claimed_witness.name) for e in systems.zoo()]
         return "pass", "\n".join(f"{name:22s} gamma={gamma!s:12s} witness={witness}"
                                   for name, gamma, witness in rows), {}
-    if not args.all and args.name is None:
-        raise HjikitError("zoo run needs a NAME or --all")
+    if args.all == (args.name is not None):
+        raise HjikitError("zoo run needs one of a NAME and --all")
     oks, results = [], {}
     for entry in systems.zoo() if args.all else [systems.zoo_entry(args.name)]:
         ok, results[entry.name] = _run_zoo_entry(entry)

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import HjikitError
+from .expr import _row_sum
 from .hji import Sweep, _cumulative_simpson, tensor_grid
 from .storage import StorageCandidate
 from .systems import AffineSystem
@@ -59,7 +60,7 @@ class QuadCoeffs:
         xs = np.asarray(x, dtype=float)
         X = xs.reshape(-1, 1)
         fields = sys.input_fields(X)                      # (m, Q, 1)
-        a = np.sum(fields[..., 0] ** 2, axis=0) if sys.m else np.zeros(X.shape[0])
+        a = _row_sum(fields[..., 0].T ** 2)
         b = sign * 4.0 * gamma * sys.drift(X)[:, 0]
         c = 4.0 * gamma * X[:, 0] * X[:, 0]
         if xs.ndim == 0:
@@ -96,7 +97,7 @@ def f_membership(sys: AffineSystem, gamma: float, x: float, p: float,
     half = float(2.0 * np.max(np.abs(p * gvals)) / (2 * gamma) + 1.0) if sys.m else 1.0
     U = tensor_grid([np.linspace(-half, half, u_points)] * sys.m)
     lhs = p * (g0 + U @ gvals)
-    rhs = gamma * np.sum(U * U, axis=1) - x * x
+    rhs = gamma * _row_sum(U * U) - x * x
     return bool(np.max(lhs - rhs) <= 1e-6)
 
 

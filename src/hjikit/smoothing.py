@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import HjikitError
+from .expr import _row_sum
 from .hji import Region, Sweep, _cumulative_simpson, annulus_grid, check_witness, tensor_grid
 from .hji import compactify, decompactify      # the input map, also exported from here
 from .storage import StorageCandidate
@@ -71,7 +72,7 @@ def theta(x, d, alpha: Callable, beta: Callable) -> float:
 
 def default_alpha(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    return np.sum(x * x, axis=-1)
+    return _row_sum(x * x)
 
 
 def check_case1_p2(sys: AffineSystem, x, zeta, beta_val: float, d) -> bool:

@@ -9,6 +9,7 @@ from hjikit import cli
 from hjikit import hji
 from hjikit import storage as stg
 from hjikit import systems as sy
+from reference import f_scalar, phi_clip, psi_blend
 
 
 def _candidate(name, value, grad):
@@ -351,12 +352,19 @@ def test_sigma3_pieces_pass_rule():
     assert au.sigma3_pieces_pass({**d, "phi_range": 1.0})   # only the four cases count
 
 
+def test_sigma3_pieces_read_the_zoo_field(monkeypatch):
+    """The audit evaluates make_sigma3_scalar's field: off by 1e-9, it fails the pass rule."""
+    shifted = sy.GeneralSystem(1, 1, (f"{sy._scalar_system_src()} + 1e-9",))
+    monkeypatch.setattr(au, "make_sigma3_scalar", lambda: shifted)
+    assert not au.sigma3_pieces_pass(au.verify_sigma3_pieces())
+
+
 def _dense_sigma3_pieces(x_grid=None, u_grid=None):
     """The reference: every defect masked out of dense meshgrid arrays."""
     x = np.linspace(0.0, 3.0, 301) if x_grid is None else np.asarray(x_grid, dtype=float)
     u = np.linspace(-3.0, 3.0, 301) if u_grid is None else np.asarray(u_grid, dtype=float)
     XX, UU = np.meshgrid(x, u, indexing="ij")
-    F = sy.f_scalar(XX, UU)
+    F = f_scalar(XX, UU)
     Q = UU * UU - XX * XX
 
     out = {}
@@ -372,7 +380,7 @@ def _dense_sigma3_pieces(x_grid=None, u_grid=None):
     s = np.linspace(-3.0, 3.0, 301)
     t = np.linspace(-3.0, 3.0, 301)
     SS, TT = np.meshgrid(s, t, indexing="ij")
-    PH = sy.phi_clip(SS, TT)
+    PH = phi_clip(SS, TT)
     out["phi_range"] = float(np.max(np.abs(PH) - np.abs(SS)))
     zero_mask = TT >= np.abs(SS)
     out["phi_zero_regime"] = float(np.max(np.abs(PH[zero_mask])))
@@ -382,7 +390,7 @@ def _dense_sigma3_pieces(x_grid=None, u_grid=None):
     aa = np.linspace(0.0, 3.0, 301)
     bb = np.linspace(0.0, 3.0, 301)
     AA, BB = np.meshgrid(aa, bb, indexing="ij")
-    PS = sy.psi_blend(AA, BB)
+    PS = psi_blend(AA, BB)
     diff = BB - AA
     m_hi = (AA >= 1) & (BB >= 1)
     out["psi_half_regime"] = float(np.max(np.abs(PS - 0.5 * diff)[m_hi]))
@@ -440,11 +448,11 @@ def test_sigma3_pieces_name_empty_cases():
 
 
 def test_phi_psi_point_values():
-    assert sy.phi_clip(1.0, 2.0) == 0.0
-    assert sy.phi_clip(1.0, -2.0) == 1.0
-    assert sy.phi_clip(-1.5, -2.0) == -1.5
-    assert sy.psi_blend(2.0, 3.0) == pytest.approx(0.5)
-    assert sy.psi_blend(0.5, 0.25) == pytest.approx(-0.25)
+    assert phi_clip(1.0, 2.0) == 0.0
+    assert phi_clip(1.0, -2.0) == 1.0
+    assert phi_clip(-1.5, -2.0) == -1.5
+    assert psi_blend(2.0, 3.0) == pytest.approx(0.5)
+    assert psi_blend(0.5, 0.25) == pytest.approx(-0.25)
 
 
 def test_supply_pivot_on_special_input():

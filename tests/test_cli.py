@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,19 @@ from hjikit import cli, construct1d, hji, smoothing, storage, systems, trajector
 
 
 def run(args):
-    return cli.main([str(a) for a in args])
+    """cli.main in-process; every JSON report it writes under --out parses without NaN."""
+    args = [str(a) for a in args]
+    code = cli.main(args)
+    if "--out" in args:
+        check_reports(Path(args[args.index("--out") + 1]))
+    return code
+
+
+def check_reports(out: Path):
+    """A report writes NaN as null and +-inf as Infinity: no JSON file under out holds NaN."""
+    for path in out.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=lambda c: float(c) if c != "NaN" else
+                   pytest.fail(f"a NaN token in {path}"))
 
 
 def test_verify_pass_and_fail(tmp_path):
@@ -205,15 +218,47 @@ def test_reversed_or_flat_box_is_a_usage_error(tmp_path, capsys, box):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("zoo, storage, ppd, mode, tol", [
-    ("sigma3_scalar", "v3_scalar", "401", "sampled", 1e-6),
-    ("sigma1", "v1_scaled", "41", "exact", 1e-9)])
-def test_verify_report_names_the_sup_mode_and_its_tolerance(tmp_path, zoo, storage, ppd,
-                                                            mode, tol):
-    assert run(["verify", "--zoo", zoo, "--storage", f"builtin:{storage}", "--gamma", "1",
-                "--ppd", ppd, "--out", tmp_path]) == 0
-    report = json.loads((tmp_path / "verify.json").read_text())
+_AFFINE3 = {"kind": "affine", "n": 3, "m": 3, "g0": ["-x1", "-x2", "-x3"]}
+
+
+@pytest.mark.parametrize("system, candidate, gamma, ppd, mode, tol, lines", [
+    ("sigma3_scalar", "builtin:v3_scalar", "1", "401", "sampled", 1e-6, 401),
+    ("sigma1", "builtin:v1_scaled", "1", "201", "exact", 1e-9, 40401),
+    # an expression candidate has the generated oracle: v1_scaled as an expression passes
+    ("sigma1", {"kind": "expr", "expr": "2*(abs(x1)+abs(x2))", "n": 2}, "1", "41", "exact",
+     1e-9, 1681),
+    # a 3-D sweep whose box rows lie on three kink planes: each takes only its own vertices
+    ({**_AFFINE3, "g": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+     {"kind": "expr", "n": 3, "expr": "x1*x1 + x2*x2 + x3*x3 + 0.1*(abs(x1) + abs(x2) + abs(x3))"},
+     "2", "41", "exact", 1e-9, 68921),
+], ids=["sigma3_scalar", "sigma1-ppd201", "sigma1-expression", "cube"])
+def test_verify_report_names_the_sup_mode_and_its_tolerance(tmp_path, system, candidate, gamma,
+                                                            ppd, mode, tol, lines):
+    """A pass names its sup and tolerance; sweep.csv has a row per point but the origin."""
+    def source(name, value):
+        if isinstance(value, str):
+            return value
+        (tmp_path / name).write_text(json.dumps(value))
+        return tmp_path / name
+    assert run(["verify", "--zoo" if isinstance(system, str) else "--system",
+                source("sys.json", system), "--storage", source("v.json", candidate),
+                "--gamma", gamma, "--ppd", ppd, "--out", tmp_path / "v"]) == 0
+    report = json.loads((tmp_path / "v" / "verify.json").read_text())
     assert (report["mode"], report["tolerance"]) == (mode, tol)
+    assert (tmp_path / "v" / "sweep.csv").read_bytes().count(b"\n") == lines
+
+
+def test_sweep_csv_bits_do_not_depend_on_the_bounds_layout(tmp_path):
+    """The same bounds give the same sweep.csv bytes in either memory layout: an
+    expression candidate's (F-ordered) and a built-in's (C-ordered)."""
+    (tmp_path / "mix3.json").write_text(json.dumps({**_AFFINE3, "g": [
+        ["1.1", "0.2", "0.3"], ["0.7", "1.3", "0.5"], ["0.3", "0.9", "1.7"]]}))
+    (tmp_path / "sq3.json").write_text(json.dumps({"kind": "expr", "n": 3,
+                                                   "expr": "x1*x1 + x2*x2 + x3*x3"}))
+    for out, candidate in (("f", tmp_path / "sq3.json"), ("c", "builtin:sq_norm")):
+        assert run(["verify", "--system", tmp_path / "mix3.json", "--storage", candidate,
+                    "--gamma", "8", "--out", tmp_path / out]) == 0
+    assert len({(tmp_path / out / "sweep.csv").read_bytes() for out in "fc"}) == 1
 
 
 def test_any_exception_a_command_raises_exits_2(tmp_path, monkeypatch, capsys):
@@ -240,9 +285,15 @@ def test_a_thousand_term_field_verifies_like_one_term(tmp_path, capsys):
     assert residuals[1] == pytest.approx(residuals[0], abs=1e-12)
 
 
-def test_missing_inputs_are_usage_errors(tmp_path):
+def test_missing_inputs_are_usage_errors(tmp_path, capsys):
+    """Missing or conflicting inputs exit 2; zoo run NAME --all used to run all 8 entries."""
     assert run(["verify", "--gamma", "1", "--out", tmp_path / "x"]) == 2
     assert run(["zoo", "run", "--out", tmp_path / "y"]) == 2
+    for argv, message in ((["run", "sigma1", "--all"], "zoo run needs one of a NAME and --all"),
+                          (["list", "sigma1"], "zoo list takes neither a NAME nor --all"),
+                          (["list", "--all"], "zoo list takes neither a NAME nor --all")):
+        assert run(["zoo", *argv, "--out", tmp_path / "z"]) == 2
+        assert message in capsys.readouterr().err and not (tmp_path / "z").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -438,6 +489,8 @@ def test_invalid_inputs_are_usage_errors(tmp_path, argv):
     (["simulate", "--zoo", "sigma2", "--storage", "builtin:v2", "--gamma", "1", "--x0", "1",
       "-1", "--input", '{"kind": "sinusoid", "amplitude": [0.5, 0.7], "omega": [1]}'],
      "got 2, 1 and 2"),
+    (["construct1d", "--zoo", "scalar_linear", "--storage", "builtin:sq_norm", "--gamma", "0.5"],
+     "witness check at x=-2"),
 ], ids=["zero-step", "infinite-stop", "1e300-gammas", "1.5e6-gammas", "simulate-tspan",
         "l2gain-T", "construct1d-grid", "input-key", "verify-gamma-inf", "verify-gamma-nan",
         "verify-tol", "verify-box", "smooth-gamma-prime", "curve-monotone-a-nan",
@@ -445,17 +498,17 @@ def test_invalid_inputs_are_usage_errors(tmp_path, argv):
         "subdiff-point", "simulate-gamma-nan", "simulate-slack-tol", "construct1d-margin",
         "l2gain-amplitude", "l2gain-zero-amplitude", "simulate-partial-step",
         "l2gain-partial-step", "simulate-start-past-bound", "simulate-off-grid-switch",
-        "simulate-sinusoid-lengths"])
+        "simulate-sinusoid-lengths", "construct1d-hypothesis"])
 def test_bad_numeric_arguments_are_usage_errors(tmp_path, capsys, argv, option):
     """A zero step, a non-finite value of any numeric option, a gamma grid of more
     than 10^6 points (a step of 1e-6 on [0.5, 2] makes 1,500,001), a margin at or
     below -1 or an amplitude at or below 0, an integration span that is not a whole
     number of steps, or an input config without a key it needs, is a usage error that
     names the option or key (or the step): exit 2, no report.  So are a start state past
-    the blow-up bound, a switch off the grid and sinusoid lists of unequal lengths."""
+    the blow-up bound, an off-grid switch, unequal sinusoid lists and a V failing the hypothesis."""
     assert run(argv + ["--out", tmp_path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and option in err
+    assert err.startswith("error: ") and option in err and "trajectory blow-up" not in err
     assert not any(tmp_path.iterdir())
 
 
@@ -497,9 +550,10 @@ def test_construct_command(tmp_path):
     assert rows[0] == "x,p,W"
     contract = json.loads((tmp_path / "c" / "construct.json").read_text())
     assert contract["w_dominates_v"] and contract["max_delta_of_selector"] <= 1e-9
-    # a negative margin above -1 still leaves the envelope above V's slope
-    assert run(["construct1d", "--zoo", "scalar_linear", "--storage", "builtin:sq_norm",
-                "--gamma", "1", "--margin", "-0.5", "--out", tmp_path / "m"]) == 0
+    # a negative margin above -1 still leaves the envelope above V's slope; the default grid
+    for extra in (["--margin", "-0.5"], []):
+        assert run(["construct1d", "--zoo", "scalar_linear", "--storage", "builtin:sq_norm",
+                    "--gamma", "1", *extra, "--out", tmp_path / "m"]) == 0
 
 
 def test_construct_json_copies_the_library_contract(tmp_path):

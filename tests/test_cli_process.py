@@ -1,0 +1,67 @@
+"""``python -m hjikit.cli`` in fresh interpreters (test_cli.py calls ``cli.main``): reports
+that keep their bytes across interpreters, paths compiled on their first call, and one
+run per exit code (0, 1, 2, 3) through the module's entry point."""
+import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_cli import check_reports
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+_FILES = {"esc.json": {"kind": "general", "n": 1, "m": 1, "F": ["x1*x1 + u1"]}}
+
+
+def _gain_measured(proc, out):
+    report = json.loads((out / "l2gain.json").read_text())
+    return report["lower_bound"] > 0 and report["trivial"] is False
+
+
+# id: (argv, $TMP being _FILES' directory; exit code; the reports that a second
+# interpreter writes byte for byte; check(proc, out))
+CASES = {
+    "smooth": ("smooth --zoo scalar_linear --storage builtin:sq_norm --gamma 1 --gamma-prime 1.1"
+               " --rmin 0.1 --rmax 0.3", 0, ("smooth.json", "smooth_grid.csv"), None),
+    # one trajectory steps in Python floats (cbrt, pow by numpy); a header, 501 grid times
+    "simulate": ("simulate --zoo sigma2 --storage builtin:v2 --gamma 1 --x0 1 -1 --input"
+                 """ '{"kind": "sinusoid", "amplitude": [0.5, 0.7], "omega": [1, 3]}'"""
+                 " --tspan 0 0.5 --step 1e-3", 0, ("dissipation.json", "trajectory.csv"),
+                 lambda proc, out: (out / "trajectory.csv").read_bytes().count(b"\n") == 502),
+    # a random ensemble sampled by one gather; sigma2's state leaves the origin: a gain
+    "l2gain-sigma2": ("l2gain --zoo sigma2 --count 100 --T 0.2 --step 1e-3", 0, ("l2gain.json",),
+                      _gain_measured),
+    # sigma3_scalar's input-only branch: the input pass evaluates it once, before the RK4 loop
+    "l2gain-sigma3_scalar": ("l2gain --zoo sigma3_scalar --count 100 --T 0.2 --step 1e-3", 0,
+                             (), _gain_measured),
+    # a finite escape in the one-trajectory float loop: first time past the bound, max |x_i|
+    "escape": ("simulate --system $TMP/esc.json --storage builtin:sq_norm --gamma 1 --x0 1"
+               """ --input '{"kind": "constant", "values": [0]}' --tspan 0 2 --step 1e-3""", 2, (),
+               lambda proc, out: "trajectory blow-up at t=1.001 (|x| = 1.010e+14)" in proc.stderr),
+    # an audit's violation is the first failing point in scan order, not the worst
+    "straddle": ("audit scalar-straddle --storage builtin:sq_norm", 1, (), lambda proc, out:
+                 json.loads((out / "audit.json").read_text())["witness_point"] == [-0.48, 0.0]),
+    # a smoothing run out of refinements; its line names the bound that failed
+    "smooth-sigma2": ("smooth --zoo sigma2 --gamma 1 --gamma-prime 1.01", 3, (),
+                      lambda proc, out: "gain residual" in proc.stdout),
+}
+
+
+@pytest.mark.parametrize("argv, code, same, check", CASES.values(), ids=CASES)
+def test_cli_process(tmp_path, argv, code, same, check):
+    for name, value in _FILES.items():
+        (tmp_path / name).write_text(json.dumps(value))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(_SRC), os.environ.get("PYTHONPATH"))))}
+    outs = [tmp_path / f"out{k}" for k in range(2 if same else 1)]
+    for out in outs:
+        args = [a.replace("$TMP", str(tmp_path)) for a in shlex.split(argv)]
+        proc = subprocess.run([sys.executable, "-m", "hjikit.cli", *args, "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert check is None or check(proc, out), proc
+        check_reports(out)
+    assert [(outs[0] / n).read_bytes() for n in same] == [(outs[-1] / n).read_bytes() for n in same]
