@@ -198,7 +198,7 @@ def _cmd_smooth(args) -> tuple:
     V = _load_storage(args)
     cert = smoothing.smooth_witness(
         sysm, V, args.gamma, args.gamma_prime, r_min=args.rmin, r_max=args.rmax)
-    P = smoothing.dump_points(sysm.n, args.rmin, args.rmax)
+    P, W, gradW = cert.dump(args.rmin, args.rmax)
     # smooth_witness fails only once its refinement budget is spent: not a falsification
     line = (f"smooth: pass (max |V-W|/V = {cert.max_relative_approx_error:.3e}, "
             f"max gain residual = {cert.max_eq20_residual:.3e})" if cert.passed else
@@ -208,7 +208,7 @@ def _cmd_smooth(args) -> tuple:
             {"smooth.json": cert,
              "smooth_grid.csv": ([f"x{i+1}" for i in range(sysm.n)] + ["V", "W"]
                                  + [f"gradW{i+1}" for i in range(sysm.n)],
-                                 np.column_stack([P, V.value_batch(P), *cert.evaluate(P)]))})
+                                 np.column_stack([P, V.value_batch(P), W, gradW]))})
 
 
 def _cmd_subdiff(args) -> tuple:

@@ -441,10 +441,10 @@ def compile_evaluator(e, table: OpTable = FLOAT) -> Callable[[np.ndarray, np.nda
     gives values of shape (...,); a tuple gives one (..., k) array whose column j is
     what its j-th AST alone gives.  Inputs on which scalar evaluation would raise let
     IEEE nan/inf propagate.  Each distinct subtree is computed once, across the whole
-    tuple, and each temporary is freed after its last use.  Constants are 0-d
-    arrays, but arrays of X's batch shape in an x-free subtree that is a whole root
-    or feeds sqrt/cbrt/pow/spow, and phi's exponent is a numpy scalar, so every
-    result is bitwise (and in shape) that of evaluating every node as an array.
+    tuple, and each temporary is freed after its last use.  Constants are 0-d arrays, but arrays
+    of X's batch shape in an x-free subtree that is a whole root or feeds sqrt/cbrt/pow/spow,
+    and phi's exponent is a numpy scalar, so every result is bitwise (and in shape) that of
+    evaluating every node as an array, but for which nan a sum of two nans gives.
     :data:`SCALAR` generates ``f(X, U)`` over one point, X and U sequences of Python
     floats: a float, or a tuple of k, bitwise what the default table gives on the
     (1, n) batch of that point.  :data:`TANGENT` generates, for one AST of x only,

@@ -225,9 +225,10 @@ class MollifiedFunction:
     profile r serves every coordinate.  The hat basis separates per axis, and
     each 1-D factor has the closed form (cell by cell) in the kernel CDF and its
     first moment, so both weights and their derivatives (chain rule through the
-    radius profile included) are analytic.  Exact on constants and on linear
-    data, gradients included; smooth for any positive smooth radius profile.
-    The sample values are contracted with the weights one axis at a time.
+    radius profile included) are analytic.  Normalized by their row sums, once per
+    coordinate, the weights w_i give W = sum v prod_i w_i and d_i W = sum v dw_i
+    prod_{j != i} w_j as contractions of the sample values, one axis at a time.  Exact on
+    constants and linear data, gradients included; smooth for any positive smooth radius.
     ``evaluate`` (the exported W) and ``evaluate_grid`` (the certified one) compute
     the same sums in different orders, so they agree up to rounding, not bit for bit.
     """
@@ -242,13 +243,15 @@ class MollifiedFunction:
 
     # -- 1-D weight construction -------------------------------------------
     def _axis_weights(self, q: np.ndarray):
-        """Node indices, hat-convolution weights, their x-derivatives, and each row's
-        window width (the columns past it are padding with zero weight) at coordinates q.
+        """Node indices, normalized hat-convolution weights (each row sums to 1), each row's
+        window width (the columns past it are padding with zero weight), and a function
+        building the weights' x-derivatives (each row sums to 0) at coordinates q.
 
         For every grid cell [y_c, y_{c+1}] met by the kernel support, with
         A_c = int_cell k_r(x - y) dy and B_c = int_cell s k_r(x - y) dy, the
         interpolant contributes ((y_{c+1}-x) A + r B)/h to the left node and
-        ((x-y_c) A - r B)/h to the right one.
+        ((x-y_c) A - r B)/h to the right one.  These weights w with row sums D give
+        w/D, and their derivatives dw with row sums dD give (dw - (w/D) dD)/D.
         """
         nodes = self.axis
         with np.errstate(over="ignore", invalid="ignore"):     # a far q: r is inf or nan
@@ -268,34 +271,38 @@ class MollifiedFunction:
         idx = np.minimum(idx, nodes.size - 1)
         y = nodes[idx]                                         # (Q, M)
         rq = r[:, None]
-        drq = dr[:, None]
         s = (q[:, None] - y) / rq
-        ds = (1.0 - s * drq) / rq                              # dS/dx per node edge
-        I0 = kernel_cdf(s)
-        I1 = kernel_moment(s)
-        k = kernel(s)
-        dI0 = k * ds
-        dI1 = s * k * ds
         # cell c spans window nodes c..c+1 (c = 0..M-2); masked-out cells drop
         cell_mask = node_mask[:, 1:]
         h = np.where(cell_mask, y[:, 1:] - y[:, :-1], 1.0)
-        A = (I0[:, :-1] - I0[:, 1:]) * cell_mask
-        B = (I1[:, :-1] - I1[:, 1:]) * cell_mask
-        dA = (dI0[:, :-1] - dI0[:, 1:]) * cell_mask
-        dB = (dI1[:, :-1] - dI1[:, 1:]) * cell_mask
         xl = q[:, None] - y[:, :-1]                            # x - y_c
         xr = y[:, 1:] - q[:, None]                             # y_{c+1} - x
-        CL = (xr * A + rq * B) / h
-        CR = (xl * A - rq * B) / h
-        dCL = (-A + xr * dA + drq * B + rq * dB) / h
-        dCR = (A + xl * dA - drq * B - rq * dB) / h
-        w = np.zeros_like(y)
-        dw = np.zeros_like(y)
-        w[:, :-1] += CL
-        w[:, 1:] += CR
-        dw[:, :-1] += dCL
-        dw[:, 1:] += dCR
-        return idx, w, dw, hi - lo
+
+        def cells(I0, I1):          # A and B per cell from their antiderivatives at the nodes
+            return (I0[:, :-1] - I0[:, 1:]) * cell_mask, (I1[:, :-1] - I1[:, 1:]) * cell_mask
+
+        def to_nodes(left, right):
+            out = np.zeros_like(y)
+            out[:, :-1] += left
+            out[:, 1:] += right
+            return out
+
+        A, B = cells(kernel_cdf(s), kernel_moment(s))
+        w = to_nodes((xr * A + rq * B) / h, (xl * A - rq * B) / h)
+        D = _ordered_rowsum(w)[:, None]
+        if np.any(D <= 0):
+            raise BoundaryRadiusError("empty kernel support at a query point")
+        w /= D
+
+        def derivatives():
+            drq = dr[:, None]
+            k = kernel(s)
+            ds = (1.0 - s * drq) / rq                          # dS/dx per node edge
+            dA, dB = cells(k * ds, s * k * ds)
+            dw = to_nodes((-A + xr * dA + drq * B + rq * dB) / h,
+                          (A + xl * dA - drq * B - rq * dB) / h)
+            return (dw - w * _ordered_rowsum(dw)[:, None]) / D
+        return idx, w, hi - lo, derivatives
 
     def evaluate(self, X: np.ndarray):
         """Values and gradients at query points X of shape (Q, ndim), in chunks of rows.
@@ -318,12 +325,12 @@ class MollifiedFunction:
             chunk = np.ascontiguousarray(X[start:start + _EVAL_CHUNK])
             bits, inv = np.unique(chunk.view(np.uint64), return_inverse=True)
             inv = inv.reshape(chunk.shape)      # column i: row -> its coordinate on axis i
-            idx, w, dw, width = self._axis_weights(bits.view(float))
+            idx, w, width, derivatives = self._axis_weights(bits.view(float))
+            dw = derivatives()
             widths = width[inv]
             # a row's group: its widths' log2 ceilings, one base-64 digit per axis
             of_row = np.unique(np.ceil(np.log2(widths)).astype(np.int64) @ 64 ** np.arange(n),
                                return_inverse=True)[1]
-            N, dN = np.empty(len(widths)), np.empty((n, len(widths)))
             for g in range(of_row.max() + 1):
                 rows = np.flatnonzero(of_row == g)
                 ms = widths[rows].max(axis=0)
@@ -333,12 +340,9 @@ class MollifiedFunction:
                     j.reshape((-1,) + (1,) * i + j.shape[1:] + (1,) * (n - 1 - i))
                     for i, j in enumerate(ix))]
                 partial = _chain(blk, a, _window_step)
-                N[rows], dN[:, rows] = partial[-1], _gradient_numerators(
-                    partial, a, da, _window_step)
-            D, dD = (_ordered_rowsum(a)[inv].T for a in (w, dw))
-            sl = slice(start, start + len(chunk))
-            vals[sl] = _values(N, D)
-            grads[sl] = _gradients(vals[sl], dN, D, dD)
+                vals[start + rows] = partial[-1]
+                grads[start + rows] = np.transpose(
+                    _gradient_numerators(partial, a, da, _window_step))
         return vals, grads
 
     def evaluate_grid(self, coords: Sequence[np.ndarray]):
@@ -355,32 +359,31 @@ class MollifiedFunction:
     def _grid_stages(self, coords: Sequence[np.ndarray]):
         """W on the tensor grid of ``coords``, and a function building grad W at masked
         grid points from the same weights and partial contractions.  Axes whose coordinate
-        arrays hold the same bytes share one pair of weight matrices."""
+        arrays hold the same bytes share one weight matrix, and one derivative matrix,
+        which only that function builds."""
         coords = [np.asarray(q, dtype=float) for q in coords]
         mats = {}
         for q in coords:
             if q.tobytes() not in mats:
-                idx, w, dw, _ = self._axis_weights(q)
-                flat = (np.arange(q.size)[:, None] * self.axis.size + idx).ravel()
-                shape = (q.size, self.axis.size)
-                mats[q.tobytes()] = tuple(
-                    np.bincount(flat, a.ravel(), shape[0] * shape[1]).reshape(shape)
-                    for a in (w, dw))
-        A, dA = zip(*(mats[q.tobytes()] for q in coords))
+                idx, w, _, derivatives = self._axis_weights(q)
+                dense = functools.partial(_dense, idx, self.axis.size)
+                mats[q.tobytes()] = dense(w), dense, derivatives
+        A = [mats[q.tobytes()][0] for q in coords]
         step = (lambda T, a: np.tensordot(T, a, axes=([0], [1])))
         partial = _chain(self.values, A, step)
-        # np.ix_ shapes each axis's row sums to broadcast along that axis
-        D = np.ix_(*(a.sum(axis=1) for a in A))
-        W = _values(partial[-1], D)
 
         def gradient(mask):
-            """grad W (K, n) at the K grid points where ``mask`` (W's shape) holds: the
-            quotient rule is elementwise, so masking its operands first keeps its bits."""
-            dN = _gradient_numerators(partial, A, dA, step)
-            dD = np.ix_(*(a.sum(axis=1) for a in dA))
-            return _gradients(W[mask], [g[mask] for g in dN],
-                              *([np.broadcast_to(d, W.shape)[mask] for d in ds] for ds in (D, dD)))
-        return W, gradient
+            """grad W (K, n) at the K grid points where ``mask`` (W's shape) holds."""
+            dA = {key: to_dense(derivatives()) for key, (_, to_dense, derivatives) in mats.items()}
+            dW = _gradient_numerators(partial, A, [dA[q.tobytes()] for q in coords], step)
+            return np.stack([g[mask] for g in dW], axis=-1)
+        return partial[-1], gradient
+
+
+def _dense(idx: np.ndarray, nodes: int, a: np.ndarray) -> np.ndarray:
+    """Window weights a (Q, M) at node indices idx as a dense (Q, nodes) matrix."""
+    flat = (np.arange(len(a))[:, None] * nodes + idx).ravel()
+    return np.bincount(flat, a.ravel(), len(a) * nodes).reshape(len(a), nodes)
 
 
 def _ordered_rowsum(A: np.ndarray) -> np.ndarray:
@@ -399,7 +402,7 @@ def _window_step(T: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _chain(T: np.ndarray, w, step) -> list:
-    """T and its partial contractions with w_0, w_1, ... by ``step``; the last is N."""
+    """T and its partial contractions with w_0, w_1, ... by ``step``; the last is W."""
     partial = [T]
     for a in w:
         partial.append(step(partial[-1], a))
@@ -407,27 +410,14 @@ def _chain(T: np.ndarray, w, step) -> list:
 
 
 def _gradient_numerators(partial: list, w, dw, step) -> list:
-    """dN_i: ``_chain``'s contraction with dw_i in place of w_i, from its partials."""
-    dN = []
+    """d_i W: ``_chain``'s contraction with dw_i in place of w_i, from its partials."""
+    dW = []
     for i, da in enumerate(dw):
         t = step(partial[i], da)
         for a in w[i + 1:]:
             t = step(t, a)
-        dN.append(t)
-    return dN
-
-
-def _values(N, D):
-    """W = N / prod D_i."""
-    if any(np.any(d <= 0) for d in D):
-        raise BoundaryRadiusError("empty kernel support at a query point")
-    return N / math.prod(D)
-
-
-def _gradients(W, dN, D, dD):
-    """The quotient rule dW_i = dN_i / prod D - W dD_i / D_i, stacked on a last axis."""
-    Dprod = math.prod(D)
-    return np.stack([g / Dprod - W * dd / d for g, dd, d in zip(dN, dD, D)], axis=-1)
+        dW.append(t)
+    return dW
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +456,14 @@ class CertifiedSmooth:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def evaluate(self, X: np.ndarray):
-        """W and its gradient at points X (Q, n) away from the origin, in one pass."""
-        vals, grads = self.mollified.evaluate(X)
-        scale = 1.0 / (1.0 - self.delta)
-        return scale * vals, scale * grads
+    def dump(self, r_min: float, r_max: float):
+        """The annulus points of the tensor grid of ``dump_axis``, where ``smooth`` dumps V and W,
+        and W and grad W there by the grid path, masked and divided by 1 - delta as certified."""
+        axes = [dump_axis(r_min, r_max)] * self.mollified.ndim
+        keep, P = annulus_grid(axes, r_min, r_max)
+        W, gradient = self.mollified._grid_stages(axes)
+        mask = keep.reshape(W.shape)
+        return P, W[mask] / (1.0 - self.delta), gradient(mask) / (1.0 - self.delta)
 
 
 def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: float,
@@ -549,9 +542,11 @@ def _with_midpoints(axis: np.ndarray, r_max: float) -> np.ndarray:
     return coords[np.abs(coords) <= r_max]
 
 
-def dump_points(n: int, r_min: float, r_max: float) -> np.ndarray:
-    """The annulus points at which ``smooth`` dumps V and W: an axis from r_min/4, ratio 1.25."""
-    return annulus_grid([mirrored_geometric_axis(r_min / 4, 1.25, r_max)] * n, r_min, r_max)[1]
+def dump_axis(r_min: float, r_max: float) -> np.ndarray:
+    """The axis of the grid whose annulus points ``smooth`` dumps V and W at: from r_min/4,
+    ratio 1.25, cut to |c| <= r_max (a coordinate past r_max has no annulus point)."""
+    axis = mirrored_geometric_axis(r_min / 4, 1.25, r_max)
+    return axis[np.abs(axis) <= r_max]
 
 
 def _certify(sys: AffineSystem, moll: MollifiedFunction, coords: np.ndarray,

@@ -757,15 +757,27 @@ def test_construct_csv_is_csv_writer_bytes(tmp_path):
 
 
 def test_smooth_grid_csv_is_csv_writer_bytes(tmp_path):
+    """smooth_grid.csv holds the grid path's rows, which agree with the windowed sums of
+    ``cert.W``; the dump axis, cut to |c| <= r_max, loses no annulus point."""
     assert run(["smooth", "--zoo", "sigma2", "--storage", "builtin:v2", "--gamma", "1",
                 "--gamma-prime", "1.1", "--rmin", "0.1", "--rmax", "0.3",
                 "--out", tmp_path / "g"]) == 0
     V = storage.builtin("v2")
     cert = smoothing.smooth_witness(systems.zoo_entry("sigma2").system, V, 1.0, 1.1,
                                     r_min=0.1, r_max=0.3)
-    axis = smoothing.mirrored_geometric_axis(0.1 / 4, 1.25, 0.3)
-    P = hji.annulus_grid([axis] * 2, 0.1, 0.3)[1]
-    rows = np.column_stack([P, V.value_batch(P), *cert.evaluate(P)]).tolist()
+    P, W, G = cert.dump(0.1, 0.3)
+    rows = np.column_stack([P, V.value_batch(P), W, G]).tolist()
     header = ["x1", "x2", "V", "W", "gradW1", "gradW2"]
     assert (tmp_path / "g" / "smooth_grid.csv").read_bytes() == \
         _csv_writer_bytes(tmp_path / "ref.csv", header, rows)
+    with (tmp_path / "g" / "smooth_grid.csv").open(newline="") as fh:
+        dumped = np.array([[float(v) for v in row] for row in list(csv.reader(fh))[1:]])
+    ref_w, ref_g = cert.W.value_batch(dumped[:, :2]), cert.W.subdiff_batch(dumped[:, :2])[0]
+    assert np.all(np.abs(dumped[:, 3] - ref_w) <= 1e-12 * (1.0 + np.abs(ref_w)))
+    assert np.all(np.abs(dumped[:, 4:] - ref_g) <= 1e-9 * (1.0 + np.abs(ref_g)))
+    for r_min, r_max in ((0.1, 0.3), (0.05, 2.0)):
+        uncut = smoothing.mirrored_geometric_axis(r_min / 4, 1.25, r_max)
+        for n in (1, 2, 3):
+            assert np.array_equal(
+                hji.annulus_grid([smoothing.dump_axis(r_min, r_max)] * n, r_min, r_max)[1],
+                hji.annulus_grid([uncut] * n, r_min, r_max)[1]), (r_min, r_max, n)

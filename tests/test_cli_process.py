@@ -26,6 +26,10 @@ def _gain_measured(proc, out):
 CASES = {
     "smooth": ("smooth --zoo scalar_linear --storage builtin:sq_norm --gamma 1 --gamma-prime 1.1"
                " --rmin 0.1 --rmax 0.3", 0, ("smooth.json", "smooth_grid.csv"), None),
+    # its grid dump is contracted by BLAS, with one thread in the first run and the default
+    # count in the second (_RUN_ENV)
+    "smooth-sigma1": ("smooth --zoo sigma1 --storage builtin:v1_scaled --gamma 1 --gamma-prime 1.1"
+                      " --rmin 0.1 --rmax 0.3", 0, ("smooth.json", "smooth_grid.csv"), None),
     # one trajectory steps in Python floats (cbrt, pow by numpy); a header, 501 grid times
     "simulate": ("simulate --zoo sigma2 --storage builtin:v2 --gamma 1 --x0 1 -1 --input"
                  """ '{"kind": "sinusoid", "amplitude": [0.5, 0.7], "omega": [1, 3]}'"""
@@ -50,17 +54,23 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("argv, code, same, check", CASES.values(), ids=CASES)
-def test_cli_process(tmp_path, argv, code, same, check):
+# a case's environment overrides, one per run (None unsets the variable)
+_RUN_ENV = {"smooth-sigma1": ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": None})}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_cli_process(tmp_path, case):
+    argv, code, same, check = CASES[case]
     for name, value in _FILES.items():
         (tmp_path / name).write_text(json.dumps(value))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(_SRC), os.environ.get("PYTHONPATH"))))}
     outs = [tmp_path / f"out{k}" for k in range(2 if same else 1)]
-    for out in outs:
+    for out, override in zip(outs, _RUN_ENV.get(case, ({}, {}))):
         args = [a.replace("$TMP", str(tmp_path)) for a in shlex.split(argv)]
+        run_env = {k: v for k, v in {**env, **override}.items() if v is not None}
         proc = subprocess.run([sys.executable, "-m", "hjikit.cli", *args, "--out", str(out)],
-                              env=env, capture_output=True, text=True, timeout=120)
+                              env=run_env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == code, proc.stderr
         assert check is None or check(proc, out), proc
         check_reports(out)

@@ -9,7 +9,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hjikit import expr as ex
 from hjikit import systems as sy
@@ -395,19 +395,31 @@ def _draw(rng, shape):
     return v
 
 
-def _assert_matches_closure(ast, rng):
+def _assert_matches_closure(ast, rng, same=_same_bits):
     got_fn, ref_fn = ex.compile_evaluator(ast), _closure_compile(ast)
     for xb, ub in _FIELD_BATCHES:
         X, U = _draw(rng, xb + (2,)), _draw(rng, ub + (2,))
         with np.errstate(all="ignore"):
             got, ref = got_fn(X, U), ref_fn(X, U)
-        assert _same_bits(got, ref), (ex.to_source(ast), xb, ub)
+        assert same(got, ref), (ex.to_source(ast), xb, ub)
+
+
+_NAN = ex.Bin("/", ex.Num(0.0), ex.Num(0.0))
 
 
 @settings(max_examples=300, deadline=None)
 @given(ast=_asts, seed=st.integers(0, 2 ** 32 - 1))
+@example(ast=ex.Bin("+", ex.Var("x", 0), ex.Bin("+", ex.Call("abs", (_NAN,)),
+                                                ex.Bin("*", _NAN, _NAN))), seed=0)
 def test_generated_evaluator_matches_closure_compiler_bitwise(ast, seed):
-    _assert_matches_closure(ast, np.random.default_rng(seed))
+    """Bit for bit, with every nan alike.  Both add the same operands in the same order,
+    but the generated code folds an x-free constant subtree on 0-d arrays where the
+    closures compute it on arrays of X's batch shape, and numpy's 0-d and array loops
+    return different ones of two nan operands: +nan + -nan is -nan on 0-d arrays and
+    +nan on arrays (the pinned example: abs(0/0) + (0/0)*(0/0))."""
+    _assert_matches_closure(ast, np.random.default_rng(seed), lambda got, ref: (
+        type(got) is type(ref) and np.asarray(got).dtype == np.asarray(ref).dtype
+        and _same_or_both_nan(got, ref)))
 
 
 @settings(max_examples=150, deadline=None)

@@ -277,16 +277,26 @@ def test_grid_gradient_on_a_mask_is_the_masked_grid_gradient(n, data):
     full = m.evaluate_grid(coords)[1]
     assert full.shape == W.shape + (n,)
     assert gradient(keep).tobytes() == full[keep].tobytes()
-    # the quotient rule's row sums D_i and dD_i of axis i vary along axis i alone
-    operands, quotient = [], sm._gradients
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sm, "_gradients", lambda *a: operands.append(a) or quotient(*a))
-        gradient(np.ones(W.shape, dtype=bool))
-    for D in operands[0][2:]:
-        for i, d in enumerate(D):
-            d = d.reshape(W.shape)
-            line = d[tuple(slice(None) if j == i else slice(0, 1) for j in range(n))]
-            assert np.array_equal(d, np.broadcast_to(line, W.shape)), i
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from(sorted(_AXIS_RANGES)), data=st.data())
+def test_normalized_weights_sum_to_one_and_w_is_exact_on_constants(n, data):
+    """Each axis's weight rows sum to 1 and its derivative rows to 0, within a few ulp (of
+    the row's absolute sum), so W and grad W of constant data are the constant and 0."""
+    m, rng = _draw_mollifier(n, data)
+    q = np.concatenate([rng.uniform(-0.5, 0.5, 6), rng.uniform(-0.02, 0.02, 3), [0.0, -0.0]])
+    _, w, _, derivatives = m._axis_weights(q)
+    dw = derivatives()
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 8 * eps)
+    assert np.all(np.abs(dw.sum(axis=1)) <= 8 * eps * np.abs(dw).sum(axis=1))
+    c = data.draw(st.floats(-1e3, 1e3).filter(bool))
+    const = sm.MollifiedFunction(m.axis, np.full(m.values.shape, c), m.radius)
+    coords = [q[:4]] * n
+    for W, G in (const.evaluate_grid(coords), const.evaluate(_grid_points(coords))):
+        assert np.all(np.abs(W - c) <= 16 * n * eps * abs(c))
+        assert np.all(np.abs(G) <= 16 * n * eps * abs(c) * np.abs(dw).sum(axis=1).max())
 
 
 # a query coordinate: anywhere, next to the origin (where geometric windows are
@@ -423,6 +433,21 @@ def test_failed_value_bounds_build_no_gradient(monkeypatch):
     assert [r["outcome"] for r in cert.radius_schedule] == \
         ["fail (approximation bound)"] * 4 + ["pass"]
     assert stages == [3]          # one grid gradient: the sample values and two partials
+
+
+def test_derivative_weights_are_built_only_for_the_gradient(monkeypatch):
+    """sigma2/v2 on [0.1, 0.3] builds derivative weights (the one caller of ``kernel`` once
+    the moment table is built) once, for its passing attempt's one coordinate array, and a
+    run out of refinements on the approximation bound none."""
+    sm._build_i1_table()
+    built, kernel = [], sm.kernel
+    monkeypatch.setattr(sm, "kernel", lambda s: built.append(s.shape) or kernel(s))
+    s2, v2 = sy.zoo_entry("sigma2").system, stg.builtin("v2")
+    assert sm.smooth_witness(s2, v2, 1.0, 1.1, r_min=0.1, r_max=0.3).passed
+    assert len(built) == 1
+    built.clear()
+    cert = sm.smooth_witness(s2, v2, 1.0, 1.1, max_refinements=0)
+    assert cert.failure_reason == "approximation bound" and built == []
 
 
 def test_smooth_witness_failure_report():
