@@ -10,13 +10,10 @@ constructive upgrade (:mod:`hjikit.construct1d`), gain-relaxed smoothing
 """
 
 from .errors import HjikitError
-from .expr import EvalError, ExprSyntaxError, compile_evaluator, evaluate, parse, to_source
-from .hji import (GainScan, Region, Sweep, WitnessReport, affine_residual, check_witness,
-                  gamma_range, general_residual, min_gain_scan, point_residual,
-                  power_residual, supply)
+from .expr import ExprSyntaxError, compile_evaluator, parse, to_source
+from .hji import GainScan, Region, Sweep, WitnessReport, check_witness, gamma_range, min_gain_scan
 from .storage import (GradientUndefinedError, MissingOracleError, StorageCandidate,
-                      SubdiffSet, builtin, builtins, from_expression,
-                      verify_subgradient)
+                      SubdiffSet, builtin, builtins, from_expression)
 from .systems import (AffineSystem, GeneralSystem, ZooEntry, system_from_config,
                       system_to_config, zoo, zoo_entry)
 from .trajectories import (BlowUpError, ConstantInput, PiecewiseConstantInput,
@@ -24,10 +21,9 @@ from .trajectories import (BlowUpError, ConstantInput, PiecewiseConstantInput,
                            integrate, integrate_ensemble, l2_gain_lowerbound,
                            random_piecewise_ensemble)
 from .construct1d import (ConstructedW, DriftSignError, InfeasibleAtError, QuadCoeffs,
-                          construct_w, delta, f_membership, h_from_v, p_of_x)
-from .smoothing import (CertifiedSmooth, MollifiedFunction, check_case1_p2,
-                        choose_delta, compactify, decompactify, smooth_witness, theta,
-                        transformed_field, upsilons)
+                          construct_w, delta, h_from_v, p_of_x)
+from .smoothing import (CertifiedSmooth, MollifiedFunction, choose_delta, compactify,
+                        decompactify, smooth_witness, transformed_field)
 from .audits import (AuditReport, audit_curve_monotone, audit_curve_tangency,
                      audit_scalar_straddle, audit_sigma1_axis, audit_sigmap,
                      verify_sigma3_pieces)

@@ -368,16 +368,3 @@ def sigma3_pieces_pass(defects: dict) -> bool:
     return all(defects[k] <= 1e-12 for k in
                ("case1_equality", "case2_inequality", "case3_inequality", "case4_equality"))
 
-
-# ---------------------------------------------------------------------------
-# Cross-checks shared by reports
-# ---------------------------------------------------------------------------
-
-def recheck_violation(sys: System, V: StorageCandidate, gamma: float,
-                      x, u) -> float:
-    """Re-evaluate a reported violation point independently through the residual."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    zeta = V.gradient(x)
-    F = sys.dynamics(x, u)
-    return float(np.dot(zeta, F)) - (gamma * float(np.dot(u, u)) - float(np.dot(x, x)))

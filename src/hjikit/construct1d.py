@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import HjikitError
 from .expr import _row_sum
-from .hji import Sweep, _cumulative_simpson, tensor_grid
+from .hji import Sweep, _cumulative_simpson
 from .storage import StorageCandidate
 from .systems import AffineSystem
 
@@ -71,34 +71,6 @@ class QuadCoeffs:
 def delta(q: QuadCoeffs, p: float) -> float:
     """The admissibility quadratic a p^2 + b p + c."""
     return q.a * p * p + q.b * p + q.c
-
-
-def f_membership(sys: AffineSystem, gamma: float, x: float, p: float,
-                 mode: str = "quadratic", u_points: int = 1001) -> bool:
-    """Whether slope p is admissible at x > 0.
-
-    'quadratic' checks Delta(p) <= 0 exactly; 'direct' checks
-    p*(g0 + sum u_i g_i) <= gamma|u|^2 - x^2 on a dense u grid (so it can accept
-    marginal cases within the grid slack 1e-6).  The two must agree away from the
-    boundary Delta(p) = 0.
-    """
-    if x <= 0:
-        raise ValueError("membership is defined for x > 0")
-    if p < 0:
-        raise ValueError("slopes are nonnegative on the positive half-line")
-    q = QuadCoeffs.at(sys, gamma, x)
-    if mode == "quadratic":
-        return delta(q, p) <= 1e-12
-    if mode != "direct":
-        raise ValueError("mode must be 'direct' or 'quadratic'")
-    xv = np.array([x])
-    g0 = float(sys.drift(xv)[0])
-    gvals = sys.input_fields(xv)[:, 0] if sys.m else np.zeros(0)
-    half = float(2.0 * np.max(np.abs(p * gvals)) / (2 * gamma) + 1.0) if sys.m else 1.0
-    U = tensor_grid([np.linspace(-half, half, u_points)] * sys.m)
-    lhs = p * (g0 + U @ gvals)
-    rhs = gamma * _row_sum(U * U) - x * x
-    return bool(np.max(lhs - rhs) <= 1e-6)
 
 
 def p_of_x(sys: AffineSystem, gamma: float, h, x: float) -> float:

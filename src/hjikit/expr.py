@@ -22,8 +22,6 @@ depth and length are bounded only by memory; compilation is linear in distinct n
 from __future__ import annotations
 
 import functools
-import math
-import operator
 import re
 import weakref
 from dataclasses import dataclass, field
@@ -40,10 +38,6 @@ class ExprSyntaxError(HjikitError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
-
-
-class EvalError(HjikitError):
-    """Raised on domain errors during evaluation (division by zero, sqrt of a negative)."""
 
 
 def _row_sum(A: np.ndarray) -> np.ndarray:
@@ -262,36 +256,8 @@ def parse(src: str, n: int, m: int) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and printing: rule tables over the fold
+# Printing: a rule table over the fold
 # ---------------------------------------------------------------------------
-
-def evaluate(e: Expr, x: Sequence[float] = (), u: Sequence[float] = ()) -> float:
-    """Evaluate an AST at the point (x, u) in IEEE double precision; raises
-    :class:`EvalError` on a domain error: division by zero, sqrt of a negative number,
-    and pow or spow of 0 to a negative power or past the float range."""
-    def rule(node, *args):
-        if isinstance(node, Var):
-            return float((x if node.kind == "x" else u)[node.index])
-        if isinstance(node, Num):
-            return node.value
-        try:
-            return _EVAL[node.tag](*args)
-        except (ArithmeticError, ValueError) as err:
-            raise EvalError(f"{node.tag}({', '.join(map(repr, args))}): {err.args[-1]}") from None
-    return fold((e,), rule)[e]
-
-
-def _unit(v: float) -> float:
-    """sign(v) as numpy gives it: 0.0 at either zero, nan at nan."""
-    return 0.0 if v == 0 else v if math.isnan(v) else math.copysign(1.0, v)
-
-
-_EVAL = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
-         "/": operator.truediv, "abs": abs, "sign": _unit, "sqrt": math.sqrt, "min": min,
-         "max": max, "pow": lambda a, p: abs(a) ** p, "spow": lambda a, p: _unit(a) * abs(a) ** p,
-         # math.cbrt only exists on 3.11+; copysign keeps the real-root reading
-         "cbrt": lambda v: math.copysign(abs(v) ** (1.0 / 3.0), v)}
-
 
 def to_source(e: Expr) -> str:
     """Render an AST back to source; ``parse(to_source(e))`` is ``e`` for every AST

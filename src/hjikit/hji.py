@@ -16,8 +16,8 @@ A :class:`Sweep` builds a region's grid, boxes and box vertices once, and choose
 its sup over u once, in ``Sweep.__init__``: :func:`_exact_sup` or :func:`_sampled_sup`,
 builders of one interface; another sup (refined between nodes, or exact for fields
 piecewise quadratic in u) is one more builder there.  Its residuals at any gamma are
-the one batched kernel, tested against the scalar reference (:func:`point_residual`
-and the closed forms it calls); its needed gains solve the same sup for gamma.
+the one batched kernel, tested against ``point_residual`` and its closed forms in
+``tests/reference.py``; its needed gains solve the same sup for gamma.
 :func:`check_witness` is one use of a sweep, and the minimal-gain scan reads one
 sweep: it takes the first grid gamma at or above the largest needed gain, confirms
 it with two checks (it passes, the grid gamma below fails) and bisects the grid only
@@ -155,75 +155,6 @@ class WitnessReport:
     def point_passed(self) -> np.ndarray:
         """Per grid point, whether its residual is at most the tolerance."""
         return self.point_residuals <= self.tolerance
-
-
-def supply(x, u, gamma: float) -> float:
-    """The supply rate gamma|u|^2 - |x|^2."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return float(gamma * np.dot(u, u) - np.dot(x, x))
-
-
-def affine_residual(sys: AffineSystem, x, zeta, gamma: float) -> float:
-    """Exact sup_u [zeta.F(x,u) - supply(x,u,gamma)] for an input-affine system (p = 1)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    g0 = sys.drift(x)
-    fields = sys.input_fields(x)
-    quad = sum(float(np.dot(zeta, fields[i])) ** 2 for i in range(sys.m))
-    return float(np.dot(zeta, g0)) + quad / (4.0 * gamma) + float(np.dot(x, x))
-
-
-def power_residual(sys: AffineSystem, x, zeta, gamma: float) -> float:
-    """Exact sup over u for an :class:`AffineSystem` of any p and phi."""
-    return _power_sup(sys, x, zeta, gamma)[0]
-
-
-def _power_sup(sys: AffineSystem, x, zeta, gamma: float):
-    """Exact sup over u for a power-affine system and a maximizer (None if p >= 2 gives +inf).
-
-    Channels separate:  sup_r c phi(r) - gamma r^2 is gamma (2-p)/p r*^2 at
-    r* = (p c / (2 gamma))^(1/(2-p)) for p < 2 (+inf once r* overflows); for
-    p = 2 it is 0 when the effective coefficient is at most gamma and +inf
-    otherwise; for p > 2 it is +inf unless the effective coefficient vanishes.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    g0 = sys.drift(x)
-    fields = sys.input_fields(x)
-    total = float(np.dot(zeta, g0)) + float(np.dot(x, x))
-    u = np.zeros(sys.m)
-    p = sys.p
-    for i in range(sys.m):
-        c = float(np.dot(zeta, fields[i]))
-        ceff = abs(c) if sys.phi == "signed_pow" else max(c, 0.0)
-        if ceff == 0.0:
-            continue
-        if p >= 2:
-            if ceff > (gamma if p == 2 else _COEFF_ZERO_TOL):
-                return math.inf, None
-            continue
-        if p == 1:
-            r = ceff / (2.0 * gamma)
-            total += ceff * ceff / (4.0 * gamma)
-        else:
-            with np.errstate(over="ignore"):          # p near 2: r and the sup overflow to inf
-                r = float(np.float64(p * ceff / (2.0 * gamma)) ** (1.0 / (2.0 - p)))
-            total += gamma * (2.0 - p) / p * r * r      # c r^p - gamma r^2 at r
-        u[i] = math.copysign(r, c) if sys.phi == "signed_pow" else r
-    return total, u
-
-
-def general_residual(sys: System, x, zeta, gamma: float):
-    """Sampled lower bound on sup_u [zeta.F(x,u) - supply] on the fixed input grid, and u."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    U = _u_grid(sys.m)
-    F = sys.dynamics(np.broadcast_to(x, (U.shape[0], x.size)), U)
-    # Sweep's order of terms: at the outer nodes they cancel from |u|^2 = 5e5 to rounding
-    vals = F @ zeta + (float(np.dot(x, x)) - gamma * np.sum(U * U, axis=1))
-    k = int(np.argmax(vals))
-    return float(vals[k]), U[k].copy()
 
 
 def compactify(u) -> np.ndarray:
@@ -457,36 +388,6 @@ def check_witness(sys: System, V: StorageCandidate, gamma: float, region: Region
     """Verify the witness condition at every point of the region grid, which visits
     the candidate's kink loci, by the rules of :class:`Sweep`; one use of a sweep."""
     return Sweep.of(sys, V, region).check(gamma, tol)
-
-
-def point_residual(sys: System, V: StorageCandidate, gamma: float, x):
-    """Worst residual over the subdifferential at one point: (residual, zeta, u).
-
-    Returns +inf with zeta = None when an unbounded subdifferential coordinate
-    multiplies a non-vanishing dynamic coefficient, and +inf where the sup at a
-    vertex is NaN.  This is the scalar reference for :meth:`Sweep.residuals`.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    S = V.subdiff(x)
-    if S.is_empty:
-        return -math.inf, None, None
-    if S.unbounded_axes:            # their coefficients: g0 and each g_i, or F on the grid
-        U = _u_grid(sys.m)
-        coef = (np.vstack([sys.drift(x), sys.input_fields(x)]) if isinstance(sys, AffineSystem)
-                else sys.dynamics(np.broadcast_to(x, (len(U), x.size)), U))
-        if not np.all(np.abs(coef[:, list(S.unbounded_axes)]) <= _COEFF_ZERO_TOL):
-            return math.inf, None, None
-    best, best_z, best_u = -math.inf, None, None
-    for zeta in S.finite_vertices():
-        if isinstance(sys, AffineSystem):
-            res, u = _power_sup(sys, x, zeta, gamma)
-        else:
-            res, u = general_residual(sys, x, zeta, gamma)
-        if math.isnan(res):
-            res = math.inf
-        if res > best:
-            best, best_z, best_u = res, zeta, u
-    return best, best_z, best_u
 
 
 class GainScan(NamedTuple):

@@ -18,12 +18,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import HjikitError
-from .expr import _row_sum
 from .hji import Region, Sweep, _cumulative_simpson, annulus_grid, check_witness, tensor_grid
 from .hji import compactify, decompactify      # the input map, also exported from here
 from .storage import StorageCandidate
@@ -37,7 +36,6 @@ class BoundaryRadiusError(HjikitError):
 _EVAL_CHUNK = 4096      # query rows per gathered window block in MollifiedFunction.evaluate
 _HYPOTHESIS_PPD = 41    # grid points per axis of smooth_witness's hypothesis check
 _GRID_RATIO = 1.1       # node ratio of smooth_witness's mirrored geometric sample axis
-_CASE1_EPS = (1.0, 0.5, 0.25, 0.125, 0.0625)   # check_case1_p2's decreasing eps sequence
 
 
 # ---------------------------------------------------------------------------
@@ -62,48 +60,6 @@ def transformed_field(sys: AffineSystem, x, d) -> np.ndarray:
     return out
 
 
-def theta(x, d, alpha: Callable, beta: Callable) -> float:
-    """Theta(x, d) = -(1 - |d|^2) alpha(x) + |d|^2 beta(x)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    dsq = float(np.dot(d, d))
-    return -(1.0 - dsq) * float(alpha(x)) + dsq * float(beta(x))
-
-
-def default_alpha(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return _row_sum(x * x)
-
-
-def check_case1_p2(sys: AffineSystem, x, zeta, beta_val: float, d) -> bool:
-    """The unit-sphere boundary inequality for p = 2 at subgradient zeta.
-
-    Verifies sum_i phi(d_i) zeta.g_i(x) <= beta + 1e-9 by evaluating the
-    eps^2-scaled witness inequality (alpha = |x|^2) along a decreasing eps
-    sequence (inputs of the form d/eps) and confirming the limit value.
-    """
-    if sys.p != 2:
-        raise ValueError("this check applies to p = 2 systems")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    if abs(float(np.dot(d, d)) - 1.0) > 1e-9:
-        raise ValueError("d must be a unit vector")
-    fields = sys.input_fields(x)
-    g0 = sys.drift(x)
-    phid = sys.phi_apply(d)
-    limit_lhs = sum(float(phid[i]) * float(np.dot(zeta, fields[i])) for i in range(sys.m))
-    a = float(default_alpha(x))
-    zg0 = float(np.dot(zeta, g0))
-    # scaled members: [eps^2 zeta.g0 + limit] - [-eps^2 alpha + beta]; linear in eps^2,
-    # so the sequence converges monotonically onto the boundary inequality.
-    gaps = [eps * eps * (zg0 + a) + (limit_lhs - beta_val) for eps in _CASE1_EPS]
-    steps = np.diff(gaps)
-    if steps.size and not (np.all(steps <= 1e-12) or np.all(steps >= -1e-12)):
-        raise RuntimeError("scaled sequence failed to converge monotonically")
-    return limit_lhs <= beta_val + 1e-9
-
-
 def choose_delta(eps: float) -> float:
     """delta = m/(1+m) with m = min(eps, 1/4); satisfies both bookkeeping bounds.
 
@@ -113,16 +69,6 @@ def choose_delta(eps: float) -> float:
         raise ValueError("eps must be positive")
     m = min(eps, 0.25)
     return m / (1.0 + m)
-
-
-def upsilons(V: StorageCandidate, alpha: Callable, delta: float, x):
-    """(Upsilon_1, Upsilon_2) = ((1-delta)/4 V(x), delta min(1, alpha(x)))."""
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u1 = (1.0 - delta) / 4.0 * V.value(x)
-    u2 = delta * min(1.0, float(alpha(x)))
-    return u1, u2
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +258,10 @@ class MollifiedFunction:
         up to a power of two, each trimmed to its widest row.  Windows are summed in order,
         and trailing zero weights leave such a sum as it is, so a point's W and grad W do
         not depend on its batch."""
+        return self._evaluate(X, True)
+
+    def _evaluate(self, X: np.ndarray, gradient: bool):
+        """``evaluate``'s W, and grad W if ``gradient`` (else None: no derivative weights)."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
@@ -320,13 +270,13 @@ class MollifiedFunction:
             raise ValueError(f"query row {bad[0]} ({X[bad[0]].tolist()}) is not finite")
         Q, n = X.shape[0], self.ndim
         vals = np.empty(Q)
-        grads = np.empty((Q, n))
+        grads = np.empty((Q, n)) if gradient else None
         for start in range(0, Q, _EVAL_CHUNK):
             chunk = np.ascontiguousarray(X[start:start + _EVAL_CHUNK])
             bits, inv = np.unique(chunk.view(np.uint64), return_inverse=True)
             inv = inv.reshape(chunk.shape)      # column i: row -> its coordinate on axis i
             idx, w, width, derivatives = self._axis_weights(bits.view(float))
-            dw = derivatives()
+            dw = derivatives() if gradient else None
             widths = width[inv]
             # a row's group: its widths' log2 ceilings, one base-64 digit per axis
             of_row = np.unique(np.ceil(np.log2(widths)).astype(np.int64) @ 64 ** np.arange(n),
@@ -334,15 +284,17 @@ class MollifiedFunction:
             for g in range(of_row.max() + 1):
                 rows = np.flatnonzero(of_row == g)
                 ms = widths[rows].max(axis=0)
-                ix, a, da = ([x[inv[rows, i], :m] for i, m in enumerate(ms)] for x in (idx, w, dw))
+                ix, a = ([x[inv[rows, i], :m] for i, m in enumerate(ms)] for x in (idx, w))
                 # gather each row's window block (rows, m_1, ..., m_n)
                 blk = self.values[tuple(
                     j.reshape((-1,) + (1,) * i + j.shape[1:] + (1,) * (n - 1 - i))
                     for i, j in enumerate(ix))]
                 partial = _chain(blk, a, _window_step)
                 vals[start + rows] = partial[-1]
-                grads[start + rows] = np.transpose(
-                    _gradient_numerators(partial, a, da, _window_step))
+                if gradient:
+                    da = [dw[inv[rows, i], :m] for i, m in enumerate(ms)]
+                    grads[start + rows] = np.transpose(
+                        _gradient_numerators(partial, a, da, _window_step))
         return vals, grads
 
     def evaluate_grid(self, coords: Sequence[np.ndarray]):
@@ -589,7 +541,7 @@ def _wrap_candidate(moll: MollifiedFunction, dlt: float, base_name: str) -> Stor
         out = np.zeros(Xb.shape[0])        # extension by fiat at the origin
         away = np.any(Xb != 0.0, axis=1)
         if np.any(away):
-            out[away] = scale * moll.evaluate(Xb[away])[0]
+            out[away] = scale * moll._evaluate(Xb[away], False)[0]
         return out.reshape(X.shape[:-1])
 
     def subdiff_batch(X):

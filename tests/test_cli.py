@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hjikit import cli, construct1d, hji, smoothing, storage, systems, trajectories
+from reference import point_residual
 
 
 def run(args):
@@ -122,7 +123,7 @@ def test_system_without_inputs(tmp_path):
     region = hji.Region(box=((-2.0, 2.0),), points_per_dim=41)
     report = hji.check_witness(sysm, V, 1.0, region)
     assert report.passed and report.point_u.shape == (report.points_checked, 0)
-    assert hji.point_residual(sysm, V, 1.0, [1.0])[0] == -1.0
+    assert point_residual(sysm, V, 1.0, [1.0])[0] == -1.0
     X = region.grid()
     assert hji.Sweep(sysm, X, *V.subdiff_batch(X)).needed_gains(hji.DEFAULT_TOL_EXACT).max() == 0.0
     scan = hji.min_gain_scan(sysm, V, region, hji.gamma_range(0.5, 2.0, 0.01))

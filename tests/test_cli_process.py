@@ -1,6 +1,7 @@
 """``python -m hjikit.cli`` in fresh interpreters (test_cli.py calls ``cli.main``): reports
 that keep their bytes across interpreters, paths compiled on their first call, and one
-run per exit code (0, 1, 2, 3) through the module's entry point."""
+run per exit code (0, 1, 2, 3) through the module's entry point; and what a fresh
+``import hjikit, hjikit.cli`` loads and defines."""
 import json
 import os
 import shlex
@@ -75,3 +76,38 @@ def test_cli_process(tmp_path, case):
         assert check is None or check(proc, out), proc
         check_reports(out)
     assert [(outs[0] / n).read_bytes() for n in same] == [(outs[-1] / n).read_bytes() for n in same]
+
+
+# the scalar references and proof bookkeeping that live in tests/reference.py, by the module
+# that once defined them; `hjikit` itself exported the public ones
+_MOVED = {"hji": ("supply", "affine_residual", "power_residual", "_power_sup",
+                  "general_residual", "point_residual"),
+          "smoothing": ("theta", "default_alpha", "check_case1_p2", "upsilons", "_CASE1_EPS"),
+          "expr": ("evaluate", "_EVAL", "_unit", "EvalError"),
+          "storage": ("verify_subgradient", "_directions"),
+          "construct1d": ("f_membership",), "audits": ("recheck_violation",)}
+_PROBE = """
+import json, sys
+import hjikit, hjikit.cli
+moved = set(json.loads(sys.argv[1]))
+print(json.dumps({"modules": sorted(sys.modules), "defined": sorted(
+    f"{name}.{attr}" for name, mod in sys.modules.items() if name.split(".")[0] == "hjikit"
+    for attr in moved & set(vars(mod))), "vertices": hasattr(hjikit.SubdiffSet,
+                                                             "finite_vertices")}))
+"""
+
+
+def test_import_loads_no_test_code(tmp_path):
+    """A fresh ``import hjikit, hjikit.cli`` loads no test module, hypothesis or scipy, and
+    neither the package nor any of its modules defines a moved name."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(_SRC), os.environ.get("PYTHONPATH"))))}
+    names = sorted({n for group in _MOVED.values() for n in group})
+    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(names)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert not {m.split(".")[0] for m in got["modules"]} & {"reference", "tests", "hypothesis",
+                                                            "scipy", "conftest"}
+    assert {f"hjikit.{m}" for m in _MOVED} <= set(got["modules"])
+    assert got["defined"] == [] and got["vertices"] is False

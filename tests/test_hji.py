@@ -12,6 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 from hjikit import cli, hji
 from hjikit import storage as stg
 from hjikit import systems as sy
+from reference import (affine_residual, finite_vertices, general_residual, point_residual,
+                       power_residual, supply)
 
 
 @pytest.fixture(scope="module")
@@ -25,42 +27,42 @@ def region2():
 
 
 def test_supply_examples():
-    assert hji.supply([1, 1], [1, 1], 1.0) == 0.0
-    assert hji.supply([0, 0], [2, 0], 1.0) == 4.0
-    assert hji.supply([3, 4], [0, 0], 5.0) == -25.0
+    assert supply([1, 1], [1, 1], 1.0) == 0.0
+    assert supply([0, 0], [2, 0], 1.0) == 4.0
+    assert supply([3, 4], [0, 0], 5.0) == -25.0
 
 
 def test_affine_residual_examples(sigma1):
-    assert hji.affine_residual(sigma1, [1, 1], [2, 2], 1.0) == 0.0
-    assert hji.affine_residual(sigma1, [1, 1], [2, 2], 0.5) == 2.0
+    assert affine_residual(sigma1, [1, 1], [2, 2], 1.0) == 0.0
+    assert affine_residual(sigma1, [1, 1], [2, 2], 0.5) == 2.0
     s2 = sy.make_sigma2()
-    assert hji.affine_residual(s2, [1, 1], [2, 2 / 3], 1.0) == pytest.approx(0.0, abs=1e-14)
+    assert affine_residual(s2, [1, 1], [2, 2 / 3], 1.0) == pytest.approx(0.0, abs=1e-14)
     # zeta = 0 leaves only |x|^2
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.uniform(-2, 2, 2)
-        assert hji.affine_residual(sigma1, x, [0, 0], 2.0) == pytest.approx(x @ x)
+        assert affine_residual(sigma1, x, [0, 0], 2.0) == pytest.approx(x @ x)
 
 
 def test_general_residual_examples():
     s3 = sy.make_sigma3_scalar()
-    res, u = hji.general_residual(s3, [0.5], [1.0], 1.0)
+    res, u = general_residual(s3, [0.5], [1.0], 1.0)
     assert res == pytest.approx(0.0, abs=1e-9)
     sp = sy.make_sigma_p(3.0)
-    res, _ = hji.general_residual(sp, [1, 1], [1, 1], 0.01)
+    res, _ = general_residual(sp, [1, 1], [1, 1], 0.01)
     assert res <= 1e-12
 
 
 def test_affine_general_cross_check(sigma1):
-    exact = hji.affine_residual(sigma1, [1, 1], [2, 2], 1.0)
-    approx, u = hji.general_residual(sigma1, [1, 1], [2, 2], 1.0)
+    exact = affine_residual(sigma1, [1, 1], [2, 2], 1.0)
+    approx, u = general_residual(sigma1, [1, 1], [2, 2], 1.0)
     assert abs(exact - approx) <= 1e-3
     assert np.allclose(u, [1, 1], atol=0.11)
     # off-grid maximizer u* = (1/0.7, 1/0.7): the gap is bounded by the quadratic grid
     # error at the nearest node, gamma sum_i (h_i/2)^2 with h_i the fixed grid's spacing
     # around u*_i
-    exact = hji.affine_residual(sigma1, [1, 1], [2, 2], 0.7)
-    approx, _ = hji.general_residual(sigma1, [1, 1], [2, 2], 0.7)
+    exact = affine_residual(sigma1, [1, 1], [2, 2], 0.7)
+    approx, _ = general_residual(sigma1, [1, 1], [2, 2], 0.7)
     axis = hji._u_grid(1)[:, 0]
     k = np.searchsorted(axis, 1 / 0.7)
     assert 0 <= exact - approx <= 0.7 * 2 * ((axis[k] - axis[k - 1]) / 2) ** 2
@@ -141,8 +143,8 @@ def test_sampled_sup_brackets_the_exact_sup(case):
     c = affine.input_fields(x) @ zeta
     u_star = c / (2.0 * gamma)
     assume(np.all(np.abs(u_star) <= 700.0))
-    exact = hji.affine_residual(affine, x, zeta, gamma)
-    sampled, _ = hji.general_residual(general, x, zeta, gamma)
+    exact = affine_residual(affine, x, zeta, gamma)
+    sampled, _ = general_residual(general, x, zeta, gamma)
     size = abs(float(zeta @ affine.drift(x))) + float(c @ c) / (4.0 * gamma) + float(x @ x)
     assert sampled <= exact + 1e-12 * max(1.0, size)
     axis = hji._u_grid(1)[:, 0]
@@ -158,17 +160,17 @@ def test_power_residual_matches_affine_at_p1(sigma1):
         x = rng.uniform(-2, 2, 2)
         z = rng.uniform(-3, 3, 2)
         gamma = rng.uniform(0.2, 3)
-        assert hji.power_residual(sigma1, x, z, gamma) == pytest.approx(
-            hji.affine_residual(sigma1, x, z, gamma), rel=1e-12, abs=1e-12)
+        assert power_residual(sigma1, x, z, gamma) == pytest.approx(
+            affine_residual(sigma1, x, z, gamma), rel=1e-12, abs=1e-12)
 
 
 def test_power_residual_p2_and_fractional():
     ps = sy.AffineSystem(1, 1, ("-x1",), (("1",),), p=2.0, phi="abs_pow")
-    assert hji.power_residual(ps, [1.0], [0.5], 1.0) == pytest.approx(-0.5 + 1.0)
-    assert hji.power_residual(ps, [1.0], [2.0], 1.0) == math.inf
+    assert power_residual(ps, [1.0], [0.5], 1.0) == pytest.approx(-0.5 + 1.0)
+    assert power_residual(ps, [1.0], [2.0], 1.0) == math.inf
     # p = 1.5: cross-check the closed form against a dense grid sup
     ps = sy.AffineSystem(1, 1, ("-x1",), (("1",),), p=1.5, phi="abs_pow")
-    closed = hji.power_residual(ps, [1.0], [1.2], 1.0)
+    closed = power_residual(ps, [1.0], [1.2], 1.0)
     r = np.linspace(-10, 10, 200001)
     grid = np.max(1.2 * np.abs(r) ** 1.5 - r * r) + (-1.2 + 1.0)
     assert closed == pytest.approx(grid, abs=1e-6)
@@ -232,7 +234,7 @@ def test_check_witness_worked_examples(sigma1, region2):
     assert rep.mode == "exact"
     rep9 = hji.check_witness(sigma1, stg.builtin("v1_scaled"), 0.9, region2)
     assert not rep9.passed
-    assert hji.affine_residual(sigma1, [1, 1], [2, 2], 0.9) == pytest.approx(
+    assert affine_residual(sigma1, [1, 1], [2, 2], 0.9) == pytest.approx(
         2 / 0.9 - 2, abs=1e-12)
 
 
@@ -256,7 +258,7 @@ def test_check_witness_requires_oracle(region2, sigma1):
 
 
 def test_point_residual_matches_check(sigma1):
-    res, zeta, u = hji.point_residual(sigma1, stg.builtin("v1_scaled"), 1.0, [1, 1])
+    res, zeta, u = point_residual(sigma1, stg.builtin("v1_scaled"), 1.0, [1, 1])
     assert res == 0.0 and np.allclose(zeta, [2, 2]) and np.allclose(u, [1, 1])
 
 
@@ -296,8 +298,8 @@ def test_residual_monotone_in_gamma(sigma1):
     for _ in range(30):
         x = rng.uniform(0.2, 2, 2)
         z = rng.uniform(-3, 3, 2)
-        r1 = hji.affine_residual(sigma1, x, z, 0.8)
-        r2 = hji.affine_residual(sigma1, x, z, 1.6)
+        r1 = affine_residual(sigma1, x, z, 0.8)
+        r2 = affine_residual(sigma1, x, z, 1.6)
         fields = sigma1.input_fields(np.asarray(x))
         if any(abs(float(z @ fields[i])) > 1e-12 for i in range(2)):
             assert r1 > r2
@@ -318,11 +320,11 @@ def test_box_maximum_attained_at_vertices():
         lo = rng.uniform(-3, 0, 2)
         hi = lo + rng.uniform(0, 3, 2)
         gamma = rng.uniform(0.3, 2)
-        verts = stg.SubdiffSet.box(list(zip(lo, hi))).finite_vertices()
-        vmax = max(hji.affine_residual(sysr, x, v, gamma) for v in verts)
+        verts = finite_vertices(stg.SubdiffSet.box(list(zip(lo, hi))))
+        vmax = max(affine_residual(sysr, x, v, gamma) for v in verts)
         t = rng.uniform(0, 1, (80, 2))
         samples = lo + t * (hi - lo)
-        smax = max(hji.affine_residual(sysr, x, s, gamma) for s in samples)
+        smax = max(affine_residual(sysr, x, s, gamma) for s in samples)
         assert smax <= vmax + 1e-9
 
 
@@ -409,7 +411,7 @@ def test_residuals_match_point_residual(case, gamma, data):
     X = X[np.linalg.norm(X, axis=1) > 0.0]
     res, zeta, u = hji.Sweep(sysm, X, *V.subdiff_batch(X)).residuals(gamma)
     for q, x in enumerate(X):
-        ref, ref_zeta, _ = hji.point_residual(sysm, V, gamma, x)
+        ref, ref_zeta, _ = point_residual(sysm, V, gamma, x)
         if math.isinf(ref):
             assert res[q] == ref, (x, res[q], ref)
         else:
@@ -421,10 +423,10 @@ def test_residuals_match_point_residual(case, gamma, data):
 def test_power_affine_exact_for_every_p():
     """p > 2: +inf where a channel coefficient is nonzero, the drift terms where it vanishes."""
     sp = sy.make_sigma_p(3.0)
-    assert hji.power_residual(sp, [1.0, 0.5], [2.0, 1.0], 1.0) == math.inf
+    assert power_residual(sp, [1.0, 0.5], [2.0, 1.0], 1.0) == math.inf
     # the L1 gradient annihilates the oscillator channel: only zeta.g0 + |x|^2 remains
     x, z = np.array([1.0, 0.5]), np.array([1.0, 1.0])
-    assert hji.power_residual(sp, x, z, 0.01) == pytest.approx(
+    assert power_residual(sp, x, z, 0.01) == pytest.approx(
         float(z @ sp.drift(x)) + float(x @ x), abs=1e-15)
     rep = hji.check_witness(sp, stg.builtin("v1"), 0.01,
                             hji.Region(box=((-2, 2), (-2, 2)), points_per_dim=21))
@@ -434,7 +436,7 @@ def test_power_affine_exact_for_every_p():
 def test_power_affine_near_p2_overflow_fails():
     """p = 1.999: the maximizing r overflows from c ~ 1.5 on; the sup is +inf, never NaN."""
     x, zeta = np.array([1.0]), np.array([2.0])            # channel coefficient 2
-    assert hji.power_residual(_P1999, x, zeta, 1.0) == math.inf
+    assert power_residual(_P1999, x, zeta, 1.0) == math.inf
     # the sampled sup at u = 8 is already about +63
     assert 2 * 8 ** 1.999 - 64 + float(zeta @ _P1999.drift(x)) + 1 > 60
     V = stg.builtin("sq_norm")

@@ -10,6 +10,7 @@ from hjikit import cli, hji
 from hjikit import smoothing as sm
 from hjikit import storage as stg
 from hjikit import systems as sy
+from reference import check_case1_p2, default_alpha, theta, upsilons
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +79,9 @@ def test_field_correspondence_over_zoo():
 
 def test_theta_examples():
     beta_one = lambda x: 1.0
-    assert sm.theta([1, 0], [0, 0], sm.default_alpha, beta_one) == -1.0
-    assert sm.theta([1, 0], [1, 0], sm.default_alpha, beta_one) == 1.0
-    assert sm.theta([1, 0], [math.sqrt(0.5), 0], sm.default_alpha,
-                    beta_one) == pytest.approx(0.0)
+    assert theta([1, 0], [0, 0], default_alpha, beta_one) == -1.0
+    assert theta([1, 0], [1, 0], default_alpha, beta_one) == 1.0
+    assert theta([1, 0], [math.sqrt(0.5), 0], default_alpha, beta_one) == pytest.approx(0.0)
 
 
 def test_check_case1_p2():
@@ -90,15 +90,15 @@ def test_check_case1_p2():
                              (("abs(x1)*x2", "-abs(x2)*x1"),
                               ("-abs(x1)*x2", "abs(x2)*x1")),
                              p=2.0, phi="abs_pow")
-    assert sm.check_case1_p2(zero_g, [1, 1], [1, 1], 1.0, [1, 0])
+    assert check_case1_p2(zero_g, [1, 1], [1, 1], 1.0, [1, 0])
     # a gain-1 claim at p = 2 fails the boundary test at this point
     s1 = sy.make_sigma1()
     p2 = sy.AffineSystem(2, 2, s1.g0, s1.g, p=2.0, phi="abs_pow")
-    assert not sm.check_case1_p2(p2, [1, 1], [2, 2], 1.0, [1, 0])
+    assert not check_case1_p2(p2, [1, 1], [2, 2], 1.0, [1, 0])
     with pytest.raises(ValueError):
-        sm.check_case1_p2(p2, [1, 1], [2, 2], 1.0, [0.5, 0])
+        check_case1_p2(p2, [1, 1], [2, 2], 1.0, [0.5, 0])
     with pytest.raises(ValueError):
-        sm.check_case1_p2(s1, [1, 1], [2, 2], 1.0, [1, 0])
+        check_case1_p2(s1, [1, 1], [2, 2], 1.0, [1, 0])
 
 
 def test_choose_delta_examples():
@@ -114,12 +114,12 @@ def test_choose_delta_examples():
 
 def test_upsilons_examples():
     four = stg.from_expression("4", 2)
-    u1, u2 = sm.upsilons(four, sm.default_alpha, 0.2, [3.0, 0.0])
+    u1, u2 = upsilons(four, default_alpha, 0.2, [3.0, 0.0])
     assert u1 == pytest.approx(0.8) and u2 == pytest.approx(0.2)
-    _, u2 = sm.upsilons(four, sm.default_alpha, 0.2, [0.5, 0.0])
+    _, u2 = upsilons(four, default_alpha, 0.2, [0.5, 0.0])
     assert u2 == pytest.approx(0.2 * 0.25)
     with pytest.raises(ValueError):
-        sm.upsilons(four, sm.default_alpha, 1.5, [1.0, 0.0])
+        upsilons(four, default_alpha, 1.5, [1.0, 0.0])
 
 
 def test_final_inequality_algebra():
@@ -438,13 +438,24 @@ def test_failed_value_bounds_build_no_gradient(monkeypatch):
 def test_derivative_weights_are_built_only_for_the_gradient(monkeypatch):
     """sigma2/v2 on [0.1, 0.3] builds derivative weights (the one caller of ``kernel`` once
     the moment table is built) once, for its passing attempt's one coordinate array, and a
-    run out of refinements on the approximation bound none."""
+    run out of refinements on the approximation bound none.  The smoothed W's values build
+    none, at one point or many; its subdifferential builds them once per call."""
     sm._build_i1_table()
     built, kernel = [], sm.kernel
     monkeypatch.setattr(sm, "kernel", lambda s: built.append(s.shape) or kernel(s))
     s2, v2 = sy.zoo_entry("sigma2").system, stg.builtin("v2")
-    assert sm.smooth_witness(s2, v2, 1.0, 1.1, r_min=0.1, r_max=0.3).passed
+    passed = sm.smooth_witness(s2, v2, 1.0, 1.1, r_min=0.1, r_max=0.3)
+    assert passed.passed
     assert len(built) == 1
+    built.clear()
+    X = np.array([[0.2, 0.1], [-0.15, 0.05], [0.0, 0.0]])
+    one, many = passed.W.value(X[0]), passed.W.value_batch(X)
+    assert built == []
+    assert passed.W.subdiff_batch(X)[0].shape == (3, 2) and len(built) == 1
+    scale = 1.0 / (1.0 - passed.delta)
+    w, g = passed.mollified.evaluate(X[:2])
+    assert one == scale * w[0] and np.array_equal(many, np.append(scale * w, 0.0))
+    assert np.array_equal(passed.W.subdiff_batch(X[:2])[0], scale * g)
     built.clear()
     cert = sm.smooth_witness(s2, v2, 1.0, 1.1, max_refinements=0)
     assert cert.failure_reason == "approximation bound" and built == []
