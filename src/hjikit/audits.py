@@ -18,7 +18,8 @@ import numpy as np
 from .expr import compile_evaluator, parse
 from .hji import Sweep, annulus_grid
 from .storage import GradientUndefinedError, StorageCandidate
-from .systems import System, _phi_src, _psi_src, make_sigma1, make_sigma3_scalar, make_sigma_p
+from .systems import (System, _phi_src, _psi_src, make_sigma1, make_sigma2, make_sigma3_scalar,
+                      make_sigma_p)
 
 VIOLATION = "violation_found"
 OBSTRUCTION = "obstruction_verified"
@@ -158,12 +159,6 @@ def curve_speed_factor(a: float, t) -> np.ndarray:
     return (a * a - (a * t) ** 2) ** 1.5 / a
 
 
-def drift_field(x) -> np.ndarray:
-    """The undriven cusp field g(x) = (x2, -3 x1 x2^(4/3)) (real-root reading)."""
-    x = np.asarray(x, dtype=float)
-    return np.stack([x[..., 1], -3.0 * x[..., 0] * np.cbrt(x[..., 1]) ** 4], axis=-1)
-
-
 _CURVE_CLAIM = (
     "for any continuous candidate satisfying zeta.g <= 0 along the cusp drift, the "
     "value along the orbit curve t -> (a t, (a^2-(a t)^2)^(3/2)) is nonincreasing; an "
@@ -194,11 +189,13 @@ def audit_curve_monotone(V: StorageCandidate, a: float,
 
 
 def audit_curve_tangency(a: float) -> float:
-    """max_t |g(gamma(t)) - beta(t) gamma'(t)|: the curve is a reparameterized orbit."""
+    """max_t |f(gamma(t), gamma(t)) - beta(t) gamma'(t)|, f being the zoo's sigma2 under the
+    feedback u = x, whose field is (x2, -3 x1 x2^(4/3)): the curve is a reparameterized orbit."""
     if not 0 < a < math.inf:
         raise ValueError("a must be positive and finite")
     t = _CURVE_T
-    lhs = drift_field(curve_point(a, t))
+    x = curve_point(a, t)
+    lhs = make_sigma2().dynamics(x, x)
     rhs = curve_speed_factor(a, t)[..., None] * curve_velocity(a, t)
     return float(np.max(np.linalg.norm(lhs - rhs, axis=-1)))
 
@@ -222,8 +219,10 @@ def audit_sigmap(V: StorageCandidate, p: float, gamma: float,
 
     For each sample xi with c = grad V(xi).g(xi) != 0, the audit searches the
     matching input channel (u1 for c > 0, u2 for c < 0) for a violating input
-    and reports the largest-residual grid input.  If c vanishes at every
-    sample, the audit tests the axis point (1, 0) for the forced zero gradient.
+    and reports the largest-residual grid input; the residuals
+    grad V(xi).f(xi, u) + |xi|^2 - gamma|u|^2 evaluate the zoo's field
+    ``make_sigma_p(p).dynamics``.  If c vanishes at every sample, the audit
+    tests the axis point (1, 0) for the forced zero gradient.
     """
     if not 2 < p < math.inf:
         raise ValueError("this falsifier applies to finite input powers p > 2")
@@ -238,16 +237,15 @@ def audit_sigmap(V: StorageCandidate, p: float, gamma: float,
         c = float(np.dot(grad, sp.input_fields(xi)[0]))
         if abs(c) <= _TOL:
             continue
-        base = float(np.dot(grad, sp.drift(xi))) + float(np.dot(xi, xi))
-        u_mag = np.linspace(0.0, search_u_max, u_points + 1)[1:]
-        # channel u1 enters with +|u|^p g, channel u2 with -|u|^p g
-        signed = u_mag ** p * c if c > 0 else u_mag ** p * (-c)
-        residuals = base + signed - gamma * u_mag ** 2
+        # the channel whose |u|^p term raises grad V . f: u1 (+|u1|^p g) for c > 0, else u2
+        U = np.zeros((u_points, 2))
+        U[:, 0 if c > 0 else 1] = np.linspace(0.0, search_u_max, u_points + 1)[1:]
+        residuals = (sp.dynamics(xi, U) @ grad + float(np.dot(xi, xi))
+                     - gamma * np.sum(U * U, axis=1))
         k = int(np.argmax(residuals))
         if residuals[k] > _TOL:
-            u = (float(u_mag[k]), 0.0) if c > 0 else (0.0, float(u_mag[k]))
             return AuditReport(
-                VIOLATION, _SIGMAP_CLAIM, witness_point=(tuple(xi), u),
+                VIOLATION, _SIGMAP_CLAIM, witness_point=(tuple(xi), tuple(U[k].tolist())),
                 detail={"residual": float(residuals[k]), "grad_dot_g": c})
         return AuditReport(
             INCONCLUSIVE, _SIGMAP_CLAIM,

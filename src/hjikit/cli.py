@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys as _sys
 from pathlib import Path
 
@@ -304,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def out_and_seed(p):
         p.add_argument("--out", default="reports", help="output directory")
-        # unset, it is read from HJI_SEED (default 0) when the arguments are parsed
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
 
     def common(p, with_system=True, with_storage=True):
         p.add_argument("--zoo", help="zoo system name")
@@ -401,14 +399,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-        if args.seed is None:
-            try:
-                args.seed = int(os.environ.get("HJI_SEED", "0"))
-            except ValueError:
-                parser.error(f"argument --seed: invalid HJI_SEED {os.environ['HJI_SEED']!r}")
+        args = _parser().parse_args(argv)
         for name, value in vars(args).items():      # every numeric option must be finite
             values = value if isinstance(value, (list, tuple)) else (value,)
             if any(isinstance(v, float) and not np.isfinite(v) for v in values):

@@ -1,17 +1,19 @@
 """Gain-relaxed smoothing of continuous witnesses, with a-posteriori certification.
 
-The pipeline compactifies inputs onto the open unit ball, transports the
-dynamics to the transformed field f(x, d), and replaces the non-constructive
-smooth-approximation step by kernel mollification of the sampled candidate,
-followed by certification of the two output bounds on a declared grid:
+:func:`smooth_witness` mollifies the sampled candidate V on a state grid, in place
+of the proof's non-constructive smooth approximation, and certifies the two
+output bounds of W = (mollified V)/(1 - delta) on a declared grid, (20) by a
+:class:`~hjikit.hji.Sweep`'s exact sup over u at gamma_eff = (1+eps)gamma + eps:
 
     (19)  |V(x) - W(x)| <= V(x)/2
     (20)  grad W(x) . (g0(x) + sum_i phi(u_i) g_i(x)) <= -|x|^2 + [(1+eps)gamma + eps]|u|^2
 
-The certified object is the kernel-convolution function itself (smooth by
-construction for any positive radius profile); exported grid dumps are
-evaluations of it, not the function.  Certificates are statements about the
-declared grids only.
+The proof's map of the inputs onto the open unit ball and its transported field
+f(x, d) (:func:`~hjikit.hji.compactify`, :func:`transformed_field`) are kept for
+the acceptance checks; the pipeline uses neither.  The certified object is the
+kernel-convolution function itself (smooth by construction for any positive
+radius profile); exported grid dumps are evaluations of it, not the function.
+Certificates are statements about the declared grids only.
 """
 from __future__ import annotations
 
@@ -533,19 +535,18 @@ def _certify(sys: AffineSystem, moll: MollifiedFunction, coords: np.ndarray,
 
 
 def _wrap_candidate(moll: MollifiedFunction, dlt: float, base_name: str) -> StorageCandidate:
-    scale = 1.0 / (1.0 - dlt)
-
+    """W = mollified / (1 - delta), as certified, and W = 0 at the origin."""
     def value(X):
         X = np.asarray(X, dtype=float)
         Xb = X.reshape(-1, X.shape[-1])
         out = np.zeros(Xb.shape[0])        # extension by fiat at the origin
         away = np.any(Xb != 0.0, axis=1)
         if np.any(away):
-            out[away] = scale * moll._evaluate(Xb[away], False)[0]
+            out[away] = moll._evaluate(Xb[away], False)[0] / (1.0 - dlt)
         return out.reshape(X.shape[:-1])
 
     def subdiff_batch(X):
-        g = scale * moll.evaluate(X)[1]
+        g = moll.evaluate(X)[1] / (1.0 - dlt)
         return g, g
 
     return StorageCandidate(f"smoothed({base_name})", value, "smooth", moll.ndim, subdiff_batch)

@@ -43,23 +43,6 @@ class SubdiffSet:
     intervals: tuple = ()
     empty: bool = False
 
-    @staticmethod
-    def empty_set() -> "SubdiffSet":
-        return SubdiffSet((), True)
-
-    @staticmethod
-    def singleton(vec) -> "SubdiffSet":
-        vec = np.atleast_1d(np.asarray(vec, dtype=float))
-        return SubdiffSet(tuple((float(v), float(v)) for v in vec))
-
-    @staticmethod
-    def box(intervals) -> "SubdiffSet":
-        ivs = tuple((float(lo), float(hi)) for lo, hi in intervals)
-        for lo, hi in ivs:
-            if lo > hi:
-                raise ValueError(f"malformed interval [{lo}, {hi}]")
-        return SubdiffSet(ivs)
-
     @property
     def is_empty(self) -> bool:
         return self.empty
@@ -76,13 +59,6 @@ class SubdiffSet:
     def unbounded_axes(self) -> tuple:
         return tuple(k for k, (lo, hi) in enumerate(self.intervals)
                      if math.isinf(lo) or math.isinf(hi))
-
-    def contains(self, zeta) -> bool:
-        """Exact interval containment."""
-        if self.empty:
-            return False
-        zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-        return all(lo <= z <= hi for z, (lo, hi) in zip(zeta, self.intervals))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +110,7 @@ class StorageCandidate:
     def subdiff(self, x) -> SubdiffSet:
         lo, hi = self._row(x)
         if np.any(lo > hi):
-            return SubdiffSet.empty_set()
+            return SubdiffSet((), True)
         return SubdiffSet(tuple(zip(lo.tolist(), hi.tolist())))
 
     def gradient(self, x) -> np.ndarray:

@@ -12,9 +12,9 @@ record (states, midpoint inputs, squared norms).  The audit runs once per (recor
 gamma) over all rows and keeps the last result only, so alternating pairs recompute
 it; it evaluates V once on the stacked rows, relying on ``value_fn`` being elementwise
 over leading axes (:class:`~hjikit.storage.StorageCandidate`).  Input signals are measurable
-and essentially bounded by construction: constants, piecewise constants, and
-per-channel sinusoids, with finite parameters.  Integration starts only from
-finite states with |x_i| <= 1e8, the blow-up bound.  The audits take the supply
+and essentially bounded by construction: piecewise constants (a constant being one
+without switches) and per-channel sinusoids, with finite parameters.  Integration
+starts only from finite states with |x_i| <= 1e8, the blow-up bound.  The audits take the supply
 |u|^2 by the midpoint rule, exact on each step only for a piecewise constant whose
 switch times lie on the integration grid, so they reject a switch off the grid.
 """
@@ -60,24 +60,6 @@ def _finite(key: str, values) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"input {key} must be finite, got {a.tolist()}")
     return a
-
-
-class ConstantInput:
-    kind = "constant"
-
-    def __init__(self, values):
-        self.values = np.atleast_1d(_finite("values", values))
-
-    @property
-    def m(self) -> int:
-        return self.values.size
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.broadcast_to(self.values, t.shape + (self.m,)).copy()
-
-    def config(self) -> dict:
-        return {"kind": self.kind, "values": self.values.tolist()}
 
 
 class PiecewiseConstantInput:
@@ -132,6 +114,11 @@ class SinusoidInput:
     def config(self) -> dict:
         return {"kind": self.kind, "amplitude": self.amplitude.tolist(),
                 "omega": self.omega.tolist(), "phase": self.phase.tolist()}
+
+
+def ConstantInput(values) -> PiecewiseConstantInput:
+    """The constant input ``values`` (m,): a step input without switches."""
+    return PiecewiseConstantInput([], [values])
 
 
 InputSignal = Callable  # the classes above, or any callable mapping times (N,) to values (N, m)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -203,12 +204,19 @@ def test_curve_tangency_examples():
     assert np.allclose(au.curve_velocity(a, 1.0), [a, 0.0])
 
 
-def test_curve_tangency_matches_drift_field():
-    s2 = sy.make_sigma2()
-    t = np.linspace(0, 1, 11)
-    pts = au.curve_point(1.0, t)
-    undriven = s2.dynamics(pts, np.stack([pts[:, 0], pts[:, 1]], axis=-1))
-    assert np.max(np.abs(undriven - au.drift_field(pts))) <= 1e-12
+def test_audits_evaluate_the_zoo_fields(monkeypatch):
+    """The tangency audit and the p > 2 falsifier evaluate the zoo's sigma2 and sigma_p, not
+    copies: one changed g0 term moves the tangency defect past 1e-9, and adding 1 to
+    sigma_p's first drift component moves the residual at xi = (2, 1) by grad V_1 = 4."""
+    s2, sp = sy.make_sigma2(), sy.make_sigma_p(3.0)
+    monkeypatch.setattr(au, "make_sigma2",
+                        lambda: dataclasses.replace(s2, g0=("-x1+2*x2", s2.g0[1])))
+    assert au.audit_curve_tangency(1.0) > 1e-9
+    args = (stg.builtin("sq_norm"), 3.0, 1.0, [(2.0, 1.0)], 2.0, 8)
+    before = au.audit_sigmap(*args).detail["residual"]
+    monkeypatch.setattr(au, "make_sigma_p",
+                        lambda p: dataclasses.replace(sp, p=p, g0=(f"{sp.g0[0]} + 1", sp.g0[1])))
+    assert au.audit_sigmap(*args).detail["residual"] == pytest.approx(before + 4.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

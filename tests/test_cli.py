@@ -513,35 +513,6 @@ def test_bad_numeric_arguments_are_usage_errors(tmp_path, capsys, argv, option):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("argv", [["zoo", "run", "scalar_linear"],
-                                  ["subdiff", "--storage", "builtin:v1", "--point", "1", "2"]])
-def test_bad_seed_environment_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
-    monkeypatch.setenv("HJI_SEED", "abc")
-    with pytest.raises(SystemExit) as err:
-        run([*argv, "--out", tmp_path])
-    assert err.value.code == 2
-    assert "--seed" in capsys.readouterr().err
-    # an explicit --seed overrides the environment
-    assert run([*argv, "--out", tmp_path, "--seed", "5"]) == 0
-
-
-def test_seed_environment_is_recorded(tmp_path, monkeypatch):
-    monkeypatch.setenv("HJI_SEED", "7")
-    assert run(["zoo", "run", "scalar_linear", "--out", tmp_path]) == 0
-    assert json.loads((tmp_path / "zoo.json").read_text())["seed"] == 7
-
-
-def test_seed_environment_is_read_on_every_call(tmp_path, monkeypatch):
-    """The parser is shared between calls; the environment is read when parsing."""
-    for seed in ("9", "4"):
-        monkeypatch.setenv("HJI_SEED", seed)
-        assert run(["zoo", "run", "scalar_linear", "--out", tmp_path]) == 0
-        assert json.loads((tmp_path / "zoo.json").read_text())["seed"] == int(seed)
-    monkeypatch.delenv("HJI_SEED")
-    assert run(["zoo", "run", "scalar_linear", "--out", tmp_path]) == 0
-    assert json.loads((tmp_path / "zoo.json").read_text())["seed"] == 0
-
-
 def test_construct_command(tmp_path):
     code = run(["construct1d", "--zoo", "scalar_linear", "--storage",
                 "builtin:sq_norm", "--gamma", "1", "--grid", "0.01", "2", "120",

@@ -2,6 +2,7 @@
 that keep their bytes across interpreters, paths compiled on their first call, and one
 run per exit code (0, 1, 2, 3) through the module's entry point; and what a fresh
 ``import hjikit, hjikit.cli`` loads and defines."""
+import ast
 import json
 import os
 import shlex
@@ -52,11 +53,15 @@ CASES = {
     # a smoothing run out of refinements; its line names the bound that failed
     "smooth-sigma2": ("smooth --zoo sigma2 --gamma 1 --gamma-prime 1.01", 3, (),
                       lambda proc, out: "gain residual" in proc.stdout),
+    # --seed alone sets the seed: HJI_SEED=7 in the environment (_RUN_ENV) is not read
+    "seed-environment": ("zoo run scalar_linear", 0, (), lambda proc, out:
+                         json.loads((out / "zoo.json").read_text())["seed"] == 0),
 }
 
 
 # a case's environment overrides, one per run (None unsets the variable)
-_RUN_ENV = {"smooth-sigma1": ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": None})}
+_RUN_ENV = {"smooth-sigma1": ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": None}),
+            "seed-environment": ({"HJI_SEED": "7"},)}
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -86,6 +91,8 @@ _MOVED = {"hji": ("supply", "affine_residual", "power_residual", "_power_sup",
           "expr": ("evaluate", "_EVAL", "_unit", "EvalError"),
           "storage": ("verify_subgradient", "_directions"),
           "construct1d": ("f_membership",), "audits": ("recheck_violation",)}
+# the names through which a module reads the environment
+_ENVIRON = {"environ", "environb", "getenv", "getenvb"}
 _PROBE = """
 import json, sys
 import hjikit, hjikit.cli
@@ -99,7 +106,8 @@ print(json.dumps({"modules": sorted(sys.modules), "defined": sorted(
 
 def test_import_loads_no_test_code(tmp_path):
     """A fresh ``import hjikit, hjikit.cli`` loads no test module, hypothesis or scipy, and
-    neither the package nor any of its modules defines a moved name."""
+    neither the package nor any of its modules defines a moved name.  No module of the
+    package reads the environment: the command line is the one source of options."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(_SRC), os.environ.get("PYTHONPATH"))))}
     names = sorted({n for group in _MOVED.values() for n in group})
@@ -111,3 +119,8 @@ def test_import_loads_no_test_code(tmp_path):
                                                             "scipy", "conftest"}
     assert {f"hjikit.{m}" for m in _MOVED} <= set(got["modules"])
     assert got["defined"] == [] and got["vertices"] is False
+    reads = [f"{path.name}:{node.lineno}" for path in sorted((_SRC / "hjikit").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             for name in (getattr(node, k, None) for k in ("attr", "id", "name"))
+             if name in _ENVIRON]
+    assert reads == []

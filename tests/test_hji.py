@@ -320,7 +320,7 @@ def test_box_maximum_attained_at_vertices():
         lo = rng.uniform(-3, 0, 2)
         hi = lo + rng.uniform(0, 3, 2)
         gamma = rng.uniform(0.3, 2)
-        verts = finite_vertices(stg.SubdiffSet.box(list(zip(lo, hi))))
+        verts = finite_vertices(stg.SubdiffSet(tuple(zip(lo.tolist(), hi.tolist()))))
         vmax = max(affine_residual(sysr, x, v, gamma) for v in verts)
         t = rng.uniform(0, 1, (80, 2))
         samples = lo + t * (hi - lo)

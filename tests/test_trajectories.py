@@ -34,6 +34,34 @@ def test_signals():
         assert tr.signal_from_config(sig.config()).config() == sig.config()
 
 
+def test_constant_input_is_a_step_input(tmp_path):
+    """A constant is a step input without switches: its JSON kind and the switch-free
+    piecewise constant write the same simulate reports, and ConstantInput(v), its
+    piecewise form and a plain callable give a 3-trajectory sigma2 ensemble the same
+    states and audit slacks, bit for bit.  (A non-finite constant is still named as
+    ``values``: test_non_finite_input_config_is_bad_input.)"""
+    v = [0.5, -0.3]
+    for k, cfg in enumerate([{"kind": "constant", "values": v},
+                             {"kind": "piecewise_constant", "switch_times": [], "values": [v]}]):
+        assert cli.main(["simulate", "--zoo", "sigma2", "--storage", "builtin:v2", "--gamma",
+                         "1", "--x0", "1", "-1", "--input", json.dumps(cfg), "--tspan", "0",
+                         "0.2", "--step", "1e-3", "--out", str(tmp_path / str(k))]) == 0
+    for name in ("trajectory.csv", "dissipation.json"):
+        assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+    s2, v2 = sy.make_sigma2(), stg.builtin("v2")
+    X0 = np.array([[1.0, -1.0], [0.3, 0.7], [-0.5, 0.2]])
+    values = [[0.5, -0.3], [0.0, 1.0], [-1.2, 0.4]]
+    forms = [[tr.ConstantInput(u) for u in values],
+             [tr.PiecewiseConstantInput([], [u]) for u in values],
+             [lambda t, u=np.array(u): np.broadcast_to(u, np.shape(t) + (2,)) for u in values]]
+    runs = []
+    for inputs in forms:
+        trajs = tr.integrate_ensemble(s2, X0, inputs, (0.0, 0.2), 1e-3)
+        runs.append((np.stack([t.states for t in trajs]).tobytes(),
+                     [tr.dissipation_audit(t, v2, 1.0) for t in trajs]))
+    assert runs[0] == runs[1] == runs[2]
+
+
 @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
 def test_dissipation_audit_rejects_a_nonpositive_gamma(linear, gamma):
     """Both audits reject a gamma that is not positive and finite.  inf passes a test of
@@ -881,8 +909,9 @@ def test_shared_gather_equals_per_signal_sampling(m, count, K, copies, seed):
 
 
 def test_other_lists_are_sampled_one_signal_at_a_time(monkeypatch):
-    """Mixed lists, wrapped signals, a subclass and other switch times take the
-    per-signal path; a signal with the wrong m fails with the per-signal error."""
+    """Mixed lists, wrapped signals, a subclass and other switch times (a constant's are
+    none) take the per-signal path; a signal with the wrong m fails with the per-signal
+    error."""
     ens = tr.random_piecewise_ensemble(2, 0.5, 1e-2, 3, seed=1)
     t = np.arange(50) * 1e-2 + 5e-3
     calls = []
@@ -894,7 +923,8 @@ def test_other_lists_are_sampled_one_signal_at_a_time(monkeypatch):
         pass
 
     other = tr.PiecewiseConstantInput(ens[0].switch_times + 1e-2, ens[0].values)
-    for extra, n_calls in ((tr.ConstantInput([0.5, -0.5]), 3),
+    for extra, n_calls in ((tr.SinusoidInput([0.5, -0.5], [1.0, 2.0]), 3),
+                           (tr.ConstantInput([0.5, -0.5]), 4),
                            (_Counting(ens[0]), 4),
                            (Sub(ens[0].switch_times, ens[1].values), 4),
                            (other, 4)):
