@@ -36,6 +36,8 @@ class BoundaryRadiusError(HjikitError):
 
 
 _EVAL_CHUNK = 4096      # query rows per gathered window block in MollifiedFunction.evaluate
+_GRID_TILE = 1 << 14    # grid points per matmul of the grid walk (fixes its products' shapes)
+_GRID_BLOCK = 1 << 15   # grid points per block of the grid walk, in whole tiles
 _HYPOTHESIS_PPD = 41    # grid points per axis of smooth_witness's hypothesis check
 _GRID_RATIO = 1.1       # node ratio of smooth_witness's mirrored geometric sample axis
 
@@ -300,38 +302,52 @@ class MollifiedFunction:
         return vals, grads
 
     def evaluate_grid(self, coords: Sequence[np.ndarray]):
-        """Values and gradients on the tensor grid of per-axis query coordinates.
+        """W (Q_1, ..., Q_n) and grad W (Q_1, ..., Q_n, n) by the grid walk, at the points
+        (coords[0][j_1], ..., coords[n-1][j_n]) of the tensor grid of per-axis coordinates."""
+        shape = tuple(len(q) for q in coords)
+        W, G = zip(*((W, gradient()) for W, gradient in self._walk(coords)))
+        return np.concatenate(W).reshape(shape), np.concatenate(G).reshape(shape + (len(shape),))
 
-        Returns W of shape (Q_1, ..., Q_n) and its gradient (Q_1, ..., Q_n, n)
-        at the points (coords[0][j_1], ..., coords[n-1][j_n]).  Each axis's
-        weights become one dense (Q_i, nodes) matrix, so the work is n
-        contractions of the sample values instead of one window per point.
-        """
-        W, gradient = self._grid_stages(coords)
-        return W, gradient(np.ones(W.shape, dtype=bool)).reshape(W.shape + (W.ndim,))
-
-    def _grid_stages(self, coords: Sequence[np.ndarray]):
-        """W on the tensor grid of ``coords``, and a function building grad W at masked
-        grid points from the same weights and partial contractions.  Axes whose coordinate
-        arrays hold the same bytes share one weight matrix, and one derivative matrix,
-        which only that function builds."""
+    def _walk(self, coords: Sequence[np.ndarray], keep: Optional[np.ndarray] = None):
+        """The grid walk over blocks of first-axis rows of the tensor grid of ``coords``: per
+        block, W at its points where ``keep`` (over the ravelled grid) holds and a function
+        building grad W (K_b, n) there.  The values are contracted with axis 0's dense weights
+        once, and a block's part of that with the other axes' by one matmul per tile of
+        ``_GRID_TILE`` points: ``_GRID_BLOCK`` (whole tiles) sets no product's shape, no bit."""
         coords = [np.asarray(q, dtype=float) for q in coords]
         mats = {}
         for q in coords:
             if q.tobytes() not in mats:
                 idx, w, _, derivatives = self._axis_weights(q)
                 dense = functools.partial(_dense, idx, self.axis.size)
-                mats[q.tobytes()] = dense(w), dense, derivatives
-        A = [mats[q.tobytes()][0] for q in coords]
-        step = (lambda T, a: np.tensordot(T, a, axes=([0], [1])))
-        partial = _chain(self.values, A, step)
+                mats[q.tobytes()] = dense(w), functools.cache(lambda d=dense, f=derivatives: d(f()))
+        A, dA = zip(*(mats[q.tobytes()] for q in coords))
+        rest, size = math.prod(len(q) for q in coords[1:]), len(coords[0])
+        tile = -(-size // -(-size // max(1, _GRID_TILE // rest)))    # rows: fewest even tiles
+        rows = tile * max(1, _GRID_BLOCK // (tile * rest))
 
-        def gradient(mask):
-            """grad W (K, n) at the K grid points where ``mask`` (W's shape) holds."""
-            dA = {key: to_dense(derivatives()) for key, (_, to_dense, derivatives) in mats.items()}
-            dW = _gradient_numerators(partial, A, [dA[q.tobytes()] for q in coords], step)
-            return np.stack([g[mask] for g in dW], axis=-1)
-        return partial[-1], gradient
+        def contracted(a):      # the values contracted with a (Q_0, nodes), zero-padded to tiles
+            T = np.tensordot(self.values, a, axes=([0], [1]))
+            return np.concatenate([T, np.zeros(T.shape[:-1] + (-size % tile,))], axis=-1)
+        first, d_first = contracted(A[0]), functools.cache(lambda: contracted(dA[0]()))
+
+        def block(start, pick):
+            def tiles(T):       # the block's columns of a contraction as (tiles, N_1, ..., tile)
+                T = T[..., start:start + rows]
+                return np.moveaxis(T.reshape(T.shape[:-1] + (-1, tile)), -2, 0)
+
+            def at_points(T):   # the block's (tiles, tile, Q_1, ...) at its points where kept
+                return T.reshape(-1, rest)[:size - start].ravel()[pick]
+
+            def gradient():
+                partial = _chain(tiles(first), A[1:-1], _tile_step)
+                dW = [_chain(tiles(d_first()), A[1:], _tile_step)[-1]]
+                dW += _gradient_numerators(partial, A[1:], [d() for d in dA[1:]], _tile_step)
+                return np.stack([at_points(g) for g in dW], axis=-1)
+            return at_points(_chain(tiles(first), A[1:], _tile_step)[-1]), gradient
+
+        for start in range(0, size, rows):
+            yield block(start, slice(None) if keep is None else keep[start * rest:][:rows * rest])
 
 
 def _dense(idx: np.ndarray, nodes: int, a: np.ndarray) -> np.ndarray:
@@ -353,6 +369,13 @@ def _window_step(T: np.ndarray, a: np.ndarray) -> np.ndarray:
     if T.ndim > 2:      # M is not the innermost axis: einsum adds along it in order
         return np.einsum("qm...,qm->q...", T, a)
     return _ordered_rowsum(T * a)
+
+
+def _tile_step(T: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """T (tiles, M, ...) contracted along M with a (Q, M) by one matmul per tile, Q last."""
+    moved = np.moveaxis(T, 1, -1)
+    out = np.matmul(moved.reshape(len(T), -1, moved.shape[-1]), a.T)
+    return out.reshape(moved.shape[:-1] + (len(a),))
 
 
 def _chain(T: np.ndarray, w, step) -> list:
@@ -415,9 +438,8 @@ class CertifiedSmooth:
         and W and grad W there by the grid path, masked and divided by 1 - delta as certified."""
         axes = [dump_axis(r_min, r_max)] * self.mollified.ndim
         keep, P = annulus_grid(axes, r_min, r_max)
-        W, gradient = self.mollified._grid_stages(axes)
-        mask = keep.reshape(W.shape)
-        return P, W[mask] / (1.0 - self.delta), gradient(mask) / (1.0 - self.delta)
+        W, G = zip(*((W, gradient()) for W, gradient in self.mollified._walk(axes, keep)))
+        return P, np.concatenate(W) / (1.0 - self.delta), np.concatenate(G) / (1.0 - self.delta)
 
 
 def smooth_witness(sys: System, V: StorageCandidate, gamma: float, gamma_prime: float,
@@ -508,30 +530,33 @@ def _certify(sys: AffineSystem, moll: MollifiedFunction, coords: np.ndarray,
              gamma_eff: float):
     """Check the Upsilon_1 bound, the relative bound (19), and the residual (20).
 
-    W is evaluated on the tensor grid of ``coords`` and masked by ``keep`` to
-    the certification points ``Pc``; grad W is built only once W passes both
-    value bounds, and (20) is a sweep's verdict at ``gamma_eff`` with tolerance 0.
-    Returns the bound that failed (None if all hold), the worst point of the last
-    bound checked, and the max relative error and residual (NaN if not reached).
-    """
-    Wg, gradient = moll._grid_stages([coords] * sys.n)
-    Wh = Wg.ravel()[keep]
-    ups1 = (1.0 - dlt) / 4.0 * Vc
-    approx_gap = np.abs(Vc - Wh) - ups1
+    Pass 1 walks the tensor grid of ``coords`` block by block and checks the value bounds on
+    W at the K certification points ``Pc`` (where ``keep`` holds).  Only if both hold, pass 2
+    walks the blocks' grad W there and their sweeps' verdict at ``gamma_eff`` with tolerance
+    0 (20); the worst point is the first largest residual in ``Pc`` order.  Returns the bound
+    that failed (None if all hold), the worst point of the last bound checked, and the max
+    relative error and residual (NaN if not reached)."""
+    Ws, gradients = zip(*moll._walk([coords] * sys.n, keep))
+    ends, Wh = np.cumsum([len(W) for W in Ws]), np.concatenate(Ws)
+    approx_gap = np.abs(Vc - Wh) - (1.0 - dlt) / 4.0 * Vc
     k = int(np.argmax(approx_gap))
     if approx_gap[k] > 0:
         return "approximation bound", Pc[k], math.nan, math.nan
-
-    Wv = Wh / (1.0 - dlt)
-    rel = np.abs(Vc - Wv) / Vc
+    rel = np.abs(Vc - Wh / (1.0 - dlt)) / Vc
     rk = int(np.argmax(rel))
     if rel[rk] > 0.5:
         return "relative bound", Pc[rk], float(rel[rk]), math.nan
+    del Ws, Wh, approx_gap              # pass 2 holds no array of pass 1's size
+    rel = float(rel[rk])
 
-    Z = gradient(keep.reshape(Wg.shape)) / (1.0 - dlt)
-    gain = Sweep(sys, Pc, Z, Z).check(gamma_eff, 0.0)
-    return (None if gain.passed else "gain residual", gain.worst_x, float(rel[rk]),
-            gain.max_residual)
+    worst, top = None, -math.inf
+    for P, gradient in zip(np.split(Pc, ends[:-1]), gradients):
+        if len(P):
+            Z = gradient() / (1.0 - dlt)
+            gain = Sweep(sys, P, Z, Z).check(gamma_eff, 0.0)
+            if gain.max_residual > top:
+                worst, top = gain.worst_x, gain.max_residual
+    return None if top <= 0.0 else "gain residual", worst, rel, top
 
 
 def _wrap_candidate(moll: MollifiedFunction, dlt: float, base_name: str) -> StorageCandidate:

@@ -1,13 +1,15 @@
 """``python -m hjikit.cli`` in fresh interpreters (test_cli.py calls ``cli.main``): reports
 that keep their bytes across interpreters, paths compiled on their first call, and one
-run per exit code (0, 1, 2, 3) through the module's entry point; and what a fresh
-``import hjikit, hjikit.cli`` loads and defines."""
+run per exit code (0, 1, 2, 3) through the module's entry point; a 3-D certificate's peak
+memory; and what a fresh ``import hjikit, hjikit.cli`` loads and defines."""
 import ast
 import json
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,10 @@ import pytest
 from test_cli import check_reports
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
-_FILES = {"esc.json": {"kind": "general", "n": 1, "m": 1, "F": ["x1*x1 + u1"]}}
+_FILES = {"esc.json": {"kind": "general", "n": 1, "m": 1, "F": ["x1*x1 + u1"]},
+          # dx = -x + u in 3-D
+          "lin3.json": {"kind": "affine", "n": 3, "m": 3, "g0": ["-x1", "-x2", "-x3"],
+                        "g": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}}
 
 
 def _gain_measured(proc, out):
@@ -28,10 +33,18 @@ def _gain_measured(proc, out):
 CASES = {
     "smooth": ("smooth --zoo scalar_linear --storage builtin:sq_norm --gamma 1 --gamma-prime 1.1"
                " --rmin 0.1 --rmax 0.3", 0, ("smooth.json", "smooth_grid.csv"), None),
-    # its grid dump is contracted by BLAS, with one thread in the first run and the default
-    # count in the second (_RUN_ENV)
+    # its grid dump (and sigma2's certificate, below) is contracted by BLAS, with one thread in
+    # the first run and the default count in the second (_RUN_ENV)
     "smooth-sigma1": ("smooth --zoo sigma1 --storage builtin:v1_scaled --gamma 1 --gamma-prime 1.1"
                       " --rmin 0.1 --rmax 0.3", 0, ("smooth.json", "smooth_grid.csv"), None),
+    "smooth-sigma2-pass": ("smooth --zoo sigma2 --storage builtin:v2 --gamma 1 --gamma-prime 1.1"
+                           " --rmin 0.1 --rmax 0.3", 0, ("smooth.json", "smooth_grid.csv"), None),
+    # a 3-D certificate (8.6 M grid points, 4.5 M of them certified) walks its grid block by
+    # block: the child's peak RSS stays under 600 MB (1.83 GB with the whole grid at once)
+    "smooth-3d": ("smooth --system $TMP/lin3.json --storage builtin:sq_norm --gamma 1"
+                  " --gamma-prime 1.1 --rmin 0.1 --rmax 0.3", 0, (), lambda proc, out:
+                  json.loads((out / "smooth.json").read_text())["verdict"] == "pass"
+                  and proc.peak_mb < 600),
     # one trajectory steps in Python floats (cbrt, pow by numpy); a header, 501 grid times
     "simulate": ("simulate --zoo sigma2 --storage builtin:v2 --gamma 1 --x0 1 -1 --input"
                  """ '{"kind": "sinusoid", "amplitude": [0.5, 0.7], "omega": [1, 3]}'"""
@@ -60,8 +73,30 @@ CASES = {
 
 
 # a case's environment overrides, one per run (None unsets the variable)
-_RUN_ENV = {"smooth-sigma1": ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": None}),
+_BLAS_THREADS = ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": None})
+_RUN_ENV = {"smooth-sigma1": _BLAS_THREADS, "smooth-sigma2-pass": _BLAS_THREADS,
             "seed-environment": ({"HJI_SEED": "7"},)}
+
+
+def _run(args: list, env: dict, timeout: float = 120):
+    """The child's ``subprocess.CompletedProcess`` with its text output, as ``subprocess.run``
+    with ``capture_output=True, text=True`` gives it, the child killed after ``timeout``
+    seconds; and its own peak RSS in MB as ``peak_mb`` (``os.wait4``'s, in KiB on Linux)."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        child = subprocess.Popen(args, env=env, stdout=out, stderr=err)
+        timer = threading.Timer(timeout, child.kill)
+        timer.start()
+        try:
+            _, status, usage = os.wait4(child.pid, 0)
+        finally:
+            timer.cancel()
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        proc = subprocess.CompletedProcess(args, child.returncode, out.read().decode(),
+                                           err.read().decode())
+    proc.peak_mb = usage.ru_maxrss / 1024
+    return proc
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -75,8 +110,7 @@ def test_cli_process(tmp_path, case):
     for out, override in zip(outs, _RUN_ENV.get(case, ({}, {}))):
         args = [a.replace("$TMP", str(tmp_path)) for a in shlex.split(argv)]
         run_env = {k: v for k, v in {**env, **override}.items() if v is not None}
-        proc = subprocess.run([sys.executable, "-m", "hjikit.cli", *args, "--out", str(out)],
-                              env=run_env, capture_output=True, text=True, timeout=120)
+        proc = _run([sys.executable, "-m", "hjikit.cli", *args, "--out", str(out)], run_env)
         assert proc.returncode == code, proc.stderr
         assert check is None or check(proc, out), proc
         check_reports(out)

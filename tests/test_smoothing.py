@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -272,11 +274,12 @@ def test_grid_gradient_on_a_mask_is_the_masked_grid_gradient(n, data):
     point's gradient does not depend on which other points are masked out."""
     m, rng = _draw_mollifier(n, data)
     coords = [np.sort(rng.uniform(-0.5, 0.5, data.draw(st.integers(1, 8)))) for _ in range(n)]
-    W, gradient = m._grid_stages(coords)
-    keep = rng.random(W.shape) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+    shape = tuple(c.size for c in coords)
+    keep = rng.random(shape) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
     full = m.evaluate_grid(coords)[1]
-    assert full.shape == W.shape + (n,)
-    assert gradient(keep).tobytes() == full[keep].tobytes()
+    assert full.shape == shape + (n,)
+    masked = np.concatenate([g() for _, g in m._walk(coords, keep.ravel())])
+    assert masked.tobytes() == full[keep].tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -425,16 +428,60 @@ def test_smooth_witness_sigma2_schedule():
 def test_failed_value_bounds_build_no_gradient(monkeypatch):
     """The certificate contracts grad W only for an attempt whose W passes both value
     bounds: sigma2/v2 on [0.1, 0.3] fails the approximation bound four times, then
-    passes, and builds the gradient stage once."""
-    stages = []
-    numerators = sm._gradient_numerators
+    passes, and builds the gradient stage of that attempt once per block of its walk."""
+    attempts, stages = [], []
+    certify, numerators = sm._certify, sm._gradient_numerators
+    monkeypatch.setattr(sm, "_certify", lambda *a: attempts.append(a[2]) or certify(*a))
     monkeypatch.setattr(sm, "_gradient_numerators",
-                        lambda *a: stages.append(len(a[0])) or numerators(*a))
+                        lambda *a: stages.append(len(attempts)) or numerators(*a))
     cert = sm.smooth_witness(sy.zoo_entry("sigma2").system, stg.builtin("v2"), 1.0, 1.1,
                              r_min=0.1, r_max=0.3)
     assert [r["outcome"] for r in cert.radius_schedule] == \
         ["fail (approximation bound)"] * 4 + ["pass"]
-    assert stages == [3]          # one grid gradient: the sample values and two partials
+    blocks = len(list(cert.mollified._walk([attempts[-1]] * 2)))
+    assert blocks > 1 and stages == [5] * blocks     # the fifth attempt's blocks, once each
+
+
+@pytest.mark.parametrize("tile", [None, 1], ids=["default-tile", "one-row-tiles"])
+@pytest.mark.parametrize("zoo, storage", [("sigma1", "v1_scaled"), ("sigma2", "v2"),
+                                          ("scalar_linear", "sq_norm")])
+def test_block_size_changes_no_bits(zoo, storage, tile, monkeypatch):
+    """How many rows a block of the grid walk holds changes no bit of the certificate or its
+    dump on [0.1, 0.3]: one tile per block and the whole grid in one block give the same
+    report and dump arrays, at the default tile and at one-row tiles (one row per block).
+    The tile fixes the shape of every product, so it may change bits; the budget may not."""
+    if tile:
+        monkeypatch.setattr(sm, "_GRID_TILE", tile)
+    system, V = sy.zoo_entry(zoo).system, stg.builtin(storage)
+    sweeps, sweep = [], sm.Sweep
+    monkeypatch.setattr(sm, "Sweep", lambda *a: sweeps.append(len(a[1])) or sweep(*a))
+    runs = []
+    for budget in (1, 10 ** 9):
+        monkeypatch.setattr(sm, "_GRID_BLOCK", budget)
+        sweeps.clear()
+        cert = sm.smooth_witness(system, V, 1.0, 1.1, r_min=0.1, r_max=0.3)
+        assert cert.passed
+        runs.append((json.dumps(cli._plain(cert), sort_keys=True),
+                     [a.tobytes() for a in cert.dump(0.1, 0.3)], len(sweeps)))
+    (report, dump, blocks), (whole_report, whole_dump, whole) = runs
+    assert whole == 1 and (blocks > 1 or (tile is None and system.n == 1))
+    assert report == whole_report and dump == whole_dump
+
+
+def test_sigma2_certificate_peak_memory():
+    """sigma2/v2 on [0.1, 0.3] certifies 32,776 points of a 379 x 379 grid block by block:
+    its traced peak stays at most 9 MB (12.6 MB when the whole grid's W, grad W and
+    sweep were built at once)."""
+    s2, v2 = sy.zoo_entry("sigma2").system, stg.builtin("v2")
+    sm.smooth_witness(s2, v2, 1.0, 1.1, r_min=0.1, r_max=0.3)      # builds the tables
+    tracemalloc.start()
+    try:
+        cert = sm.smooth_witness(s2, v2, 1.0, 1.1, r_min=0.1, r_max=0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.passed and cert.grids["certification_points"] == 32776
+    assert peak <= 9e6, peak
 
 
 def test_derivative_weights_are_built_only_for_the_gradient(monkeypatch):
